@@ -28,6 +28,7 @@ from .decomposition import (
 )
 from .econfile import (
     EconomyFormatError,
+    _fmt,
     load_dataset,
     load_economy,
     save_economy,
@@ -43,11 +44,6 @@ from .revealed import scaled_field_audit, sarp_check
 from .scales import ConstantScale
 
 DEFAULT_SEED = 1729
-FLOAT_FMT = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
 
 
 def _solver_config(args) -> SolverConfig:

@@ -9,6 +9,10 @@ Walrasian equilibria.
 
 All formulas are homogeneous of degree zero in the price vector, so the
 array-level functions here accept arbitrary strictly positive price rows.
+They take those rows raw and assume them finite and strictly positive:
+:class:`~walraskit.geometry.PricePoint`,
+:class:`~walraskit.geometry.ChartPoint` and the chart map of
+:func:`walraskit.fields.economy_field` check prices where they enter.
 Scaling functions are always evaluated at the simplex normalisation of the
 price, which preserves homogeneity.
 """
@@ -19,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    PricePoint,
-    TangentVector,
-    as_price_rows,
-    simplex_to_sphere,
-)
+from .geometry import PricePoint, TangentVector
 from .scales import ConstantScale, Scale
 
 UNIT_SCALE = ConstantScale(1.0)
@@ -96,21 +95,14 @@ class Economy:
 # --- vectorised array core ---------------------------------------------------
 
 
-def wealth_rows(c: Consumer, P) -> np.ndarray:
-    """Wealth ``p . omega`` for each price row."""
-    return as_price_rows(P) @ c.endowment
-
-
 def demand_rows(c: Consumer, P) -> np.ndarray:
     """Demanded bundles ``alpha_i * w / p_i``, one row per price row."""
-    P = as_price_rows(P)
     w = P @ c.endowment
     return c.alpha * w[:, None] / P
 
 
 def scale_rows(c: Consumer, P) -> np.ndarray:
     """Scaling values at the simplex normalisation of each price row."""
-    P = as_price_rows(P)
     S = P / P.sum(axis=1, keepdims=True)
     values = np.asarray(c.scale(S), dtype=float)
     if np.any(~np.isfinite(values)) or np.any(values <= 0.0):
@@ -120,7 +112,6 @@ def scale_rows(c: Consumer, P) -> np.ndarray:
 
 def excess_rows(c: Consumer, P) -> np.ndarray:
     """Scaled individual excess demand ``scale(p) * (demand - omega)`` per row."""
-    P = as_price_rows(P)
     z = demand_rows(c, P) - c.endowment
     if c.has_unit_scale:
         return z
@@ -129,7 +120,6 @@ def excess_rows(c: Consumer, P) -> np.ndarray:
 
 def aed_rows(e: Economy, P) -> np.ndarray:
     """Aggregate excess demand rows: the sum of consumers' excess demands."""
-    P = as_price_rows(P)
     total = np.zeros_like(P)
     for c in e.consumers:
         total += excess_rows(c, P)
@@ -152,7 +142,7 @@ def demand(c: Consumer, p: PricePoint) -> np.ndarray:
 def excess_demand(c: Consumer, p: PricePoint) -> TangentVector:
     """Scaled individual excess demand as a tangent vector at ``p``."""
     z = excess_rows(c, p.coords[None, :])[0]
-    return TangentVector(_sphere_base(p), z)
+    return TangentVector(p, z)
 
 
 def indirect_utility(c: Consumer, p: PricePoint) -> float:
@@ -171,14 +161,10 @@ def indirect_utility(c: Consumer, p: PricePoint) -> float:
 def aed(e: Economy, p: PricePoint) -> TangentVector:
     """Aggregate excess demand of the economy at ``p`` (a tangent vector)."""
     z = aed_rows(e, p.coords[None, :])[0]
-    return TangentVector(_sphere_base(p), z)
+    return TangentVector(p, z)
 
 
-def _sphere_base(p: PricePoint) -> PricePoint:
-    return p if p.frame == "sphere" else simplex_to_sphere(p)
-
-
-def aed_jacobian(e: Economy, c, h: float | None = None) -> np.ndarray:
+def aed_jacobian(e: Economy, c) -> np.ndarray:
     """Jacobian of the chart representation of the economy's aggregate excess demand.
 
     Central finite differences with step ``h = 1e-6 * max(1, |c|)``,
@@ -188,4 +174,4 @@ def aed_jacobian(e: Economy, c, h: float | None = None) -> np.ndarray:
     """
     from .fields import chart_jacobian, economy_field
 
-    return chart_jacobian(economy_field(e), c, h=h)
+    return chart_jacobian(economy_field(e), c)

@@ -15,11 +15,11 @@ positive combination of them.  Decomposing a whole tangent field pointwise
 and interpolating the coefficients realises the field as the aggregate
 excess demand of an ``l``-consumer economy.
 
-The positive kernel has the closed form ``kappa_i ~ alpha_i / (p_i level_i)``;
-the implementation nevertheless computes it from a singular value
-decomposition and verifies dimension and sign, treating any failure of the
-positive-spanning property as an internal error (it would disprove the
-construction, so it is never silently ignored).
+The positive kernel has the closed form ``kappa_i ~ alpha_i / (p_i level_i)``,
+and that is how it is computed: no singular value decomposition.  Each
+evaluation checks numerically that it annihilates the basis, treating any
+failure of the positive-spanning property as an internal error (it would
+disprove the construction, so it is never silently ignored).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consumers import Consumer, Economy
-from .fields import TangentField, as_field
-from .geometry import PricePoint, TangentVector, simplex_to_sphere
+from .fields import as_field
+from .geometry import PricePoint, TangentVector
 from .scales import KernelSampledScale
 
 KERNEL_NULLSPACE_TOL = 1e-10
@@ -138,8 +138,7 @@ def basis_matrix(f: CanonicalFamily, P: np.ndarray) -> np.ndarray:
 def basis_excess_demands(f: CanonicalFamily, p: PricePoint) -> list[TangentVector]:
     """The ``l`` canonical excess demands at ``p``, as tangent vectors."""
     Z = basis_matrix(f, p.coords[None, :])[0]
-    base = simplex_to_sphere(p) if p.frame != "sphere" else p
-    return [TangentVector(base, Z[:, i]) for i in range(f.goods)]
+    return [TangentVector(p, Z[:, i]) for i in range(f.goods)]
 
 
 def kernel_weights(f: CanonicalFamily, P: np.ndarray) -> np.ndarray:
@@ -151,24 +150,19 @@ def kernel_weights(f: CanonicalFamily, P: np.ndarray) -> np.ndarray:
 def positive_kernel(f: CanonicalFamily, p: PricePoint) -> np.ndarray:
     """Strictly positive dependency of the canonical excess demands at ``p``.
 
-    Computed from the SVD of the basis matrix and normalised so the smallest
-    entry is one.  Raises :class:`PositiveSpanningError` if the nullspace is
-    not one-dimensional or carries mixed signs.
+    The closed form :func:`kernel_weights`, normalised so the smallest entry
+    is one; no SVD is computed.  Raises :class:`PositiveSpanningError` unless
+    the basis matrix maps it to zero within rounding.  The rank needs no
+    check: the basis matrix is ``diag(-omega)`` plus a rank-one matrix, so
+    its rank is at least ``l - 1``.
     """
+    kappa = kernel_weights(f, p.coords[None, :])[0]
+    kappa = kappa / kappa.min()
     Z = basis_matrix(f, p.coords[None, :])[0]
-    _, s, vt = np.linalg.svd(Z)
-    # Tangency of every column makes Z rank-deficient by exactly one when the
-    # columns positively span the tangent space.
-    if s[-1] > KERNEL_NULLSPACE_TOL * s[0]:
-        raise PositiveSpanningError("basis matrix has trivial nullspace")
-    if Z.shape[0] > 2 and s[-2] <= KERNEL_NULLSPACE_TOL * s[0]:
-        raise PositiveSpanningError("basis nullspace is not one-dimensional")
-    kappa = vt[-1]
-    if np.all(kappa < 0.0):
-        kappa = -kappa
-    if np.any(kappa <= 0.0):
-        raise PositiveSpanningError("basis nullspace vector has mixed signs")
-    return kappa / kappa.min()
+    # Written so that a NaN (an overflowed weight) fails the check too.
+    if not np.all(np.abs(Z @ kappa) <= KERNEL_NULLSPACE_TOL * (np.abs(Z) @ kappa)):
+        raise PositiveSpanningError("closed-form kernel does not annihilate the basis")
+    return kappa
 
 
 def decompose_at(
@@ -247,7 +241,7 @@ def realize_economy(
     Raises :class:`GridTooCoarseError` if an interpolated coefficient fails
     to stay strictly positive between grid points.
     """
-    field = target_field if isinstance(target_field, TangentField) else as_field(target_field)
+    field = as_field(target_field)
     if not grid:
         raise ValueError("realisation needs a non-empty price grid")
     goods = f.goods

@@ -22,37 +22,43 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .fields import (
+    JACOBIAN_STEP,
     JacobianConsistencyError,
     TangentField,
+    _chart_coords,
     _derivative_scale,
     as_field,
     chart_jacobian,
 )
-from .geometry import ChartPoint, PricePoint, chart_rows_embed, simplex_point
+from .geometry import PricePoint, chart_rows_embed, simplex_point
 
 REGULAR = "regular"
 CRITICAL = "critical"
 
 DET_RELATIVE_TOL = 1e-6
 
+NEWTON_MAX_ITER = 60
+NEWTON_MAX_HALVINGS = 10
+DEDUP_RADIUS = 1e-6
+CONTINUUM_RUN_REQUIRED = 20
+CONTINUUM_RESIDUAL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     grid_density: int = 50
     newton_tol: float = 1e-11
-    max_iter: int = 60
-    dedup_radius: float = 1e-6
     boundary_margin_min: float = 1e-4
-    max_halvings: int = 10
 
     def __post_init__(self):
         if (
             self.grid_density < 2
             or self.newton_tol <= 0
-            or self.max_iter < 1
-            or self.dedup_radius <= 0
             or self.boundary_margin_min <= 0
         ):
             raise ValueError("solver configuration values must be positive")
@@ -61,8 +67,6 @@ class SolverConfig:
 @dataclass(frozen=True)
 class ContinuumConfig:
     scan_points: int = 2001
-    consecutive_required: int = 20
-    residual_tol: float = 1e-9
     boundary_margin_min: float = 1e-4
 
 
@@ -155,14 +159,14 @@ def _newton_multistart(field: TangentField, starts: np.ndarray, cfg: SolverConfi
     halted = np.zeros(len(C), dtype=bool)
     total_iterations = 0
 
-    for _ in range(cfg.max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         total_iterations += idx.size
         Ca, ra = C[idx], res[idx]
         F = field.chart_values(Ca)
-        h = 1e-6 * np.maximum(1.0, np.linalg.norm(Ca, axis=1))
+        h = JACOBIAN_STEP * np.maximum(1.0, np.linalg.norm(Ca, axis=1))
         J = _batched_jacobian(field, Ca, h)
 
         dets = np.linalg.det(J)
@@ -177,7 +181,7 @@ def _newton_multistart(field: TangentField, starts: np.ndarray, cfg: SolverConfi
         lam = np.ones(idx.size)
         improved = np.zeros(idx.size, dtype=bool)
         newC, newres = Ca.copy(), ra.copy()
-        for _halving in range(cfg.max_halvings + 1):
+        for _halving in range(NEWTON_MAX_HALVINGS + 1):
             rem = solvable & ~improved
             if not rem.any():
                 break
@@ -198,6 +202,9 @@ def _newton_multistart(field: TangentField, starts: np.ndarray, cfg: SolverConfi
         halted[idx[dead]] = True
         active[idx[dead]] = False
         C[idx], res[idx] = newC, newres
+        # An exact zero cannot improve; without this its zero step would be
+        # accepted (0 <= 0) on every remaining iteration.
+        active[idx[newres == 0.0]] = False
 
     converged = res <= cfg.newton_tol
     stalled = int((halted & ~converged).sum())
@@ -206,11 +213,17 @@ def _newton_multistart(field: TangentField, starts: np.ndarray, cfg: SolverConfi
 
 
 def _dedup(C: np.ndarray, res: np.ndarray, radius: float):
+    # Greedy in ascending residual: a point is kept unless it lies within
+    # ``radius`` of a point kept before it.
     order = np.argsort(res, kind="stable")
+    tree = cKDTree(C)
+    covered = np.zeros(len(C), dtype=bool)
     kept: list[int] = []
     for k in order:
-        if all(np.linalg.norm(C[k] - C[j]) > radius for j in kept):
-            kept.append(k)
+        if covered[k]:
+            continue
+        kept.append(int(k))
+        covered[tree.query_ball_point(C[k], radius)] = True
     merges = len(order) - len(kept)
     kept.sort(key=lambda k: tuple(C[k]))
     return kept, merges
@@ -223,7 +236,7 @@ def _require_zero(field: TangentField, c: np.ndarray, tol: float = 1e-9) -> floa
     return res
 
 
-def classify(field_or_economy, p, jacobian_step: float | None = None):
+def classify(field_or_economy, p):
     """Regularity and local index of a zero of the field.
 
     Returns ``("regular", +-1)`` when the chart Jacobian is well conditioned
@@ -231,10 +244,10 @@ def classify(field_or_economy, p, jacobian_step: float | None = None):
     (including when the finite-difference Jacobian is step-size dependent).
     """
     field = as_field(field_or_economy)
-    c = _as_chart_array(p)
+    c = _chart_coords(p)
     _require_zero(field, c)
     try:
-        J = chart_jacobian(field, c, h=jacobian_step)
+        J = chart_jacobian(field, c)
     except JacobianConsistencyError:
         return CRITICAL, 0
     d = field.dim
@@ -244,14 +257,6 @@ def classify(field_or_economy, p, jacobian_step: float | None = None):
         return CRITICAL, 0
     index = 1 if ((-1) ** d) * det > 0 else -1
     return REGULAR, index
-
-
-def _as_chart_array(p) -> np.ndarray:
-    if isinstance(p, PricePoint):
-        return p.simplex_coords()[:-1]
-    if isinstance(p, ChartPoint):
-        return p.coords
-    return np.atleast_1d(np.asarray(p, dtype=float))
 
 
 def multiplicity_estimate(field_or_economy, p, k_max: int = 8) -> int | None:
@@ -267,7 +272,7 @@ def multiplicity_estimate(field_or_economy, p, k_max: int = 8) -> int | None:
     field = as_field(field_or_economy)
     if field.goods != 2:
         raise ValueError("multiplicity estimation is implemented for two goods only")
-    c0 = float(_as_chart_array(p)[0])
+    c0 = float(_chart_coords(p)[0])
     _require_zero(field, np.array([c0]))
 
     r = min(0.02, 0.5 * min(c0, 1.0 - c0))
@@ -289,26 +294,26 @@ def multiplicity_estimate(field_or_economy, p, k_max: int = 8) -> int | None:
 def continuum_detector(field_or_economy, config: ContinuumConfig | None = None) -> ContinuumReport:
     """Scan the chart for runs of consecutive near-zeros of the field.
 
-    Fires when at least ``consecutive_required`` adjacent scan points have
-    full residual at most ``residual_tol``; the witness is the chart
-    interval (or bounding box) spanned by the largest such run.
+    Fires when at least 20 adjacent scan points have full residual at most
+    ``1e-9``; the witness is the chart interval (or bounding box) spanned by
+    the largest such run.
     """
     field = as_field(field_or_economy)
     cfg = config or ContinuumConfig()
     m = cfg.boundary_margin_min
     if field.dim == 1:
         xs = np.linspace(m, 1.0 - m, cfg.scan_points)
-        hit = field.residual_norms(xs[:, None]) <= cfg.residual_tol
+        hit = field.residual_norms(xs[:, None]) <= CONTINUUM_RESIDUAL_TOL
         start, length = _longest_run(hit)
-        fired = length >= cfg.consecutive_required
+        fired = length >= CONTINUUM_RUN_REQUIRED
         interval = (float(xs[start]), float(xs[start + length - 1])) if fired else None
         return ContinuumReport(fired, interval, int(hit.sum()))
     # Higher-dimensional charts: clustered zeros on a coarse grid.
     per_dim = max(11, int(round(cfg.scan_points ** (1.0 / field.dim))))
     C = _start_grid(field.dim, per_dim, m)
-    hit = field.residual_norms(C) <= cfg.residual_tol
+    hit = field.residual_norms(C) <= CONTINUUM_RESIDUAL_TOL
     component = _largest_grid_cluster(C, hit, spacing=(1.0 - 2 * m) / (per_dim - 1))
-    fired = component.size >= cfg.consecutive_required
+    fired = component.size >= CONTINUUM_RUN_REQUIRED
     if fired:
         box = (C[component].min(axis=0), C[component].max(axis=0))
     else:
@@ -317,39 +322,28 @@ def continuum_detector(field_or_economy, config: ContinuumConfig | None = None) 
 
 
 def _longest_run(mask: np.ndarray):
-    best_start, best_len, run_start = 0, 0, None
-    for i, flag in enumerate(mask):
-        if flag and run_start is None:
-            run_start = i
-        if (not flag or i == len(mask) - 1) and run_start is not None:
-            end = i if flag else i - 1
-            if end - run_start + 1 > best_len:
-                best_start, best_len = run_start, end - run_start + 1
-            run_start = None
-    return best_start, best_len
+    """Start and length of the first longest run of ``True``; ``(0, 0)`` if none."""
+    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    if starts.size == 0:
+        return 0, 0
+    lengths = np.flatnonzero(edges == -1) - starts
+    k = int(np.argmax(lengths))
+    return int(starts[k]), int(lengths[k])
 
 
 def _largest_grid_cluster(C: np.ndarray, hit: np.ndarray, spacing: float) -> np.ndarray:
+    """Sorted indices of the largest cluster of hit grid points, linking
+    points within 1.5 grid spacings (the lowest-indexed cluster on ties)."""
     idx = np.flatnonzero(hit)
     if idx.size == 0:
         return idx
-    remaining = set(idx.tolist())
-    best: list[int] = []
-    link = 1.5 * spacing
-    while remaining:
-        seed = remaining.pop()
-        cluster = [seed]
-        frontier = [seed]
-        while frontier:
-            k = frontier.pop()
-            near = [j for j in remaining if np.linalg.norm(C[j] - C[k]) <= link]
-            for j in near:
-                remaining.remove(j)
-                cluster.append(j)
-                frontier.append(j)
-        if len(cluster) > len(best):
-            best = cluster
-    return np.asarray(sorted(best))
+    pairs = cKDTree(C[idx]).query_pairs(1.5 * spacing, output_type="ndarray")
+    graph = coo_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(idx.size, idx.size)
+    )
+    _, labels = connected_components(graph, directed=False)
+    return idx[labels == np.argmax(np.bincount(labels))]
 
 
 def find_equilibria(
@@ -362,7 +356,7 @@ def find_equilibria(
 
     Damped Newton iteration runs from a regular chart grid restricted to the
     configured boundary margin; converged points with full residual at most
-    ``newton_tol`` are merged within ``dedup_radius`` and classified.
+    ``newton_tol`` are merged within ``1e-6`` and classified.
     Non-convergence of individual starts is reported in the statistics, not
     raised.  The continuum detector runs alongside and sets ``finite_flag``.
     """
@@ -373,7 +367,7 @@ def find_equilibria(
         field, starts, cfg
     )
     conv_idx = np.flatnonzero(converged)
-    kept, merges = _dedup(C[conv_idx], res[conv_idx], cfg.dedup_radius)
+    kept, merges = _dedup(C[conv_idx], res[conv_idx], DEDUP_RADIUS)
 
     equilibria = []
     for k in kept:

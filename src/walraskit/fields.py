@@ -30,6 +30,13 @@ from .geometry import (
 )
 
 
+# Finite-difference Jacobians step by ``JACOBIAN_STEP * max(1, |c|)``; the
+# estimates at that step and at half of it must agree within
+# ``JACOBIAN_CONSISTENCY_TOL`` relative.
+JACOBIAN_STEP = 1e-6
+JACOBIAN_CONSISTENCY_TOL = 1e-4
+
+
 class JacobianConsistencyError(RuntimeError):
     """Finite-difference Jacobian estimates at steps h and h/2 disagree."""
 
@@ -74,10 +81,17 @@ class TangentField:
 
 
 def economy_field(e: Economy) -> TangentField:
-    """The aggregate-excess-demand field of an economy."""
+    """The aggregate-excess-demand field of an economy.
+
+    Its chart map is where batches of prices enter the raw evaluation core,
+    so it rejects chart rows whose price rows are not finite and strictly
+    positive.
+    """
 
     def fn(C):
         P = chart_rows_embed(C)
+        if not np.all(np.isfinite(P)) or np.any(P <= 0.0):
+            raise ValueError("price rows must be finite and strictly positive")
         return aed_rows(e, P)[:, :-1]
 
     return TangentField(e.goods, fn)
@@ -112,30 +126,23 @@ def _fd_jacobian(field: TangentField, c: np.ndarray, h: float) -> np.ndarray:
     return (vals[:d] - vals[d:]).T / (2.0 * h)
 
 
-def chart_jacobian(
-    field_or_economy,
-    c,
-    h: float | None = None,
-    consistency_tol: float = 1e-4,
-) -> np.ndarray:
+def chart_jacobian(field_or_economy, c) -> np.ndarray:
     """Central-difference Jacobian of a field's chart map at chart point ``c``.
 
-    Two estimates at steps ``h`` and ``h/2`` are compared; a relative
-    disagreement above ``consistency_tol`` raises
-    :class:`JacobianConsistencyError`.  The default step is
-    ``1e-6 * max(1, |c|)``.
+    Two estimates at steps ``h = 1e-6 * max(1, |c|)`` and ``h/2`` are
+    compared; a relative disagreement above ``1e-4`` raises
+    :class:`JacobianConsistencyError`.
     """
     field = as_field(field_or_economy)
     c = _chart_coords(c)
-    if h is None:
-        h = 1e-6 * max(1.0, float(np.linalg.norm(c)))
+    h = JACOBIAN_STEP * max(1.0, float(np.linalg.norm(c)))
     J1 = _fd_jacobian(field, c, h)
     J2 = _fd_jacobian(field, c, h / 2.0)
     scale = max(np.abs(J1).max(), np.abs(J2).max())
     # The absolute floor keeps an exactly (or numerically) flat field from
     # tripping the check: both estimates are then noise around zero.
     floor = 1e-12 * max(1.0, _derivative_scale(field, c))
-    if np.abs(J1 - J2).max() > consistency_tol * scale + floor:
+    if np.abs(J1 - J2).max() > JACOBIAN_CONSISTENCY_TOL * scale + floor:
         raise JacobianConsistencyError(
             "finite-difference Jacobian is step-size dependent at this point"
         )

@@ -37,6 +37,7 @@ from .fields import TangentField, as_field, chart_field
 from .geometry import simplex_point
 
 BASIS_KINDS = ("linear_tilt", "polynomial", "random_fourier")
+CONTINUUM_GRID_MARGIN = 0.01
 
 
 @dataclass(frozen=True)
@@ -139,33 +140,27 @@ def continuum_chart_map(a: float, b: float):
     return g
 
 
-def build_continuum_economy(
-    interval: tuple[float, float],
-    grid: int = 201,
-    family: CanonicalFamily | None = None,
-    grid_margin: float = 0.01,
-):
+def build_continuum_economy(interval: tuple[float, float], grid: int = 201):
     """A two-good economy whose equilibrium set contains the chart interval.
 
-    The piecewise-cubic field above is realised over the canonical family on
-    a uniform chart grid; the economy reproduces the field at the grid points
-    (and exactly, between grid points, on the interior of ``[a, b]``).
+    The piecewise-cubic field above is realised over the symmetric two-good
+    canonical family on a uniform chart grid over ``[0.01, 0.99]`` (or on the
+    chart points ``grid``, if it is an array); the economy reproduces the
+    field at the grid points (and exactly, between grid points, on the
+    interior of ``[a, b]``).
     """
     a, b = float(interval[0]), float(interval[1])
     if not (0.0 < a < b < 1.0):
         raise ValueError("interval must satisfy 0 < a < b < 1")
-    fam = family or CanonicalFamily.symmetric(2)
-    if fam.goods != 2:
-        raise ValueError("the continuum construction is two-good")
     if isinstance(grid, int):
         if grid < 5:
             raise ValueError("grid needs at least 5 points")
-        xs = np.linspace(grid_margin, 1.0 - grid_margin, grid)
+        xs = np.linspace(CONTINUUM_GRID_MARGIN, 1.0 - CONTINUUM_GRID_MARGIN, grid)
     else:
         xs = np.asarray(grid, dtype=float)
     target = chart_field(continuum_chart_map(a, b), goods=2)
     points = [simplex_point([x, 1.0 - x]) for x in xs]
-    return realize_economy(fam, target, points)
+    return realize_economy(CanonicalFamily.symmetric(2), target, points)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,12 @@ an explicit inverse.  A global chart identifies the simplex with an open
 subset of ``R^(l-1)`` by dropping the last coordinate.  Excess-demand values
 are tangent to the sphere at their base price (that is what Walras' law
 says), hence the :class:`TangentVector` type.
+
+The vectorised evaluation core works on raw ``(n, l)`` arrays of price rows
+and assumes them finite and strictly positive without checking.  Prices are
+checked once, where they enter: by :class:`PricePoint` and
+:class:`ChartPoint`, and by the chart map of
+:func:`walraskit.fields.economy_field` for batches of chart rows.
 """
 
 from __future__ import annotations
@@ -200,22 +206,6 @@ def boundary_margin(p: PricePoint) -> float:
 
 
 # --- raw-array helpers used by the vectorised evaluation core ---------------
-
-
-def as_price_rows(P) -> np.ndarray:
-    """Validate an ``(n, l)`` array of strictly positive price rows."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    if P.ndim != 2 or P.shape[1] < 2:
-        raise ValueError("expected an (n, l) array of price rows with l >= 2")
-    if not np.all(np.isfinite(P)) or np.any(P <= 0.0):
-        raise ValueError("price rows must be finite and strictly positive")
-    return P
-
-
-def normalize_rows_to_simplex(P) -> np.ndarray:
-    """Rescale strictly positive rows so each sums to one."""
-    P = as_price_rows(P)
-    return P / P.sum(axis=1, keepdims=True)
 
 
 def chart_rows_embed(C: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 import walraskit as wk
 from walraskit.cli import main as cli_main
 from walraskit.consumers import aed_rows
+from walraskit.equilibrium import DEDUP_RADIUS
 from support import (
     brute_force_sarp,
     edgeworth_asymmetric,
@@ -142,7 +143,7 @@ def test_criterion_05_solver_completeness(random_l2_economies, l2_reports):
         assert found.size == oracle.size
         if found.size:
             worst = max(worst, float(np.abs(found - oracle).max()))
-    assert worst <= wk.SolverConfig().dedup_radius
+    assert worst <= DEDUP_RADIUS
     _pass(
         5,
         f"51 fields: zero sets match the 1e5-point scan, max deviation {worst:.2e}",

@@ -5,6 +5,13 @@ import pytest
 
 import walraskit as wk
 from support import cubic_field, random_economy, scan_zeros_1d
+from walraskit.equilibrium import (
+    DEDUP_RADIUS,
+    _dedup,
+    _largest_grid_cluster,
+    _longest_run,
+    _start_grid,
+)
 
 
 class TestFindEquilibria:
@@ -55,7 +62,7 @@ class TestFindEquilibria:
             charts = [eq.chart for eq in report.equilibria]
             for i in range(len(charts)):
                 for j in range(i + 1, len(charts)):
-                    assert np.linalg.norm(charts[i] - charts[j]) > cfg.dedup_radius
+                    assert np.linalg.norm(charts[i] - charts[j]) > DEDUP_RADIUS
 
     def test_three_goods_unique_equilibrium(self, rng):
         for _ in range(5):
@@ -71,6 +78,13 @@ class TestFindEquilibria:
         assert s.starts == 50
         assert s.converged + s.stalled + s.exhausted == s.starts
         assert s.dedup_merges == s.converged - len(report.equilibria)
+
+    def test_exact_zero_ends_its_newton_run(self):
+        # Newton lands exactly on the zero of a linear field, where the
+        # residual is 0 and no step can improve it.
+        report = wk.find_equilibria(wk.chart_field(lambda C: 0.5 - C, goods=2))
+        assert report.stats.newton_iterations <= 2 * report.stats.starts
+        assert len(report.equilibria) == 1
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
@@ -196,6 +210,14 @@ class TestContinuumDetector:
         tilted = wk.perturb(bump, wk.PerturbationSpec(1e-3, basis="linear_tilt"))
         assert not wk.continuum_detector(tilted).fired
 
+    def test_fires_on_a_run_ending_at_the_last_scan_point(self):
+        field = wk.chart_field(lambda C: np.maximum(0.9 - C, 0.0) ** 3, goods=2)
+        report = wk.continuum_detector(field)
+        assert report.fired
+        lo, hi = report.interval
+        assert abs(lo - 0.9) <= 1e-3
+        assert hi == 1.0 - wk.ContinuumConfig().boundary_margin_min
+
     def test_higher_dimensional_cluster(self):
         # a three-good field vanishing on a chart disc around the barycenter
         def fn(C):
@@ -208,3 +230,79 @@ class TestContinuumDetector:
         assert report.fired
         lo, hi = report.interval
         assert np.all(lo <= 1 / 3) and np.all(hi >= 1 / 3)
+
+
+def _loop_dedup(C, res, radius):
+    order = np.argsort(res, kind="stable")
+    kept = []
+    for k in order:
+        if all(np.linalg.norm(C[k] - C[j]) > radius for j in kept):
+            kept.append(k)
+    return sorted(kept, key=lambda k: tuple(C[k])), len(order) - len(kept)
+
+
+def _loop_longest_run(mask):
+    best_start, best_len, run_start = 0, 0, None
+    for i, flag in enumerate(mask):
+        if flag and run_start is None:
+            run_start = i
+        if (not flag or i == len(mask) - 1) and run_start is not None:
+            end = i if flag else i - 1
+            if end - run_start + 1 > best_len:
+                best_start, best_len = run_start, end - run_start + 1
+            run_start = None
+    return best_start, best_len
+
+
+def _flood_fill_clusters(C, hit, link):
+    remaining = set(np.flatnonzero(hit).tolist())
+    clusters = []
+    while remaining:
+        frontier = [remaining.pop()]
+        cluster = list(frontier)
+        while frontier:
+            k = frontier.pop()
+            near = [j for j in remaining if np.linalg.norm(C[j] - C[k]) <= link]
+            remaining.difference_update(near)
+            cluster += near
+            frontier += near
+        clusters.append(sorted(cluster))
+    return clusters
+
+
+class TestGrouping:
+    """The vectorised grouping helpers against the plain loops they replaced."""
+
+    def test_dedup_is_greedy_along_a_chain(self):
+        # 0.8r merges into 0; 1.6r is 0.8r from a merged point but 1.6r from
+        # the kept one, so it is kept.
+        r = DEDUP_RADIUS
+        C = np.array([[0.0], [0.8 * r], [1.6 * r]])
+        assert _dedup(C, np.array([1e-14, 2e-14, 3e-14]), r) == ([0, 2], 1)
+
+    def test_dedup_matches_pairwise_loop(self, rng):
+        for dim in (1, 2, 3):
+            centres = rng.uniform(0.1, 0.3, (5, dim))
+            C = centres[rng.integers(0, 5, 200)] + rng.normal(0.0, 0.4, (200, dim)) * DEDUP_RADIUS
+            res = rng.choice([0.0, 1e-13, 2e-13], 200)
+            assert _dedup(C, res, DEDUP_RADIUS) == _loop_dedup(C, res, DEDUP_RADIUS)
+
+    def test_longest_run_matches_loop(self, rng):
+        for mask in ([], [False] * 5, [True] * 5, [True, False, True]):
+            assert _longest_run(np.array(mask, dtype=bool)) == _loop_longest_run(mask)
+        for _ in range(200):
+            mask = rng.random(int(rng.integers(1, 60))) < rng.uniform(0.2, 0.9)
+            assert _longest_run(mask) == _loop_longest_run(mask)
+
+    def test_grid_cluster_is_the_largest_flood_fill_cluster(self, rng):
+        for dim in (2, 3):
+            C = _start_grid(dim, 12, 1e-4)
+            spacing = (1.0 - 2e-4) / 11
+            for _ in range(20):
+                hit = rng.random(len(C)) < 0.3
+                got = _largest_grid_cluster(C, hit, spacing).tolist()
+                clusters = _flood_fill_clusters(C, hit, 1.5 * spacing)
+                largest = max(len(c) for c in clusters)
+                # ties go to the cluster holding the lowest index
+                assert got == min(c for c in clusters if len(c) == largest)
+        assert _largest_grid_cluster(C, np.zeros(len(C), dtype=bool), spacing).size == 0

@@ -41,6 +41,13 @@ class TestLift:
         with pytest.raises(ValueError):
             field.chart_values(np.array([[0.1]]))
 
+    @pytest.mark.parametrize("row", [[1.2], [-0.1], [np.nan]])
+    def test_economy_field_rejects_prices_off_the_open_simplex(self, row):
+        # chart row 1.2 embeds to the price row (1.2, -0.2)
+        field = wk.economy_field(edgeworth_symmetric())
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            field.chart_values([row])
+
 
 class TestChartJacobian:
     def test_quadratic_field_exact(self):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import walraskit as wk
-from walraskit.geometry import normalize_rows_to_simplex
 
 
 class TestFrames:
@@ -126,11 +125,3 @@ class TestBoundaryMargin:
     def test_margin_of_sphere_point_uses_simplex_coords(self):
         p = wk.sphere_point([0.6, 0.8])
         assert wk.boundary_margin(p) == pytest.approx(3 / 7)
-
-
-def test_normalize_rows_to_simplex():
-    rows = np.array([[2.0, 2.0], [1.0, 3.0]])
-    out = normalize_rows_to_simplex(rows)
-    assert np.allclose(out, [[0.5, 0.5], [0.25, 0.75]])
-    with pytest.raises(ValueError):
-        normalize_rows_to_simplex(np.array([[1.0, -1.0]]))
