@@ -267,24 +267,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, input_required=True):
+    def common(p, *flags, input_required=True):
         p.add_argument("--input", required=input_required, help="input file path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--grid", type=int, default=50, help="grid density / point count")
-        p.add_argument("--tol", type=float, default=1e-11, help="solver residual tolerance")
-        p.add_argument("--margin", type=float, default=1e-4, help="minimum boundary margin")
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if "grid" in flags:
+            p.add_argument("--grid", type=int, default=50, help="grid density / point count")
+        if "solver" in flags:
+            p.add_argument("--tol", type=float, default=1e-11, help="solver residual tolerance")
+            p.add_argument("--margin", type=float, default=1e-4, help="minimum boundary margin")
 
     p = sub.add_parser("solve", help="locate and classify all equilibria")
-    common(p)
+    common(p, "grid", "solver")
     p.add_argument("--k-max", type=int, default=8, dest="k_max")
 
     p = sub.add_parser("decompose", help="decompose the economy's excess demand over the canonical family")
-    common(p)
+    common(p, "seed", "grid")
     p.set_defaults(grid=101)
 
     p = sub.add_parser("realize", help="realise a field as a canonical-consumer economy")
-    common(p, input_required=False)
+    common(p, "seed", "grid", input_required=False)
     p.set_defaults(grid=201)
     p.add_argument(
         "--continuum",
@@ -295,12 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("perturb", help="perturb the excess demand and re-solve")
-    common(p)
+    common(p, "seed", "grid", "solver")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--basis", default="fourier:5", help="tilt | poly:DEG | fourier:TERMS")
 
     p = sub.add_parser("experiment", help="seeded perturbation experiment")
-    common(p)
+    common(p, "seed", "grid", "solver")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--basis", default="fourier:5")
@@ -309,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("audit", help="audit scaled consumers on sampled prices")
-    common(p)
+    common(p, "seed")
     p.add_argument("--samples", type=int, default=64)
 
     return parser

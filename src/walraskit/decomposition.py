@@ -99,7 +99,11 @@ class CanonicalFamily:
 
 @dataclass(frozen=True)
 class DecompositionWitness:
-    """Strictly positive coefficients reconstructing a target tangent vector."""
+    """Strictly positive coefficients reconstructing a target tangent vector.
+
+    The residual is checked, relative to the target's norm, by
+    :func:`decompose_at`, which builds every witness of this package.
+    """
 
     price: PricePoint
     mu: np.ndarray
@@ -109,11 +113,6 @@ class DecompositionWitness:
         mu = np.array(self.mu, dtype=float)
         if np.any(mu <= 0.0):
             raise ValueError("decomposition coefficients must be strictly positive")
-        if self.residual > RECONSTRUCTION_TOL:
-            raise ValueError(
-                f"reconstruction residual {self.residual:.3e} exceeds "
-                f"{RECONSTRUCTION_TOL:.0e}"
-            )
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
 
@@ -185,7 +184,9 @@ def decompose_at(
     point on that line whose smallest entry equals ``floor`` -- the same
     point the minimum-norm solution reaches after shifting along the kernel,
     but computed without a least-squares solve, which keeps the residual at
-    rounding level even for targets of norm 1e6.
+    rounding level relative to the target's norm, whatever that norm is.
+    A residual above ``1e-8 * max(1, |target|)`` raises
+    :class:`PositiveSpanningError`.
     """
     p = target.base
     v64 = target.components

@@ -35,7 +35,7 @@ from .fields import (
     as_field,
     chart_jacobian,
 )
-from .geometry import PricePoint, chart_rows_embed, simplex_point
+from .geometry import PricePoint, _greedy_cover, chart_rows_embed, simplex_point
 
 REGULAR = "regular"
 CRITICAL = "critical"
@@ -215,18 +215,10 @@ def _newton_multistart(field: TangentField, starts: np.ndarray, cfg: SolverConfi
 def _dedup(C: np.ndarray, res: np.ndarray, radius: float):
     # Greedy in ascending residual: a point is kept unless it lies within
     # ``radius`` of a point kept before it.
-    order = np.argsort(res, kind="stable")
-    tree = cKDTree(C)
-    covered = np.zeros(len(C), dtype=bool)
-    kept: list[int] = []
-    for k in order:
-        if covered[k]:
-            continue
-        kept.append(int(k))
-        covered[tree.query_ball_point(C[k], radius)] = True
-    merges = len(order) - len(kept)
+    owner = _greedy_cover(C, np.argsort(res, kind="stable"), radius, p=2)
+    kept = np.flatnonzero(owner == np.arange(len(C))).tolist()
     kept.sort(key=lambda k: tuple(C[k]))
-    return kept, merges
+    return kept, len(C) - len(kept)
 
 
 def _require_zero(field: TangentField, c: np.ndarray, tol: float = 1e-9) -> float:
@@ -292,44 +284,27 @@ def multiplicity_estimate(field_or_economy, p, k_max: int = 8) -> int | None:
 
 
 def continuum_detector(field_or_economy, config: ContinuumConfig | None = None) -> ContinuumReport:
-    """Scan the chart for runs of consecutive near-zeros of the field.
+    """Scan the chart for clusters of neighbouring near-zeros of the field.
 
-    Fires when at least 20 adjacent scan points have full residual at most
-    ``1e-9``; the witness is the chart interval (or bounding box) spanned by
-    the largest such run.
+    The scan grid has about ``scan_points`` points and at least 11 per chart
+    axis; in one dimension a cluster is a run of consecutive points.  Fires
+    when at least 20 linked scan points have full residual at most ``1e-9``;
+    the witness is the chart interval (two floats, for two goods) or the
+    bounding box spanned by the largest such cluster.
     """
     field = as_field(field_or_economy)
     cfg = config or ContinuumConfig()
     m = cfg.boundary_margin_min
-    if field.dim == 1:
-        xs = np.linspace(m, 1.0 - m, cfg.scan_points)
-        hit = field.residual_norms(xs[:, None]) <= CONTINUUM_RESIDUAL_TOL
-        start, length = _longest_run(hit)
-        fired = length >= CONTINUUM_RUN_REQUIRED
-        interval = (float(xs[start]), float(xs[start + length - 1])) if fired else None
-        return ContinuumReport(fired, interval, int(hit.sum()))
-    # Higher-dimensional charts: clustered zeros on a coarse grid.
     per_dim = max(11, int(round(cfg.scan_points ** (1.0 / field.dim))))
     C = _start_grid(field.dim, per_dim, m)
     hit = field.residual_norms(C) <= CONTINUUM_RESIDUAL_TOL
     component = _largest_grid_cluster(C, hit, spacing=(1.0 - 2 * m) / (per_dim - 1))
     fired = component.size >= CONTINUUM_RUN_REQUIRED
+    box = None
     if fired:
-        box = (C[component].min(axis=0), C[component].max(axis=0))
-    else:
-        box = None
+        lo, hi = C[component].min(axis=0), C[component].max(axis=0)
+        box = (float(lo[0]), float(hi[0])) if field.dim == 1 else (lo, hi)
     return ContinuumReport(fired, box, int(hit.sum()))
-
-
-def _longest_run(mask: np.ndarray):
-    """Start and length of the first longest run of ``True``; ``(0, 0)`` if none."""
-    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
-    starts = np.flatnonzero(edges == 1)
-    if starts.size == 0:
-        return 0, 0
-    lengths = np.flatnonzero(edges == -1) - starts
-    k = int(np.argmax(lengths))
-    return int(starts[k]), int(lengths[k])
 
 
 def _largest_grid_cluster(C: np.ndarray, hit: np.ndarray, spacing: float) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 SIMPLEX = "simplex"
 SPHERE = "sphere"
@@ -213,3 +214,20 @@ def chart_rows_embed(C: np.ndarray) -> np.ndarray:
     C = np.atleast_2d(np.asarray(C, dtype=float))
     last = 1.0 - C.sum(axis=1, keepdims=True)
     return np.hstack([C, last])
+
+
+def _greedy_cover(X: np.ndarray, order, radius: float, p: float) -> np.ndarray:
+    """Greedy radius cover of the rows of ``X``.
+
+    Rows are visited in ``order``; a row not yet covered claims every
+    uncovered row within ``radius`` of it (Minkowski ``p``-distance), itself
+    included.  Returns the index of the claiming row for each row.
+    """
+    tree = cKDTree(X)
+    owner = np.full(len(X), -1)
+    for k in order:
+        if owner[k] >= 0:
+            continue
+        near = np.asarray(tree.query_ball_point(X[k], radius, p=p), dtype=int)
+        owner[near[owner[near] < 0]] = k
+    return owner

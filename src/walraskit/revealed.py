@@ -5,7 +5,11 @@ Given observations ``(p^k, x^k)`` of prices and chosen bundles, bundle
 (``x^j`` was affordable when ``x^i`` was chosen).  The Strong Axiom of
 Revealed Preference requires this relation to be acyclic over distinct
 bundles; utility-maximising behaviour implies it, so a violating cycle is a
-certificate that no single consumer generated the data.
+certificate that no single consumer generated the data.  Observations whose
+bundles agree within ``DISTINCT_TOL`` form one group; the cycle is searched
+over groups, and each step ``a -> b`` of a reported cycle names the
+lowest-indexed observation of group ``a`` whose price reveals a bundle of
+group ``b``, so every edge of the witness can be checked on the raw data.
 
 Positive rescalings of an individual excess-demand field preserve the
 properties a consumer's excess demand must have; ``scaled_field_audit``
@@ -18,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .consumers import Consumer, demand, excess_rows, scale_rows
-from .geometry import PricePoint
+from .geometry import PricePoint, _greedy_cover
 
 TIE_TOL = 1e-10
 DISTINCT_TOL = 1e-10
@@ -38,6 +44,8 @@ class ObservationDataset:
         X = np.atleast_2d(np.asarray(self.bundles, dtype=float))
         if P.shape != X.shape or P.shape[0] < 1:
             raise ValueError("prices and bundles must be equal-shape (T, l) arrays")
+        if not (np.all(np.isfinite(P)) and np.all(np.isfinite(X))):
+            raise ValueError("observed prices and bundles must be finite")
         if np.any(P <= 0.0):
             raise ValueError("observed prices must be strictly positive")
         if np.any(X < 0.0):
@@ -67,71 +75,48 @@ class SarpResult:
         return self.passed
 
 
-def _distinct_groups(X: np.ndarray) -> np.ndarray:
-    """Map each observation to the representative of its identical-bundle group."""
-    T = X.shape[0]
-    rep = np.arange(T)
-    for i in range(T):
-        if rep[i] != i:
-            continue
-        same = np.max(np.abs(X - X[i]), axis=1) <= DISTINCT_TOL
-        rep[same & (rep == np.arange(T))] = i
-    return rep
-
-
 def preference_matrix(d: ObservationDataset):
     """Weak revealed preference between distinct-bundle groups.
 
-    Returns ``(adj, reps)``: a boolean adjacency matrix over bundle groups
-    (same-bundle pairs excluded) and the representative observation index of
-    each group.
+    Returns ``(adj, groups, weak)``: a boolean adjacency matrix over bundle
+    groups (same-bundle pairs excluded), the group index of each
+    observation, and the ``(T, T)`` observation relation ``weak[i, j]``
+    (``x^i`` weakly revealed preferred to ``x^j``).  Groups are numbered in
+    the order of their lowest-indexed observation.
     """
     P, X = d.prices, d.bundles
     spend_own = np.einsum("ij,ij->i", P, X)
     spend_cross = P @ X.T                   # [i, j] = p^i . x^j
     weak = spend_cross <= spend_own[:, None] + TIE_TOL
-    rep = _distinct_groups(X)
-    reps, gidx = np.unique(rep, return_inverse=True)
-    n = reps.size
-    mask = weak & (gidx[:, None] != gidx[None, :])
-    adj = np.zeros((n, n), dtype=bool)
-    if mask.any():
-        pair_ids = gidx[:, None] * n + gidx[None, :]
-        adj.flat[np.unique(pair_ids[mask])] = True
-    return adj, reps
+    owner = _greedy_cover(X, np.arange(d.size), DISTINCT_TOL, p=np.inf)
+    reps, groups = np.unique(owner, return_inverse=True)
+    i, j = np.nonzero(weak & (groups[:, None] != groups[None, :]))
+    adj = np.zeros((reps.size, reps.size), dtype=bool)
+    adj[groups[i], groups[j]] = True
+    return adj, groups, weak
 
 
 def _find_cycle(adj: np.ndarray) -> list[int] | None:
-    """A directed cycle in the adjacency matrix, or None.  Iterative DFS with
-    three-colour marking; returns the node sequence without the closing node."""
-    n = adj.shape[0]
-    color = np.zeros(n, dtype=int)  # 0 white, 1 on stack, 2 done
-    parent = np.full(n, -1)
-    for root in range(n):
-        if color[root] != 0:
-            continue
-        stack = [(root, iter(np.flatnonzero(adj[root])))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(np.flatnonzero(adj[nxt]))))
-                    advanced = True
-                    break
-                if color[nxt] == 1:
-                    cycle = [node]
-                    while cycle[-1] != nxt:
-                        cycle.append(int(parent[cycle[-1]]))
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return None
+    """A directed cycle in the adjacency matrix, or None.
+
+    Returns the node sequence without the closing node: the first mutually
+    preferring pair if there is one, else a shortest cycle through the
+    lowest node of a strong component with two or more nodes.
+    """
+    mutual = np.argwhere(np.triu(adj & adj.T))
+    if len(mutual):
+        return [int(v) for v in mutual[0]]
+    graph = csr_matrix(adj)
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    cyclic = np.flatnonzero(np.bincount(labels)[labels] >= 2)
+    if cyclic.size == 0:
+        return None
+    start = int(cyclic[0])
+    order, pred = breadth_first_order(graph, start, return_predecessors=True)
+    cycle = [int(order[adj[order, start]][0])]
+    while cycle[-1] != start:
+        cycle.append(int(pred[cycle[-1]]))
+    return cycle[::-1]
 
 
 def sarp_check(d: ObservationDataset) -> SarpResult:
@@ -139,15 +124,24 @@ def sarp_check(d: ObservationDataset) -> SarpResult:
 
     Passes when the weak revealed-preference digraph over distinct bundles is
     acyclic; otherwise returns one witnessing cycle of observation indices.
+    For each step ``a -> b`` of the cycle over bundle groups, the witness
+    names the lowest-indexed observation of group ``a`` whose price reveals
+    a bundle of group ``b``, so ``p^i . x^j <= p^i . x^i`` holds (within the
+    tie and bundle tolerances) for every consecutive pair ``i, j``.
     Permuting the observations never changes the verdict.
     """
     if d.size == 1:
         return SarpResult(True)
-    adj, reps = preference_matrix(d)
+    adj, groups, weak = preference_matrix(d)
     cycle = _find_cycle(adj)
     if cycle is None:
         return SarpResult(True)
-    return SarpResult(False, tuple(int(reps[k]) for k in cycle))
+    witness = []
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        rows = np.flatnonzero(groups == a)
+        carries = weak[np.ix_(rows, groups == b)].any(axis=1)
+        witness.append(int(rows[carries][0]))
+    return SarpResult(False, tuple(witness))
 
 
 def sample_demand(c: Consumer, prices: list[PricePoint]) -> ObservationDataset:

@@ -51,6 +51,22 @@ class TestDecomposeAndRealize:
         mus = np.array([[float(v) for v in row.split(",")[2:4]] for row in lines[1:]])
         assert mus.min() >= 1.0
 
+    def test_decompose_large_endowments(self, tmp_path):
+        # the residual grows with the target (here about 3e-8); it is judged
+        # relative to the target's norm
+        big = wk.Economy(
+            (
+                wk.Consumer([0.6, 0.2, 0.2], np.array([1, 2, 0]) * 1e6),
+                wk.Consumer([0.1, 0.3, 0.6], np.array([0, 1, 3]) * 1e6),
+                wk.Consumer([1 / 3, 1 / 3, 1 / 3], np.array([1, 1, 1]) * 1e6),
+            )
+        )
+        path = tmp_path / "big.yaml"
+        wk.save_economy(path, big)
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(path), "--out", str(out)]) == 0
+        assert "max reconstruction residual" in (out / "report.txt").read_text()
+
     def test_realize_continuum_and_reload(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["realize", "--continuum", "0.4", "0.6", "--grid", "101", "--out", str(out)])
@@ -130,6 +146,14 @@ class TestSarpAndAudit:
         out = tmp_path / "out"
         assert main(["sarp", "--input", str(path), "--out", str(out)]) == 0
         assert "SARP: pass" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("row", ["1,nan,2,0", "1,2,inf,0"])
+    def test_sarp_non_finite_input_exits_1(self, tmp_path, capsys, row):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"p1,p2,x1,x2\n{row}\n1,2,0,2\n")
+        out = tmp_path / "out"
+        assert main(["sarp", "--input", str(path), "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_audit_reports_scaled_consumers(self, tmp_path):
         econ = wk.Economy(

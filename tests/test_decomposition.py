@@ -137,7 +137,7 @@ class TestDecomposeAt:
             Z = oracle_basis_vectors(fam.alpha, fam.endowment_levels, w.price.coords)
             assert np.linalg.norm(Z @ w.mu - target.components) <= 1e-8
 
-    @pytest.mark.parametrize("norm", [1e-6, 1e6])
+    @pytest.mark.parametrize("norm", [1e-6, 1e6, 1e8])
     def test_extreme_target_norms(self, norm, rng, symmetric_family):
         for _ in range(20):
             p = wk.simplex_point(rng.dirichlet(np.full(2, 2.0)))

@@ -9,7 +9,6 @@ from walraskit.equilibrium import (
     DEDUP_RADIUS,
     _dedup,
     _largest_grid_cluster,
-    _longest_run,
     _start_grid,
 )
 
@@ -287,12 +286,35 @@ class TestGrouping:
             res = rng.choice([0.0, 1e-13, 2e-13], 200)
             assert _dedup(C, res, DEDUP_RADIUS) == _loop_dedup(C, res, DEDUP_RADIUS)
 
-    def test_longest_run_matches_loop(self, rng):
-        for mask in ([], [False] * 5, [True] * 5, [True, False, True]):
-            assert _longest_run(np.array(mask, dtype=bool)) == _loop_longest_run(mask)
-        for _ in range(200):
-            mask = rng.random(int(rng.integers(1, 60))) < rng.uniform(0.2, 0.9)
-            assert _longest_run(mask) == _loop_longest_run(mask)
+    def test_one_dimensional_scan_finds_the_first_longest_run(self, rng):
+        # zeros on a random mask over the scan points: the detector must
+        # report the loop's first longest run
+        m = 1e-4
+        tie = np.array([True] * 20 + [False] + [True] * 20 + [False] * 4)
+        masks = [tie, tie[::-1], np.zeros(30, dtype=bool), np.ones(30, dtype=bool)]
+        for _ in range(40):
+            masks.append(rng.random(int(rng.integers(11, 80))) < rng.uniform(0.5, 0.98))
+        fired = 0
+        for mask in masks:
+            n = mask.size
+            xs = np.linspace(m, 1.0 - m, n)
+
+            def fn(C, mask=mask, xs=xs):
+                k = np.rint((C[:, 0] - xs[0]) / (xs[1] - xs[0])).astype(int)
+                return np.where(mask[k], 0.0, 1.0)[:, None]
+
+            field = wk.chart_field(fn, goods=2)
+            report = wk.continuum_detector(field, wk.ContinuumConfig(scan_points=n))
+            start, length = _loop_longest_run(mask.tolist())
+            assert report.points_hit == int(mask.sum())
+            assert report.fired == (length >= 20)
+            if report.fired:
+                fired += 1
+                assert report.interval == (xs[start], xs[start + length - 1])
+                assert all(type(v) is float for v in report.interval)
+            else:
+                assert report.interval is None
+        assert fired >= 8
 
     def test_grid_cluster_is_the_largest_flood_fill_cluster(self, rng):
         for dim in (2, 3):

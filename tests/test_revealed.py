@@ -5,6 +5,8 @@ import pytest
 
 import walraskit as wk
 from support import brute_force_sarp
+from walraskit.geometry import _greedy_cover
+from walraskit.revealed import DISTINCT_TOL, TIE_TOL
 
 
 def cd_dataset(rng, goods=2, n_obs=20, alpha=None, omega=None):
@@ -13,6 +15,29 @@ def cd_dataset(rng, goods=2, n_obs=20, alpha=None, omega=None):
     consumer = wk.Consumer(alpha, omega)
     prices = [wk.simplex_point(rng.dirichlet(np.full(goods, 2.0))) for _ in range(n_obs)]
     return wk.sample_demand(consumer, prices)
+
+
+def _loop_distinct_groups(X):
+    """The pairwise grouping loop that ``_greedy_cover`` replaced."""
+    T = X.shape[0]
+    rep = np.arange(T)
+    for i in range(T):
+        if rep[i] != i:
+            continue
+        same = np.max(np.abs(X - X[i]), axis=1) <= DISTINCT_TOL
+        rep[same & (rep == np.arange(T))] = i
+    return rep
+
+
+def assert_witness(ds, cycle):
+    """Every step of a reported cycle is an edge between distinct bundles."""
+    P, X = ds.prices, ds.bundles
+    assert len(cycle) >= 2
+    for k, i in enumerate(cycle):
+        j = cycle[(k + 1) % len(cycle)]
+        assert P[i] @ X[j] <= P[i] @ X[i] + TIE_TOL
+    for a, b in itertools.combinations(cycle, 2):
+        assert np.max(np.abs(X[a] - X[b])) > DISTINCT_TOL
 
 
 class TestSarpCheck:
@@ -80,6 +105,59 @@ class TestSarpCheck:
             agree += 1
         assert agree == 60
 
+    def test_three_cycle_without_two_cycle(self):
+        # unit bundles: x^i R x^(i+1) strictly, and no pair is mutual
+        P = [[1.0, 0.9, 2.0], [2.0, 1.0, 0.9], [0.9, 2.0, 1.0]]
+        ds = wk.ObservationDataset(P, np.eye(3))
+        result = wk.sarp_check(ds)
+        assert not result.passed
+        assert sorted(result.cycle) == [0, 1, 2]
+        assert_witness(ds, result.cycle)
+
+    def test_cycle_through_a_repeated_bundle(self):
+        # observations 1 and 3 choose the same bundle; only observation 3's
+        # price reveals it preferred to bundle 2, so the witness must name 3
+        P = [[1, 3], [1, 2], [1, 1]]
+        X = [[2, 0], [0, 2], [2, 0]]
+        assert wk.sarp_check(wk.ObservationDataset(P[:2], X[:2])).passed
+        ds = wk.ObservationDataset(P, X)
+        result = wk.sarp_check(ds)
+        assert not result.passed
+        assert result.cycle == (2, 1)
+        assert_witness(ds, result.cycle)
+
+    def test_witness_edges_hold_with_repeated_bundles(self, rng):
+        found = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 9))
+            P = rng.uniform(0.5, 2.0, size=(n, 2))
+            X = rng.dirichlet(np.ones(2), size=n) * rng.uniform(5, 15, size=(n, 1)) / P
+            X = X[rng.integers(0, n, n)]  # draw the bundles with repeats
+            ds = wk.ObservationDataset(P, X)
+            result = wk.sarp_check(ds)
+            assert result.passed == brute_force_sarp(P, X)
+            if not result.passed:
+                found += 1
+                assert_witness(ds, result.cycle)
+        assert found > 50
+
+    def test_large_acyclic_dataset_passes(self, rng):
+        ds = cd_dataset(rng, goods=3, n_obs=2000)
+        assert wk.sarp_check(ds).passed
+
+    def test_greedy_cover_matches_the_grouping_loop(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            centres = rng.uniform(0.0, 2.0, (4, 3))
+            X = centres[rng.integers(0, 4, n)] + rng.uniform(-1, 1, (n, 3)) * DISTINCT_TOL
+            owner = _greedy_cover(X, np.arange(n), DISTINCT_TOL, p=np.inf)
+            assert owner.tolist() == _loop_distinct_groups(X).tolist()
+        # a pair exactly DISTINCT_TOL apart is one group; a third point at
+        # 2 * DISTINCT_TOL joins neither
+        X = np.array([[0.0, 0.0], [DISTINCT_TOL, 0.0], [2 * DISTINCT_TOL, 0.0]])
+        owner = _greedy_cover(X, np.arange(3), DISTINCT_TOL, p=np.inf)
+        assert owner.tolist() == _loop_distinct_groups(X).tolist() == [0, 0, 2]
+
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
             wk.ObservationDataset([[1, -1]], [[1, 1]])
@@ -87,6 +165,10 @@ class TestSarpCheck:
             wk.ObservationDataset([[1, 1]], [[1, -1]])
         with pytest.raises(ValueError):
             wk.ObservationDataset([[1, 1], [1, 2]], [[1, 1]])
+        with pytest.raises(ValueError, match="finite"):
+            wk.ObservationDataset([[1, np.nan]], [[1, 1]])
+        with pytest.raises(ValueError, match="finite"):
+            wk.ObservationDataset([[1, 1]], [[np.inf, 1]])
 
 
 class TestSampleDemand:
