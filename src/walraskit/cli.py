@@ -36,7 +36,7 @@ from .econfile import (
     write_experiment_csv,
     write_witness_csv,
 )
-from .equilibrium import SolverConfig, find_equilibria
+from .equilibrium import ContinuumConfig, SolverConfig, continuum_detector, find_equilibria
 from .fields import economy_field
 from .genericity import PerturbationSpec, build_continuum_economy, genericity_experiment, perturb
 from .geometry import simplex_point
@@ -196,10 +196,9 @@ def _cmd_experiment(args, out_dir: Path) -> int:
         f"all_regular_count: {result.all_regular_count}",
         f"failed trials: {len(errors)}",
     ]
-    baseline = find_equilibria(economy, _solver_config(args))
+    baseline = continuum_detector(economy, ContinuumConfig(boundary_margin_min=args.margin))
     lines.append(
-        "unperturbed base: "
-        + ("continuum detector fired" if baseline.continuum.fired else "finite")
+        "unperturbed base: " + ("continuum detector fired" if baseline.fired else "finite")
     )
     _write_report(out_dir, lines)
     return 0

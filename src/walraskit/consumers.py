@@ -38,7 +38,7 @@ class Consumer:
     alpha : array_like
         Strictly positive preference shares summing to one within ``1e-12``.
     endowment : array_like
-        Non-negative endowment with at least one strictly positive entry.
+        Finite non-negative endowment with at least one strictly positive entry.
         Zero entries are allowed (the canonical single-good consumers of the
         field-decomposition construction need them).
     scale : Scale, optional
@@ -54,10 +54,11 @@ class Consumer:
         omega = np.array(self.endowment, dtype=float)
         if alpha.ndim != 1 or alpha.shape != omega.shape:
             raise ValueError("alpha and endowment must be 1-d vectors of equal length")
-        if np.any(alpha <= 0.0) or abs(alpha.sum() - 1.0) > 1e-12:
+        # Written so that NaN and inf entries fail the checks too.
+        if not (np.all(alpha > 0.0) and abs(alpha.sum() - 1.0) <= 1e-12):
             raise ValueError("alpha must be strictly positive and sum to 1 within 1e-12")
-        if np.any(omega < 0.0) or not np.any(omega > 0.0):
-            raise ValueError("endowment must be non-negative with a positive entry")
+        if not (np.all((omega >= 0.0) & (omega < np.inf)) and np.any(omega > 0.0)):
+            raise ValueError("endowment must be finite and non-negative with a positive entry")
         alpha.setflags(write=False)
         omega.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
@@ -101,21 +102,15 @@ def demand_rows(c: Consumer, P) -> np.ndarray:
     return c.alpha * w[:, None] / P
 
 
-def scale_rows(c: Consumer, P) -> np.ndarray:
-    """Scaling values at the simplex normalisation of each price row."""
-    S = P / P.sum(axis=1, keepdims=True)
-    values = np.asarray(c.scale(S), dtype=float)
-    if np.any(~np.isfinite(values)) or np.any(values <= 0.0):
-        raise ValueError("scale must be strictly positive at every evaluated price")
-    return values
-
-
 def excess_rows(c: Consumer, P) -> np.ndarray:
     """Scaled individual excess demand ``scale(p) * (demand - omega)`` per row."""
     z = demand_rows(c, P) - c.endowment
     if c.has_unit_scale:
         return z
-    return scale_rows(c, P)[:, None] * z
+    values = np.asarray(c.scale(P / P.sum(axis=1, keepdims=True)), dtype=float)
+    if not np.all((values > 0.0) & (values < np.inf)):
+        raise ValueError("scale must be strictly positive at every evaluated price")
+    return values[:, None] * z
 
 
 def aed_rows(e: Economy, P) -> np.ndarray:

@@ -16,10 +16,13 @@ and interpolating the coefficients realises the field as the aggregate
 excess demand of an ``l``-consumer economy.
 
 The positive kernel has the closed form ``kappa_i ~ alpha_i / (p_i level_i)``,
-and that is how it is computed: no singular value decomposition.  Each
-evaluation checks numerically that it annihilates the basis, treating any
-failure of the positive-spanning property as an internal error (it would
-disprove the construction, so it is never silently ignored).
+and that is how it is computed: no singular value decomposition.  One core
+decomposes raw ``(n, l)`` target rows, checking numerically that the kernel
+annihilates the basis and that each residual is small; any failure of the
+positive-spanning property is an internal error (it would disprove the
+construction, so it is never silently ignored).  :func:`decompose_at` and
+:func:`positive_kernel` are one-row calls; :func:`realize_economy` makes one
+call for its whole grid.
 """
 
 from __future__ import annotations
@@ -28,14 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consumers import Consumer, Economy
+from .consumers import UNIT_SCALE, Consumer, Economy
 from .fields import as_field
 from .geometry import PricePoint, TangentVector
 from .scales import KernelSampledScale
 
 KERNEL_NULLSPACE_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
-TANGENT_REJECT_TOL = 1e-8
 
 
 class PositiveSpanningError(RuntimeError):
@@ -65,12 +67,13 @@ class CanonicalFamily:
         alpha = np.array(self.alpha, dtype=float)
         if alpha.ndim != 1 or alpha.size < 2:
             raise ValueError("alpha must be a vector of length >= 2")
-        if np.any(alpha <= 0.0) or abs(alpha.sum() - 1.0) > 1e-12:
+        # Written so that NaN and inf entries fail the checks too.
+        if not (np.all(alpha > 0.0) and abs(alpha.sum() - 1.0) <= 1e-12):
             raise ValueError("alpha must be strictly positive and sum to 1")
         levels = self.endowment_levels
         levels = np.ones_like(alpha) if levels is None else np.array(levels, dtype=float)
-        if levels.shape != alpha.shape or np.any(levels <= 0.0):
-            raise ValueError("endowment levels must be strictly positive, one per good")
+        if levels.shape != alpha.shape or not np.all((levels > 0.0) & (levels < np.inf)):
+            raise ValueError("endowment levels must be finite and strictly positive, one per good")
         alpha.setflags(write=False)
         levels.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
@@ -86,15 +89,9 @@ class CanonicalFamily:
 
     def consumers(self, scales=None) -> tuple[Consumer, ...]:
         """The family as plain consumers, optionally with per-consumer scales."""
-        out = []
-        for i in range(self.goods):
-            omega = np.zeros(self.goods)
-            omega[i] = self.endowment_levels[i]
-            if scales is None:
-                out.append(Consumer(self.alpha, omega))
-            else:
-                out.append(Consumer(self.alpha, omega, scale=scales[i]))
-        return tuple(out)
+        scales = scales or [UNIT_SCALE] * self.goods
+        omegas = np.diag(self.endowment_levels)
+        return tuple(Consumer(self.alpha, omegas[i], scale=s) for i, s in enumerate(scales))
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,7 @@ class DecompositionWitness:
 
     def __post_init__(self):
         mu = np.array(self.mu, dtype=float)
-        if np.any(mu <= 0.0):
+        if not np.all(mu > 0.0):
             raise ValueError("decomposition coefficients must be strictly positive")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -146,22 +143,58 @@ def kernel_weights(f: CanonicalFamily, P: np.ndarray) -> np.ndarray:
     return f.alpha / (P * f.endowment_levels)
 
 
+def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    # Summed in the order of a 1-d ``@``: rows match one-point results bit for bit.
+    return (X[:, None, :] @ Y[:, :, None])[:, 0]
+
+
+def _decompose_rows(f: CanonicalFamily, P: np.ndarray, V: np.ndarray, floor: float = 1.0):
+    """:func:`decompose_at` on ``(n, l)`` rows: coefficients ``mu`` and
+    residual norms for tangent target rows ``V`` at positive price rows ``P``.
+
+    Both checks (kernel and residual) raise :class:`PositiveSpanningError`
+    on NaN as well.
+    """
+    Z = basis_matrix(f, P)
+    kappa = kernel_weights(f, P)
+    kappa = (kappa / kappa.min(axis=1, keepdims=True))[:, :, None]
+    if not np.all(np.abs(Z @ kappa) <= KERNEL_NULLSPACE_TOL * (np.abs(Z) @ kappa)):
+        raise PositiveSpanningError("closed-form kernel does not annihilate the basis")
+
+    # The construction runs in extended precision: re-orthogonalise the
+    # target against the base, pick S, and form mu.  The returned mu is cast
+    # back to double; its residual (measured in extended precision against
+    # the caller's vector) is then dominated by that final rounding, about
+    # eps * |v| * |alpha/p|.
+    pc = P.astype(np.longdouble)
+    v = V.astype(np.longdouble)
+    vt = v - _rowdot(pc, v) * pc / _rowdot(pc, pc)
+    a = f.alpha.astype(np.longdouble) / pc
+    omega = f.endowment_levels.astype(np.longdouble)
+    s_star = np.max((floor * omega + vt) / a, axis=1, keepdims=True)
+    s_star += 1e-15 * (1.0 + np.abs(s_star))  # keep min(mu) >= floor despite rounding
+    mu = np.asarray((a * s_star - vt) / omega, dtype=float)
+
+    R = (Z.astype(np.longdouble) @ mu.astype(np.longdouble)[:, :, None])[:, :, 0] - v
+    residual = np.sqrt(_rowdot(R, R)[:, 0]).astype(float)
+    if not np.all(residual <= RECONSTRUCTION_TOL * np.maximum(1.0, np.linalg.norm(V, axis=1))):
+        raise PositiveSpanningError(
+            f"decomposition residual {np.max(residual):.3e} is too large"
+        )
+    return mu, residual
+
+
 def positive_kernel(f: CanonicalFamily, p: PricePoint) -> np.ndarray:
     """Strictly positive dependency of the canonical excess demands at ``p``.
 
     The closed form :func:`kernel_weights`, normalised so the smallest entry
-    is one; no SVD is computed.  Raises :class:`PositiveSpanningError` unless
-    the basis matrix maps it to zero within rounding.  The rank needs no
-    check: the basis matrix is ``diag(-omega)`` plus a rank-one matrix, so
-    its rank is at least ``l - 1``.
+    is one (within ``1e-15``): the decomposition of the zero vector.  No SVD
+    is computed.  Raises :class:`PositiveSpanningError` unless the basis
+    matrix maps it to zero within rounding.  The rank needs no check: the
+    basis matrix is ``diag(-omega)`` plus a rank-one matrix, so its rank is
+    at least ``l - 1``.
     """
-    kappa = kernel_weights(f, p.coords[None, :])[0]
-    kappa = kappa / kappa.min()
-    Z = basis_matrix(f, p.coords[None, :])[0]
-    # Written so that a NaN (an overflowed weight) fails the check too.
-    if not np.all(np.abs(Z @ kappa) <= KERNEL_NULLSPACE_TOL * (np.abs(Z) @ kappa)):
-        raise PositiveSpanningError("closed-form kernel does not annihilate the basis")
-    return kappa
+    return _decompose_rows(f, p.coords[None, :], np.zeros((1, p.goods)))[0][0]
 
 
 def decompose_at(
@@ -171,9 +204,8 @@ def decompose_at(
 ) -> DecompositionWitness:
     """Strictly positive coefficients with ``sum_i mu_i z_i(p) = target``.
 
-    Targets violating tangency by more than ``1e-8`` (relative to their
-    magnitude) are rejected; the positive-spanning property is re-validated
-    numerically at ``p`` on every call.
+    Tangency was checked when the target was built; the positive-spanning
+    property is re-validated numerically at ``p`` on every call.
 
     The basis matrix is ``outer(alpha/p, p*omega) - diag(omega)``, so for a
     tangent target the solution set is the explicit line
@@ -189,34 +221,8 @@ def decompose_at(
     :class:`PositiveSpanningError`.
     """
     p = target.base
-    v64 = target.components
-    if abs(float(p.coords @ v64)) > TANGENT_REJECT_TOL * max(
-        1.0, float(np.linalg.norm(v64))
-    ):
-        raise ValueError("target vector is not tangent at its base price")
-    positive_kernel(f, p)  # numerical spanning assertion (raises on failure)
-
-    # The construction runs in extended precision: re-orthogonalise the
-    # target against the base, pick S, and form mu.  The returned mu is cast
-    # back to double; its residual (measured in extended precision against
-    # the caller's vector) is then dominated by that final rounding, about
-    # eps * |v| * |alpha/p|.
-    pc = p.coords.astype(np.longdouble)
-    v = v64.astype(np.longdouble)
-    vt = v - (pc @ v) * pc / (pc @ pc)
-    a = f.alpha.astype(np.longdouble) / pc
-    omega = f.endowment_levels.astype(np.longdouble)
-    s_star = np.max((floor * omega + vt) / a)
-    s_star += 1e-15 * (1.0 + abs(s_star))  # keep min(mu) >= floor despite rounding
-    mu = np.asarray((a * s_star - vt) / omega, dtype=float)
-
-    Z = basis_matrix(f, p.coords[None, :])[0].astype(np.longdouble)
-    residual = float(np.linalg.norm(Z @ mu.astype(np.longdouble) - v))
-    if residual > RECONSTRUCTION_TOL * max(1.0, float(np.linalg.norm(v64))):
-        raise PositiveSpanningError(
-            f"decomposition residual {residual:.3e} is too large"
-        )
-    return DecompositionWitness(price=p, mu=mu, residual=residual)
+    mu, residual = _decompose_rows(f, p.coords[None, :], target.components[None, :], floor)
+    return DecompositionWitness(price=p, mu=mu[0], residual=float(residual[0]))
 
 
 class GridTooCoarseError(ValueError):
@@ -232,27 +238,29 @@ def realize_economy(
     """An ``l``-consumer economy whose aggregate excess demand matches a field
     on a price grid.
 
-    Each grid point's target value is decomposed over the canonical basis;
-    consumer ``i`` receives a scale interpolating its coefficients between
-    grid points.  What is sampled is the ratio of the coefficient to the
-    closed-form kernel weight: wherever the target is identically zero the
-    sampled ratios coincide across consumers and the reconstructed aggregate
-    vanishes exactly between grid points as well, not only at them.
+    The target is evaluated once over the grid and decomposed over the
+    canonical basis as in :func:`decompose_at`; consumer ``i`` receives a
+    scale interpolating its coefficients between grid points.  What is
+    sampled is the ratio of the coefficient to the closed-form kernel weight:
+    wherever the target is identically zero the sampled ratios coincide
+    across consumers and the reconstructed aggregate vanishes exactly between
+    grid points as well, not only at them.
 
-    Raises :class:`GridTooCoarseError` if an interpolated coefficient fails
-    to stay strictly positive between grid points.
+    Raises ``ValueError`` if the target is not finite at a grid point, and
+    :class:`GridTooCoarseError` if an interpolated coefficient fails to stay
+    strictly positive between grid points.
     """
     field = as_field(target_field)
     if not grid:
         raise ValueError("realisation needs a non-empty price grid")
-    goods = f.goods
-    chart_rows = np.empty((len(grid), goods - 1))
-    ratios = np.empty((len(grid), goods))
-    for k, p in enumerate(grid):
-        simplex = p.simplex_coords()
-        chart_rows[k] = simplex[:-1]
-        witness = decompose_at(f, field.value(p), floor=floor)
-        ratios[k] = witness.mu / kernel_weights(f, simplex[None, :])[0]
+    S = np.array([p.simplex_coords() for p in grid])
+    chart_rows = S[:, :-1]
+    _, V = field.full_values(chart_rows)
+    if not np.all(np.isfinite(V)):
+        raise ValueError("target field values must be finite at every grid point")
+    # Decompose at the sphere normalisation of each price, as decompose_at does.
+    mu, _ = _decompose_rows(f, S / np.sqrt(_rowdot(S, S)), V, floor)
+    ratios = mu / kernel_weights(f, S)
 
     scales = [
         KernelSampledScale(
@@ -262,7 +270,7 @@ def realize_economy(
             share=float(f.alpha[i]),
             level=float(f.endowment_levels[i]),
         )
-        for i in range(goods)
+        for i in range(f.goods)
     ]
     _check_positive_between_nodes(scales, chart_rows)
     return Economy(f.consumers(scales=scales))

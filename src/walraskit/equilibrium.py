@@ -155,8 +155,9 @@ def _newton_multistart(field: TangentField, starts: np.ndarray, cfg: SolverConfi
     # even past the convergence tolerance: the extra polishing drives the
     # offset of degenerate (critical) zeros toward zero, so classification at
     # the returned point behaves like classification at the exact zero.
-    active = res > 0.0
-    halted = np.zeros(len(C), dtype=bool)
+    # A start whose residual is not finite cannot take a step: it stalls.
+    halted = ~np.isfinite(res)
+    active = ~halted & (res > 0.0)
     total_iterations = 0
 
     for _ in range(NEWTON_MAX_ITER):

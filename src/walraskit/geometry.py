@@ -122,30 +122,27 @@ class ChartPoint:
 class TangentVector:
     """A vector tangent to the positive price sphere at a base point.
 
-    Tangency (``base . components == 0`` within ``1e-10``, relative to the
-    component magnitude) is exactly Walras' law for excess-demand values.
-    Construction with ``check=False`` skips the tangency test; it exists so
-    that rejection paths for non-tangent data can be exercised.
+    Components must be finite and tangent (``base . components == 0`` within
+    ``1e-10``, relative to their magnitude), which is exactly Walras' law for
+    excess-demand values.  This is the package's one tangency check.
     """
 
     base: PricePoint
     components: np.ndarray
-    check: bool = True
 
     def __post_init__(self):
         comps = _readonly(self.components)
         if comps.shape != self.base.coords.shape:
             raise ValueError("tangent components must match the base dimension")
+        if not np.all(np.isfinite(comps)):
+            raise ValueError("tangent components must be finite")
         base = self.base
         if base.frame != SPHERE:
             base = simplex_to_sphere(base)
             object.__setattr__(self, "base", base)
-        if self.check:
-            err = abs(float(base.coords @ comps))
-            if err > TANGENCY_TOL * max(1.0, float(np.linalg.norm(comps))):
-                raise ValueError(
-                    f"vector is not tangent at its base (|p.v| = {err:.3e})"
-                )
+        err = abs(float(base.coords @ comps))
+        if err > TANGENCY_TOL * max(1.0, float(np.linalg.norm(comps))):
+            raise ValueError(f"vector is not tangent at its base (|p.v| = {err:.3e})")
         object.__setattr__(self, "components", comps)
 
     @property

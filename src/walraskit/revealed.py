@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .consumers import Consumer, demand, excess_rows, scale_rows
+from .consumers import Consumer, demand, demand_rows
 from .geometry import PricePoint, _greedy_cover
 
 TIE_TOL = 1e-10
@@ -169,27 +169,26 @@ def scaled_field_audit(
 ) -> AuditReport:
     """Audit a positively scaled excess demand on price samples.
 
-    Checks, at every sample: the scaling is strictly positive (samples where
-    it is not are flagged and skipped), the scaled field satisfies Walras'
-    law within ``walras_tol``, and each component respects the lower bound
-    ``scale(p) * (-omega_i)`` that any excess demand of a consumer endowed
-    with ``omega`` obeys.
+    Checks, at every sample: the scaling is finite and strictly positive
+    (samples where it is not are flagged and skipped), the scaled field
+    satisfies Walras' law within ``walras_tol``, and each component respects
+    the lower bound ``scale(p) * (-omega_i)`` that any excess demand of a
+    consumer endowed with ``omega`` obeys.
     """
     if not prices:
         raise ValueError("at least one sample price is required")
     P = np.vstack([p.simplex_coords() for p in prices])
-    S = P / P.sum(axis=1, keepdims=True)
-    raw_scale = np.asarray(c.scale(S), dtype=float)
-    flagged = tuple(int(i) for i in np.flatnonzero(~(raw_scale > 0.0)))
-    good = np.asarray([i for i in range(len(prices)) if i not in flagged])
+    scale = np.asarray(c.scale(P / P.sum(axis=1, keepdims=True)), dtype=float)
+    good = (scale > 0.0) & (scale < np.inf)
+    flagged = tuple(int(i) for i in np.flatnonzero(~good))
 
     max_walras = 0.0
     bound_violations = 0
-    if good.size:
-        Z = excess_rows(c, P[good])
+    if good.any():
+        Z = scale[good, None] * (demand_rows(c, P[good]) - c.endowment)
         walras = np.abs(np.einsum("ij,ij->i", P[good], Z))
         max_walras = float(walras.max())
-        lower = -scale_rows(c, P[good])[:, None] * c.endowment
+        lower = -scale[good, None] * c.endowment
         bound_violations = int(np.any(Z < lower - 1e-9, axis=1).sum())
 
     passed = not flagged and max_walras <= walras_tol and bound_violations == 0

@@ -179,8 +179,8 @@ class SampledScale(Scale):
         values = np.asarray(self.values, dtype=float)
         if grid.shape[0] != values.size:
             raise ValueError("grid and values must have the same length")
-        if np.any(values <= 0.0):
-            raise ValueError("sampled scale values must be strictly positive")
+        if not np.all((values > 0.0) & (values < np.inf)):
+            raise ValueError("sampled scale values must be finite and strictly positive")
         grid = grid.copy()
         grid.setflags(write=False)
         values = values.copy()

@@ -8,6 +8,8 @@ import walraskit as wk
 from walraskit.cli import main
 from support import edgeworth_symmetric
 
+ECONOMY = "goods: 2\nconsumers:\n- alpha: %s\n  endowment: %s\n"
+
 
 @pytest.fixture
 def sym_file(tmp_path):
@@ -147,13 +149,21 @@ class TestSarpAndAudit:
         assert main(["sarp", "--input", str(path), "--out", str(out)]) == 0
         assert "SARP: pass" in (out / "report.txt").read_text()
 
-    @pytest.mark.parametrize("row", ["1,nan,2,0", "1,2,inf,0"])
-    def test_sarp_non_finite_input_exits_1(self, tmp_path, capsys, row):
-        path = tmp_path / "obs.csv"
-        path.write_text(f"p1,p2,x1,x2\n{row}\n1,2,0,2\n")
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            pytest.param("sarp", "p1,p2,x1,x2\n1,nan,2,0\n1,2,0,2\n", "finite", id="1,nan,2,0"),
+            pytest.param("sarp", "p1,p2,x1,x2\n1,2,inf,0\n1,2,0,2\n", "finite", id="1,2,inf,0"),
+            pytest.param("solve", ECONOMY % ("[.nan, 0.5]", "[1, 1]"), "consumer 0", id="alpha-nan"),
+            pytest.param("solve", ECONOMY % ("[0.5, 0.5]", "[.inf, 1]"), "consumer 0", id="endowment-inf"),
+        ],
+    )
+    def test_sarp_non_finite_input_exits_1(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "input"
+        path.write_text(text)
         out = tmp_path / "out"
-        assert main(["sarp", "--input", str(path), "--out", str(out)]) == 1
-        assert "finite" in capsys.readouterr().err
+        assert main([command, "--input", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_audit_reports_scaled_consumers(self, tmp_path):
         econ = wk.Economy(

@@ -66,6 +66,14 @@ class TestExcessDemand:
             wk.Consumer([0.5, 0.5], [0, 0])  # empty endowment
         with pytest.raises(ValueError):
             wk.Consumer([1.2, -0.2], [1, 1])
+        for alpha, omega in (
+            ([np.nan, 0.5], [1, 1]),
+            ([np.inf, 0.5], [1, 1]),
+            ([0.5, 0.5], [np.nan, 1]),
+            ([0.5, 0.5], [np.inf, 1]),
+        ):
+            with pytest.raises(ValueError):
+                wk.Consumer(alpha, omega)
 
     def test_scale_positivity_enforced_at_evaluation(self):
         # 0.2 - c1 is negative for p1 > 0.2: evaluating there must fail,

@@ -7,6 +7,7 @@ from support import (
     edgeworth_asymmetric,
     oracle_basis_vectors,
     oracle_positive_kernel,
+    random_economy,
 )
 
 
@@ -149,11 +150,19 @@ class TestDecomposeAt:
             )
             assert np.linalg.norm(Z @ w.mu - target.components) <= 1e-8 * max(1.0, norm)
 
-    def test_rejects_non_tangent_target(self, symmetric_family):
+    def test_rejects_non_tangent_target(self):
+        # tangency is checked once, when the target vector is built
         p = wk.sphere_point([0.6, 0.8])
-        bad = wk.TangentVector(p, np.array([1.0, 1.0]), check=False)
         with pytest.raises(ValueError, match="tangent"):
-            wk.decompose_at(symmetric_family, bad)
+            wk.TangentVector(p, np.array([1.0, 1.0]))
+
+    def test_rejects_non_finite_family_and_coefficients(self):
+        for alpha, levels in (([np.nan, 0.5], None), ([0.5, 0.5], [np.inf, 1.0])):
+            with pytest.raises(ValueError):
+                wk.CanonicalFamily(alpha, levels)
+        p = wk.simplex_point([0.5, 0.5])
+        with pytest.raises(ValueError, match="strictly positive"):
+            wk.DecompositionWitness(p, np.array([np.nan, 1.0]), 0.0)
 
     def test_custom_floor(self, symmetric_family, rng):
         p = wk.simplex_point([0.3, 0.7])
@@ -162,9 +171,46 @@ class TestDecomposeAt:
         assert w.mu.min() == pytest.approx(0.25, abs=1e-9)
 
 
+def loop_realized_ratios(f, field, grid):
+    """The per-point loop that realize_economy replaced, kept as a reference:
+    one decomposition per grid point, divided by the kernel weights there."""
+    return np.array(
+        [
+            wk.decompose_at(f, field.value(p)).mu
+            / wk.kernel_weights(f, p.simplex_coords()[None, :])[0]
+            for p in grid
+        ]
+    )
+
+
 class TestRealizeEconomy:
     def grid(self, n=101, lo=0.05, hi=0.95):
         return [wk.simplex_point([x, 1 - x]) for x in np.linspace(lo, hi, n)]
+
+    @pytest.mark.parametrize("rescale", [1.0, 1e6])
+    @pytest.mark.parametrize("goods", [2, 3, 4])
+    def test_ratios_match_the_per_point_loop(self, goods, rescale, rng):
+        for _ in range(4):
+            fam = wk.CanonicalFamily(
+                rng.dirichlet(np.full(goods, 3.0)), rng.uniform(0.5, 2.0, goods)
+            )
+            base = random_economy(rng, goods, int(rng.integers(2, 5)))
+            target = wk.economy_field(
+                wk.Economy(
+                    tuple(wk.Consumer(c.alpha, c.endowment * rescale) for c in base.consumers)
+                )
+            )
+            if goods == 2:
+                grid = self.grid(41, 0.01, 0.99)
+            else:
+                grid = [wk.simplex_point(rng.dirichlet(np.ones(goods))) for _ in range(41)]
+            econ = wk.realize_economy(fam, target, grid)
+            ratios = np.column_stack([c.scale.values for c in econ.consumers])
+            expected = loop_realized_ratios(fam, target, grid)
+            # Coefficients at the floor are differences of numbers of the
+            # target's size, so errors are relative to each point's largest.
+            scale = np.abs(expected).max(axis=1, keepdims=True)
+            assert np.max(np.abs(ratios - expected) / scale) <= 1e-12
 
     def test_zero_field_realises_to_zero_aed(self, symmetric_family):
         zero = wk.chart_field(lambda C: np.zeros_like(C), goods=2)
@@ -210,3 +256,9 @@ class TestRealizeEconomy:
         zero = wk.chart_field(lambda C: np.zeros_like(C), goods=2)
         with pytest.raises(ValueError):
             wk.realize_economy(symmetric_family, zero, [])
+
+    def test_non_finite_target_rejected(self, rng):
+        bad = wk.chart_field(lambda C: np.where(C > 0.5, np.nan, 0.0), goods=3)
+        grid = [wk.simplex_point(rng.dirichlet(np.ones(3))) for _ in range(30)]
+        with pytest.raises(ValueError, match="finite"):
+            wk.realize_economy(wk.CanonicalFamily.symmetric(3), bad, grid)

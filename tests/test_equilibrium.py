@@ -78,6 +78,16 @@ class TestFindEquilibria:
         assert s.converged + s.stalled + s.exhausted == s.starts
         assert s.dedup_merges == s.converged - len(report.equilibria)
 
+    @pytest.mark.parametrize("goods", [2, 3, 4])
+    def test_every_start_is_counted(self, goods, rng):
+        s = wk.find_equilibria(random_economy(rng, goods, 3)).stats
+        assert s.converged + s.stalled + s.exhausted == s.starts
+
+    def test_start_with_nan_residual_counts_as_stalled(self):
+        field = wk.chart_field(lambda C: np.where(C > 0.7, np.nan, 0.5 - C), goods=2)
+        s = wk.find_equilibria(field).stats
+        assert (s.starts, s.converged, s.stalled, s.exhausted) == (50, 35, 15, 0)
+
     def test_exact_zero_ends_its_newton_run(self):
         # Newton lands exactly on the zero of a linear field, where the
         # residual is 0 and no step can improve it.

@@ -222,3 +222,9 @@ class TestScaledFieldAudit:
         report = wk.scaled_field_audit(c, self.prices(rng))
         assert not report.passed
         assert len(report.nonpositive_scale_samples) > 0
+
+    def test_infinite_scale_is_flagged(self, rng):
+        c = wk.Consumer([0.5, 0.5], [1, 0], scale=wk.PolynomialScale(((np.inf, (0,)),)))
+        report = wk.scaled_field_audit(c, self.prices(rng, 10))
+        assert not report.passed
+        assert report.nonpositive_scale_samples == tuple(range(10))

@@ -47,8 +47,12 @@ class TestVocabulary:
         assert np.allclose(s(node_rows), values, atol=1e-14)
 
     def test_sampled_rejects_nonpositive_values(self):
-        with pytest.raises(ValueError):
-            wk.SampledScale(np.array([[0.2], [0.8]]), np.array([1.0, 0.0]))
+        grid = np.array([[0.2, 0.3], [0.5, 0.2], [0.3, 0.3]])
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                wk.SampledScale(np.array([[0.2], [0.8]]), np.array([1.0, bad]))
+            with pytest.raises(ValueError):
+                wk.SampledScale(grid, np.array([1.0, bad, 2.0]))
 
     def test_kernel_sampled_matches_formula(self):
         grid = np.linspace(0.1, 0.9, 5)[:, None]
