@@ -32,6 +32,11 @@ from .scales import scale_from_dict
 
 FLOAT_FMT = "%.17g"
 
+# The libyaml parser and emitter when PyYAML was built with them; the
+# pure-Python classes read and write the same text, only slower.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 class EconomyFormatError(ValueError):
     """An economy file failed to parse; the message names the offending field."""
@@ -91,14 +96,16 @@ def economy_from_dict(data: dict) -> Economy:
 
 
 def save_economy(path, e: Economy) -> None:
-    text = yaml.safe_dump(economy_to_dict(e), sort_keys=False, default_flow_style=None)
+    text = yaml.dump(
+        economy_to_dict(e), Dumper=YAML_DUMPER, sort_keys=False, default_flow_style=None
+    )
     Path(path).write_text(text)
 
 
 def load_economy(path) -> Economy:
     path = Path(path)
     try:
-        data = yaml.safe_load(path.read_text())
+        data = yaml.load(path.read_text(), Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise EconomyFormatError(f"{path}: not valid YAML: {exc}") from exc
     return economy_from_dict(data)
@@ -182,6 +189,7 @@ def write_experiment_csv(path, result: GenericityResult) -> None:
         writer = csv.writer(fh)
         writer.writerow(
             ["trial", "seed", "epsilon", "n_equilibria", "all_regular", "index_sum"]
+            + ["finite", "error"]
         )
         for r in result.records:
             writer.writerow(
@@ -192,5 +200,7 @@ def write_experiment_csv(path, result: GenericityResult) -> None:
                     str(r.n_equilibria),
                     "true" if r.all_regular else "false",
                     str(r.index_sum),
+                    "true" if r.finite else "false",
+                    r.error or "",
                 ]
             )

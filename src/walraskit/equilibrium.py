@@ -32,6 +32,7 @@ from .fields import (
     TangentField,
     _chart_coords,
     _derivative_scale,
+    _full_rows,
     as_field,
     chart_jacobian,
 )
@@ -137,20 +138,33 @@ def _interior(C: np.ndarray, margin: float) -> np.ndarray:
     return (C >= margin).all(axis=1) & (1.0 - C.sum(axis=1) >= margin)
 
 
-def _batched_jacobian(field: TangentField, C: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _batched_jacobian(evaluate, C: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
     n, d = C.shape
     J = np.empty((n, d, d))
     for j in range(d):
         step = np.zeros((n, d))
         step[:, j] = h
-        diff = field.chart_values(C + step) - field.chart_values(C - step)
+        diff = evaluate(C + step, rows) - evaluate(C - step, rows)
         J[:, :, j] = diff / (2.0 * h)[:, None]
     return J
 
 
-def _newton_multistart(field: TangentField, starts: np.ndarray, cfg: SolverConfig):
+def _residual_norms(evaluate, C: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    _, Z = _full_rows(C, evaluate(C, rows))
+    return np.linalg.norm(Z, axis=1)
+
+
+def _newton_multistart(evaluate, starts: np.ndarray, cfg: SolverConfig):
+    """Damped Newton from every start row, as one batch.
+
+    ``evaluate(C, rows)`` returns the chart values at the rows of ``C``; row
+    ``k`` of ``C`` is an iterate of start ``rows[k]``, and ``rows`` is
+    ascending.  Every row follows its own iteration, independent of the
+    others in the batch.  Returns per-row arrays: final points, residuals,
+    and the converged, stalled and exhausted masks and iteration counts.
+    """
     C = starts.copy()
-    res = field.residual_norms(C)
+    res = _residual_norms(evaluate, C, np.arange(len(C)))
     # Points keep iterating while a damped step still improves the residual,
     # even past the convergence tolerance: the extra polishing drives the
     # offset of degenerate (critical) zeros toward zero, so classification at
@@ -158,17 +172,17 @@ def _newton_multistart(field: TangentField, starts: np.ndarray, cfg: SolverConfi
     # A start whose residual is not finite cannot take a step: it stalls.
     halted = ~np.isfinite(res)
     active = ~halted & (res > 0.0)
-    total_iterations = 0
+    iterations = np.zeros(len(C), dtype=np.int64)
 
     for _ in range(NEWTON_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        total_iterations += idx.size
+        iterations[idx] += 1
         Ca, ra = C[idx], res[idx]
-        F = field.chart_values(Ca)
+        F = evaluate(Ca, idx)
         h = JACOBIAN_STEP * np.maximum(1.0, np.linalg.norm(Ca, axis=1))
-        J = _batched_jacobian(field, Ca, h)
+        J = _batched_jacobian(evaluate, Ca, idx, h)
 
         dets = np.linalg.det(J)
         solvable = np.isfinite(dets) & (np.abs(dets) > 0.0)
@@ -186,13 +200,13 @@ def _newton_multistart(field: TangentField, starts: np.ndarray, cfg: SolverConfi
             rem = solvable & ~improved
             if not rem.any():
                 break
+            rem_idx = np.flatnonzero(rem)
             trial = Ca[rem] - lam[rem, None] * delta[rem]
-            tres = np.full(rem.sum(), np.inf)
+            tres = np.full(rem_idx.size, np.inf)
             inside = _interior(trial, cfg.boundary_margin_min)
             if inside.any():
-                tres[inside] = field.residual_norms(trial[inside])
+                tres[inside] = _residual_norms(evaluate, trial[inside], idx[rem_idx[inside]])
             accept = tres <= (1.0 - 0.5 * lam[rem]) * ra[rem]
-            rem_idx = np.flatnonzero(rem)
             acc_idx = rem_idx[accept]
             newC[acc_idx] = trial[accept]
             newres[acc_idx] = tres[accept]
@@ -208,9 +222,7 @@ def _newton_multistart(field: TangentField, starts: np.ndarray, cfg: SolverConfi
         active[idx[newres == 0.0]] = False
 
     converged = res <= cfg.newton_tol
-    stalled = int((halted & ~converged).sum())
-    exhausted = int((active & ~converged).sum())
-    return C, res, converged, stalled, exhausted, total_iterations
+    return C, res, converged, halted & ~converged, active & ~converged, iterations
 
 
 def _dedup(C: np.ndarray, res: np.ndarray, radius: float):
@@ -339,9 +351,21 @@ def find_equilibria(
     field = as_field(field_or_economy)
     cfg = config or SolverConfig()
     starts = _start_grid(field.dim, cfg.grid_density, cfg.boundary_margin_min)
-    C, res, converged, stalled, exhausted, iterations = _newton_multistart(
-        field, starts, cfg
-    )
+    newton = _newton_multistart(lambda C, rows: field.chart_values(C), starts, cfg)
+    return _field_report(field, newton, slice(None), cfg, continuum_config, k_max)
+
+
+def _field_report(
+    field: TangentField,
+    newton: tuple,
+    rows: slice,
+    cfg: SolverConfig,
+    continuum_config: ContinuumConfig | None = None,
+    k_max: int = 8,
+) -> EquilibriumReport:
+    """The report on ``field`` from its start rows ``rows`` of a Newton phase:
+    deduplication, classification, statistics and the continuum scan."""
+    C, res, converged, stalled, exhausted, iterations = (a[rows] for a in newton)
     conv_idx = np.flatnonzero(converged)
     kept, merges = _dedup(C[conv_idx], res[conv_idx], DEDUP_RADIUS)
 
@@ -367,11 +391,11 @@ def find_equilibria(
         )
 
     stats = SolverStats(
-        starts=len(starts),
+        starts=len(C),
         converged=int(converged.sum()),
-        stalled=stalled,
-        exhausted=exhausted,
-        newton_iterations=iterations,
+        stalled=int(stalled.sum()),
+        exhausted=int(exhausted.sum()),
+        newton_iterations=int(iterations.sum()),
         dedup_merges=merges,
     )
     detector = continuum_detector(

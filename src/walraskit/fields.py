@@ -63,10 +63,7 @@ class TangentField:
     def full_values(self, C) -> tuple[np.ndarray, np.ndarray]:
         """Simplex price rows and full field rows over ``(n, l-1)`` chart rows."""
         C = np.atleast_2d(np.asarray(C, dtype=float))
-        P = chart_rows_embed(C)
-        F = self.chart_values(C)
-        last = -(P[:, :-1] * F).sum(axis=1) / P[:, -1]
-        return P, np.hstack([F, last[:, None]])
+        return _full_rows(C, self.chart_values(C))
 
     def value(self, p: PricePoint) -> TangentVector:
         """Field value at a price point, as a tangent vector."""
@@ -78,6 +75,13 @@ class TangentField:
         """Euclidean norms of the full field values over chart rows."""
         _, Z = self.full_values(C)
         return np.linalg.norm(Z, axis=1)
+
+
+def _full_rows(C: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Simplex price rows and full field rows from chart rows and chart values."""
+    P = chart_rows_embed(C)
+    last = -(P[:, :-1] * F).sum(axis=1) / P[:, -1]
+    return P, np.hstack([F, last[:, None]])
 
 
 def economy_field(e: Economy) -> TangentField:

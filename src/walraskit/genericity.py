@@ -28,9 +28,12 @@ import numpy as np
 
 from .decomposition import CanonicalFamily, realize_economy
 from .equilibrium import (
+    MAX_STARTS,
     ContinuumConfig,
-    EquilibriumReport,
     SolverConfig,
+    _field_report,
+    _newton_multistart,
+    _start_grid,
     find_equilibria,
 )
 from .fields import TangentField, as_field, chart_field
@@ -110,19 +113,22 @@ def _normalizer(value, deriv, dim: int) -> float:
     return sup if sup > 0.0 else 1.0
 
 
+def _perturbation_term(spec: PerturbationSpec, dim: int):
+    """The chart map ``epsilon * basis``, or ``None`` when ``epsilon`` is 0."""
+    if spec.epsilon == 0.0:
+        return None
+    value, deriv = _basis_functions(spec, dim)
+    eps = spec.epsilon / _normalizer(value, deriv, dim)
+    return lambda C: eps * value(C)
+
+
 def perturb(field_or_economy, spec: PerturbationSpec) -> TangentField:
     """Add ``epsilon * basis`` (sup-normalised with its derivative) to the chart map."""
     base = as_field(field_or_economy)
-    if spec.epsilon == 0.0:
+    term = _perturbation_term(spec, base.dim)
+    if term is None:
         return base
-    value, deriv = _basis_functions(spec, base.dim)
-    norm = _normalizer(value, deriv, base.dim)
-    eps = spec.epsilon / norm
-
-    def fn(C):
-        return base.chart_values(C) + eps * value(C)
-
-    return TangentField(base.goods, fn)
+    return TangentField(base.goods, lambda C: base.chart_values(C) + term(C))
 
 
 def continuum_chart_map(a: float, b: float):
@@ -209,44 +215,106 @@ def genericity_experiment(
 ) -> GenericityResult:
     """Perturb ``base`` with ``trials`` fresh seeds and tally the outcomes.
 
-    Trial ``t`` uses seed ``spec.seed + t``.  Each trial runs the equilibrium
-    solver and the continuum detector on the perturbed field; solver failures
-    are recorded per trial and do not abort the batch.  Results are
-    deterministic in the seed.
+    Trial ``t`` uses seed ``spec.seed + t``.  The trials are solved together:
+    one damped-Newton phase runs over the stacked ``(trial, start)`` rows of
+    up to ``MAX_STARTS`` rows at a time, and every row follows the iteration
+    it would follow in :func:`find_equilibria` on its own trial's perturbed
+    field.  Deduplication, classification and the continuum detector then
+    run per trial on that field, so each trial gets the report
+    ``find_equilibria`` would give it.  Failures are recorded per trial and
+    do not abort the batch: when the stacked phase raises, its trials are
+    solved one at a time.  Results are deterministic in the seed.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    base_field = as_field(base)
+    specs = [spec.with_seed(spec.seed + t) for t in range(trials)]
+    outcomes = _trial_reports(
+        as_field(base), specs, solver_config or SolverConfig(), continuum_config
+    )
     records = []
-    for t in range(trials):
-        trial_spec = spec.with_seed(spec.seed + t)
-        try:
-            perturbed = perturb(base_field, trial_spec)
-            report: EquilibriumReport = find_equilibria(
-                perturbed, solver_config, continuum_config
+    for t, (trial_spec, outcome) in enumerate(zip(specs, outcomes)):
+        if isinstance(outcome, Exception):
+            summary = dict(
+                n_equilibria=0,
+                all_regular=False,
+                index_sum=0,
+                finite=False,
+                error=f"{type(outcome).__name__}: {outcome}",
             )
-            records.append(
-                TrialRecord(
-                    trial=t,
-                    seed=trial_spec.seed,
-                    epsilon=spec.epsilon,
-                    n_equilibria=len(report.equilibria),
-                    all_regular=report.all_regular,
-                    index_sum=report.index_sum,
-                    finite=report.finite_flag,
-                )
+        else:
+            summary = dict(
+                n_equilibria=len(outcome.equilibria),
+                all_regular=outcome.all_regular,
+                index_sum=outcome.index_sum,
+                finite=outcome.finite_flag,
             )
-        except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
-            records.append(
-                TrialRecord(
-                    trial=t,
-                    seed=trial_spec.seed,
-                    epsilon=spec.epsilon,
-                    n_equilibria=0,
-                    all_regular=False,
-                    index_sum=0,
-                    finite=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+        records.append(TrialRecord(t, trial_spec.seed, spec.epsilon, **summary))
     return GenericityResult(tuple(records))
+
+
+def _trial_reports(
+    base: TangentField,
+    specs: list,
+    cfg: SolverConfig,
+    continuum_config: ContinuumConfig | None,
+) -> list:
+    """The equilibrium report of ``base`` perturbed by each spec, or the
+    exception that its solve raised."""
+    try:
+        starts = _start_grid(base.dim, cfg.grid_density, cfg.boundary_margin_min)
+    except ValueError:
+        return [_solve_alone(base, s, cfg, continuum_config) for s in specs]
+    n = len(starts)
+    chunk = max(1, MAX_STARTS // max(1, n))
+    outcomes = []
+    for first in range(0, len(specs), chunk):
+        group = specs[first : first + chunk]
+        try:
+            newton = _stacked_newton(base, group, starts, cfg)
+        except Exception:  # noqa: BLE001 - each trial then records its own error
+            outcomes += [_solve_alone(base, s, cfg, continuum_config) for s in group]
+            continue
+        for t, trial_spec in enumerate(group):
+            try:
+                outcomes.append(
+                    _field_report(
+                        perturb(base, trial_spec),
+                        newton,
+                        slice(t * n, (t + 1) * n),
+                        cfg,
+                        continuum_config,
+                    )
+                )
+            except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
+                outcomes.append(exc)
+    return outcomes
+
+
+def _stacked_newton(base: TangentField, specs: list, starts: np.ndarray, cfg: SolverConfig):
+    """One Newton phase over the rows ``(t, k)`` -> ``t * len(starts) + k``.
+
+    Each evaluation calls the base chart map once on all rows and adds each
+    trial's perturbation term to that trial's rows, which is exactly the
+    arithmetic of :func:`perturb` row by row.
+    """
+    n = len(starts)
+    terms = [_perturbation_term(s, base.dim) for s in specs]
+
+    def evaluate(C, rows):
+        # A copy: the base chart map may return a view of its input.
+        F = np.array(base.chart_values(C))
+        # ``rows`` is ascending, so each trial's rows form one block.
+        bounds = np.searchsorted(rows, n * np.arange(len(terms) + 1))
+        for term, lo, hi in zip(terms, bounds[:-1], bounds[1:]):
+            if term is not None and hi > lo:
+                F[lo:hi] += term(C[lo:hi])
+        return F
+
+    return _newton_multistart(evaluate, np.tile(starts, (len(specs), 1)), cfg)
+
+
+def _solve_alone(base: TangentField, spec: PerturbationSpec, cfg, continuum_config):
+    try:
+        return find_equilibria(perturb(base, spec), cfg, continuum_config)
+    except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
+        return exc

@@ -42,6 +42,13 @@ class TestSolve:
         assert rc == 1
         assert "consumer 0" in capsys.readouterr().err
 
+    def test_invalid_yaml_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("goods: [2\nconsumers: {\n")
+        rc = main(["solve", "--input", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "not valid YAML" in capsys.readouterr().err
+
 
 class TestDecomposeAndRealize:
     def test_decompose_writes_witness(self, sym_file, tmp_path):
@@ -124,8 +131,9 @@ class TestPerturbAndExperiment:
         b1 = (out1 / "experiment.csv").read_bytes()
         assert b1 == (out2 / "experiment.csv").read_bytes()
         lines = b1.decode().strip().splitlines()
-        assert lines[0] == "trial,seed,epsilon,n_equilibria,all_regular,index_sum"
+        assert lines[0] == "trial,seed,epsilon,n_equilibria,all_regular,index_sum,finite,error"
         assert len(lines) == 7
+        assert all(line.endswith(",true,") for line in lines[1:])
         report = (out1 / "report.txt").read_text()
         assert "finite_count: 6" in report
         assert "continuum detector fired" in report

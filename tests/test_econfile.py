@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from walraskit.econfile import (
     economy_from_dict,
     economy_to_dict,
     write_equilibria_csv,
+    write_experiment_csv,
     write_witness_csv,
 )
+from walraskit.genericity import TrialRecord
 from support import edgeworth_asymmetric, random_interior_prices
 
 
@@ -146,3 +150,15 @@ class TestResultTables:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "p1,p2,mu1,mu2,residual"
         assert len(lines) == 6
+
+    def test_experiment_csv_records_failed_trials(self, tmp_path):
+        records = (
+            TrialRecord(0, 7, 1e-3, 1, True, 1, True),
+            TrialRecord(1, 8, 1e-3, 0, False, 0, False, error="ValueError: a, b"),
+        )
+        path = tmp_path / "exp.csv"
+        write_experiment_csv(path, wk.GenericityResult(records))
+        rows = list(csv.reader(path.open(newline="")))
+        assert rows[0][-2:] == ["finite", "error"]
+        assert rows[1] == ["0", "7", "0.001", "1", "true", "1", "true", ""]
+        assert rows[2] == ["1", "8", "0.001", "0", "false", "0", "false", "ValueError: a, b"]

@@ -167,7 +167,7 @@ class TestExperiment:
         import walraskit.genericity as gen
 
         calls = {"n": 0}
-        original = gen.find_equilibria
+        original = gen._field_report
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -175,7 +175,7 @@ class TestExperiment:
                 raise RuntimeError("synthetic solver failure")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(gen, "find_equilibria", flaky)
+        monkeypatch.setattr(gen, "_field_report", flaky)
         res = gen.genericity_experiment(
             continuum_economy, wk.PerturbationSpec(1e-3, seed=1), trials=3
         )
@@ -183,3 +183,120 @@ class TestExperiment:
         assert len(errors) == 1
         assert "synthetic solver failure" in errors[0].error
         assert res.finite_count == 2
+
+
+def assert_same_report(a, b):
+    assert a.stats == b.stats
+    assert (a.continuum.fired, a.continuum.points_hit) == (b.continuum.fired, b.continuum.points_hit)
+    if b.continuum.interval is None:
+        assert a.continuum.interval is None
+    else:
+        assert all(np.array_equal(x, y) for x, y in zip(a.continuum.interval, b.continuum.interval))
+    assert len(a.equilibria) == len(b.equilibria)
+    for x, y in zip(a.equilibria, b.equilibria):
+        assert np.array_equal(x.chart, y.chart)
+        assert np.array_equal(x.price.coords, y.price.coords)
+        assert (x.residual, x.regularity, x.index, x.multiplicity) == (
+            y.residual,
+            y.regularity,
+            y.index,
+            y.multiplicity,
+        )
+
+
+def three_good_economy():
+    return wk.Economy(
+        (
+            wk.Consumer([0.2, 0.3, 0.5], [1, 0, 0]),
+            wk.Consumer([0.4, 0.3, 0.3], [0, 1, 0]),
+            wk.Consumer([0.3, 0.4, 0.3], [0, 0, 1]),
+        )
+    )
+
+
+class TestStackedTrials:
+    """The stacked Newton phase against each trial solved on its own."""
+
+    @staticmethod
+    def check(base, spec, trials, cfg):
+        import walraskit.genericity as gen
+
+        field = wk.economy_field(base)
+        specs = [spec.with_seed(spec.seed + t) for t in range(trials)]
+        stacked = gen._trial_reports(field, specs, cfg, None)
+        for trial_spec, report in zip(specs, stacked):
+            assert_same_report(report, wk.find_equilibria(gen.perturb(field, trial_spec), cfg))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            wk.PerturbationSpec(1e-3, basis="random_fourier", terms=5, seed=61),
+            wk.PerturbationSpec(1e-2, basis="polynomial", degree=3, seed=62),
+            wk.PerturbationSpec(1e-3, basis="linear_tilt", seed=63),
+            wk.PerturbationSpec(0.0, seed=64),
+        ],
+        ids=["random_fourier", "polynomial", "linear_tilt", "epsilon_0"],
+    )
+    def test_continuum_trials_match_solo_solves(self, continuum_economy, spec):
+        self.check(continuum_economy, spec, 4, wk.SolverConfig())
+
+    def test_three_good_trials_match_solo_solves(self):
+        spec = wk.PerturbationSpec(1e-4, basis="random_fourier", terms=3, seed=8)
+        self.check(three_good_economy(), spec, 3, wk.SolverConfig(grid_density=15))
+
+    def test_chunk_boundaries(self, monkeypatch, continuum_economy):
+        import walraskit.genericity as gen
+
+        # 50 starts per trial and room for 120 rows: chunks of 2, 2 and 1 trials.
+        monkeypatch.setattr(gen, "MAX_STARTS", 120)
+        sizes = []
+        original = gen._newton_multistart
+
+        def spy(evaluate, starts, cfg):
+            sizes.append(len(starts))
+            return original(evaluate, starts, cfg)
+
+        monkeypatch.setattr(gen, "_newton_multistart", spy)
+        self.check(
+            continuum_economy,
+            wk.PerturbationSpec(1e-3, basis="random_fourier", terms=5, seed=65),
+            5,
+            wk.SolverConfig(),
+        )
+        assert sizes == [100, 100, 50]
+
+    def test_failing_chunk_is_solved_trial_by_trial(self):
+        import walraskit.genericity as gen
+
+        def fn(C):
+            if (C > 0.95).any():
+                raise ValueError(f"rows above 0.95 in a batch of {len(C)}")
+            return 0.5 - C
+
+        base = wk.chart_field(fn, goods=2)
+        spec = wk.PerturbationSpec(1e-3, seed=66)
+        res = wk.genericity_experiment(base, spec, trials=3)
+        for t, record in enumerate(res.records):
+            # The message names the batch size, so it tells a trial's own
+            # solve from the stacked one.
+            with pytest.raises(ValueError) as solo:
+                wk.find_equilibria(gen.perturb(base, spec.with_seed(spec.seed + t)))
+            assert record.error == f"ValueError: {solo.value}"
+            assert "batch of 50" in record.error
+        assert res.finite_count == 0
+
+    def test_too_large_start_grid_fails_every_trial(self):
+        econ = wk.Economy(
+            (
+                wk.Consumer([0.1, 0.2, 0.3, 0.4], [1, 0, 0, 0]),
+                wk.Consumer([0.4, 0.3, 0.2, 0.1], [0, 1, 1, 1]),
+            )
+        )
+        res = wk.genericity_experiment(
+            econ,
+            wk.PerturbationSpec(1e-3, seed=67),
+            trials=2,
+            solver_config=wk.SolverConfig(grid_density=70),
+        )
+        for record in res.records:
+            assert record.error.startswith("ValueError: start grid of 70^3 points")
