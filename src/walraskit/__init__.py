@@ -39,7 +39,6 @@ from .econfile import (
     save_economy,
 )
 from .equilibrium import (
-    ContinuumConfig,
     ContinuumReport,
     Equilibrium,
     EquilibriumReport,
@@ -103,7 +102,6 @@ __all__ = [
     "ChartPoint",
     "ConstantScale",
     "Consumer",
-    "ContinuumConfig",
     "ContinuumReport",
     "DecompositionWitness",
     "Economy",

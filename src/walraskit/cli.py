@@ -36,7 +36,7 @@ from .econfile import (
     write_experiment_csv,
     write_witness_csv,
 )
-from .equilibrium import ContinuumConfig, SolverConfig, continuum_detector, find_equilibria
+from .equilibrium import SolverConfig, continuum_detector, find_equilibria
 from .fields import economy_field
 from .genericity import PerturbationSpec, build_continuum_economy, genericity_experiment, perturb
 from .geometry import simplex_point
@@ -88,7 +88,7 @@ def _report_equilibria(report, lines: list[str]) -> None:
 
 def _cmd_solve(args, out_dir: Path) -> int:
     economy = load_economy(args.input)
-    report = find_equilibria(economy, _solver_config(args), k_max=args.k_max)
+    report = find_equilibria(economy, _solver_config(args))
     write_equilibria_csv(out_dir / "equilibria.csv", report, economy.goods)
     lines = [f"solve: {args.input}", f"goods: {economy.goods}, consumers: {len(economy.consumers)}"]
     _report_equilibria(report, lines)
@@ -136,13 +136,15 @@ def _cmd_realize(args, out_dir: Path) -> int:
         family = CanonicalFamily.symmetric(base.goods)
         grid = _decomposition_grid(base.goods, args.grid, args.seed)
         economy = realize_economy(family, target_field, grid)
-        realized = economy_field(economy)
         grid_chart = np.array([p.simplex_coords()[:-1] for p in grid])
-        mismatch = np.abs(
-            realized.chart_values(grid_chart) - target_field.chart_values(grid_chart)
-        ).max()
+        target = target_field.chart_values(grid_chart)
+        mismatch = np.abs(economy_field(economy).chart_values(grid_chart) - target).max()
         lines.append(f"realize: aggregate excess demand of {args.input}")
         lines.append(f"max grid-point mismatch: {_fmt(float(mismatch))}")
+        lines.append(
+            "relative to the largest |target chart value|: "
+            f"{_fmt(float(mismatch / np.abs(target).max()))}"
+        )
     save_economy(out_dir / "realized_economy.yaml", economy)
     lines.insert(1, f"grid points: {args.grid}")
     lines.append("wrote realized_economy.yaml")
@@ -185,7 +187,8 @@ def _cmd_perturb(args, out_dir: Path) -> int:
 def _cmd_experiment(args, out_dir: Path) -> int:
     economy = load_economy(args.input)
     spec = _perturbation_spec(args)
-    result = genericity_experiment(economy, spec, args.trials, _solver_config(args))
+    cfg = _solver_config(args)
+    result = genericity_experiment(economy, spec, args.trials, cfg)
     write_experiment_csv(out_dir / "experiment.csv", result)
     errors = [r for r in result.records if r.error is not None]
     lines = [
@@ -196,7 +199,7 @@ def _cmd_experiment(args, out_dir: Path) -> int:
         f"all_regular_count: {result.all_regular_count}",
         f"failed trials: {len(errors)}",
     ]
-    baseline = continuum_detector(economy, ContinuumConfig(boundary_margin_min=args.margin))
+    baseline = continuum_detector(economy, cfg)
     lines.append(
         "unperturbed base: " + ("continuum detector fired" if baseline.fired else "finite")
     )
@@ -279,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="locate and classify all equilibria")
     common(p, "grid", "solver")
-    p.add_argument("--k-max", type=int, default=8, dest="k_max")
 
     p = sub.add_parser("decompose", help="decompose the economy's excess demand over the canonical family")
     common(p, "seed", "grid")

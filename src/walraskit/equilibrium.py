@@ -1,7 +1,9 @@
 """Locating and classifying the zeros of excess-demand fields.
 
 Zeros are found by damped Newton iteration in chart coordinates from a
-regular grid of starting points, deduplicated, and classified:
+regular grid of starting points and deduplicated.  All kept zeros of a field
+are then classified from one evaluation of its chart map, on a few probe rows
+around each zero (``fields._probe_rows``):
 
 * ``regular``  -- nonsingular chart Jacobian; the local index is the sign of
   ``det(-J)``, so the unique equilibrium of a gross-substitutes economy gets
@@ -10,11 +12,12 @@ regular grid of starting points, deduplicated, and classified:
 * ``critical`` -- singular or step-size-inconsistent Jacobian; such zeros
   get index 0 recorded and are excluded from degree certification.
 
-For two-good economies the order of the first non-vanishing chart derivative
-at a zero is estimated by a local polynomial fit (``multiplicity_estimate``),
-and a dense scan flags intervals of zeros (``continuum_detector``) -- no
-finite procedure can decide infinitude, so the detector is a heuristic with
-documented thresholds.
+For two goods the order of the first non-vanishing chart derivative at a
+zero is estimated by a polynomial fit on a window of those probe rows
+(``multiplicity_estimate``).  ``classify`` and ``multiplicity_estimate`` are
+the one-zero case of the same evaluation.  A dense scan flags clusters of
+zeros (``continuum_detector``) -- no finite procedure can decide
+infinitude, so the detector is a heuristic with documented thresholds.
 """
 
 from __future__ import annotations
@@ -28,13 +31,11 @@ from scipy.spatial import cKDTree
 
 from .fields import (
     JACOBIAN_STEP,
-    JacobianConsistencyError,
     TangentField,
     _chart_coords,
-    _derivative_scale,
     _full_rows,
+    _probe_rows,
     as_field,
-    chart_jacobian,
 )
 from .geometry import PricePoint, _greedy_cover, chart_rows_embed, simplex_point
 
@@ -42,10 +43,12 @@ REGULAR = "regular"
 CRITICAL = "critical"
 
 DET_RELATIVE_TOL = 1e-6
+MULTIPLICITY_K_MAX = 8
 
 NEWTON_MAX_ITER = 60
 NEWTON_MAX_HALVINGS = 10
 DEDUP_RADIUS = 1e-6
+CONTINUUM_SCAN_POINTS = 2001
 CONTINUUM_RUN_REQUIRED = 20
 CONTINUUM_RESIDUAL_TOL = 1e-9
 
@@ -63,12 +66,6 @@ class SolverConfig:
             or self.boundary_margin_min <= 0
         ):
             raise ValueError("solver configuration values must be positive")
-
-
-@dataclass(frozen=True)
-class ContinuumConfig:
-    scan_points: int = 2001
-    boundary_margin_min: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -234,11 +231,39 @@ def _dedup(C: np.ndarray, res: np.ndarray, radius: float):
     return kept, len(C) - len(kept)
 
 
-def _require_zero(field: TangentField, c: np.ndarray, tol: float = 1e-9) -> float:
-    res = float(field.residual_norms(c[None, :])[0])
-    if res > tol * max(1.0, _derivative_scale(field, c)):
+def _classify_rows(field: TangentField, C: np.ndarray, k_max: int | None = None):
+    """Residual norms, regular mask, indices and multiplicities of the zeros
+    ``C``, from one evaluation of every probe row (``fields._probe_rows``).
+
+    The first row whose residual exceeds ``1e-9 * max(1, derivative scale)``
+    raises ``ValueError``.  Multiplicities are fitted on a window of
+    ``4 k_max + 1`` points when ``k_max`` is given (two goods), else ``None``.
+    """
+    window = None if k_max is None else np.linspace(-1.0, 1.0, 4 * k_max + 1)
+    residual, scale, J, consistent, G = _probe_rows(field, C, window)
+    bad = residual > 1e-9 * np.fmax(1.0, scale)
+    if bad.any():
+        res = residual[np.argmax(bad)]
         raise ValueError(f"point is not a zero of the field (residual {res:.3e})")
-    return res
+    d = field.dim
+    det = np.linalg.det(J)
+    size = np.fmax(np.abs(J).max(axis=(1, 2)), scale)
+    regular = consistent & ~(np.abs(det) <= DET_RELATIVE_TOL * size**d)
+    index = np.where(regular, np.where((-1) ** d * det > 0, 1, -1), 0)
+    fits = [None] * len(C) if window is None else [_fit_order(window, g[:, 0], k_max) for g in G]
+    return residual, regular, index, fits
+
+
+def _fit_order(s: np.ndarray, g: np.ndarray, k_max: int) -> int | None:
+    """Lowest order whose fitted coefficient on the window ``s`` stands out."""
+    scale = float(np.abs(g).max())
+    if scale <= 1e-12:
+        return None
+    # Column j of the fit is s**j, so coefficient j estimates g^(j) r^j / j!.
+    V = np.vander(s, k_max + 1, increasing=True)
+    b, *_ = np.linalg.lstsq(V, g, rcond=None)
+    orders = np.flatnonzero(np.abs(b[1:]) >= 1e-3 * scale)
+    return int(orders[0]) + 1 if orders.size else None
 
 
 def classify(field_or_economy, p):
@@ -247,24 +272,16 @@ def classify(field_or_economy, p):
     Returns ``("regular", +-1)`` when the chart Jacobian is well conditioned
     with a clearly nonzero determinant, and ``("critical", 0)`` otherwise
     (including when the finite-difference Jacobian is step-size dependent).
+    Raises ``ValueError`` when ``p`` is not a zero.  This is the one-point
+    case of the rows core that classifies every zero of a solver report, and
+    evaluates the field once.
     """
     field = as_field(field_or_economy)
-    c = _chart_coords(p)
-    _require_zero(field, c)
-    try:
-        J = chart_jacobian(field, c)
-    except JacobianConsistencyError:
-        return CRITICAL, 0
-    d = field.dim
-    det = float(np.linalg.det(J))
-    scale = max(float(np.abs(J).max()), _derivative_scale(field, c))
-    if abs(det) <= DET_RELATIVE_TOL * scale**d:
-        return CRITICAL, 0
-    index = 1 if ((-1) ** d) * det > 0 else -1
-    return REGULAR, index
+    _, regular, index, _ = _classify_rows(field, _chart_coords(p)[None, :])
+    return (REGULAR if regular[0] else CRITICAL), int(index[0])
 
 
-def multiplicity_estimate(field_or_economy, p, k_max: int = 8) -> int | None:
+def multiplicity_estimate(field_or_economy, p, k_max: int = MULTIPLICITY_K_MAX) -> int | None:
     """Order of the first non-vanishing chart derivative at a two-good zero.
 
     Fits a degree-``k_max`` polynomial to the chart map on a small symmetric
@@ -277,38 +294,22 @@ def multiplicity_estimate(field_or_economy, p, k_max: int = 8) -> int | None:
     field = as_field(field_or_economy)
     if field.goods != 2:
         raise ValueError("multiplicity estimation is implemented for two goods only")
-    c0 = float(_chart_coords(p)[0])
-    _require_zero(field, np.array([c0]))
-
-    r = min(0.02, 0.5 * min(c0, 1.0 - c0))
-    s = np.linspace(-1.0, 1.0, 4 * k_max + 1)
-    g = field.chart_values((c0 + r * s)[:, None])[:, 0]
-    scale = float(np.abs(g).max())
-    if scale <= 1e-12:
-        return None
-    # Column j of the fit is s**j, so coefficient j estimates g^(j) r^j / j!.
-    V = np.vander(s, k_max + 1, increasing=True)
-    b, *_ = np.linalg.lstsq(V, g, rcond=None)
-    significant = np.abs(b) >= 1e-3 * scale
-    for m in range(1, k_max + 1):
-        if significant[m]:
-            return m
-    return None
+    return _classify_rows(field, _chart_coords(p)[None, :1], k_max)[3][0]
 
 
-def continuum_detector(field_or_economy, config: ContinuumConfig | None = None) -> ContinuumReport:
+def continuum_detector(field_or_economy, config: SolverConfig | None = None) -> ContinuumReport:
     """Scan the chart for clusters of neighbouring near-zeros of the field.
 
-    The scan grid has about ``scan_points`` points and at least 11 per chart
-    axis; in one dimension a cluster is a run of consecutive points.  Fires
-    when at least 20 linked scan points have full residual at most ``1e-9``;
-    the witness is the chart interval (two floats, for two goods) or the
-    bounding box spanned by the largest such cluster.
+    The scan grid has about ``CONTINUUM_SCAN_POINTS`` points, at least 11 per
+    chart axis, inside the solver's boundary margin; in one dimension a
+    cluster is a run of consecutive points.  Fires when at least 20 linked
+    scan points have full residual at most ``1e-9``; the witness is the chart
+    interval (two floats, for two goods) or the bounding box spanned by the
+    largest such cluster.
     """
     field = as_field(field_or_economy)
-    cfg = config or ContinuumConfig()
-    m = cfg.boundary_margin_min
-    per_dim = max(11, int(round(cfg.scan_points ** (1.0 / field.dim))))
+    m = (config or SolverConfig()).boundary_margin_min
+    per_dim = max(11, int(round(CONTINUUM_SCAN_POINTS ** (1.0 / field.dim))))
     C = _start_grid(field.dim, per_dim, m)
     hit = field.residual_norms(C) <= CONTINUUM_RESIDUAL_TOL
     component = _largest_grid_cluster(C, hit, spacing=(1.0 - 2 * m) / (per_dim - 1))
@@ -334,12 +335,7 @@ def _largest_grid_cluster(C: np.ndarray, hit: np.ndarray, spacing: float) -> np.
     return idx[labels == np.argmax(np.bincount(labels))]
 
 
-def find_equilibria(
-    field_or_economy,
-    config: SolverConfig | None = None,
-    continuum_config: ContinuumConfig | None = None,
-    k_max: int = 8,
-) -> EquilibriumReport:
+def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> EquilibriumReport:
     """Locate, deduplicate, and classify the zeros of an excess-demand field.
 
     Damped Newton iteration runs from a regular chart grid restricted to the
@@ -352,43 +348,39 @@ def find_equilibria(
     cfg = config or SolverConfig()
     starts = _start_grid(field.dim, cfg.grid_density, cfg.boundary_margin_min)
     newton = _newton_multistart(lambda C, rows: field.chart_values(C), starts, cfg)
-    return _field_report(field, newton, slice(None), cfg, continuum_config, k_max)
+    return _field_report(field, newton, slice(None), cfg)
 
 
 def _field_report(
-    field: TangentField,
-    newton: tuple,
-    rows: slice,
-    cfg: SolverConfig,
-    continuum_config: ContinuumConfig | None = None,
-    k_max: int = 8,
+    field: TangentField, newton: tuple, rows: slice, cfg: SolverConfig
 ) -> EquilibriumReport:
     """The report on ``field`` from its start rows ``rows`` of a Newton phase:
-    deduplication, classification, statistics and the continuum scan."""
+    deduplication, classification, statistics and the continuum scan.
+
+    The kept zeros are classified together, so the field is evaluated once
+    for all of them and once for the continuum scan.
+    """
     C, res, converged, stalled, exhausted, iterations = (a[rows] for a in newton)
     conv_idx = np.flatnonzero(converged)
     kept, merges = _dedup(C[conv_idx], res[conv_idx], DEDUP_RADIUS)
 
     equilibria = []
-    for k in kept:
-        c = C[conv_idx][k]
-        # Re-evaluate the residual independently of the solver loop.
-        residual = float(field.residual_norms(c[None, :])[0])
-        regularity, index = classify(field, c)
-        multiplicity = None
-        if field.goods == 2 and residual <= 1e-9:
-            multiplicity = multiplicity_estimate(field, c, k_max=k_max)
-        price = simplex_point(chart_rows_embed(c[None, :])[0])
-        equilibria.append(
+    if kept:
+        Z = C[conv_idx[kept]]
+        k_max = MULTIPLICITY_K_MAX if field.goods == 2 else None
+        residual, regular, index, multiplicity = _classify_rows(field, Z, k_max)
+        P = chart_rows_embed(Z)
+        equilibria = [
             Equilibrium(
-                price=price,
-                chart=c.copy(),
-                residual=residual,
-                regularity=regularity,
-                index=index,
-                multiplicity=multiplicity,
+                price=simplex_point(P[i]),
+                chart=Z[i].copy(),
+                residual=float(residual[i]),
+                regularity=REGULAR if regular[i] else CRITICAL,
+                index=int(index[i]),
+                multiplicity=multiplicity[i] if residual[i] <= 1e-9 else None,
             )
-        )
+            for i in range(len(Z))
+        ]
 
     stats = SolverStats(
         starts=len(C),
@@ -398,12 +390,7 @@ def _field_report(
         newton_iterations=int(iterations.sum()),
         dedup_merges=merges,
     )
-    detector = continuum_detector(
-        field,
-        continuum_config
-        or ContinuumConfig(boundary_margin_min=cfg.boundary_margin_min),
-    )
-    return EquilibriumReport(tuple(equilibria), stats, detector)
+    return EquilibriumReport(tuple(equilibria), stats, continuum_detector(field, cfg))
 
 
 def index_sum_check(report: EquilibriumReport) -> bool:

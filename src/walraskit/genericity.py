@@ -29,7 +29,6 @@ import numpy as np
 from .decomposition import CanonicalFamily, realize_economy
 from .equilibrium import (
     MAX_STARTS,
-    ContinuumConfig,
     SolverConfig,
     _field_report,
     _newton_multistart,
@@ -211,7 +210,6 @@ def genericity_experiment(
     spec: PerturbationSpec,
     trials: int,
     solver_config: SolverConfig | None = None,
-    continuum_config: ContinuumConfig | None = None,
 ) -> GenericityResult:
     """Perturb ``base`` with ``trials`` fresh seeds and tally the outcomes.
 
@@ -228,9 +226,7 @@ def genericity_experiment(
     if trials < 1:
         raise ValueError("at least one trial is required")
     specs = [spec.with_seed(spec.seed + t) for t in range(trials)]
-    outcomes = _trial_reports(
-        as_field(base), specs, solver_config or SolverConfig(), continuum_config
-    )
+    outcomes = _trial_reports(as_field(base), specs, solver_config or SolverConfig())
     records = []
     for t, (trial_spec, outcome) in enumerate(zip(specs, outcomes)):
         if isinstance(outcome, Exception):
@@ -252,18 +248,14 @@ def genericity_experiment(
     return GenericityResult(tuple(records))
 
 
-def _trial_reports(
-    base: TangentField,
-    specs: list,
-    cfg: SolverConfig,
-    continuum_config: ContinuumConfig | None,
-) -> list:
+def _trial_reports(base: TangentField, specs: list, cfg: SolverConfig) -> list:
     """The equilibrium report of ``base`` perturbed by each spec, or the
     exception that its solve raised."""
     try:
         starts = _start_grid(base.dim, cfg.grid_density, cfg.boundary_margin_min)
-    except ValueError:
-        return [_solve_alone(base, s, cfg, continuum_config) for s in specs]
+    except ValueError as exc:
+        # Every trial shares the start grid, so every trial fails alike.
+        return [exc] * len(specs)
     n = len(starts)
     chunk = max(1, MAX_STARTS // max(1, n))
     outcomes = []
@@ -272,19 +264,12 @@ def _trial_reports(
         try:
             newton = _stacked_newton(base, group, starts, cfg)
         except Exception:  # noqa: BLE001 - each trial then records its own error
-            outcomes += [_solve_alone(base, s, cfg, continuum_config) for s in group]
+            outcomes += [_solve_alone(base, s, cfg) for s in group]
             continue
         for t, trial_spec in enumerate(group):
             try:
-                outcomes.append(
-                    _field_report(
-                        perturb(base, trial_spec),
-                        newton,
-                        slice(t * n, (t + 1) * n),
-                        cfg,
-                        continuum_config,
-                    )
-                )
+                trial = perturb(base, trial_spec)
+                outcomes.append(_field_report(trial, newton, slice(t * n, (t + 1) * n), cfg))
             except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
                 outcomes.append(exc)
     return outcomes
@@ -313,8 +298,8 @@ def _stacked_newton(base: TangentField, specs: list, starts: np.ndarray, cfg: So
     return _newton_multistart(evaluate, np.tile(starts, (len(specs), 1)), cfg)
 
 
-def _solve_alone(base: TangentField, spec: PerturbationSpec, cfg, continuum_config):
+def _solve_alone(base: TangentField, spec: PerturbationSpec, cfg):
     try:
-        return find_equilibria(perturb(base, spec), cfg, continuum_config)
+        return find_equilibria(perturb(base, spec), cfg)
     except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
         return exc

@@ -91,6 +91,18 @@ class TestDecomposeAndRealize:
         assert "max grid-point mismatch" in report
         mismatch = float(report.split("max grid-point mismatch: ")[1].splitlines()[0])
         assert mismatch <= 1e-6
+        # endowments x1e6: the absolute mismatch grows with the field, the
+        # relative one stays at rounding level
+        big = tmp_path / "big.yaml"
+        consumers = edgeworth_symmetric().consumers
+        wk.save_economy(
+            big, wk.Economy(tuple(wk.Consumer(c.alpha, 1e6 * np.asarray(c.endowment)) for c in consumers))
+        )
+        out = tmp_path / "big"
+        assert main(["realize", "--input", str(big), "--grid", "51", "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        relative = report.split("relative to the largest |target chart value|: ")[1]
+        assert float(relative.splitlines()[0]) <= 1e-12
 
     def test_realize_without_source_exits_1(self, tmp_path):
         assert main(["realize", "--out", str(tmp_path / "o")]) == 1

@@ -5,12 +5,17 @@ import pytest
 
 import walraskit as wk
 from support import cubic_field, random_economy, scan_zeros_1d
+from walraskit import equilibrium, fields
 from walraskit.equilibrium import (
     DEDUP_RADIUS,
+    DET_RELATIVE_TOL,
     _dedup,
+    _field_report,
     _largest_grid_cluster,
+    _newton_multistart,
     _start_grid,
 )
+from walraskit.fields import JACOBIAN_CONSISTENCY_TOL, JACOBIAN_STEP
 
 
 class TestFindEquilibria:
@@ -225,9 +230,9 @@ class TestContinuumDetector:
         assert report.fired
         lo, hi = report.interval
         assert abs(lo - 0.9) <= 1e-3
-        assert hi == 1.0 - wk.ContinuumConfig().boundary_margin_min
+        assert hi == 1.0 - wk.SolverConfig().boundary_margin_min
 
-    def test_higher_dimensional_cluster(self):
+    def test_higher_dimensional_cluster(self, monkeypatch):
         # a three-good field vanishing on a chart disc around the barycenter
         def fn(C):
             r2 = ((C - 1 / 3) ** 2).sum(axis=1)
@@ -235,7 +240,8 @@ class TestContinuumDetector:
             return gate[:, None] * (C - 1 / 3)
 
         field = wk.chart_field(fn, goods=3)
-        report = wk.continuum_detector(field, wk.ContinuumConfig(scan_points=1681))
+        monkeypatch.setattr(equilibrium, "CONTINUUM_SCAN_POINTS", 1681)
+        report = wk.continuum_detector(field)
         assert report.fired
         lo, hi = report.interval
         assert np.all(lo <= 1 / 3) and np.all(hi >= 1 / 3)
@@ -296,7 +302,7 @@ class TestGrouping:
             res = rng.choice([0.0, 1e-13, 2e-13], 200)
             assert _dedup(C, res, DEDUP_RADIUS) == _loop_dedup(C, res, DEDUP_RADIUS)
 
-    def test_one_dimensional_scan_finds_the_first_longest_run(self, rng):
+    def test_one_dimensional_scan_finds_the_first_longest_run(self, rng, monkeypatch):
         # zeros on a random mask over the scan points: the detector must
         # report the loop's first longest run
         m = 1e-4
@@ -314,7 +320,8 @@ class TestGrouping:
                 return np.where(mask[k], 0.0, 1.0)[:, None]
 
             field = wk.chart_field(fn, goods=2)
-            report = wk.continuum_detector(field, wk.ContinuumConfig(scan_points=n))
+            monkeypatch.setattr(equilibrium, "CONTINUUM_SCAN_POINTS", n)
+            report = wk.continuum_detector(field)
             start, length = _loop_longest_run(mask.tolist())
             assert report.points_hit == int(mask.sum())
             assert report.fired == (length >= 20)
@@ -338,3 +345,169 @@ class TestGrouping:
                 # ties go to the cluster holding the lowest index
                 assert got == min(c for c in clusters if len(c) == largest)
         assert _largest_grid_cluster(C, np.zeros(len(C), dtype=bool), spacing).size == 0
+
+
+class _Reference:
+    """The per-zero classification path, one field evaluation per probe set:
+    the not-a-zero check, the derivative scale, the Jacobians at steps h and
+    h/2, the determinant rule and the two-good window fit."""
+
+    def __init__(self, field, c, k_max=8):
+        self.field, self.top = field, 0.0
+        c = np.asarray(c, dtype=float)
+        d = c.size
+        self.residual = float(field.residual_norms(c[None, :])[0])
+        if self.residual > 1e-9 * max(1.0, self.derivative_scale(c)):
+            raise ValueError("point is not a zero of the field")
+        h = JACOBIAN_STEP * max(1.0, float(np.linalg.norm(c)))
+        J1 = self.fd_jacobian(c, h)
+        J2 = self.fd_jacobian(c, h / 2.0)
+        size = max(np.abs(J1).max(), np.abs(J2).max())
+        floor = 1e-12 * max(1.0, self.derivative_scale(c))
+        consistent = not np.abs(J1 - J2).max() > JACOBIAN_CONSISTENCY_TOL * size + floor
+        self.jacobian = J2 if consistent else None
+        self.regularity, self.index = "critical", 0
+        if consistent:
+            det = float(np.linalg.det(J2))
+            size = max(float(np.abs(J2).max()), self.derivative_scale(c))
+            if not abs(det) <= DET_RELATIVE_TOL * size**d:
+                self.regularity, self.index = "regular", 1 if (-1) ** d * det > 0 else -1
+        self.multiplicity = self.fit(float(c[0]), k_max) if d == 1 else None
+
+    def values(self, rows):
+        vals = self.field.chart_values(rows)
+        self.top = max(self.top, float(np.abs(vals).max()))
+        return vals
+
+    def derivative_scale(self, c, radius=0.02):
+        d = c.size
+        r = min(radius, 0.5 * min(float(c.min()), float(1.0 - c.sum())))
+        if r <= 0.0:
+            return 0.0
+        vals = self.values(np.vstack([c[None, :], c + r * np.eye(d), c - r * np.eye(d)]))
+        return float(np.abs(vals).max() / r)
+
+    def fd_jacobian(self, c, h):
+        d = c.size
+        vals = self.values(np.vstack([c + h * np.eye(d), c - h * np.eye(d)]))
+        return (vals[:d] - vals[d:]).T / (2.0 * h)
+
+    def fit(self, c0, k_max):
+        r = min(0.02, 0.5 * min(c0, 1.0 - c0))
+        s = np.linspace(-1.0, 1.0, 4 * k_max + 1)
+        g = self.window = self.values((c0 + r * s)[:, None])[:, 0]
+        scale = float(np.abs(g).max())
+        if scale <= 1e-12:
+            return None
+        b, *_ = np.linalg.lstsq(np.vander(s, k_max + 1, increasing=True), g, rcond=None)
+        for m in range(1, k_max + 1):
+            if abs(b[m]) >= 1e-3 * scale:
+                return m
+        return None
+
+
+def _scaled(e, factor):
+    return wk.Economy(tuple(wk.Consumer(c.alpha, np.asarray(c.endowment) * factor) for c in e.consumers))
+
+
+def _synthetic_fields():
+    """Two-good chart fields with a zero at 0.5 of every local type."""
+    maps = (
+        lambda C: -((C - 0.5) ** 2),
+        lambda C: -((C - 0.5) ** 3),
+        lambda C: np.zeros_like(C),
+        lambda C: np.abs(C - 0.5) ** 1.3,
+        # J at h and h/2 differ by about 1e-11: consistent only through the
+        # floor that grows with the derivative scale
+        lambda C: 1e13 * (C - 0.5) ** 5,
+    )
+    return [wk.chart_field(fn, goods=2) for fn in maps] + [cubic_field()]
+
+
+def _reference_fields(rng):
+    """(field, solver config) for every field the rows core is held to."""
+    out = []
+    for goods in (2, 3, 4):
+        for _ in range(2):
+            e = random_economy(rng, goods, 3)
+            for factor in (1.0, 1e6):
+                # Excess demand is homogeneous of degree 1 in endowments, so
+                # the solver tolerance scales with them.
+                cfg = wk.SolverConfig(grid_density=12 if goods == 4 else 50, newton_tol=1e-11 * factor)
+                out.append((wk.economy_field(_scaled(e, factor)), cfg))
+    base = wk.build_continuum_economy((0.4, 0.6), grid=201)
+    bases = (("linear_tilt", 1e-3), ("polynomial", 1e-2), ("random_fourier", 1e-3), ("random_fourier", 1e-4))
+    for basis, eps in bases:
+        for seed in (3, 4):
+            spec = wk.PerturbationSpec(eps, basis=basis, seed=seed)
+            out.append((wk.perturb(base, spec), wk.SolverConfig()))
+    return out + [(field, wk.SolverConfig()) for field in _synthetic_fields()]
+
+
+class TestClassifyRows:
+    """The rows core against the per-zero path it replaced."""
+
+    def check(self, field, c, eq=None):
+        ref = _Reference(field, c)
+        tol = 1e-13 * ref.top
+        assert wk.classify(field, c) == (ref.regularity, ref.index)
+        if ref.jacobian is None:
+            with pytest.raises(wk.JacobianConsistencyError):
+                wk.chart_jacobian(field, c)
+        else:
+            J = wk.chart_jacobian(field, c)
+            assert np.array_equal(J, ref.jacobian)
+        if field.goods == 2:
+            assert wk.multiplicity_estimate(field, c) == ref.multiplicity
+            window = np.linspace(-1.0, 1.0, 33)
+            G = fields._probe_rows(field, np.atleast_2d(c), window)[4]
+            assert np.array_equal(G[0, :, 0], ref.window)
+        if eq is not None:
+            assert (eq.regularity, eq.index) == (ref.regularity, ref.index)
+            assert eq.multiplicity == (ref.multiplicity if ref.residual <= 1e-9 else None)
+            assert abs(eq.residual - ref.residual) <= tol
+
+    def test_matches_the_per_zero_path(self, rng):
+        seen = 0
+        for field, cfg in _reference_fields(rng):
+            report = wk.find_equilibria(field, cfg)
+            # Off the zeros by 1e-12: at x1e6 a residual above 1e-9 that still
+            # passes the not-a-zero test, relative to the field's size.
+            C = np.array([eq.chart + 1e-12 for eq in report.equilibria])
+            n = len(C)
+            mask = np.ones(n, dtype=bool)
+            newton = (C, np.zeros(n), mask, ~mask, ~mask, np.zeros(n, dtype=np.int64))
+            shifted = _field_report(field, newton, slice(None), cfg)
+            for eq in report.equilibria + shifted.equilibria:
+                self.check(field, eq.chart, eq)
+                seen += 1
+        assert seen >= 60
+
+    def test_synthetic_zeros_one_point_at_a_time(self):
+        for field in _synthetic_fields():
+            self.check(field, np.array([0.5]))
+
+    def test_not_a_zero_names_the_first_failing_zero_in_order(self):
+        # values 0, 1e-3 and 2e-3 at the chart points 0.3, 0.5 and 0.7
+        field = wk.chart_field(lambda C: 1e-3 * ((C > 0.4) + (C > 0.6)), goods=2)
+        C = np.array([[0.3], [0.5], [0.7]])
+        with pytest.raises(ValueError, match=r"not a zero of the field \(residual 1\.414e-03\)"):
+            equilibrium._classify_rows(field, C)
+
+    def test_report_evaluates_the_field_twice(self):
+        for fn, n_zeros in ((lambda C: 0.5 - C, 1), (lambda C: -(C - 0.3) * (C - 0.5) * (C - 0.7), 3)):
+            calls = []
+
+            def counted(C, fn=fn):
+                calls.append(len(C))
+                return fn(C)
+
+            field = wk.chart_field(counted, goods=2)
+            cfg = wk.SolverConfig()
+            starts = _start_grid(1, cfg.grid_density, cfg.boundary_margin_min)
+            newton = _newton_multistart(lambda C, rows: field.chart_values(C), starts, cfg)
+            calls.clear()
+            report = _field_report(field, newton, slice(None), cfg)
+            assert len(report.equilibria) == n_zeros
+            # one probe evaluation for all zeros, one continuum scan
+            assert len(calls) == 2

@@ -223,7 +223,7 @@ class TestStackedTrials:
 
         field = wk.economy_field(base)
         specs = [spec.with_seed(spec.seed + t) for t in range(trials)]
-        stacked = gen._trial_reports(field, specs, cfg, None)
+        stacked = gen._trial_reports(field, specs, cfg)
         for trial_spec, report in zip(specs, stacked):
             assert_same_report(report, wk.find_equilibria(gen.perturb(field, trial_spec), cfg))
 
