@@ -68,6 +68,7 @@ def _report_equilibria(report, lines: list[str]) -> None:
             f"{eq.regularity}  index = {eq.index:+d}  multiplicity = {mult}"
         )
     lines.append(f"index sum: {report.index_sum:+d}")
+    lines.append(f"index-sum check: {report.index_check}")
     lines.append(f"finite equilibrium set: {'yes' if report.finite_flag else 'NO (continuum suspected)'}")
     if report.continuum.fired and report.continuum.interval is not None:
         lo, hi = report.continuum.interval

@@ -19,7 +19,7 @@ price, which preserves homogeneity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,9 +75,18 @@ class Consumer:
 
 @dataclass(frozen=True)
 class Economy:
-    """A non-empty list of consumers over the same goods."""
+    """A non-empty list of consumers over the same goods.
+
+    The shares and endowments are also kept stacked, one row per consumer,
+    with the constant scale values and the positions of the other scales,
+    for the fused kernel of :func:`aed_rows`.
+    """
 
     consumers: tuple
+    shares: np.ndarray = field(init=False, repr=False, compare=False)
+    endowments: np.ndarray = field(init=False, repr=False, compare=False)
+    constant_scales: np.ndarray = field(init=False, repr=False, compare=False)
+    varying_scales: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         consumers = tuple(self.consumers)
@@ -86,7 +95,19 @@ class Economy:
         goods = consumers[0].goods
         if any(c.goods != goods for c in consumers):
             raise ValueError("all consumers must trade the same number of goods")
+        scales = [c.scale for c in consumers]
+        constant = [s.value if isinstance(s, ConstantScale) else 1.0 for s in scales]
         object.__setattr__(self, "consumers", consumers)
+        for name, rows in (
+            ("shares", [c.alpha for c in consumers]),
+            ("endowments", [c.endowment for c in consumers]),
+            ("constant_scales", constant),
+        ):
+            stacked = np.array(rows, dtype=float)
+            stacked.setflags(write=False)
+            object.__setattr__(self, name, stacked)
+        varying = tuple((k, s) for k, s in enumerate(scales) if not isinstance(s, ConstantScale))
+        object.__setattr__(self, "varying_scales", varying)
 
     @property
     def goods(self) -> int:
@@ -114,11 +135,23 @@ def excess_rows(c: Consumer, P) -> np.ndarray:
 
 
 def aed_rows(e: Economy, P) -> np.ndarray:
-    """Aggregate excess demand rows: the sum of consumers' excess demands."""
-    total = np.zeros_like(P)
-    for c in e.consumers:
-        total += excess_rows(c, P)
-    return total
+    """Aggregate excess demand rows: the sum of consumers' excess demands.
+
+    One fused expression over the stacked consumers,
+    ``((P @ W^T) * S) @ A / P - S @ W``, with ``A`` the shares, ``W`` the
+    endowments and ``S`` the ``(n, consumers)`` scale values (one row for
+    every price row when a scale varies, else the constant values).
+    """
+    S = e.constant_scales
+    if e.varying_scales:
+        S = np.tile(S, (len(P), 1))
+        simplex = P / P.sum(axis=1, keepdims=True)
+        for k, scale in e.varying_scales:
+            values = np.asarray(scale(simplex), dtype=float)
+            if not np.all((values > 0.0) & (values < np.inf)):
+                raise ValueError("scale must be strictly positive at every evaluated price")
+            S[:, k] = values
+    return ((P @ e.endowments.T) * S) @ e.shares / P - S @ e.endowments
 
 
 # --- typed single-point operations -------------------------------------------

@@ -189,7 +189,7 @@ def write_experiment_csv(path, result: GenericityResult) -> None:
         writer = csv.writer(fh)
         writer.writerow(
             ["trial", "seed", "epsilon", "n_equilibria", "all_regular", "index_sum"]
-            + ["finite", "error"]
+            + ["finite", "error", "index_check"]
         )
         for r in result.records:
             writer.writerow(
@@ -202,5 +202,6 @@ def write_experiment_csv(path, result: GenericityResult) -> None:
                     str(r.index_sum),
                     "true" if r.finite else "false",
                     r.error or "",
+                    r.index_check,
                 ]
             )

@@ -1,9 +1,17 @@
 """Locating and classifying the zeros of excess-demand fields.
 
 Zeros are found by damped Newton iteration in chart coordinates from a
-regular grid of starting points and deduplicated.  All kept zeros of a field
-are then classified from one evaluation of its chart map, on a few probe rows
-around each zero (``fields._probe_rows``):
+regular grid of starting points and deduplicated.  The aggregate excess
+demand ``z`` of an economy (a field marked ``price_weighted``) is solved on
+the price-weighted field ``w = p * z``: it has the same zeros in the open
+simplex and the same index signs (``det J_w = prod(p) det J_z`` at a zero),
+stays bounded at the faces where ``z`` grows like ``1/p_j``, and is affine
+in the chart for constant-scale Cobb-Douglas economies, so Newton takes
+few steps on it.  Convergence is judged on ``|z|`` either way, and
+deduplication and classification work on ``z``.  Other fields, including
+perturbed economy fields, are solved on ``z`` itself.  All kept zeros of a
+field are then classified from one evaluation of its chart map, on a few
+probe rows around each zero (``fields._probe_rows``):
 
 * ``regular``  -- nonsingular chart Jacobian; the local index is the sign of
   ``det(-J)``, so the unique equilibrium of a gross-substitutes economy gets
@@ -11,6 +19,9 @@ around each zero (``fields._probe_rows``):
   zeros is +1.  (The orientation is a convention of this package.)
 * ``critical`` -- singular or step-size-inconsistent Jacobian; such zeros
   get index 0 recorded and are excluded from degree certification.
+
+A finite, all-regular report whose index sum is not +1 has missed or
+misclassified a zero; ``EquilibriumReport.index_check`` says so.
 
 For two goods the order of the first non-vanishing chart derivative at a
 zero is estimated by a polynomial fit on a window of those probe rows
@@ -113,6 +124,20 @@ class EquilibriumReport:
     def all_regular(self) -> bool:
         return all(eq.regularity == REGULAR for eq in self.equilibria)
 
+    @property
+    def index_check(self) -> str:
+        return _index_check(self.finite_flag, self.all_regular, self.index_sum)
+
+
+def _index_check(finite: bool, all_regular: bool, index_sum: int) -> str:
+    """The index-sum self-check of a report: ``"ok"`` when it is finite and
+    all-regular with index sum +1, ``"MISMATCH"`` when it is finite and
+    all-regular with any other sum (a zero was missed or misclassified),
+    ``"n/a"`` otherwise."""
+    if not (finite and all_regular):
+        return "n/a"
+    return "ok" if index_sum == 1 else "MISMATCH"
+
 
 MAX_STARTS = 250_000
 
@@ -146,22 +171,33 @@ def _batched_jacobian(evaluate, C: np.ndarray, rows: np.ndarray, h: np.ndarray) 
     return J
 
 
-def _residual_norms(evaluate, C: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    _, Z = _full_rows(C, evaluate(C, rows))
-    return np.linalg.norm(Z, axis=1)
+def _residual_norms(evaluate, C: np.ndarray, rows: np.ndarray, weighted: bool):
+    """Norms of the Newton map's full values and of the field's, from one
+    evaluation: the map is ``p * z`` when ``weighted``, else ``z`` itself."""
+    P, Z = _full_rows(C, evaluate(C, rows))
+    norms = np.linalg.norm(Z, axis=1)
+    return (np.linalg.norm(P * Z, axis=1), norms) if weighted else (norms, norms)
 
 
-def _newton_multistart(evaluate, starts: np.ndarray, cfg: SolverConfig):
+def _newton_multistart(
+    evaluate, starts: np.ndarray, cfg: SolverConfig, weighted: bool = False
+):
     """Damped Newton from every start row, as one batch.
 
     ``evaluate(C, rows)`` returns the chart values at the rows of ``C``; row
     ``k`` of ``C`` is an iterate of start ``rows[k]``, and ``rows`` is
     ascending.  Every row follows its own iteration, independent of the
-    others in the batch.  Returns per-row arrays: final points, residuals,
-    and the converged, stalled and exhausted masks and iteration counts.
+    others in the batch.  With ``weighted`` the steps, damping and polishing
+    work on the price-weighted field ``w = p * z`` (chart part ``C * F``),
+    which has the same zeros and index signs in the open simplex and stays
+    bounded at its faces; convergence is judged on ``|z| <= newton_tol``
+    either way, from the same evaluations.  Returns per-row arrays: final
+    points, field residuals ``|z|``, and the converged, stalled and
+    exhausted masks and iteration counts.
     """
+    newton_map = (lambda C, rows: C * evaluate(C, rows)) if weighted else evaluate
     C = starts.copy()
-    res = _residual_norms(evaluate, C, np.arange(len(C)))
+    res, zres = _residual_norms(evaluate, C, np.arange(len(C)), weighted)
     # Points keep iterating while a damped step still improves the residual,
     # even past the convergence tolerance: the extra polishing drives the
     # offset of degenerate (critical) zeros toward zero, so classification at
@@ -177,9 +213,9 @@ def _newton_multistart(evaluate, starts: np.ndarray, cfg: SolverConfig):
             break
         iterations[idx] += 1
         Ca, ra = C[idx], res[idx]
-        F = evaluate(Ca, idx)
+        F = newton_map(Ca, idx)
         h = JACOBIAN_STEP * np.maximum(1.0, np.linalg.norm(Ca, axis=1))
-        J = _batched_jacobian(evaluate, Ca, idx, h)
+        J = _batched_jacobian(newton_map, Ca, idx, h)
 
         dets = np.linalg.det(J)
         solvable = np.isfinite(dets) & (np.abs(dets) > 0.0)
@@ -192,7 +228,7 @@ def _newton_multistart(evaluate, starts: np.ndarray, cfg: SolverConfig):
         # Damped step: halve until the residual drops enough or give up.
         lam = np.ones(idx.size)
         improved = np.zeros(idx.size, dtype=bool)
-        newC, newres = Ca.copy(), ra.copy()
+        newC, newres, newz = Ca.copy(), ra.copy(), zres[idx]
         for _halving in range(NEWTON_MAX_HALVINGS + 1):
             rem = solvable & ~improved
             if not rem.any():
@@ -200,26 +236,30 @@ def _newton_multistart(evaluate, starts: np.ndarray, cfg: SolverConfig):
             rem_idx = np.flatnonzero(rem)
             trial = Ca[rem] - lam[rem, None] * delta[rem]
             tres = np.full(rem_idx.size, np.inf)
+            tz = tres.copy()
             inside = _interior(trial, cfg.boundary_margin_min)
             if inside.any():
-                tres[inside] = _residual_norms(evaluate, trial[inside], idx[rem_idx[inside]])
+                tres[inside], tz[inside] = _residual_norms(
+                    evaluate, trial[inside], idx[rem_idx[inside]], weighted
+                )
             accept = tres <= (1.0 - 0.5 * lam[rem]) * ra[rem]
             acc_idx = rem_idx[accept]
             newC[acc_idx] = trial[accept]
             newres[acc_idx] = tres[accept]
+            newz[acc_idx] = tz[accept]
             improved[acc_idx] = True
             lam[rem_idx[~accept]] *= 0.5
 
         dead = ~improved
         halted[idx[dead]] = True
         active[idx[dead]] = False
-        C[idx], res[idx] = newC, newres
+        C[idx], res[idx], zres[idx] = newC, newres, newz
         # An exact zero cannot improve; without this its zero step would be
         # accepted (0 <= 0) on every remaining iteration.
         active[idx[newres == 0.0]] = False
 
-    converged = res <= cfg.newton_tol
-    return C, res, converged, halted & ~converged, active & ~converged, iterations
+    converged = zres <= cfg.newton_tol
+    return C, zres, converged, halted & ~converged, active & ~converged, iterations
 
 
 def _dedup(C: np.ndarray, res: np.ndarray, radius: float):
@@ -339,15 +379,19 @@ def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> Equ
     """Locate, deduplicate, and classify the zeros of an excess-demand field.
 
     Damped Newton iteration runs from a regular chart grid restricted to the
-    configured boundary margin; converged points with full residual at most
-    ``newton_tol`` are merged within ``1e-6`` and classified.
+    configured boundary margin, on the price-weighted field ``p * z`` for an
+    economy's field and on the field itself otherwise; converged points,
+    those with full field residual ``|z|`` at most ``newton_tol``, are merged
+    within ``1e-6`` and classified.
     Non-convergence of individual starts is reported in the statistics, not
     raised.  The continuum detector runs alongside and sets ``finite_flag``.
     """
     field = as_field(field_or_economy)
     cfg = config or SolverConfig()
     starts = _start_grid(field.dim, cfg.grid_density, cfg.boundary_margin_min)
-    newton = _newton_multistart(lambda C, rows: field.chart_values(C), starts, cfg)
+    newton = _newton_multistart(
+        lambda C, rows: field.chart_values(C), starts, cfg, field.price_weighted
+    )
     return _field_report(field, newton, slice(None), cfg)
 
 

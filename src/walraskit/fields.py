@@ -43,10 +43,16 @@ class JacobianConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class TangentField:
-    """A tangent field given by its vectorised chart map."""
+    """A tangent field given by its vectorised chart map.
+
+    ``price_weighted`` marks the aggregate-excess-demand fields of
+    :func:`economy_field`, whose zeros the solver finds on the
+    price-weighted field ``p * z`` (see :mod:`walraskit.equilibrium`).
+    """
 
     goods: int
     chart_fn: Callable[[np.ndarray], np.ndarray]
+    price_weighted: bool = False
 
     @property
     def dim(self) -> int:
@@ -89,7 +95,7 @@ def economy_field(e: Economy) -> TangentField:
 
     Its chart map is where batches of prices enter the raw evaluation core,
     so it rejects chart rows whose price rows are not finite and strictly
-    positive.
+    positive.  The field is marked ``price_weighted``.
     """
 
     def fn(C):
@@ -98,7 +104,7 @@ def economy_field(e: Economy) -> TangentField:
             raise ValueError("price rows must be finite and strictly positive")
         return aed_rows(e, P)[:, :-1]
 
-    return TangentField(e.goods, fn)
+    return TangentField(e.goods, fn, price_weighted=True)
 
 
 def chart_field(fn: Callable[[np.ndarray], np.ndarray], goods: int) -> TangentField:

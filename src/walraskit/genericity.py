@@ -31,6 +31,7 @@ from .equilibrium import (
     MAX_STARTS,
     SolverConfig,
     _field_report,
+    _index_check,
     _newton_multistart,
     _start_grid,
     find_equilibria,
@@ -179,6 +180,10 @@ class TrialRecord:
     finite: bool
     error: str | None = None
 
+    @property
+    def index_check(self) -> str:
+        return _index_check(self.finite, self.all_regular, self.index_sum)
+
 
 @dataclass(frozen=True)
 class GenericityResult:
@@ -295,7 +300,9 @@ def _stacked_newton(base: TangentField, specs: list, starts: np.ndarray, cfg: So
                 F[lo:hi] += term(C[lo:hi])
         return F
 
-    return _newton_multistart(evaluate, np.tile(starts, (len(specs), 1)), cfg)
+    # ``perturb`` returns the base field itself only when epsilon is 0.
+    weighted = base.price_weighted and all(term is None for term in terms)
+    return _newton_multistart(evaluate, np.tile(starts, (len(specs), 1)), cfg, weighted)
 
 
 def _solve_alone(base: TangentField, spec: PerturbationSpec, cfg):

@@ -26,6 +26,20 @@ def random_economy(rng, goods, n_consumers, positive_endowments=True):
     return wk.Economy(tuple(consumers))
 
 
+def constant_scale_economy(rng, goods, n_consumers, concentration=5.0):
+    """Cobb-Douglas consumers with Dirichlet shares and random constant scales."""
+    return wk.Economy(
+        tuple(
+            wk.Consumer(
+                rng.dirichlet(np.full(goods, concentration)),
+                rng.uniform(0.25, 2.0, size=goods),
+                wk.ConstantScale(float(rng.uniform(0.5, 2.0))),
+            )
+            for _ in range(n_consumers)
+        )
+    )
+
+
 def random_interior_prices(rng, n, goods, concentration=1.0):
     return rng.dirichlet(np.full(goods, concentration), size=n)
 
@@ -92,6 +106,20 @@ def scan_zeros_1d(field, n_points=100_001, margin=1e-4, refine=True):
     elif idx.size:
         zeros.extend(0.5 * (lo + hi))
     return np.sort(np.asarray(zeros))
+
+
+def nullspace_price(economy):
+    """Exact equilibrium of a constant-scale Cobb-Douglas economy.
+
+    Coordinate j of ``p * z(p)`` is ``(M p)_j`` with
+    ``M = sum_c s_c alpha_c omega_c^T - diag(sum_c s_c omega_c)``, so the
+    equilibrium spans the null space of ``M``.
+    """
+    M = np.zeros((economy.goods, economy.goods))
+    for c in economy.consumers:
+        M += c.scale.value * (np.outer(c.alpha, c.endowment) - np.diag(c.endowment))
+    v = np.linalg.svd(M)[2][-1]
+    return v / v.sum()
 
 
 def brute_force_sarp(prices, bundles, tie_tol=1e-10, distinct_tol=1e-10):

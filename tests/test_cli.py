@@ -30,6 +30,13 @@ class TestSolve:
         csv_text = (out / "equilibria.csv").read_text()
         assert csv_text.splitlines()[1].startswith("0.5,0.5,")
 
+    def test_index_sum_check_follows_the_index_sum(self, sym_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(sym_file), "--out", str(out)]) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        at = lines.index("index sum: +1")
+        assert lines[at + 1] == "index-sum check: ok"
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         rc = main(["solve", "--input", str(tmp_path / "no.yaml"), "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -143,9 +150,11 @@ class TestPerturbAndExperiment:
         b1 = (out1 / "experiment.csv").read_bytes()
         assert b1 == (out2 / "experiment.csv").read_bytes()
         lines = b1.decode().strip().splitlines()
-        assert lines[0] == "trial,seed,epsilon,n_equilibria,all_regular,index_sum,finite,error"
+        assert lines[0] == (
+            "trial,seed,epsilon,n_equilibria,all_regular,index_sum,finite,error,index_check"
+        )
         assert len(lines) == 7
-        assert all(line.endswith(",true,") for line in lines[1:])
+        assert all(line.endswith(",true,,ok") for line in lines[1:])
         report = (out1 / "report.txt").read_text()
         assert "finite_count: 6" in report
         assert "continuum detector fired" in report

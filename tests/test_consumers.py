@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import walraskit as wk
-from walraskit.consumers import aed_rows, excess_rows
+from walraskit.consumers import aed_rows, demand_rows, excess_rows
 from support import random_economy, random_interior_prices, walras_residuals
 
 
@@ -160,6 +160,87 @@ class TestAggregate:
             lower_bound = alpha_min * omega_min / (goods * m) - omega_sum
             assert norms[-1] >= lower_bound
         assert np.all(np.diff(norms) > 0)
+
+
+def loop_aed_rows(e, P):
+    """The per-consumer loop that the fused kernel of aed_rows replaced,
+    kept as a reference: the sum of each consumer's scaled excess demand."""
+    total = np.zeros_like(P)
+    for c in e.consumers:
+        total += excess_rows(c, P)
+    return total
+
+
+def random_scale(rng, kind, goods):
+    d = goods - 1
+    if kind == "unit":
+        return wk.ConstantScale(1.0)
+    if kind == "constant":
+        return wk.ConstantScale(float(rng.uniform(0.1, 10.0)))
+    if kind == "polynomial":
+        return wk.PolynomialScale(
+            ((float(rng.uniform(0.5, 2.0)), (0,) * d),)
+            + tuple((float(rng.uniform(0.0, 1.0)), tuple(rng.integers(0, 3, d))) for _ in range(2))
+        )
+    if kind == "bump":
+        center = rng.dirichlet(np.ones(goods))[:-1]
+        return wk.BumpScale(tuple(center), float(rng.uniform(0.1, 0.5)), 2.0, 0.5)
+    grid = rng.dirichlet(np.ones(goods), size=12)[:, :-1]
+    return wk.SampledScale(grid, rng.uniform(0.5, 2.0, 12))
+
+
+class TestFusedKernel:
+    """aed_rows against the per-consumer loop it replaced."""
+
+    @staticmethod
+    def assert_matches_loop(e, P):
+        # The kernel sums the scaled demands before subtracting the scaled
+        # endowments, so its rounding is relative to the size of the terms
+        # s_c x_c and s_c w_c, not of their difference: on a row where a
+        # consumer's demand is close to its endowment the difference is
+        # far smaller than either term.
+        simplex = P / P.sum(axis=1, keepdims=True)
+        terms = [
+            (c.scale(simplex)[:, None] * (demand_rows(c, P) + c.endowment)).max(axis=1)
+            for c in e.consumers
+        ]
+        bound = 1e-13 * np.sum(terms, axis=0)
+        assert np.all(np.abs(aed_rows(e, P) - loop_aed_rows(e, P)).max(axis=1) <= bound)
+
+    @pytest.mark.parametrize("goods", [2, 3, 4, 5])
+    def test_matches_the_per_consumer_loop(self, goods, rng):
+        kinds = ("unit", "constant", "polynomial", "bump", "sampled")
+        for _ in range(10):
+            consumers = []
+            for _ in range(int(rng.integers(1, 7))):
+                alpha = rng.dirichlet(np.ones(goods))
+                omega = rng.uniform(0.0, 2.0, goods)
+                omega[0] += 0.1
+                consumers.append(wk.Consumer(alpha, omega, random_scale(rng, rng.choice(kinds), goods)))
+            e = wk.Economy(tuple(consumers))
+            self.assert_matches_loop(e, random_interior_prices(rng, 200, goods))
+
+    @pytest.mark.parametrize("goods", [2, 3])
+    def test_matches_the_loop_on_realized_economies(self, goods, rng):
+        base = random_economy(rng, goods, 3)
+        grid = [wk.simplex_point(p) for p in rng.dirichlet(np.full(goods, 3.0), size=25)]
+        econ = wk.realize_economy(
+            wk.CanonicalFamily.symmetric(goods), wk.economy_field(base), grid
+        )
+        assert all(type(c.scale).__name__ == "KernelSampledScale" for c in econ.consumers)
+        self.assert_matches_loop(econ, random_interior_prices(rng, 200, goods, 3.0))
+
+    def test_nonpositive_scale_raises_the_same_error(self):
+        bad = wk.Consumer(
+            [0.5, 0.5], [1, 0], scale=wk.PolynomialScale(((0.2, (0,)), (-1.0, (1,))))
+        )
+        e = wk.Economy((wk.Consumer([0.3, 0.7], [1, 1]), bad))
+        P = np.array([[0.1, 0.9], [0.5, 0.5]])
+        message = "scale must be strictly positive at every evaluated price"
+        for kernel in (aed_rows, loop_aed_rows):
+            with pytest.raises(ValueError, match=message):
+                kernel(e, P)
+        assert np.all(np.isfinite(aed_rows(e, P[:1])))
 
 
 class TestJacobian:

@@ -159,6 +159,6 @@ class TestResultTables:
         path = tmp_path / "exp.csv"
         write_experiment_csv(path, wk.GenericityResult(records))
         rows = list(csv.reader(path.open(newline="")))
-        assert rows[0][-2:] == ["finite", "error"]
-        assert rows[1] == ["0", "7", "0.001", "1", "true", "1", "true", ""]
-        assert rows[2] == ["1", "8", "0.001", "0", "false", "0", "false", "ValueError: a, b"]
+        assert rows[0][-3:] == ["finite", "error", "index_check"]
+        assert rows[1] == ["0", "7", "0.001", "1", "true", "1", "true", "", "ok"]
+        assert rows[2] == ["1", "8", "0.001", "0", "false", "0", "false", "ValueError: a, b", "n/a"]

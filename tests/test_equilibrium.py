@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import walraskit as wk
-from support import cubic_field, random_economy, scan_zeros_1d
+from support import (
+    constant_scale_economy,
+    cubic_field,
+    nullspace_price,
+    random_economy,
+    scan_zeros_1d,
+)
 from walraskit import equilibrium, fields
 from walraskit.equilibrium import (
     DEDUP_RADIUS,
@@ -107,6 +113,46 @@ class TestFindEquilibria:
             wk.SolverConfig(newton_tol=-1.0)
 
 
+class TestPriceWeightedNewton:
+    """Economy fields are solved by Newton on p * z, judged on |z|."""
+
+    @pytest.mark.parametrize("goods", [2, 3, 4])
+    @pytest.mark.parametrize("concentration", [1.0, 5.0])
+    def test_constant_scale_economies(self, goods, concentration, rng):
+        for n in range(1, 7):
+            e = constant_scale_economy(rng, goods, n, concentration)
+            report = wk.find_equilibria(e)
+            s = report.stats
+            assert len(report.equilibria) == 1
+            eq = report.equilibria[0]
+            assert (eq.regularity, eq.index) == ("regular", 1)
+            assert np.abs(eq.price.coords - nullspace_price(e)).max() <= 1e-12
+            assert s.converged == s.starts
+            # About 11 iterations per start on z at l = 4; at most 3.6 here.
+            assert s.newton_iterations <= 5 * s.starts
+
+    def test_only_economy_fields_are_weighted(self, sym_edgeworth):
+        field = wk.economy_field(sym_edgeworth)
+        assert field.price_weighted
+        assert not wk.chart_field(lambda C: 0.5 - C, goods=2).price_weighted
+        assert wk.perturb(field, wk.PerturbationSpec(0.0)) is field
+        assert not wk.perturb(field, wk.PerturbationSpec(1e-3)).price_weighted
+
+    def test_residuals_are_those_of_the_field(self, monkeypatch, sym_edgeworth):
+        # One iteration leaves the residuals far from zero, where |p * z|
+        # and |z| differ.
+        monkeypatch.setattr(equilibrium, "NEWTON_MAX_ITER", 1)
+        field = wk.economy_field(sym_edgeworth)
+        cfg = wk.SolverConfig()
+        starts = _start_grid(1, cfg.grid_density, cfg.boundary_margin_min)
+        C, res, converged, *_ = _newton_multistart(
+            lambda C, rows: field.chart_values(C), starts, cfg, weighted=True
+        )
+        assert 0 < converged.sum() < len(C)
+        assert np.allclose(res, field.residual_norms(C), rtol=1e-12, atol=0.0)
+        assert np.array_equal(converged, res <= cfg.newton_tol)
+
+
 class TestScanOracle:
     def test_solver_matches_dense_scan_on_cubic(self):
         field = cubic_field()
@@ -163,6 +209,16 @@ class TestIndexSum:
         assert not report.all_regular
         with pytest.raises(ValueError, match="critical"):
             wk.index_sum_check(report)
+
+    def test_self_check_status(self):
+        report = wk.find_equilibria(cubic_field())
+        assert report.index_check == "ok"
+        truncated = dataclasses.replace(report, equilibria=report.equilibria[:-1])
+        assert truncated.index_check == "MISMATCH"
+        continuum = wk.ContinuumReport(True, (0.3, 0.4), 25)
+        assert dataclasses.replace(truncated, continuum=continuum).index_check == "n/a"
+        quad = wk.chart_field(lambda C: -((C - 0.5) ** 2), goods=2)
+        assert wk.find_equilibria(quad).index_check == "n/a"
 
     def test_random_inward_fields_sum_to_one(self, rng):
         for goods in (2, 3):

@@ -252,9 +252,9 @@ class TestStackedTrials:
         sizes = []
         original = gen._newton_multistart
 
-        def spy(evaluate, starts, cfg):
+        def spy(evaluate, starts, cfg, weighted):
             sizes.append(len(starts))
-            return original(evaluate, starts, cfg)
+            return original(evaluate, starts, cfg, weighted)
 
         monkeypatch.setattr(gen, "_newton_multistart", spy)
         self.check(
