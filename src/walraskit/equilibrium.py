@@ -1,15 +1,22 @@
 """Locating and classifying the zeros of excess-demand fields.
 
-Zeros are found by damped Newton iteration in chart coordinates from a
-regular grid of starting points and deduplicated.  The aggregate excess
-demand ``z`` of an economy (a field marked ``price_weighted``) is solved on
-the price-weighted field ``w = p * z``: it has the same zeros in the open
+One pipeline, ``_solve``, does every solve.  It takes a base field and a
+list of chart-map terms (``None``, or a perturbation added to the base
+chart map) and runs damped Newton iteration in chart coordinates from one
+regular grid of starting points, over the stacked ``(field, start)`` rows;
+:func:`find_equilibria` is its one-field case and the genericity experiment
+its many-field case.  The aggregate excess demand ``z`` of an economy (a
+field marked ``price_weighted``, with no term) is solved on the
+price-weighted field ``w = p * z``: it has the same zeros in the open
 simplex and the same index signs (``det J_w = prod(p) det J_z`` at a zero),
 stays bounded at the faces where ``z`` grows like ``1/p_j``, and is affine
 in the chart for constant-scale Cobb-Douglas economies, so Newton takes
-few steps on it.  Convergence is judged on ``|z|`` either way, and
-deduplication and classification work on ``z``.  Other fields, including
-perturbed economy fields, are solved on ``z`` itself.  All kept zeros of a
+few steps on it.  Convergence is judged on ``|z|`` either way, and other
+fields, including perturbed economy fields, are solved on ``z`` itself.
+
+Converged points are deduplicated.  Newton creeps onto a degenerate zero
+and stops on either side of it, so kept zeros closer than ``JOIN_RADIUS``
+whose midpoint is itself a zero are joined into one.  All kept zeros of a
 field are then classified from one evaluation of its chart map, on a few
 probe rows around each zero (``fields._probe_rows``):
 
@@ -46,6 +53,7 @@ from .fields import (
     _chart_coords,
     _full_rows,
     _probe_rows,
+    _with_term,
     as_field,
 )
 from .geometry import PricePoint, _greedy_cover, chart_rows_embed, simplex_point
@@ -59,6 +67,7 @@ MULTIPLICITY_K_MAX = 8
 NEWTON_MAX_ITER = 60
 NEWTON_MAX_HALVINGS = 10
 DEDUP_RADIUS = 1e-6
+JOIN_RADIUS = 1e-4
 CONTINUUM_SCAN_POINTS = 2001
 CONTINUUM_RUN_REQUIRED = 20
 CONTINUUM_RESIDUAL_TOL = 1e-9
@@ -143,11 +152,6 @@ MAX_STARTS = 250_000
 
 
 def _start_grid(dim: int, density: int, margin: float) -> np.ndarray:
-    if density**dim > MAX_STARTS:
-        raise ValueError(
-            f"start grid of {density}^{dim} points is too large; "
-            f"lower grid_density (limit {MAX_STARTS} starts)"
-        )
     axis = np.linspace(margin, 1.0 - margin, density)
     if dim == 1:
         return axis[:, None]
@@ -271,6 +275,20 @@ def _dedup(C: np.ndarray, res: np.ndarray, radius: float):
     return kept, len(C) - len(kept)
 
 
+def _join_flat_zeros(field: TangentField, Z: np.ndarray, res: np.ndarray, tol: float) -> np.ndarray:
+    """Ascending positions of the zeros ``Z`` left after joining, transitively,
+    zeros within ``JOIN_RADIUS`` whose midpoint is a zero (``|z| <= tol``);
+    a joined group keeps its lowest-residual zero.  The field is evaluated
+    only when two zeros are that close."""
+
+    def flat(pairs):
+        return field.residual_norms(0.5 * (Z[pairs[:, 0]] + Z[pairs[:, 1]])) <= tol
+
+    labels = _linked_components(Z, JOIN_RADIUS, flat)
+    order = np.argsort(res, kind="stable")
+    return np.sort(order[np.unique(labels[order], return_index=True)[1]])
+
+
 def _classify_rows(field: TangentField, C: np.ndarray, k_max: int | None = None):
     """Residual norms, regular mask, indices and multiplicities of the zeros
     ``C``, from one evaluation of every probe row (``fields._probe_rows``).
@@ -367,42 +385,107 @@ def _largest_grid_cluster(C: np.ndarray, hit: np.ndarray, spacing: float) -> np.
     idx = np.flatnonzero(hit)
     if idx.size == 0:
         return idx
-    pairs = cKDTree(C[idx]).query_pairs(1.5 * spacing, output_type="ndarray")
-    graph = coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(idx.size, idx.size)
-    )
-    _, labels = connected_components(graph, directed=False)
+    labels = _linked_components(C[idx], 1.5 * spacing)
     return idx[labels == np.argmax(np.bincount(labels))]
+
+
+def _linked_components(X: np.ndarray, radius: float, keep=None) -> np.ndarray:
+    """Connected-component labels of the rows of ``X``, linking rows within
+    ``radius``; given ``keep``, only the pairs that ``keep(pairs)`` accepts
+    (called only when there are pairs)."""
+    pairs = cKDTree(X).query_pairs(radius, output_type="ndarray")
+    if keep is not None and len(pairs):
+        pairs = pairs[keep(pairs)]
+    graph = coo_matrix(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(len(X), len(X))
+    )
+    return connected_components(graph, directed=False)[1]
 
 
 def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> EquilibriumReport:
     """Locate, deduplicate, and classify the zeros of an excess-demand field.
 
-    Damped Newton iteration runs from a regular chart grid restricted to the
-    configured boundary margin, on the price-weighted field ``p * z`` for an
-    economy's field and on the field itself otherwise; converged points,
-    those with full field residual ``|z|`` at most ``newton_tol``, are merged
-    within ``1e-6`` and classified.
-    Non-convergence of individual starts is reported in the statistics, not
-    raised.  The continuum detector runs alongside and sets ``finite_flag``.
+    The one-field case of the solve pipeline: damped Newton iteration runs
+    from a regular chart grid restricted to the configured boundary margin,
+    on ``p * z`` for an economy's field and on the field itself otherwise;
+    converged points, those with full field residual ``|z|`` at most
+    ``newton_tol``, are merged within ``1e-6``, zeros within ``1e-4`` whose
+    midpoint is a zero too are joined (both counted in ``dedup_merges``),
+    and the rest are classified.  Non-convergence of individual starts is
+    reported in the statistics, not raised.  The continuum detector runs
+    alongside and sets ``finite_flag``.
     """
-    field = as_field(field_or_economy)
-    cfg = config or SolverConfig()
-    starts = _start_grid(field.dim, cfg.grid_density, cfg.boundary_margin_min)
-    newton = _newton_multistart(
-        lambda C, rows: field.chart_values(C), starts, cfg, field.price_weighted
-    )
-    return _field_report(field, newton, slice(None), cfg)
+    report = _solve(as_field(field_or_economy), [None], config or SolverConfig())[0]
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
+def _solve(base: TangentField, terms: list, cfg: SolverConfig) -> list:
+    """The report of ``base`` plus each chart-map term (``None``: no term),
+    or the exception that its solve raised.
+
+    The Newton phase runs over up to ``MAX_STARTS`` stacked rows at a time;
+    each row follows the iteration of its own field's solve.  A chunk whose
+    phase raises is solved again one field at a time.
+    """
+    if cfg.grid_density**base.dim > MAX_STARTS:
+        message = (
+            f"start grid of {cfg.grid_density}^{base.dim} points is too large; "
+            f"lower grid_density (limit {MAX_STARTS} starts)"
+        )
+        return [ValueError(message)] * len(terms)
+    starts = _start_grid(base.dim, cfg.grid_density, cfg.boundary_margin_min)
+    n = len(starts)
+    weighted = base.price_weighted and all(term is None for term in terms)
+    chunk = max(1, MAX_STARTS // max(1, n))
+    outcomes = []
+    for first in range(0, len(terms), chunk):
+        group = terms[first : first + chunk]
+        try:
+            evaluate = _stacked_map(base, group, n)
+            newton = _newton_multistart(evaluate, np.tile(starts, (len(group), 1)), cfg, weighted)
+        except Exception as exc:  # noqa: BLE001 - each field then records its own error
+            outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg)[0] for t in group]
+            continue
+        for t, term in enumerate(group):
+            try:
+                field = _with_term(base, term)
+                outcomes.append(_field_report(field, newton, slice(t * n, (t + 1) * n), cfg))
+            except Exception as exc:  # noqa: BLE001 - per-field isolation is the contract
+                outcomes.append(exc)
+    return outcomes
+
+
+def _stacked_map(base: TangentField, terms: list, n: int):
+    """The chart map over stacked rows ``t * n + k``: the base map, plus each
+    term on its own ``n`` rows (``_with_term``'s arithmetic, row by row)."""
+    if all(term is None for term in terms):
+        return lambda C, rows: base.chart_values(C)
+
+    def evaluate(C, rows):
+        # A copy: the base chart map may return a view of its input.
+        F = np.array(base.chart_values(C))
+        # ``rows`` is ascending, so each field's rows form one block.
+        bounds = np.searchsorted(rows, n * np.arange(len(terms) + 1))
+        for term, lo, hi in zip(terms, bounds[:-1], bounds[1:]):
+            if term is not None and hi > lo:
+                F[lo:hi] += term(C[lo:hi])
+        return F
+
+    return evaluate
 
 
 def _field_report(
     field: TangentField, newton: tuple, rows: slice, cfg: SolverConfig
 ) -> EquilibriumReport:
     """The report on ``field`` from its start rows ``rows`` of a Newton phase:
-    deduplication, classification, statistics and the continuum scan.
+    deduplication, the flat-zero join, classification, statistics and the
+    continuum scan.
 
     The kept zeros are classified together, so the field is evaluated once
-    for all of them and once for the continuum scan.
+    for all of them and once for the continuum scan (and once for the join,
+    when two kept zeros are within ``JOIN_RADIUS``).
     """
     C, res, converged, stalled, exhausted, iterations = (a[rows] for a in newton)
     conv_idx = np.flatnonzero(converged)
@@ -410,7 +493,10 @@ def _field_report(
 
     equilibria = []
     if kept:
-        Z = C[conv_idx[kept]]
+        idx = conv_idx[kept]
+        joined = _join_flat_zeros(field, C[idx], res[idx], cfg.newton_tol)
+        merges += len(idx) - len(joined)
+        Z = C[idx[joined]]
         k_max = MULTIPLICITY_K_MAX if field.goods == 2 else None
         residual, regular, index, multiplicity = _classify_rows(field, Z, k_max)
         P = chart_rows_embed(Z)

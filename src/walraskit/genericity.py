@@ -14,10 +14,11 @@ perturbation keeps at least one zero.
 
 Perturbations add ``epsilon * basis(c)`` to the chart map, with the basis
 drawn from a closed family (linear tilt, seeded random polynomial, seeded
-random Fourier sum) and scaled so that both its sampled sup-norm and the
-sup-norm of its derivative over the chart are one.  "Small" therefore means
-small together with the first derivative on the working region, where the
-experiment actually probes the field.
+random Fourier sum) and divided by the larger of its sampled sup-norm and
+the sup-norm of its derivative over the chart, so that both are at most one
+and one of them is one.  "Small" therefore means small together with the
+first derivative on the working region, where the experiment actually
+probes the field.
 """
 
 from __future__ import annotations
@@ -27,16 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import CanonicalFamily, realize_economy
-from .equilibrium import (
-    MAX_STARTS,
-    SolverConfig,
-    _field_report,
-    _index_check,
-    _newton_multistart,
-    _start_grid,
-    find_equilibria,
-)
-from .fields import TangentField, as_field, chart_field
+from .equilibrium import SolverConfig, _index_check, _solve
+from .equilibrium import find_equilibria  # noqa: F401 - in this namespace for wrappers such as bench/tracer.py
+from .fields import TangentField, _with_term, as_field, chart_field
 from .geometry import simplex_point
 
 BASIS_KINDS = ("linear_tilt", "polynomial", "random_fourier")
@@ -125,10 +119,7 @@ def _perturbation_term(spec: PerturbationSpec, dim: int):
 def perturb(field_or_economy, spec: PerturbationSpec) -> TangentField:
     """Add ``epsilon * basis`` (sup-normalised with its derivative) to the chart map."""
     base = as_field(field_or_economy)
-    term = _perturbation_term(spec, base.dim)
-    if term is None:
-        return base
-    return TangentField(base.goods, lambda C: base.chart_values(C) + term(C))
+    return _with_term(base, _perturbation_term(spec, base.dim))
 
 
 def continuum_chart_map(a: float, b: float):
@@ -218,20 +209,21 @@ def genericity_experiment(
 ) -> GenericityResult:
     """Perturb ``base`` with ``trials`` fresh seeds and tally the outcomes.
 
-    Trial ``t`` uses seed ``spec.seed + t``.  The trials are solved together:
-    one damped-Newton phase runs over the stacked ``(trial, start)`` rows of
-    up to ``MAX_STARTS`` rows at a time, and every row follows the iteration
-    it would follow in :func:`find_equilibria` on its own trial's perturbed
-    field.  Deduplication, classification and the continuum detector then
-    run per trial on that field, so each trial gets the report
-    ``find_equilibria`` would give it.  Failures are recorded per trial and
-    do not abort the batch: when the stacked phase raises, its trials are
-    solved one at a time.  Results are deterministic in the seed.
+    Trial ``t`` uses seed ``spec.seed + t``.  Each trial's perturbation term
+    is built once, and the trials go through the solve pipeline of
+    :mod:`walraskit.equilibrium` together: one damped-Newton phase over the
+    stacked ``(trial, start)`` rows, then deduplication, the flat-zero join,
+    classification and the continuum detector per trial on its perturbed
+    field (the field :func:`perturb` builds), so each trial gets the report
+    :func:`find_equilibria` would give it.  Failures are recorded per trial
+    and do not abort the batch.  Results are deterministic in the seed.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
     specs = [spec.with_seed(spec.seed + t) for t in range(trials)]
-    outcomes = _trial_reports(as_field(base), specs, solver_config or SolverConfig())
+    field = as_field(base)
+    terms = [_perturbation_term(s, field.dim) for s in specs]
+    outcomes = _solve(field, terms, solver_config or SolverConfig())
     records = []
     for t, (trial_spec, outcome) in enumerate(zip(specs, outcomes)):
         if isinstance(outcome, Exception):
@@ -251,62 +243,3 @@ def genericity_experiment(
             )
         records.append(TrialRecord(t, trial_spec.seed, spec.epsilon, **summary))
     return GenericityResult(tuple(records))
-
-
-def _trial_reports(base: TangentField, specs: list, cfg: SolverConfig) -> list:
-    """The equilibrium report of ``base`` perturbed by each spec, or the
-    exception that its solve raised."""
-    try:
-        starts = _start_grid(base.dim, cfg.grid_density, cfg.boundary_margin_min)
-    except ValueError as exc:
-        # Every trial shares the start grid, so every trial fails alike.
-        return [exc] * len(specs)
-    n = len(starts)
-    chunk = max(1, MAX_STARTS // max(1, n))
-    outcomes = []
-    for first in range(0, len(specs), chunk):
-        group = specs[first : first + chunk]
-        try:
-            newton = _stacked_newton(base, group, starts, cfg)
-        except Exception:  # noqa: BLE001 - each trial then records its own error
-            outcomes += [_solve_alone(base, s, cfg) for s in group]
-            continue
-        for t, trial_spec in enumerate(group):
-            try:
-                trial = perturb(base, trial_spec)
-                outcomes.append(_field_report(trial, newton, slice(t * n, (t + 1) * n), cfg))
-            except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
-                outcomes.append(exc)
-    return outcomes
-
-
-def _stacked_newton(base: TangentField, specs: list, starts: np.ndarray, cfg: SolverConfig):
-    """One Newton phase over the rows ``(t, k)`` -> ``t * len(starts) + k``.
-
-    Each evaluation calls the base chart map once on all rows and adds each
-    trial's perturbation term to that trial's rows, which is exactly the
-    arithmetic of :func:`perturb` row by row.
-    """
-    n = len(starts)
-    terms = [_perturbation_term(s, base.dim) for s in specs]
-
-    def evaluate(C, rows):
-        # A copy: the base chart map may return a view of its input.
-        F = np.array(base.chart_values(C))
-        # ``rows`` is ascending, so each trial's rows form one block.
-        bounds = np.searchsorted(rows, n * np.arange(len(terms) + 1))
-        for term, lo, hi in zip(terms, bounds[:-1], bounds[1:]):
-            if term is not None and hi > lo:
-                F[lo:hi] += term(C[lo:hi])
-        return F
-
-    # ``perturb`` returns the base field itself only when epsilon is 0.
-    weighted = base.price_weighted and all(term is None for term in terms)
-    return _newton_multistart(evaluate, np.tile(starts, (len(specs), 1)), cfg, weighted)
-
-
-def _solve_alone(base: TangentField, spec: PerturbationSpec, cfg):
-    try:
-        return find_equilibria(perturb(base, spec), cfg)
-    except Exception as exc:  # noqa: BLE001 - per-trial isolation is the contract
-        return exc

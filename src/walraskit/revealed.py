@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .consumers import Consumer, demand, demand_rows
+from .consumers import Consumer, demand_rows
 from .geometry import PricePoint, _greedy_cover
 
 TIE_TOL = 1e-10
@@ -149,8 +149,7 @@ def sample_demand(c: Consumer, prices: list[PricePoint]) -> ObservationDataset:
     if not prices:
         raise ValueError("at least one price is required")
     P = np.vstack([p.coords for p in prices])
-    X = np.vstack([demand(c, p) for p in prices])
-    return ObservationDataset(P, X)
+    return ObservationDataset(P, demand_rows(c, P))
 
 
 @dataclass(frozen=True)

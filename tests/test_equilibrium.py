@@ -15,6 +15,7 @@ from walraskit import equilibrium, fields
 from walraskit.equilibrium import (
     DEDUP_RADIUS,
     DET_RELATIVE_TOL,
+    JOIN_RADIUS,
     _dedup,
     _field_report,
     _largest_grid_cluster,
@@ -22,6 +23,10 @@ from walraskit.equilibrium import (
     _start_grid,
 )
 from walraskit.fields import JACOBIAN_CONSISTENCY_TOL, JACOBIAN_STEP
+
+
+def _refusing_map(C):
+    raise ValueError("chart map refuses rows")
 
 
 class TestFindEquilibria:
@@ -111,6 +116,65 @@ class TestFindEquilibria:
             wk.SolverConfig(grid_density=0)
         with pytest.raises(ValueError):
             wk.SolverConfig(newton_tol=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, cfg, message",
+        [
+            (
+                wk.economy_field(
+                    wk.Economy(
+                        (
+                            wk.Consumer([0.1, 0.2, 0.3, 0.4], [1, 0, 0, 0]),
+                            wk.Consumer([0.4, 0.3, 0.2, 0.1], [0, 1, 1, 1]),
+                        )
+                    )
+                ),
+                wk.SolverConfig(grid_density=70),
+                "start grid of 70^3 points is too large; lower grid_density (limit 250000 starts)",
+            ),
+            (
+                wk.chart_field(_refusing_map, goods=2),
+                wk.SolverConfig(),
+                "chart map refuses rows",
+            ),
+        ],
+        ids=["start_grid_too_large", "chart_map_error"],
+    )
+    def test_errors_keep_their_type_and_text(self, field, cfg, message):
+        with pytest.raises(ValueError) as err:
+            wk.find_equilibria(field, cfg)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
+
+class TestFlatZeroJoin:
+    """Newton stops on either side of a degenerate zero; one zero is reported."""
+
+    @pytest.mark.parametrize(
+        "order, fn",
+        [
+            (3, lambda C: -((C - 0.5) ** 3)),
+            (4, lambda C: (C - 0.5) ** 4 * (1.0 + C)),
+            (5, lambda C: 1e13 * (C - 0.5) ** 5),
+            (6, lambda C: (C - 0.5) ** 6 * (1.0 + C)),
+            (7, lambda C: -((C - 0.5) ** 7)),
+        ],
+    )
+    def test_degenerate_zero_is_reported_once(self, order, fn):
+        report = wk.find_equilibria(wk.chart_field(fn, goods=2))
+        s = report.stats
+        assert s.converged == s.starts
+        assert len(report.equilibria) == 1
+        eq = report.equilibria[0]
+        assert (eq.regularity, eq.index, eq.multiplicity) == ("critical", 0, order)
+        assert abs(eq.chart[0] - 0.5) <= JOIN_RADIUS
+        assert s.dedup_merges == s.converged - 1
+
+    def test_close_zeros_with_a_nonzero_midpoint_stay_apart(self):
+        # zeros 5e-5 apart; the field is -6.25e-10 between them
+        field = wk.chart_field(lambda C: (C - 0.5) * (C - 0.50005), goods=2)
+        charts = [float(eq.chart[0]) for eq in wk.find_equilibria(field).equilibria]
+        assert np.allclose(charts, [0.5, 0.50005], rtol=0.0, atol=1e-9)
 
 
 class TestPriceWeightedNewton:

@@ -164,10 +164,10 @@ class TestExperiment:
         assert [r.seed for r in res.records] == [50, 51, 52]
 
     def test_solver_failure_is_recorded_not_raised(self, monkeypatch, continuum_economy):
-        import walraskit.genericity as gen
+        import walraskit.equilibrium as eqm
 
         calls = {"n": 0}
-        original = gen._field_report
+        original = eqm._field_report
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -175,8 +175,8 @@ class TestExperiment:
                 raise RuntimeError("synthetic solver failure")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(gen, "_field_report", flaky)
-        res = gen.genericity_experiment(
+        monkeypatch.setattr(eqm, "_field_report", flaky)
+        res = wk.genericity_experiment(
             continuum_economy, wk.PerturbationSpec(1e-3, seed=1), trials=3
         )
         errors = [r for r in res.records if r.error is not None]
@@ -219,11 +219,12 @@ class TestStackedTrials:
 
     @staticmethod
     def check(base, spec, trials, cfg):
+        import walraskit.equilibrium as eqm
         import walraskit.genericity as gen
 
         field = wk.economy_field(base)
         specs = [spec.with_seed(spec.seed + t) for t in range(trials)]
-        stacked = gen._trial_reports(field, specs, cfg)
+        stacked = eqm._solve(field, [gen._perturbation_term(s, field.dim) for s in specs], cfg)
         for trial_spec, report in zip(specs, stacked):
             assert_same_report(report, wk.find_equilibria(gen.perturb(field, trial_spec), cfg))
 
@@ -241,29 +242,34 @@ class TestStackedTrials:
         self.check(continuum_economy, spec, 4, wk.SolverConfig())
 
     def test_three_good_trials_match_solo_solves(self):
-        spec = wk.PerturbationSpec(1e-4, basis="random_fourier", terms=3, seed=8)
-        self.check(three_good_economy(), spec, 3, wk.SolverConfig(grid_density=15))
+        # epsilon = 0: every trial is the economy's own field, solved on p * z.
+        for spec in (
+            wk.PerturbationSpec(1e-4, basis="random_fourier", terms=3, seed=8),
+            wk.PerturbationSpec(0.0, seed=9),
+        ):
+            self.check(three_good_economy(), spec, 3, wk.SolverConfig(grid_density=15))
 
     def test_chunk_boundaries(self, monkeypatch, continuum_economy):
-        import walraskit.genericity as gen
+        import walraskit.equilibrium as eqm
 
         # 50 starts per trial and room for 120 rows: chunks of 2, 2 and 1 trials.
-        monkeypatch.setattr(gen, "MAX_STARTS", 120)
+        monkeypatch.setattr(eqm, "MAX_STARTS", 120)
         sizes = []
-        original = gen._newton_multistart
+        original = eqm._newton_multistart
 
         def spy(evaluate, starts, cfg, weighted):
             sizes.append(len(starts))
             return original(evaluate, starts, cfg, weighted)
 
-        monkeypatch.setattr(gen, "_newton_multistart", spy)
+        monkeypatch.setattr(eqm, "_newton_multistart", spy)
         self.check(
             continuum_economy,
             wk.PerturbationSpec(1e-3, basis="random_fourier", terms=5, seed=65),
             5,
             wk.SolverConfig(),
         )
-        assert sizes == [100, 100, 50]
+        # the stacked chunks, then each trial's own solve
+        assert sizes == [100, 100, 50] + [50] * 5
 
     def test_failing_chunk_is_solved_trial_by_trial(self):
         import walraskit.genericity as gen
