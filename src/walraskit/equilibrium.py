@@ -14,11 +14,9 @@ in the chart for constant-scale Cobb-Douglas economies, so Newton takes
 few steps on it.  Convergence is judged on ``|z|`` either way, and other
 fields, including perturbed economy fields, are solved on ``z`` itself.
 
-Converged points are deduplicated.  Newton creeps onto a degenerate zero
-and stops on either side of it, so kept zeros closer than ``JOIN_RADIUS``
-whose midpoint is itself a zero are joined into one.  All kept zeros of a
-field are then classified from one evaluation of its chart map, on a few
-probe rows around each zero (``fields._probe_rows``):
+Converged points are deduplicated, and all kept zeros of a field are
+classified from one evaluation of its chart map, on a few probe rows around
+each zero (``fields._probe_rows``):
 
 * ``regular``  -- nonsingular chart Jacobian; the local index is the sign of
   ``det(-J)``, so the unique equilibrium of a gross-substitutes economy gets
@@ -27,8 +25,11 @@ probe rows around each zero (``fields._probe_rows``):
 * ``critical`` -- singular or step-size-inconsistent Jacobian; such zeros
   get index 0 recorded and are excluded from degree certification.
 
-A finite, all-regular report whose index sum is not +1 has missed or
-misclassified a zero; ``EquilibriumReport.index_check`` says so.
+Newton creeps onto a degenerate zero and stops on either side of it, so
+critical zeros closer than ``JOIN_RADIUS`` whose midpoint is itself a zero
+are then joined into one.  A finite, all-regular report whose index sum is
+not +1 has missed or misclassified a zero; ``EquilibriumReport.index_check``
+says so.
 
 For two goods the order of the first non-vanishing chart derivative at a
 zero is estimated by a polynomial fit on a window of those probe rows
@@ -69,6 +70,7 @@ NEWTON_MAX_HALVINGS = 10
 DEDUP_RADIUS = 1e-6
 JOIN_RADIUS = 1e-4
 CONTINUUM_SCAN_POINTS = 2001
+MAX_SCAN_POINTS = 250_000
 CONTINUUM_RUN_REQUIRED = 20
 CONTINUUM_RESIDUAL_TOL = 1e-9
 
@@ -275,14 +277,20 @@ def _dedup(C: np.ndarray, res: np.ndarray, radius: float):
     return kept, len(C) - len(kept)
 
 
-def _join_flat_zeros(field: TangentField, Z: np.ndarray, res: np.ndarray, tol: float) -> np.ndarray:
+def _join_flat_zeros(
+    field: TangentField, Z: np.ndarray, res: np.ndarray, critical: np.ndarray, tol: float
+) -> np.ndarray:
     """Ascending positions of the zeros ``Z`` left after joining, transitively,
-    zeros within ``JOIN_RADIUS`` whose midpoint is a zero (``|z| <= tol``);
-    a joined group keeps its lowest-residual zero.  The field is evaluated
-    only when two zeros are that close."""
+    critical zeros within ``JOIN_RADIUS`` whose midpoint is a zero
+    (``|z| <= tol``); a joined group keeps its lowest-residual zero.  The
+    field is evaluated only when two critical zeros are that close."""
 
     def flat(pairs):
-        return field.residual_norms(0.5 * (Z[pairs[:, 0]] + Z[pairs[:, 1]])) <= tol
+        linked = critical[pairs].all(axis=1)
+        if linked.any():
+            a, b = pairs[linked].T
+            linked[linked] = field.residual_norms(0.5 * (Z[a] + Z[b])) <= tol
+        return linked
 
     labels = _linked_components(Z, JOIN_RADIUS, flat)
     order = np.argsort(res, kind="stable")
@@ -363,11 +371,12 @@ def continuum_detector(field_or_economy, config: SolverConfig | None = None) -> 
     cluster is a run of consecutive points.  Fires when at least 20 linked
     scan points have full residual at most ``1e-9``; the witness is the chart
     interval (two floats, for two goods) or the bounding box spanned by the
-    largest such cluster.
+    largest such cluster.  Raises ``ValueError`` when the grid would have
+    more than ``MAX_SCAN_POINTS`` points (seven or more goods).
     """
     field = as_field(field_or_economy)
     m = (config or SolverConfig()).boundary_margin_min
-    per_dim = max(11, int(round(CONTINUUM_SCAN_POINTS ** (1.0 / field.dim))))
+    per_dim = _scan_density(field.dim)
     C = _start_grid(field.dim, per_dim, m)
     hit = field.residual_norms(C) <= CONTINUUM_RESIDUAL_TOL
     component = _largest_grid_cluster(C, hit, spacing=(1.0 - 2 * m) / (per_dim - 1))
@@ -377,6 +386,18 @@ def continuum_detector(field_or_economy, config: SolverConfig | None = None) -> 
         lo, hi = C[component].min(axis=0), C[component].max(axis=0)
         box = (float(lo[0]), float(hi[0])) if field.dim == 1 else (lo, hi)
     return ContinuumReport(fired, box, int(hit.sum()))
+
+
+def _scan_density(dim: int) -> int:
+    """Points per chart axis of the continuum scan grid; ``ValueError`` when
+    its ``per_dim**dim`` grid would exceed ``MAX_SCAN_POINTS``."""
+    per_dim = max(11, int(round(CONTINUUM_SCAN_POINTS ** (1.0 / dim))))
+    if per_dim**dim > MAX_SCAN_POINTS:
+        raise ValueError(
+            f"continuum scan grid of {per_dim}^{dim} points is too large "
+            f"(limit {MAX_SCAN_POINTS} points)"
+        )
+    return per_dim
 
 
 def _largest_grid_cluster(C: np.ndarray, hit: np.ndarray, spacing: float) -> np.ndarray:
@@ -409,9 +430,9 @@ def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> Equ
     from a regular chart grid restricted to the configured boundary margin,
     on ``p * z`` for an economy's field and on the field itself otherwise;
     converged points, those with full field residual ``|z|`` at most
-    ``newton_tol``, are merged within ``1e-6``, zeros within ``1e-4`` whose
-    midpoint is a zero too are joined (both counted in ``dedup_merges``),
-    and the rest are classified.  Non-convergence of individual starts is
+    ``newton_tol``, are merged within ``1e-6`` and classified, and critical
+    zeros within ``1e-4`` whose midpoint is a zero too are joined (both
+    merges counted in ``dedup_merges``).  Non-convergence of individual starts is
     reported in the statistics, not raised.  The continuum detector runs
     alongside and sets ``finite_flag``.
     """
@@ -460,8 +481,6 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig) -> list:
 def _stacked_map(base: TangentField, terms: list, n: int):
     """The chart map over stacked rows ``t * n + k``: the base map, plus each
     term on its own ``n`` rows (``_with_term``'s arithmetic, row by row)."""
-    if all(term is None for term in terms):
-        return lambda C, rows: base.chart_values(C)
 
     def evaluate(C, rows):
         # A copy: the base chart map may return a view of its input.
@@ -480,12 +499,12 @@ def _field_report(
     field: TangentField, newton: tuple, rows: slice, cfg: SolverConfig
 ) -> EquilibriumReport:
     """The report on ``field`` from its start rows ``rows`` of a Newton phase:
-    deduplication, the flat-zero join, classification, statistics and the
+    deduplication, classification, the flat-zero join, statistics and the
     continuum scan.
 
     The kept zeros are classified together, so the field is evaluated once
     for all of them and once for the continuum scan (and once for the join,
-    when two kept zeros are within ``JOIN_RADIUS``).
+    when two critical zeros are within ``JOIN_RADIUS``).
     """
     C, res, converged, stalled, exhausted, iterations = (a[rows] for a in newton)
     conv_idx = np.flatnonzero(converged)
@@ -494,22 +513,22 @@ def _field_report(
     equilibria = []
     if kept:
         idx = conv_idx[kept]
-        joined = _join_flat_zeros(field, C[idx], res[idx], cfg.newton_tol)
-        merges += len(idx) - len(joined)
-        Z = C[idx[joined]]
+        Z = C[idx]
         k_max = MULTIPLICITY_K_MAX if field.goods == 2 else None
         residual, regular, index, multiplicity = _classify_rows(field, Z, k_max)
-        P = chart_rows_embed(Z)
+        joined = _join_flat_zeros(field, Z, res[idx], ~regular, cfg.newton_tol)
+        merges += len(idx) - len(joined)
+        P = chart_rows_embed(Z[joined])
         equilibria = [
             Equilibrium(
-                price=simplex_point(P[i]),
+                price=simplex_point(P[j]),
                 chart=Z[i].copy(),
                 residual=float(residual[i]),
                 regularity=REGULAR if regular[i] else CRITICAL,
                 index=int(index[i]),
                 multiplicity=multiplicity[i] if residual[i] <= 1e-9 else None,
             )
-            for i in range(len(Z))
+            for j, i in enumerate(joined)
         ]
 
     stats = SolverStats(

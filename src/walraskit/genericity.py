@@ -212,8 +212,8 @@ def genericity_experiment(
     Trial ``t`` uses seed ``spec.seed + t``.  Each trial's perturbation term
     is built once, and the trials go through the solve pipeline of
     :mod:`walraskit.equilibrium` together: one damped-Newton phase over the
-    stacked ``(trial, start)`` rows, then deduplication, the flat-zero join,
-    classification and the continuum detector per trial on its perturbed
+    stacked ``(trial, start)`` rows, then deduplication, classification,
+    the flat-zero join and the continuum detector per trial on its perturbed
     field (the field :func:`perturb` builds), so each trial gets the report
     :func:`find_equilibria` would give it.  Failures are recorded per trial
     and do not abort the batch.  Results are deterministic in the seed.

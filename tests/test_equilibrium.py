@@ -29,6 +29,13 @@ def _refusing_map(C):
     raise ValueError("chart map refuses rows")
 
 
+def _nine_good_field():
+    alphas = np.full(9, 1.0 / 9.0)
+    return wk.economy_field(
+        wk.Economy((wk.Consumer(alphas, np.eye(9)[0]), wk.Consumer(alphas, 1.0 - np.eye(9)[0])))
+    )
+
+
 class TestFindEquilibria:
     def test_symmetric_edgeworth(self, sym_edgeworth):
         report = wk.find_equilibria(sym_edgeworth)
@@ -133,18 +140,28 @@ class TestFindEquilibria:
                 "start grid of 70^3 points is too large; lower grid_density (limit 250000 starts)",
             ),
             (
+                # 4^8 starts pass; the continuum scan's 11^8 grid does not
+                _nine_good_field(),
+                wk.SolverConfig(grid_density=4),
+                "continuum scan grid of 11^8 points is too large (limit 250000 points)",
+            ),
+            (
                 wk.chart_field(_refusing_map, goods=2),
                 wk.SolverConfig(),
                 "chart map refuses rows",
             ),
         ],
-        ids=["start_grid_too_large", "chart_map_error"],
+        ids=["start_grid_too_large", "scan_grid_too_large", "chart_map_error"],
     )
     def test_errors_keep_their_type_and_text(self, field, cfg, message):
         with pytest.raises(ValueError) as err:
             wk.find_equilibria(field, cfg)
         assert type(err.value) is ValueError
         assert str(err.value) == message
+
+    def test_continuum_scan_refuses_a_grid_too_large(self):
+        with pytest.raises(ValueError, match="continuum scan grid of 11\\^8 points"):
+            wk.continuum_detector(_nine_good_field())
 
 
 class TestFlatZeroJoin:
@@ -170,11 +187,15 @@ class TestFlatZeroJoin:
         assert abs(eq.chart[0] - 0.5) <= JOIN_RADIUS
         assert s.dedup_merges == s.converged - 1
 
-    def test_close_zeros_with_a_nonzero_midpoint_stay_apart(self):
-        # zeros 5e-5 apart; the field is -6.25e-10 between them
-        field = wk.chart_field(lambda C: (C - 0.5) * (C - 0.50005), goods=2)
-        charts = [float(eq.chart[0]) for eq in wk.find_equilibria(field).equilibria]
+    @pytest.mark.parametrize("scale", [1.0, 1e-3])
+    def test_close_zeros_with_a_nonzero_midpoint_stay_apart(self, scale):
+        # zeros 5e-5 apart; the field is -6.25e-10 * scale between them, which
+        # at scale 1e-3 is below newton_tol, but both zeros are regular
+        field = wk.chart_field(lambda C: scale * (C - 0.5) * (C - 0.50005), goods=2)
+        report = wk.find_equilibria(field)
+        charts = [float(eq.chart[0]) for eq in report.equilibria]
         assert np.allclose(charts, [0.5, 0.50005], rtol=0.0, atol=1e-9)
+        assert [eq.index for eq in report.equilibria] == [1, -1]
 
 
 class TestPriceWeightedNewton:
