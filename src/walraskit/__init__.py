@@ -14,7 +14,6 @@ from .consumers import (
     Consumer,
     Economy,
     aed,
-    aed_jacobian,
     demand,
     excess_demand,
     indirect_utility,
@@ -123,7 +122,6 @@ __all__ = [
     "TangentField",
     "TangentVector",
     "aed",
-    "aed_jacobian",
     "basis_excess_demands",
     "boundary_margin",
     "build_continuum_economy",

@@ -47,11 +47,7 @@ DEFAULT_SEED = 1729
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        grid_density=args.grid,
-        newton_tol=args.tol,
-        boundary_margin_min=args.margin,
-    )
+    return SolverConfig(grid_density=args.grid, newton_tol=args.tol)
 
 
 def _write_report(out_dir: Path, lines: list[str]) -> None:
@@ -200,7 +196,7 @@ def _cmd_experiment(args, out_dir: Path) -> int:
         f"all_regular_count: {result.all_regular_count}",
         f"failed trials: {len(errors)}",
     ]
-    baseline = continuum_detector(economy, cfg)
+    baseline = continuum_detector(economy)
     lines.append(
         "unperturbed base: " + ("continuum detector fired" if baseline.fired else "finite")
     )
@@ -279,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", type=int, default=50, help="grid density / point count")
         if "solver" in flags:
             p.add_argument("--tol", type=float, default=1e-11, help="solver residual tolerance")
-            p.add_argument("--margin", type=float, default=1e-4, help="minimum boundary margin")
 
     p = sub.add_parser("solve", help="locate and classify all equilibria")
     common(p, "grid", "solver")

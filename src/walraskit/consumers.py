@@ -68,14 +68,10 @@ class Consumer:
     def goods(self) -> int:
         return self.alpha.size
 
-    @property
-    def has_unit_scale(self) -> bool:
-        return isinstance(self.scale, ConstantScale) and self.scale.value == 1.0
-
 
 @dataclass(frozen=True)
 class Economy:
-    """A non-empty list of consumers over the same goods.
+    """A non-empty list of consumers over the same two or more goods.
 
     The shares and endowments are also kept stacked, one row per consumer,
     with the constant scale values and the positions of the other scales,
@@ -95,6 +91,8 @@ class Economy:
         goods = consumers[0].goods
         if any(c.goods != goods for c in consumers):
             raise ValueError("all consumers must trade the same number of goods")
+        if goods < 2:
+            raise ValueError(f"an economy needs at least two goods, not goods={goods}")
         scales = [c.scale for c in consumers]
         constant = [s.value if isinstance(s, ConstantScale) else 1.0 for s in scales]
         object.__setattr__(self, "consumers", consumers)
@@ -123,15 +121,18 @@ def demand_rows(c: Consumer, P) -> np.ndarray:
     return c.alpha * w[:, None] / P
 
 
-def excess_rows(c: Consumer, P) -> np.ndarray:
-    """Scaled individual excess demand ``scale(p) * (demand - omega)`` per row."""
-    z = demand_rows(c, P) - c.endowment
-    if c.has_unit_scale:
-        return z
-    values = np.asarray(c.scale(P / P.sum(axis=1, keepdims=True)), dtype=float)
+def _scale_values(scale: Scale, P) -> np.ndarray:
+    """The scale at the simplex normalisation of each price row; raises
+    ``ValueError`` unless every value is finite and strictly positive."""
+    values = np.asarray(scale(P / P.sum(axis=1, keepdims=True)), dtype=float)
     if not np.all((values > 0.0) & (values < np.inf)):
         raise ValueError("scale must be strictly positive at every evaluated price")
-    return values[:, None] * z
+    return values
+
+
+def excess_rows(c: Consumer, P) -> np.ndarray:
+    """Scaled individual excess demand ``scale(p) * (demand - omega)`` per row."""
+    return _scale_values(c.scale, P)[:, None] * (demand_rows(c, P) - c.endowment)
 
 
 def aed_rows(e: Economy, P) -> np.ndarray:
@@ -145,12 +146,8 @@ def aed_rows(e: Economy, P) -> np.ndarray:
     S = e.constant_scales
     if e.varying_scales:
         S = np.tile(S, (len(P), 1))
-        simplex = P / P.sum(axis=1, keepdims=True)
         for k, scale in e.varying_scales:
-            values = np.asarray(scale(simplex), dtype=float)
-            if not np.all((values > 0.0) & (values < np.inf)):
-                raise ValueError("scale must be strictly positive at every evaluated price")
-            S[:, k] = values
+            S[:, k] = _scale_values(scale, P)
     return ((P @ e.endowments.T) * S) @ e.shares / P - S @ e.endowments
 
 
@@ -190,16 +187,3 @@ def aed(e: Economy, p: PricePoint) -> TangentVector:
     """Aggregate excess demand of the economy at ``p`` (a tangent vector)."""
     z = aed_rows(e, p.coords[None, :])[0]
     return TangentVector(p, z)
-
-
-def aed_jacobian(e: Economy, c) -> np.ndarray:
-    """Jacobian of the chart representation of the economy's aggregate excess demand.
-
-    Central finite differences with step ``h = 1e-6 * max(1, |c|)``,
-    cross-validated against step ``h/2``; raises
-    :class:`walraskit.fields.JacobianConsistencyError` if the two estimates
-    disagree beyond ``1e-4`` relative.
-    """
-    from .fields import chart_jacobian, economy_field
-
-    return chart_jacobian(economy_field(e), c)

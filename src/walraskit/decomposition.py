@@ -37,6 +37,7 @@ from .geometry import PricePoint, TangentVector
 from .scales import KernelSampledScale
 
 KERNEL_NULLSPACE_TOL = 1e-10
+COEFFICIENT_FLOOR = 1.0
 RECONSTRUCTION_TOL = 1e-8
 
 
@@ -84,8 +85,8 @@ class CanonicalFamily:
         return self.alpha.size
 
     @classmethod
-    def symmetric(cls, goods: int, level: float = 1.0) -> "CanonicalFamily":
-        return cls(np.full(goods, 1.0 / goods), np.full(goods, level))
+    def symmetric(cls, goods: int) -> "CanonicalFamily":
+        return cls(np.full(goods, 1.0 / goods))
 
     def consumers(self, scales=None) -> tuple[Consumer, ...]:
         """The family as plain consumers, optionally with per-consumer scales."""
@@ -148,7 +149,7 @@ def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X[:, None, :] @ Y[:, :, None])[:, 0]
 
 
-def _decompose_rows(f: CanonicalFamily, P: np.ndarray, V: np.ndarray, floor: float = 1.0):
+def _decompose_rows(f: CanonicalFamily, P: np.ndarray, V: np.ndarray):
     """:func:`decompose_at` on ``(n, l)`` rows: coefficients ``mu`` and
     residual norms for tangent target rows ``V`` at positive price rows ``P``.
 
@@ -171,8 +172,8 @@ def _decompose_rows(f: CanonicalFamily, P: np.ndarray, V: np.ndarray, floor: flo
     vt = v - _rowdot(pc, v) * pc / _rowdot(pc, pc)
     a = f.alpha.astype(np.longdouble) / pc
     omega = f.endowment_levels.astype(np.longdouble)
-    s_star = np.max((floor * omega + vt) / a, axis=1, keepdims=True)
-    s_star += 1e-15 * (1.0 + np.abs(s_star))  # keep min(mu) >= floor despite rounding
+    s_star = np.max((COEFFICIENT_FLOOR * omega + vt) / a, axis=1, keepdims=True)
+    s_star += 1e-15 * (1.0 + np.abs(s_star))  # keep min(mu) >= the floor despite rounding
     mu = np.asarray((a * s_star - vt) / omega, dtype=float)
 
     R = (Z.astype(np.longdouble) @ mu.astype(np.longdouble)[:, :, None])[:, :, 0] - v
@@ -197,11 +198,7 @@ def positive_kernel(f: CanonicalFamily, p: PricePoint) -> np.ndarray:
     return _decompose_rows(f, p.coords[None, :], np.zeros((1, p.goods)))[0][0]
 
 
-def decompose_at(
-    f: CanonicalFamily,
-    target: TangentVector,
-    floor: float = 1.0,
-) -> DecompositionWitness:
+def decompose_at(f: CanonicalFamily, target: TangentVector) -> DecompositionWitness:
     """Strictly positive coefficients with ``sum_i mu_i z_i(p) = target``.
 
     Tangency was checked when the target was built; the positive-spanning
@@ -213,15 +210,16 @@ def decompose_at(
         mu_j(S) = (S * alpha_j / p_j - v_j) / omega_j,
 
     directed by the positive kernel.  The witness returned is the unique
-    point on that line whose smallest entry equals ``floor`` -- the same
-    point the minimum-norm solution reaches after shifting along the kernel,
-    but computed without a least-squares solve, which keeps the residual at
-    rounding level relative to the target's norm, whatever that norm is.
+    point on that line whose smallest entry equals ``COEFFICIENT_FLOOR``
+    (1.0) -- the same point the minimum-norm solution reaches after shifting
+    along the kernel, but computed without a least-squares solve, which
+    keeps the residual at rounding level relative to the target's norm,
+    whatever that norm is.
     A residual above ``1e-8 * max(1, |target|)`` raises
     :class:`PositiveSpanningError`.
     """
     p = target.base
-    mu, residual = _decompose_rows(f, p.coords[None, :], target.components[None, :], floor)
+    mu, residual = _decompose_rows(f, p.coords[None, :], target.components[None, :])
     return DecompositionWitness(price=p, mu=mu[0], residual=float(residual[0]))
 
 
@@ -229,17 +227,13 @@ class GridTooCoarseError(ValueError):
     """Interpolated coefficients dipped non-positive between grid points."""
 
 
-def realize_economy(
-    f: CanonicalFamily,
-    target_field,
-    grid: list[PricePoint],
-    floor: float = 1.0,
-) -> Economy:
+def realize_economy(f: CanonicalFamily, target_field, grid: list[PricePoint]) -> Economy:
     """An ``l``-consumer economy whose aggregate excess demand matches a field
     on a price grid.
 
     The target is evaluated once over the grid and decomposed over the
-    canonical basis as in :func:`decompose_at`; consumer ``i`` receives a
+    canonical basis as in :func:`decompose_at`, with smallest coefficient
+    ``COEFFICIENT_FLOOR`` at every grid point; consumer ``i`` receives a
     scale interpolating its coefficients between grid points.  What is
     sampled is the ratio of the coefficient to the closed-form kernel weight:
     wherever the target is identically zero the sampled ratios coincide
@@ -259,7 +253,7 @@ def realize_economy(
     if not np.all(np.isfinite(V)):
         raise ValueError("target field values must be finite at every grid point")
     # Decompose at the sphere normalisation of each price, as decompose_at does.
-    mu, _ = _decompose_rows(f, S / np.sqrt(_rowdot(S, S)), V, floor)
+    mu, _ = _decompose_rows(f, S / np.sqrt(_rowdot(S, S)), V)
     ratios = mu / kernel_weights(f, S)
 
     scales = [

@@ -18,6 +18,7 @@ objects and repeated runs are byte-identical.
 from __future__ import annotations
 
 import csv
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +65,9 @@ def economy_from_dict(data: dict) -> Economy:
     if not isinstance(data, dict):
         raise EconomyFormatError("economy file must contain a mapping at top level")
     try:
-        goods = int(data["goods"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise EconomyFormatError("missing or invalid top-level field 'goods'") from exc
+        goods = operator.index(data["goods"])
+    except (KeyError, TypeError) as exc:
+        raise EconomyFormatError("top-level field 'goods' must be an integer") from exc
     raw_consumers = data.get("consumers")
     if not isinstance(raw_consumers, list) or not raw_consumers:
         raise EconomyFormatError("'consumers' must be a non-empty list")

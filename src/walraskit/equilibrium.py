@@ -42,6 +42,7 @@ infinitude, so the detector is a heuristic with documented thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -63,6 +64,7 @@ REGULAR = "regular"
 CRITICAL = "critical"
 
 DET_RELATIVE_TOL = 1e-6
+BOUNDARY_MARGIN = 1e-4
 MULTIPLICITY_K_MAX = 8
 
 NEWTON_MAX_ITER = 60
@@ -79,15 +81,13 @@ CONTINUUM_RESIDUAL_TOL = 1e-9
 class SolverConfig:
     grid_density: int = 50
     newton_tol: float = 1e-11
-    boundary_margin_min: float = 1e-4
 
     def __post_init__(self):
-        if (
-            self.grid_density < 2
-            or self.newton_tol <= 0
-            or self.boundary_margin_min <= 0
-        ):
-            raise ValueError("solver configuration values must be positive")
+        if not isinstance(self.grid_density, Integral) or self.grid_density < 2:
+            raise ValueError("grid_density must be an integer of at least 2")
+        # Written so that NaN fails the check too.
+        if not 0.0 < self.newton_tol < np.inf:
+            raise ValueError("newton_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -153,17 +153,17 @@ def _index_check(finite: bool, all_regular: bool, index_sum: int) -> str:
 MAX_STARTS = 250_000
 
 
-def _start_grid(dim: int, density: int, margin: float) -> np.ndarray:
-    axis = np.linspace(margin, 1.0 - margin, density)
+def _start_grid(dim: int, density: int) -> np.ndarray:
+    axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, density)
     if dim == 1:
         return axis[:, None]
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     C = np.column_stack([g.ravel() for g in grids])
-    return C[C.sum(axis=1) <= 1.0 - margin]
+    return C[C.sum(axis=1) <= 1.0 - BOUNDARY_MARGIN]
 
 
-def _interior(C: np.ndarray, margin: float) -> np.ndarray:
-    return (C >= margin).all(axis=1) & (1.0 - C.sum(axis=1) >= margin)
+def _interior(C: np.ndarray) -> np.ndarray:
+    return (C >= BOUNDARY_MARGIN).all(axis=1) & (1.0 - C.sum(axis=1) >= BOUNDARY_MARGIN)
 
 
 def _batched_jacobian(evaluate, C: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -243,7 +243,7 @@ def _newton_multistart(
             trial = Ca[rem] - lam[rem, None] * delta[rem]
             tres = np.full(rem_idx.size, np.inf)
             tz = tres.copy()
-            inside = _interior(trial, cfg.boundary_margin_min)
+            inside = _interior(trial)
             if inside.any():
                 tres[inside], tz[inside] = _residual_norms(
                     evaluate, trial[inside], idx[rem_idx[inside]], weighted
@@ -363,11 +363,11 @@ def multiplicity_estimate(field_or_economy, p, k_max: int = MULTIPLICITY_K_MAX) 
     return _classify_rows(field, _chart_coords(p)[None, :1], k_max)[3][0]
 
 
-def continuum_detector(field_or_economy, config: SolverConfig | None = None) -> ContinuumReport:
+def continuum_detector(field_or_economy) -> ContinuumReport:
     """Scan the chart for clusters of neighbouring near-zeros of the field.
 
     The scan grid has about ``CONTINUUM_SCAN_POINTS`` points, at least 11 per
-    chart axis, inside the solver's boundary margin; in one dimension a
+    chart axis, ``BOUNDARY_MARGIN`` from every face; in one dimension a
     cluster is a run of consecutive points.  Fires when at least 20 linked
     scan points have full residual at most ``1e-9``; the witness is the chart
     interval (two floats, for two goods) or the bounding box spanned by the
@@ -375,11 +375,10 @@ def continuum_detector(field_or_economy, config: SolverConfig | None = None) -> 
     more than ``MAX_SCAN_POINTS`` points (seven or more goods).
     """
     field = as_field(field_or_economy)
-    m = (config or SolverConfig()).boundary_margin_min
     per_dim = _scan_density(field.dim)
-    C = _start_grid(field.dim, per_dim, m)
+    C = _start_grid(field.dim, per_dim)
     hit = field.residual_norms(C) <= CONTINUUM_RESIDUAL_TOL
-    component = _largest_grid_cluster(C, hit, spacing=(1.0 - 2 * m) / (per_dim - 1))
+    component = _largest_grid_cluster(C, hit, (1.0 - 2 * BOUNDARY_MARGIN) / (per_dim - 1))
     fired = component.size >= CONTINUUM_RUN_REQUIRED
     box = None
     if fired:
@@ -427,7 +426,7 @@ def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> Equ
     """Locate, deduplicate, and classify the zeros of an excess-demand field.
 
     The one-field case of the solve pipeline: damped Newton iteration runs
-    from a regular chart grid restricted to the configured boundary margin,
+    from a regular chart grid and stays ``BOUNDARY_MARGIN`` from every face,
     on ``p * z`` for an economy's field and on the field itself otherwise;
     converged points, those with full field residual ``|z|`` at most
     ``newton_tol``, are merged within ``1e-6`` and classified, and critical
@@ -456,7 +455,7 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig) -> list:
             f"lower grid_density (limit {MAX_STARTS} starts)"
         )
         return [ValueError(message)] * len(terms)
-    starts = _start_grid(base.dim, cfg.grid_density, cfg.boundary_margin_min)
+    starts = _start_grid(base.dim, cfg.grid_density)
     n = len(starts)
     weighted = base.price_weighted and all(term is None for term in terms)
     chunk = max(1, MAX_STARTS // max(1, n))
@@ -539,7 +538,7 @@ def _field_report(
         newton_iterations=int(iterations.sum()),
         dedup_merges=merges,
     )
-    return EquilibriumReport(tuple(equilibria), stats, continuum_detector(field, cfg))
+    return EquilibriumReport(tuple(equilibria), stats, continuum_detector(field))
 
 
 def index_sum_check(report: EquilibriumReport) -> bool:

@@ -51,8 +51,9 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be non-negative")
+        # Written so that NaN fails the check too.
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and non-negative")
         if self.basis not in BASIS_KINDS:
             raise ValueError(f"basis must be one of {BASIS_KINDS}")
         if self.degree < 1 or self.terms < 1:
@@ -141,20 +142,16 @@ def build_continuum_economy(interval: tuple[float, float], grid: int = 201):
     """A two-good economy whose equilibrium set contains the chart interval.
 
     The piecewise-cubic field above is realised over the symmetric two-good
-    canonical family on a uniform chart grid over ``[0.01, 0.99]`` (or on the
-    chart points ``grid``, if it is an array); the economy reproduces the
-    field at the grid points (and exactly, between grid points, on the
-    interior of ``[a, b]``).
+    canonical family on a uniform chart grid of ``grid`` points over
+    ``[0.01, 0.99]``; the economy reproduces the field at the grid points
+    (and exactly, between grid points, on the interior of ``[a, b]``).
     """
     a, b = float(interval[0]), float(interval[1])
     if not (0.0 < a < b < 1.0):
         raise ValueError("interval must satisfy 0 < a < b < 1")
-    if isinstance(grid, int):
-        if grid < 5:
-            raise ValueError("grid needs at least 5 points")
-        xs = np.linspace(CONTINUUM_GRID_MARGIN, 1.0 - CONTINUUM_GRID_MARGIN, grid)
-    else:
-        xs = np.asarray(grid, dtype=float)
+    if grid < 5:
+        raise ValueError("grid needs at least 5 points")
+    xs = np.linspace(CONTINUUM_GRID_MARGIN, 1.0 - CONTINUUM_GRID_MARGIN, grid)
     target = chart_field(continuum_chart_map(a, b), goods=2)
     points = [simplex_point([x, 1.0 - x]) for x in xs]
     return realize_economy(CanonicalFamily.symmetric(2), target, points)

@@ -30,6 +30,7 @@ from .geometry import PricePoint, _greedy_cover
 
 TIE_TOL = 1e-10
 DISTINCT_TOL = 1e-10
+WALRAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -161,18 +162,14 @@ class AuditReport:
     passed: bool
 
 
-def scaled_field_audit(
-    c: Consumer,
-    prices: list[PricePoint],
-    walras_tol: float = 1e-9,
-) -> AuditReport:
+def scaled_field_audit(c: Consumer, prices: list[PricePoint]) -> AuditReport:
     """Audit a positively scaled excess demand on price samples.
 
     Checks, at every sample: the scaling is finite and strictly positive
     (samples where it is not are flagged and skipped), the scaled field
-    satisfies Walras' law within ``walras_tol``, and each component respects
-    the lower bound ``scale(p) * (-omega_i)`` that any excess demand of a
-    consumer endowed with ``omega`` obeys.
+    satisfies Walras' law within ``WALRAS_TOL`` (1e-9), and each component
+    respects the lower bound ``scale(p) * (-omega_i)`` that any excess demand
+    of a consumer endowed with ``omega`` obeys.
     """
     if not prices:
         raise ValueError("at least one sample price is required")
@@ -190,7 +187,7 @@ def scaled_field_audit(
         lower = -scale[good, None] * c.endowment
         bound_violations = int(np.any(Z < lower - 1e-9, axis=1).sum())
 
-    passed = not flagged and max_walras <= walras_tol and bound_violations == 0
+    passed = not flagged and max_walras <= WALRAS_TOL and bound_violations == 0
     return AuditReport(
         samples=len(prices),
         max_walras_violation=max_walras,

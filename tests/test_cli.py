@@ -159,6 +159,28 @@ class TestPerturbAndExperiment:
         assert "finite_count: 6" in report
         assert "continuum detector fired" in report
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["solve"], "--tol"),
+            (["perturb", "--epsilon", "1e-3"], "--tol"),
+            (["perturb"], "--epsilon"),
+            (["experiment", "--trials", "2"], "--epsilon"),
+        ],
+        ids=["solve-tol", "perturb-tol", "perturb-epsilon", "experiment-epsilon"],
+    )
+    def test_non_finite_numbers_exit_1(self, sym_file, tmp_path, capsys, command, flag, value):
+        message = {
+            "--tol": "newton_tol must be finite and positive",
+            "--epsilon": "epsilon must be finite and non-negative",
+        }[flag]
+        out = tmp_path / "out"
+        argv = command + ["--input", str(sym_file), "--out", str(out), flag, value]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
 
 class TestSarpAndAudit:
     def test_sarp_violation_report(self, tmp_path, capsys):

@@ -246,7 +246,7 @@ class TestFusedKernel:
 class TestJacobian:
     def test_symmetric_edgeworth_slope(self, sym_edgeworth):
         # z1(p1) = a + b (1 - p1)/p1 - 1, derivative -b / p1^2 = -2 at 0.5
-        J = wk.aed_jacobian(sym_edgeworth, wk.ChartPoint([0.5]))
+        J = wk.chart_jacobian(sym_edgeworth, wk.ChartPoint([0.5]))
         assert J.shape == (1, 1)
         assert J[0, 0] == pytest.approx(-2.0, abs=1e-6)
 
@@ -256,7 +256,7 @@ class TestJacobian:
                 (wk.Consumer([a, 1 - a], [1, 0]), wk.Consumer([b, 1 - b], [0, 1]))
             )
             for p1 in (0.3, 0.5, 0.7):
-                J = wk.aed_jacobian(e, wk.ChartPoint([p1]))
+                J = wk.chart_jacobian(e, wk.ChartPoint([p1]))
                 assert J[0, 0] == pytest.approx(-b / p1**2, abs=1e-5)
 
     def test_constant_zero_field_has_zero_jacobian(self):

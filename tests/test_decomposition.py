@@ -164,12 +164,6 @@ class TestDecomposeAt:
         with pytest.raises(ValueError, match="strictly positive"):
             wk.DecompositionWitness(p, np.array([np.nan, 1.0]), 0.0)
 
-    def test_custom_floor(self, symmetric_family, rng):
-        p = wk.simplex_point([0.3, 0.7])
-        target = random_tangent(rng, p)
-        w = wk.decompose_at(symmetric_family, target, floor=0.25)
-        assert w.mu.min() == pytest.approx(0.25, abs=1e-9)
-
 
 def loop_realized_ratios(f, field, grid):
     """The per-point loop that realize_economy replaced, kept as a reference:

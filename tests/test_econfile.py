@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import walraskit as wk
+from walraskit.cli import main
 from walraskit.consumers import aed_rows
 from walraskit.econfile import (
     EconomyFormatError,
@@ -88,6 +89,29 @@ class TestEconomyFiles:
     def test_diagnostics_name_the_field(self, data, fragment):
         with pytest.raises(EconomyFormatError, match=fragment):
             economy_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "goods: 1\nconsumers:\n- alpha: [1.0]\n  endowment: [1.0]\n",
+                "an economy needs at least two goods, not goods=1",
+            ),
+            (
+                "goods: 2.7\nconsumers:\n- alpha: [0.5, 0.5]\n  endowment: [1.0, 1.0]\n"
+                "- alpha: [0.3, 0.7]\n  endowment: [0.0, 1.0]\n",
+                "top-level field 'goods' must be an integer",
+            ),
+        ],
+        ids=["goods-1", "goods-2.7"],
+    )
+    def test_goods_is_an_integer_of_at_least_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "eco.yaml"
+        path.write_text(text)
+        assert main(["solve", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        with pytest.raises(ValueError, match="at least two goods"):
+            wk.Economy((wk.Consumer([1.0], [1.0]),))
 
     def test_dict_form_is_plain_data(self):
         d = economy_to_dict(mixed_economy())

@@ -123,6 +123,13 @@ class TestFindEquilibria:
             wk.SolverConfig(grid_density=0)
         with pytest.raises(ValueError):
             wk.SolverConfig(newton_tol=-1.0)
+        for density in (1, 2.5, True):
+            with pytest.raises(ValueError, match="grid_density must be an integer of at least 2"):
+                wk.SolverConfig(grid_density=density)
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="newton_tol must be finite and positive"):
+                wk.SolverConfig(newton_tol=tol)
+        assert wk.SolverConfig(grid_density=np.int64(2)).grid_density == 2
 
     @pytest.mark.parametrize(
         "field, cfg, message",
@@ -229,7 +236,7 @@ class TestPriceWeightedNewton:
         monkeypatch.setattr(equilibrium, "NEWTON_MAX_ITER", 1)
         field = wk.economy_field(sym_edgeworth)
         cfg = wk.SolverConfig()
-        starts = _start_grid(1, cfg.grid_density, cfg.boundary_margin_min)
+        starts = _start_grid(1, cfg.grid_density)
         C, res, converged, *_ = _newton_multistart(
             lambda C, rows: field.chart_values(C), starts, cfg, weighted=True
         )
@@ -371,7 +378,7 @@ class TestContinuumDetector:
         assert report.fired
         lo, hi = report.interval
         assert abs(lo - 0.9) <= 1e-3
-        assert hi == 1.0 - wk.SolverConfig().boundary_margin_min
+        assert hi == 1.0 - equilibrium.BOUNDARY_MARGIN
 
     def test_higher_dimensional_cluster(self, monkeypatch):
         # a three-good field vanishing on a chart disc around the barycenter
@@ -476,7 +483,7 @@ class TestGrouping:
 
     def test_grid_cluster_is_the_largest_flood_fill_cluster(self, rng):
         for dim in (2, 3):
-            C = _start_grid(dim, 12, 1e-4)
+            C = _start_grid(dim, 12)
             spacing = (1.0 - 2e-4) / 11
             for _ in range(20):
                 hit = rng.random(len(C)) < 0.3
@@ -645,7 +652,7 @@ class TestClassifyRows:
 
             field = wk.chart_field(counted, goods=2)
             cfg = wk.SolverConfig()
-            starts = _start_grid(1, cfg.grid_density, cfg.boundary_margin_min)
+            starts = _start_grid(1, cfg.grid_density)
             newton = _newton_multistart(lambda C, rows: field.chart_values(C), starts, cfg)
             calls.clear()
             report = _field_report(field, newton, slice(None), cfg)

@@ -91,6 +91,9 @@ class TestPerturb:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             wk.PerturbationSpec(-1.0)
+        for eps in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon must be finite and non-negative"):
+                wk.PerturbationSpec(eps)
         with pytest.raises(ValueError):
             wk.PerturbationSpec(1e-3, basis="unknown")
         with pytest.raises(ValueError):
@@ -120,7 +123,7 @@ class TestExperiment:
     def test_regular_economy_robustness(self, sym_edgeworth):
         # |det J| = 2 at the unique zero; all sampled epsilons sit far below
         # half that margin, so the equilibrium count never changes
-        J = wk.aed_jacobian(sym_edgeworth, wk.ChartPoint([0.5]))
+        J = wk.chart_jacobian(sym_edgeworth, wk.ChartPoint([0.5]))
         margin = abs(np.linalg.det(J))
         for eps in (1e-4, 1e-3, 1e-2):
             assert eps < margin / 2
