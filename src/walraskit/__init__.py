@@ -15,16 +15,11 @@ from .consumers import (
     Economy,
     aed,
     demand,
-    excess_demand,
-    indirect_utility,
-    wealth,
 )
 from .decomposition import (
     CanonicalFamily,
     DecompositionWitness,
-    GridTooCoarseError,
     PositiveSpanningError,
-    basis_excess_demands,
     decompose_at,
     kernel_weights,
     positive_kernel,
@@ -45,7 +40,6 @@ from .equilibrium import (
     classify,
     continuum_detector,
     find_equilibria,
-    index_sum_check,
     multiplicity_estimate,
 )
 from .fields import (
@@ -66,20 +60,14 @@ from .geometry import (
     ChartPoint,
     PricePoint,
     TangentVector,
-    boundary_margin,
-    chart_embed,
-    chart_project,
     simplex_point,
     simplex_to_sphere,
-    sphere_point,
-    sphere_to_simplex,
     tangent_project,
 )
 from .revealed import (
     AuditReport,
     ObservationDataset,
     SarpResult,
-    sample_demand,
     sarp_check,
     scaled_field_audit,
 )
@@ -108,7 +96,6 @@ __all__ = [
     "Equilibrium",
     "EquilibriumReport",
     "GenericityResult",
-    "GridTooCoarseError",
     "JacobianConsistencyError",
     "KernelSampledScale",
     "ObservationDataset",
@@ -122,23 +109,16 @@ __all__ = [
     "TangentField",
     "TangentVector",
     "aed",
-    "basis_excess_demands",
-    "boundary_margin",
     "build_continuum_economy",
-    "chart_embed",
     "chart_field",
     "chart_jacobian",
-    "chart_project",
     "classify",
     "continuum_detector",
     "decompose_at",
     "demand",
     "economy_field",
-    "excess_demand",
     "find_equilibria",
     "genericity_experiment",
-    "index_sum_check",
-    "indirect_utility",
     "kernel_weights",
     "load_dataset",
     "load_economy",
@@ -146,7 +126,6 @@ __all__ = [
     "perturb",
     "positive_kernel",
     "realize_economy",
-    "sample_demand",
     "sarp_check",
     "save_dataset",
     "save_economy",
@@ -154,8 +133,5 @@ __all__ = [
     "scaled_field_audit",
     "simplex_point",
     "simplex_to_sphere",
-    "sphere_point",
-    "sphere_to_simplex",
     "tangent_project",
-    "wealth",
 ]

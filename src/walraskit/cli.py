@@ -157,10 +157,17 @@ def _perturbation_spec(args) -> PerturbationSpec:
             parts[0], parts[0]
         )
         if len(parts) > 1:
+            try:
+                count = int(parts[1])
+            except ValueError:
+                raise ValueError(
+                    f"--basis {args.basis!r}: expected tilt, poly:DEG or fourier:TERMS "
+                    "with an integer DEG or TERMS"
+                ) from None
             if basis == "polynomial":
-                degree = int(parts[1])
+                degree = count
             else:
-                terms = int(parts[1])
+                terms = count
     return PerturbationSpec(
         epsilon=args.epsilon, basis=basis, degree=degree, terms=terms, seed=args.seed
     )

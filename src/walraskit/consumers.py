@@ -2,10 +2,10 @@
 
 A consumer with preference shares ``alpha`` (positive, summing to one) and
 endowment ``omega`` demands ``x_i = alpha_i * w / p_i`` at prices ``p``,
-where ``w = p . omega`` is wealth.  Excess demand is ``demand - omega``,
-optionally multiplied by a positive price-dependent scaling function; the
-aggregate over an economy's consumers is the map whose zeros are the
-Walrasian equilibria.
+where ``w = p . omega`` is the value of the endowment.  Excess demand is
+``demand - omega``, optionally multiplied by a positive price-dependent
+scaling function; the aggregate over an economy's consumers is the map whose
+zeros are the Walrasian equilibria.
 
 All formulas are homogeneous of degree zero in the price vector, so the
 array-level functions here accept arbitrary strictly positive price rows.
@@ -154,33 +154,9 @@ def aed_rows(e: Economy, P) -> np.ndarray:
 # --- typed single-point operations -------------------------------------------
 
 
-def wealth(c: Consumer, p: PricePoint) -> float:
-    """Wealth ``p . omega`` in the frame of ``p``."""
-    return float(p.coords @ c.endowment)
-
-
 def demand(c: Consumer, p: PricePoint) -> np.ndarray:
     """Demanded bundle at ``p``; satisfies the budget identity ``p . x = w``."""
     return demand_rows(c, p.coords[None, :])[0]
-
-
-def excess_demand(c: Consumer, p: PricePoint) -> TangentVector:
-    """Scaled individual excess demand as a tangent vector at ``p``."""
-    z = excess_rows(c, p.coords[None, :])[0]
-    return TangentVector(p, z)
-
-
-def indirect_utility(c: Consumer, p: PricePoint) -> float:
-    """Maximised utility ``A * prod(p_i ** -alpha_i) * w`` with ``A = prod(alpha_i ** alpha_i)``.
-
-    The scaling function plays no role here; it scales excess demand, not
-    the underlying preferences.
-    """
-    coords = p.coords
-    w = float(coords @ c.endowment)
-    log_a = float(np.sum(c.alpha * np.log(c.alpha)))
-    log_p = float(np.sum(c.alpha * np.log(coords)))
-    return float(np.exp(log_a - log_p) * w)
 
 
 def aed(e: Economy, p: PricePoint) -> TangentVector:

@@ -132,12 +132,6 @@ def basis_matrix(f: CanonicalFamily, P: np.ndarray) -> np.ndarray:
     return Z
 
 
-def basis_excess_demands(f: CanonicalFamily, p: PricePoint) -> list[TangentVector]:
-    """The ``l`` canonical excess demands at ``p``, as tangent vectors."""
-    Z = basis_matrix(f, p.coords[None, :])[0]
-    return [TangentVector(p, Z[:, i]) for i in range(f.goods)]
-
-
 def kernel_weights(f: CanonicalFamily, P: np.ndarray) -> np.ndarray:
     """Closed-form positive kernel ``alpha_i / (p_i * level_i)`` per price row."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -223,10 +217,6 @@ def decompose_at(f: CanonicalFamily, target: TangentVector) -> DecompositionWitn
     return DecompositionWitness(price=p, mu=mu[0], residual=float(residual[0]))
 
 
-class GridTooCoarseError(ValueError):
-    """Interpolated coefficients dipped non-positive between grid points."""
-
-
 def realize_economy(f: CanonicalFamily, target_field, grid: list[PricePoint]) -> Economy:
     """An ``l``-consumer economy whose aggregate excess demand matches a field
     on a price grid.
@@ -240,13 +230,19 @@ def realize_economy(f: CanonicalFamily, target_field, grid: list[PricePoint]) ->
     across consumers and the reconstructed aggregate vanishes exactly between
     grid points as well, not only at them.
 
-    Raises ``ValueError`` if the target is not finite at a grid point, and
-    :class:`GridTooCoarseError` if an interpolated coefficient fails to stay
-    strictly positive between grid points.
+    The interpolated ratios stay within the range of their positive node
+    values (see :class:`~walraskit.scales.SampledScale`), so every scale is
+    strictly positive between grid points too.
+
+    Raises ``ValueError`` if the grid has fewer than ``l`` points (the
+    fewest that span the chart) or the target is not finite at a grid point.
     """
     field = as_field(target_field)
-    if not grid:
-        raise ValueError("realisation needs a non-empty price grid")
+    if len(grid) < f.goods:
+        raise ValueError(
+            f"realisation needs a grid of at least {f.goods} points for "
+            f"{f.goods} goods, not {len(grid)}"
+        )
     S = np.array([p.simplex_coords() for p in grid])
     chart_rows = S[:, :-1]
     _, V = field.full_values(chart_rows)
@@ -266,26 +262,4 @@ def realize_economy(f: CanonicalFamily, target_field, grid: list[PricePoint]) ->
         )
         for i in range(f.goods)
     ]
-    _check_positive_between_nodes(scales, chart_rows)
     return Economy(f.consumers(scales=scales))
-
-
-def _check_positive_between_nodes(scales, chart_rows: np.ndarray) -> None:
-    # Shape-preserving (1-d) and piecewise-linear (n-d) interpolants cannot
-    # leave the range of their node values, so with positive nodes this never
-    # fires; it is kept as a cheap guard on the realisation contract.
-    if chart_rows.shape[1] == 1:
-        xs = np.sort(chart_rows[:, 0])
-        dense = np.linspace(xs[0], xs[-1], 8 * xs.size + 1)
-        probe = np.column_stack([dense, 1.0 - dense])
-    else:
-        probe_rows = 0.5 * (chart_rows[:-1] + chart_rows[1:])
-        probe = np.hstack(
-            [probe_rows, 1.0 - probe_rows.sum(axis=1, keepdims=True)]
-        )
-    for scale in scales:
-        if np.any(scale(probe) <= 0.0):
-            raise GridTooCoarseError(
-                "interpolated coefficient is not strictly positive between "
-                "grid points; refine the grid"
-            )

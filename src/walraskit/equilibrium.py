@@ -297,15 +297,16 @@ def _join_flat_zeros(
     return np.sort(order[np.unique(labels[order], return_index=True)[1]])
 
 
-def _classify_rows(field: TangentField, C: np.ndarray, k_max: int | None = None):
+def _classify_rows(field: TangentField, C: np.ndarray, fit: bool = False):
     """Residual norms, regular mask, indices and multiplicities of the zeros
     ``C``, from one evaluation of every probe row (``fields._probe_rows``).
 
     The first row whose residual exceeds ``1e-9 * max(1, derivative scale)``
     raises ``ValueError``.  Multiplicities are fitted on a window of
-    ``4 k_max + 1`` points when ``k_max`` is given (two goods), else ``None``.
+    ``4 MULTIPLICITY_K_MAX + 1`` points when ``fit`` is set (two goods), else
+    ``None``.
     """
-    window = None if k_max is None else np.linspace(-1.0, 1.0, 4 * k_max + 1)
+    window = np.linspace(-1.0, 1.0, 4 * MULTIPLICITY_K_MAX + 1) if fit else None
     residual, scale, J, consistent, G = _probe_rows(field, C, window)
     bad = residual > 1e-9 * np.fmax(1.0, scale)
     if bad.any():
@@ -316,17 +317,17 @@ def _classify_rows(field: TangentField, C: np.ndarray, k_max: int | None = None)
     size = np.fmax(np.abs(J).max(axis=(1, 2)), scale)
     regular = consistent & ~(np.abs(det) <= DET_RELATIVE_TOL * size**d)
     index = np.where(regular, np.where((-1) ** d * det > 0, 1, -1), 0)
-    fits = [None] * len(C) if window is None else [_fit_order(window, g[:, 0], k_max) for g in G]
+    fits = [_fit_order(window, g[:, 0]) for g in G] if fit else [None] * len(C)
     return residual, regular, index, fits
 
 
-def _fit_order(s: np.ndarray, g: np.ndarray, k_max: int) -> int | None:
+def _fit_order(s: np.ndarray, g: np.ndarray) -> int | None:
     """Lowest order whose fitted coefficient on the window ``s`` stands out."""
     scale = float(np.abs(g).max())
     if scale <= 1e-12:
         return None
     # Column j of the fit is s**j, so coefficient j estimates g^(j) r^j / j!.
-    V = np.vander(s, k_max + 1, increasing=True)
+    V = np.vander(s, MULTIPLICITY_K_MAX + 1, increasing=True)
     b, *_ = np.linalg.lstsq(V, g, rcond=None)
     orders = np.flatnonzero(np.abs(b[1:]) >= 1e-3 * scale)
     return int(orders[0]) + 1 if orders.size else None
@@ -347,20 +348,20 @@ def classify(field_or_economy, p):
     return (REGULAR if regular[0] else CRITICAL), int(index[0])
 
 
-def multiplicity_estimate(field_or_economy, p, k_max: int = MULTIPLICITY_K_MAX) -> int | None:
+def multiplicity_estimate(field_or_economy, p) -> int | None:
     """Order of the first non-vanishing chart derivative at a two-good zero.
 
-    Fits a degree-``k_max`` polynomial to the chart map on a small symmetric
-    window around the zero and reports the lowest order whose scaled
-    coefficient stands out from the local field magnitude.  Returns ``None``
-    when every tested order is below the noise threshold ("exceeds k_max"),
-    which is the signature of a flat, continuum-suspect zero.  ``1`` means
-    regular.
+    Fits a polynomial of degree ``MULTIPLICITY_K_MAX`` (8) to the chart map
+    on a small symmetric window around the zero and reports the lowest order
+    whose scaled coefficient stands out from the local field magnitude.
+    Returns ``None`` when every tested order is below the noise threshold
+    (the order exceeds ``MULTIPLICITY_K_MAX``), which is the signature of a
+    flat, continuum-suspect zero.  ``1`` means regular.
     """
     field = as_field(field_or_economy)
     if field.goods != 2:
         raise ValueError("multiplicity estimation is implemented for two goods only")
-    return _classify_rows(field, _chart_coords(p)[None, :1], k_max)[3][0]
+    return _classify_rows(field, _chart_coords(p)[None, :1], fit=True)[3][0]
 
 
 def continuum_detector(field_or_economy) -> ContinuumReport:
@@ -513,8 +514,7 @@ def _field_report(
     if kept:
         idx = conv_idx[kept]
         Z = C[idx]
-        k_max = MULTIPLICITY_K_MAX if field.goods == 2 else None
-        residual, regular, index, multiplicity = _classify_rows(field, Z, k_max)
+        residual, regular, index, multiplicity = _classify_rows(field, Z, field.goods == 2)
         joined = _join_flat_zeros(field, Z, res[idx], ~regular, cfg.newton_tol)
         merges += len(idx) - len(joined)
         P = chart_rows_embed(Z[joined])
@@ -539,14 +539,3 @@ def _field_report(
         dedup_merges=merges,
     )
     return EquilibriumReport(tuple(equilibria), stats, continuum_detector(field))
-
-
-def index_sum_check(report: EquilibriumReport) -> bool:
-    """True when the indices of an all-regular report sum to +1.
-
-    Refuses to certify reports containing critical zeros, whose index is
-    undefined without higher-order analysis.
-    """
-    if not report.all_regular:
-        raise ValueError("cannot certify the index sum: report contains critical zeros")
-    return report.index_sum == 1

@@ -157,31 +157,10 @@ def simplex_point(coords) -> PricePoint:
     return PricePoint(coords, SIMPLEX)
 
 
-def sphere_point(coords) -> PricePoint:
-    return PricePoint(coords, SPHERE)
-
-
 def simplex_to_sphere(p: PricePoint) -> PricePoint:
     """Radial projection of a simplex point onto the positive unit sphere."""
     c = p.simplex_coords()
     return PricePoint(c / np.linalg.norm(c), SPHERE)
-
-
-def sphere_to_simplex(p: PricePoint) -> PricePoint:
-    """Radial projection of a sphere point onto the unit simplex."""
-    c = p.sphere_coords()
-    return PricePoint(c / c.sum(), SIMPLEX)
-
-
-def chart_embed(c: ChartPoint) -> PricePoint:
-    """Inverse chart: append ``1 - sum(coords)`` as the last simplex coordinate."""
-    coords = np.append(c.coords, 1.0 - c.coords.sum())
-    return PricePoint(coords, SIMPLEX)
-
-
-def chart_project(p: PricePoint) -> ChartPoint:
-    """Chart map: the first ``l - 1`` simplex coordinates of ``p``."""
-    return ChartPoint(p.simplex_coords()[:-1])
 
 
 def tangent_project(p: PricePoint, v) -> TangentVector:
@@ -196,11 +175,6 @@ def tangent_project(p: PricePoint, v) -> TangentVector:
         raise ValueError("vector dimension must match the price dimension")
     w = v - (base.coords @ v) * base.coords
     return TangentVector(base, w)
-
-
-def boundary_margin(p: PricePoint) -> float:
-    """Distance of ``p`` to the simplex boundary: its smallest simplex coordinate."""
-    return float(p.simplex_coords().min())
 
 
 # --- raw-array helpers used by the vectorised evaluation core ---------------

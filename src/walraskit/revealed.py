@@ -145,14 +145,6 @@ def sarp_check(d: ObservationDataset) -> SarpResult:
     return SarpResult(False, tuple(witness))
 
 
-def sample_demand(c: Consumer, prices: list[PricePoint]) -> ObservationDataset:
-    """Observe the consumer's demanded bundle at each price."""
-    if not prices:
-        raise ValueError("at least one price is required")
-    P = np.vstack([p.coords for p in prices])
-    return ObservationDataset(P, demand_rows(c, P))
-
-
 @dataclass(frozen=True)
 class AuditReport:
     samples: int

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator, PchipInterpolator
+from scipy.spatial import QhullError
 
 
 class Scale:
@@ -145,7 +146,14 @@ def _build_interpolator(grid: np.ndarray, values: np.ndarray):
         return call
     # Scattered multi-dimensional data: piecewise-linear on the Delaunay
     # triangulation, nearest-value outside the convex hull.
-    lin = LinearNDInterpolator(grid, values)
+    try:
+        lin = LinearNDInterpolator(grid, values)
+    except QhullError as exc:
+        first = str(exc).strip().splitlines()[0]
+        raise ValueError(
+            f"sampled grid of {grid.shape[0]} points in {grid.shape[1]} chart "
+            f"dimensions cannot be triangulated ({first})"
+        ) from None
     near = NearestNDInterpolator(grid, values)
 
     def call(C):

@@ -44,6 +44,13 @@ def random_interior_prices(rng, n, goods, concentration=1.0):
     return rng.dirichlet(np.full(goods, concentration), size=n)
 
 
+def observed_demand(consumer, prices):
+    """Dataset of a constant-scale consumer's demand ``alpha_i (p . omega) / p_i``
+    at each price point."""
+    P = np.vstack([p.coords for p in prices])
+    return wk.ObservationDataset(P, consumer.alpha * (P @ consumer.endowment)[:, None] / P)
+
+
 def edgeworth_symmetric():
     return wk.Economy(
         (wk.Consumer([0.5, 0.5], [1.0, 0.0]), wk.Consumer([0.5, 0.5], [0.0, 1.0]))

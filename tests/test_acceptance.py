@@ -17,6 +17,7 @@ from walraskit.consumers import aed_rows
 from walraskit.equilibrium import DEDUP_RADIUS
 from support import (
     brute_force_sarp,
+    observed_demand,
     edgeworth_asymmetric,
     edgeworth_symmetric,
     oracle_basis_vectors,
@@ -155,13 +156,13 @@ def test_criterion_06_index_sum(edgeworth_reports, l2_reports):
     reports = list(edgeworth_reports) + list(l2_reports)
     for report in reports:
         assert report.all_regular
-        assert wk.index_sum_check(report) is True
+        assert report.index_check == "ok"
     checked = len(reports)
     for goods in (2, 3):
         for _ in range(50):
             report = wk.find_equilibria(random_economy(rng, goods, int(rng.integers(2, 6))))
             assert report.all_regular
-            assert wk.index_sum_check(report) is True
+            assert report.index_check == "ok"
             checked += 1
     _pass(6, f"index sum = +1 certified for {checked} all-regular reports")
 
@@ -187,12 +188,12 @@ def test_criterion_08_multiplicity_probe(continuum_economy):
     regular = wk.economy_field(edgeworth_symmetric())
     quadratic = wk.chart_field(lambda C: -((C - 0.5) ** 2), goods=2)
     cubic = wk.chart_field(lambda C: -((C - 0.5) ** 3), goods=2)
-    assert wk.multiplicity_estimate(regular, wk.ChartPoint([0.5]), k_max=8) == 1
-    assert wk.multiplicity_estimate(quadratic, wk.ChartPoint([0.5]), k_max=8) == 2
-    assert wk.multiplicity_estimate(cubic, wk.ChartPoint([0.5]), k_max=8) == 3
-    flat = wk.multiplicity_estimate(continuum_economy, wk.ChartPoint([0.5]), k_max=8)
+    assert wk.multiplicity_estimate(regular, wk.ChartPoint([0.5])) == 1
+    assert wk.multiplicity_estimate(quadratic, wk.ChartPoint([0.5])) == 2
+    assert wk.multiplicity_estimate(cubic, wk.ChartPoint([0.5])) == 3
+    flat = wk.multiplicity_estimate(continuum_economy, wk.ChartPoint([0.5]))
     assert flat is None
-    _pass(8, "multiplicities 1/2/3 recovered; flat zero exceeds k_max = 8")
+    _pass(8, "multiplicities 1/2/3 recovered; flat zero exceeds order 8")
 
 
 def test_criterion_09_sarp_suite():
@@ -206,7 +207,7 @@ def test_criterion_09_sarp_suite():
         prices = [
             wk.simplex_point(rng.dirichlet(np.full(goods, 2.0))) for _ in range(n_obs)
         ]
-        assert wk.sarp_check(wk.sample_demand(consumer, prices)).passed
+        assert wk.sarp_check(observed_demand(consumer, prices)).passed
 
     violation = wk.sarp_check(
         wk.ObservationDataset([[1, 1], [1, 2]], [[2, 0], [0, 2]])
@@ -220,7 +221,7 @@ def test_criterion_09_sarp_suite():
         if trial % 2 == 0:
             consumer = wk.Consumer(rng.dirichlet([3.0, 3.0]), rng.uniform(0.25, 2.0, 2))
             prices = [wk.simplex_point(rng.dirichlet([2.0, 2.0])) for _ in range(n)]
-            ds = wk.sample_demand(consumer, prices)
+            ds = observed_demand(consumer, prices)
         else:
             P = rng.uniform(0.5, 2.0, size=(n, 2))
             X = rng.dirichlet(np.ones(2), size=n) * rng.uniform(5, 15, size=(n, 1)) / P

@@ -6,7 +6,7 @@ import pytest
 
 import walraskit as wk
 from walraskit.cli import main
-from support import edgeworth_symmetric
+from support import edgeworth_symmetric, observed_demand
 
 ECONOMY = "goods: 2\nconsumers:\n- alpha: %s\n  endowment: %s\n"
 
@@ -114,6 +114,44 @@ class TestDecomposeAndRealize:
     def test_realize_without_source_exits_1(self, tmp_path):
         assert main(["realize", "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("goods", [2, 3, 4])
+    def test_realize_grid_needs_one_point_per_good(self, goods, tmp_path, capsys):
+        path = tmp_path / "economy.yaml"
+        alpha = np.full(goods, 1.0 / goods)
+        consumers = (wk.Consumer(alpha, np.ones(goods)), wk.Consumer(alpha, np.arange(1.0, goods + 1)))
+        wk.save_economy(path, wk.Economy(consumers))
+        for grid in range(1, goods):
+            out = tmp_path / f"out{grid}"
+            argv = ["realize", "--input", str(path), "--out", str(out), "--grid", str(grid)]
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err == [
+                f"input error: realisation needs a grid of at least {goods} points "
+                f"for {goods} goods, not {grid}"
+            ]
+            assert not (out / "report.txt").exists()
+        out = tmp_path / "enough"
+        assert main(["realize", "--input", str(path), "--out", str(out), "--grid", str(goods)]) == 0
+        assert (out / "realized_economy.yaml").exists()
+
+    def test_collinear_sampled_grid_exits_1(self, tmp_path, capsys):
+        # three goods: a two-dimensional chart grid on one line has no triangulation
+        path = tmp_path / "collinear.yaml"
+        path.write_text(
+            "goods: 3\n"
+            "consumers:\n"
+            "- alpha: [0.2, 0.3, 0.5]\n"
+            "  endowment: [1, 1, 1]\n"
+            "  scale: {type: sampled, grid: [[0.1, 0.1], [0.2, 0.2], [0.3, 0.3], [0.4, 0.4]],"
+            " values: [1, 2, 3, 4]}\n"
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: ")
+        assert "sampled grid of 4 points in 2 chart dimensions cannot be triangulated" in err[0]
+        assert not (out / "report.txt").exists()
+
 
 class TestPerturbAndExperiment:
     def test_perturb_solves_perturbed_field(self, tmp_path):
@@ -181,6 +219,17 @@ class TestPerturbAndExperiment:
         assert message in capsys.readouterr().err
         assert not (out / "report.txt").exists()
 
+    @pytest.mark.parametrize("basis", ["poly:x", "fourier:"])
+    def test_malformed_basis_names_the_flag(self, sym_file, tmp_path, capsys, basis):
+        out = tmp_path / "out"
+        argv = ["perturb", "--input", str(sym_file), "--out", str(out), "--epsilon", "1e-3", "--basis", basis]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"input error: --basis '{basis}': expected tilt, poly:DEG or fourier:TERMS "
+            "with an integer DEG or TERMS"
+        ]
+        assert not (out / "report.txt").exists()
+
 
 class TestSarpAndAudit:
     def test_sarp_violation_report(self, tmp_path, capsys):
@@ -195,7 +244,7 @@ class TestSarpAndAudit:
         c = wk.Consumer([0.4, 0.6], [1, 1])
         prices = [wk.simplex_point(rng.dirichlet([2, 2])) for _ in range(20)]
         path = tmp_path / "obs.csv"
-        wk.save_dataset(path, wk.sample_demand(c, prices))
+        wk.save_dataset(path, observed_demand(c, prices))
         out = tmp_path / "out"
         assert main(["sarp", "--input", str(path), "--out", str(out)]) == 0
         assert "SARP: pass" in (out / "report.txt").read_text()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import walraskit as wk
-from walraskit.consumers import aed_rows
+from walraskit.consumers import aed_rows, excess_rows
+from walraskit.decomposition import basis_matrix
 from support import (
     edgeworth_asymmetric,
     oracle_basis_vectors,
@@ -25,13 +26,13 @@ class TestBasisExcessDemands:
     def test_three_good_hand_value(self):
         fam = wk.CanonicalFamily([1 / 3, 1 / 3, 1 / 3], [1.0, 1.0, 1.0])
         p = wk.simplex_point([1 / 3, 1 / 3, 1 / 3])
-        z1 = wk.basis_excess_demands(fam, p)[0]
-        assert np.allclose(z1.components, [-2 / 3, 1 / 3, 1 / 3], atol=1e-12)
+        z1 = basis_matrix(fam, p.coords[None, :])[0][:, 0]
+        assert np.allclose(z1, [-2 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_two_good_hand_value(self, symmetric_family):
         p = wk.simplex_point([0.5, 0.5])
-        z1 = wk.basis_excess_demands(symmetric_family, p)[0]
-        assert np.allclose(z1.components, [-0.5, 0.5], atol=1e-15)
+        z1 = basis_matrix(symmetric_family, p.coords[None, :])[0][:, 0]
+        assert np.allclose(z1, [-0.5, 0.5], atol=1e-15)
 
     def test_matches_formula_oracle(self, rng):
         for goods in (2, 3, 4):
@@ -40,9 +41,7 @@ class TestBasisExcessDemands:
             )
             for _ in range(20):
                 p = wk.simplex_point(rng.dirichlet(np.ones(goods)))
-                Z = np.column_stack(
-                    [z.components for z in wk.basis_excess_demands(fam, p)]
-                )
+                Z = basis_matrix(fam, p.coords[None, :])[0]
                 expected = oracle_basis_vectors(fam.alpha, fam.endowment_levels, p.coords)
                 assert np.max(np.abs(Z - expected)) <= 1e-12
 
@@ -53,11 +52,10 @@ class TestBasisExcessDemands:
             )
             for _ in range(20):
                 p = wk.simplex_point(rng.dirichlet(np.ones(goods)))
-                for i, z in enumerate(wk.basis_excess_demands(fam, p)):
-                    comps = z.components
+                for i, comps in enumerate(basis_matrix(fam, p.coords[None, :])[0].T):
                     assert comps[i] < 0.0
                     assert np.all(np.delete(comps, i) > 0.0)
-                    assert abs(p.coords @ comps) <= 1e-10 * max(1.0, z.norm())
+                    assert abs(p.coords @ comps) <= 1e-10 * max(1.0, np.linalg.norm(comps))
 
     def test_basis_vectors_are_consumer_excess_demands(self, rng):
         # the canonical family's vectors are literally the excess demands of
@@ -65,9 +63,9 @@ class TestBasisExcessDemands:
         fam = wk.CanonicalFamily([0.2, 0.5, 0.3], [1.5, 1.0, 0.5])
         p = wk.simplex_point(rng.dirichlet(np.ones(3)))
         consumers = fam.consumers()
-        for i, z in enumerate(wk.basis_excess_demands(fam, p)):
-            direct = wk.excess_demand(consumers[i], p)
-            assert np.allclose(z.components, direct.components, atol=1e-12)
+        for i, z in enumerate(basis_matrix(fam, p.coords[None, :])[0].T):
+            direct = excess_rows(consumers[i], p.coords[None, :])[0]
+            assert np.allclose(z, direct, atol=1e-12)
 
 
 class TestPositiveKernel:
@@ -98,9 +96,7 @@ class TestPositiveKernel:
                 )
                 assert np.max(np.abs(kappa - expected)) <= 1e-9
                 # and it really is in the null space
-                Z = np.column_stack(
-                    [z.components for z in wk.basis_excess_demands(fam, p)]
-                )
+                Z = basis_matrix(fam, p.coords[None, :])[0]
                 assert np.linalg.norm(Z @ kappa) <= 1e-10 * kappa.max()
 
 
@@ -118,9 +114,9 @@ class TestDecomposeAt:
         w = wk.decompose_at(symmetric_family, target)
         # minimum-norm solution (-1, 1) shifted by t (1, 1) with t = 2
         assert np.allclose(w.mu, [1.0, 3.0], atol=1e-9)
-        # reconstruct through the consumer formulas as an oracle
-        Z = np.column_stack(
-            [z.components for z in wk.basis_excess_demands(symmetric_family, p)]
+        # reconstruct through the closed formula as an oracle
+        Z = oracle_basis_vectors(
+            symmetric_family.alpha, symmetric_family.endowment_levels, p.coords
         )
         assert np.linalg.norm(Z @ w.mu - target.components) <= 1e-10
 
@@ -152,7 +148,7 @@ class TestDecomposeAt:
 
     def test_rejects_non_tangent_target(self):
         # tangency is checked once, when the target vector is built
-        p = wk.sphere_point([0.6, 0.8])
+        p = wk.PricePoint([0.6, 0.8], "sphere")
         with pytest.raises(ValueError, match="tangent"):
             wk.TangentVector(p, np.array([1.0, 1.0]))
 
@@ -247,9 +243,11 @@ class TestRealizeEconomy:
         assert np.abs(realized.chart_values(C) - target.chart_values(C)).max() <= 1e-6
 
     def test_empty_grid_rejected(self, symmetric_family):
+        # fewer than l grid points cannot span the chart
         zero = wk.chart_field(lambda C: np.zeros_like(C), goods=2)
-        with pytest.raises(ValueError):
-            wk.realize_economy(symmetric_family, zero, [])
+        for grid in ([], [wk.simplex_point([0.3, 0.7])]):
+            with pytest.raises(ValueError, match=f"at least 2 points for 2 goods, not {len(grid)}"):
+                wk.realize_economy(symmetric_family, zero, grid)
 
     def test_non_finite_target_rejected(self, rng):
         bad = wk.chart_field(lambda C: np.where(C > 0.5, np.nan, 0.0), goods=3)

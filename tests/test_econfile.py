@@ -15,7 +15,7 @@ from walraskit.econfile import (
     write_witness_csv,
 )
 from walraskit.genericity import TrialRecord
-from support import edgeworth_asymmetric, random_interior_prices
+from support import edgeworth_asymmetric, observed_demand, random_interior_prices
 
 
 def mixed_economy():
@@ -127,7 +127,7 @@ class TestDatasetFiles:
     def test_round_trip(self, tmp_path, rng):
         c = wk.Consumer([0.4, 0.6], [1, 1])
         prices = [wk.simplex_point(rng.dirichlet([2, 2])) for _ in range(12)]
-        ds = wk.sample_demand(c, prices)
+        ds = observed_demand(c, prices)
         path = tmp_path / "obs.csv"
         wk.save_dataset(path, ds)
         ds2 = wk.load_dataset(path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import walraskit as wk
+from walraskit.geometry import chart_rows_embed
 
 
 class TestFrames:
@@ -29,21 +30,21 @@ class TestFrames:
         ],
     )
     def test_sphere_to_simplex(self, coords, expected):
-        p = wk.sphere_point(coords)
-        assert np.allclose(wk.sphere_to_simplex(p).coords, expected, atol=1e-15)
+        p = wk.PricePoint(coords, "sphere")
+        assert np.allclose(p.simplex_coords(), expected, atol=1e-15)
 
     def test_round_trip_identity(self, rng):
         for goods in (2, 3, 5):
             for _ in range(50):
                 p = wk.simplex_point(rng.dirichlet(np.ones(goods)))
-                back = wk.sphere_to_simplex(wk.simplex_to_sphere(p))
-                assert np.max(np.abs(back.coords - p.coords)) <= 1e-12
+                back = wk.simplex_to_sphere(p).simplex_coords()
+                assert np.max(np.abs(back - p.coords)) <= 1e-12
 
     def test_rejects_boundary_point(self):
         with pytest.raises(ValueError):
             wk.simplex_point([0.0, 1.0])
         with pytest.raises(ValueError):
-            wk.sphere_point([1.0, 0.0])
+            wk.PricePoint([1.0, 0.0], "sphere")
         with pytest.raises(ValueError):
             wk.simplex_point([-0.1, 1.1])
 
@@ -51,24 +52,24 @@ class TestFrames:
         with pytest.raises(ValueError):
             wk.simplex_point([0.5, 0.6])
         with pytest.raises(ValueError):
-            wk.sphere_point([0.5, 0.5])
+            wk.PricePoint([0.5, 0.5], "sphere")
 
 
 class TestChart:
     def test_embed_two_goods(self):
-        p = wk.chart_embed(wk.ChartPoint([0.3]))
-        assert np.allclose(p.coords, [0.3, 0.7], atol=1e-15)
+        p = chart_rows_embed(wk.ChartPoint([0.3]).coords)[0]
+        assert np.allclose(p, [0.3, 0.7], atol=1e-15)
 
     def test_embed_three_goods(self):
-        p = wk.chart_embed(wk.ChartPoint([0.2, 0.5]))
-        assert np.allclose(p.coords, [0.2, 0.5, 0.3], atol=1e-15)
+        p = chart_rows_embed(wk.ChartPoint([0.2, 0.5]).coords)[0]
+        assert np.allclose(p, [0.2, 0.5, 0.3], atol=1e-15)
 
     def test_round_trip(self, rng):
         for goods in (2, 3, 4):
             for _ in range(50):
                 p = wk.simplex_point(rng.dirichlet(np.ones(goods)))
-                c = wk.chart_project(p)
-                assert np.max(np.abs(wk.chart_embed(c).coords - p.coords)) <= 1e-12
+                c = wk.ChartPoint(p.simplex_coords()[:-1])
+                assert np.max(np.abs(chart_rows_embed(c.coords)[0] - p.coords)) <= 1e-12
 
     def test_rejects_exterior_chart_points(self):
         with pytest.raises(ValueError):
@@ -81,18 +82,18 @@ class TestChart:
 
 class TestTangent:
     def test_projecting_the_normal_gives_zero(self):
-        p = wk.sphere_point([np.sqrt(2) / 2, np.sqrt(2) / 2])
+        p = wk.PricePoint([np.sqrt(2) / 2, np.sqrt(2) / 2], "sphere")
         v = wk.tangent_project(p, p.coords)
         assert np.allclose(v.components, 0.0, atol=1e-15)
 
     def test_tangent_vector_is_unchanged(self):
-        p = wk.sphere_point([np.sqrt(2) / 2, np.sqrt(2) / 2])
+        p = wk.PricePoint([np.sqrt(2) / 2, np.sqrt(2) / 2], "sphere")
         v = wk.tangent_project(p, [1.0, -1.0])
         assert np.allclose(v.components, [1.0, -1.0], atol=1e-15)
 
     def test_hand_evaluated_projection(self):
         # v - (p.v) p with p = (0.6, 0.8), v = (1, 0): p.v = 0.6
-        p = wk.sphere_point([0.6, 0.8])
+        p = wk.PricePoint([0.6, 0.8], "sphere")
         v = wk.tangent_project(p, [1.0, 0.0])
         assert np.allclose(v.components, [0.64, -0.48], atol=1e-15)
 
@@ -106,20 +107,7 @@ class TestTangent:
                 assert np.max(np.abs(twice.components - once.components)) <= 1e-12
 
     def test_tangency_enforced(self):
-        p = wk.sphere_point([0.6, 0.8])
+        p = wk.PricePoint([0.6, 0.8], "sphere")
         for comps in ([1.0, 1.0], [np.nan, np.nan], [np.inf, 0.0]):
             with pytest.raises(ValueError, match="tangent"):
                 wk.TangentVector(p, np.array(comps))
-
-
-class TestBoundaryMargin:
-    @pytest.mark.parametrize(
-        "coords,expected",
-        [([0.5, 0.5], 0.5), ([0.2, 0.5, 0.3], 0.2), ([0.01, 0.99], 0.01)],
-    )
-    def test_values(self, coords, expected):
-        assert wk.boundary_margin(wk.simplex_point(coords)) == pytest.approx(expected)
-
-    def test_margin_of_sphere_point_uses_simplex_coords(self):
-        p = wk.sphere_point([0.6, 0.8])
-        assert wk.boundary_margin(p) == pytest.approx(3 / 7)

@@ -3,10 +3,22 @@ import pytest
 
 import walraskit as wk
 from walraskit.scales import scale_from_dict
+from support import random_economy
 
 
 def rows(*points):
     return np.asarray(points, dtype=float)
+
+
+def within_and_around(rng, nodes, n=300):
+    """Simplex price rows inside the hull of ``nodes`` (random convex
+    combinations), outside it (near the faces), and within 1e-6 of a face."""
+    inside = rng.dirichlet(np.full(len(nodes), 0.3), size=n) @ nodes
+    outside = rng.dirichlet(np.full(nodes.shape[1], 0.2), size=n)
+    on_face = rng.dirichlet(np.ones(nodes.shape[1]), size=n)
+    on_face[np.arange(n), rng.integers(nodes.shape[1], size=n)] = rng.uniform(1e-9, 1e-6, size=n)
+    on_face /= on_face.sum(axis=1, keepdims=True)
+    return np.vstack([inside, outside, on_face])
 
 
 class TestVocabulary:
@@ -34,7 +46,10 @@ class TestVocabulary:
         assert v[0] == pytest.approx(1.0 + 2.0)  # exp(1 - 1/(1-0)) = 1 at center
         assert v[1] == pytest.approx(1.0)        # outside the support
 
-    def test_sampled_stays_within_node_range(self):
+    def test_sampled_stays_within_node_range(self, rng):
+        # Positive nodes give a positive scale everywhere: no interpolant
+        # leaves the range of its node values.  One chart dimension: PCHIP
+        # between the nodes, held constant beyond them.
         grid = np.linspace(0.1, 0.9, 9)[:, None]
         values = 1.0 + np.sin(6 * grid[:, 0]) ** 2
         s = wk.SampledScale(grid, values)
@@ -45,6 +60,35 @@ class TestVocabulary:
         # exact at the nodes
         node_rows = np.column_stack([grid[:, 0], 1 - grid[:, 0]])
         assert np.allclose(s(node_rows), values, atol=1e-14)
+
+        # Two and three chart dimensions: linear on the Delaunay triangulation
+        # of random nodes, nearest value outside their hull.
+        for goods in (3, 4):
+            nodes = rng.dirichlet(np.ones(goods), size=40)
+            values = rng.uniform(0.5, 3.0, size=40)
+            s = wk.SampledScale(nodes[:, :-1], values)
+            probes = within_and_around(rng, nodes)
+            out = s(probes)
+            assert np.all(np.isfinite(out))
+            assert out.min() >= values.min() - 1e-12
+            assert out.max() <= values.max() + 1e-12
+
+        # The kernel_sampled ratios of a realised economy, recovered from the
+        # scale as scale * p_good * level / share.
+        for goods in (2, 3):
+            target = wk.economy_field(random_economy(rng, goods, 3))
+            if goods == 2:
+                nodes = np.column_stack([np.linspace(0.01, 0.99, 41), np.linspace(0.99, 0.01, 41)])
+            else:
+                nodes = rng.dirichlet(np.ones(goods), size=41)
+            grid = [wk.simplex_point(p) for p in nodes]
+            economy = wk.realize_economy(wk.CanonicalFamily.symmetric(goods), target, grid)
+            probes = within_and_around(rng, nodes)
+            for consumer in economy.consumers:
+                k = consumer.scale
+                ratio = k(probes) * probes[:, k.good] * k.level / k.share
+                assert ratio.min() >= k.values.min() * (1 - 1e-12)
+                assert ratio.max() <= k.values.max() * (1 + 1e-12)
 
     def test_sampled_rejects_nonpositive_values(self):
         grid = np.array([[0.2, 0.3], [0.5, 0.2], [0.3, 0.3]])
