@@ -14,6 +14,7 @@ the decomposition construction).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -102,6 +103,8 @@ def _decomposition_grid(goods: int, n: int, seed: int):
 
 
 def _cmd_decompose(args, out_dir: Path) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, not {args.grid}")
     economy = load_economy(args.input)
     family = CanonicalFamily.symmetric(economy.goods)
     grid = _decomposition_grid(economy.goods, args.grid, args.seed)
@@ -149,28 +152,20 @@ def _cmd_realize(args, out_dir: Path) -> int:
     return 0
 
 
+_BASES = {"tilt": "linear_tilt", "poly": "polynomial", "fourier": "random_fourier"}
+_BASIS_FLAG = re.compile(r"(tilt)|(poly|fourier)(?::([0-9]+))?")
+
+
 def _perturbation_spec(args) -> PerturbationSpec:
-    basis, degree, terms = "random_fourier", 3, 5
-    if args.basis:
-        parts = args.basis.split(":")
-        basis = {"tilt": "linear_tilt", "poly": "polynomial", "fourier": "random_fourier"}.get(
-            parts[0], parts[0]
+    match = _BASIS_FLAG.fullmatch(args.basis)
+    if match is None or match[3] is not None and int(match[3]) < 1:
+        raise ValueError(
+            f"--basis {args.basis!r}: expected tilt, poly:DEG or fourier:TERMS "
+            "with a positive integer DEG or TERMS"
         )
-        if len(parts) > 1:
-            try:
-                count = int(parts[1])
-            except ValueError:
-                raise ValueError(
-                    f"--basis {args.basis!r}: expected tilt, poly:DEG or fourier:TERMS "
-                    "with an integer DEG or TERMS"
-                ) from None
-            if basis == "polynomial":
-                degree = count
-            else:
-                terms = count
-    return PerturbationSpec(
-        epsilon=args.epsilon, basis=basis, degree=degree, terms=terms, seed=args.seed
-    )
+    kind = match[1] or match[2]
+    counts = {} if match[3] is None else {"degree" if kind == "poly" else "terms": int(match[3])}
+    return PerturbationSpec(epsilon=args.epsilon, basis=_BASES[kind], seed=args.seed, **counts)
 
 
 def _cmd_perturb(args, out_dir: Path) -> int:
@@ -228,6 +223,8 @@ def _cmd_sarp(args, out_dir: Path) -> int:
 
 
 def _cmd_audit(args, out_dir: Path) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, not {args.samples}")
     economy = load_economy(args.input)
     rng = np.random.default_rng(args.seed)
     prices = [

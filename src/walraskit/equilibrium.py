@@ -13,6 +13,9 @@ stays bounded at the faces where ``z`` grows like ``1/p_j``, and is affine
 in the chart for constant-scale Cobb-Douglas economies, so Newton takes
 few steps on it.  Convergence is judged on ``|z|`` either way, and other
 fields, including perturbed economy fields, are solved on ``z`` itself.
+Each Newton step is halved at most 10 times; a row stops when no shorter
+step improves its residual, or when the step no longer moves the point, and
+each point is evaluated once per step (``_newton_multistart``).
 
 Converged points are deduplicated, and all kept zeros of a field are
 classified from one evaluation of its chart map, on a few probe rows around
@@ -166,23 +169,24 @@ def _interior(C: np.ndarray) -> np.ndarray:
     return (C >= BOUNDARY_MARGIN).all(axis=1) & (1.0 - C.sum(axis=1) >= BOUNDARY_MARGIN)
 
 
-def _batched_jacobian(evaluate, C: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
-    n, d = C.shape
-    J = np.empty((n, d, d))
-    for j in range(d):
-        step = np.zeros((n, d))
-        step[:, j] = h
-        diff = evaluate(C + step, rows) - evaluate(C - step, rows)
-        J[:, :, j] = diff / (2.0 * h)[:, None]
-    return J
+def _batched_jacobian(evaluate, C: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobians at the rows of ``C``, one column per pair
+    of calls, with step ``JACOBIAN_STEP * max(1, |c|)`` per row."""
+    h = JACOBIAN_STEP * np.maximum(1.0, np.linalg.norm(C, axis=1))
+    columns = []
+    for e in np.eye(C.shape[1]):
+        step = h[:, None] * e
+        columns.append((evaluate(C + step, rows) - evaluate(C - step, rows)) / (2.0 * h)[:, None])
+    return np.stack(columns, axis=2)
 
 
-def _residual_norms(evaluate, C: np.ndarray, rows: np.ndarray, weighted: bool):
-    """Norms of the Newton map's full values and of the field's, from one
-    evaluation: the map is ``p * z`` when ``weighted``, else ``z`` itself."""
+def _newton_state(evaluate, C: np.ndarray, rows: np.ndarray, weighted: bool):
+    """The Newton map's chart values and the norms of its full values and of
+    the field's, from one evaluation: the map is ``p * z`` when ``weighted``,
+    else ``z`` itself."""
     P, Z = _full_rows(C, evaluate(C, rows))
-    norms = np.linalg.norm(Z, axis=1)
-    return (np.linalg.norm(P * Z, axis=1), norms) if weighted else (norms, norms)
+    W = P * Z if weighted else Z
+    return W[:, :-1], np.linalg.norm(W, axis=1), np.linalg.norm(Z, axis=1)
 
 
 def _newton_multistart(
@@ -192,18 +196,26 @@ def _newton_multistart(
 
     ``evaluate(C, rows)`` returns the chart values at the rows of ``C``; row
     ``k`` of ``C`` is an iterate of start ``rows[k]``, and ``rows`` is
-    ascending.  Every row follows its own iteration, independent of the
-    others in the batch.  With ``weighted`` the steps, damping and polishing
-    work on the price-weighted field ``w = p * z`` (chart part ``C * F``),
-    which has the same zeros and index signs in the open simplex and stays
-    bounded at its faces; convergence is judged on ``|z| <= newton_tol``
-    either way, from the same evaluations.  Returns per-row arrays: final
-    points, field residuals ``|z|``, and the converged, stalled and
-    exhausted masks and iteration counts.
+    ascending.  Each row follows its own iteration and carries one state:
+    its point, the Newton map's chart values there and the residual norms.
+    With ``weighted`` the map is the price-weighted field ``w = p * z``
+    (chart part ``C * F``), which has the same zeros and index signs in the
+    open simplex and stays bounded at its faces; convergence is judged on
+    ``|z| <= newton_tol`` either way, from the same evaluations.
+
+    The step is halved at most ``NEWTON_MAX_HALVINGS`` (10) times, until a
+    trial inside the boundary margin cuts the residual by ``1 - lambda / 2``.
+    A row stops when no shorter step improves its residual, or when the step
+    no longer moves the point (as a singular Jacobian's zero step does).
+    Each point is evaluated once per step: an accepted trial's values become
+    the row's state, a trial that rounds to the row's point is not evaluated
+    and one that rounds to the previous trial keeps its values.  Returns
+    per-row arrays: final points, field residuals ``|z|``, and the
+    converged, stalled and exhausted masks and iteration counts.
     """
     newton_map = (lambda C, rows: C * evaluate(C, rows)) if weighted else evaluate
     C = starts.copy()
-    res, zres = _residual_norms(evaluate, C, np.arange(len(C)), weighted)
+    G, res, zres = _newton_state(evaluate, C, np.arange(len(C)), weighted)
     # Points keep iterating while a damped step still improves the residual,
     # even past the convergence tolerance: the extra polishing drives the
     # offset of degenerate (critical) zeros toward zero, so classification at
@@ -218,51 +230,40 @@ def _newton_multistart(
         if idx.size == 0:
             break
         iterations[idx] += 1
-        Ca, ra = C[idx], res[idx]
-        F = newton_map(Ca, idx)
-        h = JACOBIAN_STEP * np.maximum(1.0, np.linalg.norm(Ca, axis=1))
-        J = _batched_jacobian(newton_map, Ca, idx, h)
-
+        J = _batched_jacobian(newton_map, C[idx], idx)
         dets = np.linalg.det(J)
         solvable = np.isfinite(dets) & (np.abs(dets) > 0.0)
-        delta = np.zeros_like(Ca)
-        if solvable.any():
-            delta[solvable] = np.linalg.solve(
-                J[solvable], F[solvable][..., None]
-            )[..., 0]
+        delta = np.zeros((idx.size, C.shape[1]))
+        delta[solvable] = np.linalg.solve(J[solvable], G[idx[solvable]][..., None])[..., 0]
 
-        # Damped step: halve until the residual drops enough or give up.
-        lam = np.ones(idx.size)
-        improved = np.zeros(idx.size, dtype=bool)
-        newC, newres, newz = Ca.copy(), ra.copy(), zres[idx]
-        for _halving in range(NEWTON_MAX_HALVINGS + 1):
-            rem = solvable & ~improved
-            if not rem.any():
-                break
-            rem_idx = np.flatnonzero(rem)
-            trial = Ca[rem] - lam[rem, None] * delta[rem]
-            tres = np.full(rem_idx.size, np.inf)
-            tz = tres.copy()
-            inside = _interior(trial)
-            if inside.any():
-                tres[inside], tz[inside] = _residual_norms(
-                    evaluate, trial[inside], idx[rem_idx[inside]], weighted
+        # A row halts unless one of its trials (``t*``) is accepted.
+        halted[idx], active[idx] = True, False
+        last, tG = C[idx], np.empty_like(delta)
+        tres, tz = np.empty(idx.size), np.empty(idx.size)
+        for k in range(NEWTON_MAX_HALVINGS + 1):
+            lam = 0.5**k
+            trial = C[idx] - lam * delta
+            # No shorter step moves a point that this one leaves in place.
+            pending = (trial != C[idx]).any(axis=1)
+            fresh = pending & (trial != last).any(axis=1)
+            tres[fresh] = np.inf
+            new = np.flatnonzero(fresh & _interior(trial))
+            if new.size:
+                tG[new], tres[new], tz[new] = _newton_state(
+                    evaluate, trial[new], idx[new], weighted
                 )
-            accept = tres <= (1.0 - 0.5 * lam[rem]) * ra[rem]
-            acc_idx = rem_idx[accept]
-            newC[acc_idx] = trial[accept]
-            newres[acc_idx] = tres[accept]
-            newz[acc_idx] = tz[accept]
-            improved[acc_idx] = True
-            lam[rem_idx[~accept]] *= 0.5
-
-        dead = ~improved
-        halted[idx[dead]] = True
-        active[idx[dead]] = False
-        C[idx], res[idx], zres[idx] = newC, newres, newz
-        # An exact zero cannot improve; without this its zero step would be
-        # accepted (0 <= 0) on every remaining iteration.
-        active[idx[newres == 0.0]] = False
+            accept = pending & (tres <= (1.0 - 0.5 * lam) * res[idx])
+            rows = idx[accept]
+            C[rows], G[rows] = trial[accept], tG[accept]
+            res[rows], zres[rows] = tres[accept], tz[accept]
+            # An exact zero stops here, not after one more Jacobian whose
+            # zero step would end it.
+            halted[rows], active[rows] = False, res[rows] > 0.0
+            keep = pending & ~accept
+            idx, delta, last = idx[keep], delta[keep], trial[keep]
+            tG, tres, tz = tG[keep], tres[keep], tz[keep]
+            if idx.size == 0:
+                break
 
     converged = zres <= cfg.newton_tol
     return C, zres, converged, halted & ~converged, active & ~converged, iterations

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import walraskit as wk
-from walraskit.cli import main
+from walraskit.cli import _perturbation_spec, build_parser, main
 from support import edgeworth_symmetric, observed_demand
 
 ECONOMY = "goods: 2\nconsumers:\n- alpha: %s\n  endowment: %s\n"
@@ -197,6 +197,20 @@ class TestPerturbAndExperiment:
         assert "finite_count: 6" in report
         assert "continuum detector fired" in report
 
+    @pytest.mark.parametrize(
+        "basis, kind, degree, terms",
+        [
+            ("tilt", "linear_tilt", 3, 5),
+            ("poly", "polynomial", 3, 5),
+            ("poly:2", "polynomial", 2, 5),
+            ("fourier:7", "random_fourier", 3, 7),
+        ],
+    )
+    def test_basis_spellings(self, basis, kind, degree, terms):
+        argv = ["perturb", "--input", "e.yaml", "--out", "out", "--epsilon", "1e-3", "--basis", basis]
+        spec = _perturbation_spec(build_parser().parse_args(argv))
+        assert (spec.basis, spec.degree, spec.terms) == (kind, degree, terms)
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
         "command, flag",
@@ -219,14 +233,29 @@ class TestPerturbAndExperiment:
         assert message in capsys.readouterr().err
         assert not (out / "report.txt").exists()
 
-    @pytest.mark.parametrize("basis", ["poly:x", "fourier:"])
+    @pytest.mark.parametrize(
+        "basis", ["poly:x", "fourier:", "poly:2:3", "tilt:7", "poly:0", "fourier:-3", "foo"]
+    )
     def test_malformed_basis_names_the_flag(self, sym_file, tmp_path, capsys, basis):
         out = tmp_path / "out"
         argv = ["perturb", "--input", str(sym_file), "--out", str(out), "--epsilon", "1e-3", "--basis", basis]
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"input error: --basis '{basis}': expected tilt, poly:DEG or fourier:TERMS "
-            "with an integer DEG or TERMS"
+            "with a positive integer DEG or TERMS"
+        ]
+        assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["audit", "--samples", "0"], "--samples"), (["decompose", "--grid", "0"], "--grid")],
+        ids=["audit-samples", "decompose-grid"],
+    )
+    def test_counts_below_one_name_the_flag(self, sym_file, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert main(argv + ["--input", str(sym_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"input error: {flag} must be at least 1, not 0"
         ]
         assert not (out / "report.txt").exists()
 

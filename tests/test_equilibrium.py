@@ -245,6 +245,48 @@ class TestPriceWeightedNewton:
         assert np.array_equal(converged, res <= cfg.newton_tol)
 
 
+class TestNewtonMultistart:
+    @pytest.mark.parametrize("case", ["weighted-economy", "perturbed-continuum"])
+    def test_no_point_is_evaluated_twice_in_succession(self, case, rng):
+        # An accepted trial is the row's next state, and a halved step that
+        # rounds to the previous trial keeps its values: neither is asked
+        # for again.  (A later step may propose an earlier point again.)
+        if case == "weighted-economy":
+            field = wk.economy_field(random_economy(rng, 3, 3))
+        else:
+            continuum = wk.build_continuum_economy((0.4, 0.6), grid=201)
+            field = wk.perturb(continuum, wk.PerturbationSpec(1e-3, terms=5, seed=3))
+        last, repeats = {}, []
+
+        def spy(C, rows):
+            for row, point in zip(rows.tolist(), map(tuple, C.tolist())):
+                if last.get(row) == point:
+                    repeats.append((row, point))
+                last[row] = point
+            return field.chart_values(C)
+
+        cfg = wk.SolverConfig()
+        starts = _start_grid(field.dim, cfg.grid_density)
+        converged = _newton_multistart(spy, starts, cfg, field.price_weighted)[2]
+        assert converged.any()
+        assert repeats == []
+
+    def test_zero_jacobian_stalls_every_start_after_one_iteration(self):
+        calls = []
+
+        def constant(C, rows):
+            calls.append(len(C))
+            return np.full_like(C, 0.25)
+
+        cfg = wk.SolverConfig()
+        starts = _start_grid(2, cfg.grid_density)
+        _, _, converged, stalled, exhausted, iterations = _newton_multistart(constant, starts, cfg)
+        assert stalled.all() and not converged.any() and not exhausted.any()
+        assert (iterations == 1).all()
+        # the starts, then two calls per Jacobian column; no zero step is tried
+        assert calls == [len(starts)] * 5
+
+
 class TestScanOracle:
     def test_solver_matches_dense_scan_on_cubic(self):
         field = cubic_field()
