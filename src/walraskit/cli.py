@@ -232,14 +232,14 @@ def _cmd_audit(args, out_dir: Path) -> int:
         for _ in range(args.samples)
     ]
     lines = [f"audit: {args.input}", f"samples per consumer: {args.samples}"]
-    all_passed = True
+    passed = []
     for k, consumer in enumerate(economy.consumers):
         kind = consumer.scale.to_dict()["type"]
         if isinstance(consumer.scale, ConstantScale):
             lines.append(f"consumer {k}: constant scale, skipped")
             continue
         report = scaled_field_audit(consumer, prices)
-        all_passed &= report.passed
+        passed.append(report.passed)
         lines.append(
             f"consumer {k}: scale={kind} "
             f"max |p.z| = {_fmt(report.max_walras_violation)}, "
@@ -247,7 +247,11 @@ def _cmd_audit(args, out_dir: Path) -> int:
             f"nonpositive-scale samples = {list(report.nonpositive_scale_samples)}, "
             f"{'PASS' if report.passed else 'FAIL'}"
         )
-    lines.append(f"audit result: {'PASS' if all_passed else 'FAIL'}")
+    if not passed:
+        verdict = "NOTHING AUDITED (every consumer has a constant scale)"
+    else:
+        verdict = "PASS" if all(passed) else "FAIL"
+    lines.append(f"audit result: {verdict}")
     _write_report(out_dir, lines)
     return 0
 

@@ -15,7 +15,14 @@ few steps on it.  Convergence is judged on ``|z|`` either way, and other
 fields, including perturbed economy fields, are solved on ``z`` itself.
 Each Newton step is halved at most 10 times; a row stops when no shorter
 step improves its residual, or when the step no longer moves the point, and
-each point is evaluated once per step (``_newton_multistart``).
+each point is evaluated once per step.  An iteration evaluates the field in
+at most ``2 d + 2`` calls over all rows (``d`` chart dimensions): ``2 d``
+for the Jacobian, one for the full steps and one for every remaining
+halving, unless more than a tenth of ``NEWTON_CALL_ROWS``, or of the
+phase's rows if more, need halvings.  A converged row that is still
+iterating stops once it lies within ``DEDUP_RADIUS`` of such a row of its
+field with a lower residual, and ends at that row's final point
+(``_newton_multistart``).
 
 Converged points are deduplicated, and all kept zeros of a field are
 classified from one evaluation of its chart map, on a few probe rows around
@@ -72,6 +79,11 @@ MULTIPLICITY_K_MAX = 8
 
 NEWTON_MAX_ITER = 60
 NEWTON_MAX_HALVINGS = 10
+# A call of the Newton phase evaluates at most this many trials, or as many
+# as the phase has rows when that is more: in a phase whose starts stall
+# most rows need all ten halvings, and one call for all of them would take
+# ten times the memory of the full steps.
+NEWTON_CALL_ROWS = 16_384
 DEDUP_RADIUS = 1e-6
 JOIN_RADIUS = 1e-4
 CONTINUUM_SCAN_POINTS = 2001
@@ -190,18 +202,22 @@ def _newton_state(evaluate, C: np.ndarray, rows: np.ndarray, weighted: bool):
 
 
 def _newton_multistart(
-    evaluate, starts: np.ndarray, cfg: SolverConfig, weighted: bool = False
+    evaluate,
+    starts: np.ndarray,
+    cfg: SolverConfig,
+    weighted: bool = False,
+    block: int | None = None,
 ):
     """Damped Newton from every start row, as one batch.
 
     ``evaluate(C, rows)`` returns the chart values at the rows of ``C``; row
     ``k`` of ``C`` is an iterate of start ``rows[k]``, and ``rows`` is
-    ascending.  Each row follows its own iteration and carries one state:
-    its point, the Newton map's chart values there and the residual norms.
-    With ``weighted`` the map is the price-weighted field ``w = p * z``
-    (chart part ``C * F``), which has the same zeros and index signs in the
-    open simplex and stays bounded at its faces; convergence is judged on
-    ``|z| <= newton_tol`` either way, from the same evaluations.
+    non-decreasing.  Each row follows its own iteration and carries one
+    state: its point, the Newton map's chart values there and the residual
+    norms.  With ``weighted`` the map is the price-weighted field
+    ``w = p * z`` (chart part ``C * F``), which has the same zeros and index
+    signs in the open simplex and stays bounded at its faces; convergence is
+    judged on ``|z| <= newton_tol`` either way, from the same evaluations.
 
     The step is halved at most ``NEWTON_MAX_HALVINGS`` (10) times, until a
     trial inside the boundary margin cuts the residual by ``1 - lambda / 2``.
@@ -209,9 +225,21 @@ def _newton_multistart(
     no longer moves the point (as a singular Jacobian's zero step does).
     Each point is evaluated once per step: an accepted trial's values become
     the row's state, a trial that rounds to the row's point is not evaluated
-    and one that rounds to the previous trial keeps its values.  Returns
-    per-row arrays: final points, field residuals ``|z|``, and the
-    converged, stalled and exhausted masks and iteration counts.
+    and one that rounds to the previous trial keeps its values.  An
+    iteration makes at most ``2 d + 2`` calls: ``2 d`` for the Jacobian, one
+    for the full step of every row and one for all the halvings of the rows
+    whose full step is neither accepted nor stopped.  No call evaluates more
+    than ``max(len(starts), NEWTON_CALL_ROWS)`` trials: the halvings of more
+    rows than a tenth of that take one call per such group of rows.
+
+    Rows that are still iterating and already converged are merged at the
+    top of every iteration: within each block of ``block`` rows (one field;
+    all rows by default), greedily in ascending residual, a row claims every
+    such row within ``DEDUP_RADIUS`` (``_dedup``'s rule).  A claimed row
+    stops and returns the final point and residual of the row that claimed
+    it, following chains of claims to their end.  Returns per-row arrays:
+    final points, field residuals ``|z|``, and the converged, stalled and
+    exhausted masks and iteration counts.
     """
     newton_map = (lambda C, rows: C * evaluate(C, rows)) if weighted else evaluate
     C = starts.copy()
@@ -224,49 +252,126 @@ def _newton_multistart(
     halted = ~np.isfinite(res)
     active = ~halted & (res > 0.0)
     iterations = np.zeros(len(C), dtype=np.int64)
+    owner = np.arange(len(C))
+    cap = max(len(C), NEWTON_CALL_ROWS)
 
     for _ in range(NEWTON_MAX_ITER):
+        _merge_converged(C, zres, active, owner, cfg.newton_tol, block or len(C))
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         iterations[idx] += 1
-        J = _batched_jacobian(newton_map, C[idx], idx)
-        dets = np.linalg.det(J)
-        solvable = np.isfinite(dets) & (np.abs(dets) > 0.0)
-        delta = np.zeros((idx.size, C.shape[1]))
-        delta[solvable] = np.linalg.solve(J[solvable], G[idx[solvable]][..., None])[..., 0]
-
-        # A row halts unless one of its trials (``t*``) is accepted.
+        took = _damped_step(evaluate, newton_map, idx, (C, G, res, zres), weighted, cap)
+        # A row halts unless one of its trials is accepted.  An exact zero
+        # stops here, not after one more Jacobian whose zero step would end it.
         halted[idx], active[idx] = True, False
-        last, tG = C[idx], np.empty_like(delta)
-        tres, tz = np.empty(idx.size), np.empty(idx.size)
-        for k in range(NEWTON_MAX_HALVINGS + 1):
-            lam = 0.5**k
-            trial = C[idx] - lam * delta
-            # No shorter step moves a point that this one leaves in place.
-            pending = (trial != C[idx]).any(axis=1)
-            fresh = pending & (trial != last).any(axis=1)
-            tres[fresh] = np.inf
-            new = np.flatnonzero(fresh & _interior(trial))
-            if new.size:
-                tG[new], tres[new], tz[new] = _newton_state(
-                    evaluate, trial[new], idx[new], weighted
-                )
-            accept = pending & (tres <= (1.0 - 0.5 * lam) * res[idx])
-            rows = idx[accept]
-            C[rows], G[rows] = trial[accept], tG[accept]
-            res[rows], zres[rows] = tres[accept], tz[accept]
-            # An exact zero stops here, not after one more Jacobian whose
-            # zero step would end it.
-            halted[rows], active[rows] = False, res[rows] > 0.0
-            keep = pending & ~accept
-            idx, delta, last = idx[keep], delta[keep], trial[keep]
-            tG, tres, tz = tG[keep], tres[keep], tz[keep]
-            if idx.size == 0:
-                break
+        halted[took], active[took] = False, res[took] > 0.0
 
+    # Each claim was made by a row still iterating, so chains end.
+    while (owner[owner] != owner).any():
+        owner = owner[owner]
+    C, zres = C[owner], zres[owner]
     converged = zres <= cfg.newton_tol
     return C, zres, converged, halted & ~converged, active & ~converged, iterations
+
+
+_FULL_STEP = np.ones(1)
+_HALVINGS = 0.5 ** np.arange(1, NEWTON_MAX_HALVINGS + 1)
+
+
+def _newton_direction(newton_map, C, G, rows) -> np.ndarray:
+    """The Newton steps ``J^-1 G`` at the rows of ``C``, zero where the
+    finite-difference Jacobian is singular or not finite."""
+    J = _batched_jacobian(newton_map, C, rows)
+    dets = np.linalg.det(J)
+    solvable = np.isfinite(dets) & (np.abs(dets) > 0.0)
+    delta = np.zeros_like(C)
+    delta[solvable] = np.linalg.solve(J[solvable], G[solvable][..., None])[..., 0]
+    return delta
+
+
+def _damped_step(evaluate, newton_map, rows, state: tuple, weighted: bool, cap: int):
+    """One damped Newton step from each of ``rows`` of the iterates
+    ``state``: their points ``C``, the Newton map's chart values ``G`` and
+    the residuals ``res`` and ``zres``.  Updates ``state`` in place on the
+    rows that accept a trial, and returns those rows.
+
+    The full step of every row is evaluated in one call, and then the
+    halvings of the rows it leaves pending, from the full step's trial, in
+    one call for every ``cap // NEWTON_MAX_HALVINGS`` of those rows.
+    """
+    C, G, res, zres = (a[rows] for a in state)
+    delta = _newton_direction(newton_map, C, G, rows)
+    hit, pending, trial, values = _first_accepted(
+        evaluate, C, delta, rows, _FULL_STEP, C, (G, res, zres), res, weighted
+    )
+    pending = np.flatnonzero(pending)
+    group = max(1, cap // NEWTON_MAX_HALVINGS)
+    for lo in range(0, pending.size, group):
+        p = pending[lo : lo + group]
+        hit[p], _, trial[p], halved = _first_accepted(
+            evaluate, C[p], delta[p], rows[p], _HALVINGS, trial[p],
+            tuple(v[p] for v in values), res[p], weighted,
+        )
+        for v, h in zip(values, halved):
+            v[p] = h
+    took = rows[hit]
+    for a, v in zip(state, (trial, *values)):
+        a[took] = v[hit]
+    return took
+
+
+def _merge_converged(C, zres, active, owner, tol: float, block: int) -> None:
+    """Stop the iterating rows that are converged and within ``DEDUP_RADIUS``
+    of a lower-residual such row of their block, recording it in ``owner``."""
+    cand = np.flatnonzero(active & (zres <= tol))
+    if cand.size < 2:
+        return
+    # Blocks lie one unit apart on an extra axis, beyond the radius.
+    X = np.column_stack([C[cand], cand // block])
+    cover = cand[_greedy_cover(X, np.argsort(zres[cand], kind="stable"), DEDUP_RADIUS, p=2)]
+    merged = cover != cand
+    owner[cand[merged]] = cover[merged]
+    active[cand[merged]] = False
+
+
+def _first_accepted(evaluate, C, delta, rows, lams, last, state, res, weighted: bool):
+    """Each row's first accepted trial ``C - lam * delta`` over the step
+    sizes ``lams``, with every trial evaluated in one call.
+
+    A row's trials end before the first that rounds to its point; a trial
+    that rounds to the one before it (``last`` for the first, with values
+    ``state``) keeps that trial's values, and one outside the boundary
+    margin has residual ``inf``.  Returns which rows accepted a trial, which
+    may go on to shorter steps (no trial accepted or ended), and per row the
+    accepted trial, else the last, with its values.
+    """
+    m, d = delta.shape
+    T = C[:, None, :] - lams[:, None] * delta[:, None, :]
+    # No shorter step moves a point that a longer one leaves in place.
+    live = np.logical_and.accumulate((T != C[:, None, :]).any(axis=2), axis=1)
+    fresh = live.copy()
+    fresh[:, 0] &= (T[:, 0] != last).any(axis=1)
+    fresh[:, 1:] &= (T[:, 1:] != T[:, :-1]).any(axis=2)
+    ask = fresh & _interior(T.reshape(-1, d)).reshape(fresh.shape)
+    G = np.empty_like(T)
+    R, Z = np.full((2, *fresh.shape), np.inf)
+    r, k = np.nonzero(ask)
+    if r.size:
+        G[r, k], R[r, k], Z[r, k] = _newton_state(evaluate, T[r, k], rows[r], weighted)
+    # Each trial takes the values of the latest fresh trial up to it, or
+    # ``state`` when there is none (-1).
+    src = np.maximum.accumulate(np.where(fresh, np.arange(lams.size), -1), axis=1)
+    i = np.arange(m)
+    tres = np.where(src >= 0, R[i[:, None], src], state[1][:, None])
+    accept = live & (tres <= (1.0 - 0.5 * lams) * res[:, None])
+    hit = accept.any(axis=1)
+    pos = np.where(hit, np.argmax(accept, axis=1), lams.size - 1)
+    j = src[i, pos]
+    values = (G[i, j], R[i, j], Z[i, j])
+    for v, s in zip(values, state):
+        v[j < 0] = s[j < 0]
+    return hit, live[:, -1] & ~hit, T[i, pos], values
 
 
 def _dedup(C: np.ndarray, res: np.ndarray, radius: float):
@@ -466,7 +571,9 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig) -> list:
         group = terms[first : first + chunk]
         try:
             evaluate = _stacked_map(base, group, n)
-            newton = _newton_multistart(evaluate, np.tile(starts, (len(group), 1)), cfg, weighted)
+            newton = _newton_multistart(
+                evaluate, np.tile(starts, (len(group), 1)), cfg, weighted, n
+            )
         except Exception as exc:  # noqa: BLE001 - each field then records its own error
             outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg)[0] for t in group]
             continue
@@ -486,7 +593,7 @@ def _stacked_map(base: TangentField, terms: list, n: int):
     def evaluate(C, rows):
         # A copy: the base chart map may return a view of its input.
         F = np.array(base.chart_values(C))
-        # ``rows`` is ascending, so each field's rows form one block.
+        # ``rows`` is sorted, so each field's rows form one block.
         bounds = np.searchsorted(rows, n * np.arange(len(terms) + 1))
         for term, lo, hi in zip(terms, bounds[:-1], bounds[1:]):
             if term is not None and hi > lo:

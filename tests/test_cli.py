@@ -312,6 +312,16 @@ class TestSarpAndAudit:
         assert "consumer 1: scale=polynomial" in report
         assert "audit result: PASS" in report
 
+    def test_audit_of_constant_scales_audits_nothing(self, sym_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["audit", "--input", str(sym_file), "--out", str(out)]) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        assert lines[-3:] == [
+            "consumer 0: constant scale, skipped",
+            "consumer 1: constant scale, skipped",
+            "audit result: NOTHING AUDITED (every consumer has a constant scale)",
+        ]
+
 
 def test_internal_assertion_exits_2(sym_file, tmp_path, monkeypatch, capsys):
     import walraskit.cli as cli_mod

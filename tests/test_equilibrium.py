@@ -36,6 +36,40 @@ def _nine_good_field():
     )
 
 
+def _newton_field(case, rng):
+    """A field on which Newton steps need halvings: a weighted three-good
+    economy (``"weighted-economy"``), the same perturbed (``"perturbed-economy"``),
+    or a perturbed continuum economy (``"perturbed-continuum"``)."""
+    if case == "perturbed-continuum":
+        continuum = wk.build_continuum_economy((0.4, 0.6), grid=201)
+        return wk.perturb(continuum, wk.PerturbationSpec(1e-3, terms=5, seed=3))
+    field = wk.economy_field(random_economy(rng, 3, 3))
+    if case == "perturbed-economy":
+        return wk.perturb(field, wk.PerturbationSpec(1e-3, seed=4))
+    return field
+
+
+def _one_call_per_step_size(evaluate, C, delta, rows, lams, last, state, res, weighted):
+    """``equilibrium._first_accepted`` as a loop with one call per step size."""
+    G, R, Z = (s.copy() for s in state)
+    T, hit, live = last.copy(), np.zeros(len(C), bool), np.ones(len(C), bool)
+    for lam in lams:
+        i = np.flatnonzero(live & ~hit)
+        trial = C[i] - lam * delta[i]
+        moves = (trial != C[i]).any(axis=1)
+        live[i[~moves]] = False
+        i, trial = i[moves], trial[moves]
+        fresh = (trial != T[i]).any(axis=1)
+        T[i] = trial
+        R[i[fresh]] = Z[i[fresh]] = np.inf
+        ask = fresh & equilibrium._interior(trial)
+        if ask.any():
+            j = i[ask]
+            G[j], R[j], Z[j] = equilibrium._newton_state(evaluate, trial[ask], rows[j], weighted)
+        hit[i] = R[i] <= (1.0 - 0.5 * lam) * res[i]
+    return hit, live & ~hit, T, (G, R, Z)
+
+
 class TestFindEquilibria:
     def test_symmetric_edgeworth(self, sym_edgeworth):
         report = wk.find_equilibria(sym_edgeworth)
@@ -171,19 +205,20 @@ class TestFindEquilibria:
             wk.continuum_detector(_nine_good_field())
 
 
+# Two-good chart fields with one degenerate zero, at 0.5, of the given order.
+DEGENERATE_ZEROS = [
+    (3, lambda C: -((C - 0.5) ** 3)),
+    (4, lambda C: (C - 0.5) ** 4 * (1.0 + C)),
+    (5, lambda C: 1e13 * (C - 0.5) ** 5),
+    (6, lambda C: (C - 0.5) ** 6 * (1.0 + C)),
+    (7, lambda C: -((C - 0.5) ** 7)),
+]
+
+
 class TestFlatZeroJoin:
     """Newton stops on either side of a degenerate zero; one zero is reported."""
 
-    @pytest.mark.parametrize(
-        "order, fn",
-        [
-            (3, lambda C: -((C - 0.5) ** 3)),
-            (4, lambda C: (C - 0.5) ** 4 * (1.0 + C)),
-            (5, lambda C: 1e13 * (C - 0.5) ** 5),
-            (6, lambda C: (C - 0.5) ** 6 * (1.0 + C)),
-            (7, lambda C: -((C - 0.5) ** 7)),
-        ],
-    )
+    @pytest.mark.parametrize("order, fn", DEGENERATE_ZEROS)
     def test_degenerate_zero_is_reported_once(self, order, fn):
         report = wk.find_equilibria(wk.chart_field(fn, goods=2))
         s = report.stats
@@ -220,8 +255,9 @@ class TestPriceWeightedNewton:
             assert (eq.regularity, eq.index) == ("regular", 1)
             assert np.abs(eq.price.coords - nullspace_price(e)).max() <= 1e-12
             assert s.converged == s.starts
-            # About 11 iterations per start on z at l = 4; at most 3.6 here.
-            assert s.newton_iterations <= 5 * s.starts
+            # About 11 iterations per start on z at l = 4.  Here every start
+            # converges in two, and then all but one stop, merged.
+            assert s.newton_iterations <= 2 * s.starts
 
     def test_only_economy_fields_are_weighted(self, sym_edgeworth):
         field = wk.economy_field(sym_edgeworth)
@@ -251,11 +287,7 @@ class TestNewtonMultistart:
         # An accepted trial is the row's next state, and a halved step that
         # rounds to the previous trial keeps its values: neither is asked
         # for again.  (A later step may propose an earlier point again.)
-        if case == "weighted-economy":
-            field = wk.economy_field(random_economy(rng, 3, 3))
-        else:
-            continuum = wk.build_continuum_economy((0.4, 0.6), grid=201)
-            field = wk.perturb(continuum, wk.PerturbationSpec(1e-3, terms=5, seed=3))
+        field = _newton_field(case, rng)
         last, repeats = {}, []
 
         def spy(C, rows):
@@ -270,6 +302,133 @@ class TestNewtonMultistart:
         converged = _newton_multistart(spy, starts, cfg, field.price_weighted)[2]
         assert converged.any()
         assert repeats == []
+
+    @pytest.mark.parametrize("case", ["weighted-economy", "perturbed-continuum"])
+    def test_an_iteration_makes_at_most_2d_plus_2_calls(self, case, rng):
+        # 2d for the Jacobian, one for every full step and one for every
+        # remaining halving, after the one call for the starts.
+        field = _newton_field(case, rng)
+        calls = []
+
+        def spy(C, rows):
+            calls.append(len(C))
+            return field.chart_values(C)
+
+        cfg = wk.SolverConfig()
+        starts = _start_grid(field.dim, cfg.grid_density)
+        converged, *_, iterations = _newton_multistart(spy, starts, cfg, field.price_weighted)[2:]
+        assert converged.any()
+        # Every pass of the loop advances the row with the most iterations.
+        passes = int(iterations.max())
+        assert len(calls) - 1 > 2 * field.dim * passes
+        assert len(calls) - 1 <= (2 * field.dim + 2) * passes
+
+    @pytest.mark.parametrize(
+        "order, fn",
+        DEGENERATE_ZEROS + [(None, None)],
+        ids=[f"order-{order}" for order, _ in DEGENERATE_ZEROS] + ["economy-l4"],
+    )
+    def test_merged_rows_end_at_the_point_of_a_row_not_merged(self, monkeypatch, order, fn, rng):
+        if fn is None:
+            field = wk.economy_field(constant_scale_economy(rng, 4, 3))
+        else:
+            field = wk.chart_field(fn, goods=2)
+        owners = []
+        merge = equilibrium._merge_converged
+
+        def spy(C, zres, active, owner, tol, block):
+            # One array, updated in place by every merge.
+            owners.append(owner)
+            merge(C, zres, active, owner, tol, block)
+
+        monkeypatch.setattr(equilibrium, "_merge_converged", spy)
+        cfg = wk.SolverConfig()
+        starts = _start_grid(field.dim, cfg.grid_density)
+        C, res, converged, *_ = _newton_multistart(
+            lambda C, rows: field.chart_values(C), starts, cfg, field.price_weighted
+        )
+        merged = owners[-1] != np.arange(len(C))
+        # Around the order-7 zero, rows creep toward it at one rate and
+        # never come within the merge radius of each other.
+        assert merged.any() == (order != 7)
+        assert converged[merged].all()
+        ends = {(tuple(c), r) for c, r in zip(C[~merged].tolist(), res[~merged].tolist())}
+        assert all((tuple(c), r) in ends for c, r in zip(C[merged].tolist(), res[merged].tolist()))
+
+    @pytest.mark.parametrize(
+        "case", ["weighted-economy", "perturbed-economy", "perturbed-continuum", "order-3"]
+    )
+    def test_one_call_per_ladder_matches_one_call_per_step_size(self, monkeypatch, case, rng):
+        if case == "order-3":
+            field = wk.chart_field(DEGENERATE_ZEROS[0][1], goods=2)
+        else:
+            field = _newton_field(case, rng)
+        cfg = wk.SolverConfig()
+        starts = _start_grid(field.dim, cfg.grid_density)
+
+        def run():
+            calls = []
+
+            def counted(C, rows):
+                calls.append(len(C))
+                return field.chart_values(C)
+
+            return _newton_multistart(counted, starts, cfg, field.price_weighted), calls
+
+        (fast, fast_calls) = run()
+        monkeypatch.setattr(equilibrium, "_first_accepted", _one_call_per_step_size)
+        (slow, slow_calls) = run()
+        for a, b in zip(fast, slow):
+            assert np.array_equal(a, b)
+        assert len(fast_calls) <= len(slow_calls)
+
+    def test_no_call_evaluates_more_trials_than_the_phase_has_rows(self, monkeypatch, rng):
+        # Without the floor of NEWTON_CALL_ROWS trials, the halvings of the
+        # 50 starts are split into calls of at most 50 trials, and every
+        # row ends where it ends when they are not.
+        field = _newton_field("perturbed-continuum", rng)
+        cfg = wk.SolverConfig()
+        starts = _start_grid(field.dim, cfg.grid_density)
+
+        def run():
+            calls = []
+
+            def counted(C, rows):
+                calls.append(len(C))
+                return field.chart_values(C)
+
+            return _newton_multistart(counted, starts, cfg), calls
+
+        whole, whole_calls = run()
+        monkeypatch.setattr(equilibrium, "NEWTON_CALL_ROWS", 0)
+        split, split_calls = run()
+        for a, b in zip(whole, split):
+            assert np.array_equal(a, b)
+        assert max(whole_calls) > len(starts) >= max(split_calls)
+
+    def test_a_trial_that_rounds_to_the_one_before_keeps_its_values(self):
+        # Below 0.5 the spacing of doubles is u: the steps 1.2u and 0.6u both
+        # round to 0.5 - u, and 0.3u rounds to 0.5 itself.
+        u = 0.5 - np.nextafter(0.5, 0.0)
+        C, delta = np.array([[0.5]]), np.array([[1.2 * u]])
+        calls = []
+
+        def constant(C, rows):
+            calls.append(C.copy())
+            return np.ones_like(C)
+
+        state = equilibrium._newton_state(constant, C, np.arange(1), False)
+        trial_res = equilibrium._newton_state(constant, C - u, np.arange(1), False)[1]
+        calls.clear()
+        # The trial's residual passes the bound 1 - 1/4 of the half step, not
+        # the bound 1 - 1/2 of the full step.
+        res = trial_res / 0.7
+        hit, pending, T, (_, R, _) = equilibrium._first_accepted(
+            constant, C, delta, np.arange(1), np.array([1.0, 0.5, 0.25]), C, state, res, False
+        )
+        assert hit.tolist() == [True] and pending.tolist() == [False]
+        assert T.tolist() == [[0.5 - u]] and R.tolist() == trial_res.tolist()
+        assert [c.tolist() for c in calls] == [[[0.5 - u]]]
 
     def test_zero_jacobian_stalls_every_start_after_one_iteration(self):
         calls = []

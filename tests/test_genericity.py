@@ -260,9 +260,9 @@ class TestStackedTrials:
         sizes = []
         original = eqm._newton_multistart
 
-        def spy(evaluate, starts, cfg, weighted):
+        def spy(evaluate, starts, cfg, weighted, block):
             sizes.append(len(starts))
-            return original(evaluate, starts, cfg, weighted)
+            return original(evaluate, starts, cfg, weighted, block)
 
         monkeypatch.setattr(eqm, "_newton_multistart", spy)
         self.check(
