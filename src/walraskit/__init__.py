@@ -37,6 +37,7 @@ from .equilibrium import (
     Equilibrium,
     EquilibriumReport,
     SolverConfig,
+    chart_jacobian,
     classify,
     continuum_detector,
     find_equilibria,
@@ -46,7 +47,6 @@ from .fields import (
     JacobianConsistencyError,
     TangentField,
     chart_field,
-    chart_jacobian,
     economy_field,
 )
 from .genericity import (

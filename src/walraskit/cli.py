@@ -47,10 +47,6 @@ from .scales import ConstantScale
 DEFAULT_SEED = 1729
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(grid_density=args.grid, newton_tol=args.tol)
-
-
 def _write_report(out_dir: Path, lines: list[str]) -> None:
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
 
@@ -86,7 +82,7 @@ def _report_equilibria(report, lines: list[str]) -> None:
 
 def _cmd_solve(args, out_dir: Path) -> int:
     economy = load_economy(args.input)
-    report = find_equilibria(economy, _solver_config(args))
+    report = find_equilibria(economy, SolverConfig(args.grid))
     write_equilibria_csv(out_dir / "equilibria.csv", report, economy.goods)
     lines = [f"solve: {args.input}", f"goods: {economy.goods}, consumers: {len(economy.consumers)}"]
     _report_equilibria(report, lines)
@@ -172,7 +168,7 @@ def _cmd_perturb(args, out_dir: Path) -> int:
     economy = load_economy(args.input)
     spec = _perturbation_spec(args)
     field = perturb(economy, spec)
-    report = find_equilibria(field, _solver_config(args))
+    report = find_equilibria(field, SolverConfig(args.grid))
     write_equilibria_csv(out_dir / "equilibria.csv", report, economy.goods)
     lines = [
         f"perturb: {args.input}",
@@ -186,8 +182,7 @@ def _cmd_perturb(args, out_dir: Path) -> int:
 def _cmd_experiment(args, out_dir: Path) -> int:
     economy = load_economy(args.input)
     spec = _perturbation_spec(args)
-    cfg = _solver_config(args)
-    result = genericity_experiment(economy, spec, args.trials, cfg)
+    result = genericity_experiment(economy, spec, args.trials, SolverConfig(args.grid))
     write_experiment_csv(out_dir / "experiment.csv", result)
     errors = [r for r in result.records if r.error is not None]
     lines = [
@@ -281,11 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if "grid" in flags:
             p.add_argument("--grid", type=int, default=50, help="grid density / point count")
-        if "solver" in flags:
-            p.add_argument("--tol", type=float, default=1e-11, help="solver residual tolerance")
 
     p = sub.add_parser("solve", help="locate and classify all equilibria")
-    common(p, "grid", "solver")
+    common(p, "grid")
 
     p = sub.add_parser("decompose", help="decompose the economy's excess demand over the canonical family")
     common(p, "seed", "grid")
@@ -303,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("perturb", help="perturb the excess demand and re-solve")
-    common(p, "seed", "grid", "solver")
+    common(p, "seed", "grid")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--basis", default="fourier:5", help="tilt | poly:DEG | fourier:TERMS")
 
     p = sub.add_parser("experiment", help="seeded perturbation experiment")
-    common(p, "seed", "grid", "solver")
+    common(p, "seed", "grid")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--basis", default="fourier:5")

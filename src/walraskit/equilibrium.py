@@ -22,7 +22,9 @@ halving, unless more than a tenth of ``NEWTON_CALL_ROWS``, or of the
 phase's rows if more, need halvings.  A converged row that is still
 iterating stops once it lies within ``DEDUP_RADIUS`` of such a row of its
 field with a lower residual, and ends at that row's final point
-(``_newton_multistart``).
+(``_newton_multistart``).  Every residual threshold is a constant times
+the field's scale ``sigma``, the largest finite ``|p * z|`` on the scan grid
+(``_scan``), so rescaling every endowment changes no answer.
 
 Converged points are deduplicated, and all kept zeros of a field are
 classified from one evaluation of its chart map, on a few probe rows around
@@ -43,10 +45,10 @@ says so.
 
 For two goods the order of the first non-vanishing chart derivative at a
 zero is estimated by a polynomial fit on a window of those probe rows
-(``multiplicity_estimate``).  ``classify`` and ``multiplicity_estimate`` are
-the one-zero case of the same evaluation.  A dense scan flags clusters of
-zeros (``continuum_detector``) -- no finite procedure can decide
-infinitude, so the detector is a heuristic with documented thresholds.
+(``multiplicity_estimate``).  ``classify``, ``multiplicity_estimate`` and
+``chart_jacobian`` are the one-zero case.  The scan flags clusters of zeros
+(``continuum_detector``) -- no finite procedure can decide infinitude, so
+the detector is a heuristic with documented thresholds.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from scipy.spatial import cKDTree
 
 from .fields import (
     JACOBIAN_STEP,
+    JacobianConsistencyError,
     TangentField,
     _chart_coords,
     _full_rows,
@@ -77,6 +80,9 @@ DET_RELATIVE_TOL = 1e-6
 BOUNDARY_MARGIN = 1e-4
 MULTIPLICITY_K_MAX = 8
 
+# Newton convergence, also the bound of the in-iteration merge and of the
+# flat-zero join's midpoint test, in units of the field's scale ``sigma``.
+NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 60
 NEWTON_MAX_HALVINGS = 10
 # A call of the Newton phase evaluates at most this many trials, or as many
@@ -95,14 +101,10 @@ CONTINUUM_RESIDUAL_TOL = 1e-9
 @dataclass(frozen=True)
 class SolverConfig:
     grid_density: int = 50
-    newton_tol: float = 1e-11
 
     def __post_init__(self):
         if not isinstance(self.grid_density, Integral) or self.grid_density < 2:
             raise ValueError("grid_density must be an integer of at least 2")
-        # Written so that NaN fails the check too.
-        if not 0.0 < self.newton_tol < np.inf:
-            raise ValueError("newton_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ def _newton_state(evaluate, C: np.ndarray, rows: np.ndarray, weighted: bool):
 def _newton_multistart(
     evaluate,
     starts: np.ndarray,
-    cfg: SolverConfig,
+    tol,
     weighted: bool = False,
     block: int | None = None,
 ):
@@ -217,7 +219,7 @@ def _newton_multistart(
     norms.  With ``weighted`` the map is the price-weighted field
     ``w = p * z`` (chart part ``C * F``), which has the same zeros and index
     signs in the open simplex and stays bounded at its faces; convergence is
-    judged on ``|z| <= newton_tol`` either way, from the same evaluations.
+    judged on ``|z| <= tol`` (one bound, or one per row) either way.
 
     The step is halved at most ``NEWTON_MAX_HALVINGS`` (10) times, until a
     trial inside the boundary margin cuts the residual by ``1 - lambda / 2``.
@@ -256,7 +258,7 @@ def _newton_multistart(
     cap = max(len(C), NEWTON_CALL_ROWS)
 
     for _ in range(NEWTON_MAX_ITER):
-        _merge_converged(C, zres, active, owner, cfg.newton_tol, block or len(C))
+        _merge_converged(C, zres, active, owner, tol, block or len(C))
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -271,7 +273,7 @@ def _newton_multistart(
     while (owner[owner] != owner).any():
         owner = owner[owner]
     C, zres = C[owner], zres[owner]
-    converged = zres <= cfg.newton_tol
+    converged = zres <= tol
     return C, zres, converged, halted & ~converged, active & ~converged, iterations
 
 
@@ -321,7 +323,7 @@ def _damped_step(evaluate, newton_map, rows, state: tuple, weighted: bool, cap: 
     return took
 
 
-def _merge_converged(C, zres, active, owner, tol: float, block: int) -> None:
+def _merge_converged(C, zres, active, owner, tol, block: int) -> None:
     """Stop the iterating rows that are converged and within ``DEDUP_RADIUS``
     of a lower-residual such row of their block, recording it in ``owner``."""
     cand = np.flatnonzero(active & (zres <= tol))
@@ -403,34 +405,34 @@ def _join_flat_zeros(
     return np.sort(order[np.unique(labels[order], return_index=True)[1]])
 
 
-def _classify_rows(field: TangentField, C: np.ndarray, fit: bool = False):
+def _classify_rows(field: TangentField, C: np.ndarray, sigma: float, fit: bool = False):
     """Residual norms, regular mask, indices and multiplicities of the zeros
     ``C``, from one evaluation of every probe row (``fields._probe_rows``).
 
-    The first row whose residual exceeds ``1e-9 * max(1, derivative scale)``
-    raises ``ValueError``.  Multiplicities are fitted on a window of
+    The first row whose residual exceeds ``1e-9 * sigma`` raises
+    ``ValueError``.  Multiplicities are fitted on a window of
     ``4 MULTIPLICITY_K_MAX + 1`` points when ``fit`` is set (two goods), else
     ``None``.
     """
     window = np.linspace(-1.0, 1.0, 4 * MULTIPLICITY_K_MAX + 1) if fit else None
-    residual, scale, J, consistent, G = _probe_rows(field, C, window)
-    bad = residual > 1e-9 * np.fmax(1.0, scale)
+    residual, J, consistent, G = _probe_rows(field, C, sigma, window)
+    bad = residual > 1e-9 * sigma
     if bad.any():
         res = residual[np.argmax(bad)]
         raise ValueError(f"point is not a zero of the field (residual {res:.3e})")
     d = field.dim
     det = np.linalg.det(J)
-    size = np.fmax(np.abs(J).max(axis=(1, 2)), scale)
+    size = np.fmax(np.abs(J).max(axis=(1, 2)), sigma)
     regular = consistent & ~(np.abs(det) <= DET_RELATIVE_TOL * size**d)
     index = np.where(regular, np.where((-1) ** d * det > 0, 1, -1), 0)
-    fits = [_fit_order(window, g[:, 0]) for g in G] if fit else [None] * len(C)
+    fits = [_fit_order(window, g[:, 0], sigma) for g in G] if fit else [None] * len(C)
     return residual, regular, index, fits
 
 
-def _fit_order(s: np.ndarray, g: np.ndarray) -> int | None:
+def _fit_order(s: np.ndarray, g: np.ndarray, sigma: float) -> int | None:
     """Lowest order whose fitted coefficient on the window ``s`` stands out."""
     scale = float(np.abs(g).max())
-    if scale <= 1e-12:
+    if scale <= 1e-12 * sigma:
         return None
     # Column j of the fit is s**j, so coefficient j estimates g^(j) r^j / j!.
     V = np.vander(s, MULTIPLICITY_K_MAX + 1, increasing=True)
@@ -446,11 +448,12 @@ def classify(field_or_economy, p):
     with a clearly nonzero determinant, and ``("critical", 0)`` otherwise
     (including when the finite-difference Jacobian is step-size dependent).
     Raises ``ValueError`` when ``p`` is not a zero.  This is the one-point
-    case of the rows core that classifies every zero of a solver report, and
-    evaluates the field once.
+    case of the rows core that classifies every zero of a solver report; it
+    evaluates the field on the scan grid, for ``sigma``, and on the probe rows.
     """
     field = as_field(field_or_economy)
-    _, regular, index, _ = _classify_rows(field, _chart_coords(p)[None, :])
+    C = _chart_coords(p)[None, :]
+    _, regular, index, _ = _classify_rows(field, C, _scan(field, [None])[0][0])
     return (REGULAR if regular[0] else CRITICAL), int(index[0])
 
 
@@ -462,12 +465,31 @@ def multiplicity_estimate(field_or_economy, p) -> int | None:
     whose scaled coefficient stands out from the local field magnitude.
     Returns ``None`` when every tested order is below the noise threshold
     (the order exceeds ``MULTIPLICITY_K_MAX``), which is the signature of a
-    flat, continuum-suspect zero.  ``1`` means regular.
+    flat, continuum-suspect zero.  ``1`` means regular.  Like
+    :func:`classify`, it evaluates the field twice.
     """
     field = as_field(field_or_economy)
     if field.goods != 2:
         raise ValueError("multiplicity estimation is implemented for two goods only")
-    return _classify_rows(field, _chart_coords(p)[None, :1], fit=True)[3][0]
+    C = _chart_coords(p)[None, :1]
+    return _classify_rows(field, C, _scan(field, [None])[0][0], fit=True)[3][0]
+
+
+def chart_jacobian(field_or_economy, c) -> np.ndarray:
+    """Central-difference Jacobian of a field's chart map at chart point ``c``.
+
+    Two estimates at steps ``h = 1e-6 * max(1, |c|)`` and ``h/2`` are
+    compared; a disagreement above ``1e-4`` relative plus ``1e-12 sigma``
+    raises :class:`JacobianConsistencyError`.  This is the one-point case of
+    the probe that classifies zeros, and evaluates the field twice.
+    """
+    field = as_field(field_or_economy)
+    _, J, consistent, _ = _probe_rows(field, _chart_coords(c)[None, :], _scan(field, [None])[0][0])
+    if not consistent[0]:
+        raise JacobianConsistencyError(
+            "finite-difference Jacobian is step-size dependent at this point"
+        )
+    return J[0]
 
 
 def continuum_detector(field_or_economy) -> ContinuumReport:
@@ -476,34 +498,48 @@ def continuum_detector(field_or_economy) -> ContinuumReport:
     The scan grid has about ``CONTINUUM_SCAN_POINTS`` points, at least 11 per
     chart axis, ``BOUNDARY_MARGIN`` from every face; in one dimension a
     cluster is a run of consecutive points.  Fires when at least 20 linked
-    scan points have full residual at most ``1e-9``; the witness is the chart
-    interval (two floats, for two goods) or the bounding box spanned by the
-    largest such cluster.  Raises ``ValueError`` when the grid would have
-    more than ``MAX_SCAN_POINTS`` points (seven or more goods).
+    scan points have full residual at most ``1e-9 sigma`` (``_scan``); the
+    witness is the chart interval (two floats, for two goods) or the
+    bounding box spanned by the largest such cluster.  Raises ``ValueError``
+    when the grid would have more than ``MAX_SCAN_POINTS`` points (seven or
+    more goods).
     """
-    field = as_field(field_or_economy)
-    per_dim = _scan_density(field.dim)
-    C = _start_grid(field.dim, per_dim)
-    hit = field.residual_norms(C) <= CONTINUUM_RESIDUAL_TOL
-    component = _largest_grid_cluster(C, hit, (1.0 - 2 * BOUNDARY_MARGIN) / (per_dim - 1))
-    fired = component.size >= CONTINUUM_RUN_REQUIRED
-    box = None
-    if fired:
-        lo, hi = C[component].min(axis=0), C[component].max(axis=0)
-        box = (float(lo[0]), float(hi[0])) if field.dim == 1 else (lo, hi)
-    return ContinuumReport(fired, box, int(hit.sum()))
+    return _scan(as_field(field_or_economy), [None])[0][1]
 
 
-def _scan_density(dim: int) -> int:
-    """Points per chart axis of the continuum scan grid; ``ValueError`` when
-    its ``per_dim**dim`` grid would exceed ``MAX_SCAN_POINTS``."""
+def _scan_grid(dim: int) -> tuple:
+    """The continuum scan grid and its spacing; ``ValueError`` when its
+    ``per_dim**dim`` grid would exceed ``MAX_SCAN_POINTS``."""
     per_dim = max(11, int(round(CONTINUUM_SCAN_POINTS ** (1.0 / dim))))
     if per_dim**dim > MAX_SCAN_POINTS:
         raise ValueError(
             f"continuum scan grid of {per_dim}^{dim} points is too large "
             f"(limit {MAX_SCAN_POINTS} points)"
         )
-    return per_dim
+    return _start_grid(dim, per_dim), (1.0 - 2 * BOUNDARY_MARGIN) / (per_dim - 1)
+
+
+def _scan(base: TangentField, terms: list) -> list:
+    """``(sigma, ContinuumReport)`` of ``base`` plus each chart-map term, from
+    one evaluation of the scan grid for all; ``sigma`` is 0 with no finite row."""
+    C, spacing = _scan_grid(base.dim)
+    m = len(C)
+    stacked = np.tile(C, (len(terms), 1))
+    P, Z = _full_rows(stacked, _stacked_map(base, terms, m)(stacked, np.arange(len(stacked))))
+    zres = np.linalg.norm(Z, axis=1).reshape(len(terms), m)
+    wres = np.linalg.norm(P * Z, axis=1).reshape(len(terms), m)
+    out = []
+    for z, w in zip(zres, wres):
+        sigma = float(w[np.isfinite(w)].max(initial=0.0))
+        hit = z <= CONTINUUM_RESIDUAL_TOL * sigma
+        component = _largest_grid_cluster(C, hit, spacing)
+        fired = component.size >= CONTINUUM_RUN_REQUIRED
+        box = None
+        if fired:
+            lo, hi = C[component].min(axis=0), C[component].max(axis=0)
+            box = (float(lo[0]), float(hi[0])) if base.dim == 1 else (lo, hi)
+        out.append((sigma, ContinuumReport(fired, box, int(hit.sum()))))
+    return out
 
 
 def _largest_grid_cluster(C: np.ndarray, hit: np.ndarray, spacing: float) -> np.ndarray:
@@ -532,15 +568,14 @@ def _linked_components(X: np.ndarray, radius: float, keep=None) -> np.ndarray:
 def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> EquilibriumReport:
     """Locate, deduplicate, and classify the zeros of an excess-demand field.
 
-    The one-field case of the solve pipeline: damped Newton iteration runs
-    from a regular chart grid and stays ``BOUNDARY_MARGIN`` from every face,
-    on ``p * z`` for an economy's field and on the field itself otherwise;
-    converged points, those with full field residual ``|z|`` at most
-    ``newton_tol``, are merged within ``1e-6`` and classified, and critical
-    zeros within ``1e-4`` whose midpoint is a zero too are joined (both
-    merges counted in ``dedup_merges``).  Non-convergence of individual starts is
-    reported in the statistics, not raised.  The continuum detector runs
-    alongside and sets ``finite_flag``.
+    The one-field case of the solve pipeline: the continuum scan gives
+    ``sigma`` and ``finite_flag``; damped Newton iteration runs from a regular
+    chart grid and stays ``BOUNDARY_MARGIN`` from every face, on ``p * z``
+    for an economy's field and on the field itself otherwise; points with
+    ``|z| <= NEWTON_TOL * sigma`` are merged within ``1e-6`` and classified in
+    one call, and critical zeros within ``1e-4`` whose midpoint is a zero are
+    joined (both merges counted in ``dedup_merges``).  Non-convergence of
+    individual starts is reported in the statistics, not raised.
     """
     report = _solve(as_field(field_or_economy), [None], config or SolverConfig())[0]
     if isinstance(report, Exception):
@@ -552,35 +587,41 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig) -> list:
     """The report of ``base`` plus each chart-map term (``None``: no term),
     or the exception that its solve raised.
 
-    The Newton phase runs over up to ``MAX_STARTS`` stacked rows at a time;
-    each row follows the iteration of its own field's solve.  A chunk whose
-    phase raises is solved again one field at a time.
+    Chunks of ``MAX_STARTS // max(starts, scan points)`` fields are scanned
+    in one call, for ``sigma``, then run one Newton phase over their stacked
+    start rows.  A chunk that raises is solved again one field at a time.
     """
-    if cfg.grid_density**base.dim > MAX_STARTS:
-        message = (
-            f"start grid of {cfg.grid_density}^{base.dim} points is too large; "
-            f"lower grid_density (limit {MAX_STARTS} starts)"
-        )
-        return [ValueError(message)] * len(terms)
+    try:
+        if cfg.grid_density**base.dim > MAX_STARTS:
+            raise ValueError(
+                f"start grid of {cfg.grid_density}^{base.dim} points is too large; "
+                f"lower grid_density (limit {MAX_STARTS} starts)"
+            )
+        points = len(_scan_grid(base.dim)[0])
+    except ValueError as exc:
+        return [exc] * len(terms)
     starts = _start_grid(base.dim, cfg.grid_density)
     n = len(starts)
     weighted = base.price_weighted and all(term is None for term in terms)
-    chunk = max(1, MAX_STARTS // max(1, n))
+    chunk = max(1, MAX_STARTS // max(n, points))
     outcomes = []
     for first in range(0, len(terms), chunk):
         group = terms[first : first + chunk]
         try:
+            scans = _scan(base, group)
+            tol = np.repeat([NEWTON_TOL * sigma for sigma, _ in scans], n)
             evaluate = _stacked_map(base, group, n)
             newton = _newton_multistart(
-                evaluate, np.tile(starts, (len(group), 1)), cfg, weighted, n
+                evaluate, np.tile(starts, (len(group), 1)), tol, weighted, n
             )
         except Exception as exc:  # noqa: BLE001 - each field then records its own error
             outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg)[0] for t in group]
             continue
-        for t, term in enumerate(group):
+        for t, (term, scan) in enumerate(zip(group, scans)):
             try:
                 field = _with_term(base, term)
-                outcomes.append(_field_report(field, newton, slice(t * n, (t + 1) * n), cfg))
+                rows = slice(t * n, (t + 1) * n)
+                outcomes.append(_field_report(field, newton, rows, *scan))
             except Exception as exc:  # noqa: BLE001 - per-field isolation is the contract
                 outcomes.append(exc)
     return outcomes
@@ -604,16 +645,13 @@ def _stacked_map(base: TangentField, terms: list, n: int):
 
 
 def _field_report(
-    field: TangentField, newton: tuple, rows: slice, cfg: SolverConfig
+    field: TangentField, newton: tuple, rows: slice, sigma: float, continuum: ContinuumReport
 ) -> EquilibriumReport:
-    """The report on ``field`` from its start rows ``rows`` of a Newton phase:
-    deduplication, classification, the flat-zero join, statistics and the
-    continuum scan.
-
-    The kept zeros are classified together, so the field is evaluated once
-    for all of them and once for the continuum scan (and once for the join,
-    when two critical zeros are within ``JOIN_RADIUS``).
-    """
+    """The report on ``field`` (scale ``sigma``, continuum report
+    ``continuum``) from its start rows ``rows`` of a Newton phase:
+    deduplication, one classification call for all kept zeros, the flat-zero
+    join (one call more when two critical zeros are within ``JOIN_RADIUS``)
+    and statistics."""
     C, res, converged, stalled, exhausted, iterations = (a[rows] for a in newton)
     conv_idx = np.flatnonzero(converged)
     kept, merges = _dedup(C[conv_idx], res[conv_idx], DEDUP_RADIUS)
@@ -622,8 +660,8 @@ def _field_report(
     if kept:
         idx = conv_idx[kept]
         Z = C[idx]
-        residual, regular, index, multiplicity = _classify_rows(field, Z, field.goods == 2)
-        joined = _join_flat_zeros(field, Z, res[idx], ~regular, cfg.newton_tol)
+        residual, regular, index, multiplicity = _classify_rows(field, Z, sigma, field.goods == 2)
+        joined = _join_flat_zeros(field, Z, res[idx], ~regular, NEWTON_TOL * sigma)
         merges += len(idx) - len(joined)
         P = chart_rows_embed(Z[joined])
         equilibria = [
@@ -633,7 +671,7 @@ def _field_report(
                 residual=float(residual[i]),
                 regularity=REGULAR if regular[i] else CRITICAL,
                 index=int(index[i]),
-                multiplicity=multiplicity[i] if residual[i] <= 1e-9 else None,
+                multiplicity=multiplicity[i],
             )
             for j, i in enumerate(joined)
         ]
@@ -646,4 +684,4 @@ def _field_report(
         newton_iterations=int(iterations.sum()),
         dedup_merges=merges,
     )
-    return EquilibriumReport(tuple(equilibria), stats, continuum_detector(field))
+    return EquilibriumReport(tuple(equilibria), stats, continuum)

@@ -32,7 +32,7 @@ from .geometry import (
 
 # Finite-difference Jacobians step by ``JACOBIAN_STEP * max(1, |c|)``; the
 # estimates at that step and at half of it must agree within
-# ``JACOBIAN_CONSISTENCY_TOL`` relative.
+# ``JACOBIAN_CONSISTENCY_TOL`` relative, plus 1e-12 of the field's scale.
 JACOBIAN_STEP = 1e-6
 JACOBIAN_CONSISTENCY_TOL = 1e-4
 
@@ -137,57 +137,37 @@ def _chart_coords(c) -> np.ndarray:
     return np.atleast_1d(np.asarray(c, dtype=float))
 
 
-def _probe_rows(field: TangentField, C: np.ndarray, window: np.ndarray | None = None):
+def _probe_rows(field: TangentField, C: np.ndarray, sigma: float, window=None):
     """Probe the chart map around every chart row ``c`` of ``C``, in one call.
 
-    The rows probed are ``c``; ``c +- r e_j`` with ``r = min(0.02, margin/2)``
-    (``margin``: the distance to the nearest face); ``c +- h e_j`` and
-    ``c +- (h/2) e_j`` with ``h = 1e-6 * max(1, |c|)``; and ``c + r s`` for
-    each ``s`` in ``window``, if given.  Returns per row: the full residual
-    norm; the derivative scale ``max |value| / r`` over ``c`` and its ``r``
-    stencil (0 when ``r <= 0``); the Jacobian at step ``h/2``; whether it
-    agrees with the one at step ``h``; and the values on the window.
+    The rows probed are ``c``; ``c +- h e_j`` and ``c +- (h/2) e_j`` with
+    ``h = 1e-6 * max(1, |c|)``; and ``c + r s`` for each ``s`` in ``window``,
+    if given, with ``r = min(0.02, margin/2)`` (``margin``: the distance to
+    the nearest face).  Returns per row: the full residual norm; the
+    Jacobian at step ``h/2``; whether it agrees with the one at step ``h``,
+    relative to its size plus ``1e-12 sigma`` (``sigma``: the field's scale);
+    and the values on the window.
     """
     m, d = C.shape
-    r = np.minimum(0.02, 0.5 * np.minimum(C.min(axis=1), 1.0 - C.sum(axis=1)))
     h = JACOBIAN_STEP * np.maximum(1.0, np.linalg.norm(C, axis=1))
-    # Per point, d rows for each step: +r, -r, +h, -h, +h/2, -h/2.
-    steps = np.stack([r, -r, h, -h, h / 2.0, -h / 2.0], axis=1)
+    # Per point, d rows for each step: +h, -h, +h/2, -h/2.
+    steps = np.stack([h, -h, h / 2.0, -h / 2.0], axis=1)
     offsets = (steps[:, :, None, None] * np.eye(d)).reshape(m, -1, d)
     blocks = [C[:, None, :], C[:, None, :] + offsets]
     if window is not None:
+        r = np.minimum(0.02, 0.5 * np.minimum(C.min(axis=1), 1.0 - C.sum(axis=1)))
         blocks.append(C[:, None, :] + (r[:, None] * window)[:, :, None])
     rows = np.concatenate(blocks, axis=1)
     V = field.chart_values(rows.reshape(-1, d)).reshape(rows.shape)
 
     residual = np.linalg.norm(_full_rows(C, V[:, 0])[1], axis=1)
-    near = np.abs(V[:, : 1 + 2 * d]).max(axis=(1, 2))
-    scale = np.divide(near, r, out=np.zeros(m), where=r > 0.0)
     # J[i, s, k, j] = (F_k(c + h_s e_j) - F_k(c - h_s e_j)) / 2 h_s, where h_s
-    # is h or h/2 (the step columns 2 and 4).
-    pm = V[:, 1 + 2 * d : 1 + 6 * d].reshape(m, 2, 2, d, d)
-    J = (pm[:, :, 0] - pm[:, :, 1]).swapaxes(2, 3) / (2.0 * steps[:, 2::2])[:, :, None, None]
+    # is h or h/2 (the step columns 0 and 2).
+    pm = V[:, 1 : 1 + 4 * d].reshape(m, 2, 2, d, d)
+    J = (pm[:, :, 0] - pm[:, :, 1]).swapaxes(2, 3) / (2.0 * steps[:, 0::2])[:, :, None, None]
     size = np.abs(J).max(axis=(1, 2, 3))
-    # The absolute floor keeps an exactly (or numerically) flat field from
-    # tripping the check: both estimates are then noise around zero.
-    floor = 1e-12 * np.fmax(1.0, scale)
+    # The floor keeps an exactly (or numerically) flat field from tripping
+    # the check: both estimates are then noise around zero.
     spread = np.abs(J[:, 0] - J[:, 1]).max(axis=(1, 2))
-    consistent = ~(spread > JACOBIAN_CONSISTENCY_TOL * size + floor)
-    return residual, scale, J[:, 1], consistent, V[:, 1 + 6 * d :]
-
-
-def chart_jacobian(field_or_economy, c) -> np.ndarray:
-    """Central-difference Jacobian of a field's chart map at chart point ``c``.
-
-    Two estimates at steps ``h = 1e-6 * max(1, |c|)`` and ``h/2`` are
-    compared; a relative disagreement above ``1e-4`` raises
-    :class:`JacobianConsistencyError`.  This is the one-point case of the
-    probe that classifies zeros, and evaluates the chart map once.
-    """
-    field = as_field(field_or_economy)
-    _, _, J, consistent, _ = _probe_rows(field, _chart_coords(c)[None, :])
-    if not consistent[0]:
-        raise JacobianConsistencyError(
-            "finite-difference Jacobian is step-size dependent at this point"
-        )
-    return J[0]
+    consistent = ~(spread > JACOBIAN_CONSISTENCY_TOL * size + 1e-12 * sigma)
+    return residual, J[:, 1], consistent, V[:, 1 + 4 * d :]

@@ -84,12 +84,6 @@ class PricePoint:
             return self.coords
         return self.coords / self.coords.sum()
 
-    def sphere_coords(self) -> np.ndarray:
-        """Coordinates of this point in the sphere frame."""
-        if self.frame == SPHERE:
-            return self.coords
-        return self.coords / np.linalg.norm(self.coords)
-
 
 @dataclass(frozen=True)
 class ChartPoint:

@@ -215,23 +215,33 @@ class TestPerturbAndExperiment:
     @pytest.mark.parametrize(
         "command, flag",
         [
-            (["solve"], "--tol"),
-            (["perturb", "--epsilon", "1e-3"], "--tol"),
             (["perturb"], "--epsilon"),
             (["experiment", "--trials", "2"], "--epsilon"),
         ],
-        ids=["solve-tol", "perturb-tol", "perturb-epsilon", "experiment-epsilon"],
+        ids=["perturb-epsilon", "experiment-epsilon"],
     )
     def test_non_finite_numbers_exit_1(self, sym_file, tmp_path, capsys, command, flag, value):
-        message = {
-            "--tol": "newton_tol must be finite and positive",
-            "--epsilon": "epsilon must be finite and non-negative",
-        }[flag]
+        message = "epsilon must be finite and non-negative"
         out = tmp_path / "out"
         argv = command + ["--input", str(sym_file), "--out", str(out), flag, value]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["solve"], ["perturb", "--epsilon", "1e-3"], ["experiment", "--epsilon", "1e-3", "--trials", "2"]],
+        ids=["solve", "perturb", "experiment"],
+    )
+    def test_there_is_no_tolerance_flag(self, sym_file, tmp_path, capsys, command):
+        # Every residual threshold is relative to the field's own scale.
+        out = tmp_path / "out"
+        argv = command + ["--input", str(sym_file), "--out", str(out), "--tol", "1e-10"]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "basis", ["poly:x", "fourier:", "poly:2:3", "tilt:7", "poly:0", "fourier:-3", "foo"]

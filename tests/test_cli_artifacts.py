@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import walraskit as wk
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_artifacts.py"
 
@@ -64,3 +67,25 @@ def test_a_changed_answer_fails(tmp_path, changed, named):
     done = compare(tmp_path / "old", tmp_path / "new")
     assert done.returncode == 1
     assert any(line.startswith(f"CHANGED {named}: changed") for line in done.stdout.splitlines())
+
+
+def test_rescaled_economies_are_written_and_solved(tmp_path):
+    # ``invocations`` writes the inputs under the working directory.
+    code = (
+        "import runpy\n"
+        f"ns = runpy.run_path({str(TOOL)!r})\n"
+        "print('\\n'.join(' '.join(argv) for argv in ns['invocations'](301)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    listed = done.stdout.splitlines()
+    sources = {"economy0": "solve/economy0.yaml", "continuum": "experiment/continuum/realized_economy.yaml"}
+    for name, source in sources.items():
+        base = wk.load_economy(tmp_path / source)
+        for factor in ("1e-8", "1e8"):
+            stem = f"rescaled/{name}-x{factor}"
+            assert f"solve --input {stem}.yaml --out {stem}" in listed
+            copy = wk.load_economy(tmp_path / f"{stem}.yaml")
+            for a, b in zip(base.consumers, copy.consumers):
+                np.testing.assert_allclose(b.endowment, a.endowment * float(factor), rtol=1e-15)
+                assert (b.alpha.tolist(), b.scale.to_dict()) == (a.alpha.tolist(), a.scale.to_dict())

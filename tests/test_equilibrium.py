@@ -16,6 +16,7 @@ from walraskit.equilibrium import (
     DEDUP_RADIUS,
     DET_RELATIVE_TOL,
     JOIN_RADIUS,
+    NEWTON_TOL,
     _dedup,
     _field_report,
     _largest_grid_cluster,
@@ -34,6 +35,11 @@ def _nine_good_field():
     return wk.economy_field(
         wk.Economy((wk.Consumer(alphas, np.eye(9)[0]), wk.Consumer(alphas, 1.0 - np.eye(9)[0])))
     )
+
+
+def _tol(field):
+    """The Newton tolerance of ``field``: ``NEWTON_TOL`` times its scale."""
+    return NEWTON_TOL * equilibrium._scan(field, [None])[0][0]
 
 
 def _newton_field(case, rng):
@@ -155,14 +161,12 @@ class TestFindEquilibria:
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             wk.SolverConfig(grid_density=0)
-        with pytest.raises(ValueError):
-            wk.SolverConfig(newton_tol=-1.0)
         for density in (1, 2.5, True):
             with pytest.raises(ValueError, match="grid_density must be an integer of at least 2"):
                 wk.SolverConfig(grid_density=density)
-        for tol in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="newton_tol must be finite and positive"):
-                wk.SolverConfig(newton_tol=tol)
+        # The tolerance is NEWTON_TOL times the field's scale, not a setting.
+        with pytest.raises(TypeError, match="newton_tol"):
+            wk.SolverConfig(newton_tol=1e-10)
         assert wk.SolverConfig(grid_density=np.int64(2)).grid_density == 2
 
     @pytest.mark.parametrize(
@@ -231,8 +235,8 @@ class TestFlatZeroJoin:
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3])
     def test_close_zeros_with_a_nonzero_midpoint_stay_apart(self, scale):
-        # zeros 5e-5 apart; the field is -6.25e-10 * scale between them, which
-        # at scale 1e-3 is below newton_tol, but both zeros are regular
+        # zeros 5e-5 apart, both regular; the field is -6.25e-10 * scale
+        # between them, far above NEWTON_TOL * sigma at either scale
         field = wk.chart_field(lambda C: scale * (C - 0.5) * (C - 0.50005), goods=2)
         report = wk.find_equilibria(field)
         charts = [float(eq.chart[0]) for eq in report.equilibria]
@@ -273,12 +277,13 @@ class TestPriceWeightedNewton:
         field = wk.economy_field(sym_edgeworth)
         cfg = wk.SolverConfig()
         starts = _start_grid(1, cfg.grid_density)
+        tol = _tol(field)
         C, res, converged, *_ = _newton_multistart(
-            lambda C, rows: field.chart_values(C), starts, cfg, weighted=True
+            lambda C, rows: field.chart_values(C), starts, tol, weighted=True
         )
         assert 0 < converged.sum() < len(C)
         assert np.allclose(res, field.residual_norms(C), rtol=1e-12, atol=0.0)
-        assert np.array_equal(converged, res <= cfg.newton_tol)
+        assert np.array_equal(converged, res <= tol)
 
 
 class TestNewtonMultistart:
@@ -299,7 +304,7 @@ class TestNewtonMultistart:
 
         cfg = wk.SolverConfig()
         starts = _start_grid(field.dim, cfg.grid_density)
-        converged = _newton_multistart(spy, starts, cfg, field.price_weighted)[2]
+        converged = _newton_multistart(spy, starts, _tol(field), field.price_weighted)[2]
         assert converged.any()
         assert repeats == []
 
@@ -316,7 +321,9 @@ class TestNewtonMultistart:
 
         cfg = wk.SolverConfig()
         starts = _start_grid(field.dim, cfg.grid_density)
-        converged, *_, iterations = _newton_multistart(spy, starts, cfg, field.price_weighted)[2:]
+        converged, *_, iterations = _newton_multistart(
+            spy, starts, _tol(field), field.price_weighted
+        )[2:]
         assert converged.any()
         # Every pass of the loop advances the row with the most iterations.
         passes = int(iterations.max())
@@ -345,7 +352,7 @@ class TestNewtonMultistart:
         cfg = wk.SolverConfig()
         starts = _start_grid(field.dim, cfg.grid_density)
         C, res, converged, *_ = _newton_multistart(
-            lambda C, rows: field.chart_values(C), starts, cfg, field.price_weighted
+            lambda C, rows: field.chart_values(C), starts, _tol(field), field.price_weighted
         )
         merged = owners[-1] != np.arange(len(C))
         # Around the order-7 zero, rows creep toward it at one rate and
@@ -365,6 +372,7 @@ class TestNewtonMultistart:
             field = _newton_field(case, rng)
         cfg = wk.SolverConfig()
         starts = _start_grid(field.dim, cfg.grid_density)
+        tol = _tol(field)
 
         def run():
             calls = []
@@ -373,7 +381,7 @@ class TestNewtonMultistart:
                 calls.append(len(C))
                 return field.chart_values(C)
 
-            return _newton_multistart(counted, starts, cfg, field.price_weighted), calls
+            return _newton_multistart(counted, starts, tol, field.price_weighted), calls
 
         (fast, fast_calls) = run()
         monkeypatch.setattr(equilibrium, "_first_accepted", _one_call_per_step_size)
@@ -389,6 +397,7 @@ class TestNewtonMultistart:
         field = _newton_field("perturbed-continuum", rng)
         cfg = wk.SolverConfig()
         starts = _start_grid(field.dim, cfg.grid_density)
+        tol = _tol(field)
 
         def run():
             calls = []
@@ -397,7 +406,7 @@ class TestNewtonMultistart:
                 calls.append(len(C))
                 return field.chart_values(C)
 
-            return _newton_multistart(counted, starts, cfg), calls
+            return _newton_multistart(counted, starts, tol), calls
 
         whole, whole_calls = run()
         monkeypatch.setattr(equilibrium, "NEWTON_CALL_ROWS", 0)
@@ -439,7 +448,9 @@ class TestNewtonMultistart:
 
         cfg = wk.SolverConfig()
         starts = _start_grid(2, cfg.grid_density)
-        _, _, converged, stalled, exhausted, iterations = _newton_multistart(constant, starts, cfg)
+        _, _, converged, stalled, exhausted, iterations = _newton_multistart(
+            constant, starts, NEWTON_TOL
+        )
         assert stalled.all() and not converged.any() and not exhausted.any()
         assert (iterations == 1).all()
         # the starts, then two calls per Jacobian column; no zero step is tried
@@ -697,55 +708,49 @@ class TestGrouping:
 
 class _Reference:
     """The per-zero classification path, one field evaluation per probe set:
-    the not-a-zero check, the derivative scale, the Jacobians at steps h and
+    the field's scale, the not-a-zero check, the Jacobians at steps h and
     h/2, the determinant rule and the two-good window fit."""
 
     def __init__(self, field, c, k_max=8):
-        self.field, self.top = field, 0.0
+        self.field = field
         c = np.asarray(c, dtype=float)
         d = c.size
+        sigma = self.sigma = self.scale()
         self.residual = float(field.residual_norms(c[None, :])[0])
-        if self.residual > 1e-9 * max(1.0, self.derivative_scale(c)):
+        if self.residual > 1e-9 * sigma:
             raise ValueError("point is not a zero of the field")
         h = JACOBIAN_STEP * max(1.0, float(np.linalg.norm(c)))
         J1 = self.fd_jacobian(c, h)
         J2 = self.fd_jacobian(c, h / 2.0)
         size = max(np.abs(J1).max(), np.abs(J2).max())
-        floor = 1e-12 * max(1.0, self.derivative_scale(c))
-        consistent = not np.abs(J1 - J2).max() > JACOBIAN_CONSISTENCY_TOL * size + floor
+        consistent = not np.abs(J1 - J2).max() > JACOBIAN_CONSISTENCY_TOL * size + 1e-12 * sigma
         self.jacobian = J2 if consistent else None
         self.regularity, self.index = "critical", 0
         if consistent:
             det = float(np.linalg.det(J2))
-            size = max(float(np.abs(J2).max()), self.derivative_scale(c))
+            size = max(float(np.abs(J2).max()), sigma)
             if not abs(det) <= DET_RELATIVE_TOL * size**d:
                 self.regularity, self.index = "regular", 1 if (-1) ** d * det > 0 else -1
-        self.multiplicity = self.fit(float(c[0]), k_max) if d == 1 else None
+        self.multiplicity = self.fit(float(c[0]), k_max, sigma) if d == 1 else None
 
-    def values(self, rows):
-        vals = self.field.chart_values(rows)
-        self.top = max(self.top, float(np.abs(vals).max()))
-        return vals
-
-    def derivative_scale(self, c, radius=0.02):
-        d = c.size
-        r = min(radius, 0.5 * min(float(c.min()), float(1.0 - c.sum())))
-        if r <= 0.0:
-            return 0.0
-        vals = self.values(np.vstack([c[None, :], c + r * np.eye(d), c - r * np.eye(d)]))
-        return float(np.abs(vals).max() / r)
+    def scale(self):
+        """The largest finite |p * z| on the continuum scan grid."""
+        C = equilibrium._scan_grid(self.field.dim)[0]
+        P, Z = self.field.full_values(C)
+        W = np.linalg.norm(P * Z, axis=1)
+        return float(W[np.isfinite(W)].max())
 
     def fd_jacobian(self, c, h):
         d = c.size
-        vals = self.values(np.vstack([c + h * np.eye(d), c - h * np.eye(d)]))
+        vals = self.field.chart_values(np.vstack([c + h * np.eye(d), c - h * np.eye(d)]))
         return (vals[:d] - vals[d:]).T / (2.0 * h)
 
-    def fit(self, c0, k_max):
+    def fit(self, c0, k_max, sigma):
         r = min(0.02, 0.5 * min(c0, 1.0 - c0))
         s = np.linspace(-1.0, 1.0, 4 * k_max + 1)
-        g = self.window = self.values((c0 + r * s)[:, None])[:, 0]
+        g = self.window = self.field.chart_values((c0 + r * s)[:, None])[:, 0]
         scale = float(np.abs(g).max())
-        if scale <= 1e-12:
+        if scale <= 1e-12 * sigma:
             return None
         b, *_ = np.linalg.lstsq(np.vander(s, k_max + 1, increasing=True), g, rcond=None)
         for m in range(1, k_max + 1):
@@ -766,7 +771,7 @@ def _synthetic_fields():
         lambda C: np.zeros_like(C),
         lambda C: np.abs(C - 0.5) ** 1.3,
         # J at h and h/2 differ by about 1e-11: consistent only through the
-        # floor that grows with the derivative scale
+        # floor that grows with the field's scale
         lambda C: 1e13 * (C - 0.5) ** 5,
     )
     return [wk.chart_field(fn, goods=2) for fn in maps] + [cubic_field()]
@@ -779,9 +784,7 @@ def _reference_fields(rng):
         for _ in range(2):
             e = random_economy(rng, goods, 3)
             for factor in (1.0, 1e6):
-                # Excess demand is homogeneous of degree 1 in endowments, so
-                # the solver tolerance scales with them.
-                cfg = wk.SolverConfig(grid_density=12 if goods == 4 else 50, newton_tol=1e-11 * factor)
+                cfg = wk.SolverConfig(grid_density=12 if goods == 4 else 50)
                 out.append((wk.economy_field(_scaled(e, factor)), cfg))
     base = wk.build_continuum_economy((0.4, 0.6), grid=201)
     bases = (("linear_tilt", 1e-3), ("polynomial", 1e-2), ("random_fourier", 1e-3), ("random_fourier", 1e-4))
@@ -797,7 +800,7 @@ class TestClassifyRows:
 
     def check(self, field, c, eq=None):
         ref = _Reference(field, c)
-        tol = 1e-13 * ref.top
+        tol = 1e-13 * ref.sigma
         assert wk.classify(field, c) == (ref.regularity, ref.index)
         if ref.jacobian is None:
             with pytest.raises(wk.JacobianConsistencyError):
@@ -808,11 +811,11 @@ class TestClassifyRows:
         if field.goods == 2:
             assert wk.multiplicity_estimate(field, c) == ref.multiplicity
             window = np.linspace(-1.0, 1.0, 33)
-            G = fields._probe_rows(field, np.atleast_2d(c), window)[4]
+            G = fields._probe_rows(field, np.atleast_2d(c), equilibrium._scan(field, [None])[0][0], window)[3]
             assert np.array_equal(G[0, :, 0], ref.window)
         if eq is not None:
             assert (eq.regularity, eq.index) == (ref.regularity, ref.index)
-            assert eq.multiplicity == (ref.multiplicity if ref.residual <= 1e-9 else None)
+            assert eq.multiplicity == ref.multiplicity
             assert abs(eq.residual - ref.residual) <= tol
 
     def test_matches_the_per_zero_path(self, rng):
@@ -825,7 +828,7 @@ class TestClassifyRows:
             n = len(C)
             mask = np.ones(n, dtype=bool)
             newton = (C, np.zeros(n), mask, ~mask, ~mask, np.zeros(n, dtype=np.int64))
-            shifted = _field_report(field, newton, slice(None), cfg)
+            shifted = _field_report(field, newton, slice(None), *equilibrium._scan(field, [None])[0])
             for eq in report.equilibria + shifted.equilibria:
                 self.check(field, eq.chart, eq)
                 seen += 1
@@ -840,9 +843,9 @@ class TestClassifyRows:
         field = wk.chart_field(lambda C: 1e-3 * ((C > 0.4) + (C > 0.6)), goods=2)
         C = np.array([[0.3], [0.5], [0.7]])
         with pytest.raises(ValueError, match=r"not a zero of the field \(residual 1\.414e-03\)"):
-            equilibrium._classify_rows(field, C)
+            equilibrium._classify_rows(field, C, equilibrium._scan(field, [None])[0][0])
 
-    def test_report_evaluates_the_field_twice(self):
+    def test_report_evaluates_the_field_once(self):
         for fn, n_zeros in ((lambda C: 0.5 - C, 1), (lambda C: -(C - 0.3) * (C - 0.5) * (C - 0.7), 3)):
             calls = []
 
@@ -851,11 +854,56 @@ class TestClassifyRows:
                 return fn(C)
 
             field = wk.chart_field(counted, goods=2)
-            cfg = wk.SolverConfig()
-            starts = _start_grid(1, cfg.grid_density)
-            newton = _newton_multistart(lambda C, rows: field.chart_values(C), starts, cfg)
+            sigma, continuum = equilibrium._scan(field, [None])[0]
+            starts = _start_grid(1, wk.SolverConfig().grid_density)
+            newton = _newton_multistart(
+                lambda C, rows: field.chart_values(C), starts, NEWTON_TOL * sigma
+            )
             calls.clear()
-            report = _field_report(field, newton, slice(None), cfg)
+            report = _field_report(field, newton, slice(None), sigma, continuum)
             assert len(report.equilibria) == n_zeros
-            # one probe evaluation for all zeros, one continuum scan
-            assert len(calls) == 2
+            # one probe evaluation for all zeros
+            assert len(calls) == 1
+
+
+class TestEvaluationCount:
+    """A solve evaluates the field in one scan call, its Newton phase, one
+    probe call for all zeros and, when two critical zeros are close, one
+    join call."""
+
+    @pytest.mark.parametrize(
+        "case, zeros, join",
+        [("cubic", 3, False), ("order-3", 2, True), ("economy-l3", 1, False)],
+    )
+    def test_find_equilibria(self, monkeypatch, case, zeros, join, rng):
+        if case == "economy-l3":
+            base = wk.economy_field(random_economy(rng, 3, 3))
+        else:
+            base = cubic_field() if case == "cubic" else wk.chart_field(DEGENERATE_ZEROS[0][1], goods=2)
+        calls, newton_calls = [], []
+
+        def counted(C):
+            calls.append(len(C))
+            return base.chart_values(C)
+
+        field = dataclasses.replace(base, chart_fn=counted)
+        phase = equilibrium._newton_multistart
+
+        def spy(*args):
+            first = len(calls)
+            out = phase(*args)
+            newton_calls.append(calls[first:])
+            return out
+
+        monkeypatch.setattr(equilibrium, "_newton_multistart", spy)
+        report = wk.find_equilibria(field)
+        d = field.dim
+        scan = len(equilibrium._scan_grid(d)[0])
+        probe = 1 + 4 * d + (33 if d == 1 else 0)
+        (newton,) = newton_calls
+        assert len(newton) > 1
+        rest = calls[1 + len(newton) :]
+        assert calls[0] == scan
+        assert rest[0] == zeros * probe
+        assert len(rest) == 1 + join
+        assert len(report.equilibria) == zeros - join

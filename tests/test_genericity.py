@@ -255,8 +255,9 @@ class TestStackedTrials:
     def test_chunk_boundaries(self, monkeypatch, continuum_economy):
         import walraskit.equilibrium as eqm
 
-        # 50 starts per trial and room for 120 rows: chunks of 2, 2 and 1 trials.
-        monkeypatch.setattr(eqm, "MAX_STARTS", 120)
+        # 2001 scan points and 50 starts per trial, and room for 4100 rows:
+        # chunks of 2, 2 and 1 trials.
+        monkeypatch.setattr(eqm, "MAX_STARTS", 4100)
         sizes = []
         original = eqm._newton_multistart
 
@@ -291,7 +292,7 @@ class TestStackedTrials:
             with pytest.raises(ValueError) as solo:
                 wk.find_equilibria(gen.perturb(base, spec.with_seed(spec.seed + t)))
             assert record.error == f"ValueError: {solo.value}"
-            assert "batch of 50" in record.error
+            assert "batch of 2001" in record.error
         assert res.finite_count == 0
 
     def test_too_large_start_grid_fails_every_trial(self):
@@ -309,3 +310,23 @@ class TestStackedTrials:
         )
         for record in res.records:
             assert record.error.startswith("ValueError: start grid of 70^3 points")
+
+
+def test_each_chunk_of_trials_is_scanned_in_one_call(monkeypatch):
+    import walraskit.equilibrium as eqm
+
+    calls = []
+    bump = continuum_chart_map(0.4, 0.6)
+
+    def counted(C):
+        calls.append(len(C))
+        return bump(C)
+
+    # 2001 scan points and 50 starts per trial, and room for 4100 rows:
+    # chunks of 2, 2 and 1 trials.
+    monkeypatch.setattr(eqm, "MAX_STARTS", 4100)
+    base = wk.chart_field(counted, goods=2)
+    res = wk.genericity_experiment(base, wk.PerturbationSpec(1e-3, seed=68), trials=5)
+    assert res.finite_count == 5
+    # No Newton, probe or join call reaches the scan's size.
+    assert [n for n in calls if n >= 2001] == [2 * 2001, 2 * 2001, 2001]

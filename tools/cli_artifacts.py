@@ -6,7 +6,10 @@ Writes under ``DIR`` the input files of the four benchmark workloads
 (``bench/workloads.py`` at full size, seeded by ``--seed``) and the output
 directory of every invocation in their pools, plus ``perturb`` (bases
 ``tilt``, ``poly:3`` and ``fourier:5``), ``decompose`` and ``audit`` on the
-first six ``solve`` economies.  ``commands.txt`` lists every invocation
+first six ``solve`` economies, and ``solve`` on copies of ``solve`` economy 0
+and of the saved continuum economy with every endowment multiplied by 1e-8
+and by 1e8 (under ``rescaled/``), whose answers must not depend on the
+factor.  ``commands.txt`` lists every invocation
 with its exit status and error output.  The commands run with ``DIR`` as
 the working directory and get relative paths, so no output names ``DIR``.
 
@@ -40,11 +43,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from walraskit import cli  # noqa: E402
+from walraskit import Consumer, Economy, cli, load_economy, save_economy  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 ECONOMIES = 6
 BASES = ("tilt", "poly:3", "fourier:5")
+RESCALED = {
+    "economy0": Path("solve", "economy0.yaml"),
+    "continuum": Path("experiment", "continuum", "realized_economy.yaml"),
+}
+FACTORS = ("1e-8", "1e8")
 
 
 def invocations(seed: int) -> list[list[str]]:
@@ -65,6 +73,14 @@ def invocations(seed: int) -> list[list[str]]:
             )
         argvs.append(["decompose", *economy, "--out", str(out / "decompose")])
         argvs.append(["audit", *economy, "--out", str(out / "audit")])
+    Path("rescaled").mkdir()
+    for name, source in RESCALED.items():
+        economy = load_economy(source)
+        for factor in FACTORS:
+            path = Path("rescaled", f"{name}-x{factor}.yaml")
+            consumers = (Consumer(c.alpha, c.endowment * float(factor), c.scale) for c in economy.consumers)
+            save_economy(path, Economy(tuple(consumers)))
+            argvs.append(["solve", "--input", str(path), "--out", str(path.with_suffix(""))])
     return argvs
 
 
@@ -101,7 +117,7 @@ def _solve_numbers(path: Path, text: str):
 
 def _is_solve_output(rel: Path) -> bool:
     return rel.name in ("equilibria.csv", "report.txt") and (
-        rel.parts[0] == "solve" or rel.parts[-2].startswith("perturb-")
+        rel.parts[0] in ("solve", "rescaled") or rel.parts[-2].startswith("perturb-")
     )
 
 
