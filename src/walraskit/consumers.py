@@ -141,14 +141,19 @@ def aed_rows(e: Economy, P) -> np.ndarray:
     One fused expression over the stacked consumers,
     ``((P @ W^T) * S) @ A / P - S @ W``, with ``A`` the shares, ``W`` the
     endowments and ``S`` the ``(n, consumers)`` scale values (one row for
-    every price row when a scale varies, else the constant values).
+    every price row when a scale varies, else the constant values).  The
+    products are ``einsum`` loops, whose summation order, unlike that of a
+    BLAS product, does not depend on the batch: a row gets the same bits in
+    every batch.
     """
     S = e.constant_scales
     if e.varying_scales:
         S = np.tile(S, (len(P), 1))
         for k, scale in e.varying_scales:
             S[:, k] = _scale_values(scale, P)
-    return ((P @ e.endowments.T) * S) @ e.shares / P - S @ e.endowments
+    wealth = np.einsum("nj,cj->nc", P, e.endowments) * S
+    demand = np.einsum("nc,ci->ni", wealth, e.shares) / P
+    return demand - np.einsum("...c,ci->...i", S, e.endowments)
 
 
 # --- typed single-point operations -------------------------------------------

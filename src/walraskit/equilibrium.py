@@ -2,29 +2,28 @@
 
 One pipeline, ``_solve``, does every solve.  It takes a base field and a
 list of chart-map terms (``None``, or a perturbation added to the base
-chart map) and runs damped Newton iteration in chart coordinates from one
-regular grid of starting points, over the stacked ``(field, start)`` rows;
-:func:`find_equilibria` is its one-field case and the genericity experiment
-its many-field case.  The aggregate excess demand ``z`` of an economy (a
-field marked ``price_weighted``, with no term) is solved on the
-price-weighted field ``w = p * z``: it has the same zeros in the open
-simplex and the same index signs (``det J_w = prod(p) det J_z`` at a zero),
-stays bounded at the faces where ``z`` grows like ``1/p_j``, and is affine
-in the chart for constant-scale Cobb-Douglas economies, so Newton takes
-few steps on it.  Convergence is judged on ``|z|`` either way, and other
-fields, including perturbed economy fields, are solved on ``z`` itself.
-Each Newton step is halved at most 10 times; a row stops when no shorter
-step improves its residual, or when the step no longer moves the point, and
-each point is evaluated once per step.  An iteration evaluates the field in
-at most ``2 d + 2`` calls over all rows (``d`` chart dimensions): ``2 d``
-for the Jacobian, one for the full steps and one for every remaining
-halving, unless more than a tenth of ``NEWTON_CALL_ROWS``, or of the
-phase's rows if more, need halvings.  A converged row that is still
-iterating stops once it lies within ``DEDUP_RADIUS`` of such a row of its
-field with a lower residual, and ends at that row's final point
-(``_newton_multistart``).  Every residual threshold is a constant times
-the field's scale ``sigma``, the largest finite ``|p * z|`` on the scan grid
-(``_scan``), so rescaling every endowment changes no answer.
+chart map), evaluates each field once on a lattice of chart points
+(``grid_density`` per axis, and at least as many as the continuum scan
+grid, which it then is) and runs damped Newton iteration in chart
+coordinates (``_newton_multistart``) over the stacked ``(field, start)``
+rows of the lattice's candidates (``_candidates``): the zero of the
+piecewise-linear interpolant of the Newton map in every Freudenthal
+simplex that holds one (Scarf's simplicial method), every lattice point
+whose residual is least among its Freudenthal neighbours, and one point
+per cluster of near-zero lattice points.  :func:`find_equilibria` is its
+one-field case and the genericity experiment its many-field case.
+
+The aggregate excess demand ``z`` of an economy (a field marked
+``price_weighted``, with no term) is solved on the price-weighted field
+``w = p * z``: it has the same zeros in the open simplex and the same
+index signs (``det J_w = prod(p) det J_z`` at a zero), stays bounded at
+the faces where ``z`` grows like ``1/p_j``, and is affine in the chart for
+constant-scale Cobb-Douglas economies, so its PL zero is the equilibrium.
+Convergence is judged on ``|z|`` either way, and other fields, including
+perturbed economy fields, are solved on ``z`` itself.  Every residual
+threshold is a constant times the field's scale ``sigma``, the largest
+finite ``|p * z|`` on the scan grid (``_scan``), so rescaling every
+endowment changes no answer.
 
 Converged points are deduplicated, and all kept zeros of a field are
 classified from one evaluation of its chart map, on a few probe rows around
@@ -54,6 +53,8 @@ the detector is a heuristic with documented thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import permutations
 from numbers import Integral
 
 import numpy as np
@@ -172,8 +173,6 @@ MAX_STARTS = 250_000
 
 def _start_grid(dim: int, density: int) -> np.ndarray:
     axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, density)
-    if dim == 1:
-        return axis[:, None]
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     C = np.column_stack([g.ravel() for g in grids])
     return C[C.sum(axis=1) <= 1.0 - BOUNDARY_MARGIN]
@@ -208,7 +207,7 @@ def _newton_multistart(
     starts: np.ndarray,
     tol,
     weighted: bool = False,
-    block: int | None = None,
+    labels: np.ndarray | None = None,
 ):
     """Damped Newton from every start row, as one batch.
 
@@ -235,9 +234,10 @@ def _newton_multistart(
     rows than a tenth of that take one call per such group of rows.
 
     Rows that are still iterating and already converged are merged at the
-    top of every iteration: within each block of ``block`` rows (one field;
-    all rows by default), greedily in ascending residual, a row claims every
-    such row within ``DEDUP_RADIUS`` (``_dedup``'s rule).  A claimed row
+    top of every iteration: within the rows of each field (``labels``, one
+    per row, non-decreasing; one field by default), greedily in ascending
+    residual, a row claims every such row within ``DEDUP_RADIUS``
+    (``_dedup``'s rule).  A claimed row
     stops and returns the final point and residual of the row that claimed
     it, following chains of claims to their end.  Returns per-row arrays:
     final points, field residuals ``|z|``, and the converged, stalled and
@@ -255,10 +255,11 @@ def _newton_multistart(
     active = ~halted & (res > 0.0)
     iterations = np.zeros(len(C), dtype=np.int64)
     owner = np.arange(len(C))
+    labels = np.zeros(len(C), dtype=np.int64) if labels is None else labels
     cap = max(len(C), NEWTON_CALL_ROWS)
 
     for _ in range(NEWTON_MAX_ITER):
-        _merge_converged(C, zres, active, owner, tol, block or len(C))
+        _merge_converged(C, zres, active, owner, tol, labels)
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -323,14 +324,14 @@ def _damped_step(evaluate, newton_map, rows, state: tuple, weighted: bool, cap: 
     return took
 
 
-def _merge_converged(C, zres, active, owner, tol, block: int) -> None:
+def _merge_converged(C, zres, active, owner, tol, labels: np.ndarray) -> None:
     """Stop the iterating rows that are converged and within ``DEDUP_RADIUS``
-    of a lower-residual such row of their block, recording it in ``owner``."""
+    of a lower-residual such row of their field, recording it in ``owner``."""
     cand = np.flatnonzero(active & (zres <= tol))
     if cand.size < 2:
         return
-    # Blocks lie one unit apart on an extra axis, beyond the radius.
-    X = np.column_stack([C[cand], cand // block])
+    # Fields lie one unit apart on an extra axis, beyond the radius.
+    X = np.column_stack([C[cand], labels[cand]])
     cover = cand[_greedy_cover(X, np.argsort(zres[cand], kind="stable"), DEDUP_RADIUS, p=2)]
     merged = cover != cand
     owner[cand[merged]] = cover[merged]
@@ -400,9 +401,14 @@ def _join_flat_zeros(
             linked[linked] = field.residual_norms(0.5 * (Z[a] + Z[b])) <= tol
         return linked
 
-    labels = _linked_components(Z, JOIN_RADIUS, flat)
+    return np.sort(_lowest_per_label(_linked_components(Z, JOIN_RADIUS, flat), res))
+
+
+def _lowest_per_label(labels: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Position of the lowest-residual row of each label, in label order
+    (the first such row on ties)."""
     order = np.argsort(res, kind="stable")
-    return np.sort(order[np.unique(labels[order], return_index=True)[1]])
+    return order[np.unique(labels[order], return_index=True)[1]]
 
 
 def _classify_rows(field: TangentField, C: np.ndarray, sigma: float, fit: bool = False):
@@ -507,37 +513,55 @@ def continuum_detector(field_or_economy) -> ContinuumReport:
     return _scan(as_field(field_or_economy), [None])[0][1]
 
 
+def _spacing(density: int) -> float:
+    """Spacing of the chart grid ``_start_grid(dim, density)``."""
+    return (1.0 - 2 * BOUNDARY_MARGIN) / (density - 1)
+
+
 def _scan_grid(dim: int) -> tuple:
-    """The continuum scan grid and its spacing; ``ValueError`` when its
-    ``per_dim**dim`` grid would exceed ``MAX_SCAN_POINTS``."""
+    """The continuum scan grid and its points per axis; ``ValueError`` when
+    its ``per_dim**dim`` grid would exceed ``MAX_SCAN_POINTS``."""
     per_dim = max(11, int(round(CONTINUUM_SCAN_POINTS ** (1.0 / dim))))
     if per_dim**dim > MAX_SCAN_POINTS:
         raise ValueError(
             f"continuum scan grid of {per_dim}^{dim} points is too large "
             f"(limit {MAX_SCAN_POINTS} points)"
         )
-    return _start_grid(dim, per_dim), (1.0 - 2 * BOUNDARY_MARGIN) / (per_dim - 1)
+    return _start_grid(dim, per_dim), per_dim
+
+
+def _evaluate_grid(base: TangentField, terms: list, C: np.ndarray) -> tuple:
+    """Simplex rows and full field rows, shaped ``(fields, points, goods)``,
+    of ``base`` plus each chart-map term on the chart grid ``C``, from one
+    call of the chart map."""
+    stacked = np.tile(C, (len(terms), 1))
+    labels = np.repeat(np.arange(len(terms)), len(C))
+    P, Z = _full_rows(stacked, _stacked_map(base, terms, labels)(stacked, np.arange(len(stacked))))
+    shape = (len(terms), len(C), -1)
+    return P.reshape(shape), Z.reshape(shape)
 
 
 def _scan(base: TangentField, terms: list) -> list:
     """``(sigma, ContinuumReport)`` of ``base`` plus each chart-map term, from
     one evaluation of the scan grid for all; ``sigma`` is 0 with no finite row."""
-    C, spacing = _scan_grid(base.dim)
-    m = len(C)
-    stacked = np.tile(C, (len(terms), 1))
-    P, Z = _full_rows(stacked, _stacked_map(base, terms, m)(stacked, np.arange(len(stacked))))
-    zres = np.linalg.norm(Z, axis=1).reshape(len(terms), m)
-    wres = np.linalg.norm(P * Z, axis=1).reshape(len(terms), m)
+    C, per_dim = _scan_grid(base.dim)
+    return _scan_reports(C, per_dim, *_evaluate_grid(base, terms, C))
+
+
+def _scan_reports(C: np.ndarray, per_dim: int, P: np.ndarray, Z: np.ndarray) -> list:
+    """``_scan``'s result from the evaluation ``P, Z`` of its grid ``C``."""
+    zres = np.linalg.norm(Z, axis=2)
+    wres = np.linalg.norm(P * Z, axis=2)
     out = []
     for z, w in zip(zres, wres):
         sigma = float(w[np.isfinite(w)].max(initial=0.0))
         hit = z <= CONTINUUM_RESIDUAL_TOL * sigma
-        component = _largest_grid_cluster(C, hit, spacing)
+        component = _largest_grid_cluster(C, hit, _spacing(per_dim))
         fired = component.size >= CONTINUUM_RUN_REQUIRED
         box = None
         if fired:
             lo, hi = C[component].min(axis=0), C[component].max(axis=0)
-            box = (float(lo[0]), float(hi[0])) if base.dim == 1 else (lo, hi)
+            box = (float(lo[0]), float(hi[0])) if C.shape[1] == 1 else (lo, hi)
         out.append((sigma, ContinuumReport(fired, box, int(hit.sum()))))
     return out
 
@@ -565,12 +589,81 @@ def _linked_components(X: np.ndarray, radius: float, keep=None) -> np.ndarray:
     return connected_components(graph, directed=False)[1]
 
 
+def _candidates(C: np.ndarray, density: int, W: np.ndarray, zres: np.ndarray, sigma: float):
+    """The Newton starts of one field from its values on the lattice ``C``
+    (``_start_grid(d, density)``): the Newton map's full rows ``W`` and the
+    field's residual norms ``zres``.  In order: the PL zeros (``_pl_zeros``);
+    every lattice point whose residual ``|W|`` is finite and at most that of
+    each Freudenthal neighbour ``v +- sum_{i in S} e_i``, which catches two
+    close zeros with no sign change between them; and the lowest-residual
+    point of each cluster of hits, points where ``|z|`` is at most
+    ``CONTINUUM_RESIDUAL_TOL * sigma``, linked within 1.5 spacings.  Hits
+    are neither simplex vertices nor minima, so a flat stretch of zeros
+    gives one start, not one per cell.
+    """
+    d = C.shape[1]
+    k = tuple(np.rint((C - BOUNDARY_MARGIN) / _spacing(density)).astype(int).T)
+    res = np.linalg.norm(W, axis=1)
+    hit = zres <= CONTINUUM_RESIDUAL_TOL * sigma
+    R = np.full((density,) * d, np.inf)
+    R[k] = np.where(np.isfinite(res), res, np.inf)
+    G = np.full((d,) + R.shape, np.nan)
+    G[(slice(None), *k)] = np.where((np.isfinite(res) & ~hit)[:, None], W[:, :-1], np.nan).T
+    # The least residual at v + b and at v - b over b in {0, 1}^d.
+    least = _over_cells(np.minimum, np.pad(R, 1, constant_values=np.inf))
+    up, down = (least[(slice(s, len(least) - 1 + s),) * d] for s in (1, 0))
+    minima = (np.isfinite(R) & (R <= up) & (R <= down))[k] & ~hit
+    hits = np.flatnonzero(hit)
+    if hits.size:
+        labels = _linked_components(C[hits], 1.5 * _spacing(density))
+        hits = hits[_lowest_per_label(labels, res[hits])]
+    return np.vstack([_pl_zeros(G), C[minima], C[hits]])
+
+
+def _over_cells(op, X: np.ndarray) -> np.ndarray:
+    """``op`` over the corners of every cell of the cube ``X``: entry ``k``
+    combines the entries ``k + b``, ``b`` in ``{0, 1}^ndim``."""
+    for a in range(X.ndim):
+        X = op(X[(slice(None),) * a + (slice(0, -1),)], X[(slice(None),) * a + (slice(1, None),)])
+    return X
+
+
+def _pl_zeros(G: np.ndarray) -> np.ndarray:
+    """The zeros of the piecewise-linear interpolant of ``G`` (the ``d``
+    chart components on the cube of lattice indices, NaN where there is no
+    vertex) in the closed Freudenthal simplices of its cells, in cell and
+    permutation order.  The simplex of permutation ``p`` in the cell with
+    corner ``k`` has vertices ``k``, ``k + e_p1``, ..., ``k + 1``.
+    """
+    d, density = G.shape[:2]
+    # A cell can hold a zero only if every component takes both signs at its
+    # corners, and none of them is NaN.
+    screen = [_over_cells(np.logical_and, ~np.isnan(G[0]))]
+    for g in G:
+        screen.append(_over_cells(np.logical_or, g >= 0.0) & _over_cells(np.logical_or, g <= 0.0))
+    cells = np.argwhere(reduce(np.logical_and, screen))
+    # Vertex j of permutation p steps along the axes p_1, ..., p_j.
+    paths = np.array([np.arange(d + 1)[:, None] > np.argsort(p) for p in permutations(range(d))])
+    V = (cells[:, None, None, :] + paths).reshape(-1, d + 1, d)
+    # Barycentric weights lam: sum(lam) = 1 and sum(lam_j G(v_j)) = 0.
+    values = G[(slice(None), *np.moveaxis(V, -1, 0))].swapaxes(0, 1)
+    A = np.concatenate([np.ones((len(V), 1, d + 1)), values], axis=1)
+    det = np.linalg.det(A)
+    solvable = np.isfinite(det) & (det != 0.0)
+    V, A = V[solvable], A[solvable]
+    lam = np.linalg.solve(A, np.eye(d + 1)[:, :1])[..., 0]
+    inside = (lam >= 0.0).all(axis=1)
+    axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, density)
+    return np.einsum("kj,kji->ki", lam[inside], axis[V[inside]])
+
+
 def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> EquilibriumReport:
     """Locate, deduplicate, and classify the zeros of an excess-demand field.
 
     The one-field case of the solve pipeline: the continuum scan gives
-    ``sigma`` and ``finite_flag``; damped Newton iteration runs from a regular
-    chart grid and stays ``BOUNDARY_MARGIN`` from every face, on ``p * z``
+    ``sigma`` and ``finite_flag``; damped Newton iteration runs from the
+    candidates of one lattice evaluation (``_candidates``; the report's
+    ``starts``) and stays ``BOUNDARY_MARGIN`` from every face, on ``p * z``
     for an economy's field and on the field itself otherwise; points with
     ``|z| <= NEWTON_TOL * sigma`` are merged within ``1e-6`` and classified in
     one call, and critical zeros within ``1e-4`` whose midpoint is a zero are
@@ -587,9 +680,11 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig) -> list:
     """The report of ``base`` plus each chart-map term (``None``: no term),
     or the exception that its solve raised.
 
-    Chunks of ``MAX_STARTS // max(starts, scan points)`` fields are scanned
-    in one call, for ``sigma``, then run one Newton phase over their stacked
-    start rows.  A chunk that raises is solved again one field at a time.
+    Chunks of ``MAX_STARTS // lattice points`` fields are scanned in one
+    call, for ``sigma``, and their lattices evaluated in one call (none when
+    the lattice is the scan grid), then run one Newton phase over the
+    stacked ``_candidates`` of all their fields.  A chunk that raises is
+    solved again one field at a time.
     """
     try:
         if cfg.grid_density**base.dim > MAX_STARTS:
@@ -597,45 +692,54 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig) -> list:
                 f"start grid of {cfg.grid_density}^{base.dim} points is too large; "
                 f"lower grid_density (limit {MAX_STARTS} starts)"
             )
-        points = len(_scan_grid(base.dim)[0])
+        scan_grid, per_dim = _scan_grid(base.dim)
     except ValueError as exc:
         return [exc] * len(terms)
-    starts = _start_grid(base.dim, cfg.grid_density)
-    n = len(starts)
+    density = max(cfg.grid_density, per_dim)
+    lattice = scan_grid if density == per_dim else _start_grid(base.dim, density)
     weighted = base.price_weighted and all(term is None for term in terms)
-    chunk = max(1, MAX_STARTS // max(n, points))
+    chunk = max(1, MAX_STARTS // len(lattice))
     outcomes = []
     for first in range(0, len(terms), chunk):
         group = terms[first : first + chunk]
         try:
-            scans = _scan(base, group)
-            tol = np.repeat([NEWTON_TOL * sigma for sigma, _ in scans], n)
-            evaluate = _stacked_map(base, group, n)
+            P, Z = _evaluate_grid(base, group, scan_grid)
+            scans = _scan_reports(scan_grid, per_dim, P, Z)
+            if lattice is not scan_grid:
+                P, Z = _evaluate_grid(base, group, lattice)
+            W = P * Z if weighted else Z
+            zres = np.linalg.norm(Z, axis=2)
+            sigmas = np.array([sigma for sigma, _ in scans])
+            starts = [_candidates(lattice, density, *a) for a in zip(W, zres, sigmas)]
+            counts = [len(c) for c in starts]
+            labels = np.repeat(np.arange(len(group)), counts)
             newton = _newton_multistart(
-                evaluate, np.tile(starts, (len(group), 1)), tol, weighted, n
+                _stacked_map(base, group, labels), np.vstack(starts),
+                NEWTON_TOL * sigmas[labels], weighted, labels,
             )
         except Exception as exc:  # noqa: BLE001 - each field then records its own error
             outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg)[0] for t in group]
             continue
+        bounds = np.cumsum([0, *counts])
         for t, (term, scan) in enumerate(zip(group, scans)):
             try:
                 field = _with_term(base, term)
-                rows = slice(t * n, (t + 1) * n)
+                rows = slice(bounds[t], bounds[t + 1])
                 outcomes.append(_field_report(field, newton, rows, *scan))
             except Exception as exc:  # noqa: BLE001 - per-field isolation is the contract
                 outcomes.append(exc)
     return outcomes
 
 
-def _stacked_map(base: TangentField, terms: list, n: int):
-    """The chart map over stacked rows ``t * n + k``: the base map, plus each
-    term on its own ``n`` rows (``_with_term``'s arithmetic, row by row)."""
+def _stacked_map(base: TangentField, terms: list, labels: np.ndarray):
+    """The chart map over stacked rows: the base map, plus on row ``r`` the
+    term of field ``labels[r]`` (``_with_term``'s arithmetic, row by row)."""
 
     def evaluate(C, rows):
         # A copy: the base chart map may return a view of its input.
         F = np.array(base.chart_values(C))
-        # ``rows`` is sorted, so each field's rows form one block.
-        bounds = np.searchsorted(rows, n * np.arange(len(terms) + 1))
+        # ``rows`` and the labels are sorted, so each field's rows form one block.
+        bounds = np.searchsorted(labels[rows], np.arange(len(terms) + 1))
         for term, lo, hi in zip(terms, bounds[:-1], bounds[1:]):
             if term is not None and hi > lo:
                 F[lo:hi] += term(C[lo:hi])

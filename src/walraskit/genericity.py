@@ -208,11 +208,12 @@ def genericity_experiment(
 
     Trial ``t`` uses seed ``spec.seed + t``.  Each trial's perturbation term
     is built once, and the trials go through the solve pipeline of
-    :mod:`walraskit.equilibrium` together: one continuum scan call and one
-    damped-Newton phase over the stacked rows of a chunk of trials, then
-    deduplication, classification and the flat-zero join per trial on its
-    perturbed field (the field :func:`perturb` builds), so each trial gets the report
-    :func:`find_equilibria` would give it.  Failures are recorded per trial
+    :mod:`walraskit.equilibrium` together: one continuum scan call, one
+    lattice call (none in two goods, where the lattice is the scan grid)
+    and one damped-Newton phase over the stacked starts of a chunk of
+    trials, then deduplication, classification and the flat-zero join per
+    trial on its perturbed field (the field :func:`perturb` builds), so each
+    trial gets the report :func:`find_equilibria` would give it.  Failures are recorded per trial
     and do not abort the batch.  Results are deterministic in the seed.
     """
     if trials < 1:

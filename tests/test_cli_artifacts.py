@@ -17,15 +17,22 @@ REPORT = (
     "equilibria found: 1\n"
     "  p = ({p}, 0.5)  residual = {res}  {reg}  index = {index}  multiplicity = -\n"
     "finite equilibrium set: yes\n"
-    "solver: 50 starts, 50 converged, 0 stalled, 0 exhausted, {its} Newton iterations, 49 dedup merges\n"
+    "solver: {starts} starts, {starts} converged, 0 stalled, 0 exhausted, "
+    "{its} Newton iterations, {merges} dedup merges\n"
 )
 
 
-def write_tree(root: Path, p="0.5", res="1e-16", reg="regular", index="1", its=120, trial="0,ok"):
+def write_tree(
+    root: Path, p="0.5", res="1e-16", reg="regular", index="1", its=120, starts=50, trial="0,ok"
+):
     out = root / "solve" / "out0"
     out.mkdir(parents=True)
     (out / "equilibria.csv").write_text(CSV.format(res=res, reg=reg, index=index))
-    (out / "report.txt").write_text(REPORT.format(p=p, res=res, reg=reg, index=f"+{index}", its=its))
+    (out / "report.txt").write_text(
+        REPORT.format(
+            p=p, res=res, reg=reg, index=f"+{index}", its=its, starts=starts, merges=starts - 1
+        )
+    )
     experiment = root / "experiment" / "out0"
     experiment.mkdir(parents=True)
     (experiment / "experiment.csv").write_text(f"trial,index_check\n{trial}\n")
@@ -42,7 +49,7 @@ def compare(old, new):
 
 def test_numeric_drift_is_measured_and_passes(tmp_path):
     write_tree(tmp_path / "old")
-    write_tree(tmp_path / "new", p="0.50000000000000011", res="3e-16", its=51)
+    write_tree(tmp_path / "new", p="0.50000000000000011", res="3e-16", its=51, starts=3)
     (tmp_path / "new/extra/economy0/audit/report.txt").write_text("audit result: FAIL\n")
     done = compare(tmp_path / "old", tmp_path / "new")
     assert done.returncode == 0, done.stdout
@@ -51,15 +58,21 @@ def test_numeric_drift_is_measured_and_passes(tmp_path):
     assert "largest price change: 1.11022e-16 (solve/out0/report.txt)" in lines
     assert "largest residual change: 2e-16 (solve/out0/equilibria.csv)" in lines
     assert "largest Newton-iteration total change: 69 (solve/out0/report.txt)" in lines
+    # The solver's counts are measured like the Newton-iteration total.
+    for count in ("start", "converged", "dedup-merge"):
+        assert f"largest {count} count change: 47 (solve/out0/report.txt)" in lines
+    assert "largest stalled count change: 0" in lines
+    assert not any(line.startswith("CHANGED") for line in lines)
 
 
 @pytest.mark.parametrize(
     "changed, named",
     [
         ({"reg": "critical", "index": "0"}, "solve/out0/equilibria.csv"),
+        ({"index": "-1"}, "solve/out0/report.txt"),
         ({"trial": "0,MISMATCH"}, "experiment/out0/experiment.csv"),
     ],
-    ids=["regularity", "experiment"],
+    ids=["regularity", "index", "experiment"],
 )
 def test_a_changed_answer_fails(tmp_path, changed, named):
     write_tree(tmp_path / "old")

@@ -209,6 +209,32 @@ class TestFusedKernel:
         assert all(type(c.scale).__name__ == "KernelSampledScale" for c in econ.consumers)
         self.assert_matches_loop(econ, random_interior_prices(rng, 200, goods, 3.0))
 
+    @pytest.mark.parametrize("goods", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["constant", "kernel_sampled"])
+    def test_a_row_gets_the_same_bits_in_any_batch(self, goods, kind, rng):
+        # Newton runs on batches of a few rows, and the stacked trials of an
+        # experiment must equal solo solves bit for bit.
+        d = goods - 1
+        for _ in range(3):
+            consumers = []
+            for j in range(int(rng.integers(2, 7))):
+                alpha = rng.dirichlet(np.ones(goods))
+                omega = rng.uniform(0.25, 2.0, goods)
+                if kind == "constant":
+                    scale = wk.ConstantScale(float(rng.uniform(0.5, 2.0)))
+                else:
+                    grid = rng.dirichlet(np.ones(goods), size=12)[:, :-1]
+                    scale = wk.KernelSampledScale(
+                        grid if d > 1 else grid[:, 0], rng.uniform(0.5, 2.0, 12),
+                        good=j % goods, share=0.5, level=1.0,
+                    )
+                consumers.append(wk.Consumer(alpha, omega, scale))
+            e = wk.Economy(tuple(consumers))
+            P = random_interior_prices(rng, 2000, goods)
+            batch = aed_rows(e, P)
+            alone = np.vstack([aed_rows(e, P[i : i + 1]) for i in range(len(P))])
+            assert np.array_equal(batch, alone)
+
     def test_nonpositive_scale_raises_the_same_error(self):
         bad = wk.Consumer(
             [0.5, 0.5], [1, 0], scale=wk.PolynomialScale(((0.2, (0,)), (-1.0, (1,))))

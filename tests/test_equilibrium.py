@@ -13,6 +13,7 @@ from support import (
 )
 from walraskit import equilibrium, fields
 from walraskit.equilibrium import (
+    BOUNDARY_MARGIN,
     DEDUP_RADIUS,
     DET_RELATIVE_TOL,
     JOIN_RADIUS,
@@ -24,6 +25,7 @@ from walraskit.equilibrium import (
     _start_grid,
 )
 from walraskit.fields import JACOBIAN_CONSISTENCY_TOL, JACOBIAN_STEP
+from walraskit.geometry import chart_rows_embed
 
 
 def _refusing_map(C):
@@ -40,6 +42,28 @@ def _nine_good_field():
 def _tol(field):
     """The Newton tolerance of ``field``: ``NEWTON_TOL`` times its scale."""
     return NEWTON_TOL * equilibrium._scan(field, [None])[0][0]
+
+
+def _lattice(field, density=50):
+    """The solver's lattice for ``field`` at ``grid_density=density``: its
+    points and its points per axis."""
+    density = max(density, equilibrium._scan_grid(field.dim)[1])
+    return _start_grid(field.dim, density), density
+
+
+def _lattice_starts(field, density=50):
+    """The Newton starts of a solve of ``field`` at ``grid_density=density``."""
+    C, density = _lattice(field, density)
+    P, Z = field.full_values(C)
+    W = P * Z if field.price_weighted else Z
+    sigma = equilibrium._scan(field, [None])[0][0]
+    return equilibrium._candidates(C, density, W, np.linalg.norm(Z, axis=1), sigma)
+
+
+def _converged(field, C):
+    """Hand-made output of a Newton phase whose rows all converged at ``C``."""
+    mask = np.ones(len(C), dtype=bool)
+    return (C, field.residual_norms(C), mask, ~mask, ~mask, np.zeros(len(C), dtype=np.int64))
 
 
 def _newton_field(case, rng):
@@ -137,7 +161,7 @@ class TestFindEquilibria:
     def test_solver_stats_accounting(self, sym_edgeworth):
         report = wk.find_equilibria(sym_edgeworth)
         s = report.stats
-        assert s.starts == 50
+        assert s.starts == len(_lattice_starts(wk.economy_field(sym_edgeworth)))
         assert s.converged + s.stalled + s.exhausted == s.starts
         assert s.dedup_merges == s.converged - len(report.equilibria)
 
@@ -148,8 +172,14 @@ class TestFindEquilibria:
 
     def test_start_with_nan_residual_counts_as_stalled(self):
         field = wk.chart_field(lambda C: np.where(C > 0.7, np.nan, 0.5 - C), goods=2)
+        starts = _start_grid(1, 50)
+        _, _, converged, stalled, exhausted, _ = _newton_multistart(
+            lambda C, rows: field.chart_values(C), starts, _tol(field)
+        )
+        assert (converged.sum(), stalled.sum(), exhausted.sum()) == (35, 15, 0)
+        # A lattice point with a NaN residual is no start of a solve.
         s = wk.find_equilibria(field).stats
-        assert (s.starts, s.converged, s.stalled, s.exhausted) == (50, 35, 15, 0)
+        assert (s.converged, s.stalled, s.exhausted) == (s.starts, 0, 0)
 
     def test_exact_zero_ends_its_newton_run(self):
         # Newton lands exactly on the zero of a linear field, where the
@@ -233,12 +263,27 @@ class TestFlatZeroJoin:
         assert abs(eq.chart[0] - 0.5) <= JOIN_RADIUS
         assert s.dedup_merges == s.converged - 1
 
+    @pytest.mark.parametrize("order, fn", DEGENERATE_ZEROS)
+    def test_zeros_on_either_side_are_joined(self, order, fn):
+        # Newton output that stopped 1.2e-6 below and 2.9e-6 above the zero.
+        field = wk.chart_field(fn, goods=2)
+        C = np.array([[0.5 - 1.2e-6], [0.5 + 2.9e-6]])
+        scan = equilibrium._scan(field, [None])[0]
+        report = _field_report(field, _converged(field, C), slice(None), *scan)
+        (eq,) = report.equilibria
+        assert (eq.regularity, eq.index, eq.multiplicity) == ("critical", 0, order)
+        assert report.stats.dedup_merges == 1
+
     @pytest.mark.parametrize("scale", [1.0, 1e-3])
     def test_close_zeros_with_a_nonzero_midpoint_stay_apart(self, scale):
         # zeros 5e-5 apart, both regular; the field is -6.25e-10 * scale
-        # between them, far above NEWTON_TOL * sigma at either scale
+        # between them, far above NEWTON_TOL * sigma at either scale.  They
+        # lie within one lattice spacing, so a solve may start Newton near
+        # one of them only: the report is built from Newton output at both.
         field = wk.chart_field(lambda C: scale * (C - 0.5) * (C - 0.50005), goods=2)
-        report = wk.find_equilibria(field)
+        C = np.array([[0.5], [0.50005]])
+        scan = equilibrium._scan(field, [None])[0]
+        report = _field_report(field, _converged(field, C), slice(None), *scan)
         charts = [float(eq.chart[0]) for eq in report.equilibria]
         assert np.allclose(charts, [0.5, 0.50005], rtol=0.0, atol=1e-9)
         assert [eq.index for eq in report.equilibria] == [1, -1]
@@ -259,9 +304,29 @@ class TestPriceWeightedNewton:
             assert (eq.regularity, eq.index) == ("regular", 1)
             assert np.abs(eq.price.coords - nullspace_price(e)).max() <= 1e-12
             assert s.converged == s.starts
-            # About 11 iterations per start on z at l = 4.  Here every start
-            # converges in two, and then all but one stop, merged.
-            assert s.newton_iterations <= 2 * s.starts
+            # About 11 iterations per start on z at l = 4.  Here a start
+            # converges in one step and stops at the next, or is merged;
+            # polishing at rounding level adds at most two steps.
+            assert s.newton_iterations <= 2 * s.starts + 2
+
+    @pytest.mark.parametrize("goods", [2, 3, 4, 5])
+    def test_the_first_start_is_the_equilibrium(self, goods, rng):
+        # p * z is affine in the chart for constant scales, so the zero of
+        # its piecewise-linear interpolant, the first start, is the
+        # equilibrium before any Newton step.
+        seen = 0
+        for n in range(1, 7):
+            e = constant_scale_economy(rng, goods, n, 1.0)
+            field, exact = wk.economy_field(e), nullspace_price(e)
+            density = _lattice(field, 16 if goods == 5 else 50)[1]
+            # There is a PL zero unless the zero's cell has a corner off the lattice.
+            axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, density)
+            corner = ((exact[:-1] - BOUNDARY_MARGIN) // (axis[1] - axis[0])).astype(int)
+            if axis[corner + 1].sum() <= 1.0 - BOUNDARY_MARGIN:
+                first = _lattice_starts(field, density)[:1]
+                assert np.abs(chart_rows_embed(first)[0] - exact).max() <= 1e-12
+                seen += 1
+        assert seen >= 4
 
     def test_only_economy_fields_are_weighted(self, sym_edgeworth):
         field = wk.economy_field(sym_edgeworth)
@@ -867,17 +932,17 @@ class TestClassifyRows:
 
 
 class TestEvaluationCount:
-    """A solve evaluates the field in one scan call, its Newton phase, one
-    probe call for all zeros and, when two critical zeros are close, one
-    join call."""
+    """A solve evaluates the field in one scan call, one lattice call unless
+    the lattice is the scan grid, its Newton phase and one probe call for all
+    zeros; the flat-zero join takes one call more."""
 
     @pytest.mark.parametrize(
-        "case, zeros, join",
-        [("cubic", 3, False), ("order-3", 2, True), ("economy-l3", 1, False)],
+        "case, zeros",
+        [("cubic", 3), ("order-3", 1), ("economy-l3", 1), ("economy-l4", 1)],
     )
-    def test_find_equilibria(self, monkeypatch, case, zeros, join, rng):
-        if case == "economy-l3":
-            base = wk.economy_field(random_economy(rng, 3, 3))
+    def test_find_equilibria(self, monkeypatch, case, zeros, rng):
+        if case.startswith("economy"):
+            base = wk.economy_field(random_economy(rng, int(case[-1]), 3))
         else:
             base = cubic_field() if case == "cubic" else wk.chart_field(DEGENERATE_ZEROS[0][1], goods=2)
         calls, newton_calls = [], []
@@ -898,12 +963,43 @@ class TestEvaluationCount:
         monkeypatch.setattr(equilibrium, "_newton_multistart", spy)
         report = wk.find_equilibria(field)
         d = field.dim
-        scan = len(equilibrium._scan_grid(d)[0])
+        scan, lattice = len(equilibrium._scan_grid(d)[0]), len(_lattice(field)[0])
+        head = [scan] if lattice == scan else [scan, lattice]
         probe = 1 + 4 * d + (33 if d == 1 else 0)
         (newton,) = newton_calls
-        assert len(newton) > 1
-        rest = calls[1 + len(newton) :]
-        assert calls[0] == scan
-        assert rest[0] == zeros * probe
-        assert len(rest) == 1 + join
-        assert len(report.equilibria) == zeros - join
+        assert newton[0] == report.stats.starts
+        assert calls == head + newton + [zeros * probe]
+        assert len(report.equilibria) == zeros
+
+    def test_the_join_takes_one_call_more(self):
+        calls = []
+
+        def counted(C):
+            calls.append(len(C))
+            return DEGENERATE_ZEROS[0][1](C)
+
+        field = wk.chart_field(counted, goods=2)
+        scan = equilibrium._scan(field, [None])[0]
+        C = np.array([[0.4999988], [0.5000029]])
+        newton = _converged(wk.chart_field(DEGENERATE_ZEROS[0][1], goods=2), C)
+        calls.clear()
+        report = _field_report(field, newton, slice(None), *scan)
+        assert len(report.equilibria) == 1
+        # two zeros' probe rows, then the midpoint of the one close pair
+        assert calls == [2 * (1 + 4 + 33), 1]
+
+    @pytest.mark.parametrize("goods, budget", [(2, 2100), (4, 25_000)])
+    def test_a_solve_evaluates_few_rows(self, goods, budget, rng):
+        # Newton from every point of the 50-per-axis grid took 310,128 rows
+        # at l = 4.
+        for n in range(2, 7):
+            rows = []
+            base = wk.economy_field(random_economy(rng, goods, n))
+
+            def counted(C, base=base):
+                rows.append(len(C))
+                return base.chart_values(C)
+
+            report = wk.find_equilibria(dataclasses.replace(base, chart_fn=counted))
+            assert len(report.equilibria) == 1
+            assert sum(rows) <= budget

@@ -120,6 +120,16 @@ class TestExperiment:
             assert res.all_regular_count == 5
             assert all(r.index_sum == 1 for r in res.records)
 
+    def test_a_zero_that_grid_starts_missed_is_found(self, continuum_economy):
+        # Newton from every point of a 50-point grid missed the zero at
+        # 0.6028, between two zeros 0.007 and 0.027 away, and reported a
+        # finite, all-regular set with index sum 2.
+        spec = wk.PerturbationSpec(1e-3, "random_fourier", terms=5, seed=548429894)
+        report = wk.find_equilibria(wk.perturb(continuum_economy, spec))
+        found = [(round(float(eq.chart[0]), 4), eq.index) for eq in report.equilibria]
+        assert found == [(0.3739, 1), (0.5279, -1), (0.5757, 1), (0.6028, -1), (0.6101, 1)]
+        assert report.index_check == "ok"
+
     def test_regular_economy_robustness(self, sym_edgeworth):
         # |det J| = 2 at the unique zero; all sampled epsilons sit far below
         # half that margin, so the equilibrium count never changes
@@ -255,15 +265,15 @@ class TestStackedTrials:
     def test_chunk_boundaries(self, monkeypatch, continuum_economy):
         import walraskit.equilibrium as eqm
 
-        # 2001 scan points and 50 starts per trial, and room for 4100 rows:
+        # A lattice of 2001 points per trial, and room for 4100 rows:
         # chunks of 2, 2 and 1 trials.
         monkeypatch.setattr(eqm, "MAX_STARTS", 4100)
-        sizes = []
+        trials = []
         original = eqm._newton_multistart
 
-        def spy(evaluate, starts, cfg, weighted, block):
-            sizes.append(len(starts))
-            return original(evaluate, starts, cfg, weighted, block)
+        def spy(evaluate, starts, tol, weighted, labels):
+            trials.append(len(np.unique(labels)))
+            return original(evaluate, starts, tol, weighted, labels)
 
         monkeypatch.setattr(eqm, "_newton_multistart", spy)
         self.check(
@@ -273,7 +283,7 @@ class TestStackedTrials:
             wk.SolverConfig(),
         )
         # the stacked chunks, then each trial's own solve
-        assert sizes == [100, 100, 50] + [50] * 5
+        assert trials == [2, 2, 1] + [1] * 5
 
     def test_failing_chunk_is_solved_trial_by_trial(self):
         import walraskit.genericity as gen
@@ -322,8 +332,8 @@ def test_each_chunk_of_trials_is_scanned_in_one_call(monkeypatch):
         calls.append(len(C))
         return bump(C)
 
-    # 2001 scan points and 50 starts per trial, and room for 4100 rows:
-    # chunks of 2, 2 and 1 trials.
+    # A lattice of 2001 points per trial, the scan grid, and room for 4100
+    # rows: chunks of 2, 2 and 1 trials.
     monkeypatch.setattr(eqm, "MAX_STARTS", 4100)
     base = wk.chart_field(counted, goods=2)
     res = wk.genericity_experiment(base, wk.PerturbationSpec(1e-3, seed=68), trials=5)

@@ -19,13 +19,14 @@ deterministic, so any difference is a change of behaviour.
     python tools/cli_artifacts.py --compare OLD NEW
 
 prints the number of files that differ, naming each, and the largest
-change of a price, a residual and a Newton-iteration total in the
-``solve`` and ``perturb`` outputs.  It exits 1 when an output changed
-beyond those numbers: a file added or removed, an ``equilibria.csv`` or
-``solve``/``perturb`` report with another equilibrium count, regularity,
-index, multiplicity, index sum, index check, finite flag or solver count
-(Newton iterations aside), or any change to an ``experiment.csv``,
-``witness.csv``, ``realized_economy.yaml`` or ``sarp`` report.
+change of a price, a residual and each count of the ``solver:`` line
+(starts, converged, stalled, exhausted, Newton iterations, dedup merges)
+in the ``solve`` and ``perturb`` outputs.  It exits 1 when an output
+changed beyond those numbers: a file added or removed, an
+``equilibria.csv`` or ``solve``/``perturb`` report with another equilibrium
+count, regularity, index, multiplicity, index sum, index check or finite
+flag, or any change to an ``experiment.csv``, ``witness.csv``,
+``realized_economy.yaml`` or ``sarp`` report.
 """
 
 from __future__ import annotations
@@ -87,14 +88,23 @@ def invocations(seed: int) -> list[list[str]]:
 # Outputs that may not change at all, with every ``sarp`` output.
 EXACT_NAMES = ("experiment.csv", "witness.csv", "realized_economy.yaml")
 PRICE_LINE = re.compile(r"^(  p = \()([^)]*)(\)  residual = )(\S+)")
-ITERATIONS = re.compile(r"\b(\d+)( Newton iterations)")
+SOLVER_COUNTS = {
+    "starts": "start count",
+    "converged": "converged count",
+    "stalled": "stalled count",
+    "exhausted": "exhausted count",
+    "Newton iterations": "Newton-iteration total",
+    "dedup merges": "dedup-merge count",
+}
+COUNT = re.compile(r"\b(\d+) (" + "|".join(SOLVER_COUNTS) + r")\b")
 
 
 def _solve_numbers(path: Path, text: str):
     """The text of a ``solve`` or ``perturb`` output with its prices,
-    residuals and Newton-iteration total replaced by ``*``, and those
-    numbers: ``(text, prices, residuals, iterations)``."""
-    prices, residuals, iterations = [], [], []
+    residuals and solver counts replaced by ``*``, and those numbers by
+    kind: ``(text, {"price": [...], "residual": [...], count label: [...]})``."""
+    numbers = {"price": [], "residual": [], **{label: [] for label in SOLVER_COUNTS.values()}}
+    prices, residuals = numbers["price"], numbers["residual"]
     lines = text.splitlines()
     if path.name == "equilibria.csv":
         width = sum(1 for name in lines[0].split(",") if re.fullmatch(r"p\d+", name))
@@ -109,10 +119,11 @@ def _solve_numbers(path: Path, text: str):
                 prices += map(float, m[2].split(", "))
                 residuals.append(float(m[4]))
                 lines[i] = PRICE_LINE.sub(r"\1*\3*", line)
-            elif m := ITERATIONS.search(line):
-                iterations.append(int(m[1]))
-                lines[i] = ITERATIONS.sub(r"*\2", line)
-    return "\n".join(lines), prices, residuals, iterations
+            elif line.startswith("solver:"):
+                for m in COUNT.finditer(line):
+                    numbers[SOLVER_COUNTS[m[2]]].append(int(m[1]))
+                lines[i] = COUNT.sub(r"* \2", line)
+    return "\n".join(lines), numbers
 
 
 def _is_solve_output(rel: Path) -> bool:
@@ -126,7 +137,7 @@ def compare(old: Path, new: Path) -> int:
     0 when no output changed beyond the numbers that may change, else 1."""
     files = {p.relative_to(root) for root in (old, new) for p in root.rglob("*") if p.is_file()}
     differ, changed = [], []
-    largest = {"price": (0.0, None), "residual": (0.0, None), "Newton-iteration total": (0, None)}
+    largest = {key: (0, None) for key in ("price", "residual", *SOLVER_COUNTS.values())}
     for rel in sorted(files):
         a, b = old / rel, new / rel
         if not (a.is_file() and b.is_file()):
@@ -140,12 +151,12 @@ def compare(old: Path, new: Path) -> int:
         if rel.parts[0] == "sarp" or rel.name in EXACT_NAMES:
             changed.append(f"{rel}: changed")
         elif _is_solve_output(rel):
-            (sa, *na), (sb, *nb) = _solve_numbers(rel, ta), _solve_numbers(rel, tb)
-            if sa != sb or any(len(x) != len(y) for x, y in zip(na, nb)):
-                changed.append(f"{rel}: changed beyond prices, residuals and Newton iterations")
+            (sa, na), (sb, nb) = _solve_numbers(rel, ta), _solve_numbers(rel, tb)
+            if sa != sb or any(len(na[key]) != len(nb[key]) for key in na):
+                changed.append(f"{rel}: changed beyond prices, residuals and solver counts")
                 continue
-            for key, x, y in zip(largest, na, nb):
-                change = max((abs(u - v) for u, v in zip(x, y)), default=0)
+            for key in largest:
+                change = max((abs(u - v) for u, v in zip(na[key], nb[key])), default=0)
                 if change > largest[key][0]:
                     largest[key] = (change, rel)
     print(f"files: {len(files)}, differing: {len(differ)}")
