@@ -18,6 +18,7 @@ objects and repeated runs are byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import operator
 from pathlib import Path
 
@@ -135,21 +136,29 @@ def load_dataset(path) -> ObservationDataset:
     if len(header) % 2 != 0 or not header[0].startswith("p"):
         raise EconomyFormatError(f"{path}: expected header p1..pl,x1..xl")
     goods = len(header) // 2
-    prices, bundles = [], []
+    body = [row for row in rows[1:] if row]
+    try:
+        if any(len(row) != 2 * goods for row in body):
+            raise ValueError("field count")
+        values = np.fromiter(map(float, itertools.chain.from_iterable(body)), dtype=float)
+    except ValueError:
+        _raise_first_bad_line(path, rows, goods)
+    if not body:
+        raise EconomyFormatError(f"{path}: dataset has a header but no rows")
+    values = values.reshape(len(body), 2 * goods)
+    return ObservationDataset(values[:, :goods], values[:, goods:])
+
+
+def _raise_first_bad_line(path, rows: list, goods: int) -> None:
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 2 * goods:
             raise EconomyFormatError(f"{path}:{lineno}: expected {2 * goods} fields")
         try:
-            values = [float(v) for v in row]
+            [float(v) for v in row]
         except ValueError as exc:
             raise EconomyFormatError(f"{path}:{lineno}: non-numeric field") from exc
-        prices.append(values[:goods])
-        bundles.append(values[goods:])
-    if not prices:
-        raise EconomyFormatError(f"{path}: dataset has a header but no rows")
-    return ObservationDataset(np.asarray(prices), np.asarray(bundles))
 
 
 # --- result tables ------------------------------------------------------------

@@ -190,7 +190,11 @@ def _greedy_cover(X: np.ndarray, order, radius: float, p: float) -> np.ndarray:
     """
     tree = cKDTree(X)
     owner = np.full(len(X), -1)
-    for k in order:
+    # A row with no other row within ``radius`` can only claim itself.
+    alone = np.flatnonzero(tree.query_ball_point(X, radius, p=p, return_length=True) == 1)
+    owner[alone] = alone
+    order = np.asarray(order, dtype=int)
+    for k in order[owner[order] < 0]:
         if owner[k] >= 0:
             continue
         near = np.asarray(tree.query_ball_point(X[k], radius, p=p), dtype=int)

@@ -91,33 +91,53 @@ def preference_matrix(d: ObservationDataset):
     weak = spend_cross <= spend_own[:, None] + TIE_TOL
     owner = _greedy_cover(X, np.arange(d.size), DISTINCT_TOL, p=np.inf)
     reps, groups = np.unique(owner, return_inverse=True)
-    i, j = np.nonzero(weak & (groups[:, None] != groups[None, :]))
-    adj = np.zeros((reps.size, reps.size), dtype=bool)
-    adj[groups[i], groups[j]] = True
+    if reps.size == d.size:
+        adj = weak.copy()
+    else:
+        # OR over the rows, then the columns, of each group's block.
+        order = np.argsort(groups, kind="stable")
+        first = np.searchsorted(groups[order], np.arange(reps.size))
+        rows = np.logical_or.reduceat(weak[order], first, axis=0)
+        adj = np.logical_or.reduceat(rows[:, order], first, axis=1)
+    np.fill_diagonal(adj, False)
     return adj, groups, weak
 
 
 def _find_cycle(adj: np.ndarray) -> list[int] | None:
-    """A directed cycle in the adjacency matrix, or None.
+    """A directed cycle in the adjacency matrix (empty diagonal), or None.
 
     Returns the node sequence without the closing node: the first mutually
     preferring pair if there is one, else a shortest cycle through the
     lowest node of a strong component with two or more nodes.
     """
-    mutual = np.argwhere(np.triu(adj & adj.T))
-    if len(mutual):
-        return [int(v) for v in mutual[0]]
-    graph = csr_matrix(adj)
+    mutual = adj & adj.T
+    paired = mutual.any(axis=1)
+    if paired.any():
+        # ``mutual`` is symmetric, so the first row with an entry holds the
+        # first pair of its upper triangle.
+        i = int(np.argmax(paired))
+        return [i, int(np.argmax(mutual[i]))]
+    # Peel the nodes with no incoming edge, level by level: they lie on no
+    # cycle, and no remaining node reaches them.
+    indegree = adj.sum(axis=0, dtype=np.int32)
+    sources = np.flatnonzero(indegree == 0)
+    while sources.size:
+        indegree[sources] = -1
+        indegree -= adj[sources].sum(axis=0, dtype=np.int32)
+        sources = np.flatnonzero(indegree == 0)
+    rest = np.flatnonzero(indegree > 0)
+    if rest.size == 0:
+        return None
+    sub = adj[np.ix_(rest, rest)]
+    graph = csr_matrix(sub)
     _, labels = connected_components(graph, directed=True, connection="strong")
     cyclic = np.flatnonzero(np.bincount(labels)[labels] >= 2)
-    if cyclic.size == 0:
-        return None
     start = int(cyclic[0])
     order, pred = breadth_first_order(graph, start, return_predecessors=True)
-    cycle = [int(order[adj[order, start]][0])]
+    cycle = [int(order[sub[order, start]][0])]
     while cycle[-1] != start:
         cycle.append(int(pred[cycle[-1]]))
-    return cycle[::-1]
+    return rest[cycle[::-1]].tolist()
 
 
 def sarp_check(d: ObservationDataset) -> SarpResult:

@@ -152,6 +152,27 @@ class TestDatasetFiles:
         with pytest.raises(EconomyFormatError, match=":3"):
             wk.load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["1,1,1", "1,1,1,1", "1,oops,1,1"], ":2: expected 4 fields"),
+            (["1,1,1,1", "1,oops,1,1", "1,1,1"], ":3: non-numeric field"),
+            (["1,1,1,1", "", "1,1", "1,1,x,1"], ":4: expected 4 fields"),
+        ],
+    )
+    def test_first_bad_line_is_reported(self, tmp_path, lines, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["p1,p2,x1,x2", *lines]) + "\n")
+        with pytest.raises(EconomyFormatError, match=message):
+            wk.load_dataset(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("p1,p2,x1,x2\n\n1,2,3,4\n\n\n0.5, 1e-3,0,7\n")
+        ds = wk.load_dataset(path)
+        assert ds.prices.tolist() == [[1.0, 2.0], [0.5, 1e-3]]
+        assert ds.bundles.tolist() == [[3.0, 4.0], [0.0, 7.0]]
+
 
 class TestResultTables:
     def test_equilibria_csv(self, tmp_path):

@@ -1,13 +1,17 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.spatial import cKDTree
 
 import walraskit as wk
 from support import brute_force_sarp, observed_demand
 from walraskit.consumers import demand_rows, excess_rows
 from walraskit.geometry import _greedy_cover
-from walraskit.revealed import DISTINCT_TOL, TIE_TOL
+from walraskit.revealed import DISTINCT_TOL, TIE_TOL, _find_cycle, preference_matrix
 
 
 def cd_dataset(rng, goods=2, n_obs=20, alpha=None, omega=None):
@@ -28,6 +32,59 @@ def _loop_distinct_groups(X):
         same = np.max(np.abs(X - X[i]), axis=1) <= DISTINCT_TOL
         rep[same & (rep == np.arange(T))] = i
     return rep
+
+
+def _loop_greedy_cover(X, order, radius, p):
+    """``_greedy_cover`` with one ball query per unclaimed row."""
+    tree = cKDTree(X)
+    owner = np.full(len(X), -1)
+    for k in order:
+        if owner[k] >= 0:
+            continue
+        near = np.asarray(tree.query_ball_point(X[k], radius, p=p), dtype=int)
+        owner[near[owner[near] < 0]] = k
+    return owner
+
+
+def _scatter_preference_matrix(d):
+    """``preference_matrix`` built by scattering the nonzero edges of the
+    observation relation into the group matrix."""
+    P, X = d.prices, d.bundles
+    spend_own = np.einsum("ij,ij->i", P, X)
+    weak = P @ X.T <= spend_own[:, None] + TIE_TOL
+    reps, groups = np.unique(_loop_distinct_groups(X), return_inverse=True)
+    i, j = np.nonzero(weak & (groups[:, None] != groups[None, :]))
+    adj = np.zeros((reps.size, reps.size), dtype=bool)
+    adj[groups[i], groups[j]] = True
+    return adj, groups, weak
+
+
+def _sparse_find_cycle(adj):
+    """``_find_cycle`` over the whole graph in sparse form: the first mutual
+    pair of the upper triangle, else strong components and a BFS."""
+    mutual = np.argwhere(np.triu(adj & adj.T))
+    if len(mutual):
+        return [int(v) for v in mutual[0]]
+    graph = csr_matrix(adj)
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    cyclic = np.flatnonzero(np.bincount(labels)[labels] >= 2)
+    if cyclic.size == 0:
+        return None
+    start = int(cyclic[0])
+    order, pred = breadth_first_order(graph, start, return_predecessors=True)
+    cycle = [int(order[adj[order, start]][0])]
+    while cycle[-1] != start:
+        cycle.append(int(pred[cycle[-1]]))
+    return cycle[::-1]
+
+
+def _best_time(fn, arg, repeats=5):
+    best = np.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn(arg)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def assert_witness(ds, cycle):
@@ -159,6 +216,18 @@ class TestSarpCheck:
         owner = _greedy_cover(X, np.arange(3), DISTINCT_TOL, p=np.inf)
         assert owner.tolist() == _loop_distinct_groups(X).tolist() == [0, 0, 2]
 
+    def test_greedy_cover_matches_the_per_row_queries(self, rng):
+        # Mostly lone rows, as in sampled data, with some clusters and exact
+        # repeats among them.
+        n = 2000
+        X = rng.uniform(0.0, 2.0, (n, 3))
+        X[:200] = X[rng.integers(0, 50, 200)] + rng.uniform(-1, 1, (200, 3)) * DISTINCT_TOL
+        X[200:260] = X[rng.integers(0, n, 60)]
+        for radius, p in ((DISTINCT_TOL, np.inf), (0.05, 2)):
+            for order in (np.arange(n), rng.permutation(n)):
+                owner = _greedy_cover(X, order, radius, p=p)
+                assert owner.tolist() == _loop_greedy_cover(X, order, radius, p).tolist()
+
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
             wk.ObservationDataset([[1, -1]], [[1, 1]])
@@ -170,6 +239,92 @@ class TestSarpCheck:
             wk.ObservationDataset([[1, np.nan]], [[1, 1]])
         with pytest.raises(ValueError, match="finite"):
             wk.ObservationDataset([[1, 1]], [[np.inf, 1]])
+
+
+def _random_digraph(rng, n, kind):
+    """A random adjacency matrix with an empty diagonal: ``"any"`` edges,
+    ``"oriented"`` (no mutual pair), or ``"downstream"``: an acyclic part
+    whose nodes reach a cyclic part only through edges into it."""
+    if kind == "any":
+        adj = rng.random((n, n)) < rng.uniform(0.02, 0.3)
+        np.fill_diagonal(adj, False)
+        return adj
+    if kind == "oriented":
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.5), 1)
+        flip = rng.random((n, n)) < 0.5
+        return (upper & flip) | (upper & ~flip).T
+    k = int(rng.integers(1, n - 1))
+    adj = np.zeros((n, n), dtype=bool)
+    adj[:k, :k] = np.triu(rng.random((k, k)) < 0.3, 1)
+    adj[:k, k:] = rng.random((k, n - k)) < 0.1
+    adj[k:, k:] = _random_digraph(rng, n - k, "oriented")
+    perm = rng.permutation(n)
+    return adj[np.ix_(perm, perm)]
+
+
+def _tied_dataset(rng, n, goods):
+    """Small-integer prices and bundles: many exact spending ties and
+    repeated bundles."""
+    P = rng.integers(1, 4, (n, goods)).astype(float)
+    X = rng.integers(0, 3, (n, goods)).astype(float)
+    X[rng.random(n) < 0.3] = X[0]
+    return wk.ObservationDataset(P, X)
+
+
+def _repeated_dataset(rng, n, goods):
+    """Bundles on random budget lines, some moved onto another observation's
+    budget line, then copied within ``DISTINCT_TOL``: the copies of one
+    bundle can fall on either side of that observation's tie."""
+    P = rng.uniform(0.5, 2.0, (n, goods))
+    X = rng.dirichlet(np.ones(goods), n) * rng.uniform(5, 15, (n, 1)) / P
+    i, j = rng.integers(0, n, (2, n))
+    X[j] *= (np.einsum("ij,ij->i", P[i], X[i]) / np.einsum("ij,ij->i", P[i], X[j]))[:, None]
+    copy = rng.random(n) < 0.5
+    X[copy] = X[j[copy]] + rng.uniform(-1, 1, (copy.sum(), goods)) * DISTINCT_TOL
+    return wk.ObservationDataset(P, np.abs(X))
+
+
+class TestDensePasses:
+    """The dense group reduction and the peeled cycle search give the same
+    matrices and cycles as the edge scatter and the whole-graph search."""
+
+    @pytest.mark.parametrize("make", [_tied_dataset, _repeated_dataset])
+    def test_preference_matrix_and_cycle_match_the_scatter(self, rng, make):
+        violations = 0
+        for _ in range(200):
+            ds = make(rng, int(rng.integers(2, 60)), int(rng.integers(2, 4)))
+            adj, groups, weak = preference_matrix(ds)
+            ref_adj, ref_groups, ref_weak = _scatter_preference_matrix(ds)
+            assert np.array_equal(weak, ref_weak)
+            assert groups.tolist() == ref_groups.tolist()
+            assert np.array_equal(adj, ref_adj)
+            cycle = _find_cycle(adj)
+            assert cycle == _sparse_find_cycle(ref_adj)
+            violations += cycle is not None
+        assert violations > 20
+
+    @pytest.mark.parametrize("kind", ["any", "oriented", "downstream"])
+    def test_cycle_matches_the_whole_graph_search(self, rng, kind):
+        found = 0
+        for _ in range(300):
+            adj = _random_digraph(rng, int(rng.integers(3, 40)), kind)
+            cycle = _find_cycle(adj)
+            assert cycle == _sparse_find_cycle(adj)
+            found += cycle is not None and len(cycle) > 2
+        assert found > 30 or kind == "any"
+
+    def test_chain_is_peeled_no_slower_than_the_whole_graph_search(self, rng):
+        # A path through all T = 2000 nodes peels one node per level.
+        T = 2000
+        order = rng.permutation(T)
+        chain = np.zeros((T, T), dtype=bool)
+        chain[order[:-1], order[1:]] = True
+        assert _find_cycle(chain) is None
+        closed = chain.copy()
+        closed[order[-1], order[T // 2]] = True
+        assert _find_cycle(closed) == _sparse_find_cycle(closed)
+        assert len(_find_cycle(closed)) == T - T // 2
+        assert _best_time(_find_cycle, chain) <= _best_time(_sparse_find_cycle, chain)
 
 
 class TestSampleDemand:
