@@ -53,7 +53,7 @@ the detector is a heuristic with documented thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import permutations
 from numbers import Integral
 
@@ -171,11 +171,16 @@ def _index_check(finite: bool, all_regular: bool, index_sum: int) -> str:
 MAX_STARTS = 250_000
 
 
+@lru_cache(maxsize=16)
 def _start_grid(dim: int, density: int) -> np.ndarray:
+    """The chart lattice of ``density`` points per axis, ``BOUNDARY_MARGIN``
+    from every face; read-only, since every caller shares it."""
     axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, density)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     C = np.column_stack([g.ravel() for g in grids])
-    return C[C.sum(axis=1) <= 1.0 - BOUNDARY_MARGIN]
+    C = C[C.sum(axis=1) <= 1.0 - BOUNDARY_MARGIN]
+    C.setflags(write=False)
+    return C
 
 
 def _interior(C: np.ndarray) -> np.ndarray:
