@@ -11,6 +11,21 @@ over groups, and each step ``a -> b`` of a reported cycle names the
 lowest-indexed observation of group ``a`` whose price reveals a bundle of
 group ``b``, so every edge of the witness can be checked on the raw data.
 
+Both tolerances are free of units.  A tie counts as affordable within
+``TIE_TOL`` of the observation's own spending, ``p^i . x^j <= (1 + TIE_TOL)
+p^i . x^i``, and bundles are compared in units of each good's largest
+observed amount.  Rescaling all bundles, the prices of one observation, or
+the unit of one good (``x_j * s`` with ``p_j / s``) changes neither the
+verdict nor the cycle.
+
+For ``T`` observations the check costs one ``T x T`` product ``P X^T`` and a
+few dense passes over the ``T x T`` relation: a ball count groups the
+bundles, an OR-reduction by group gives the group relation (the relation
+itself when no bundle repeats), and a mutual pair, if any, is the cycle.
+Otherwise the nodes without an incoming edge are peeled level by level; an
+empty remainder proves the relation acyclic, and the strong-component
+search and the BFS for the shortest cycle run on the remainder only.
+
 Positive rescalings of an individual excess-demand field preserve the
 properties a consumer's excess demand must have; ``scaled_field_audit``
 verifies the checkable ones (Walras' law, the endowment lower bound, strict
@@ -88,8 +103,10 @@ def preference_matrix(d: ObservationDataset):
     P, X = d.prices, d.bundles
     spend_own = np.einsum("ij,ij->i", P, X)
     spend_cross = P @ X.T                   # [i, j] = p^i . x^j
-    weak = spend_cross <= spend_own[:, None] + TIE_TOL
-    owner = _greedy_cover(X, np.arange(d.size), DISTINCT_TOL, p=np.inf)
+    weak = spend_cross <= (1.0 + TIE_TOL) * spend_own[:, None]
+    top = X.max(axis=0)
+    unit = X / np.where(top > 0.0, top, 1.0)
+    owner = _greedy_cover(unit, np.arange(d.size), DISTINCT_TOL, p=np.inf)
     reps, groups = np.unique(owner, return_inverse=True)
     if reps.size == d.size:
         adj = weak.copy()

@@ -130,15 +130,19 @@ def nullspace_price(economy):
 
 
 def brute_force_sarp(prices, bundles, tie_tol=1e-10, distinct_tol=1e-10):
-    """Exhaustive cycle enumeration over distinct-bundle groups (n <= 8)."""
+    """Exhaustive cycle enumeration over distinct-bundle groups (n <= 8).
+
+    A tie is affordable within ``tie_tol`` of the own spending, and bundles
+    are compared in units of each good's largest observed amount."""
     P = np.asarray(prices, dtype=float)
     X = np.asarray(bundles, dtype=float)
     T = P.shape[0]
+    unit = [X[:, g].max() or 1.0 for g in range(X.shape[1])]
     group_of = [-1] * T
     reps = []
     for i in range(T):
         for g, r in enumerate(reps):
-            if np.max(np.abs(X[i] - X[r])) <= distinct_tol:
+            if np.max(np.abs(X[i] - X[r]) / unit) <= distinct_tol:
                 group_of[i] = g
                 break
         else:
@@ -148,7 +152,7 @@ def brute_force_sarp(prices, bundles, tie_tol=1e-10, distinct_tol=1e-10):
     edge = np.zeros((n, n), dtype=bool)
     for i in range(T):
         for j in range(T):
-            if group_of[i] != group_of[j] and P[i] @ X[j] <= P[i] @ X[i] + tie_tol:
+            if group_of[i] != group_of[j] and P[i] @ X[j] <= (1 + tie_tol) * (P[i] @ X[i]):
                 edge[group_of[i], group_of[j]] = True
     for size in range(2, n + 1):
         for subset in combinations(range(n), size):

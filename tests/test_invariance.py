@@ -1,6 +1,8 @@
 """Property tests: the equilibria of a constant-scale Cobb-Douglas economy
 do not depend on the order of its goods or of its consumers, nor on a
-common factor of all endowments."""
+common factor of all endowments; the SARP verdict and cycle of a dataset
+do not depend on the units of its bundles, goods or prices, nor does the
+audit of a scaled consumer on a common factor of its endowment."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -83,3 +85,67 @@ def test_rescaling_the_continuum_economy_keeps_its_witness():
         assert not report.finite_flag
         intervals.append(report.continuum.interval)
     assert intervals[0] == intervals[1] == intervals[2]
+
+
+# Violations: the two-observation cycle that an absolute bundle tolerance
+# merged at 1e-11; the same cycle through a tie that an absolute tie
+# tolerance drops at prices x1e3; two bundles 1.5e-10 apart in one good,
+# which an absolute bundle tolerance merges in smaller units; a three-cycle
+# with no two-cycle; and a cycle through a repeated bundle.
+VIOLATIONS = (
+    ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.5, 0.0]]),
+    ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0 + 3e-11], [1.5, 0.0]]),
+    ([[1.0, 0.5], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 1.5e-10]]),
+    ([[1.0, 0.9, 2.0], [2.0, 1.0, 0.9], [0.9, 2.0, 1.0]], np.eye(3)),
+    ([[1.0, 3.0], [1.0, 2.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 2.0], [2.0, 0.0]]),
+)
+
+
+@st.composite
+def observations(draw):
+    """Bundles on random budget lines, drawn with repeats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, goods = draw(st.integers(2, 8)), draw(st.integers(2, 3))
+    P = rng.uniform(0.5, 2.0, (n, goods))
+    X = rng.dirichlet(np.ones(goods), n) * rng.uniform(5, 15, (n, 1)) / P
+    return P, X[rng.integers(0, n, n)]
+
+
+def sarp(P, X):
+    result = wk.sarp_check(wk.ObservationDataset(P, X))
+    return result.passed, result.cycle
+
+
+def cases(drawn):
+    return [(np.asarray(P, dtype=float), np.asarray(X, dtype=float)) for P, X in (*VIOLATIONS, drawn)]
+
+
+@SETTINGS
+@given(observations())
+def test_rescaling_bundles_keeps_the_sarp_answer(drawn):
+    for P, X in cases(drawn):
+        answer = sarp(P, X)
+        for k in range(-12, 13):
+            assert sarp(P, X * 10.0**k) == answer
+
+
+@SETTINGS
+@given(observations(), st.data())
+def test_rescaling_each_price_keeps_the_sarp_answer(drawn, data):
+    for P, X in cases(drawn):
+        exponents = data.draw(st.lists(st.integers(-8, 8), min_size=len(P), max_size=len(P)))
+        factors = 10.0 ** np.array(exponents, dtype=float)
+        assert sarp(P * factors[:, None], X) == sarp(P, X)
+
+
+@SETTINGS
+@given(observations(), st.data())
+def test_changing_the_unit_of_one_good_keeps_the_sarp_answer(drawn, data):
+    for P, X in cases(drawn):
+        good = data.draw(st.integers(0, P.shape[1] - 1))
+        s = 10.0 ** data.draw(st.integers(-10, 10))
+        P2, X2 = P.copy(), X.copy()
+        P2[:, good] /= s
+        X2[:, good] *= s
+        assert sarp(P2, X2) == sarp(P, X)
+

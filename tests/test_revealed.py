@@ -46,13 +46,19 @@ def _loop_greedy_cover(X, order, radius, p):
     return owner
 
 
+def _unit_bundles(X):
+    """Bundles in units of each good's largest observed amount."""
+    top = X.max(axis=0)
+    return X / np.where(top > 0.0, top, 1.0)
+
+
 def _scatter_preference_matrix(d):
     """``preference_matrix`` built by scattering the nonzero edges of the
     observation relation into the group matrix."""
     P, X = d.prices, d.bundles
     spend_own = np.einsum("ij,ij->i", P, X)
-    weak = P @ X.T <= spend_own[:, None] + TIE_TOL
-    reps, groups = np.unique(_loop_distinct_groups(X), return_inverse=True)
+    weak = P @ X.T <= (1.0 + TIE_TOL) * spend_own[:, None]
+    reps, groups = np.unique(_loop_distinct_groups(_unit_bundles(X)), return_inverse=True)
     i, j = np.nonzero(weak & (groups[:, None] != groups[None, :]))
     adj = np.zeros((reps.size, reps.size), dtype=bool)
     adj[groups[i], groups[j]] = True
@@ -93,9 +99,10 @@ def assert_witness(ds, cycle):
     assert len(cycle) >= 2
     for k, i in enumerate(cycle):
         j = cycle[(k + 1) % len(cycle)]
-        assert P[i] @ X[j] <= P[i] @ X[i] + TIE_TOL
+        assert P[i] @ X[j] <= (1.0 + TIE_TOL) * (P[i] @ X[i])
+    unit = _unit_bundles(X)
     for a, b in itertools.combinations(cycle, 2):
-        assert np.max(np.abs(X[a] - X[b])) > DISTINCT_TOL
+        assert np.max(np.abs(unit[a] - unit[b])) > DISTINCT_TOL
 
 
 class TestSarpCheck:
@@ -139,13 +146,7 @@ class TestSarpCheck:
             if result.passed:
                 continue
             found += 1
-            cyc = result.cycle
-            for k, i in enumerate(cyc):
-                j = cyc[(k + 1) % len(cyc)]
-                spend_own = P[i] @ X[i]
-                spend_cross = P[i] @ X[j]
-                assert spend_cross <= spend_own + 1e-10
-                assert np.max(np.abs(X[i] - X[j])) > 1e-10
+            assert_witness(ds, result.cycle)
         assert found > 0
 
     def test_matches_brute_force_oracle(self, rng):
@@ -273,14 +274,16 @@ def _tied_dataset(rng, n, goods):
 
 def _repeated_dataset(rng, n, goods):
     """Bundles on random budget lines, some moved onto another observation's
-    budget line, then copied within ``DISTINCT_TOL``: the copies of one
-    bundle can fall on either side of that observation's tie."""
+    budget line, then copied within ``DISTINCT_TOL`` of the largest amounts:
+    the copies of one bundle can fall on either side of that observation's
+    tie."""
     P = rng.uniform(0.5, 2.0, (n, goods))
     X = rng.dirichlet(np.ones(goods), n) * rng.uniform(5, 15, (n, 1)) / P
     i, j = rng.integers(0, n, (2, n))
     X[j] *= (np.einsum("ij,ij->i", P[i], X[i]) / np.einsum("ij,ij->i", P[i], X[j]))[:, None]
     copy = rng.random(n) < 0.5
-    X[copy] = X[j[copy]] + rng.uniform(-1, 1, (copy.sum(), goods)) * DISTINCT_TOL
+    nudge = rng.uniform(-1, 1, (copy.sum(), goods)) * DISTINCT_TOL * X.max(axis=0)
+    X[copy] = X[j[copy]] + nudge
     return wk.ObservationDataset(P, np.abs(X))
 
 
