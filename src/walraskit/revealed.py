@@ -29,7 +29,8 @@ search and the BFS for the shortest cycle run on the remainder only.
 Positive rescalings of an individual excess-demand field preserve the
 properties a consumer's excess demand must have; ``scaled_field_audit``
 verifies the checkable ones (Walras' law, the endowment lower bound, strict
-positivity of the scaling) on price samples.
+positivity of the scaling) on price samples, within ``WALRAS_TOL`` of the
+scaled wealth ``scale(p) * p . omega`` at each sample.
 """
 
 from __future__ import annotations
@@ -196,9 +197,12 @@ def scaled_field_audit(c: Consumer, prices: list[PricePoint]) -> AuditReport:
 
     Checks, at every sample: the scaling is finite and strictly positive
     (samples where it is not are flagged and skipped), the scaled field
-    satisfies Walras' law within ``WALRAS_TOL`` (1e-9), and each component
-    respects the lower bound ``scale(p) * (-omega_i)`` that any excess demand
-    of a consumer endowed with ``omega`` obeys.
+    satisfies Walras' law, and each component respects the lower bound
+    ``scale(p) * (-omega_i)`` that any excess demand of a consumer endowed
+    with ``omega`` obeys.  Both hold within ``WALRAS_TOL`` (1e-9) times the
+    scaled wealth ``scale(p) * p . omega`` of the sample, so the verdict does
+    not depend on the units of the endowment.  ``max_walras_violation`` is
+    the largest ``|p . z|`` itself.
     """
     if not prices:
         raise ValueError("at least one sample price is required")
@@ -208,15 +212,18 @@ def scaled_field_audit(c: Consumer, prices: list[PricePoint]) -> AuditReport:
     flagged = tuple(int(i) for i in np.flatnonzero(~good))
 
     max_walras = 0.0
+    walras_held = True
     bound_violations = 0
     if good.any():
         Z = scale[good, None] * (demand_rows(c, P[good]) - c.endowment)
         walras = np.abs(np.einsum("ij,ij->i", P[good], Z))
         max_walras = float(walras.max())
+        slack = WALRAS_TOL * scale[good] * (P[good] @ c.endowment)
+        walras_held = bool(np.all(walras <= slack))
         lower = -scale[good, None] * c.endowment
-        bound_violations = int(np.any(Z < lower - 1e-9, axis=1).sum())
+        bound_violations = int(np.any(Z < lower - slack[:, None], axis=1).sum())
 
-    passed = not flagged and max_walras <= WALRAS_TOL and bound_violations == 0
+    passed = not flagged and walras_held and bound_violations == 0
     return AuditReport(
         samples=len(prices),
         max_walras_violation=max_walras,

@@ -149,3 +149,18 @@ def test_changing_the_unit_of_one_good_keeps_the_sarp_answer(drawn, data):
         X2[:, good] *= s
         assert sarp(P2, X2) == sarp(P, X)
 
+
+@SETTINGS
+@given(economies(), st.integers(-10, 10))
+def test_rescaling_an_endowment_keeps_the_audit_verdict(economy, k):
+    # Beside each consumer's constant scale, the polynomial 1 + c_1, which is
+    # positive on the simplex.
+    zero = (0,) * (economy.goods - 2)
+    positive = wk.PolynomialScale(((1.0, (0, *zero)), (1.0, (1, *zero))))
+    rng = np.random.default_rng(k + 10)
+    prices = [wk.simplex_point(p) for p in rng.dirichlet(np.ones(economy.goods), 64)]
+    for c in economy.consumers:
+        for scale in (c.scale, positive):
+            report = wk.scaled_field_audit(wk.Consumer(c.alpha, c.endowment * 10.0**k, scale), prices)
+            assert report.passed
+            assert (report.lower_bound_violations, report.nonpositive_scale_samples) == (0, ())
