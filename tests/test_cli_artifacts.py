@@ -82,16 +82,23 @@ def test_a_changed_answer_fails(tmp_path, changed, named):
     assert any(line.startswith(f"CHANGED {named}: changed") for line in done.stdout.splitlines())
 
 
-def test_rescaled_economies_are_written_and_solved(tmp_path):
-    # ``invocations`` writes the inputs under the working directory.
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The working directory of ``invocations(301)``, which writes the
+    inputs there, and the invocations it lists."""
+    root = tmp_path_factory.mktemp("artifacts")
     code = (
         "import runpy\n"
         f"ns = runpy.run_path({str(TOOL)!r})\n"
         "print('\\n'.join(' '.join(argv) for argv in ns['invocations'](301)))\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    listed = done.stdout.splitlines()
+    return root, done.stdout.splitlines()
+
+
+def test_rescaled_economies_are_written_and_solved(written):
+    tmp_path, listed = written
     sources = {"economy0": "solve/economy0.yaml", "continuum": "experiment/continuum/realized_economy.yaml"}
     for name, source in sources.items():
         base = wk.load_economy(tmp_path / source)
@@ -102,3 +109,22 @@ def test_rescaled_economies_are_written_and_solved(tmp_path):
             for a, b in zip(base.consumers, copy.consumers):
                 np.testing.assert_allclose(b.endowment, a.endowment * float(factor), rtol=1e-15)
                 assert (b.alpha.tolist(), b.scale.to_dict()) == (a.alpha.tolist(), a.scale.to_dict())
+
+
+def test_extra_sarp_datasets_are_written_and_checked(written):
+    root, listed = written
+    extra = root / "sarp" / "extra"
+    for name in ("three-cycle", "repeated", "dataset1-x1e-11", "dataset1-x1e8"):
+        assert f"sarp --input sarp/extra/{name}.csv --out sarp/extra/{name}" in listed
+    base = wk.load_dataset(root / "sarp" / "dataset1.csv")
+    for factor in ("1e-11", "1e8"):
+        copy = wk.load_dataset(extra / f"dataset1-x{factor}.csv")
+        assert np.array_equal(copy.prices, base.prices)
+        np.testing.assert_allclose(copy.bundles, base.bundles * float(factor), rtol=1e-15)
+    repeated = wk.load_dataset(extra / "repeated.csv").bundles
+    assert np.array_equal(repeated[1::3], repeated[:-1:3])
+    # The three unit bundles form the only cycle, and no pair is mutual.
+    three = wk.load_dataset(extra / "three-cycle.csv")
+    adj = wk.revealed.preference_matrix(three)[0]
+    assert not (adj & adj.T).any()
+    assert wk.sarp_check(three).cycle == (0, 1, 2)

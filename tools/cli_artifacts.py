@@ -9,7 +9,12 @@ directory of every invocation in their pools, plus ``perturb`` (bases
 first six ``solve`` economies, and ``solve`` on copies of ``solve`` economy 0
 and of the saved continuum economy with every endowment multiplied by 1e-8
 and by 1e8 (under ``rescaled/``), whose answers must not depend on the
-factor.  ``commands.txt`` lists every invocation
+factor.  Under ``sarp/extra/`` it runs ``sarp`` on datasets that the
+benchmark pool never yields: a three-cycle without a two-cycle behind two
+observations that only reveal it, ``sarp`` dataset 1 with every third
+bundle repeated from the row before, and copies of dataset 1 with every
+bundle multiplied by 1e-11 and by 1e8, whose verdict and cycle must not
+depend on the factor.  ``commands.txt`` lists every invocation
 with its exit status and error output.  The commands run with ``DIR`` as
 the working directory and get relative paths, so no output names ``DIR``.
 
@@ -44,7 +49,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from walraskit import Consumer, Economy, cli, load_economy, save_economy  # noqa: E402
+from walraskit import (  # noqa: E402
+    Consumer,
+    Economy,
+    ObservationDataset,
+    cli,
+    load_dataset,
+    load_economy,
+    save_dataset,
+    save_economy,
+)
 from workloads import WORKLOADS  # noqa: E402
 
 ECONOMIES = 6
@@ -54,6 +68,13 @@ RESCALED = {
     "continuum": Path("experiment", "continuum", "realized_economy.yaml"),
 }
 FACTORS = ("1e-8", "1e8")
+# Three unit bundles revealed in a cycle with no mutual pair, after two
+# observations that reveal them and that no other observation reveals.
+THREE_CYCLE = (
+    [[1.0, 0.9, 2.0], [2.0, 1.0, 0.9], [0.9, 2.0, 1.0], [1.0, 1.0, 1.0], [1.0, 2.0, 3.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [3.0, 3.0, 3.0], [2.0, 2.0, 2.0]],
+)
+SARP_FACTORS = ("1e-11", "1e8")
 
 
 def invocations(seed: int) -> list[list[str]]:
@@ -82,6 +103,19 @@ def invocations(seed: int) -> list[list[str]]:
             consumers = (Consumer(c.alpha, c.endowment * float(factor), c.scale) for c in economy.consumers)
             save_economy(path, Economy(tuple(consumers)))
             argvs.append(["solve", "--input", str(path), "--out", str(path.with_suffix(""))])
+    extra = Path("sarp", "extra")
+    extra.mkdir()
+    base = load_dataset(Path("sarp", "dataset1.csv"))
+    repeated = base.bundles.copy()
+    repeated[1::3] = repeated[:-1:3]
+    datasets = {
+        "three-cycle": ObservationDataset(*THREE_CYCLE),
+        "repeated": ObservationDataset(base.prices, repeated),
+        **{f"dataset1-x{f}": ObservationDataset(base.prices, base.bundles * float(f)) for f in SARP_FACTORS},
+    }
+    for name, dataset in datasets.items():
+        save_dataset(extra / f"{name}.csv", dataset)
+        argvs.append(["sarp", "--input", str(extra / f"{name}.csv"), "--out", str(extra / name)])
     return argvs
 
 
