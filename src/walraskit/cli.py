@@ -14,6 +14,7 @@ the decomposition construction).
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -90,21 +91,21 @@ def _cmd_solve(args, out_dir: Path) -> int:
     return 0
 
 
-def _decomposition_grid(goods: int, n: int, seed: int):
+def _decomposition_grid(goods: int, n: int, seed: int) -> np.ndarray:
+    """``(n, goods)`` simplex rows: evenly spaced for two goods, else Dirichlet draws."""
+    if n < 1:
+        raise ValueError(f"--grid must be at least 1, not {n}")
     if goods == 2:
         xs = np.linspace(0.01, 0.99, n)
-        return [simplex_point([x, 1.0 - x]) for x in xs]
-    rng = np.random.default_rng(seed)
-    return [simplex_point(rng.dirichlet(np.ones(goods))) for _ in range(n)]
+        return np.column_stack([xs, 1.0 - xs])
+    return np.random.default_rng(seed).dirichlet(np.ones(goods), size=n)
 
 
 def _cmd_decompose(args, out_dir: Path) -> int:
-    if args.grid < 1:
-        raise ValueError(f"--grid must be at least 1, not {args.grid}")
     economy = load_economy(args.input)
     family = CanonicalFamily.symmetric(economy.goods)
     grid = _decomposition_grid(economy.goods, args.grid, args.seed)
-    witnesses = [decompose_at(family, aed(economy, p)) for p in grid]
+    witnesses = [decompose_at(family, aed(economy, simplex_point(s))) for s in grid]
     write_witness_csv(out_dir / "witness.csv", witnesses)
     worst = max(w.residual for w in witnesses)
     floor = min(w.mu.min() for w in witnesses)
@@ -132,7 +133,7 @@ def _cmd_realize(args, out_dir: Path) -> int:
         family = CanonicalFamily.symmetric(base.goods)
         grid = _decomposition_grid(base.goods, args.grid, args.seed)
         economy = realize_economy(family, target_field, grid)
-        grid_chart = np.array([p.simplex_coords()[:-1] for p in grid])
+        grid_chart = grid[:, :-1]
         target = target_field.chart_values(grid_chart)
         mismatch = np.abs(economy_field(economy).chart_values(grid_chart) - target).max()
         lines.append(f"realize: aggregate excess demand of {args.input}")
@@ -222,10 +223,7 @@ def _cmd_audit(args, out_dir: Path) -> int:
         raise ValueError(f"--samples must be at least 1, not {args.samples}")
     economy = load_economy(args.input)
     rng = np.random.default_rng(args.seed)
-    prices = [
-        simplex_point(rng.dirichlet(np.ones(economy.goods)))
-        for _ in range(args.samples)
-    ]
+    prices = [simplex_point(s) for s in rng.dirichlet(np.ones(economy.goods), size=args.samples)]
     lines = [f"audit: {args.input}", f"samples per consumer: {args.samples}"]
     passed = []
     for k, consumer in enumerate(economy.consumers):
@@ -262,7 +260,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args keeps nothing from one call to the next.
     parser = argparse.ArgumentParser(
         prog="walraskit",
         description="Analyse excess-demand fields of pure-exchange economies.",

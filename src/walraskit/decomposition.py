@@ -33,7 +33,7 @@ import numpy as np
 
 from .consumers import UNIT_SCALE, Consumer, Economy
 from .fields import as_field
-from .geometry import PricePoint, TangentVector
+from .geometry import PricePoint, TangentVector, _check_price_rows
 from .scales import KernelSampledScale
 
 KERNEL_NULLSPACE_TOL = 1e-10
@@ -217,33 +217,42 @@ def decompose_at(f: CanonicalFamily, target: TangentVector) -> DecompositionWitn
     return DecompositionWitness(price=p, mu=mu[0], residual=float(residual[0]))
 
 
-def realize_economy(f: CanonicalFamily, target_field, grid: list[PricePoint]) -> Economy:
+def realize_economy(f: CanonicalFamily, target_field, S) -> Economy:
     """An ``l``-consumer economy whose aggregate excess demand matches a field
     on a price grid.
 
-    The target is evaluated once over the grid and decomposed over the
-    canonical basis as in :func:`decompose_at`, with smallest coefficient
-    ``COEFFICIENT_FLOOR`` at every grid point; consumer ``i`` receives a
-    scale interpolating its coefficients between grid points.  What is
-    sampled is the ratio of the coefficient to the closed-form kernel weight:
-    wherever the target is identically zero the sampled ratios coincide
-    across consumers and the reconstructed aggregate vanishes exactly between
-    grid points as well, not only at them.
+    ``S`` holds the grid as ``(n, l)`` simplex price rows, checked as
+    :class:`~walraskit.geometry.PricePoint` checks one price.  The target is
+    evaluated once over the grid and decomposed over the canonical basis as
+    in :func:`decompose_at`, with smallest coefficient ``COEFFICIENT_FLOOR``
+    at every grid point; consumer ``i`` receives a scale interpolating its
+    coefficients between grid points.  What is sampled is the ratio of the
+    coefficient to the closed-form kernel weight: wherever the target is
+    identically zero the sampled ratios coincide across consumers and the
+    reconstructed aggregate vanishes exactly between grid points as well,
+    not only at them.
 
     The interpolated ratios stay within the range of their positive node
     values (see :class:`~walraskit.scales.SampledScale`), so every scale is
     strictly positive between grid points too.
 
-    Raises ``ValueError`` if the grid has fewer than ``l`` points (the
-    fewest that span the chart) or the target is not finite at a grid point.
+    Raises ``ValueError`` if the rows are not ``l`` wide, are fewer than
+    ``l`` (the fewest that span the chart), are not interior simplex prices,
+    or the target is not finite at a grid point.
     """
     field = as_field(target_field)
-    if len(grid) < f.goods:
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[1] != f.goods:
+        raise ValueError(
+            f"realisation needs grid rows of {f.goods} prices for {f.goods} goods, "
+            f"not an array of shape {S.shape}"
+        )
+    if len(S) < f.goods:
         raise ValueError(
             f"realisation needs a grid of at least {f.goods} points for "
-            f"{f.goods} goods, not {len(grid)}"
+            f"{f.goods} goods, not {len(S)}"
         )
-    S = np.array([p.simplex_coords() for p in grid])
+    _check_price_rows(S)
     chart_rows = S[:, :-1]
     _, V = field.full_values(chart_rows)
     if not np.all(np.isfinite(V)):

@@ -10,9 +10,13 @@ closed vocabulary in :mod:`walraskit.scales`:
       endowment: [1.0, 0.0]
       scale: {type: constant, value: 1.0}
 
-Floats are emitted with Python repr (shortest exact form) in YAML and with
-17 significant digits in CSV tables, so written files re-parse to equivalent
-objects and repeated runs are byte-identical.
+Economy files are written by a small direct emitter that gives exactly the
+text of PyYAML's ``safe_dump(data, sort_keys=False, default_flow_style=None)``:
+block collections, except that a list or mapping of scalars is written in
+flow style and wrapped past column 80.  They are read with libyaml's parser
+when PyYAML has it.  Floats are emitted with Python repr (shortest exact
+form) in YAML and with 17 significant digits in CSV tables, so written files
+re-parse to equivalent objects and repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import csv
 import itertools
 import operator
+import re
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +39,9 @@ from .scales import scale_from_dict
 
 FLOAT_FMT = "%.17g"
 
-# The libyaml parser and emitter when PyYAML was built with them; the
-# pure-Python classes read and write the same text, only slower.
+# The libyaml parser when PyYAML was built with it; the pure-Python class
+# reads the same text, only slower.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 class EconomyFormatError(ValueError):
@@ -97,11 +101,145 @@ def economy_from_dict(data: dict) -> Economy:
     return Economy(tuple(consumers))
 
 
+# --- YAML emitter -------------------------------------------------------------
+#
+# Writes what PyYAML's safe dumper writes with ``sort_keys=False`` and
+# ``default_flow_style=None`` for the plain data of :func:`economy_to_dict`:
+# a tree (no list or mapping appears twice, which PyYAML would write as an
+# alias) of mappings with string keys, lists, and float, int and word scalars.
+
+YAML_WIDTH = 80
+_PLAIN_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Words that a YAML reader would not take back as strings when unquoted.
+_RESOLVED_WORDS = {"yes", "no", "true", "false", "on", "off", "null"}
+_FLOAT_WORDS = {"inf": ".inf", "-inf": "-.inf", "nan": ".nan"}
+
+
+def _yaml_float(text: str) -> str:
+    """PyYAML's spelling of the float whose ``repr`` is ``text``."""
+    if text in _FLOAT_WORDS:
+        return _FLOAT_WORDS[text]
+    if "e" in text and "." not in text:  # 1e+16 is not a YAML float; 1.0e+16 is
+        return text.replace("e", ".0e", 1)
+    return text
+
+
+def _word_text(x: str) -> str:
+    if _PLAIN_WORD.fullmatch(x) and x.lower() not in _RESOLVED_WORDS:
+        return x
+    raise TypeError(f"cannot write {x!r} as a plain YAML scalar")
+
+
+# By exact type, as PyYAML's safe representer picks: a numpy float is refused.
+_SCALAR_TEXT = {
+    float: lambda x: _yaml_float(float.__repr__(x)),
+    int: int.__repr__,
+    str: _word_text,
+}
+
+
+def _scalar_texts(values) -> list[str] | None:
+    """The texts of plain scalars, or None when a value is a list or mapping."""
+    types = set(map(type, values))
+    if types == {float}:  # grid rows and sampled values: repr, then fix the rare cases
+        texts = list(map(float.__repr__, values))
+        joined = "".join(texts)
+        return list(map(_yaml_float, texts)) if "e" in joined or "n" in joined else texts
+    if types & {list, dict}:
+        return None
+    bad = types - _SCALAR_TEXT.keys()
+    if bad:
+        raise TypeError(f"cannot write a {bad.pop().__name__} as a plain YAML scalar")
+    return [_SCALAR_TEXT[type(v)](v) for v in values]
+
+
+class _Emitter:
+    """Block layout with indent 2; sequences under a mapping key are not
+    indented and a mapping that is a sequence item starts on the dash's line.
+    Lists and mappings of scalars are written in flow style."""
+
+    def __init__(self):
+        self.parts = []
+        self.column = 0
+
+    def write(self, text: str) -> None:
+        self.parts.append(text)
+        self.column += len(text)
+
+    def newline(self, indent: int) -> None:
+        self.parts.append("\n" + " " * indent)
+        self.column = indent
+
+    def mapping(self, data: dict, indent: int, inline: bool) -> None:
+        for k, key in enumerate(data):
+            if k or not inline:
+                self.newline(indent)
+            self.write(_word_text(key) + ":")
+            self.value(data[key], indent, in_mapping=True)
+
+    def sequence(self, data: list, indent: int, inline: bool) -> None:
+        for k, value in enumerate(data):
+            if k or not inline:
+                self.newline(indent)
+            self.write("-")
+            self.value(value, indent, in_mapping=False)
+
+    def value(self, x, indent: int, in_mapping: bool) -> None:
+        """``x`` after the ``:`` or ``-`` of a block collection at ``indent``."""
+        if isinstance(x, list):
+            texts = _scalar_texts(x)
+            if texts is not None:
+                return self.flow(texts, "[", "]", indent + 2)
+            block = self.sequence
+        elif isinstance(x, dict):
+            texts = _scalar_texts(x.values())
+            if texts is not None:
+                items = [f"{_word_text(k)}: {t}" for k, t in zip(x, texts)]
+                return self.flow(items, "{", "}", indent + 2)
+            block = self.mapping
+        else:
+            return self.write(" " + _scalar_texts([x])[0])
+        if in_mapping:
+            block(x, indent + 2 if block == self.mapping else indent, inline=False)
+        else:
+            self.write(" ")
+            block(x, indent + 2, inline=True)
+
+    def flow(self, items: list[str], start: str, end: str, indent: int) -> None:
+        # Like libyaml and PyYAML, break before an item, after its comma, once
+        # the column is past the width; every such check is at least two
+        # columns before the end of the collection.
+        text = " " + start + ", ".join(items) + end
+        if self.column + len(text) - 2 <= YAML_WIDTH:
+            return self.write(text)
+        parts = self.parts
+        parts.append(" " + start)
+        column = self.column + 2
+        for k, item in enumerate(items):
+            if k:
+                parts.append(",")
+                column += 1
+            if column > YAML_WIDTH:
+                parts.append("\n" + " " * indent)
+                column = indent
+            elif k:
+                item = " " + item
+            parts.append(item)
+            column += len(item)
+        parts.append(end)
+        self.column = column + 1
+
+
+def _economy_yaml(data: dict) -> str:
+    """The YAML text of an economy dict, as :func:`save_economy` writes it."""
+    emitter = _Emitter()
+    emitter.mapping(data, 0, inline=True)
+    emitter.parts.append("\n")
+    return "".join(emitter.parts)
+
+
 def save_economy(path, e: Economy) -> None:
-    text = yaml.dump(
-        economy_to_dict(e), Dumper=YAML_DUMPER, sort_keys=False, default_flow_style=None
-    )
-    Path(path).write_text(text)
+    Path(path).write_text(_economy_yaml(economy_to_dict(e)))
 
 
 def load_economy(path) -> Economy:

@@ -31,7 +31,6 @@ from .decomposition import CanonicalFamily, realize_economy
 from .equilibrium import SolverConfig, _index_check, _solve
 from .equilibrium import find_equilibria  # noqa: F401 - in this namespace for wrappers such as bench/tracer.py
 from .fields import TangentField, _with_term, as_field, chart_field
-from .geometry import simplex_point
 
 BASIS_KINDS = ("linear_tilt", "polynomial", "random_fourier")
 CONTINUUM_GRID_MARGIN = 0.01
@@ -153,8 +152,7 @@ def build_continuum_economy(interval: tuple[float, float], grid: int = 201):
         raise ValueError("grid needs at least 5 points")
     xs = np.linspace(CONTINUUM_GRID_MARGIN, 1.0 - CONTINUUM_GRID_MARGIN, grid)
     target = chart_field(continuum_chart_map(a, b), goods=2)
-    points = [simplex_point([x, 1.0 - x]) for x in xs]
-    return realize_economy(CanonicalFamily.symmetric(2), target, points)
+    return realize_economy(CanonicalFamily.symmetric(2), target, np.column_stack([xs, 1.0 - xs]))
 
 
 @dataclass(frozen=True)

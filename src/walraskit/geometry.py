@@ -15,8 +15,9 @@ says), hence the :class:`TangentVector` type.
 The vectorised evaluation core works on raw ``(n, l)`` arrays of price rows
 and assumes them finite and strictly positive without checking.  Prices are
 checked once, where they enter: by :class:`PricePoint` and
-:class:`ChartPoint`, and by the chart map of
-:func:`walraskit.fields.economy_field` for batches of chart rows.
+:class:`ChartPoint`, by the chart map of
+:func:`walraskit.fields.economy_field` for batches of chart rows, and by
+:func:`walraskit.decomposition.realize_economy` for its grid rows.
 """
 
 from __future__ import annotations
@@ -60,18 +61,7 @@ class PricePoint:
         coords = _readonly(self.coords)
         if coords.ndim != 1 or coords.size < 2:
             raise ValueError("price point needs a 1-d vector of length >= 2")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("price coordinates must be finite")
-        if np.any(coords <= 0.0):
-            raise ValueError("price point must be interior (all coordinates > 0)")
-        if self.frame == SIMPLEX:
-            if abs(coords.sum() - 1.0) > FRAME_TOL:
-                raise ValueError("simplex coordinates must sum to 1 within 1e-12")
-        elif self.frame == SPHERE:
-            if abs(np.linalg.norm(coords) - 1.0) > FRAME_TOL:
-                raise ValueError("sphere coordinates must have norm 1 within 1e-12")
-        else:
-            raise ValueError(f"unknown frame {self.frame!r}")
+        _check_price_rows(coords, self.frame)
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -145,6 +135,24 @@ class TangentVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.components))
+
+
+def _check_price_rows(P: np.ndarray, frame: str = SIMPLEX) -> None:
+    """Raise ``ValueError`` unless every row of ``P`` (price coordinates along
+    the last axis) is finite, strictly positive and normalised for ``frame``
+    within ``1e-12``; the messages are those of :class:`PricePoint`."""
+    if not np.isfinite(P).all():
+        raise ValueError("price coordinates must be finite")
+    if (P <= 0.0).any():
+        raise ValueError("price point must be interior (all coordinates > 0)")
+    if frame == SIMPLEX:
+        if (abs(P.sum(axis=-1) - 1.0) > FRAME_TOL).any():
+            raise ValueError("simplex coordinates must sum to 1 within 1e-12")
+    elif frame == SPHERE:
+        if (abs(np.sqrt((P * P).sum(axis=-1)) - 1.0) > FRAME_TOL).any():
+            raise ValueError("sphere coordinates must have norm 1 within 1e-12")
+    else:
+        raise ValueError(f"unknown frame {frame!r}")
 
 
 def simplex_point(coords) -> PricePoint:

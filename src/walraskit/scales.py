@@ -25,11 +25,12 @@ sampled ratios agree across consumers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator, PchipInterpolator
-from scipy.spatial import QhullError
+from scipy.spatial import Delaunay, QhullError
 
 
 class Scale:
@@ -130,6 +131,13 @@ class BumpScale(Scale):
         }
 
 
+@functools.lru_cache(maxsize=8)
+def _delaunay(data: bytes, shape: tuple) -> Delaunay:
+    # The l kernel_sampled scales of a realised economy share one grid, so
+    # they share one triangulation; the key is the grid's float64 bytes.
+    return Delaunay(np.frombuffer(data).reshape(shape))
+
+
 def _build_interpolator(grid: np.ndarray, values: np.ndarray):
     if grid.shape[1] == 1:
         x = grid[:, 0]
@@ -147,7 +155,7 @@ def _build_interpolator(grid: np.ndarray, values: np.ndarray):
     # Scattered multi-dimensional data: piecewise-linear on the Delaunay
     # triangulation, nearest-value outside the convex hull.
     try:
-        lin = LinearNDInterpolator(grid, values)
+        lin = LinearNDInterpolator(_delaunay(grid.tobytes(), grid.shape), values)
     except QhullError as exc:
         first = str(exc).strip().splitlines()[0]
         raise ValueError(

@@ -258,8 +258,12 @@ class TestPerturbAndExperiment:
 
     @pytest.mark.parametrize(
         "argv, flag",
-        [(["audit", "--samples", "0"], "--samples"), (["decompose", "--grid", "0"], "--grid")],
-        ids=["audit-samples", "decompose-grid"],
+        [
+            (["audit", "--samples", "0"], "--samples"),
+            (["decompose", "--grid", "0"], "--grid"),
+            (["realize", "--grid", "0"], "--grid"),
+        ],
+        ids=["audit-samples", "decompose-grid", "realize-grid"],
     )
     def test_counts_below_one_name_the_flag(self, sym_file, tmp_path, capsys, argv, flag):
         out = tmp_path / "out"
@@ -331,6 +335,30 @@ class TestSarpAndAudit:
             "consumer 1: constant scale, skipped",
             "audit result: NOTHING AUDITED (every consumer has a constant scale)",
         ]
+
+
+def test_one_parser_serves_many_calls(sym_file, tmp_path):
+    # build_parser is cached: nothing parsed by one call may reach the next.
+    argvs = [
+        ["realize", "--continuum", "0.4", "0.6", "--grid", "21", "--seed", "5"],
+        ["realize", "--input", str(sym_file)],
+        ["solve", "--input", str(sym_file)],
+    ]
+    assert build_parser() is build_parser()
+    fresh = build_parser.__wrapped__()
+    reports = {}
+    for run, argv in enumerate(argvs + argvs[::-1]):
+        out = tmp_path / f"out{run}"
+        assert main(argv + ["--out", str(out)]) == 0
+        reports.setdefault(tuple(argv), set()).add((out / "report.txt").read_text())
+        args = vars(build_parser().parse_args(argv + ["--out", "o"]))
+        assert args == vars(fresh.parse_args(argv + ["--out", "o"]))
+    assert all(len(texts) == 1 for texts in reports.values())
+    realize_input = vars(build_parser().parse_args(argvs[1] + ["--out", "o"]))
+    assert realize_input["continuum"] is None
+    assert (realize_input["grid"], realize_input["seed"]) == (201, 1729)
+    assert vars(build_parser().parse_args(argvs[2] + ["--out", "o"]))["grid"] == 50
+    assert "grid points: 201" in reports[tuple(argvs[1])].pop()
 
 
 def test_internal_assertion_exits_2(sym_file, tmp_path, monkeypatch, capsys):

@@ -202,7 +202,7 @@ class TestFusedKernel:
     @pytest.mark.parametrize("goods", [2, 3])
     def test_matches_the_loop_on_realized_economies(self, goods, rng):
         base = random_economy(rng, goods, 3)
-        grid = [wk.simplex_point(p) for p in rng.dirichlet(np.full(goods, 3.0), size=25)]
+        grid = rng.dirichlet(np.full(goods, 3.0), size=25)
         econ = wk.realize_economy(
             wk.CanonicalFamily.symmetric(goods), wk.economy_field(base), grid
         )

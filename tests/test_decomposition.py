@@ -166,16 +166,17 @@ def loop_realized_ratios(f, field, grid):
     one decomposition per grid point, divided by the kernel weights there."""
     return np.array(
         [
-            wk.decompose_at(f, field.value(p)).mu
-            / wk.kernel_weights(f, p.simplex_coords()[None, :])[0]
-            for p in grid
+            wk.decompose_at(f, field.value(wk.simplex_point(s))).mu
+            / wk.kernel_weights(f, s[None, :])[0]
+            for s in grid
         ]
     )
 
 
 class TestRealizeEconomy:
     def grid(self, n=101, lo=0.05, hi=0.95):
-        return [wk.simplex_point([x, 1 - x]) for x in np.linspace(lo, hi, n)]
+        xs = np.linspace(lo, hi, n)
+        return np.column_stack([xs, 1 - xs])
 
     @pytest.mark.parametrize("rescale", [1.0, 1e6])
     @pytest.mark.parametrize("goods", [2, 3, 4])
@@ -193,7 +194,7 @@ class TestRealizeEconomy:
             if goods == 2:
                 grid = self.grid(41, 0.01, 0.99)
             else:
-                grid = [wk.simplex_point(rng.dirichlet(np.ones(goods))) for _ in range(41)]
+                grid = rng.dirichlet(np.ones(goods), size=41)
             econ = wk.realize_economy(fam, target, grid)
             ratios = np.column_stack([c.scale.values for c in econ.consumers])
             expected = loop_realized_ratios(fam, target, grid)
@@ -206,15 +207,14 @@ class TestRealizeEconomy:
         zero = wk.chart_field(lambda C: np.zeros_like(C), goods=2)
         grid = self.grid()
         econ = wk.realize_economy(symmetric_family, zero, grid)
-        P = np.vstack([p.coords for p in grid])
-        assert np.max(np.abs(aed_rows(econ, P))) <= 1e-12
+        assert np.max(np.abs(aed_rows(econ, grid))) <= 1e-12
 
     def test_edgeworth_round_trip_on_grid(self, symmetric_family):
         target = wk.economy_field(edgeworth_asymmetric())
         grid = self.grid(101)
         econ = wk.realize_economy(symmetric_family, target, grid)
         realized = wk.economy_field(econ)
-        C = np.array([[p.coords[0]] for p in grid])
+        C = grid[:, :-1]
         err = np.abs(realized.chart_values(C) - target.chart_values(C)).max()
         assert err <= 1e-6
         # the realised economy has the same equilibrium
@@ -236,21 +236,57 @@ class TestRealizeEconomy:
             (wk.Consumer([0.2, 0.3, 0.5], [1, 1, 1]), wk.Consumer([0.5, 0.3, 0.2], [1, 0.5, 1]))
         )
         target = wk.economy_field(target_econ)
-        grid = [wk.simplex_point(rng.dirichlet(np.full(3, 3.0))) for _ in range(60)]
+        grid = rng.dirichlet(np.full(3, 3.0), size=60)
         econ = wk.realize_economy(fam, target, grid)
         realized = wk.economy_field(econ)
-        C = np.array([p.coords[:-1] for p in grid])
+        C = grid[:, :-1]
         assert np.abs(realized.chart_values(C) - target.chart_values(C)).max() <= 1e-6
 
     def test_empty_grid_rejected(self, symmetric_family):
         # fewer than l grid points cannot span the chart
         zero = wk.chart_field(lambda C: np.zeros_like(C), goods=2)
-        for grid in ([], [wk.simplex_point([0.3, 0.7])]):
+        for grid in (np.empty((0, 2)), np.array([[0.3, 0.7]])):
             with pytest.raises(ValueError, match=f"at least 2 points for 2 goods, not {len(grid)}"):
                 wk.realize_economy(symmetric_family, zero, grid)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0.5, 0.0, 0.5], r"price point must be interior \(all coordinates > 0\)"),
+            ([0.6, -0.1, 0.5], r"price point must be interior \(all coordinates > 0\)"),
+            ([0.3, 0.3, 0.3], "simplex coordinates must sum to 1 within 1e-12"),
+            ([0.3, 0.3, 0.4 + 1e-11], "simplex coordinates must sum to 1 within 1e-12"),
+            ([0.3, np.nan, 0.7], "price coordinates must be finite"),
+            ([0.3, np.inf, 0.7], "price coordinates must be finite"),
+        ],
+    )
+    def test_grid_rows_are_checked_as_price_points(self, row, message, rng):
+        # The rows are checked together, with the messages of a PricePoint.
+        zero = wk.chart_field(lambda C: np.zeros_like(C), goods=3)
+        grid = rng.dirichlet(np.ones(3), size=20)
+        grid[7] = row
+        with pytest.raises(ValueError, match=message):
+            wk.simplex_point(row)
+        with pytest.raises(ValueError, match=message):
+            wk.realize_economy(wk.CanonicalFamily.symmetric(3), zero, grid)
+
+    def test_grid_width_and_count_are_checked(self, symmetric_family, rng):
+        zero = wk.chart_field(lambda C: np.zeros_like(C), goods=2)
+        for grid in (rng.dirichlet(np.ones(3), size=20), np.array([0.3, 0.7]), np.empty((0,))):
+            with pytest.raises(ValueError, match="grid rows of 2 prices for 2 goods"):
+                wk.realize_economy(symmetric_family, zero, grid)
+        three = wk.CanonicalFamily.symmetric(3)
+        for n in (0, 1, 2):
+            with pytest.raises(ValueError, match=f"at least 3 points for 3 goods, not {n}"):
+                wk.realize_economy(three, zero, rng.dirichlet(np.ones(3), size=n))
+        # a list of rows is an array like any other; PricePoint objects are not rows
+        econ = wk.realize_economy(symmetric_family, zero, [[0.25, 0.75], [0.5, 0.5], [0.75, 0.25]])
+        assert econ.consumers[0].scale.grid.shape == (3, 1)
+        with pytest.raises(TypeError):
+            wk.realize_economy(symmetric_family, zero, [wk.simplex_point([0.5, 0.5])] * 3)
+
     def test_non_finite_target_rejected(self, rng):
         bad = wk.chart_field(lambda C: np.where(C > 0.5, np.nan, 0.0), goods=3)
-        grid = [wk.simplex_point(rng.dirichlet(np.ones(3))) for _ in range(30)]
+        grid = rng.dirichlet(np.ones(3), size=30)
         with pytest.raises(ValueError, match="finite"):
             wk.realize_economy(wk.CanonicalFamily.symmetric(3), bad, grid)

@@ -2,12 +2,14 @@ import csv
 
 import numpy as np
 import pytest
+import yaml
 
 import walraskit as wk
 from walraskit.cli import main
 from walraskit.consumers import aed_rows
 from walraskit.econfile import (
     EconomyFormatError,
+    _economy_yaml,
     economy_from_dict,
     economy_to_dict,
     write_equilibria_csv,
@@ -121,6 +123,118 @@ class TestEconomyFiles:
             "polynomial",
             "bump",
         }
+
+
+def safe_dump_text(e):
+    """What PyYAML's pure-Python safe dumper writes for an economy."""
+    return yaml.dump(
+        economy_to_dict(e), Dumper=yaml.SafeDumper, sort_keys=False, default_flow_style=None
+    )
+
+
+class TestEconomyWriter:
+    """save_economy writes PyYAML's safe_dump text without PyYAML's emitter."""
+
+    def assert_writes_safe_dump_text(self, tmp_path, e):
+        path = tmp_path / "eco.yaml"
+        wk.save_economy(path, e)
+        text = path.read_text()
+        assert text == safe_dump_text(e)
+        return text
+
+    def test_every_scale_type(self, tmp_path):
+        sampled = wk.SampledScale(np.linspace(0.1, 0.9, 30)[:, None], np.linspace(1.0, 2.0, 30))
+        grid = np.array([[0.2, 0.3], [0.5, 0.2], [0.3, 0.3], [0.1, 0.6]])
+        e = wk.Economy(
+            (
+                wk.Consumer([0.2, 0.3, 0.5], [1.0, 0.5, 0.0]),
+                wk.Consumer(
+                    [0.5, 0.25, 0.25],
+                    [0.0, 1.0, 2.0],
+                    scale=wk.PolynomialScale(((2.0, (0, 0)), (-0.5, (2, 1)), (-1e-30, (0, 3)))),
+                ),
+                wk.Consumer(
+                    [0.25, 0.25, 0.5], [1, 1, 1], scale=wk.BumpScale((0.3, 0.3), 0.2, -0.5, 1.0)
+                ),
+                wk.Consumer([0.3, 0.3, 0.4], [2.0, 0.0, 1.0], scale=wk.ConstantScale(1e16)),
+                wk.Consumer(
+                    [0.1, 0.1, 0.8],
+                    [1.0, 1.0, 1.0],
+                    scale=wk.KernelSampledScale(grid, [1.0, 2.0, 0.5, 1e22], 2, 0.8, 1.0),
+                ),
+            )
+        )
+        text = self.assert_writes_safe_dump_text(tmp_path, e)
+        assert "- [2, 1]" in text and "- -1.0e-30" in text
+        two = wk.Economy((wk.Consumer([0.5, 0.5], [1.0, 1.0], scale=sampled),))
+        text = self.assert_writes_safe_dump_text(tmp_path, two)
+        assert "values: [1.0," in text and ",\n      1." in text  # the values wrap
+
+    @pytest.mark.parametrize("goods", [2, 3, 4, 5, 6, 7])
+    def test_realized_economies(self, goods, tmp_path, rng):
+        # From l = 6 on, a grid row is longer than a line and wraps.
+        base = wk.Economy(
+            tuple(
+                wk.Consumer(rng.dirichlet(np.ones(goods)), rng.uniform(0.5, 2.0, goods))
+                for _ in range(3)
+            )
+        )
+        grid = rng.dirichlet(np.ones(goods), size=max(3 * goods, 12))
+        econ = wk.realize_economy(
+            wk.CanonicalFamily.symmetric(goods), wk.economy_field(base), grid
+        )
+        text = self.assert_writes_safe_dump_text(tmp_path, econ)
+        rows = [line for line in text.splitlines() if line.startswith("    - [")]
+        assert len(rows) == goods * len(grid)
+        assert any(not row.endswith("]") for row in rows) == (goods >= 6)
+
+    def test_float_spellings(self, tmp_path):
+        values = [1e16, 1e22, 1e-300, 5e-324, 0.1, 1.0, 123456.789, 1e-05, 2.5e-08]
+        grid = np.linspace(0.1, 0.9, len(values))[:, None]
+        e = wk.Economy(
+            (
+                wk.Consumer([0.5, 0.5], [1.0, -0.0], scale=wk.SampledScale(grid, values)),
+                wk.Consumer([0.5, 0.5], [0.0, 1.0]),
+            )
+        )
+        text = self.assert_writes_safe_dump_text(tmp_path, e)
+        for spelling in ("1.0e+16", "1.0e+22", "1.0e-300", "5.0e-324", "1.0e-05", "-0.0"):
+            assert spelling in text
+        e2 = wk.load_economy(tmp_path / "eco.yaml")
+        assert np.array_equal(e2.consumers[0].scale.values, values)
+        assert str(e2.consumers[0].endowment[1]) == "-0.0"
+
+    def test_non_finite_and_unknown_values(self):
+        data = {"goods": 2, "x": [float("inf"), -float("inf"), float("nan"), -3], "y": [-1e300]}
+        assert _economy_yaml(data) == yaml.safe_dump(data, sort_keys=False, default_flow_style=None)
+        for bad in ("two words", "yes", True, None, (1, 2), np.float64(1.0), [1.0, np.float64(2.0)]):
+            with pytest.raises(TypeError, match="plain YAML scalar"):
+                _economy_yaml({"goods": 2, "x": bad})
+
+    def test_flow_lists_break_at_the_width(self):
+        # Lists ending at every column around the width, under each indent.
+        for shift in range(8):
+            for n in range(16, 24):
+                row = [1.5] * n + [0.25]  # copied below: PyYAML writes a shared list as an alias
+                data = {"k" * (shift + 1): row, "m": [{"a": row[:], "b": [row[:]]}]}
+                text = _economy_yaml(data)
+                assert text == yaml.safe_dump(data, sort_keys=False, default_flow_style=None)
+
+    def test_round_trip_through_load_economy(self, tmp_path, rng):
+        target = wk.Economy(
+            (wk.Consumer([0.2, 0.3, 0.5], [1, 1, 1]), wk.Consumer([0.5, 0.3, 0.2], [1, 0.5, 1]))
+        )
+        econ = wk.realize_economy(
+            wk.CanonicalFamily.symmetric(3),
+            wk.economy_field(target),
+            rng.dirichlet(np.ones(3), size=40),
+        )
+        path = tmp_path / "eco.yaml"
+        wk.save_economy(path, econ)
+        again = wk.load_economy(path)
+        assert economy_to_dict(again) == economy_to_dict(econ)
+        P = random_interior_prices(rng, 50, 3)
+        assert np.array_equal(aed_rows(econ, P), aed_rows(again, P))
 
 
 class TestDatasetFiles:

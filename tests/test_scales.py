@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import walraskit as wk
-from walraskit.scales import scale_from_dict
+from walraskit.scales import _delaunay, scale_from_dict
 from support import random_economy
 
 
@@ -81,8 +81,7 @@ class TestVocabulary:
                 nodes = np.column_stack([np.linspace(0.01, 0.99, 41), np.linspace(0.99, 0.01, 41)])
             else:
                 nodes = rng.dirichlet(np.ones(goods), size=41)
-            grid = [wk.simplex_point(p) for p in nodes]
-            economy = wk.realize_economy(wk.CanonicalFamily.symmetric(goods), target, grid)
+            economy = wk.realize_economy(wk.CanonicalFamily.symmetric(goods), target, nodes)
             probes = within_and_around(rng, nodes)
             for consumer in economy.consumers:
                 k = consumer.scale
@@ -104,6 +103,25 @@ class TestVocabulary:
         s = wk.KernelSampledScale(grid, values, good=0, share=0.5, level=1.0)
         P = rows([0.4, 0.6])
         assert s(P)[0] == pytest.approx(2.0 * 0.5 / 0.4)
+
+    def test_one_triangulation_per_grid(self, tmp_path, rng):
+        # The l kernel_sampled scales of a realised economy share their grid,
+        # and so does the same economy read back from its file.
+        target = wk.economy_field(random_economy(rng, 3, 2))
+        _delaunay.cache_clear()
+        economy = wk.realize_economy(
+            wk.CanonicalFamily.symmetric(3), target, rng.dirichlet(np.ones(3), size=30)
+        )
+        assert (_delaunay.cache_info().misses, _delaunay.cache_info().hits) == (1, 2)
+        wk.save_economy(tmp_path / "e.yaml", economy)
+        again = wk.load_economy(tmp_path / "e.yaml")
+        assert (_delaunay.cache_info().misses, _delaunay.cache_info().hits) == (1, 5)
+        probes = within_and_around(rng, rng.dirichlet(np.ones(3), size=30))
+        for c, d in zip(economy.consumers, again.consumers):
+            assert np.array_equal(c.scale(probes), d.scale(probes))
+        # another grid gets its own triangulation
+        wk.SampledScale(rng.dirichlet(np.ones(3), size=30)[:, :-1], np.ones(30))
+        assert _delaunay.cache_info().misses == 2
 
 
 class TestSerialisation:
