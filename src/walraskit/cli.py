@@ -227,14 +227,13 @@ def _cmd_audit(args, out_dir: Path) -> int:
     lines = [f"audit: {args.input}", f"samples per consumer: {args.samples}"]
     passed = []
     for k, consumer in enumerate(economy.consumers):
-        kind = consumer.scale.to_dict()["type"]
         if isinstance(consumer.scale, ConstantScale):
             lines.append(f"consumer {k}: constant scale, skipped")
             continue
         report = scaled_field_audit(consumer, prices)
         passed.append(report.passed)
         lines.append(
-            f"consumer {k}: scale={kind} "
+            f"consumer {k}: scale={consumer.scale.kind} "
             f"max |p.z| = {_fmt(report.max_walras_violation)}, "
             f"lower-bound violations = {report.lower_bound_violations}, "
             f"nonpositive-scale samples = {list(report.nonpositive_scale_samples)}, "

@@ -25,6 +25,7 @@ import csv
 import itertools
 import operator
 import re
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,13 @@ from .decomposition import DecompositionWitness
 from .equilibrium import EquilibriumReport
 from .genericity import GenericityResult
 from .revealed import ObservationDataset
-from .scales import scale_from_dict
+from .scales import (
+    BumpScale,
+    KernelSampledScale,
+    PolynomialScale,
+    SampledScale,
+    scale_from_dict,
+)
 
 FLOAT_FMT = "%.17g"
 
@@ -88,6 +95,7 @@ def economy_from_dict(data: dict) -> Economy:
         scale_data = entry.get("scale", {"type": "constant", "value": 1.0})
         try:
             scale = scale_from_dict(scale_data)
+            _check_scale_fits(scale, goods)
         except (KeyError, TypeError, ValueError) as exc:
             raise EconomyFormatError(f"consumer {k}: invalid scale: {exc}") from exc
         if len(alpha) != goods or len(endowment) != goods:
@@ -99,6 +107,30 @@ def economy_from_dict(data: dict) -> Economy:
         except ValueError as exc:
             raise EconomyFormatError(f"consumer {k}: {exc}") from exc
     return Economy(tuple(consumers))
+
+
+def _check_scale_fits(scale, goods: int) -> None:
+    """``ValueError`` unless ``scale`` reads a chart of ``goods - 1``
+    dimensions and, for ``kernel_sampled``, names one of the goods.  A
+    polynomial term may list fewer powers than there are chart dimensions:
+    the missing ones are 0."""
+    dim = goods - 1
+    if isinstance(scale, PolynomialScale) and any(len(p) > dim for _, p in scale.terms):
+        raise ValueError(
+            f"a polynomial term lists more powers than the chart has dimensions ({dim})"
+        )
+    if isinstance(scale, BumpScale) and len(scale.center) != dim:
+        raise ValueError(f"bump center must have one coordinate per chart dimension ({dim})")
+    if isinstance(scale, (SampledScale, KernelSampledScale)) and scale.grid.shape[1] != dim:
+        raise ValueError(
+            f"{scale.kind} grid rows must have one coordinate per chart dimension ({dim})"
+        )
+    if isinstance(scale, KernelSampledScale):
+        good = scale.good
+        if isinstance(good, bool) or not isinstance(good, Integral) or not 0 <= good < goods:
+            raise ValueError(
+                f"kernel_sampled good must be an integer from 0 to {dim}, not {good!r}"
+            )
 
 
 # --- YAML emitter -------------------------------------------------------------

@@ -86,11 +86,6 @@ MULTIPLICITY_K_MAX = 8
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 60
 NEWTON_MAX_HALVINGS = 10
-# A call of the Newton phase evaluates at most this many trials, or as many
-# as the phase has rows when that is more: in a phase whose starts stall
-# most rows need all ten halvings, and one call for all of them would take
-# ten times the memory of the full steps.
-NEWTON_CALL_ROWS = 16_384
 DEDUP_RADIUS = 1e-6
 JOIN_RADIUS = 1e-4
 CONTINUUM_SCAN_POINTS = 2001
@@ -188,14 +183,14 @@ def _interior(C: np.ndarray) -> np.ndarray:
 
 
 def _batched_jacobian(evaluate, C: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobians at the rows of ``C``, one column per pair
-    of calls, with step ``JACOBIAN_STEP * max(1, |c|)`` per row."""
+    """Central-difference Jacobians at the rows of ``C``, with step
+    ``JACOBIAN_STEP * max(1, |c|)`` per row, from one call on the stencil
+    rows ``c + h e_j`` and then ``c - h e_j`` of each row in turn."""
+    m, d = C.shape
     h = JACOBIAN_STEP * np.maximum(1.0, np.linalg.norm(C, axis=1))
-    columns = []
-    for e in np.eye(C.shape[1]):
-        step = h[:, None] * e
-        columns.append((evaluate(C + step, rows) - evaluate(C - step, rows)) / (2.0 * h)[:, None])
-    return np.stack(columns, axis=2)
+    stencil = C[:, None, :] + h[:, None, None] * np.concatenate([np.eye(d), -np.eye(d)])
+    F = evaluate(stencil.reshape(-1, d), np.repeat(rows, 2 * d)).reshape(m, 2, d, d)
+    return ((F[:, 0] - F[:, 1]) / (2.0 * h)[:, None, None]).swapaxes(1, 2)
 
 
 def _newton_state(evaluate, C: np.ndarray, rows: np.ndarray, weighted: bool):
@@ -225,18 +220,13 @@ def _newton_multistart(
     signs in the open simplex and stays bounded at its faces; convergence is
     judged on ``|z| <= tol`` (one bound, or one per row) either way.
 
-    The step is halved at most ``NEWTON_MAX_HALVINGS`` (10) times, until a
-    trial inside the boundary margin cuts the residual by ``1 - lambda / 2``.
-    A row stops when no shorter step improves its residual, or when the step
-    no longer moves the point (as a singular Jacobian's zero step does).
-    Each point is evaluated once per step: an accepted trial's values become
-    the row's state, a trial that rounds to the row's point is not evaluated
-    and one that rounds to the previous trial keeps its values.  An
-    iteration makes at most ``2 d + 2`` calls: ``2 d`` for the Jacobian, one
-    for the full step of every row and one for all the halvings of the rows
-    whose full step is neither accepted nor stopped.  No call evaluates more
-    than ``max(len(starts), NEWTON_CALL_ROWS)`` trials: the halvings of more
-    rows than a tenth of that take one call per such group of rows.
+    A step tries ``C - lambda * delta`` for ``lambda = 1, 1/2, ...,
+    2**-NEWTON_MAX_HALVINGS`` and takes the first trial inside the boundary
+    margin that cuts the residual by ``1 - lambda / 2`` (backtracking).  A
+    row stops when no step size improves its residual, or when the step no
+    longer moves the point (as a singular Jacobian's zero step does).  An
+    iteration makes two calls: one for the Jacobian stencils of every
+    iterating row and one for the trials of all their step sizes.
 
     Rows that are still iterating and already converged are merged at the
     top of every iteration: within the rows of each field (``labels``, one
@@ -261,7 +251,6 @@ def _newton_multistart(
     iterations = np.zeros(len(C), dtype=np.int64)
     owner = np.arange(len(C))
     labels = np.zeros(len(C), dtype=np.int64) if labels is None else labels
-    cap = max(len(C), NEWTON_CALL_ROWS)
 
     for _ in range(NEWTON_MAX_ITER):
         _merge_converged(C, zres, active, owner, tol, labels)
@@ -269,7 +258,7 @@ def _newton_multistart(
         if idx.size == 0:
             break
         iterations[idx] += 1
-        took = _damped_step(evaluate, newton_map, idx, (C, G, res, zres), weighted, cap)
+        took = _damped_step(evaluate, newton_map, idx, (C, G, res, zres), weighted)
         # A row halts unless one of its trials is accepted.  An exact zero
         # stops here, not after one more Jacobian whose zero step would end it.
         halted[idx], active[idx] = True, False
@@ -283,8 +272,7 @@ def _newton_multistart(
     return C, zres, converged, halted & ~converged, active & ~converged, iterations
 
 
-_FULL_STEP = np.ones(1)
-_HALVINGS = 0.5 ** np.arange(1, NEWTON_MAX_HALVINGS + 1)
+_STEP_SIZES = 0.5 ** np.arange(NEWTON_MAX_HALVINGS + 1)
 
 
 def _newton_direction(newton_map, C, G, rows) -> np.ndarray:
@@ -298,35 +286,35 @@ def _newton_direction(newton_map, C, G, rows) -> np.ndarray:
     return delta
 
 
-def _damped_step(evaluate, newton_map, rows, state: tuple, weighted: bool, cap: int):
+def _damped_step(evaluate, newton_map, rows, state: tuple, weighted: bool):
     """One damped Newton step from each of ``rows`` of the iterates
     ``state``: their points ``C``, the Newton map's chart values ``G`` and
     the residuals ``res`` and ``zres``.  Updates ``state`` in place on the
     rows that accept a trial, and returns those rows.
 
-    The full step of every row is evaluated in one call, and then the
-    halvings of the rows it leaves pending, from the full step's trial, in
-    one call for every ``cap // NEWTON_MAX_HALVINGS`` of those rows.
+    The trials ``C - lambda * delta`` of every row and step size
+    (``_STEP_SIZES``) are evaluated in one call.  A row's trials end before
+    the first that rounds to its point, and one outside the boundary margin
+    has residual ``inf``; a row accepts its first trial whose residual is at
+    most ``(1 - lambda / 2) res``.
     """
     C, G, res, zres = (a[rows] for a in state)
     delta = _newton_direction(newton_map, C, G, rows)
-    hit, pending, trial, values = _first_accepted(
-        evaluate, C, delta, rows, _FULL_STEP, C, (G, res, zres), res, weighted
-    )
-    pending = np.flatnonzero(pending)
-    group = max(1, cap // NEWTON_MAX_HALVINGS)
-    for lo in range(0, pending.size, group):
-        p = pending[lo : lo + group]
-        hit[p], _, trial[p], halved = _first_accepted(
-            evaluate, C[p], delta[p], rows[p], _HALVINGS, trial[p],
-            tuple(v[p] for v in values), res[p], weighted,
-        )
-        for v, h in zip(values, halved):
-            v[p] = h
-    took = rows[hit]
-    for a, v in zip(state, (trial, *values)):
-        a[took] = v[hit]
-    return took
+    T = C[:, None, :] - _STEP_SIZES[:, None] * delta[:, None, :]
+    # No shorter step moves a point that a longer one leaves in place.
+    live = np.logical_and.accumulate((T != C[:, None, :]).any(axis=2), axis=1)
+    ask = live & _interior(T.reshape(-1, C.shape[1])).reshape(live.shape)
+    TG = np.empty_like(T)
+    TR, TZ = np.full((2, *live.shape), np.inf)
+    r, k = np.nonzero(ask)
+    if r.size:
+        TG[r, k], TR[r, k], TZ[r, k] = _newton_state(evaluate, T[r, k], rows[r], weighted)
+    accept = TR <= (1.0 - 0.5 * _STEP_SIZES) * res[:, None]
+    hit = np.flatnonzero(accept.any(axis=1))
+    pos = np.argmax(accept[hit], axis=1)
+    for a, v in zip(state, (T, TG, TR, TZ)):
+        a[rows[hit]] = v[hit, pos]
+    return rows[hit]
 
 
 def _merge_converged(C, zres, active, owner, tol, labels: np.ndarray) -> None:
@@ -341,45 +329,6 @@ def _merge_converged(C, zres, active, owner, tol, labels: np.ndarray) -> None:
     merged = cover != cand
     owner[cand[merged]] = cover[merged]
     active[cand[merged]] = False
-
-
-def _first_accepted(evaluate, C, delta, rows, lams, last, state, res, weighted: bool):
-    """Each row's first accepted trial ``C - lam * delta`` over the step
-    sizes ``lams``, with every trial evaluated in one call.
-
-    A row's trials end before the first that rounds to its point; a trial
-    that rounds to the one before it (``last`` for the first, with values
-    ``state``) keeps that trial's values, and one outside the boundary
-    margin has residual ``inf``.  Returns which rows accepted a trial, which
-    may go on to shorter steps (no trial accepted or ended), and per row the
-    accepted trial, else the last, with its values.
-    """
-    m, d = delta.shape
-    T = C[:, None, :] - lams[:, None] * delta[:, None, :]
-    # No shorter step moves a point that a longer one leaves in place.
-    live = np.logical_and.accumulate((T != C[:, None, :]).any(axis=2), axis=1)
-    fresh = live.copy()
-    fresh[:, 0] &= (T[:, 0] != last).any(axis=1)
-    fresh[:, 1:] &= (T[:, 1:] != T[:, :-1]).any(axis=2)
-    ask = fresh & _interior(T.reshape(-1, d)).reshape(fresh.shape)
-    G = np.empty_like(T)
-    R, Z = np.full((2, *fresh.shape), np.inf)
-    r, k = np.nonzero(ask)
-    if r.size:
-        G[r, k], R[r, k], Z[r, k] = _newton_state(evaluate, T[r, k], rows[r], weighted)
-    # Each trial takes the values of the latest fresh trial up to it, or
-    # ``state`` when there is none (-1).
-    src = np.maximum.accumulate(np.where(fresh, np.arange(lams.size), -1), axis=1)
-    i = np.arange(m)
-    tres = np.where(src >= 0, R[i[:, None], src], state[1][:, None])
-    accept = live & (tres <= (1.0 - 0.5 * lams) * res[:, None])
-    hit = accept.any(axis=1)
-    pos = np.where(hit, np.argmax(accept, axis=1), lams.size - 1)
-    j = src[i, pos]
-    values = (G[i, j], R[i, j], Z[i, j])
-    for v, s in zip(values, state):
-        v[j < 0] = s[j < 0]
-    return hit, live[:, -1] & ~hit, T[i, pos], values
 
 
 def _dedup(C: np.ndarray, res: np.ndarray, radius: float):

@@ -36,6 +36,8 @@ from scipy.spatial import Delaunay, QhullError
 class Scale:
     """Base class: a scale maps simplex price rows ``(n, l)`` to values ``(n,)``."""
 
+    kind = ""  # the ``type`` of its serialised form
+
     def __call__(self, P: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -45,6 +47,8 @@ class Scale:
 
 @dataclass(frozen=True)
 class ConstantScale(Scale):
+    kind = "constant"
+
     value: float = 1.0
 
     def __post_init__(self):
@@ -55,7 +59,7 @@ class ConstantScale(Scale):
         return np.full(P.shape[0], float(self.value))
 
     def to_dict(self):
-        return {"type": "constant", "value": float(self.value)}
+        return {"type": self.kind, "value": float(self.value)}
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,8 @@ class PolynomialScale(Scale):
     chart dimension.  Positivity is the caller's responsibility and is
     enforced where the scale is evaluated.
     """
+
+    kind = "polynomial"
 
     terms: tuple = field(default=((1.0, (0,)),))
 
@@ -91,7 +97,7 @@ class PolynomialScale(Scale):
 
     def to_dict(self):
         return {
-            "type": "polynomial",
+            "type": self.kind,
             "terms": [[c, list(p)] for c, p in self.terms],
         }
 
@@ -100,6 +106,8 @@ class PolynomialScale(Scale):
 class BumpScale(Scale):
     """``floor + height * exp(1 - 1/(1 - u^2))`` inside the chart ball of the
     given radius around ``center``, ``floor`` outside."""
+
+    kind = "bump"
 
     center: tuple
     radius: float
@@ -123,7 +131,7 @@ class BumpScale(Scale):
 
     def to_dict(self):
         return {
-            "type": "bump",
+            "type": self.kind,
             "center": list(self.center),
             "radius": float(self.radius),
             "height": float(self.height),
@@ -185,6 +193,8 @@ class SampledScale(Scale):
     nearest value is held constant.
     """
 
+    kind = "sampled"
+
     grid: np.ndarray
     values: np.ndarray
 
@@ -210,7 +220,7 @@ class SampledScale(Scale):
 
     def to_dict(self):
         return {
-            "type": "sampled",
+            "type": self.kind,
             "grid": self.grid.tolist(),
             "values": self.values.tolist(),
         }
@@ -225,6 +235,8 @@ class KernelSampledScale(Scale):
     and endowment level of the consumer holding only ``good``.
     """
 
+    kind = "kernel_sampled"
+
     grid: np.ndarray
     values: np.ndarray
     good: int
@@ -234,8 +246,8 @@ class KernelSampledScale(Scale):
     def __post_init__(self):
         if not (0.0 < self.share < 1.0):
             raise ValueError("share must lie strictly between 0 and 1")
-        if self.level <= 0.0:
-            raise ValueError("endowment level must be positive")
+        if not (np.isfinite(self.level) and self.level > 0.0):
+            raise ValueError("endowment level must be a positive finite number")
         sampled = SampledScale(self.grid, self.values)
         object.__setattr__(self, "grid", sampled.grid)
         object.__setattr__(self, "values", sampled.values)
@@ -247,7 +259,7 @@ class KernelSampledScale(Scale):
 
     def to_dict(self):
         return {
-            "type": "kernel_sampled",
+            "type": self.kind,
             "grid": self.grid.tolist(),
             "values": self.values.tolist(),
             "good": int(self.good),

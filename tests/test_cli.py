@@ -49,6 +49,22 @@ class TestSolve:
         assert rc == 1
         assert "consumer 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "audit"])
+    def test_scale_reading_past_the_goods_exits_1(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            "goods: 2\nconsumers:\n- alpha: [0.3, 0.7]\n  endowment: [1, 1]\n"
+            "  scale: {type: kernel_sampled, grid: [[0.1], [0.9]], values: [1, 1], good: 5,"
+            " share: 0.5, level: 1}\n"
+        )
+        out = tmp_path / "o"
+        assert main([command, "--input", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "input error: consumer 0: invalid scale: "
+            "kernel_sampled good must be an integer from 0 to 1, not 5"
+        ]
+        assert not (out / "report.txt").exists()
+
     def test_invalid_yaml_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("goods: [2\nconsumers: {\n")

@@ -20,10 +20,27 @@ REPORT = (
     "solver: {starts} starts, {starts} converged, 0 stalled, 0 exhausted, "
     "{its} Newton iterations, {merges} dedup merges\n"
 )
+AUDIT = (
+    "audit: solve/economy0.yaml\n"
+    "consumer 0: scale=polynomial max |p.z| = {walras}, lower-bound violations = {low}, "
+    "nonpositive-scale samples = [], {verdict}\n"
+    "audit result: {verdict}\n"
+)
 
 
 def write_tree(
-    root: Path, p="0.5", res="1e-16", reg="regular", index="1", its=120, starts=50, trial="0,ok"
+    root: Path,
+    p="0.5",
+    res="1e-16",
+    reg="regular",
+    index="1",
+    its=120,
+    starts=50,
+    trial="0,ok",
+    finite="4",
+    walras="1e-17",
+    low="0",
+    verdict="PASS",
 ):
     out = root / "solve" / "out0"
     out.mkdir(parents=True)
@@ -36,9 +53,10 @@ def write_tree(
     experiment = root / "experiment" / "out0"
     experiment.mkdir(parents=True)
     (experiment / "experiment.csv").write_text(f"trial,index_check\n{trial}\n")
+    (experiment / "report.txt").write_text(f"experiment: e.yaml\nfinite_count: {finite}\n")
     audit = root / "extra" / "economy0" / "audit"
     audit.mkdir(parents=True)
-    (audit / "report.txt").write_text("audit result: PASS\n")
+    (audit / "report.txt").write_text(AUDIT.format(walras=walras, low=low, verdict=verdict))
 
 
 def compare(old, new):
@@ -49,12 +67,13 @@ def compare(old, new):
 
 def test_numeric_drift_is_measured_and_passes(tmp_path):
     write_tree(tmp_path / "old")
-    write_tree(tmp_path / "new", p="0.50000000000000011", res="3e-16", its=51, starts=3)
-    (tmp_path / "new/extra/economy0/audit/report.txt").write_text("audit result: FAIL\n")
+    write_tree(
+        tmp_path / "new", p="0.50000000000000011", res="3e-16", its=51, starts=3, walras="4e-17"
+    )
     done = compare(tmp_path / "old", tmp_path / "new")
     assert done.returncode == 0, done.stdout
     lines = done.stdout.splitlines()
-    assert lines[0] == "files: 4, differing: 3"
+    assert lines[0] == "files: 5, differing: 3"
     assert "largest price change: 1.11022e-16 (solve/out0/report.txt)" in lines
     assert "largest residual change: 2e-16 (solve/out0/equilibria.csv)" in lines
     assert "largest Newton-iteration total change: 69 (solve/out0/report.txt)" in lines
@@ -62,6 +81,7 @@ def test_numeric_drift_is_measured_and_passes(tmp_path):
     for count in ("start", "converged", "dedup-merge"):
         assert f"largest {count} count change: 47 (solve/out0/report.txt)" in lines
     assert "largest stalled count change: 0" in lines
+    assert "largest audit max |p.z| change: 3e-17 (extra/economy0/audit/report.txt)" in lines
     assert not any(line.startswith("CHANGED") for line in lines)
 
 
@@ -71,8 +91,11 @@ def test_numeric_drift_is_measured_and_passes(tmp_path):
         ({"reg": "critical", "index": "0"}, "solve/out0/equilibria.csv"),
         ({"index": "-1"}, "solve/out0/report.txt"),
         ({"trial": "0,MISMATCH"}, "experiment/out0/experiment.csv"),
+        ({"finite": "3"}, "experiment/out0/report.txt"),
+        ({"verdict": "FAIL"}, "extra/economy0/audit/report.txt"),
+        ({"low": "2"}, "extra/economy0/audit/report.txt"),
     ],
-    ids=["regularity", "index", "experiment"],
+    ids=["regularity", "index", "experiment", "experiment-report", "audit-verdict", "audit-count"],
 )
 def test_a_changed_answer_fails(tmp_path, changed, named):
     write_tree(tmp_path / "old")

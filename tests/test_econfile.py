@@ -93,6 +93,69 @@ class TestEconomyFiles:
             economy_from_dict(data)
 
     @pytest.mark.parametrize(
+        "scale, message",
+        [
+            ({"good": 5}, "kernel_sampled good must be an integer from 0 to 1, not 5"),
+            ({"good": 0.5}, "kernel_sampled good must be an integer from 0 to 1, not 0.5"),
+            ({"good": -1}, "kernel_sampled good must be an integer from 0 to 1, not -1"),
+            ({"good": True}, "kernel_sampled good must be an integer from 0 to 1, not True"),
+            ({"level": float("nan")}, "endowment level must be a positive finite number"),
+            ({"level": float("inf")}, "endowment level must be a positive finite number"),
+            (
+                {"type": "polynomial", "terms": [[1.0, [1, 2]]]},
+                "a polynomial term lists more powers than the chart has dimensions (1)",
+            ),
+            (
+                {"type": "bump", "center": [0.5, 0.5], "radius": 0.2, "height": 1.0, "floor": 1.0},
+                "bump center must have one coordinate per chart dimension (1)",
+            ),
+            (
+                {"grid": [[0.1, 0.1], [0.5, 0.2], [0.2, 0.6]]},
+                "kernel_sampled grid rows must have one coordinate per chart dimension (1)",
+            ),
+        ],
+        ids=[
+            "good-5", "good-0.5", "good--1", "good-true", "level-nan", "level-inf",
+            "powers-1-2", "bump-center-2", "grid-2d",
+        ],
+    )
+    def test_scales_must_fit_the_goods(self, scale, message):
+        # Each of these once read past the price rows or gave a misleading
+        # answer only when the scale was evaluated.
+        base = {
+            "type": "kernel_sampled",
+            "grid": [[0.1], [0.5], [0.9]],
+            "values": [1.0, 1.0, 1.0],
+            "good": 0,
+            "share": 0.5,
+            "level": 1.0,
+        }
+        data = {
+            "goods": 2,
+            "consumers": [
+                {"alpha": [0.3, 0.7], "endowment": [1.0, 0.5]},
+                {"alpha": [0.5, 0.5], "endowment": [0.0, 1.0], "scale": {**base, **scale}},
+            ],
+        }
+        if "type" in scale:
+            data["consumers"][1]["scale"] = scale
+        with pytest.raises(EconomyFormatError) as info:
+            economy_from_dict(data)
+        assert str(info.value) == f"consumer 1: invalid scale: {message}"
+
+    def test_polynomial_powers_may_be_fewer_than_the_chart_dimensions(self):
+        # The default polynomial scale lists one power whatever the goods.
+        data = {
+            "goods": 3,
+            "consumers": [
+                {"alpha": [0.2, 0.3, 0.5], "endowment": [1.0, 1.0, 1.0], "scale": s.to_dict()}
+                for s in (wk.PolynomialScale(), wk.PolynomialScale(((1.0, (1,)),)))
+            ],
+        }
+        e = economy_from_dict(data)
+        assert [c.scale.terms for c in e.consumers] == [((1.0, (0,)),), ((1.0, (1,)),)]
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             (

@@ -79,25 +79,25 @@ def _newton_field(case, rng):
     return field
 
 
-def _one_call_per_step_size(evaluate, C, delta, rows, lams, last, state, res, weighted):
-    """``equilibrium._first_accepted`` as a loop with one call per step size."""
-    G, R, Z = (s.copy() for s in state)
-    T, hit, live = last.copy(), np.zeros(len(C), bool), np.ones(len(C), bool)
-    for lam in lams:
+def _one_call_per_step_size(evaluate, newton_map, rows, state, weighted):
+    """``equilibrium._damped_step`` as a loop with one call per step size."""
+    C, G, res, _ = (a[rows] for a in state)
+    delta = equilibrium._newton_direction(newton_map, C, G, rows)
+    hit, live = np.zeros(len(C), bool), np.ones(len(C), bool)
+    for lam in equilibrium._STEP_SIZES:
         i = np.flatnonzero(live & ~hit)
         trial = C[i] - lam * delta[i]
-        moves = (trial != C[i]).any(axis=1)
-        live[i[~moves]] = False
-        i, trial = i[moves], trial[moves]
-        fresh = (trial != T[i]).any(axis=1)
-        T[i] = trial
-        R[i[fresh]] = Z[i[fresh]] = np.inf
-        ask = fresh & equilibrium._interior(trial)
-        if ask.any():
-            j = i[ask]
-            G[j], R[j], Z[j] = equilibrium._newton_state(evaluate, trial[ask], rows[j], weighted)
-        hit[i] = R[i] <= (1.0 - 0.5 * lam) * res[i]
-    return hit, live & ~hit, T, (G, R, Z)
+        live[i[(trial == C[i]).all(axis=1)]] = False
+        ask = live[i] & equilibrium._interior(trial)
+        if not ask.any():
+            continue
+        i, trial = i[ask], trial[ask]
+        G, R, Z = equilibrium._newton_state(evaluate, trial, rows[i], weighted)
+        ok = R <= (1.0 - 0.5 * lam) * res[i]
+        for a, v in zip(state, (trial, G, R, Z)):
+            a[rows[i[ok]]] = v[ok]
+        hit[i[ok]] = True
+    return rows[hit]
 
 
 class TestFindEquilibria:
@@ -353,30 +353,9 @@ class TestPriceWeightedNewton:
 
 class TestNewtonMultistart:
     @pytest.mark.parametrize("case", ["weighted-economy", "perturbed-continuum"])
-    def test_no_point_is_evaluated_twice_in_succession(self, case, rng):
-        # An accepted trial is the row's next state, and a halved step that
-        # rounds to the previous trial keeps its values: neither is asked
-        # for again.  (A later step may propose an earlier point again.)
-        field = _newton_field(case, rng)
-        last, repeats = {}, []
-
-        def spy(C, rows):
-            for row, point in zip(rows.tolist(), map(tuple, C.tolist())):
-                if last.get(row) == point:
-                    repeats.append((row, point))
-                last[row] = point
-            return field.chart_values(C)
-
-        cfg = wk.SolverConfig()
-        starts = _start_grid(field.dim, cfg.grid_density)
-        converged = _newton_multistart(spy, starts, _tol(field), field.price_weighted)[2]
-        assert converged.any()
-        assert repeats == []
-
-    @pytest.mark.parametrize("case", ["weighted-economy", "perturbed-continuum"])
     def test_an_iteration_makes_at_most_2d_plus_2_calls(self, case, rng):
-        # 2d for the Jacobian, one for every full step and one for every
-        # remaining halving, after the one call for the starts.
+        # One for the Jacobian stencils and one for the whole step ladder,
+        # after the one call for the starts.
         field = _newton_field(case, rng)
         calls = []
 
@@ -391,9 +370,7 @@ class TestNewtonMultistart:
         )[2:]
         assert converged.any()
         # Every pass of the loop advances the row with the most iterations.
-        passes = int(iterations.max())
-        assert len(calls) - 1 > 2 * field.dim * passes
-        assert len(calls) - 1 <= (2 * field.dim + 2) * passes
+        assert len(calls) - 1 == 2 * int(iterations.max())
 
     @pytest.mark.parametrize(
         "order, fn",
@@ -449,60 +426,11 @@ class TestNewtonMultistart:
             return _newton_multistart(counted, starts, tol, field.price_weighted), calls
 
         (fast, fast_calls) = run()
-        monkeypatch.setattr(equilibrium, "_first_accepted", _one_call_per_step_size)
+        monkeypatch.setattr(equilibrium, "_damped_step", _one_call_per_step_size)
         (slow, slow_calls) = run()
         for a, b in zip(fast, slow):
             assert np.array_equal(a, b)
         assert len(fast_calls) <= len(slow_calls)
-
-    def test_no_call_evaluates_more_trials_than_the_phase_has_rows(self, monkeypatch, rng):
-        # Without the floor of NEWTON_CALL_ROWS trials, the halvings of the
-        # 50 starts are split into calls of at most 50 trials, and every
-        # row ends where it ends when they are not.
-        field = _newton_field("perturbed-continuum", rng)
-        cfg = wk.SolverConfig()
-        starts = _start_grid(field.dim, cfg.grid_density)
-        tol = _tol(field)
-
-        def run():
-            calls = []
-
-            def counted(C, rows):
-                calls.append(len(C))
-                return field.chart_values(C)
-
-            return _newton_multistart(counted, starts, tol), calls
-
-        whole, whole_calls = run()
-        monkeypatch.setattr(equilibrium, "NEWTON_CALL_ROWS", 0)
-        split, split_calls = run()
-        for a, b in zip(whole, split):
-            assert np.array_equal(a, b)
-        assert max(whole_calls) > len(starts) >= max(split_calls)
-
-    def test_a_trial_that_rounds_to_the_one_before_keeps_its_values(self):
-        # Below 0.5 the spacing of doubles is u: the steps 1.2u and 0.6u both
-        # round to 0.5 - u, and 0.3u rounds to 0.5 itself.
-        u = 0.5 - np.nextafter(0.5, 0.0)
-        C, delta = np.array([[0.5]]), np.array([[1.2 * u]])
-        calls = []
-
-        def constant(C, rows):
-            calls.append(C.copy())
-            return np.ones_like(C)
-
-        state = equilibrium._newton_state(constant, C, np.arange(1), False)
-        trial_res = equilibrium._newton_state(constant, C - u, np.arange(1), False)[1]
-        calls.clear()
-        # The trial's residual passes the bound 1 - 1/4 of the half step, not
-        # the bound 1 - 1/2 of the full step.
-        res = trial_res / 0.7
-        hit, pending, T, (_, R, _) = equilibrium._first_accepted(
-            constant, C, delta, np.arange(1), np.array([1.0, 0.5, 0.25]), C, state, res, False
-        )
-        assert hit.tolist() == [True] and pending.tolist() == [False]
-        assert T.tolist() == [[0.5 - u]] and R.tolist() == trial_res.tolist()
-        assert [c.tolist() for c in calls] == [[[0.5 - u]]]
 
     def test_zero_jacobian_stalls_every_start_after_one_iteration(self):
         calls = []
@@ -518,8 +446,9 @@ class TestNewtonMultistart:
         )
         assert stalled.all() and not converged.any() and not exhausted.any()
         assert (iterations == 1).all()
-        # the starts, then two calls per Jacobian column; no zero step is tried
-        assert calls == [len(starts)] * 5
+        # the starts, then one call for the four stencil rows of each start;
+        # no zero step is tried
+        assert calls == [len(starts), 4 * len(starts)]
 
 
 class TestScanOracle:

@@ -26,12 +26,14 @@ deterministic, so any difference is a change of behaviour.
 prints the number of files that differ, naming each, and the largest
 change of a price, a residual and each count of the ``solver:`` line
 (starts, converged, stalled, exhausted, Newton iterations, dedup merges)
-in the ``solve`` and ``perturb`` outputs.  It exits 1 when an output
-changed beyond those numbers: a file added or removed, an
-``equilibria.csv`` or ``solve``/``perturb`` report with another equilibrium
-count, regularity, index, multiplicity, index sum, index check or finite
-flag, or any change to an ``experiment.csv``, ``witness.csv``,
-``realized_economy.yaml`` or ``sarp`` report.
+in the ``solve`` and ``perturb`` outputs, and of a ``max |p.z|`` of an
+``audit`` report.  It exits 1 when an output changed beyond those
+numbers: a file added or removed, an ``equilibria.csv`` or
+``solve``/``perturb`` report with another equilibrium count, regularity,
+index, multiplicity, index sum, index check or finite flag, an ``audit``
+report with another verdict or violation count, or any change to an
+``experiment.csv``, ``witness.csv``, ``realized_economy.yaml``,
+``experiment`` report or ``sarp`` report.
 """
 
 from __future__ import annotations
@@ -131,6 +133,7 @@ SOLVER_COUNTS = {
     "dedup merges": "dedup-merge count",
 }
 COUNT = re.compile(r"\b(\d+) (" + "|".join(SOLVER_COUNTS) + r")\b")
+WALRAS = re.compile(r"(max \|p\.z\| = )([^,]+)")
 
 
 def _solve_numbers(path: Path, text: str):
@@ -160,6 +163,17 @@ def _solve_numbers(path: Path, text: str):
     return "\n".join(lines), numbers
 
 
+def _report_command(rel: Path, text: str) -> str | None:
+    """The command that wrote a ``report.txt``: the word its first line starts with."""
+    return text.split(":", 1)[0] if rel.name == "report.txt" else None
+
+
+def _audit_numbers(text: str):
+    """An ``audit`` report with its ``max |p.z|`` values replaced by ``*``,
+    and those values."""
+    return WALRAS.sub(r"\1*", text), [float(m[2]) for m in WALRAS.finditer(text)]
+
+
 def _is_solve_output(rel: Path) -> bool:
     return rel.name in ("equilibria.csv", "report.txt") and (
         rel.parts[0] in ("solve", "rescaled") or rel.parts[-2].startswith("perturb-")
@@ -171,7 +185,8 @@ def compare(old: Path, new: Path) -> int:
     0 when no output changed beyond the numbers that may change, else 1."""
     files = {p.relative_to(root) for root in (old, new) for p in root.rglob("*") if p.is_file()}
     differ, changed = [], []
-    largest = {key: (0, None) for key in ("price", "residual", *SOLVER_COUNTS.values())}
+    keys = ("price", "residual", *SOLVER_COUNTS.values(), "audit max |p.z|")
+    largest = {key: (0, None) for key in keys}
     for rel in sorted(files):
         a, b = old / rel, new / rel
         if not (a.is_file() and b.is_file()):
@@ -182,17 +197,27 @@ def compare(old: Path, new: Path) -> int:
         if ta == tb:
             continue
         differ.append(rel)
-        if rel.parts[0] == "sarp" or rel.name in EXACT_NAMES:
+        command = _report_command(rel, ta)
+        if rel.parts[0] == "sarp" or rel.name in EXACT_NAMES or command == "experiment":
             changed.append(f"{rel}: changed")
-        elif _is_solve_output(rel):
+            continue
+        if _is_solve_output(rel):
             (sa, na), (sb, nb) = _solve_numbers(rel, ta), _solve_numbers(rel, tb)
             if sa != sb or any(len(na[key]) != len(nb[key]) for key in na):
                 changed.append(f"{rel}: changed beyond prices, residuals and solver counts")
                 continue
-            for key in largest:
-                change = max((abs(u - v) for u, v in zip(na[key], nb[key])), default=0)
-                if change > largest[key][0]:
-                    largest[key] = (change, rel)
+        elif command == "audit":
+            (sa, va), (sb, vb) = _audit_numbers(ta), _audit_numbers(tb)
+            if sa != sb:
+                changed.append(f"{rel}: changed beyond max |p.z|")
+                continue
+            na, nb = {"audit max |p.z|": va}, {"audit max |p.z|": vb}
+        else:
+            continue
+        for key in na:
+            change = max((abs(u - v) for u, v in zip(na[key], nb[key])), default=0)
+            if change > largest[key][0]:
+                largest[key] = (change, rel)
     print(f"files: {len(files)}, differing: {len(differ)}")
     for rel in differ:
         print(f"  {rel}")
