@@ -274,17 +274,23 @@ def build_parser() -> argparse.ArgumentParser:
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if "grid" in flags:
-            p.add_argument("--grid", type=int, default=50, help="grid density / point count")
+            p.add_argument(
+                "--grid", type=int, default=50,
+                help="solver's target spacing, 1/(GRID-1) of a chart axis: scan-grid cells that "
+                "can hold a zero are refined to at most it (default 50)",
+            )
+        if "points" in flags:
+            p.add_argument("--grid", type=int, help="number of grid points")
 
     p = sub.add_parser("solve", help="locate and classify all equilibria")
     common(p, "grid")
 
     p = sub.add_parser("decompose", help="decompose the economy's excess demand over the canonical family")
-    common(p, "seed", "grid")
+    common(p, "seed", "points")
     p.set_defaults(grid=101)
 
     p = sub.add_parser("realize", help="realise a field as a canonical-consumer economy")
-    common(p, "seed", "grid", input_required=False)
+    common(p, "seed", "points", input_required=False)
     p.set_defaults(grid=201)
     p.add_argument(
         "--continuum",

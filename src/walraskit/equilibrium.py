@@ -2,16 +2,23 @@
 
 One pipeline, ``_solve``, does every solve.  It takes a base field and a
 list of chart-map terms (``None``, or a perturbation added to the base
-chart map), evaluates each field once on a lattice of chart points
-(``grid_density`` per axis, and at least as many as the continuum scan
-grid, which it then is) and runs damped Newton iteration in chart
-coordinates (``_newton_multistart``) over the stacked ``(field, start)``
-rows of the lattice's candidates (``_candidates``): the zero of the
-piecewise-linear interpolant of the Newton map in every Freudenthal
-simplex that holds one (Scarf's simplicial method), every lattice point
-whose residual is least among its Freudenthal neighbours, and one point
-per cluster of near-zero lattice points.  :func:`find_equilibria` is its
-one-field case and the genericity experiment its many-field case.
+chart map) and evaluates each field once on the continuum scan grid, the
+coarse level of a Kuhn lattice.  When the scan grid is coarser than the
+target spacing ``_spacing(grid_density)`` (from three goods up, at the
+default density), the cells that can hold a zero -- those where every
+component changes sign, or with a lattice minimum or a near-zero point as
+a corner -- are refined in one step into patches of ``m`` subdivisions per
+axis, the fewest that reach the target, and all fields' patch vertices
+are evaluated in one call (``_starts``, ``_refine``).  Damped Newton iteration in chart coordinates
+(``_newton_multistart``) then runs over the stacked ``(field, start)`` rows
+of the finest level's candidates: the zero of the piecewise-linear
+interpolant of the Newton map in every Freudenthal simplex that holds one
+(Scarf's simplicial method, restarted on a finer mesh as in Eaves 1972),
+every lattice point whose residual is least in the box of its neighbours,
+and one point per cluster of near-zero points.  On a refined level
+Newton restarts once more between and beyond every two close zeros of a
+field (``_restart_between``).  :func:`find_equilibria` is its one-field case
+and the genericity experiment its many-field case.
 
 The aggregate excess demand ``z`` of an economy (a field marked
 ``price_weighted``, with no term) is solved on the price-weighted field
@@ -87,6 +94,8 @@ NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 60
 NEWTON_MAX_HALVINGS = 10
 DEDUP_RADIUS = 1e-6
+# PL zeros of a refined level closer than this many of its spacings are one.
+PL_MERGE_RADIUS = 1e-9
 JOIN_RADIUS = 1e-4
 CONTINUUM_SCAN_POINTS = 2001
 MAX_SCAN_POINTS = 250_000
@@ -163,6 +172,8 @@ def _index_check(finite: bool, all_regular: bool, index_sum: int) -> str:
     return "ok" if index_sum == 1 else "MISMATCH"
 
 
+# A solve takes its fields in chunks of about this many points of the
+# finest lattice (``_solve``).
 MAX_STARTS = 250_000
 
 
@@ -499,35 +510,39 @@ def _scan(base: TangentField, terms: list) -> list:
     """``(sigma, ContinuumReport)`` of ``base`` plus each chart-map term, from
     one evaluation of the scan grid for all; ``sigma`` is 0 with no finite row."""
     C, per_dim = _scan_grid(base.dim)
-    return _scan_reports(C, per_dim, *_evaluate_grid(base, terms, C))
+    return [scan[:2] for scan in _scan_reports(C, per_dim, *_evaluate_grid(base, terms, C))]
 
 
 def _scan_reports(C: np.ndarray, per_dim: int, P: np.ndarray, Z: np.ndarray) -> list:
-    """``_scan``'s result from the evaluation ``P, Z`` of its grid ``C``."""
+    """``_scan``'s result from the evaluation ``P, Z`` of its grid ``C``, each
+    with the field's hit clusters (``_hit_clusters``)."""
     zres = np.linalg.norm(Z, axis=2)
     wres = np.linalg.norm(P * Z, axis=2)
     out = []
     for z, w in zip(zres, wres):
         sigma = float(w[np.isfinite(w)].max(initial=0.0))
-        hit = z <= CONTINUUM_RESIDUAL_TOL * sigma
-        component = _largest_grid_cluster(C, hit, _spacing(per_dim))
+        hits, labels = _hit_clusters(C, z <= CONTINUUM_RESIDUAL_TOL * sigma, _spacing(per_dim))
+        component = _largest_grid_cluster(hits, labels)
         fired = component.size >= CONTINUUM_RUN_REQUIRED
         box = None
         if fired:
             lo, hi = C[component].min(axis=0), C[component].max(axis=0)
             box = (float(lo[0]), float(hi[0])) if C.shape[1] == 1 else (lo, hi)
-        out.append((sigma, ContinuumReport(fired, box, int(hit.sum()))))
+        out.append((sigma, ContinuumReport(fired, box, int(hits.size)), (hits, labels)))
     return out
 
 
-def _largest_grid_cluster(C: np.ndarray, hit: np.ndarray, spacing: float) -> np.ndarray:
-    """Sorted indices of the largest cluster of hit grid points, linking
-    points within 1.5 grid spacings (the lowest-indexed cluster on ties)."""
+def _hit_clusters(C: np.ndarray, hit: np.ndarray, spacing: float) -> tuple:
+    """The indices of the hit points of the grid ``C`` and their cluster
+    labels, linking points within 1.5 grid spacings."""
     idx = np.flatnonzero(hit)
-    if idx.size == 0:
-        return idx
-    labels = _linked_components(C[idx], 1.5 * spacing)
-    return idx[labels == np.argmax(np.bincount(labels))]
+    return idx, (_linked_components(C[idx], 1.5 * spacing) if idx.size else idx)
+
+
+def _largest_grid_cluster(hits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The sorted indices of the largest of the clusters ``_hit_clusters``
+    returns (the lowest-indexed cluster on ties)."""
+    return hits[labels == np.argmax(np.bincount(labels))] if hits.size else hits
 
 
 def _linked_components(X: np.ndarray, radius: float, keep=None) -> np.ndarray:
@@ -543,72 +558,194 @@ def _linked_components(X: np.ndarray, radius: float, keep=None) -> np.ndarray:
     return connected_components(graph, directed=False)[1]
 
 
-def _candidates(C: np.ndarray, density: int, W: np.ndarray, zres: np.ndarray, sigma: float):
-    """The Newton starts of one field from its values on the lattice ``C``
-    (``_start_grid(d, density)``): the Newton map's full rows ``W`` and the
-    field's residual norms ``zres``.  In order: the PL zeros (``_pl_zeros``);
-    every lattice point whose residual ``|W|`` is finite and at most that of
-    each Freudenthal neighbour ``v +- sum_{i in S} e_i``, which catches two
-    close zeros with no sign change between them; and the lowest-residual
-    point of each cluster of hits, points where ``|z|`` is at most
-    ``CONTINUUM_RESIDUAL_TOL * sigma``, linked within 1.5 spacings.  Hits
-    are neither simplex vertices nor minima, so a flat stretch of zeros
-    gives one start, not one per cell.
+def _subdivisions(per_dim: int, density: int) -> int:
+    """Subdivisions per axis of a refined scan-grid cell: the fewest whose
+    spacing is at most ``_spacing(density)``."""
+    return -(-(density - 1) // (per_dim - 1))
+
+
+def _starts(base: TangentField, terms: list, weighted: bool, m: int, P, Z, scans: list) -> tuple:
+    """The Newton starts of ``base`` plus each chart-map term, and the field
+    of each start (non-decreasing), from the fields' simplex and full rows
+    ``P, Z`` on the scan grid (shaped ``(fields, points, goods)``), their
+    ``_scan_reports`` and the solve's ``_subdivisions`` ``m``.
+
+    The scan grid is the coarse level, read on the Newton map (``p * z``
+    when ``weighted``, else ``z``).  Its hits, points where ``|z|`` is at
+    most ``CONTINUUM_RESIDUAL_TOL * sigma``, are neither simplex vertices
+    nor minima; the lowest-residual point of each hit cluster is a start,
+    so a flat stretch of zeros gives one start, not one per cell.  With
+    ``m == 1`` a field's starts are, in order: the zeros of the
+    piecewise-linear interpolant (``_pl_zeros``); every grid point whose
+    residual is finite and at most that of each point of the box ``v + b``,
+    ``b`` in ``{-1, 0, 1}^d``, around it (``_minima``), which catches two
+    close zeros with no sign change between them; and the hit clusters'
+    points.  With ``m > 1`` the cells that pass the sign screen on the
+    corners they have (``_sign_screen``; the face ``sum(c) = 1 -
+    BOUNDARY_MARGIN`` cuts corners off the cells along it), or have a
+    minimum or a hit as a corner, are refined in one step, and the starts
+    of the refined level (``_refine``) come before the hit clusters' points.
     """
+    C, per_dim = _scan_grid(base.dim)
     d = C.shape[1]
-    k = tuple(np.rint((C - BOUNDARY_MARGIN) / _spacing(density)).astype(int).T)
+    k = tuple(np.rint((C - BOUNDARY_MARGIN) / _spacing(per_dim)).astype(int).T)
+    axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, per_dim)
+    # The grid as one patch: the row of each lattice index, -1 for none.
+    vertex = np.full((1,) + (per_dim,) * d, -1)
+    vertex[(0, *k)] = np.arange(len(C))
+    W = P * Z if weighted else Z
+    blocks, reps, cells = [], [], []
+    for f, (w, (_, _, (hits, clusters))) in enumerate(zip(W, scans)):
+        res = np.linalg.norm(w, axis=1)
+        hit = np.zeros(len(C), dtype=bool)
+        hit[hits] = True
+        G, R = _vertex_table(w, res, hit)
+        minima = _minima(np.pad(R[vertex[0]], 1, constant_values=np.inf))[k] & ~hit
+        rep = C[hits[_lowest_per_label(clusters, res[hits])]] if hits.size else C[:0]
+        if m == 1:
+            zeros = _pl_zeros(G, vertex, np.zeros((1, d), dtype=int), axis)[1]
+            blocks += [(np.full(len(X), f), X) for X in (zeros, C[minima], rep)]
+            continue
+        mark = np.append(minima | hit, False)[vertex[0]]
+        flagged = np.argwhere(_sign_screen(G, vertex)[0] | _over_cells(np.logical_or, mark))
+        cells.append(np.column_stack([np.full(len(flagged), f), flagged]))
+        reps.append((np.full(len(rep), f), rep))
+    if m > 1:
+        sigmas = np.array([scan[0] for scan in scans])
+        blocks = _refine(base, terms, weighted, m, per_dim, np.vstack(cells), sigmas) + reps
+    labels = np.concatenate([f for f, _ in blocks])
+    order = np.argsort(labels, kind="stable")
+    return np.vstack([X for _, X in blocks])[order], labels[order]
+
+
+def _vertex_table(W: np.ndarray, res: np.ndarray, hit: np.ndarray) -> tuple:
+    """The chart values of the Newton map's rows ``W`` (NaN at a hit or a row
+    that is not finite) and their residuals ``res`` (``inf`` where not
+    finite), each with one row more, row -1, for a lattice point with no
+    row: NaN values and residual ``inf``."""
+    finite = np.isfinite(res)
+    G = np.where((finite & ~hit)[:, None], W[:, :-1], np.nan)
+    return np.vstack([G, np.full(G.shape[1], np.nan)]), np.append(np.where(finite, res, np.inf), np.inf)
+
+
+def _refine(base: TangentField, terms: list, weighted: bool, m: int, per_dim: int, cells, sigmas):
+    """The starts in the scan-grid ``cells`` (rows ``(field, corner)``), each
+    refined into a patch of ``m`` subdivisions per axis, as two ``(fields,
+    starts)`` blocks: the patches' PL zeros, merged within ``PL_MERGE_RADIUS``
+    fine spacings (a zero on a face shared by two simplices, of one patch
+    or of two, is found in each), and the minima of the fine lattice.  As
+    on the scan grid, hits are neither simplex vertices nor minima; the
+    scan grid's hit clusters stand for them.
+
+    The vertices of all patches are evaluated in one call, a vertex that
+    patches share once.  A vertex is a minimum when its residual is at most
+    that of every evaluated point in the box around it, in its own patch
+    and in the patches next to it.  Judged within its own patch alone, each
+    border vertex of a patch on the floor of a trough was one; judged only
+    where the whole box was evaluated, a minimum on the border of the
+    refined region, next to a zero that the scan grid hides, was none.
+    """
+    field, corner = cells[:, 0], cells[:, 1:] * m
+    d = corner.shape[1]
+    n = (per_dim - 1) * m + 1
+    axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, n)
+    strides = n ** np.arange(d - 1, -1, -1)
+    # A lattice point is in the chart region by the sum of its indices.
+    region = d * BOUNDARY_MARGIN + np.arange(d * (n - 1) + 1) * _spacing(n) <= 1.0 - BOUNDARY_MARGIN
+    offsets = np.indices((m + 1,) * d).reshape(d, -1).T
+    keys = (field * n**d + corner @ strides)[:, None] + offsets @ strides
+    inside = region[corner.sum(axis=1)[:, None] + offsets.sum(axis=1)]
+    vertex = np.full(keys.shape, -1)
+    keys, vertex[inside] = np.unique(keys[inside], return_inverse=True)
+    vertex = vertex.reshape((len(cells),) + (m + 1,) * d)
+    labels, K = np.divmod(keys, n**d)
+    K = np.column_stack(np.unravel_index(K, (n,) * d))
+    C = axis[K]
+
+    Pv, Zv = _full_rows(C, _stacked_map(base, terms, labels)(C, np.arange(len(C))))
+    W = Pv * Zv if weighted else Zv
     res = np.linalg.norm(W, axis=1)
-    hit = zres <= CONTINUUM_RESIDUAL_TOL * sigma
-    R = np.full((density,) * d, np.inf)
-    R[k] = np.where(np.isfinite(res), res, np.inf)
-    G = np.full((d,) + R.shape, np.nan)
-    G[(slice(None), *k)] = np.where((np.isfinite(res) & ~hit)[:, None], W[:, :-1], np.nan).T
-    # The least residual at v + b and at v - b over b in {0, 1}^d.
-    least = _over_cells(np.minimum, np.pad(R, 1, constant_values=np.inf))
-    up, down = (least[(slice(s, len(least) - 1 + s),) * d] for s in (1, 0))
-    minima = (np.isfinite(R) & (R <= up) & (R <= down))[k] & ~hit
-    hits = np.flatnonzero(hit)
-    if hits.size:
-        labels = _linked_components(C[hits], 1.5 * _spacing(density))
-        hits = hits[_lowest_per_label(labels, res[hits])]
-    return np.vstack([_pl_zeros(G), C[minima], C[hits]])
+    hit = np.linalg.norm(Zv, axis=1) <= CONTINUUM_RESIDUAL_TOL * sigmas[labels]
+    G, R = _vertex_table(W, res, hit)
+
+    patch, zeros = _pl_zeros(G, vertex, corner, axis)
+    X = np.column_stack([zeros, field[patch]])
+    kept = _greedy_cover(X, np.arange(len(X)), PL_MERGE_RADIUS * _spacing(n), p=2) == np.arange(len(X))
+
+    # Minima within their patch, then against their neighbours in others.
+    pad = [(0, 0)] + [(1, 1)] * d
+    minima = np.unique(vertex[_minima(np.pad(R[vertex], pad, constant_values=np.inf), 1)])
+    near = K[minima][:, None, :] + np.indices((3,) * d).reshape(d, -1).T - 1
+    within = ((near >= 0) & (near < n)).all(axis=2)
+    near = labels[minima][:, None] * n**d + near @ strides
+    at = np.minimum(np.searchsorted(keys, near), len(keys) - 1)
+    lowest = (~within | (keys[at] != near) | (R[minima][:, None] <= R[at])).all(axis=1)
+    minima = minima[lowest & ~hit[minima]]
+    return [(field[patch[kept]], zeros[kept]), (labels[minima], C[minima])]
 
 
-def _over_cells(op, X: np.ndarray) -> np.ndarray:
-    """``op`` over the corners of every cell of the cube ``X``: entry ``k``
-    combines the entries ``k + b``, ``b`` in ``{0, 1}^ndim``."""
-    for a in range(X.ndim):
+def _minima(R: np.ndarray, lead: int = 0) -> np.ndarray:
+    """The mask of the inner entries of ``R``, all but the outer layer of each
+    axis after the first ``lead``, that are finite and at most each of their
+    neighbours ``v + b``, ``b`` in ``{-1, 0, 1}^d`` (the least over the cells
+    around ``v``).  In one dimension these are its Freudenthal neighbours
+    ``v +- e_1``; in more, the box also holds the points ``v + b`` whose
+    ``b`` mixes signs, along which a trough's floor descends."""
+    inner = (slice(None),) * lead + (slice(1, -1),) * (R.ndim - lead)
+    least = _over_cells(np.minimum, _over_cells(np.minimum, R, lead), lead)
+    return np.isfinite(R[inner]) & (R[inner] <= least)
+
+
+def _over_cells(op, X: np.ndarray, lead: int = 0) -> np.ndarray:
+    """``op`` over the corners of every cell of the cube ``X`` (its axes after
+    the first ``lead``): entry ``k`` combines the entries ``k + b``, ``b`` in
+    ``{0, 1}^d``."""
+    for a in range(lead, X.ndim):
         X = op(X[(slice(None),) * a + (slice(0, -1),)], X[(slice(None),) * a + (slice(1, None),)])
     return X
 
 
-def _pl_zeros(G: np.ndarray) -> np.ndarray:
-    """The zeros of the piecewise-linear interpolant of ``G`` (the ``d``
-    chart components on the cube of lattice indices, NaN where there is no
-    vertex) in the closed Freudenthal simplices of its cells, in cell and
-    permutation order.  The simplex of permutation ``p`` in the cell with
-    corner ``k`` has vertices ``k``, ``k + e_p1``, ..., ``k + 1``.
+def _sign_screen(G: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+    """The cells of each patch (``_pl_zeros``'s layout) in which every
+    component takes both signs at the corners that have a value; only they
+    can hold a zero of the interpolant."""
+    pos, neg = (G >= 0.0)[vertex], (G <= 0.0)[vertex]
+    return reduce(np.logical_and, [
+        _over_cells(np.logical_or, pos[..., i], 1) & _over_cells(np.logical_or, neg[..., i], 1)
+        for i in range(G.shape[1])
+    ])
+
+
+def _pl_zeros(G: np.ndarray, vertex: np.ndarray, corner: np.ndarray, axis: np.ndarray) -> tuple:
+    """The zeros of the piecewise-linear interpolant of the chart values
+    ``G`` (rows, NaN where there is none) in the closed Freudenthal
+    simplices whose vertices all have values, and the patch of each, in
+    patch, cell and permutation order.
+
+    ``vertex`` stacks patches, cubes of lattice indices: entry ``j`` of
+    patch ``q`` is the lattice point ``corner[q] + j``, at chart coordinates
+    ``axis[corner[q] + j]``, whose values are row ``vertex[q, j]`` of ``G``.
+    The simplex of permutation ``p`` in the cell with corner ``k`` has
+    vertices ``k``, ``k + e_p1``, ..., ``k + 1``.
     """
-    d, density = G.shape[:2]
-    # A cell can hold a zero only if every component takes both signs at its
-    # corners, and none of them is NaN.
-    screen = [_over_cells(np.logical_and, ~np.isnan(G[0]))]
-    for g in G:
-        screen.append(_over_cells(np.logical_or, g >= 0.0) & _over_cells(np.logical_or, g <= 0.0))
-    cells = np.argwhere(reduce(np.logical_and, screen))
+    d = G.shape[1]
+    cells = np.argwhere(_sign_screen(G, vertex))
     # Vertex j of permutation p steps along the axes p_1, ..., p_j.
     paths = np.array([np.arange(d + 1)[:, None] > np.argsort(p) for p in permutations(range(d))])
-    V = (cells[:, None, None, :] + paths).reshape(-1, d + 1, d)
+    V = (cells[:, None, None, 1:] + paths).reshape(-1, d + 1, d)
+    patch = np.repeat(cells[:, 0], len(paths))
     # Barycentric weights lam: sum(lam) = 1 and sum(lam_j G(v_j)) = 0.
-    values = G[(slice(None), *np.moveaxis(V, -1, 0))].swapaxes(0, 1)
+    values = G[vertex[(patch[:, None], *np.moveaxis(V, -1, 0))]].swapaxes(1, 2)
+    whole = ~np.isnan(values).any(axis=(1, 2))
+    V, values, patch = V[whole], values[whole], patch[whole]
     A = np.concatenate([np.ones((len(V), 1, d + 1)), values], axis=1)
     det = np.linalg.det(A)
     solvable = np.isfinite(det) & (det != 0.0)
-    V, A = V[solvable], A[solvable]
+    V, A, patch = V[solvable], A[solvable], patch[solvable]
     lam = np.linalg.solve(A, np.eye(d + 1)[:, :1])[..., 0]
     inside = (lam >= 0.0).all(axis=1)
-    axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, density)
-    return np.einsum("kj,kji->ki", lam[inside], axis[V[inside]])
+    patch = patch[inside]
+    return patch, np.einsum("kj,kji->ki", lam[inside], axis[corner[patch][:, None, :] + V[inside]])
 
 
 def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> EquilibriumReport:
@@ -634,55 +771,87 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig) -> list:
     """The report of ``base`` plus each chart-map term (``None``: no term),
     or the exception that its solve raised.
 
-    Chunks of ``MAX_STARTS // lattice points`` fields are scanned in one
-    call, for ``sigma``, and their lattices evaluated in one call (none when
-    the lattice is the scan grid), then run one Newton phase over the
-    stacked ``_candidates`` of all their fields.  A chunk that raises is
-    solved again one field at a time.
+    The fields are solved in chunks of ``MAX_STARTS // (scan points *
+    m^d)`` fields, ``m`` the ``_subdivisions`` of the scan grid's cells:
+    about ``MAX_STARTS`` points of the finest lattice.  A chunk is scanned
+    in one call, for ``sigma``, its refined cells evaluated in one call
+    more when ``m > 1`` (``_starts``), and one Newton phase runs over the
+    stacked starts of all its fields.  A chunk that raises is solved again
+    one field at a time.
     """
     try:
-        if cfg.grid_density**base.dim > MAX_STARTS:
-            raise ValueError(
-                f"start grid of {cfg.grid_density}^{base.dim} points is too large; "
-                f"lower grid_density (limit {MAX_STARTS} starts)"
-            )
         scan_grid, per_dim = _scan_grid(base.dim)
     except ValueError as exc:
         return [exc] * len(terms)
-    density = max(cfg.grid_density, per_dim)
-    lattice = scan_grid if density == per_dim else _start_grid(base.dim, density)
+    m = _subdivisions(per_dim, cfg.grid_density)
+    # Zeros this close can hide a third from the scan grid (_restart_between).
+    restart_radius = 2.0 * _spacing(per_dim)
     weighted = base.price_weighted and all(term is None for term in terms)
-    chunk = max(1, MAX_STARTS // len(lattice))
+    chunk = max(1, MAX_STARTS // (len(scan_grid) * m**base.dim))
     outcomes = []
     for first in range(0, len(terms), chunk):
         group = terms[first : first + chunk]
         try:
             P, Z = _evaluate_grid(base, group, scan_grid)
             scans = _scan_reports(scan_grid, per_dim, P, Z)
-            if lattice is not scan_grid:
-                P, Z = _evaluate_grid(base, group, lattice)
-            W = P * Z if weighted else Z
-            zres = np.linalg.norm(Z, axis=2)
-            sigmas = np.array([sigma for sigma, _ in scans])
-            starts = [_candidates(lattice, density, *a) for a in zip(W, zres, sigmas)]
-            counts = [len(c) for c in starts]
-            labels = np.repeat(np.arange(len(group)), counts)
+            sigmas = np.array([scan[0] for scan in scans])
+            starts, labels = _starts(base, group, weighted, m, P, Z, scans)
             newton = _newton_multistart(
-                _stacked_map(base, group, labels), np.vstack(starts),
+                _stacked_map(base, group, labels), starts,
                 NEWTON_TOL * sigmas[labels], weighted, labels,
             )
+            if m > 1:
+                newton, labels = _restart_between(
+                    base, group, weighted, newton, labels, sigmas, restart_radius
+                )
         except Exception as exc:  # noqa: BLE001 - each field then records its own error
             outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg)[0] for t in group]
             continue
-        bounds = np.cumsum([0, *counts])
+        bounds = np.searchsorted(labels, np.arange(len(group) + 1))
         for t, (term, scan) in enumerate(zip(group, scans)):
             try:
                 field = _with_term(base, term)
                 rows = slice(bounds[t], bounds[t + 1])
-                outcomes.append(_field_report(field, newton, rows, *scan))
+                outcomes.append(_field_report(field, newton, rows, *scan[:2]))
             except Exception as exc:  # noqa: BLE001 - per-field isolation is the contract
                 outcomes.append(exc)
     return outcomes
+
+
+def _restart_between(base, terms, weighted, newton, labels, sigmas, radius: float) -> tuple:
+    """The Newton phase ``newton`` over rows of the fields ``labels``, and a
+    second phase from the line through every two distinct converged points
+    of a field within ``radius`` of each other, merged field by field.
+
+    The second phase starts at the pair's midpoint and one secant length
+    beyond each end, ``c_a + w (c_b - c_a)`` for ``w`` = 1/2, -1 and 2, where
+    inside the boundary margin.  Zeros on a curve alternate in index, as at
+    a fold, so two close zeros that a refined level resolved can have a
+    third between or beyond them that it did not (a secant predictor, as
+    in continuation).
+    """
+    C, zres, converged = newton[:3]
+    idx = np.flatnonzero(converged)
+    if idx.size < 2:
+        return newton, labels
+    # Fields lie two units apart on an extra axis, beyond both radii.
+    X = np.column_stack([C[idx], 2.0 * labels[idx]])
+    owner = _greedy_cover(X, np.argsort(zres[idx], kind="stable"), DEDUP_RADIUS, p=2)
+    idx = idx[owner == np.arange(len(idx))]
+    pairs = cKDTree(np.column_stack([C[idx], 2.0 * labels[idx]])).query_pairs(radius, output_type="ndarray")
+    if not len(pairs):
+        return newton, labels
+    a, b = np.sort(idx[pairs], axis=1).T
+    order = np.lexsort((b, a, labels[a]))
+    a, b = np.repeat(a[order], 3), np.repeat(b[order], 3)
+    X = C[a] + np.tile([0.5, -1.0, 2.0], len(pairs))[:, None] * (C[b] - C[a])
+    a, X = a[_interior(X)], X[_interior(X)]
+    more = _newton_multistart(
+        _stacked_map(base, terms, labels[a]), X, NEWTON_TOL * sigmas[labels[a]], weighted, labels[a]
+    )
+    labels = np.concatenate([labels, labels[a]])
+    order = np.argsort(labels, kind="stable")
+    return tuple(np.concatenate(pair)[order] for pair in zip(newton, more)), labels[order]
 
 
 def _stacked_map(base: TangentField, terms: list, labels: np.ndarray):

@@ -8,6 +8,7 @@ does not share its implementation.
 from itertools import combinations, permutations
 
 import numpy as np
+from scipy.optimize import brentq
 
 import walraskit as wk
 
@@ -38,6 +39,62 @@ def constant_scale_economy(rng, goods, n_consumers, concentration=5.0):
             for _ in range(n_consumers)
         )
     )
+
+
+def multi_equilibrium_economy(goods, seed):
+    """Two Cobb-Douglas consumers with three known equilibria.
+
+    The shares are Dirichlet(3) draws and the endowments U(0.25, 2) draws,
+    shares first.  With constant scales ``(t, 1)`` the unique equilibrium
+    is ``gamma(t)`` (``scale_path_prices``); consumer 1 gets the quadratic
+    ``PolynomialScale`` in ``c_1`` through ``(gamma(t)_1, t)`` for t = 0.5, 1
+    and 2, so those three ``gamma(t)`` are equilibria
+    (``scale_path_equilibria`` finds every one).
+    """
+    rng = np.random.default_rng(seed)
+    alphas = [rng.dirichlet(np.full(goods, 3.0)) for _ in range(2)]
+    endowments = [rng.uniform(0.25, 2.0, size=goods) for _ in range(2)]
+    t = np.array([0.5, 1.0, 2.0])
+    x = scale_path_prices(alphas, endowments, t)[:, 0]
+    coeffs = np.linalg.solve(np.vander(x, 3, increasing=True), t)
+    unit = (0,) * (goods - 2)
+    scale = wk.PolynomialScale(tuple((float(a), (j, *unit)) for j, a in enumerate(coeffs)))
+    return wk.Economy(
+        (wk.Consumer(alphas[0], endowments[0], scale), wk.Consumer(alphas[1], endowments[1]))
+    )
+
+
+def scale_path_prices(alphas, endowments, t):
+    """``gamma(t)``: the equilibrium price rows of two Cobb-Douglas consumers
+    with constant scales ``t`` and 1, one row per ``t`` (``nullspace_price``)."""
+    M = [np.outer(a, w) - np.diag(w) for a, w in zip(alphas, endowments)]
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    v = np.linalg.svd(t[:, None, None] * M[0] + M[1])[2][:, -1]
+    return v / v.sum(axis=1, keepdims=True)
+
+
+def scale_path_equilibria(economy):
+    """Every equilibrium of a two-consumer Cobb-Douglas economy whose second
+    consumer has the unit scale, from the roots of a scalar function.
+
+    With consumer 1's scale ``r``, ``p`` is an equilibrium iff ``p =
+    gamma(t)`` with ``r(gamma(t)) = t``; the roots of that scalar function
+    are bracketed on 40,001 log-spaced ``t`` in [1e-3, 1e3] and refined by
+    ``brentq``.  Returns the price rows in ascending ``t``.
+    """
+    first, second = economy.consumers
+    assert second.scale == wk.ConstantScale(1.0)
+    args = ([c.alpha for c in economy.consumers], [c.endowment for c in economy.consumers])
+
+    def gap(t):
+        P = scale_path_prices(*args, t)
+        return first.scale(P) - t
+
+    grid = np.logspace(-3.0, 3.0, 40_001)
+    g = gap(grid)
+    brackets = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
+    roots = [brentq(lambda t: gap(t)[0], grid[i], grid[i + 1], xtol=1e-15) for i in brackets]
+    return scale_path_prices(*args, roots)
 
 
 def random_interior_prices(rng, n, goods, concentration=1.0):

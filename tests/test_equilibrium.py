@@ -7,8 +7,10 @@ import walraskit as wk
 from support import (
     constant_scale_economy,
     cubic_field,
+    multi_equilibrium_economy,
     nullspace_price,
     random_economy,
+    scale_path_equilibria,
     scan_zeros_1d,
 )
 from walraskit import equilibrium, fields
@@ -20,6 +22,7 @@ from walraskit.equilibrium import (
     NEWTON_TOL,
     _dedup,
     _field_report,
+    _hit_clusters,
     _largest_grid_cluster,
     _newton_multistart,
     _start_grid,
@@ -45,19 +48,20 @@ def _tol(field):
 
 
 def _lattice(field, density=50):
-    """The solver's lattice for ``field`` at ``grid_density=density``: its
-    points and its points per axis."""
-    density = max(density, equilibrium._scan_grid(field.dim)[1])
-    return _start_grid(field.dim, density), density
+    """The points per axis of the finest lattice of a solve of ``field`` at
+    ``grid_density=density``, and its subdivisions of a scan-grid cell."""
+    per_dim = equilibrium._scan_grid(field.dim)[1]
+    m = equilibrium._subdivisions(per_dim, density)
+    return (per_dim - 1) * m + 1, m
 
 
 def _lattice_starts(field, density=50):
     """The Newton starts of a solve of ``field`` at ``grid_density=density``."""
-    C, density = _lattice(field, density)
-    P, Z = field.full_values(C)
-    W = P * Z if field.price_weighted else Z
-    sigma = equilibrium._scan(field, [None])[0][0]
-    return equilibrium._candidates(C, density, W, np.linalg.norm(Z, axis=1), sigma)
+    C, per_dim = equilibrium._scan_grid(field.dim)
+    P, Z = (a[None] for a in field.full_values(C))
+    scans = equilibrium._scan_reports(C, per_dim, P, Z)
+    m = _lattice(field, density)[1]
+    return equilibrium._starts(field, [None], field.price_weighted, m, P, Z, scans)[0]
 
 
 def _converged(field, C):
@@ -203,19 +207,7 @@ class TestFindEquilibria:
         "field, cfg, message",
         [
             (
-                wk.economy_field(
-                    wk.Economy(
-                        (
-                            wk.Consumer([0.1, 0.2, 0.3, 0.4], [1, 0, 0, 0]),
-                            wk.Consumer([0.4, 0.3, 0.2, 0.1], [0, 1, 1, 1]),
-                        )
-                    )
-                ),
-                wk.SolverConfig(grid_density=70),
-                "start grid of 70^3 points is too large; lower grid_density (limit 250000 starts)",
-            ),
-            (
-                # 4^8 starts pass; the continuum scan's 11^8 grid does not
+                # the continuum scan's 11^8 grid is too large at any density
                 _nine_good_field(),
                 wk.SolverConfig(grid_density=4),
                 "continuum scan grid of 11^8 points is too large (limit 250000 points)",
@@ -226,13 +218,27 @@ class TestFindEquilibria:
                 "chart map refuses rows",
             ),
         ],
-        ids=["start_grid_too_large", "scan_grid_too_large", "chart_map_error"],
+        ids=["scan_grid_too_large", "chart_map_error"],
     )
     def test_errors_keep_their_type_and_text(self, field, cfg, message):
         with pytest.raises(ValueError) as err:
             wk.find_equilibria(field, cfg)
         assert type(err.value) is ValueError
         assert str(err.value) == message
+
+    def test_a_density_once_refused_for_its_start_grid_solves(self):
+        # grid_density=70 at l = 4 was refused for its 70^3 start grid; the
+        # refined patches reach a spacing of 1/72 on a few cells.
+        economy = wk.Economy(
+            (
+                wk.Consumer([0.1, 0.2, 0.3, 0.4], [1, 0, 0, 0]),
+                wk.Consumer([0.4, 0.3, 0.2, 0.1], [0, 1, 1, 1]),
+            )
+        )
+        report = wk.find_equilibria(economy, wk.SolverConfig(grid_density=70))
+        (eq,) = report.equilibria
+        assert (eq.regularity, eq.index, report.index_check) == ("regular", 1, "ok")
+        assert np.abs(eq.price.coords - nullspace_price(economy)).max() <= 1e-9
 
     def test_continuum_scan_refuses_a_grid_too_large(self):
         with pytest.raises(ValueError, match="continuum scan grid of 11\\^8 points"):
@@ -318,7 +324,7 @@ class TestPriceWeightedNewton:
         for n in range(1, 7):
             e = constant_scale_economy(rng, goods, n, 1.0)
             field, exact = wk.economy_field(e), nullspace_price(e)
-            density = _lattice(field, 16 if goods == 5 else 50)[1]
+            density = _lattice(field)[0]
             # There is a PL zero unless the zero's cell has a corner off the lattice.
             axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, density)
             corner = ((exact[:-1] - BOUNDARY_MARGIN) // (axis[1] - axis[0])).astype(int)
@@ -449,6 +455,83 @@ class TestNewtonMultistart:
         # the starts, then one call for the four stencil rows of each start;
         # no zero step is tried
         assert calls == [len(starts), 4 * len(starts)]
+
+
+class TestKnownEquilibria:
+    """Economies with three known equilibria at l = 3 and 4."""
+
+    @pytest.mark.parametrize("goods", [3, 4])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_equilibrium_is_found(self, goods, seed):
+        economy = multi_equilibrium_economy(goods, seed)
+        exact = scale_path_equilibria(economy)
+        assert len(exact) == 3
+        report = wk.find_equilibria(economy)
+        found = np.array([eq.price.coords for eq in report.equilibria])
+        assert found.shape == exact.shape
+        assert np.abs(np.sort(found[:, 0]) - np.sort(exact[:, 0])).max() <= 1e-8
+        # Several of these zeros are regular but reported critical, since the
+        # determinant rule judges J against the field's global scale; a
+        # report whose zeros are all regular sums to +1.
+        assert report.index_check in ("ok", "n/a")
+
+    def test_the_oracle_roots_are_equilibria(self):
+        for goods, seed in ((3, 2), (4, 1)):
+            economy = multi_equilibrium_economy(goods, seed)
+            P = scale_path_equilibria(economy)
+            assert np.abs(wk.consumers.aed_rows(economy, P)).max() <= 1e-12
+        # The three zeros at l = 4 seed 1, to five digits.
+        assert np.round(P[:, 0], 5).tolist() == [0.28151, 0.29446, 0.3076]
+
+
+class TestManyGoods:
+    """Default solves at five and six goods, against the null-space price."""
+
+    @pytest.mark.parametrize("goods, n", [(5, 2), (5, 4), (6, 2), (6, 3)])
+    def test_constant_scale_economies(self, goods, n, rng):
+        economy = constant_scale_economy(rng, goods, n)
+        report = wk.find_equilibria(economy)
+        (eq,) = report.equilibria
+        assert np.abs(eq.price.coords - nullspace_price(economy)).max() <= 1e-9
+        assert report.finite_flag
+
+
+def _face_economy(scale=None):
+    """A four-good constant-scale economy whose equilibrium has ``p_4``
+    about 0.03, so its chart point lies within one scan-grid spacing of the
+    face ``sum(c) = 1 - BOUNDARY_MARGIN``; with ``scale``, consumer 1 gets
+    ``1 + scale * (c_1 - p_1)``, which keeps that equilibrium."""
+    alphas = ([0.319, 0.419, 0.218, 0.044], [0.418, 0.333, 0.217, 0.032])
+    endowments = ([1.512, 1.434, 1.4, 2.906], [1.276, 0.452, 1.421, 0.523])
+    consumers = [wk.Consumer(a, w) for a, w in zip(alphas, endowments)]
+    economy = wk.Economy(tuple(consumers))
+    p = nullspace_price(economy)
+    if scale is not None:
+        poly = wk.PolynomialScale(((1.0 - scale * p[0], (0, 0, 0)), (scale, (1, 0, 0))))
+        economy = wk.Economy((wk.Consumer(alphas[0], endowments[0], poly), consumers[1]))
+    return economy, p
+
+
+class TestSlantedFace:
+    """Zeros close to the face ``sum(c) = 1 - BOUNDARY_MARGIN``, which cuts
+    the scan-grid cells around them."""
+
+    @pytest.mark.parametrize("scale", [None, 0.9, -0.9], ids=["constant", "poly+", "poly-"])
+    def test_zero_at_a_small_last_price(self, scale):
+        economy, p = _face_economy(scale)
+        assert 0.025 <= p[3] <= 0.035
+        report = wk.find_equilibria(economy)
+        assert min(np.abs(eq.price.coords - p).max() for eq in report.equilibria) <= 1e-9
+        if scale is None:
+            (eq,) = report.equilibria
+            assert (eq.regularity, eq.index) == ("regular", 1)
+
+    def test_a_cut_cell_is_screened_on_the_corners_it_has(self):
+        # One 2-d cell whose corner (1, 1) lies beyond the face (row -1).
+        vertex = np.array([[[0, 1], [2, -1]]])
+        G = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [np.nan, np.nan]])
+        assert equilibrium._sign_screen(G, vertex).tolist() == [[[True]]]
+        assert equilibrium._sign_screen(np.abs(G), vertex).tolist() == [[[False]]]
 
 
 class TestScanOracle:
@@ -692,12 +775,12 @@ class TestGrouping:
             spacing = (1.0 - 2e-4) / 11
             for _ in range(20):
                 hit = rng.random(len(C)) < 0.3
-                got = _largest_grid_cluster(C, hit, spacing).tolist()
+                got = _largest_grid_cluster(*_hit_clusters(C, hit, spacing)).tolist()
                 clusters = _flood_fill_clusters(C, hit, 1.5 * spacing)
                 largest = max(len(c) for c in clusters)
                 # ties go to the cluster holding the lowest index
                 assert got == min(c for c in clusters if len(c) == largest)
-        assert _largest_grid_cluster(C, np.zeros(len(C), dtype=bool), spacing).size == 0
+        assert _largest_grid_cluster(*_hit_clusters(C, np.zeros(len(C), dtype=bool), spacing)).size == 0
 
 
 class _Reference:
@@ -861,8 +944,9 @@ class TestClassifyRows:
 
 
 class TestEvaluationCount:
-    """A solve evaluates the field in one scan call, one lattice call unless
-    the lattice is the scan grid, its Newton phase and one probe call for all
+    """A solve evaluates the field in one scan call, one call for the
+    vertices of its refined patches unless the scan grid is already at the
+    target spacing (two goods), its Newton phase and one probe call for all
     zeros; the flat-zero join takes one call more."""
 
     @pytest.mark.parametrize(
@@ -892,12 +976,14 @@ class TestEvaluationCount:
         monkeypatch.setattr(equilibrium, "_newton_multistart", spy)
         report = wk.find_equilibria(field)
         d = field.dim
-        scan, lattice = len(equilibrium._scan_grid(d)[0]), len(_lattice(field)[0])
-        head = [scan] if lattice == scan else [scan, lattice]
+        scan = len(equilibrium._scan_grid(d)[0])
+        # The patch call evaluates a part of the finest lattice.
+        patch = calls[1:2] if d > 1 else []
+        assert all(0 < n < len(_start_grid(d, _lattice(field)[0])) for n in patch)
         probe = 1 + 4 * d + (33 if d == 1 else 0)
         (newton,) = newton_calls
         assert newton[0] == report.stats.starts
-        assert calls == head + newton + [zeros * probe]
+        assert calls == [scan] + patch + newton + [zeros * probe]
         assert len(report.equilibria) == zeros
 
     def test_the_join_takes_one_call_more(self):
@@ -916,6 +1002,16 @@ class TestEvaluationCount:
         assert len(report.equilibria) == 1
         # two zeros' probe rows, then the midpoint of the one close pair
         assert calls == [2 * (1 + 4 + 33), 1]
+
+    def test_a_flat_trough_gets_few_starts(self):
+        # The lattice minima of |p * z| along the floor of this economy's
+        # trough gave 742 Newton starts on the 50-per-axis lattice; minima
+        # judged against the whole box around them give two.
+        economy = wk.Economy((wk.Consumer([0.118, 0.086, 0.694, 0.102], [0.275, 0.377, 1.378, 1.699]),))
+        report = wk.find_equilibria(economy)
+        (eq,) = report.equilibria
+        assert np.abs(eq.price.coords - nullspace_price(economy)).max() <= 1e-12
+        assert report.stats.starts <= 10
 
     @pytest.mark.parametrize("goods, budget", [(2, 2100), (4, 25_000)])
     def test_a_solve_evaluates_few_rows(self, goods, budget, rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import walraskit as wk
+from support import multi_equilibrium_economy
 from walraskit.genericity import continuum_chart_map
 
 
@@ -262,6 +263,19 @@ class TestStackedTrials:
         ):
             self.check(three_good_economy(), spec, 3, wk.SolverConfig(grid_density=15))
 
+    @pytest.mark.parametrize("goods", [3, 4])
+    def test_refined_trials_match_solo_solves(self, goods):
+        # The default grid refines the scan grid's cells (m = 2 at l = 3,
+        # 5 at l = 4), and the three close zeros of these economies restart
+        # Newton between them: patches and restarts of several fields in
+        # one chunk.
+        economy = multi_equilibrium_economy(goods, 0)
+        for spec in (
+            wk.PerturbationSpec(1e-4, basis="random_fourier", terms=3, seed=71),
+            wk.PerturbationSpec(1e-4, basis="polynomial", degree=3, seed=72),
+        ):
+            self.check(economy, spec, 3, wk.SolverConfig())
+
     def test_chunk_boundaries(self, monkeypatch, continuum_economy):
         import walraskit.equilibrium as eqm
 
@@ -305,7 +319,8 @@ class TestStackedTrials:
             assert "batch of 2001" in record.error
         assert res.finite_count == 0
 
-    def test_too_large_start_grid_fails_every_trial(self):
+    def test_a_density_once_refused_for_its_start_grid_solves_every_trial(self):
+        # grid_density=70 at l = 4 failed every trial for its 70^3 start grid.
         econ = wk.Economy(
             (
                 wk.Consumer([0.1, 0.2, 0.3, 0.4], [1, 0, 0, 0]),
@@ -318,8 +333,8 @@ class TestStackedTrials:
             trials=2,
             solver_config=wk.SolverConfig(grid_density=70),
         )
-        for record in res.records:
-            assert record.error.startswith("ValueError: start grid of 70^3 points")
+        assert [r.error for r in res.records] == [None, None]
+        assert res.equilibrium_counts == [1, 1]
 
 
 def test_each_chunk_of_trials_is_scanned_in_one_call(monkeypatch):
@@ -340,3 +355,36 @@ def test_each_chunk_of_trials_is_scanned_in_one_call(monkeypatch):
     assert res.finite_count == 5
     # No Newton, probe or join call reaches the scan's size.
     assert [n for n in calls if n >= 2001] == [2 * 2001, 2 * 2001, 2001]
+
+
+def test_each_chunk_of_trials_evaluates_its_patches_in_one_call(monkeypatch):
+    import dataclasses
+
+    import walraskit.equilibrium as eqm
+    import walraskit.genericity as gen
+
+    base = wk.economy_field(three_good_economy())
+    refining, calls = [], []
+
+    def counted(C):
+        if refining:
+            calls.append(len(C))
+        return base.chart_values(C)
+
+    refine = eqm._refine
+
+    def spy(*args):
+        refining.append(True)
+        try:
+            return refine(*args)
+        finally:
+            refining.pop()
+
+    monkeypatch.setattr(eqm, "_refine", spy)
+    field = dataclasses.replace(base, chart_fn=counted)
+    spec = wk.PerturbationSpec(1e-3, basis="random_fourier", terms=3, seed=69)
+    terms = [gen._perturbation_term(spec.with_seed(69 + t), field.dim) for t in range(4)]
+    reports = eqm._solve(field, terms, wk.SolverConfig())
+    assert all(len(r.equilibria) == 1 for r in reports)
+    # Three goods: the 45-per-axis scan grid's flagged cells split in two.
+    assert len(calls) == 1

@@ -9,7 +9,10 @@ directory of every invocation in their pools, plus ``perturb`` (bases
 first six ``solve`` economies, and ``solve`` on copies of ``solve`` economy 0
 and of the saved continuum economy with every endowment multiplied by 1e-8
 and by 1e8 (under ``rescaled/``), whose answers must not depend on the
-factor.  Under ``sarp/extra/`` it runs ``sarp`` on datasets that the
+factor.  Under ``solve/extra/`` it runs ``solve`` on two economies with
+three known equilibria (``tests/support.multi_equilibrium_economy``, l = 3
+seed 0 and l = 4 seed 1) and on a five- and a six-good constant-scale
+economy.  Under ``sarp/extra/`` it runs ``sarp`` on datasets that the
 benchmark pool never yields: a three-cycle without a two-cycle behind two
 observations that only reveal it, ``sarp`` dataset 1 with every third
 bundle repeated from the row before, and copies of dataset 1 with every
@@ -46,10 +49,12 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 # Leave no bytecode caches in the checkout (bench/ among them).
 sys.dont_write_bytecode = True
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 from walraskit import (  # noqa: E402
     Consumer,
@@ -61,6 +66,7 @@ from walraskit import (  # noqa: E402
     save_dataset,
     save_economy,
 )
+from support import constant_scale_economy, multi_equilibrium_economy  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 ECONOMIES = 6
@@ -70,6 +76,10 @@ RESCALED = {
     "continuum": Path("experiment", "continuum", "realized_economy.yaml"),
 }
 FACTORS = ("1e-8", "1e8")
+# (goods, seed) of the economies with three known equilibria, and the goods
+# of the constant-scale economies, solved under solve/extra/.
+MULTI = ((3, 0), (4, 1))
+MANY_GOODS = (5, 6)
 # Three unit bundles revealed in a cycle with no mutual pair, after two
 # observations that reveal them and that no other observation reveals.
 THREE_CYCLE = (
@@ -105,6 +115,15 @@ def invocations(seed: int) -> list[list[str]]:
             consumers = (Consumer(c.alpha, c.endowment * float(factor), c.scale) for c in economy.consumers)
             save_economy(path, Economy(tuple(consumers)))
             argvs.append(["solve", "--input", str(path), "--out", str(path.with_suffix(""))])
+    extra = Path("solve", "extra")
+    extra.mkdir()
+    economies = {f"multi-l{g}-seed{k}": multi_equilibrium_economy(g, k) for g, k in MULTI}
+    for goods in MANY_GOODS:
+        rng = np.random.default_rng([seed, goods])
+        economies[f"constant-l{goods}"] = constant_scale_economy(rng, goods, 3)
+    for name, economy in economies.items():
+        save_economy(extra / f"{name}.yaml", economy)
+        argvs.append(["solve", "--input", str(extra / f"{name}.yaml"), "--out", str(extra / name)])
     extra = Path("sarp", "extra")
     extra.mkdir()
     base = load_dataset(Path("sarp", "dataset1.csv"))
