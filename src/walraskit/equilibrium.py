@@ -65,9 +65,6 @@ from itertools import permutations
 from numbers import Integral
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .fields import (
     JACOBIAN_STEP,
@@ -79,7 +76,14 @@ from .fields import (
     _with_term,
     as_field,
 )
-from .geometry import PricePoint, _greedy_cover, chart_rows_embed, simplex_point
+from .geometry import (
+    PricePoint,
+    _close_pairs,
+    _greedy_cover,
+    _linked_components,
+    chart_rows_embed,
+    simplex_point,
+)
 
 REGULAR = "regular"
 CRITICAL = "critical"
@@ -536,26 +540,13 @@ def _hit_clusters(C: np.ndarray, hit: np.ndarray, spacing: float) -> tuple:
     """The indices of the hit points of the grid ``C`` and their cluster
     labels, linking points within 1.5 grid spacings."""
     idx = np.flatnonzero(hit)
-    return idx, (_linked_components(C[idx], 1.5 * spacing) if idx.size else idx)
+    return idx, _linked_components(C[idx], 1.5 * spacing)
 
 
 def _largest_grid_cluster(hits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The sorted indices of the largest of the clusters ``_hit_clusters``
     returns (the lowest-indexed cluster on ties)."""
     return hits[labels == np.argmax(np.bincount(labels))] if hits.size else hits
-
-
-def _linked_components(X: np.ndarray, radius: float, keep=None) -> np.ndarray:
-    """Connected-component labels of the rows of ``X``, linking rows within
-    ``radius``; given ``keep``, only the pairs that ``keep(pairs)`` accepts
-    (called only when there are pairs)."""
-    pairs = cKDTree(X).query_pairs(radius, output_type="ndarray")
-    if keep is not None and len(pairs):
-        pairs = pairs[keep(pairs)]
-    graph = coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(len(X), len(X))
-    )
-    return connected_components(graph, directed=False)[1]
 
 
 def _subdivisions(per_dim: int, density: int) -> int:
@@ -753,7 +744,8 @@ def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> Equ
 
     The one-field case of the solve pipeline: the continuum scan gives
     ``sigma`` and ``finite_flag``; damped Newton iteration runs from the
-    candidates of one lattice evaluation (``_candidates``; the report's
+    starts found on the scan grid and, from three goods up, on the refined
+    patches of its cells that can hold a zero (``_starts``; the report's
     ``starts``) and stays ``BOUNDARY_MARGIN`` from every face, on ``p * z``
     for an economy's field and on the field itself otherwise; points with
     ``|z| <= NEWTON_TOL * sigma`` are merged within ``1e-6`` and classified in
@@ -836,9 +828,9 @@ def _restart_between(base, terms, weighted, newton, labels, sigmas, radius: floa
         return newton, labels
     # Fields lie two units apart on an extra axis, beyond both radii.
     X = np.column_stack([C[idx], 2.0 * labels[idx]])
-    owner = _greedy_cover(X, np.argsort(zres[idx], kind="stable"), DEDUP_RADIUS, p=2)
-    idx = idx[owner == np.arange(len(idx))]
-    pairs = cKDTree(np.column_stack([C[idx], 2.0 * labels[idx]])).query_pairs(radius, output_type="ndarray")
+    kept = _greedy_cover(X, np.argsort(zres[idx], kind="stable"), DEDUP_RADIUS, p=2) == np.arange(len(idx))
+    idx = idx[kept]
+    pairs = _close_pairs(X[kept], radius, p=2)
     if not len(pairs):
         return newton, labels
     a, b = np.sort(idx[pairs], axis=1).T

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 SIMPLEX = "simplex"
 SPHERE = "sphere"
@@ -189,6 +188,32 @@ def chart_rows_embed(C: np.ndarray) -> np.ndarray:
     return np.hstack([C, last])
 
 
+def _windows(X: np.ndarray, radius: float) -> tuple:
+    """The rows of ``X`` sorted by their first coordinate (stable), and for
+    each sorted position the bounds ``lo, hi`` of the positions whose first
+    coordinate lies within ``radius`` of its own.
+
+    The window reaches a relative ``1e-12`` past ``radius``, more than the
+    rounding of a difference, and rounding is monotone, so it holds every
+    row that ``_within`` accepts.  One ulp past ``x + radius`` is not
+    enough: for ``x = -0.4`` it misses ``0.1``, whose difference rounds to
+    ``0.5``.
+    """
+    order = np.argsort(X[:, 0], kind="stable")
+    x = X[order, 0]
+    reach = radius * (1.0 + 1e-12)
+    lo = np.searchsorted(x, x - reach, side="left")
+    return order, lo, np.searchsorted(x, x + reach, side="right")
+
+
+def _within(D: np.ndarray, radius: float, p: float) -> np.ndarray:
+    """Which rows of differences ``D`` have Minkowski ``p``-norm at most
+    ``radius``, for ``p`` = 2 or infinity (squared for ``p`` = 2)."""
+    if p == np.inf:
+        return np.abs(D).max(axis=1) <= radius
+    return (D * D).sum(axis=1) <= radius * radius
+
+
 def _greedy_cover(X: np.ndarray, order, radius: float, p: float) -> np.ndarray:
     """Greedy radius cover of the rows of ``X``.
 
@@ -196,15 +221,62 @@ def _greedy_cover(X: np.ndarray, order, radius: float, p: float) -> np.ndarray:
     uncovered row within ``radius`` of it (Minkowski ``p``-distance), itself
     included.  Returns the index of the claiming row for each row.
     """
-    tree = cKDTree(X)
+    srt, lo, hi = _windows(X, radius)
+    rank = np.empty_like(srt)
+    rank[srt] = np.arange(len(srt))
     owner = np.full(len(X), -1)
-    # A row with no other row within ``radius`` can only claim itself.
-    alone = np.flatnonzero(tree.query_ball_point(X, radius, p=p, return_length=True) == 1)
+    # A row alone in its window can only claim itself.
+    alone = srt[hi - lo == 1]
     owner[alone] = alone
     order = np.asarray(order, dtype=int)
     for k in order[owner[order] < 0]:
         if owner[k] >= 0:
             continue
-        near = np.asarray(tree.query_ball_point(X[k], radius, p=p), dtype=int)
-        owner[near[owner[near] < 0]] = k
+        near = srt[lo[rank[k]] : hi[rank[k]]]
+        near = near[owner[near] < 0]
+        owner[near[_within(X[near] - X[k], radius, p)]] = k
     return owner
+
+
+def _close_pairs(X: np.ndarray, radius: float, p: float) -> np.ndarray:
+    """The pairs ``(i, j)``, ``i < j``, of rows of ``X`` within ``radius`` of
+    each other (Minkowski ``p``-distance), as a ``(pairs, 2)`` array."""
+    srt, _, hi = _windows(X, radius)
+    # Each sorted position pairs with the later positions of its window.
+    later = hi - np.arange(len(X)) - 1
+    i = np.repeat(np.arange(len(X)), later)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(later) - later - 1, later) + i
+    a, b = srt[i], srt[j]
+    near = _within(X[a] - X[b], radius, p)
+    return np.sort(np.column_stack([a[near], b[near]]), axis=1)
+
+
+def _linked_components(X: np.ndarray, radius: float, keep=None) -> np.ndarray:
+    """Connected-component labels of the rows of ``X``, linking rows within
+    ``radius``; given ``keep``, only the pairs that ``keep(pairs)`` accepts
+    (called only when there are pairs).  Components are numbered in the
+    order of their lowest row.
+
+    Until no link joins two roots, each root is hooked under the lowest root
+    it is linked to, and paths are then halved until every row points at its
+    root.  A row's parent is never above it, so each root is the lowest row
+    of its tree.
+    """
+    pairs = _close_pairs(X, radius, p=2)
+    if keep is not None and len(pairs):
+        pairs = pairs[keep(pairs)]
+    parent = np.arange(len(X))
+    a, b = pairs.T
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        np.minimum.at(parent, np.maximum(ra, rb)[apart], np.minimum(ra, rb)[apart])
+        while True:
+            up = parent[parent]
+            if (up == parent).all():
+                break
+            parent = up
+    roots = parent == np.arange(len(X))
+    return (np.cumsum(roots) - 1)[parent]

@@ -18,13 +18,14 @@ observed amount.  Rescaling all bundles, the prices of one observation, or
 the unit of one good (``x_j * s`` with ``p_j / s``) changes neither the
 verdict nor the cycle.
 
-For ``T`` observations the check costs one ``T x T`` product ``P X^T`` and a
-few dense passes over the ``T x T`` relation: a ball count groups the
-bundles, an OR-reduction by group gives the group relation (the relation
-itself when no bundle repeats), and a mutual pair, if any, is the cycle.
-Otherwise the nodes without an incoming edge are peeled level by level; an
-empty remainder proves the relation acyclic, and the strong-component
-search and the BFS for the shortest cycle run on the remainder only.
+For ``T`` observations the check costs one ``T x T`` product ``P X^T``, a
+sweep along the first bundle coordinate that groups the bundles, and a few
+dense passes over the ``T x T`` relation: an OR-reduction by group gives
+the group relation (the relation itself when no bundle repeats), and a
+mutual pair, if any, is the cycle.  Otherwise the nodes without an
+incoming edge are peeled level by level; an empty remainder proves the
+relation acyclic, and the strong-component search and the BFS for the
+shortest cycle (scipy's) run on the remainder only.
 
 Positive rescalings of an individual excess-demand field preserve the
 properties a consumer's excess demand must have; ``scaled_field_audit``
@@ -38,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .consumers import Consumer, demand_rows
 from .geometry import PricePoint, _greedy_cover
@@ -146,6 +145,9 @@ def _find_cycle(adj: np.ndarray) -> list[int] | None:
     rest = np.flatnonzero(indegree > 0)
     if rest.size == 0:
         return None
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
     sub = adj[np.ix_(rest, rest)]
     graph = csr_matrix(sub)
     _, labels = connected_components(graph, directed=True, connection="strong")

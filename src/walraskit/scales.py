@@ -29,8 +29,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator, PchipInterpolator
-from scipy.spatial import Delaunay, QhullError
 
 
 class Scale:
@@ -140,13 +138,19 @@ class BumpScale(Scale):
 
 
 @functools.lru_cache(maxsize=8)
-def _delaunay(data: bytes, shape: tuple) -> Delaunay:
+def _delaunay(data: bytes, shape: tuple):
     # The l kernel_sampled scales of a realised economy share one grid, so
     # they share one triangulation; the key is the grid's float64 bytes.
+    from scipy.spatial import Delaunay
+
     return Delaunay(np.frombuffer(data).reshape(shape))
 
 
 def _build_interpolator(grid: np.ndarray, values: np.ndarray):
+    # scipy is loaded here, by the sampled scales alone.
+    from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator, PchipInterpolator
+    from scipy.spatial import QhullError
+
     if grid.shape[1] == 1:
         x = grid[:, 0]
         order = np.argsort(x)

@@ -1,12 +1,15 @@
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import walraskit as wk
 from walraskit.cli import _perturbation_spec, build_parser, main
-from support import edgeworth_symmetric, observed_demand
+from support import constant_scale_economy, edgeworth_symmetric, multi_equilibrium_economy, observed_demand
 
 ECONOMY = "goods: 2\nconsumers:\n- alpha: %s\n  endowment: %s\n"
 
@@ -399,3 +402,41 @@ def test_module_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
+
+
+NO_SCIPY = """
+import json, sys
+from walraskit.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_solve_perturb_and_audit_load_no_scipy(tmp_path, rng):
+    # Closed-form scales need no interpolation and no graph search from scipy.
+    bump = wk.BumpScale((0.3, 0.3), 0.2, height=2.0)
+    economies = {
+        "constant": constant_scale_economy(rng, 4, 3),
+        "polynomial": multi_equilibrium_economy(3, 0),
+        "bump": wk.Economy((wk.Consumer([0.3, 0.3, 0.4], [1, 2, 1], bump), wk.Consumer([0.5, 0.2, 0.3], [1, 1, 1]))),
+    }
+    for name, economy in economies.items():
+        wk.save_economy(tmp_path / f"{name}.yaml", economy)
+    runs = [
+        ["solve", "--input", "constant.yaml"],
+        ["solve", "--input", "polynomial.yaml"],
+        ["solve", "--input", "bump.yaml"],
+        ["perturb", "--input", "polynomial.yaml", "--epsilon", "0.01", "--basis", "poly:3"],
+        ["audit", "--input", "polynomial.yaml"],
+        ["audit", "--input", "bump.yaml"],
+    ]
+    argv = [[*run[:2], str(tmp_path / run[2]), *run[3:], "--out", str(tmp_path / f"out{k}")] for k, run in enumerate(runs)]
+    src = str(Path(wk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, json.dumps(argv)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    assert loaded == []

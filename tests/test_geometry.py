@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 import walraskit as wk
-from walraskit.geometry import chart_rows_embed
+from walraskit.geometry import _close_pairs, _linked_components, chart_rows_embed
 
 
 class TestFrames:
@@ -111,3 +114,46 @@ class TestTangent:
         for comps in ([1.0, 1.0], [np.nan, np.nan], [np.inf, 0.0]):
             with pytest.raises(ValueError, match="tangent"):
                 wk.TangentVector(p, np.array(comps))
+
+
+def _near_row_inputs(rng):
+    """``(X, radius)`` cases for the near-row search: random rows, exact
+    repeats, ties in the first coordinate, rows on a lattice of the radius
+    (pairs exactly ``radius`` apart, also across zero), and 0 and 1 rows."""
+    for d in (1, 2, 3):
+        for radius in (0.05, 0.3, 0.5):
+            X = rng.uniform(-1.0, 1.0, (60, d))
+            yield X, radius
+            X[30:50] = X[rng.integers(0, 30, 20)]
+            yield X, radius
+            X = rng.uniform(-1.0, 1.0, (60, d))
+            X[:, 0] = rng.integers(0, 5, 60) * 0.1
+            yield X, radius
+            yield rng.integers(-3, 4, (40, d)) * radius, radius
+            yield np.round(rng.uniform(-1.0, 1.0, (40, d)), 1), radius
+        yield np.empty((0, d)), 0.1
+        yield rng.uniform(0.0, 1.0, (1, d)), 0.1
+
+
+class TestNearRows:
+    def test_close_pairs_are_the_kd_tree_pairs(self, rng):
+        for X, radius in _near_row_inputs(rng):
+            for p in (2, np.inf):
+                got = _close_pairs(X, radius, p)
+                assert got.shape[1] == 2 and (got[:, 0] < got[:, 1]).all()
+                want = cKDTree(X).query_pairs(radius, p=p, output_type="ndarray")
+                assert set(map(tuple, got.tolist())) == set(map(tuple, want.tolist()))
+                assert len(got) == len(want)
+
+    def test_linked_components_are_the_sparse_graph_components(self, rng):
+        for X, radius in _near_row_inputs(rng):
+            pairs = cKDTree(X).query_pairs(radius, output_type="ndarray")
+            graph = coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(len(X), len(X)))
+            want = connected_components(graph, directed=False)[1]
+            assert _linked_components(X, radius).tolist() == want.tolist()
+
+    def test_linked_components_keep_only_the_accepted_pairs(self):
+        # A chain 0 - 1 - 2 - 3 cut between 1 and 2.
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        labels = _linked_components(X, 1.0, lambda pairs: pairs.min(axis=1) != 1)
+        assert labels.tolist() == [0, 0, 1, 1]
