@@ -13,10 +13,12 @@ closed vocabulary in :mod:`walraskit.scales`:
 Economy files are written by a small direct emitter that gives exactly the
 text of PyYAML's ``safe_dump(data, sort_keys=False, default_flow_style=None)``:
 block collections, except that a list or mapping of scalars is written in
-flow style and wrapped past column 80.  They are read with libyaml's parser
-when PyYAML has it.  Floats are emitted with Python repr (shortest exact
-form) in YAML and with 17 significant digits in CSV tables, so written files
-re-parse to equivalent objects and repeated runs are byte-identical.
+flow style and wrapped past column 80.  A file in that layout is read by a
+direct reader that returns what PyYAML's safe loader returns for it; any
+other file is read with ``yaml.load``, with libyaml's parser when PyYAML has
+it.  Floats are emitted with Python repr (shortest exact form) in YAML and
+with 17 significant digits in CSV tables, so written files re-parse to
+equivalent objects and repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from yaml.constructor import SafeConstructor
 
 from .consumers import Consumer, Economy
 from .decomposition import DecompositionWitness
@@ -274,12 +277,135 @@ def save_economy(path, e: Economy) -> None:
     Path(path).write_text(_economy_yaml(economy_to_dict(e)))
 
 
+# --- YAML reader --------------------------------------------------------------
+#
+# Reads the layout _Emitter writes and returns what a YAML 1.1 safe loader
+# returns for it.  A line or token outside that layout (another indent, a
+# comment, quotes, tags, anchors, a key without a value, a spelling that
+# YAML 1.1 and Python read differently, such as 1e5, 010 or 1_000) raises
+# ValueError, and load_economy hands the whole text to yaml.load.
+
+_FLOAT_TEXT = r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?"
+_FLOAT = re.compile(_FLOAT_TEXT)
+_FLOAT_FLOW = re.compile(rf"\[{_FLOAT_TEXT}(?:, {_FLOAT_TEXT})*\]")
+_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+# The values of PyYAML's constructor, NaN bits included.
+_FLOAT_WORD_VALUES = {
+    ".inf": SafeConstructor.inf_value,
+    "-.inf": -SafeConstructor.inf_value,
+    ".nan": SafeConstructor.nan_value,
+}
+# Indent, one "- " per block sequence opened on the line, a key, the rest.
+_LINE = re.compile(r"( *)((?:- )*)(?:([A-Za-z_][A-Za-z0-9_]*):(?:$| (?=[^ ])))?(.*)")
+_BLOCK = object()  # a value that is the block collection on the next tokens
+
+
+def _scalar(text: str):
+    if _FLOAT.fullmatch(text):
+        return float(text)
+    if _INT.fullmatch(text):
+        return int(text)
+    if text in _FLOAT_WORD_VALUES:
+        return _FLOAT_WORD_VALUES[text]
+    return _word(text)
+
+
+def _word(text: str) -> str:
+    if _PLAIN_WORD.fullmatch(text) and text.lower() not in _RESOLVED_WORDS:
+        return text
+    raise ValueError(f"{text!r} is not a scalar the economy emitter writes")
+
+
+def _flow(text: str):
+    """The list or mapping of scalars of a one-line flow collection."""
+    if _FLOAT_FLOW.fullmatch(text):
+        return list(map(float, text[1:-1].split(", ")))
+    inner = text[1:-1].split(", ") if len(text) > 2 else []
+    if text[0] + text[-1] == "[]":
+        return [_scalar(item) for item in inner]
+    if text[0] + text[-1] != "{}":
+        raise ValueError("unclosed flow collection")
+    out = {}
+    for item in inner:
+        key, _, value = item.partition(": ")
+        out[_word(key)] = _scalar(value)
+    return out
+
+
+def _tokens(text: str) -> list:
+    """The block entries of ``text``: ``(indent, key, value)``, ``key`` None
+    for a sequence item, ``value`` ``_BLOCK`` when the entries that follow
+    hold it.  Wrapped flow lines are joined to their first line."""
+    lines = text.split("\n")
+    if lines.pop() != "":
+        raise ValueError("the text does not end with a line break")
+    tokens = []
+    k = 0
+    while k < len(lines):
+        indent, dashes, key, rest = _LINE.fullmatch(lines[k]).groups()
+        k += 1
+        column = len(indent)
+        for _ in range(len(dashes) // 2 - (key is None)):
+            tokens.append((column, None, _BLOCK))
+            column += 2
+        if key is None and not (dashes and rest):
+            raise ValueError(f"line {k} is not a key or a sequence item")
+        if rest[:1] in ("[", "{"):
+            # Continuation lines sit two columns right of the key or dash.
+            wrap = " " * (column + 2)
+            while rest[-1] == "," and k < len(lines) and lines[k].startswith(wrap):
+                rest += " " + lines[k][len(wrap) :]
+                k += 1
+            value = _flow(rest)
+        else:
+            value = _scalar(rest) if rest else _BLOCK
+        tokens.append((column, key if key is None else _word(key), value))
+    return tokens
+
+
+def _block(tokens: list, pos: int, indent: int) -> tuple:
+    """The block collection whose first entry is ``tokens[pos]``, at
+    ``indent``, and the position after it."""
+    if pos == len(tokens) or tokens[pos][0] != indent:
+        raise ValueError(f"no block entry at indent {indent}")
+    is_sequence = tokens[pos][1] is None
+    out = [] if is_sequence else {}
+    while pos < len(tokens) and tokens[pos][0] == indent:
+        _, key, value = tokens[pos]
+        if (key is None) != is_sequence:
+            break
+        pos += 1
+        if value is _BLOCK:
+            # A sequence under a key is not indented; a mapping is.
+            nested = is_sequence or pos < len(tokens) and tokens[pos][1] is not None
+            value, pos = _block(tokens, pos, indent + 2 if nested else indent)
+        if is_sequence:
+            out.append(value)
+        else:
+            out[key] = value
+    return out, pos
+
+
+def _read_economy_yaml(text: str):
+    """What ``yaml.load`` returns for ``text`` written in the emitter's
+    layout; ``ValueError`` for any other text."""
+    tokens = _tokens(text)
+    data, pos = _block(tokens, 0, 0)
+    if pos != len(tokens):
+        raise ValueError("an entry is outside the block layout")
+    return data
+
+
 def load_economy(path) -> Economy:
     path = Path(path)
+    text = path.read_text()
     try:
-        data = yaml.load(path.read_text(), Loader=YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise EconomyFormatError(f"{path}: not valid YAML: {exc}") from exc
+        data = _read_economy_yaml(text)
+    except (ValueError, RecursionError):  # deeper nesting than _block can recurse
+        try:
+            data = yaml.load(text, Loader=YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise EconomyFormatError(f"{path}: not valid YAML: {exc}") from exc
     return economy_from_dict(data)
 
 

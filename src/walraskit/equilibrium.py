@@ -501,11 +501,14 @@ def _scan_grid(dim: int) -> tuple:
 
 def _evaluate_grid(base: TangentField, terms: list, C: np.ndarray) -> tuple:
     """Simplex rows and full field rows, shaped ``(fields, points, goods)``,
-    of ``base`` plus each chart-map term on the chart grid ``C``, from one
-    call of the chart map."""
-    stacked = np.tile(C, (len(terms), 1))
-    labels = np.repeat(np.arange(len(terms)), len(C))
-    P, Z = _full_rows(stacked, _stacked_map(base, terms, labels)(stacked, np.arange(len(stacked))))
+    of ``base`` plus each chart-map term on the chart grid ``C``.  The base
+    is evaluated once on ``C``, and each term is added to its own copy
+    (``_stacked_map``'s arithmetic, row by row)."""
+    F = np.tile(base.chart_values(C), (len(terms), 1, 1))
+    for values, term in zip(F, terms):
+        if term is not None:
+            values += term(C)
+    P, Z = _full_rows(np.tile(C, (len(terms), 1)), F.reshape(len(terms) * len(C), -1))
     shape = (len(terms), len(C), -1)
     return P.reshape(shape), Z.reshape(shape)
 

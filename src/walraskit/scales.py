@@ -274,6 +274,8 @@ class KernelSampledScale(Scale):
 
 def scale_from_dict(data: dict) -> Scale:
     """Rebuild a scale from its serialised form."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a scale must be a mapping, not {type(data).__name__}")
     kind = data.get("type")
     if kind == "constant":
         return ConstantScale(data["value"])

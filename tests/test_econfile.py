@@ -3,13 +3,17 @@ import csv
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walraskit as wk
 from walraskit.cli import main
 from walraskit.consumers import aed_rows
 from walraskit.econfile import (
+    YAML_LOADER,
     EconomyFormatError,
     _economy_yaml,
+    _read_economy_yaml,
     economy_from_dict,
     economy_to_dict,
     write_equilibria_csv,
@@ -167,8 +171,16 @@ class TestEconomyFiles:
                 "- alpha: [0.3, 0.7]\n  endowment: [0.0, 1.0]\n",
                 "top-level field 'goods' must be an integer",
             ),
+            (  # YAML 1.1 reads 010 as octal
+                "goods: 010\nconsumers:\n- alpha: [0.5, 0.5]\n  endowment: [1.0, 1.0]\n",
+                "consumer 0: alpha/endowment length must equal goods=8",
+            ),
+            (  # and 1e5 as a string
+                "goods: 1e5\nconsumers:\n- alpha: [0.5, 0.5]\n  endowment: [1.0, 1.0]\n",
+                "top-level field 'goods' must be an integer",
+            ),
         ],
-        ids=["goods-1", "goods-2.7"],
+        ids=["goods-1", "goods-2.7", "goods-010", "goods-1e5"],
     )
     def test_goods_is_an_integer_of_at_least_two(self, tmp_path, capsys, text, message):
         path = tmp_path / "eco.yaml"
@@ -177,6 +189,15 @@ class TestEconomyFiles:
         assert message in capsys.readouterr().err
         with pytest.raises(ValueError, match="at least two goods"):
             wk.Economy((wk.Consumer([1.0], [1.0]),))
+
+    def test_a_scale_without_a_value_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "eco.yaml"
+        path.write_text(
+            "goods: 2\nconsumers:\n- alpha: [0.5, 0.5]\n  endowment: [1.0, 0.0]\n  scale:\n"
+        )
+        assert main(["solve", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "consumer 0: invalid scale: a scale must be a mapping, not NoneType" in err
 
     def test_dict_form_is_plain_data(self):
         d = economy_to_dict(mixed_economy())
@@ -203,6 +224,7 @@ class TestEconomyWriter:
         wk.save_economy(path, e)
         text = path.read_text()
         assert text == safe_dump_text(e)
+        assert same_data(_read_economy_yaml(text), yaml.load(text, Loader=yaml.SafeLoader))
         return text
 
     def test_every_scale_type(self, tmp_path):
@@ -269,7 +291,9 @@ class TestEconomyWriter:
 
     def test_non_finite_and_unknown_values(self):
         data = {"goods": 2, "x": [float("inf"), -float("inf"), float("nan"), -3], "y": [-1e300]}
-        assert _economy_yaml(data) == yaml.safe_dump(data, sort_keys=False, default_flow_style=None)
+        text = _economy_yaml(data)
+        assert text == yaml.safe_dump(data, sort_keys=False, default_flow_style=None)
+        assert same_data(_read_economy_yaml(text), yaml.load(text, Loader=yaml.SafeLoader))
         for bad in ("two words", "yes", True, None, (1, 2), np.float64(1.0), [1.0, np.float64(2.0)]):
             with pytest.raises(TypeError, match="plain YAML scalar"):
                 _economy_yaml({"goods": 2, "x": bad})
@@ -298,6 +322,174 @@ class TestEconomyWriter:
         assert economy_to_dict(again) == economy_to_dict(econ)
         P = random_interior_prices(rng, 50, 3)
         assert np.array_equal(aed_rows(econ, P), aed_rows(again, P))
+
+
+def same_data(a, b) -> bool:
+    """Equal plain data, NaN compared by position and -0.0, 1 and 1.0 told apart."""
+    return repr(a) == repr(b)
+
+
+def outcome(load, path):
+    """The economy dict a loader gives for ``path``, or its error text."""
+    try:
+        return economy_to_dict(load(path))
+    except EconomyFormatError as exc:
+        return str(exc)
+
+
+def load_with_yaml(path):
+    """``load_economy`` with ``yaml.load`` as the only reader."""
+    try:
+        data = yaml.load(path.read_text(), Loader=YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise EconomyFormatError(f"{path}: not valid YAML: {exc}") from exc
+    return economy_from_dict(data)
+
+
+# The spellings of test_float_spellings, and every other float.
+FLOATS = st.one_of(
+    st.sampled_from([1e16, 1e22, 1e-300, 5e-324, 0.1, 1.0, 123456.789, 1e-05, 2.5e-08, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+SCALE_KINDS = ["constant", "polynomial", "bump", "sampled", "kernel_sampled"]
+WORDS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True).filter(
+    lambda w: w.lower() not in {"yes", "no", "true", "false", "on", "off", "null"}
+)
+READER_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def economy_dicts(draw):
+    """``economy_to_dict``'s shape at l = 2-6, every scale kind, any floats."""
+    goods = draw(st.integers(2, 6))
+    dim = goods - 1
+
+    def floats(n):
+        return draw(st.lists(FLOATS, min_size=n, max_size=n))
+
+    def scale(kind):
+        if kind == "constant":
+            return {"type": kind, "value": draw(FLOATS)}
+        if kind == "polynomial":
+            powers = st.lists(st.integers(0, 12), min_size=1, max_size=dim)
+            terms = draw(st.lists(st.tuples(FLOATS, powers), min_size=1, max_size=4))
+            return {"type": kind, "terms": [[c, p] for c, p in terms]}
+        if kind == "bump":
+            fields = ["type", "center", "radius", "height", "floor"]
+            return dict(zip(fields, [kind, floats(dim), *floats(3)]))
+        rows = draw(st.integers(1, 6))
+        out = {"type": kind, "grid": [floats(dim) for _ in range(rows)], "values": floats(rows)}
+        if kind == "kernel_sampled":
+            out.update(good=draw(st.integers(0, dim)), share=draw(FLOATS), level=draw(FLOATS))
+        return out
+
+    kinds = draw(st.lists(st.sampled_from(SCALE_KINDS), min_size=1, max_size=5))
+    consumers = [
+        {"alpha": floats(goods), "endowment": floats(goods), "scale": scale(k)} for k in kinds
+    ]
+    return {"goods": goods, "consumers": consumers}
+
+
+# Nested plain data with inf and nan, empty collections and block
+# sequences of block sequences.
+PLAIN_DATA = st.dictionaries(
+    WORDS,
+    st.recursive(
+        st.one_of(st.floats(), st.integers(), WORDS),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(WORDS, inner, max_size=4),
+        max_leaves=20,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestEconomyReader:
+    """load_economy reads the emitter's layout itself and gives every other
+    text to yaml.load; either way it returns what yaml.load returns."""
+
+    @READER_SETTINGS
+    @given(st.one_of(economy_dicts(), PLAIN_DATA))
+    def test_emitted_text_reads_as_yaml_reads_it(self, data):
+        text = _economy_yaml(data)
+        assert same_data(_read_economy_yaml(text), yaml.load(text, Loader=yaml.SafeLoader))
+
+    def test_emitted_files_are_read_without_yaml(self, tmp_path, monkeypatch):
+        econ = wk.build_continuum_economy((0.4, 0.6), grid=41)
+        path = tmp_path / "eco.yaml"
+        wk.save_economy(path, econ)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("yaml.load called on an emitted file")
+
+        monkeypatch.setattr(yaml, "load", refuse)
+        assert economy_to_dict(wk.load_economy(path)) == economy_to_dict(econ)
+
+    def test_every_line_prefix_loads_as_yaml_loads_it(self, tmp_path, rng):
+        target = wk.Economy(
+            (wk.Consumer([0.2, 0.3, 0.5], [1, 1, 1]), wk.Consumer([0.5, 0.3, 0.2], [1, 0.5, 1]))
+        )
+        econ = wk.realize_economy(
+            wk.CanonicalFamily.symmetric(3), wk.economy_field(target), rng.dirichlet(np.ones(3), 12)
+        )
+        lines = _economy_yaml(economy_to_dict(econ)).splitlines(keepends=True)
+        assert any(line.endswith(",\n") for line in lines)  # wrapped flow lists
+        path = tmp_path / "eco.yaml"
+        for k in range(len(lines) + 1):
+            path.write_text("".join(lines[:k]))
+            assert outcome(wk.load_economy, path) == outcome(load_with_yaml, path), k
+
+    KERNEL_ECONOMY = (
+        "goods: 2\nconsumers:\n- alpha: [0.5, 0.5]\n  endowment: [1.0, 0.0]\n  scale:\n"
+        "    type: kernel_sampled\n    grid:\n    - [0.1]\n    - [0.5]\n    - [0.9]\n"
+        "    values: [1.0, 1.0, 1.0]\n    good: 1\n    share: 0.5\n    level: 1.0\n"
+        "- alpha: [0.3, 0.7]\n  endowment: [0.0, 1.0]\n"
+    )
+
+    @pytest.mark.parametrize(
+        "old, new",
+        # kernel_sampled's good is checked as an integer and named in the
+        # error, so each spelling's YAML 1.1 value shows in the outcome.
+        [("good: 1", f"good: {s}") for s in (
+            "1e5", "010", "0x1F", "1_000", "+1.5", ".5", "1:20", "~", "yes", "'0.5'",
+        )]
+        + [
+            ("goods: 2\n", "# a comment\ngoods: 2 # two\n"),
+            ("goods: 2\n", "---\ngoods: 2\n"),
+            ("\n", "\r\n"),
+            ("goods: 2", "goods:\t2"),
+            ("\n", "  \n"),
+            ("good: 1", "good: 5\n    good: 1"),
+            ("[0.5, 0.5]\n  endowment: [1.0, 0.0]", "&a [0.5, 0.5]\n  endowment: *a"),
+            ("level: 1.0", "level: !!float 1"),
+            (KERNEL_ECONOMY, ""),
+            ("good: 1", "good: 1\n    yes: 1"),
+            (
+                "    - [0.1]\n    - [0.5]\n    - [0.9]",
+                "      - [0.1]\n      - [0.5]\n      - [0.9]",
+            ),
+            ("    - [0.9]\n", "    - [0.9]\n      - [0.7]\n"),
+            ("good: 1", "good: 1\n    deep:\n    " + "- " * 1200 + "1"),
+        ],
+        ids=[
+            "1e5", "010", "0x1F", "1_000", "+1.5", ".5", "1:20", "tilde", "yes", "quoted",
+            "comment", "document-start", "crlf", "tab", "trailing-spaces", "duplicate-key",
+            "anchor-and-alias", "float-tag", "empty", "yes-key", "indented-sequence",
+            "over-indented-item", "deep-nesting",
+        ],
+    )
+    def test_hand_written_spellings_read_as_yaml_reads_them(self, tmp_path, old, new):
+        assert old in self.KERNEL_ECONOMY
+        text = self.KERNEL_ECONOMY.replace(old, new)
+        try:
+            data = _read_economy_yaml(text)
+        except (ValueError, RecursionError):
+            pass  # outside the emitter's layout: load_economy hands it to yaml.load
+        else:
+            assert same_data(data, yaml.load(text, Loader=yaml.SafeLoader))
+        path = tmp_path / "eco.yaml"
+        path.write_text(text, newline="")
+        assert outcome(wk.load_economy, path) == outcome(load_with_yaml, path)
 
 
 class TestDatasetFiles:
