@@ -20,11 +20,19 @@ price, which preserves homogeneity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .geometry import PricePoint, TangentVector
-from .scales import ConstantScale, Scale
+from .scales import (
+    BumpScale,
+    ConstantScale,
+    KernelSampledScale,
+    PolynomialScale,
+    SampledScale,
+    Scale,
+)
 
 UNIT_SCALE = ConstantScale(1.0)
 
@@ -43,6 +51,9 @@ class Consumer:
         field-decomposition construction need them).
     scale : Scale, optional
         Positive scaling applied to excess demand; defaults to the constant 1.
+        It must read a chart of ``l - 1`` dimensions and, for
+        ``kernel_sampled``, name one of the ``l`` goods, or ``ValueError``
+        is raised, with the text an economy file gets.
     """
 
     alpha: np.ndarray
@@ -59,6 +70,9 @@ class Consumer:
             raise ValueError("alpha must be strictly positive and sum to 1 within 1e-12")
         if not (np.all((omega >= 0.0) & (omega < np.inf)) and np.any(omega > 0.0)):
             raise ValueError("endowment must be finite and non-negative with a positive entry")
+        misfit = _scale_misfit(self.scale, alpha.size)
+        if misfit:
+            raise ValueError(f"invalid scale: {misfit}")
         alpha.setflags(write=False)
         omega.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
@@ -67,6 +81,25 @@ class Consumer:
     @property
     def goods(self) -> int:
         return self.alpha.size
+
+
+def _scale_misfit(scale: Scale, goods: int) -> str | None:
+    """Why ``scale`` does not read a chart of ``goods - 1`` dimensions or,
+    for ``kernel_sampled``, does not name one of the goods; None when it
+    fits.  A polynomial term may list fewer powers than there are chart
+    dimensions: the missing ones are 0."""
+    dim = goods - 1
+    if isinstance(scale, PolynomialScale) and any(len(p) > dim for _, p in scale.terms):
+        return f"a polynomial term lists more powers than the chart has dimensions ({dim})"
+    if isinstance(scale, BumpScale) and len(scale.center) != dim:
+        return f"bump center must have one coordinate per chart dimension ({dim})"
+    if isinstance(scale, SampledScale) and scale.grid.shape[1] != dim:
+        return f"{scale.kind} grid rows must have one coordinate per chart dimension ({dim})"
+    if isinstance(scale, KernelSampledScale):
+        good = scale.good
+        if isinstance(good, bool) or not isinstance(good, Integral) or not 0 <= good < goods:
+            return f"kernel_sampled good must be an integer from 0 to {dim}, not {good!r}"
+    return None
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ closed vocabulary in :mod:`walraskit.scales`:
       endowment: [1.0, 0.0]
       scale: {type: constant, value: 1.0}
 
+A scale is its kind's dataclass fields under ``type``: every field is
+required and other keys are ignored.  Whether the scale fits the goods is
+checked by :class:`~walraskit.consumers.Consumer`, as for an economy built
+in code; this module adds the consumer's position to the message.
+
 Economy files are written by a small direct emitter that gives exactly the
 text of PyYAML's ``safe_dump(data, sort_keys=False, default_flow_style=None)``:
 block collections, except that a list or mapping of scalars is written in
@@ -27,7 +32,6 @@ import csv
 import itertools
 import operator
 import re
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +43,7 @@ from .decomposition import DecompositionWitness
 from .equilibrium import EquilibriumReport
 from .genericity import GenericityResult
 from .revealed import ObservationDataset
-from .scales import (
-    BumpScale,
-    KernelSampledScale,
-    PolynomialScale,
-    SampledScale,
-    scale_from_dict,
-)
+from .scales import scale_from_dict
 
 FLOAT_FMT = "%.17g"
 
@@ -98,7 +96,6 @@ def economy_from_dict(data: dict) -> Economy:
         scale_data = entry.get("scale", {"type": "constant", "value": 1.0})
         try:
             scale = scale_from_dict(scale_data)
-            _check_scale_fits(scale, goods)
         except (KeyError, TypeError, ValueError) as exc:
             raise EconomyFormatError(f"consumer {k}: invalid scale: {exc}") from exc
         if len(alpha) != goods or len(endowment) != goods:
@@ -110,30 +107,6 @@ def economy_from_dict(data: dict) -> Economy:
         except ValueError as exc:
             raise EconomyFormatError(f"consumer {k}: {exc}") from exc
     return Economy(tuple(consumers))
-
-
-def _check_scale_fits(scale, goods: int) -> None:
-    """``ValueError`` unless ``scale`` reads a chart of ``goods - 1``
-    dimensions and, for ``kernel_sampled``, names one of the goods.  A
-    polynomial term may list fewer powers than there are chart dimensions:
-    the missing ones are 0."""
-    dim = goods - 1
-    if isinstance(scale, PolynomialScale) and any(len(p) > dim for _, p in scale.terms):
-        raise ValueError(
-            f"a polynomial term lists more powers than the chart has dimensions ({dim})"
-        )
-    if isinstance(scale, BumpScale) and len(scale.center) != dim:
-        raise ValueError(f"bump center must have one coordinate per chart dimension ({dim})")
-    if isinstance(scale, (SampledScale, KernelSampledScale)) and scale.grid.shape[1] != dim:
-        raise ValueError(
-            f"{scale.kind} grid rows must have one coordinate per chart dimension ({dim})"
-        )
-    if isinstance(scale, KernelSampledScale):
-        good = scale.good
-        if isinstance(good, bool) or not isinstance(good, Integral) or not 0 <= good < goods:
-            raise ValueError(
-                f"kernel_sampled good must be an integer from 0 to {dim}, not {good!r}"
-            )
 
 
 # --- YAML emitter -------------------------------------------------------------
@@ -412,14 +385,18 @@ def load_economy(path) -> Economy:
 # --- datasets ----------------------------------------------------------------
 
 
-def save_dataset(path, d: ObservationDataset) -> None:
-    goods = d.goods
-    header = [f"p{i + 1}" for i in range(goods)] + [f"x{i + 1}" for i in range(goods)]
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for p_row, x_row in zip(d.prices, d.bundles):
-            writer.writerow([_fmt(v) for v in (*p_row, *x_row)])
+        writer.writerows(rows)
+
+
+def save_dataset(path, d: ObservationDataset) -> None:
+    goods = d.goods
+    header = [f"p{i + 1}" for i in range(goods)] + [f"x{i + 1}" for i in range(goods)]
+    rows = ([_fmt(v) for v in (*p_row, *x_row)] for p_row, x_row in zip(d.prices, d.bundles))
+    _write_csv(path, header, rows)
 
 
 def load_dataset(path) -> ObservationDataset:
@@ -463,14 +440,13 @@ def _raise_first_bad_line(path, rows: list, goods: int) -> None:
 def write_equilibria_csv(path, report: EquilibriumReport, goods: int) -> None:
     header = [f"p{i + 1}" for i in range(goods)]
     header += ["residual", "regularity", "index", "multiplicity"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for eq in report.equilibria:
-            mult = "" if eq.multiplicity is None else str(eq.multiplicity)
-            row = [_fmt(v) for v in eq.price.coords]
-            row += [_fmt(eq.residual), eq.regularity, str(eq.index), mult]
-            writer.writerow(row)
+    rows = (
+        [_fmt(v) for v in eq.price.coords]
+        + [_fmt(eq.residual), eq.regularity, str(eq.index)]
+        + ["" if eq.multiplicity is None else str(eq.multiplicity)]
+        for eq in report.equilibria
+    )
+    _write_csv(path, header, rows)
 
 
 def write_witness_csv(path, witnesses: list[DecompositionWitness]) -> None:
@@ -480,34 +456,19 @@ def write_witness_csv(path, witnesses: list[DecompositionWitness]) -> None:
     header = [f"p{i + 1}" for i in range(goods)]
     header += [f"mu{i + 1}" for i in range(goods)]
     header += ["residual"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for w in witnesses:
-            row = [_fmt(v) for v in w.price.simplex_coords()]
-            row += [_fmt(v) for v in w.mu]
-            row += [_fmt(w.residual)]
-            writer.writerow(row)
+    rows = (
+        [_fmt(v) for v in (*w.price.simplex_coords(), *w.mu, w.residual)] for w in witnesses
+    )
+    _write_csv(path, header, rows)
 
 
 def write_experiment_csv(path, result: GenericityResult) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["trial", "seed", "epsilon", "n_equilibria", "all_regular", "index_sum"]
-            + ["finite", "error", "index_check"]
-        )
-        for r in result.records:
-            writer.writerow(
-                [
-                    str(r.trial),
-                    str(r.seed),
-                    _fmt(r.epsilon),
-                    str(r.n_equilibria),
-                    "true" if r.all_regular else "false",
-                    str(r.index_sum),
-                    "true" if r.finite else "false",
-                    r.error or "",
-                    r.index_check,
-                ]
-            )
+    header = ["trial", "seed", "epsilon", "n_equilibria", "all_regular", "index_sum"]
+    header += ["finite", "error", "index_check"]
+    rows = (
+        [str(r.trial), str(r.seed), _fmt(r.epsilon), str(r.n_equilibria)]
+        + ["true" if r.all_regular else "false", str(r.index_sum)]
+        + ["true" if r.finite else "false", r.error or "", r.index_check]
+        for r in result.records
+    )
+    _write_csv(path, header, rows)

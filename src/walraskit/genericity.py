@@ -68,22 +68,14 @@ def _basis_functions(spec: PerturbationSpec, dim: int):
         return (lambda C: 0.5 - C), (lambda C: -np.ones_like(C))
     rng = np.random.default_rng(spec.seed)
     if spec.basis == "polynomial":
-        coeffs = rng.standard_normal((dim, spec.degree + 1))
-
-        def value(C):
-            out = np.zeros_like(C)
-            for j in range(dim):
-                out[:, j] = np.polynomial.polynomial.polyval(C[:, j], coeffs[j])
-            return out
-
-        def deriv(C):
-            out = np.zeros_like(C)
-            for j in range(dim):
-                dc = np.polynomial.polynomial.polyder(coeffs[j])
-                out[:, j] = np.polynomial.polynomial.polyval(C[:, j], dc)
-            return out
-
-        return value, deriv
+        # One column of coefficients per chart coordinate.
+        coeffs = rng.standard_normal((dim, spec.degree + 1)).T
+        dcoeffs = np.polynomial.polynomial.polyder(coeffs)
+        polyval = np.polynomial.polynomial.polyval
+        return (
+            lambda C: polyval(C, coeffs, tensor=False),
+            lambda C: polyval(C, dcoeffs, tensor=False),
+        )
     # random_fourier
     amp_sin = rng.standard_normal((dim, spec.terms))
     amp_cos = rng.standard_normal((dim, spec.terms))

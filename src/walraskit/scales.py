@@ -26,13 +26,19 @@ sampled ratios agree across consumers.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
 
 class Scale:
-    """Base class: a scale maps simplex price rows ``(n, l)`` to values ``(n,)``."""
+    """Base class: a scale maps simplex price rows ``(n, l)`` to values ``(n,)``.
+
+    Each subclass is a frozen dataclass whose fields are its serialised
+    form: :meth:`to_dict` writes them and :func:`scale_from_dict` reads
+    them back, so ``__post_init__`` stores plain Python numbers.
+    """
 
     kind = ""  # the ``type`` of its serialised form
 
@@ -40,7 +46,16 @@ class Scale:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """``{"type": kind, **fields}``, arrays and tuples written as lists."""
+        return {"type": self.kind, **{f.name: _plain(getattr(self, f.name)) for f in fields(self)}}
+
+
+def _plain(x):
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, tuple):
+        return [_plain(v) for v in x]
+    return x
 
 
 @dataclass(frozen=True)
@@ -52,12 +67,10 @@ class ConstantScale(Scale):
     def __post_init__(self):
         if not (np.isfinite(self.value) and self.value > 0.0):
             raise ValueError("constant scale must be a positive finite number")
+        object.__setattr__(self, "value", float(self.value))
 
     def __call__(self, P):
-        return np.full(P.shape[0], float(self.value))
-
-    def to_dict(self):
-        return {"type": self.kind, "value": float(self.value)}
+        return np.full(P.shape[0], self.value)
 
 
 @dataclass(frozen=True)
@@ -71,7 +84,7 @@ class PolynomialScale(Scale):
 
     kind = "polynomial"
 
-    terms: tuple = field(default=((1.0, (0,)),))
+    terms: tuple = ((1.0, (0,)),)
 
     def __post_init__(self):
         clean = []
@@ -93,12 +106,6 @@ class PolynomialScale(Scale):
             out += term
         return out
 
-    def to_dict(self):
-        return {
-            "type": self.kind,
-            "terms": [[c, list(p)] for c, p in self.terms],
-        }
-
 
 @dataclass(frozen=True)
 class BumpScale(Scale):
@@ -113,28 +120,25 @@ class BumpScale(Scale):
     floor: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(x) for x in self.center))
+        center = tuple(float(x) for x in self.center)
+        # Written so that NaN fails the check too.
+        if not np.all(np.isfinite([*center, self.radius, self.height, self.floor])):
+            raise ValueError("bump center, radius, height and floor must be finite")
         if self.radius <= 0.0:
             raise ValueError("bump radius must be positive")
         if self.floor <= 0.0 and self.floor + self.height <= 0.0:
             raise ValueError("bump scale must be positive somewhere")
+        object.__setattr__(self, "center", center)
+        for name in ("radius", "height", "floor"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def __call__(self, P):
         C = P[:, :-1]
         u2 = ((C - np.asarray(self.center)) ** 2).sum(axis=1) / self.radius**2
-        out = np.full(P.shape[0], float(self.floor))
+        out = np.full(P.shape[0], self.floor)
         inside = u2 < 1.0
         out[inside] += self.height * np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
         return out
-
-    def to_dict(self):
-        return {
-            "type": self.kind,
-            "center": list(self.center),
-            "radius": float(self.radius),
-            "height": float(self.height),
-            "floor": float(self.floor),
-        }
 
 
 @functools.lru_cache(maxsize=8)
@@ -222,27 +226,20 @@ class SampledScale(Scale):
     def __call__(self, P):
         return np.asarray(self._interp(P[:, :-1]), dtype=float)
 
-    def to_dict(self):
-        return {
-            "type": self.kind,
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-        }
-
 
 @dataclass(frozen=True)
-class KernelSampledScale(Scale):
+class KernelSampledScale(SampledScale):
     """Sampled ratio times the closed-form kernel weight of one canonical consumer.
 
     Evaluates to ``interp(ratio)(chart(p)) * share / (p[good] * level)`` on
     simplex-frame prices.  ``share`` and ``level`` are the preference share
-    and endowment level of the consumer holding only ``good``.
+    and endowment level of the consumer holding only ``good``; a
+    :class:`~walraskit.consumers.Consumer` checks that ``good`` is one of
+    its goods.
     """
 
     kind = "kernel_sampled"
 
-    grid: np.ndarray
-    values: np.ndarray
     good: int
     share: float
     level: float
@@ -252,47 +249,31 @@ class KernelSampledScale(Scale):
             raise ValueError("share must lie strictly between 0 and 1")
         if not (np.isfinite(self.level) and self.level > 0.0):
             raise ValueError("endowment level must be a positive finite number")
-        sampled = SampledScale(self.grid, self.values)
-        object.__setattr__(self, "grid", sampled.grid)
-        object.__setattr__(self, "values", sampled.values)
-        object.__setattr__(self, "_ratio", sampled)
+        super().__post_init__()
+        # Only an integer is made plain: 0.5 or True stays as given, for the
+        # consumer's check to refuse.
+        if isinstance(self.good, Integral) and not isinstance(self.good, bool):
+            object.__setattr__(self, "good", int(self.good))
+        for name in ("share", "level"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def __call__(self, P):
-        ratio = self._ratio(P)
-        return ratio * self.share / (P[:, self.good] * self.level)
+        return super().__call__(P) * self.share / (P[:, self.good] * self.level)
 
-    def to_dict(self):
-        return {
-            "type": self.kind,
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-            "good": int(self.good),
-            "share": float(self.share),
-            "level": float(self.level),
-        }
+
+_KINDS = {
+    cls.kind: cls
+    for cls in (ConstantScale, PolynomialScale, BumpScale, SampledScale, KernelSampledScale)
+}
 
 
 def scale_from_dict(data: dict) -> Scale:
-    """Rebuild a scale from its serialised form."""
+    """Rebuild a scale from its serialised form: every field is required,
+    other keys are ignored."""
     if not isinstance(data, dict):
         raise TypeError(f"a scale must be a mapping, not {type(data).__name__}")
     kind = data.get("type")
-    if kind == "constant":
-        return ConstantScale(data["value"])
-    if kind == "polynomial":
-        return PolynomialScale(tuple((c, tuple(p)) for c, p in data["terms"]))
-    if kind == "bump":
-        return BumpScale(
-            tuple(data["center"]), data["radius"], data["height"], data["floor"]
-        )
-    if kind == "sampled":
-        return SampledScale(np.asarray(data["grid"]), np.asarray(data["values"]))
-    if kind == "kernel_sampled":
-        return KernelSampledScale(
-            np.asarray(data["grid"]),
-            np.asarray(data["values"]),
-            data["good"],
-            data["share"],
-            data["level"],
-        )
-    raise ValueError(f"unknown scale type {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown scale type {kind!r}")
+    cls = _KINDS[kind]
+    return cls(**{f.name: data[f.name] for f in fields(cls)})

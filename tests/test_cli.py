@@ -68,6 +68,18 @@ class TestSolve:
         ]
         assert not (out / "report.txt").exists()
 
+    def test_non_finite_bump_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            "goods: 2\nconsumers:\n- alpha: [0.3, 0.7]\n  endowment: [1, 1]\n"
+            "  scale: {type: bump, center: [0.5], radius: .nan, height: 5.0, floor: 1.0}\n"
+        )
+        assert main(["solve", "--input", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "input error: consumer 0: invalid scale: "
+            "bump center, radius, height and floor must be finite"
+        ]
+
     def test_invalid_yaml_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("goods: [2\nconsumers: {\n")

@@ -209,6 +209,33 @@ class TestEconomyFiles:
         }
 
 
+def every_scale_economy():
+    """A three-good economy with a consumer of every scale kind."""
+    grid = np.array([[0.2, 0.3], [0.5, 0.2], [0.3, 0.3], [0.1, 0.6]])
+    return wk.Economy(
+        (
+            wk.Consumer([0.2, 0.3, 0.5], [1.0, 0.5, 0.0]),
+            wk.Consumer(
+                [0.5, 0.25, 0.25],
+                [0.0, 1.0, 2.0],
+                scale=wk.PolynomialScale(((2.0, (0, 0)), (-0.5, (2, 1)), (-1e-30, (0, 3)))),
+            ),
+            wk.Consumer(
+                [0.25, 0.25, 0.5], [1, 1, 1], scale=wk.BumpScale((0.3, 0.3), 0.2, -0.5, 1.0)
+            ),
+            wk.Consumer([0.3, 0.3, 0.4], [2.0, 0.0, 1.0], scale=wk.ConstantScale(1e16)),
+            wk.Consumer(
+                [0.1, 0.1, 0.8],
+                [1.0, 1.0, 1.0],
+                scale=wk.KernelSampledScale(grid, [1.0, 2.0, 0.5, 1e22], 2, 0.8, 1.0),
+            ),
+            wk.Consumer(
+                [0.4, 0.4, 0.2], [1.0, 2.0, 0.5], scale=wk.SampledScale(grid, [0.5, 1.0, 2.0, 4.0])
+            ),
+        )
+    )
+
+
 def safe_dump_text(e):
     """What PyYAML's pure-Python safe dumper writes for an economy."""
     return yaml.dump(
@@ -229,27 +256,7 @@ class TestEconomyWriter:
 
     def test_every_scale_type(self, tmp_path):
         sampled = wk.SampledScale(np.linspace(0.1, 0.9, 30)[:, None], np.linspace(1.0, 2.0, 30))
-        grid = np.array([[0.2, 0.3], [0.5, 0.2], [0.3, 0.3], [0.1, 0.6]])
-        e = wk.Economy(
-            (
-                wk.Consumer([0.2, 0.3, 0.5], [1.0, 0.5, 0.0]),
-                wk.Consumer(
-                    [0.5, 0.25, 0.25],
-                    [0.0, 1.0, 2.0],
-                    scale=wk.PolynomialScale(((2.0, (0, 0)), (-0.5, (2, 1)), (-1e-30, (0, 3)))),
-                ),
-                wk.Consumer(
-                    [0.25, 0.25, 0.5], [1, 1, 1], scale=wk.BumpScale((0.3, 0.3), 0.2, -0.5, 1.0)
-                ),
-                wk.Consumer([0.3, 0.3, 0.4], [2.0, 0.0, 1.0], scale=wk.ConstantScale(1e16)),
-                wk.Consumer(
-                    [0.1, 0.1, 0.8],
-                    [1.0, 1.0, 1.0],
-                    scale=wk.KernelSampledScale(grid, [1.0, 2.0, 0.5, 1e22], 2, 0.8, 1.0),
-                ),
-            )
-        )
-        text = self.assert_writes_safe_dump_text(tmp_path, e)
+        text = self.assert_writes_safe_dump_text(tmp_path, every_scale_economy())
         assert "- [2, 1]" in text and "- -1.0e-30" in text
         two = wk.Economy((wk.Consumer([0.5, 0.5], [1.0, 1.0], scale=sampled),))
         text = self.assert_writes_safe_dump_text(tmp_path, two)
@@ -322,6 +329,86 @@ class TestEconomyWriter:
         assert economy_to_dict(again) == economy_to_dict(econ)
         P = random_interior_prices(rng, 50, 3)
         assert np.array_equal(aed_rows(econ, P), aed_rows(again, P))
+
+
+class TestInCodeEconomies:
+    """An economy built in code is checked like an economy file, and every
+    scale writes its fields as the plain data the emitter takes."""
+
+    KERNEL = {"grid": [[0.1], [0.5], [0.9]], "values": [1.0, 1.0, 1.0], "share": 0.5, "level": 1.0}
+
+    @pytest.mark.parametrize(
+        "goods, scale",
+        [
+            (2, wk.KernelSampledScale(**KERNEL, good=7)),
+            (2, wk.KernelSampledScale(**KERNEL, good=0.5)),
+            (2, wk.KernelSampledScale(**KERNEL, good=True)),
+            (4, wk.BumpScale((0.5, 0.5), 0.2)),
+            (2, wk.PolynomialScale(((1.0, (1, 2)),))),
+            (2, wk.SampledScale([[0.1, 0.1], [0.5, 0.2], [0.2, 0.6]], [1.0, 1.0, 1.0])),
+        ],
+        ids=["good-7", "good-0.5", "good-true", "bump-center-2", "powers-1-2", "sampled-grid-2d"],
+    )
+    def test_a_scale_that_does_not_fit_the_goods_is_refused(self, goods, scale):
+        # good=7 once ended a solve in an IndexError, and a 2-d bump centre
+        # in a 4-good economy in a numpy broadcast error.
+        alpha, endowment = np.full(goods, 1.0 / goods), np.ones(goods)
+        with pytest.raises(ValueError, match="^invalid scale: ") as in_code:
+            wk.Consumer(alpha, endowment, scale=scale)
+        data = {
+            "goods": goods,
+            "consumers": [
+                {"alpha": alpha.tolist(), "endowment": endowment.tolist(), "scale": scale.to_dict()}
+            ],
+        }
+        with pytest.raises(EconomyFormatError) as from_file:
+            economy_from_dict(data)
+        assert str(from_file.value) == f"consumer 0: {in_code.value}"
+
+    def test_every_scale_kind_round_trips_through_a_file(self, tmp_path, rng):
+        econ = every_scale_economy()
+        path = tmp_path / "eco.yaml"
+        wk.save_economy(path, econ)
+        again = wk.load_economy(path)
+        assert [type(c.scale) for c in again.consumers] == [type(c.scale) for c in econ.consumers]
+        assert economy_to_dict(again) == economy_to_dict(econ)
+        P = random_interior_prices(rng, 50, 3)
+        assert np.array_equal(aed_rows(econ, P), aed_rows(again, P))
+
+    def test_numpy_and_integer_fields_are_written_as_plain_floats(self):
+        grid = np.array([[0.1], [0.5], [0.9]], dtype=np.float32)
+        scales = [
+            wk.ConstantScale(np.float32(2.5)),
+            wk.ConstantScale(2),
+            wk.PolynomialScale(((np.float64(1.5), (np.int64(1),)), (3, (0,)))),
+            wk.BumpScale((np.float32(0.5),), np.float64(0.25), 2, np.int64(1)),
+            wk.SampledScale(grid, np.array([1, 2, 3])),
+            wk.KernelSampledScale(grid, [1, 2, 3], np.int64(1), np.float64(0.5), 2),
+        ]
+        for scale in scales:
+            data = scale.to_dict()
+            assert type(data.pop("type")) is str
+            assert type(data.pop("good", 0)) is int
+            terms = data.pop("terms", [])
+            assert all(type(c) is float and leaf_types(p) == {int} for c, p in terms)
+            assert leaf_types(data) <= {float}, scale
+            econ = wk.Economy((wk.Consumer([0.5, 0.5], [1.0, 1.0], scale=scale),))
+            text = _economy_yaml(economy_to_dict(econ))
+            assert text == yaml.safe_dump(
+                economy_to_dict(econ), sort_keys=False, default_flow_style=None
+            )
+        # The emitter refuses what the scales no longer hand it.
+        with pytest.raises(TypeError, match="cannot write a float64"):
+            _economy_yaml({"scale": {"type": "constant", "value": np.float64(2.5)}})
+
+
+def leaf_types(data) -> set:
+    """The types of the scalars in nested lists and mappings."""
+    if isinstance(data, dict):
+        data = list(data.values())
+    if isinstance(data, list):
+        return set().union(*map(leaf_types, data))
+    return {type(data)}
 
 
 def same_data(a, b) -> bool:

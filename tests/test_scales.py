@@ -46,6 +46,15 @@ class TestVocabulary:
         assert v[0] == pytest.approx(1.0 + 2.0)  # exp(1 - 1/(1-0)) = 1 at center
         assert v[1] == pytest.approx(1.0)        # outside the support
 
+    @pytest.mark.parametrize("field", ["center", "radius", "height", "floor"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bump_rejects_non_finite_fields(self, field, bad):
+        # A NaN radius once made the bump vanish: the floor at every price.
+        fields = {"center": (0.5,), "radius": 0.2, "height": 5.0, "floor": 1.0}
+        fields[field] = (bad,) if field == "center" else bad
+        with pytest.raises(ValueError, match="bump center, radius, height and floor must be finite"):
+            wk.BumpScale(**fields)
+
     def test_sampled_stays_within_node_range(self, rng):
         # Positive nodes give a positive scale everywhere: no interpolant
         # leaves the range of its node values.  One chart dimension: PCHIP
