@@ -194,7 +194,8 @@ def _cmd_experiment(args, out_dir: Path) -> int:
         f"all_regular_count: {result.all_regular_count}",
         f"failed trials: {len(errors)}",
     ]
-    baseline = continuum_detector(economy)
+    # None when the base's scan raised: the detector raises the same error.
+    baseline = result.base_continuum or continuum_detector(economy)
     lines.append(
         "unperturbed base: " + ("continuum detector fired" if baseline.fired else "finite")
     )

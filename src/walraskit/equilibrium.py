@@ -499,12 +499,20 @@ def _scan_grid(dim: int) -> tuple:
     return _start_grid(dim, per_dim), per_dim
 
 
-def _evaluate_grid(base: TangentField, terms: list, C: np.ndarray) -> tuple:
+def _base_grid(base: TangentField) -> tuple:
+    """The continuum scan grid, its points per axis and the chart values of
+    ``base`` on it: the one evaluation of the base on the grid."""
+    C, per_dim = _scan_grid(base.dim)
+    return C, per_dim, base.chart_values(C)
+
+
+def _evaluate_grid(grid: tuple, terms: list) -> tuple:
     """Simplex rows and full field rows, shaped ``(fields, points, goods)``,
-    of ``base`` plus each chart-map term on the chart grid ``C``.  The base
-    is evaluated once on ``C``, and each term is added to its own copy
+    of the base plus each chart-map term on the grid of ``grid``
+    (``_base_grid``).  Each term is added to its own copy of the base values
     (``_stacked_map``'s arithmetic, row by row)."""
-    F = np.tile(base.chart_values(C), (len(terms), 1, 1))
+    C, _, values = grid
+    F = np.tile(values, (len(terms), 1, 1))
     for values, term in zip(F, terms):
         if term is not None:
             values += term(C)
@@ -516,8 +524,13 @@ def _evaluate_grid(base: TangentField, terms: list, C: np.ndarray) -> tuple:
 def _scan(base: TangentField, terms: list) -> list:
     """``(sigma, ContinuumReport)`` of ``base`` plus each chart-map term, from
     one evaluation of the scan grid for all; ``sigma`` is 0 with no finite row."""
-    C, per_dim = _scan_grid(base.dim)
-    return [scan[:2] for scan in _scan_reports(C, per_dim, *_evaluate_grid(base, terms, C))]
+    return _grid_scans(_base_grid(base), terms)
+
+
+def _grid_scans(grid: tuple, terms: list) -> list:
+    """``_scan`` from the base's evaluation ``grid`` (``_base_grid``)."""
+    C, per_dim, _ = grid
+    return [scan[:2] for scan in _scan_reports(C, per_dim, *_evaluate_grid(grid, terms))]
 
 
 def _scan_reports(C: np.ndarray, per_dim: int, P: np.ndarray, Z: np.ndarray) -> list:
@@ -762,22 +775,25 @@ def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> Equ
     return report
 
 
-def _solve(base: TangentField, terms: list, cfg: SolverConfig) -> list:
+def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | None = None) -> list:
     """The report of ``base`` plus each chart-map term (``None``: no term),
     or the exception that its solve raised.
 
-    The fields are solved in chunks of ``MAX_STARTS // (scan points *
-    m^d)`` fields, ``m`` the ``_subdivisions`` of the scan grid's cells:
-    about ``MAX_STARTS`` points of the finest lattice.  A chunk is scanned
-    in one call, for ``sigma``, its refined cells evaluated in one call
-    more when ``m > 1`` (``_starts``), and one Newton phase runs over the
-    stacked starts of all its fields.  A chunk that raises is solved again
-    one field at a time.
+    The base is evaluated once on the scan grid (``grid``, from
+    ``_base_grid``, is that evaluation when the caller has made it).  The
+    fields are solved in chunks of ``MAX_STARTS // (scan points * m^d)``
+    fields, ``m`` the ``_subdivisions`` of the scan grid's cells: about
+    ``MAX_STARTS`` points of the finest lattice.  A chunk is scanned in one
+    call, for ``sigma``, its refined cells evaluated in one call more when
+    ``m > 1`` (``_starts``), and one Newton phase runs over the stacked
+    starts of all its fields.  A chunk that raises is solved again one
+    field at a time.
     """
     try:
-        scan_grid, per_dim = _scan_grid(base.dim)
-    except ValueError as exc:
+        grid = _base_grid(base) if grid is None else grid
+    except Exception as exc:  # noqa: BLE001 - every field fails with it
         return [exc] * len(terms)
+    scan_grid, per_dim, _ = grid
     m = _subdivisions(per_dim, cfg.grid_density)
     # Zeros this close can hide a third from the scan grid (_restart_between).
     restart_radius = 2.0 * _spacing(per_dim)
@@ -787,7 +803,7 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig) -> list:
     for first in range(0, len(terms), chunk):
         group = terms[first : first + chunk]
         try:
-            P, Z = _evaluate_grid(base, group, scan_grid)
+            P, Z = _evaluate_grid(grid, group)
             scans = _scan_reports(scan_grid, per_dim, P, Z)
             sigmas = np.array([scan[0] for scan in scans])
             starts, labels = _starts(base, group, weighted, m, P, Z, scans)
@@ -800,7 +816,7 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig) -> list:
                     base, group, weighted, newton, labels, sigmas, restart_radius
                 )
         except Exception as exc:  # noqa: BLE001 - each field then records its own error
-            outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg)[0] for t in group]
+            outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg, grid)[0] for t in group]
             continue
         bounds = np.searchsorted(labels, np.arange(len(group) + 1))
         for t, (term, scan) in enumerate(zip(group, scans)):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import CanonicalFamily, realize_economy
-from .equilibrium import SolverConfig, _index_check, _solve
+from .equilibrium import ContinuumReport, SolverConfig, _base_grid, _grid_scans, _index_check, _solve
 from .equilibrium import find_equilibria  # noqa: F401 - in this namespace for wrappers such as bench/tracer.py
 from .fields import TangentField, _with_term, as_field, chart_field
 
@@ -166,6 +166,8 @@ class TrialRecord:
 @dataclass(frozen=True)
 class GenericityResult:
     records: tuple
+    # The unperturbed base's continuum scan; None when the scan raised.
+    base_continuum: ContinuumReport | None = None
 
     @property
     def trials(self) -> int:
@@ -204,14 +206,22 @@ def genericity_experiment(
     trials, then deduplication, classification and the flat-zero join per
     trial on its perturbed field (the field :func:`perturb` builds), so each
     trial gets the report :func:`find_equilibria` would give it.  Failures are recorded per trial
-    and do not abort the batch.  Results are deterministic in the seed.
+    and do not abort the batch.  The base is evaluated on the scan grid
+    once, for every trial and for its own continuum scan
+    (``base_continuum``, the report :func:`continuum_detector` gives).
+    Results are deterministic in the seed.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
     specs = [spec.with_seed(spec.seed + t) for t in range(trials)]
     field = as_field(base)
     terms = [_perturbation_term(s, field.dim) for s in specs]
-    outcomes = _solve(field, terms, solver_config or SolverConfig())
+    try:
+        grid = _base_grid(field)
+        base_continuum = _grid_scans(grid, [None])[0][1]
+    except Exception:  # noqa: BLE001 - each trial's solve records the error
+        grid, base_continuum = None, None
+    outcomes = _solve(field, terms, solver_config or SolverConfig(), grid)
     records = []
     for t, (trial_spec, outcome) in enumerate(zip(specs, outcomes)):
         if isinstance(outcome, Exception):
@@ -230,4 +240,4 @@ def genericity_experiment(
                 finite=outcome.finite_flag,
             )
         records.append(TrialRecord(t, trial_spec.seed, spec.epsilon, **summary))
-    return GenericityResult(tuple(records))
+    return GenericityResult(tuple(records), base_continuum)

@@ -18,14 +18,20 @@ observed amount.  Rescaling all bundles, the prices of one observation, or
 the unit of one good (``x_j * s`` with ``p_j / s``) changes neither the
 verdict nor the cycle.
 
-For ``T`` observations the check costs one ``T x T`` product ``P X^T``, a
-sweep along the first bundle coordinate that groups the bundles, and a few
-dense passes over the ``T x T`` relation: an OR-reduction by group gives
-the group relation (the relation itself when no bundle repeats), and a
-mutual pair, if any, is the cycle.  Otherwise the nodes without an
-incoming edge are peeled level by level; an empty remainder proves the
-relation acyclic, and the strong-component search and the BFS for the
-shortest cycle (scipy's) run on the remainder only.
+For ``T`` observations the check costs ``O(T^2)`` time and ``O(T^2)``
+bytes, and makes no ``T x T`` float array.  The product ``P X^T`` is
+formed ``ROW_BLOCK`` rows at a time into one reused buffer, and each block
+is compared with its rows' spending while it is still in cache, giving the
+boolean relation, one byte per pair.  A sweep along the first bundle
+coordinate groups the bundles, and an OR-reduction by group gives the
+group relation (a copy of the relation when no bundle repeats).  The nodes
+without an incoming edge are then peeled level by level, counting
+in-degrees in ``uint8``; an empty remainder proves the relation acyclic.
+Otherwise a mutual pair, if any, is the cycle: the upper triangle is
+tested in ``TILE x TILE`` tiles against the transpose of their mirror
+tiles, stopping at the first band of rows that holds one.  Failing that,
+the strong-component search and the BFS for the shortest cycle (scipy's)
+run on the remainder only.
 
 Positive rescalings of an individual excess-demand field preserve the
 properties a consumer's excess demand must have; ``scaled_field_audit``
@@ -46,6 +52,9 @@ from .geometry import PricePoint, _greedy_cover
 TIE_TOL = 1e-10
 DISTINCT_TOL = 1e-10
 WALRAS_TOL = 1e-9
+ROW_BLOCK = 64      # rows of P X^T formed and compared at a time
+TILE = 256          # side of the square tiles of the mutual-pair test
+COUNT_CHUNK = 255   # rows summed in uint8 at a time: no in-degree count wraps
 
 
 @dataclass(frozen=True)
@@ -101,9 +110,13 @@ def preference_matrix(d: ObservationDataset):
     the order of their lowest-indexed observation.
     """
     P, X = d.prices, d.bundles
-    spend_own = np.einsum("ij,ij->i", P, X)
-    spend_cross = P @ X.T                   # [i, j] = p^i . x^j
-    weak = spend_cross <= (1.0 + TIE_TOL) * spend_own[:, None]
+    bound = (1.0 + TIE_TOL) * np.einsum("ij,ij->i", P, X)
+    weak = np.empty((d.size, d.size), dtype=bool)
+    buf = np.empty((min(ROW_BLOCK, d.size), d.size))
+    for s in range(0, d.size, ROW_BLOCK):
+        rows = slice(s, min(s + ROW_BLOCK, d.size))
+        spend = np.matmul(P[rows], X.T, out=buf[: rows.stop - s])   # [i, j] = p^i . x^j
+        np.less_equal(spend, bound[rows, None], out=weak[rows])
     top = X.max(axis=0)
     unit = X / np.where(top > 0.0, top, 1.0)
     owner = _greedy_cover(unit, np.arange(d.size), DISTINCT_TOL, p=np.inf)
@@ -120,35 +133,64 @@ def preference_matrix(d: ObservationDataset):
     return adj, groups, weak
 
 
+def _first_mutual_pair(adj: np.ndarray) -> list[int] | None:
+    """The first pair ``i < j`` with ``adj[i, j] and adj[j, i]``, in
+    row-major order, or None.
+
+    A pair is found at the row of its lower node, in a ``TILE x TILE`` tile
+    on or right of the diagonal tested against the transpose of its mirror
+    tile.  The tiles are taken one band of rows at a time, so the search
+    stops at the first band that holds a pair.
+    """
+    n = adj.shape[0]
+    for s in range(0, n, TILE):
+        paired = np.zeros(min(TILE, n - s), dtype=bool)
+        for t in range(s, n, TILE):
+            paired |= (adj[s : s + TILE, t : t + TILE] & adj[t : t + TILE, s : s + TILE].T).any(axis=1)
+        if paired.any():
+            i = s + int(np.argmax(paired))
+            return [i, int(np.argmax(adj[i] & adj[:, i]))]
+    return None
+
+
+def _unpeeled(adj: np.ndarray) -> np.ndarray:
+    """The nodes that remain after the nodes with no incoming edge are
+    peeled, level by level: the peeled nodes lie on no cycle, and no
+    remaining node reaches them.  In-degrees are counted in ``uint8`` over
+    at most ``COUNT_CHUNK`` rows at a time, so no count wraps."""
+    n = adj.shape[0]
+    ones = adj.view(np.uint8)
+    indegree = np.zeros(n, dtype=np.int32)
+    for s in range(0, n, COUNT_CHUNK):
+        indegree += np.add.reduce(ones[s : s + COUNT_CHUNK], axis=0, dtype=np.uint8)
+    sources = np.flatnonzero(indegree == 0)
+    while sources.size:
+        indegree[sources] = -1
+        for s in range(0, sources.size, COUNT_CHUNK):
+            indegree -= np.add.reduce(ones[sources[s : s + COUNT_CHUNK]], axis=0, dtype=np.uint8)
+        sources = np.flatnonzero(indegree == 0)
+    return np.flatnonzero(indegree > 0)
+
+
 def _find_cycle(adj: np.ndarray) -> list[int] | None:
     """A directed cycle in the adjacency matrix (empty diagonal), or None.
 
     Returns the node sequence without the closing node: the first mutually
     preferring pair if there is one, else a shortest cycle through the
-    lowest node of a strong component with two or more nodes.
+    lowest node of a strong component with two or more nodes.  Both nodes
+    of a mutual pair, and every node on a cycle, survive peeling, so an
+    empty remainder proves the relation acyclic.
     """
-    mutual = adj & adj.T
-    paired = mutual.any(axis=1)
-    if paired.any():
-        # ``mutual`` is symmetric, so the first row with an entry holds the
-        # first pair of its upper triangle.
-        i = int(np.argmax(paired))
-        return [i, int(np.argmax(mutual[i]))]
-    # Peel the nodes with no incoming edge, level by level: they lie on no
-    # cycle, and no remaining node reaches them.
-    indegree = adj.sum(axis=0, dtype=np.int32)
-    sources = np.flatnonzero(indegree == 0)
-    while sources.size:
-        indegree[sources] = -1
-        indegree -= adj[sources].sum(axis=0, dtype=np.int32)
-        sources = np.flatnonzero(indegree == 0)
-    rest = np.flatnonzero(indegree > 0)
+    rest = _unpeeled(adj)
     if rest.size == 0:
         return None
+    pair = _first_mutual_pair(adj)
+    if pair is not None:
+        return pair
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-    sub = adj[np.ix_(rest, rest)]
+    sub = adj[rest][:, rest]
     graph = csr_matrix(sub)
     _, labels = connected_components(graph, directed=True, connection="strong")
     cyclic = np.flatnonzero(np.bincount(labels)[labels] >= 2)

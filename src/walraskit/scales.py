@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -50,6 +50,20 @@ class Scale:
         return {"type": self.kind, **{f.name: _plain(getattr(self, f.name)) for f in fields(self)}}
 
 
+def _number(x, name: str) -> float:
+    """``x`` as a plain ``float``; a bool or a string is not a number here."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise ValueError(f"{name} must be a number, not {x!r}")
+    return float(x)
+
+
+def _power(e) -> int:
+    """``e`` as a plain ``int``: an integer, or a float with an integral value."""
+    if isinstance(e, bool) or not isinstance(e, Real) or not float(e).is_integer() or e < 0:
+        raise ValueError(f"polynomial powers must be non-negative integers, not {e!r}")
+    return int(e)
+
+
 def _plain(x):
     if isinstance(x, np.ndarray):
         return x.tolist()
@@ -65,9 +79,9 @@ class ConstantScale(Scale):
     value: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "value", _number(self.value, "constant scale value"))
         if not (np.isfinite(self.value) and self.value > 0.0):
             raise ValueError("constant scale must be a positive finite number")
-        object.__setattr__(self, "value", float(self.value))
 
     def __call__(self, P):
         return np.full(P.shape[0], self.value)
@@ -87,13 +101,11 @@ class PolynomialScale(Scale):
     terms: tuple = ((1.0, (0,)),)
 
     def __post_init__(self):
-        clean = []
-        for coeff, powers in self.terms:
-            powers = tuple(int(e) for e in powers)
-            if any(e < 0 for e in powers):
-                raise ValueError("polynomial powers must be non-negative")
-            clean.append((float(coeff), powers))
-        object.__setattr__(self, "terms", tuple(clean))
+        clean = tuple(
+            (_number(coeff, "polynomial coefficient"), tuple(_power(e) for e in powers))
+            for coeff, powers in self.terms
+        )
+        object.__setattr__(self, "terms", clean)
 
     def __call__(self, P):
         C = P[:, :-1]
@@ -120,17 +132,16 @@ class BumpScale(Scale):
     floor: float = 1.0
 
     def __post_init__(self):
-        center = tuple(float(x) for x in self.center)
+        object.__setattr__(self, "center", tuple(_number(x, "bump center") for x in self.center))
+        for name in ("radius", "height", "floor"):
+            object.__setattr__(self, name, _number(getattr(self, name), f"bump {name}"))
         # Written so that NaN fails the check too.
-        if not np.all(np.isfinite([*center, self.radius, self.height, self.floor])):
+        if not np.all(np.isfinite([*self.center, self.radius, self.height, self.floor])):
             raise ValueError("bump center, radius, height and floor must be finite")
         if self.radius <= 0.0:
             raise ValueError("bump radius must be positive")
         if self.floor <= 0.0 and self.floor + self.height <= 0.0:
             raise ValueError("bump scale must be positive somewhere")
-        object.__setattr__(self, "center", center)
-        for name in ("radius", "height", "floor"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
     def __call__(self, P):
         C = P[:, :-1]
@@ -245,6 +256,8 @@ class KernelSampledScale(SampledScale):
     level: float
 
     def __post_init__(self):
+        for name in ("share", "level"):
+            object.__setattr__(self, name, _number(getattr(self, name), f"kernel {name}"))
         if not (0.0 < self.share < 1.0):
             raise ValueError("share must lie strictly between 0 and 1")
         if not (np.isfinite(self.level) and self.level > 0.0):
@@ -254,8 +267,6 @@ class KernelSampledScale(SampledScale):
         # consumer's check to refuse.
         if isinstance(self.good, Integral) and not isinstance(self.good, bool):
             object.__setattr__(self, "good", int(self.good))
-        for name in ("share", "level"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
     def __call__(self, P):
         return super().__call__(P) * self.share / (P[:, self.good] * self.level)

@@ -9,6 +9,7 @@ import pytest
 
 import walraskit as wk
 from walraskit.cli import _perturbation_spec, build_parser, main
+from walraskit.consumers import demand_rows
 from support import constant_scale_economy, edgeworth_symmetric, multi_equilibrium_economy, observed_demand
 
 ECONOMY = "goods: 2\nconsumers:\n- alpha: %s\n  endowment: %s\n"
@@ -79,6 +80,22 @@ class TestSolve:
             "input error: consumer 0: invalid scale: "
             "bump center, radius, height and floor must be finite"
         ]
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            ("{type: polynomial, terms: [[1.0, [1.5]]]}", "polynomial powers must be non-negative integers, not 1.5"),
+            ("{type: constant, value: true}", "constant scale value must be a number, not True"),
+        ],
+        ids=["power-1.5", "value-true"],
+    )
+    def test_scale_field_that_is_not_its_number_exits_1(self, tmp_path, capsys, scale, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(ECONOMY % ("[0.3, 0.7]", "[1, 1]") + f"  scale: {scale}\n")
+        out = tmp_path / "o"
+        assert main(["solve", "--input", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"input error: consumer 0: invalid scale: {message}"]
+        assert not (out / "report.txt").exists()
 
     def test_invalid_yaml_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -227,6 +244,33 @@ class TestPerturbAndExperiment:
         report = (out1 / "report.txt").read_text()
         assert "finite_count: 6" in report
         assert "continuum detector fired" in report
+
+    def test_experiment_scans_the_base_once(self, sym_file, tmp_path, monkeypatch):
+        # The base line comes from the scan the trials share.
+        import walraskit.cli as cli
+
+        def refuse(economy):
+            raise AssertionError("the base was scanned again")
+
+        monkeypatch.setattr(cli, "continuum_detector", refuse)
+        out = tmp_path / "out"
+        args = ["experiment", "--input", str(sym_file), "--trials", "2", "--epsilon", "1e-3"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert (out / "report.txt").read_text().splitlines()[-1] == "unperturbed base: finite"
+
+    def test_experiment_beyond_the_scan_grid_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "seven.yaml"
+        alpha = np.full(7, 1.0 / 7.0)
+        wk.save_economy(path, wk.Economy((wk.Consumer(alpha, np.ones(7)), wk.Consumer(alpha, np.arange(1.0, 8.0)))))
+        out = tmp_path / "out"
+        args = ["experiment", "--input", str(path), "--trials", "2", "--epsilon", "1e-3", "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "input error: continuum scan grid of 11^6 points is too large (limit 250000 points)"
+        ]
+        lines = (out / "experiment.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert all("continuum scan grid of 11^6 points is too large" in line for line in lines[1:])
 
     @pytest.mark.parametrize(
         "basis, kind, degree, terms",
@@ -443,12 +487,38 @@ def test_solve_perturb_and_audit_load_no_scipy(tmp_path, rng):
         ["audit", "--input", "bump.yaml"],
     ]
     argv = [[*run[:2], str(tmp_path / run[2]), *run[3:], "--out", str(tmp_path / f"out{k}")] for k, run in enumerate(runs)]
+    codes, loaded = _run_loading_no_scipy(argv)
+    assert codes == [0] * len(runs)
+    assert loaded == []
+
+
+def test_sarp_loads_no_scipy(tmp_path, rng):
+    # A passing dataset peels to nothing and a two-cycle is a mutual pair:
+    # neither reaches the strong-component search.
+    P = rng.dirichlet(np.ones(3), 500)
+    X = demand_rows(wk.Consumer([0.6, 0.3, 0.1], [1.0, 0.5, 2.0]), P)
+    wk.save_dataset(tmp_path / "pass.csv", wk.ObservationDataset(P, X))
+    X[1::2] = demand_rows(wk.Consumer([0.1, 0.3, 0.6], [2.0, 0.5, 1.0]), P[1::2])
+    wk.save_dataset(tmp_path / "two-cycle.csv", wk.ObservationDataset(P, X))
+    argv = [
+        ["sarp", "--input", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)]
+        for name in ("pass", "two-cycle")
+    ]
+    codes, loaded = _run_loading_no_scipy(argv)
+    assert codes == [0, 0]
+    assert loaded == []
+    assert (tmp_path / "pass" / "report.txt").read_text().splitlines()[-1] == "SARP: pass"
+    verdict = (tmp_path / "two-cycle" / "report.txt").read_text().splitlines()[-1]
+    assert verdict.startswith("SARP: violation: cycle (") and verdict.count(",") == 1
+
+
+def _run_loading_no_scipy(argv) -> tuple:
+    """Exit codes of ``main`` on each of ``argv`` in one fresh interpreter,
+    and the scipy modules loaded by then."""
     src = str(Path(wk.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY, json.dumps(argv)], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0] * len(runs)
-    assert loaded == []
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))

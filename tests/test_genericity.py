@@ -353,9 +353,11 @@ def test_each_chunk_of_trials_is_scanned_in_one_call(monkeypatch):
     base = wk.chart_field(counted, goods=2)
     res = wk.genericity_experiment(base, wk.PerturbationSpec(1e-3, seed=68), trials=5)
     assert res.finite_count == 5
-    # The base is evaluated once per chunk on the scan grid, whatever the
-    # chunk's trial count; no Newton, probe or join call reaches its size.
-    assert [n for n in calls if n >= 2001] == [2001, 2001, 2001]
+    # The base is evaluated once on the scan grid, for every chunk and for
+    # its own continuum scan; no Newton, probe or join call reaches its size.
+    assert [n for n in calls if n >= 2001] == [2001]
+    assert res.base_continuum == wk.continuum_detector(base)
+    assert res.base_continuum.fired
 
 
 def test_each_chunk_of_trials_evaluates_its_patches_in_one_call(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import walraskit as wk
 from support import brute_force_sarp, observed_demand
 from walraskit.consumers import demand_rows, excess_rows
 from walraskit.geometry import _greedy_cover
-from walraskit.revealed import DISTINCT_TOL, TIE_TOL, _find_cycle, preference_matrix
+from walraskit.revealed import DISTINCT_TOL, ROW_BLOCK, TIE_TOL, TILE, _find_cycle, preference_matrix
 
 
 def cd_dataset(rng, goods=2, n_obs=20, alpha=None, omega=None):
@@ -291,20 +292,53 @@ class TestDensePasses:
     """The dense group reduction and the peeled cycle search give the same
     matrices and cycles as the edge scatter and the whole-graph search."""
 
+    @staticmethod
+    def check(ds):
+        """The cycle ``_find_cycle`` finds in ``ds``, after checking the
+        matrices and the cycle against the scatter and the sparse search."""
+        adj, groups, weak = preference_matrix(ds)
+        ref_adj, ref_groups, ref_weak = _scatter_preference_matrix(ds)
+        assert np.array_equal(weak, ref_weak)
+        assert groups.tolist() == ref_groups.tolist()
+        assert np.array_equal(adj, ref_adj)
+        cycle = _find_cycle(adj)
+        assert cycle == _sparse_find_cycle(ref_adj)
+        return cycle
+
     @pytest.mark.parametrize("make", [_tied_dataset, _repeated_dataset])
     def test_preference_matrix_and_cycle_match_the_scatter(self, rng, make):
         violations = 0
         for _ in range(200):
             ds = make(rng, int(rng.integers(2, 60)), int(rng.integers(2, 4)))
-            adj, groups, weak = preference_matrix(ds)
-            ref_adj, ref_groups, ref_weak = _scatter_preference_matrix(ds)
-            assert np.array_equal(weak, ref_weak)
-            assert groups.tolist() == ref_groups.tolist()
-            assert np.array_equal(adj, ref_adj)
-            cycle = _find_cycle(adj)
-            assert cycle == _sparse_find_cycle(ref_adj)
-            violations += cycle is not None
+            violations += self.check(ds) is not None
         assert violations > 20
+
+    @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * TILE + 1])
+    @pytest.mark.parametrize("make", [_tied_dataset, _repeated_dataset])
+    def test_sizes_across_block_and_tile_edges(self, rng, make, n):
+        for goods in (2, 3, 3):
+            self.check(make(rng, n, goods))
+
+    @pytest.mark.parametrize("n", [TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+    @pytest.mark.parametrize("kind", ["oriented", "downstream"])
+    def test_first_mutual_pair_in_any_tile(self, rng, n, kind):
+        # Mutual pairs planted anywhere, so the first can lie in a later band
+        # of rows, or in a tile below the diagonal.
+        for pairs in (0, 1, 1, 2, 5):
+            adj = _random_digraph(rng, n, kind)
+            i, j = rng.integers(0, n, (2, pairs))
+            adj[i, j] = adj[j, i] = i != j
+            assert _find_cycle(adj) == _sparse_find_cycle(adj)
+
+    def test_in_degrees_past_a_byte(self):
+        # A complete order, where node k has k incoming edges, then one back
+        # edge that closes a two-cycle with the last node.
+        n = 2 * TILE + 1
+        order = np.triu(np.ones((n, n), dtype=bool), 1)
+        assert _find_cycle(order) is None
+        closed = order.copy()
+        closed[n - 1, 300] = True
+        assert _find_cycle(closed) == _sparse_find_cycle(closed) == [300, n - 1]
 
     @pytest.mark.parametrize("kind", ["any", "oriented", "downstream"])
     def test_cycle_matches_the_whole_graph_search(self, rng, kind):
@@ -328,6 +362,27 @@ class TestDensePasses:
         assert _find_cycle(closed) == _sparse_find_cycle(closed)
         assert len(_find_cycle(closed)) == T - T // 2
         assert _best_time(_find_cycle, chain) <= _best_time(_sparse_find_cycle, chain)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("passes", [True, False])
+    def test_check_holds_no_float_matrix(self, rng, passes):
+        # The two boolean T x T relations take 2 T^2 bytes; a float64
+        # product alone would take 8 T^2.
+        T = 3000
+        P = rng.dirichlet(np.ones(3), T)
+        X = demand_rows(wk.Consumer([0.6, 0.3, 0.1], [1.0, 0.5, 2.0]), P)
+        if not passes:
+            X[1::2] = demand_rows(wk.Consumer([0.1, 0.3, 0.6], [2.0, 0.5, 1.0]), P[1::2])
+        ds = wk.ObservationDataset(P, X)
+        tracemalloc.start()
+        try:
+            result = wk.sarp_check(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed == passes
+        assert peak <= 3 * T * T
 
 
 class TestSampleDemand:

@@ -55,6 +55,33 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="bump center, radius, height and floor must be finite"):
             wk.BumpScale(**fields)
 
+    def test_polynomial_powers_are_integers(self):
+        # An integral float is the integer it names; 1.5 once read as 1.
+        assert scale_from_dict({"type": "polynomial", "terms": [[1.0, [2.0]]]}).terms == ((1.0, (2,)),)
+        for bad in (1.5, -1, True, np.nan, np.inf, "2"):
+            with pytest.raises(ValueError, match="polynomial powers must be non-negative integers"):
+                scale_from_dict({"type": "polynomial", "terms": [[1.0, [bad]]]})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"type": "constant", "value": True},
+            {"type": "polynomial", "terms": [[True, [1]]]},
+            {"type": "bump", "center": [0.5], "radius": True, "height": 1.0, "floor": 1.0},
+            {"type": "bump", "center": [True], "radius": 0.2, "height": 1.0, "floor": 1.0},
+            {"type": "bump", "center": [0.5], "radius": 0.2, "height": False, "floor": 1.0},
+            {"type": "bump", "center": [0.5], "radius": 0.2, "height": 1.0, "floor": True},
+            {"type": "kernel_sampled", "grid": [[0.2], [0.8]], "values": [1, 1], "good": 0, "share": True, "level": 1.0},
+            {"type": "kernel_sampled", "grid": [[0.2], [0.8]], "values": [1, 1], "good": 0, "share": 0.5, "level": True},
+            {"type": "constant", "value": "2.0"},
+        ],
+        ids=["value", "coeff", "radius", "center", "height", "floor", "share", "level", "value-text"],
+    )
+    def test_a_bool_is_not_a_number(self, data):
+        # ``value: true`` once read as the constant 1.0.
+        with pytest.raises(ValueError, match="must be a number, not"):
+            scale_from_dict(data)
+
     def test_sampled_stays_within_node_range(self, rng):
         # Positive nodes give a positive scale everywhere: no interpolant
         # leaves the range of its node values.  One chart dimension: PCHIP
