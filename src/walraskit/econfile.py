@@ -43,7 +43,7 @@ from .decomposition import DecompositionWitness
 from .equilibrium import EquilibriumReport
 from .genericity import GenericityResult
 from .revealed import ObservationDataset
-from .scales import scale_from_dict
+from .scales import _number, scale_from_dict
 
 FLOAT_FMT = "%.17g"
 
@@ -87,12 +87,14 @@ def economy_from_dict(data: dict) -> Economy:
     consumers = []
     for k, entry in enumerate(raw_consumers):
         try:
-            alpha = [float(x) for x in entry["alpha"]]
-            endowment = [float(x) for x in entry["endowment"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            alpha = [_number(x, "alpha") for x in entry["alpha"]]
+            endowment = [_number(x, "endowment") for x in entry["endowment"]]
+        except (KeyError, TypeError) as exc:
             raise EconomyFormatError(
                 f"consumer {k}: 'alpha' and 'endowment' must be numeric lists"
             ) from exc
+        except ValueError as exc:
+            raise EconomyFormatError(f"consumer {k}: {exc}") from exc
         scale_data = entry.get("scale", {"type": "constant", "value": 1.0})
         try:
             scale = scale_from_dict(scale_data)

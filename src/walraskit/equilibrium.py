@@ -3,22 +3,22 @@
 One pipeline, ``_solve``, does every solve.  It takes a base field and a
 list of chart-map terms (``None``, or a perturbation added to the base
 chart map) and evaluates each field once on the continuum scan grid, the
-coarse level of a Kuhn lattice.  When the scan grid is coarser than the
-target spacing ``_spacing(grid_density)`` (from three goods up, at the
-default density), the cells that can hold a zero -- those where every
-component changes sign, or with a lattice minimum or a near-zero point as
-a corner -- are refined in one step into patches of ``m`` subdivisions per
-axis, the fewest that reach the target, and all fields' patch vertices
-are evaluated in one call (``_starts``, ``_refine``).  Damped Newton iteration in chart coordinates
-(``_newton_multistart``) then runs over the stacked ``(field, start)`` rows
-of the finest level's candidates: the zero of the piecewise-linear
-interpolant of the Newton map in every Freudenthal simplex that holds one
-(Scarf's simplicial method, restarted on a finer mesh as in Eaves 1972),
-every lattice point whose residual is least in the box of its neighbours,
-and one point per cluster of near-zero points.  On a refined level
-Newton restarts once more between and beyond every two close zeros of a
-field (``_restart_between``).  :func:`find_equilibria` is its one-field case
-and the genericity experiment its many-field case.
+coarse level of a Kuhn lattice.  A level is a set of patches, cubes of
+lattice indices in the chart region (``_interior``), over stacked
+``(field, point)`` rows, and one routine reads its starts
+(``_level_starts``): the zero of the piecewise-linear interpolant of the
+Newton map in every Freudenthal simplex that holds one (Scarf's
+simplicial method, restarted on a finer mesh as in Eaves 1972) and every
+lattice point whose residual is least in the box of its neighbours.  The
+scan grid is one patch per field.  When it is coarser than the target
+spacing ``_spacing(grid_density)``, its cells that can hold a zero are
+refined in one step into patches of ``m`` subdivisions per axis, the
+fewest that reach the target, evaluated in one call (``_refine``).  Damped
+Newton iteration in chart coordinates (``_newton_multistart``) runs over
+the finest level's starts and one point per cluster of near-zero points,
+and on a refined level once more between and beyond every two close zeros
+of a field (``_restart_between``).  :func:`find_equilibria` is its
+one-field case and the genericity experiment its many-field case.
 
 The aggregate excess demand ``z`` of an economy (a field marked
 ``price_weighted``, with no term) is solved on the price-weighted field
@@ -60,7 +60,7 @@ the detector is a heuristic with documented thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import permutations
 from numbers import Integral
 
@@ -181,20 +181,39 @@ def _index_check(finite: bool, all_regular: bool, index_sum: int) -> str:
 MAX_STARTS = 250_000
 
 
+def _interior(C: np.ndarray) -> np.ndarray:
+    """The chart region: the rows of ``C`` at least ``BOUNDARY_MARGIN`` from
+    every face.  Every lattice level, Newton trial and restart keeps to it."""
+    return (C >= BOUNDARY_MARGIN).all(axis=1) & (C.sum(axis=1) <= 1.0 - BOUNDARY_MARGIN)
+
+
+@lru_cache(maxsize=16)
+def _axis(density: int) -> np.ndarray:
+    """The coordinates along a chart axis of the lattice of ``density``
+    points per axis; read-only, since every caller shares them."""
+    axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, density)
+    axis.setflags(write=False)
+    return axis
+
+
+@lru_cache(maxsize=16)
+def _region_rows(dim: int, density: int) -> np.ndarray:
+    """The row of each point of the lattice of ``density`` points per axis
+    among its points in the chart region, in index order, and -1 for a
+    point outside; read-only, since every caller shares it."""
+    inside = _interior(_axis(density)[np.indices((density,) * dim).reshape(dim, -1).T])
+    rows = np.where(inside, np.cumsum(inside) - 1, -1).reshape((density,) * dim)
+    rows.setflags(write=False)
+    return rows
+
+
 @lru_cache(maxsize=16)
 def _start_grid(dim: int, density: int) -> np.ndarray:
-    """The chart lattice of ``density`` points per axis, ``BOUNDARY_MARGIN``
-    from every face; read-only, since every caller shares it."""
-    axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, density)
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    C = np.column_stack([g.ravel() for g in grids])
-    C = C[C.sum(axis=1) <= 1.0 - BOUNDARY_MARGIN]
+    """The points of the lattice of ``density`` points per axis in the
+    chart region, in index order; read-only, since every caller shares it."""
+    C = _axis(density)[np.column_stack(np.nonzero(_region_rows(dim, density) >= 0))]
     C.setflags(write=False)
     return C
-
-
-def _interior(C: np.ndarray) -> np.ndarray:
-    return (C >= BOUNDARY_MARGIN).all(axis=1) & (1.0 - C.sum(axis=1) >= BOUNDARY_MARGIN)
 
 
 def _batched_jacobian(evaluate, C: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -428,7 +447,7 @@ def classify(field_or_economy, p):
     """
     field = as_field(field_or_economy)
     C = _chart_coords(p)[None, :]
-    _, regular, index, _ = _classify_rows(field, C, _scan(field, [None])[0][0])
+    _, regular, index, _ = _classify_rows(field, C, _scan(field)[0])
     return (REGULAR if regular[0] else CRITICAL), int(index[0])
 
 
@@ -447,7 +466,7 @@ def multiplicity_estimate(field_or_economy, p) -> int | None:
     if field.goods != 2:
         raise ValueError("multiplicity estimation is implemented for two goods only")
     C = _chart_coords(p)[None, :1]
-    return _classify_rows(field, C, _scan(field, [None])[0][0], fit=True)[3][0]
+    return _classify_rows(field, C, _scan(field)[0], fit=True)[3][0]
 
 
 def chart_jacobian(field_or_economy, c) -> np.ndarray:
@@ -459,7 +478,7 @@ def chart_jacobian(field_or_economy, c) -> np.ndarray:
     the probe that classifies zeros, and evaluates the field twice.
     """
     field = as_field(field_or_economy)
-    _, J, consistent, _ = _probe_rows(field, _chart_coords(c)[None, :], _scan(field, [None])[0][0])
+    _, J, consistent, _ = _probe_rows(field, _chart_coords(c)[None, :], _scan(field)[0])
     if not consistent[0]:
         raise JacobianConsistencyError(
             "finite-difference Jacobian is step-size dependent at this point"
@@ -479,7 +498,7 @@ def continuum_detector(field_or_economy) -> ContinuumReport:
     when the grid would have more than ``MAX_SCAN_POINTS`` points (seven or
     more goods).
     """
-    return _scan(as_field(field_or_economy), [None])[0][1]
+    return _scan(as_field(field_or_economy))[1]
 
 
 def _spacing(density: int) -> float:
@@ -488,21 +507,22 @@ def _spacing(density: int) -> float:
 
 
 def _scan_grid(dim: int) -> tuple:
-    """The continuum scan grid and its points per axis; ``ValueError`` when
-    its ``per_dim**dim`` grid would exceed ``MAX_SCAN_POINTS``."""
+    """The continuum scan grid, its points per axis and the row of each of
+    its lattice indices (``_region_rows``); ``ValueError`` when its
+    ``per_dim**dim`` grid would exceed ``MAX_SCAN_POINTS``."""
     per_dim = max(11, int(round(CONTINUUM_SCAN_POINTS ** (1.0 / dim))))
     if per_dim**dim > MAX_SCAN_POINTS:
         raise ValueError(
             f"continuum scan grid of {per_dim}^{dim} points is too large "
             f"(limit {MAX_SCAN_POINTS} points)"
         )
-    return _start_grid(dim, per_dim), per_dim
+    return _start_grid(dim, per_dim), per_dim, _region_rows(dim, per_dim)
 
 
 def _base_grid(base: TangentField) -> tuple:
     """The continuum scan grid, its points per axis and the chart values of
     ``base`` on it: the one evaluation of the base on the grid."""
-    C, per_dim = _scan_grid(base.dim)
+    C, per_dim, _ = _scan_grid(base.dim)
     return C, per_dim, base.chart_values(C)
 
 
@@ -521,21 +541,17 @@ def _evaluate_grid(grid: tuple, terms: list) -> tuple:
     return P.reshape(shape), Z.reshape(shape)
 
 
-def _scan(base: TangentField, terms: list) -> list:
-    """``(sigma, ContinuumReport)`` of ``base`` plus each chart-map term, from
-    one evaluation of the scan grid for all; ``sigma`` is 0 with no finite row."""
-    return _grid_scans(_base_grid(base), terms)
-
-
-def _grid_scans(grid: tuple, terms: list) -> list:
-    """``_scan`` from the base's evaluation ``grid`` (``_base_grid``)."""
-    C, per_dim, _ = grid
-    return [scan[:2] for scan in _scan_reports(C, per_dim, *_evaluate_grid(grid, terms))]
+def _scan(field: TangentField, grid: tuple | None = None) -> tuple:
+    """``(sigma, ContinuumReport)`` of ``field`` from one evaluation of the
+    scan grid (``grid``, its ``_base_grid``, when the caller has made it);
+    ``sigma`` is 0 with no finite row."""
+    grid = _base_grid(field) if grid is None else grid
+    return _scan_reports(grid[0], grid[1], *_evaluate_grid(grid, [None]))[0][:2]
 
 
 def _scan_reports(C: np.ndarray, per_dim: int, P: np.ndarray, Z: np.ndarray) -> list:
-    """``_scan``'s result from the evaluation ``P, Z`` of its grid ``C``, each
-    with the field's hit clusters (``_hit_clusters``)."""
+    """``_scan``'s result for each field of the evaluation ``P, Z`` of its
+    grid ``C``, each with the field's hit clusters (``_hit_clusters``)."""
     zres = np.linalg.norm(Z, axis=2)
     wres = np.linalg.norm(P * Z, axis=2)
     out = []
@@ -577,136 +593,121 @@ def _starts(base: TangentField, terms: list, weighted: bool, m: int, P, Z, scans
     ``P, Z`` on the scan grid (shaped ``(fields, points, goods)``), their
     ``_scan_reports`` and the solve's ``_subdivisions`` ``m``.
 
-    The scan grid is the coarse level, read on the Newton map (``p * z``
-    when ``weighted``, else ``z``).  Its hits, points where ``|z|`` is at
-    most ``CONTINUUM_RESIDUAL_TOL * sigma``, are neither simplex vertices
-    nor minima; the lowest-residual point of each hit cluster is a start,
-    so a flat stretch of zeros gives one start, not one per cell.  With
-    ``m == 1`` a field's starts are, in order: the zeros of the
-    piecewise-linear interpolant (``_pl_zeros``); every grid point whose
-    residual is finite and at most that of each point of the box ``v + b``,
-    ``b`` in ``{-1, 0, 1}^d``, around it (``_minima``), which catches two
-    close zeros with no sign change between them; and the hit clusters'
-    points.  With ``m > 1`` the cells that pass the sign screen on the
-    corners they have (``_sign_screen``; the face ``sum(c) = 1 -
-    BOUNDARY_MARGIN`` cuts corners off the cells along it), or have a
-    minimum or a hit as a corner, are refined in one step, and the starts
-    of the refined level (``_refine``) come before the hit clusters' points.
+    The scan grid, read on the Newton map (``p * z`` when ``weighted``, else
+    ``z``), is a level of one patch per field; with ``m > 1`` its flagged
+    cells are refined (``_level_starts``).  Its hits, points where ``|z|``
+    is at most ``CONTINUUM_RESIDUAL_TOL * sigma``, stand for the zeros near
+    them: the lowest-residual point of each hit cluster is a start, so a
+    flat stretch of zeros gives one start, not one per cell.  A field's
+    starts are its finest level's PL zeros and minima, then these points.
     """
-    C, per_dim = _scan_grid(base.dim)
-    d = C.shape[1]
-    k = tuple(np.rint((C - BOUNDARY_MARGIN) / _spacing(per_dim)).astype(int).T)
-    axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, per_dim)
-    # The grid as one patch: the row of each lattice index, -1 for none.
-    vertex = np.full((1,) + (per_dim,) * d, -1)
-    vertex[(0, *k)] = np.arange(len(C))
-    W = P * Z if weighted else Z
-    blocks, reps, cells = [], [], []
-    for f, (w, (_, _, (hits, clusters))) in enumerate(zip(W, scans)):
-        res = np.linalg.norm(w, axis=1)
-        hit = np.zeros(len(C), dtype=bool)
-        hit[hits] = True
-        G, R = _vertex_table(w, res, hit)
-        minima = _minima(np.pad(R[vertex[0]], 1, constant_values=np.inf))[k] & ~hit
-        rep = C[hits[_lowest_per_label(clusters, res[hits])]] if hits.size else C[:0]
-        if m == 1:
-            zeros = _pl_zeros(G, vertex, np.zeros((1, d), dtype=int), axis)[1]
-            blocks += [(np.full(len(X), f), X) for X in (zeros, C[minima], rep)]
-            continue
-        mark = np.append(minima | hit, False)[vertex[0]]
-        flagged = np.argwhere(_sign_screen(G, vertex)[0] | _over_cells(np.logical_or, mark))
-        cells.append(np.column_stack([np.full(len(flagged), f), flagged]))
-        reps.append((np.full(len(rep), f), rep))
-    if m > 1:
-        sigmas = np.array([scan[0] for scan in scans])
-        blocks = _refine(base, terms, weighted, m, per_dim, np.vstack(cells), sigmas) + reps
+    C, per_dim, rows = _scan_grid(base.dim)
+    F, N, d = len(terms), len(C), base.dim
+    field = np.arange(F)
+    W = (P * Z if weighted else Z).reshape(F * N, -1)
+    hit = np.zeros(F * N, dtype=bool)
+    hit[np.concatenate([f * N + h for f, (_, _, (h, _)) in enumerate(scans)])] = True
+    # The scan grid as one patch per field, its rows stacked field by field.
+    keys = (field[:, None] * per_dim**d + np.flatnonzero(rows >= 0)).ravel()
+    vertex = np.where(rows >= 0, rows + N * field.reshape((F,) + (1,) * d), -1)
+    sigmas = np.array([scan[0] for scan in scans])
+    refine = partial(_refine, base, terms, weighted, sigmas, m) if m > 1 else None
+    blocks = _level_starts(W, hit, keys, per_dim, vertex, field, np.zeros((F, d), dtype=int), refine)
+    for f, (_, _, (h, clusters)) in enumerate(scans):
+        rep = h[_lowest_per_label(clusters, np.linalg.norm(W[f * N + h], axis=1))]
+        blocks.append((np.full(len(rep), f), C[rep]))
     labels = np.concatenate([f for f, _ in blocks])
     order = np.argsort(labels, kind="stable")
     return np.vstack([X for _, X in blocks])[order], labels[order]
 
 
-def _vertex_table(W: np.ndarray, res: np.ndarray, hit: np.ndarray) -> tuple:
-    """The chart values of the Newton map's rows ``W`` (NaN at a hit or a row
-    that is not finite) and their residuals ``res`` (``inf`` where not
-    finite), each with one row more, row -1, for a lattice point with no
-    row: NaN values and residual ``inf``."""
-    finite = np.isfinite(res)
-    G = np.where((finite & ~hit)[:, None], W[:, :-1], np.nan)
-    return np.vstack([G, np.full(G.shape[1], np.nan)]), np.append(np.where(finite, res, np.inf), np.inf)
+def _level_starts(W, hit, keys, n: int, vertex, field, corner, refine=None) -> list:
+    """The starts of a lattice level as ``(fields, starts)`` blocks: its PL
+    zeros, merged within ``PL_MERGE_RADIUS`` spacings (a zero on a face
+    shared by two simplices, of one patch or of two, is found in each), and
+    its minima.  With ``refine``, they are the starts of the level that
+    ``refine(fields, corners, n)`` makes of its cells that can hold a zero:
+    those where every component takes both signs at the corners that have
+    a value (``_sign_screen``), or with a minimum or a hit as a corner.
 
+    A level is a set of patches over stacked rows on the lattice of ``n``
+    points per axis.  Row ``r`` is the lattice point ``K`` of field ``f``
+    with key ``keys[r] = f * n**d + ravel(K)`` (ascending), the Newton map's
+    full values ``W[r]`` there, and ``hit[r]`` marks a hit.  Patch ``q`` of
+    field ``field[q]`` is the cube of lattice indices from ``corner[q]``:
+    its entry ``j`` is row ``vertex[q, j]``, -1 for a point with no row.
+    Hits are neither simplex vertices nor minima.
 
-def _refine(base: TangentField, terms: list, weighted: bool, m: int, per_dim: int, cells, sigmas):
-    """The starts in the scan-grid ``cells`` (rows ``(field, corner)``), each
-    refined into a patch of ``m`` subdivisions per axis, as two ``(fields,
-    starts)`` blocks: the patches' PL zeros, merged within ``PL_MERGE_RADIUS``
-    fine spacings (a zero on a face shared by two simplices, of one patch
-    or of two, is found in each), and the minima of the fine lattice.  As
-    on the scan grid, hits are neither simplex vertices nor minima; the
-    scan grid's hit clusters stand for them.
-
-    The vertices of all patches are evaluated in one call, a vertex that
-    patches share once.  A vertex is a minimum when its residual is at most
-    that of every evaluated point in the box around it, in its own patch
-    and in the patches next to it.  Judged within its own patch alone, each
-    border vertex of a patch on the floor of a trough was one; judged only
-    where the whole box was evaluated, a minimum on the border of the
-    refined region, next to a zero that the scan grid hides, was none.
+    A vertex is a minimum when its residual is finite and at most that of
+    every point ``v + b``, ``b`` in ``{-1, 0, 1}^d``, of the level, in its
+    own patch and in the patches next to it.  In one dimension these are
+    its Freudenthal neighbours ``v +- e_1``; in more, the box also holds the
+    points ``v + b`` whose ``b`` mixes signs, along which a trough's floor
+    descends.  Judged within its own patch alone, each border vertex of a
+    patch on the floor of a trough was one; judged only where the whole box
+    was evaluated, a minimum on the border of a refined region, next to a
+    zero that the scan grid hides, was none.
     """
-    field, corner = cells[:, 0], cells[:, 1:] * m
-    d = corner.shape[1]
-    n = (per_dim - 1) * m + 1
-    axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, n)
-    strides = n ** np.arange(d - 1, -1, -1)
-    # A lattice point is in the chart region by the sum of its indices.
-    region = d * BOUNDARY_MARGIN + np.arange(d * (n - 1) + 1) * _spacing(n) <= 1.0 - BOUNDARY_MARGIN
-    offsets = np.indices((m + 1,) * d).reshape(d, -1).T
-    keys = (field * n**d + corner @ strides)[:, None] + offsets @ strides
-    inside = region[corner.sum(axis=1)[:, None] + offsets.sum(axis=1)]
-    vertex = np.full(keys.shape, -1)
-    keys, vertex[inside] = np.unique(keys[inside], return_inverse=True)
-    vertex = vertex.reshape((len(cells),) + (m + 1,) * d)
-    labels, K = np.divmod(keys, n**d)
-    K = np.column_stack(np.unravel_index(K, (n,) * d))
-    C = axis[K]
-
-    Pv, Zv = _full_rows(C, _stacked_map(base, terms, labels)(C, np.arange(len(C))))
-    W = Pv * Zv if weighted else Zv
+    d = vertex.ndim - 1
     res = np.linalg.norm(W, axis=1)
-    hit = np.linalg.norm(Zv, axis=1) <= CONTINUUM_RESIDUAL_TOL * sigmas[labels]
-    G, R = _vertex_table(W, res, hit)
+    finite = np.isfinite(res)
+    # Row -1 stands for a lattice point with no row: no values, no residual.
+    G = np.vstack([np.where((finite & ~hit)[:, None], W[:, :-1], np.nan), np.full(d, np.nan)])
+    R = np.append(np.where(finite, res, np.inf), np.inf)
 
+    # Minima within their patch, then against their neighbours in others.
+    box = np.full((len(vertex),) + tuple(np.add(vertex.shape[1:], 2)), np.inf)
+    box[(slice(None),) + (slice(1, -1),) * d] = R[vertex]
+    least = _over_cells(np.minimum, _over_cells(np.minimum, box))
+    minima = np.unique(vertex[np.isfinite(R[vertex]) & (R[vertex] <= least)])
+    labels, K = np.divmod(keys[minima], n**d)
+    K = np.column_stack(np.unravel_index(K, (n,) * d))
+    near = K[:, None, :] + np.indices((3,) * d).reshape(d, -1).T - 1
+    within = ((near >= 0) & (near < n)).all(axis=2)
+    near = labels[:, None] * n**d + near @ (n ** np.arange(d - 1, -1, -1))
+    at = np.minimum(np.searchsorted(keys, near), len(keys) - 1)
+    lowest = (~within | (keys[at] != near) | (R[minima][:, None] <= R[at])).all(axis=1) & ~hit[minima]
+    minima, labels, K = minima[lowest], labels[lowest], K[lowest]
+
+    if refine is not None:
+        mark = np.append(hit, False)
+        mark[minima] = True
+        patch, *cell = np.nonzero(_sign_screen(G, vertex) | _over_cells(np.logical_or, mark[vertex]))
+        return _level_starts(*refine(field[patch], corner[patch] + np.column_stack(cell), n))
+    axis = _axis(n)
     patch, zeros = _pl_zeros(G, vertex, corner, axis)
     X = np.column_stack([zeros, field[patch]])
     kept = _greedy_cover(X, np.arange(len(X)), PL_MERGE_RADIUS * _spacing(n), p=2) == np.arange(len(X))
-
-    # Minima within their patch, then against their neighbours in others.
-    pad = [(0, 0)] + [(1, 1)] * d
-    minima = np.unique(vertex[_minima(np.pad(R[vertex], pad, constant_values=np.inf), 1)])
-    near = K[minima][:, None, :] + np.indices((3,) * d).reshape(d, -1).T - 1
-    within = ((near >= 0) & (near < n)).all(axis=2)
-    near = labels[minima][:, None] * n**d + near @ strides
-    at = np.minimum(np.searchsorted(keys, near), len(keys) - 1)
-    lowest = (~within | (keys[at] != near) | (R[minima][:, None] <= R[at])).all(axis=1)
-    minima = minima[lowest & ~hit[minima]]
-    return [(field[patch[kept]], zeros[kept]), (labels[minima], C[minima])]
+    return [(field[patch[kept]], zeros[kept]), (labels, axis[K])]
 
 
-def _minima(R: np.ndarray, lead: int = 0) -> np.ndarray:
-    """The mask of the inner entries of ``R``, all but the outer layer of each
-    axis after the first ``lead``, that are finite and at most each of their
-    neighbours ``v + b``, ``b`` in ``{-1, 0, 1}^d`` (the least over the cells
-    around ``v``).  In one dimension these are its Freudenthal neighbours
-    ``v +- e_1``; in more, the box also holds the points ``v + b`` whose
-    ``b`` mixes signs, along which a trough's floor descends."""
-    inner = (slice(None),) * lead + (slice(1, -1),) * (R.ndim - lead)
-    least = _over_cells(np.minimum, _over_cells(np.minimum, R, lead), lead)
-    return np.isfinite(R[inner]) & (R[inner] <= least)
+def _refine(base: TangentField, terms: list, weighted: bool, sigmas, m: int, field, corner, n: int) -> tuple:
+    """The level (``_level_starts``' arguments) of the cells with corners
+    ``corner`` on the lattice of ``n`` points per axis, of the fields
+    ``field`` (scales ``sigmas``), each refined into a patch of ``m``
+    subdivisions per axis.  Its points in the chart region are evaluated in
+    one call, a point that patches share once."""
+    d = corner.shape[1]
+    n = (n - 1) * m + 1
+    offsets = np.indices((m + 1,) * d).reshape(d, -1).T @ (n ** np.arange(d - 1, -1, -1))
+    corner = corner * m
+    corners = field * n**d + np.ravel_multi_index(tuple(corner.T), (n,) * d)
+    keys, vertex = np.unique(corners[:, None] + offsets, return_inverse=True)
+    labels, K = np.divmod(keys, n**d)
+    C = _axis(n)[np.column_stack(np.unravel_index(K, (n,) * d))]
+    inside = _interior(C)
+    rows = np.where(inside, np.cumsum(inside) - 1, -1)
+    keys, labels, C = keys[inside], labels[inside], C[inside]
+    P, Z = _full_rows(C, _stacked_map(base, terms, labels)(C, np.arange(len(C))))
+    hit = np.linalg.norm(Z, axis=1) <= CONTINUUM_RESIDUAL_TOL * sigmas[labels]
+    vertex = rows[vertex].reshape((len(corners),) + (m + 1,) * d)
+    return (P * Z if weighted else Z), hit, keys, n, vertex, field, corner
 
 
-def _over_cells(op, X: np.ndarray, lead: int = 0) -> np.ndarray:
-    """``op`` over the corners of every cell of the cube ``X`` (its axes after
-    the first ``lead``): entry ``k`` combines the entries ``k + b``, ``b`` in
-    ``{0, 1}^d``."""
+def _over_cells(op, X: np.ndarray, lead: int = 1) -> np.ndarray:
+    """``op`` over the corners of every cell of each cube of ``X`` (its axes
+    after the first ``lead``): entry ``k`` combines the entries ``k + b``,
+    ``b`` in ``{0, 1}^d``."""
     for a in range(lead, X.ndim):
         X = op(X[(slice(None),) * a + (slice(0, -1),)], X[(slice(None),) * a + (slice(1, None),)])
     return X
@@ -716,11 +717,8 @@ def _sign_screen(G: np.ndarray, vertex: np.ndarray) -> np.ndarray:
     """The cells of each patch (``_pl_zeros``'s layout) in which every
     component takes both signs at the corners that have a value; only they
     can hold a zero of the interpolant."""
-    pos, neg = (G >= 0.0)[vertex], (G <= 0.0)[vertex]
-    return reduce(np.logical_and, [
-        _over_cells(np.logical_or, pos[..., i], 1) & _over_cells(np.logical_or, neg[..., i], 1)
-        for i in range(G.shape[1])
-    ])
+    signs = np.ascontiguousarray(np.concatenate([G >= 0.0, G <= 0.0], axis=1).T)
+    return reduce(np.logical_and, _over_cells(np.logical_or, np.take(signs, vertex, axis=1), 2))
 
 
 def _pl_zeros(G: np.ndarray, vertex: np.ndarray, corner: np.ndarray, axis: np.ndarray) -> tuple:
@@ -738,7 +736,7 @@ def _pl_zeros(G: np.ndarray, vertex: np.ndarray, corner: np.ndarray, axis: np.nd
     d = G.shape[1]
     cells = np.argwhere(_sign_screen(G, vertex))
     # Vertex j of permutation p steps along the axes p_1, ..., p_j.
-    paths = np.array([np.arange(d + 1)[:, None] > np.argsort(p) for p in permutations(range(d))])
+    paths = np.arange(d + 1)[:, None] > np.argsort(list(permutations(range(d))), axis=1)[:, None, :]
     V = (cells[:, None, None, 1:] + paths).reshape(-1, d + 1, d)
     patch = np.repeat(cells[:, 0], len(paths))
     # Barycentric weights lam: sum(lam) = 1 and sum(lam_j G(v_j)) = 0.
@@ -760,9 +758,9 @@ def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> Equ
 
     The one-field case of the solve pipeline: the continuum scan gives
     ``sigma`` and ``finite_flag``; damped Newton iteration runs from the
-    starts found on the scan grid and, from three goods up, on the refined
-    patches of its cells that can hold a zero (``_starts``; the report's
-    ``starts``) and stays ``BOUNDARY_MARGIN`` from every face, on ``p * z``
+    starts found on the finest lattice level, the scan grid or its refined
+    patches (``_starts``; the report's ``starts``), and stays in the chart
+    region ``BOUNDARY_MARGIN`` from every face, on ``p * z``
     for an economy's field and on the field itself otherwise; points with
     ``|z| <= NEWTON_TOL * sigma`` are merged within ``1e-6`` and classified in
     one call, and critical zeros within ``1e-4`` whose midpoint is a zero are

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import CanonicalFamily, realize_economy
-from .equilibrium import ContinuumReport, SolverConfig, _base_grid, _grid_scans, _index_check, _solve
+from .equilibrium import ContinuumReport, SolverConfig, _base_grid, _index_check, _scan, _solve
 from .equilibrium import find_equilibria  # noqa: F401 - in this namespace for wrappers such as bench/tracer.py
 from .fields import TangentField, _with_term, as_field, chart_field
 
@@ -218,7 +218,7 @@ def genericity_experiment(
     terms = [_perturbation_term(s, field.dim) for s in specs]
     try:
         grid = _base_grid(field)
-        base_continuum = _grid_scans(grid, [None])[0][1]
+        base_continuum = _scan(field, grid)[1]
     except Exception:  # noqa: BLE001 - each trial's solve records the error
         grid, base_continuum = None, None
     outcomes = _solve(field, terms, solver_config or SolverConfig(), grid)

@@ -97,6 +97,23 @@ class TestSolve:
         assert capsys.readouterr().err.splitlines() == [f"input error: consumer 0: invalid scale: {message}"]
         assert not (out / "report.txt").exists()
 
+    @pytest.mark.parametrize(
+        "alpha, endowment, message",
+        [
+            ("[0.3, 0.7]", "[true, 1]", "endowment must be a number, not True"),
+            ("[false, 1.0]", "[1, 1]", "alpha must be a number, not False"),
+        ],
+        ids=["endowment-true", "alpha-false"],
+    )
+    def test_consumer_field_that_is_not_a_number_exits_1(self, tmp_path, capsys, alpha, endowment, message):
+        # A bool used to read as 1.0 or 0.0, and the solve exited 0.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(ECONOMY % (alpha, endowment))
+        out = tmp_path / "o"
+        assert main(["solve", "--input", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"input error: consumer 0: {message}"]
+        assert not (out / "report.txt").exists()
+
     def test_invalid_yaml_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("goods: [2\nconsumers: {\n")

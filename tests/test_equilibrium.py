@@ -44,7 +44,7 @@ def _nine_good_field():
 
 def _tol(field):
     """The Newton tolerance of ``field``: ``NEWTON_TOL`` times its scale."""
-    return NEWTON_TOL * equilibrium._scan(field, [None])[0][0]
+    return NEWTON_TOL * equilibrium._scan(field)[0]
 
 
 def _lattice(field, density=50):
@@ -57,7 +57,7 @@ def _lattice(field, density=50):
 
 def _lattice_starts(field, density=50):
     """The Newton starts of a solve of ``field`` at ``grid_density=density``."""
-    C, per_dim = equilibrium._scan_grid(field.dim)
+    C, per_dim, _ = equilibrium._scan_grid(field.dim)
     P, Z = (a[None] for a in field.full_values(C))
     scans = equilibrium._scan_reports(C, per_dim, P, Z)
     m = _lattice(field, density)[1]
@@ -274,7 +274,7 @@ class TestFlatZeroJoin:
         # Newton output that stopped 1.2e-6 below and 2.9e-6 above the zero.
         field = wk.chart_field(fn, goods=2)
         C = np.array([[0.5 - 1.2e-6], [0.5 + 2.9e-6]])
-        scan = equilibrium._scan(field, [None])[0]
+        scan = equilibrium._scan(field)
         report = _field_report(field, _converged(field, C), slice(None), *scan)
         (eq,) = report.equilibria
         assert (eq.regularity, eq.index, eq.multiplicity) == ("critical", 0, order)
@@ -288,7 +288,7 @@ class TestFlatZeroJoin:
         # one of them only: the report is built from Newton output at both.
         field = wk.chart_field(lambda C: scale * (C - 0.5) * (C - 0.50005), goods=2)
         C = np.array([[0.5], [0.50005]])
-        scan = equilibrium._scan(field, [None])[0]
+        scan = equilibrium._scan(field)
         report = _field_report(field, _converged(field, C), slice(None), *scan)
         charts = [float(eq.chart[0]) for eq in report.equilibria]
         assert np.allclose(charts, [0.5, 0.50005], rtol=0.0, atol=1e-9)
@@ -532,6 +532,55 @@ class TestSlantedFace:
         G = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [np.nan, np.nan]])
         assert equilibrium._sign_screen(G, vertex).tolist() == [[[True]]]
         assert equilibrium._sign_screen(np.abs(G), vertex).tolist() == [[[False]]]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_screen_matches_a_loop_over_cells(self, d, rng):
+        G = rng.normal(size=(40, d))
+        G[rng.random(G.shape) < 0.1] = 0.0
+        G[rng.random(40) < 0.2] = np.nan
+        vertex = rng.integers(-1, 39, size=(3,) + (4,) * d)
+        screen = equilibrium._sign_screen(np.vstack([G[:39], np.full(d, np.nan)]), vertex)
+        for q, *k in np.ndindex(screen.shape):
+            corners = [vertex[(q, *np.add(k, b))] for b in np.ndindex((2,) * d)]
+            values = np.array([G[r] for r in corners if r >= 0 and not np.isnan(G[r]).any()]).reshape(-1, d)
+            both = (values >= 0).any(axis=0) & (values <= 0).any(axis=0)
+            assert screen[(q, *k)] == both.all()
+
+
+class TestRefinedLevel:
+    """The refined level keeps every scan-grid point as a vertex, the face
+    vertex of a two-good scan grid among them."""
+
+    def test_two_good_face_zero_above_the_scan_density(self):
+        # 0.99988 lies in the last cell of the scan grid, whose right end
+        # 0.9999 is on the face sum(c) = 1 - BOUNDARY_MARGIN.
+        field = wk.chart_field(lambda C: 0.99988 - C, goods=2)
+        for density in (2001, 4001):
+            starts = _lattice_starts(field, density)[:, 0]
+            assert np.abs(starts - 0.99988).min() <= 1e-12
+            (eq,) = wk.find_equilibria(field, wk.SolverConfig(grid_density=density)).equilibria
+            assert abs(eq.chart[0] - 0.99988) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_the_scan_grid_is_c_ordered(self, dim):
+        # A chart map can round differently on a Fortran-ordered array of the
+        # same points, and every sigma, hit and scan-grid start follows it.
+        assert equilibrium._scan_grid(dim)[0].flags.c_contiguous
+
+    @pytest.mark.parametrize("goods, density", [(2, 4001), (2, 6001), (3, 50), (3, 120), (4, 50)])
+    def test_every_scan_grid_point_is_a_refined_vertex(self, goods, density):
+        field = wk.chart_field(lambda C: 0.3 - C, goods=goods)
+        C, per_dim, rows = equilibrium._scan_grid(field.dim)
+        m = equilibrium._subdivisions(per_dim, density)
+        # Refine every cell of the scan grid.
+        corner = np.argwhere(np.ones((per_dim - 1,) * field.dim, dtype=bool))
+        sigmas = np.array([equilibrium._scan(field)[0]])
+        keys, n = equilibrium._refine(
+            field, [None], False, sigmas, m, np.zeros(len(corner), dtype=int), corner, per_dim
+        )[2:4]
+        K = np.argwhere(rows >= 0) * m
+        assert np.isin(np.ravel_multi_index(tuple(K.T), (n,) * field.dim), keys).all()
+        assert np.abs(equilibrium._axis(n)[K] - C).max() <= 1e-15
 
 
 class TestScanOracle:
@@ -888,7 +937,7 @@ class TestClassifyRows:
         if field.goods == 2:
             assert wk.multiplicity_estimate(field, c) == ref.multiplicity
             window = np.linspace(-1.0, 1.0, 33)
-            G = fields._probe_rows(field, np.atleast_2d(c), equilibrium._scan(field, [None])[0][0], window)[3]
+            G = fields._probe_rows(field, np.atleast_2d(c), equilibrium._scan(field)[0], window)[3]
             assert np.array_equal(G[0, :, 0], ref.window)
         if eq is not None:
             assert (eq.regularity, eq.index) == (ref.regularity, ref.index)
@@ -905,7 +954,7 @@ class TestClassifyRows:
             n = len(C)
             mask = np.ones(n, dtype=bool)
             newton = (C, np.zeros(n), mask, ~mask, ~mask, np.zeros(n, dtype=np.int64))
-            shifted = _field_report(field, newton, slice(None), *equilibrium._scan(field, [None])[0])
+            shifted = _field_report(field, newton, slice(None), *equilibrium._scan(field))
             for eq in report.equilibria + shifted.equilibria:
                 self.check(field, eq.chart, eq)
                 seen += 1
@@ -920,7 +969,7 @@ class TestClassifyRows:
         field = wk.chart_field(lambda C: 1e-3 * ((C > 0.4) + (C > 0.6)), goods=2)
         C = np.array([[0.3], [0.5], [0.7]])
         with pytest.raises(ValueError, match=r"not a zero of the field \(residual 1\.414e-03\)"):
-            equilibrium._classify_rows(field, C, equilibrium._scan(field, [None])[0][0])
+            equilibrium._classify_rows(field, C, equilibrium._scan(field)[0])
 
     def test_report_evaluates_the_field_once(self):
         for fn, n_zeros in ((lambda C: 0.5 - C, 1), (lambda C: -(C - 0.3) * (C - 0.5) * (C - 0.7), 3)):
@@ -931,7 +980,7 @@ class TestClassifyRows:
                 return fn(C)
 
             field = wk.chart_field(counted, goods=2)
-            sigma, continuum = equilibrium._scan(field, [None])[0]
+            sigma, continuum = equilibrium._scan(field)
             starts = _start_grid(1, wk.SolverConfig().grid_density)
             newton = _newton_multistart(
                 lambda C, rows: field.chart_values(C), starts, NEWTON_TOL * sigma
@@ -994,7 +1043,7 @@ class TestEvaluationCount:
             return DEGENERATE_ZEROS[0][1](C)
 
         field = wk.chart_field(counted, goods=2)
-        scan = equilibrium._scan(field, [None])[0]
+        scan = equilibrium._scan(field)
         C = np.array([[0.4999988], [0.5000029]])
         newton = _converged(wk.chart_field(DEGENERATE_ZEROS[0][1], goods=2), C)
         calls.clear()
