@@ -36,6 +36,7 @@ from .equilibrium import (
     ContinuumReport,
     Equilibrium,
     EquilibriumReport,
+    JacobianConsistencyError,
     SolverConfig,
     chart_jacobian,
     classify,
@@ -44,7 +45,6 @@ from .equilibrium import (
     multiplicity_estimate,
 )
 from .fields import (
-    JacobianConsistencyError,
     TangentField,
     chart_field,
     economy_field,

@@ -21,13 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .consumers import aed
-from .decomposition import (
-    CanonicalFamily,
-    PositiveSpanningError,
-    decompose_at,
-    realize_economy,
-)
+from .consumers import aed_rows
+from .decomposition import CanonicalFamily, PositiveSpanningError, _decompose_grid, realize_economy
 from .econfile import (
     EconomyFormatError,
     _fmt,
@@ -105,17 +100,15 @@ def _cmd_decompose(args, out_dir: Path) -> int:
     economy = load_economy(args.input)
     family = CanonicalFamily.symmetric(economy.goods)
     grid = _decomposition_grid(economy.goods, args.grid, args.seed)
-    witnesses = [decompose_at(family, aed(economy, simplex_point(s))) for s in grid]
-    write_witness_csv(out_dir / "witness.csv", witnesses)
-    worst = max(w.residual for w in witnesses)
-    floor = min(w.mu.min() for w in witnesses)
+    Q, mu, residual = _decompose_grid(family, grid, functools.partial(aed_rows, economy))
+    write_witness_csv(out_dir / "witness.csv", Q / Q.sum(axis=1, keepdims=True), mu, residual)
     _write_report(
         out_dir,
         [
             f"decompose: {args.input}",
             f"grid points: {len(grid)}",
-            f"max reconstruction residual: {_fmt(worst)}",
-            f"smallest coefficient: {_fmt(floor)}",
+            f"max reconstruction residual: {_fmt(residual.max())}",
+            f"smallest coefficient: {_fmt(mu.min())}",
         ],
     )
     return 0

@@ -21,8 +21,8 @@ decomposes raw ``(n, l)`` target rows, checking numerically that the kernel
 annihilates the basis and that each residual is small; any failure of the
 positive-spanning property is an internal error (it would disprove the
 construction, so it is never silently ignored).  :func:`decompose_at` and
-:func:`positive_kernel` are one-row calls; :func:`realize_economy` makes one
-call for its whole grid.
+:func:`positive_kernel` are one-row calls; :func:`realize_economy` and the
+``decompose`` command make one call per grid, through ``_decompose_grid``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .consumers import UNIT_SCALE, Consumer, Economy
 from .fields import as_field
-from .geometry import PricePoint, TangentVector, _check_price_rows
+from .geometry import PricePoint, TangentVector, _check_price_rows, _check_tangent_rows, _rowdot
 from .scales import KernelSampledScale
 
 KERNEL_NULLSPACE_TOL = 1e-10
@@ -138,11 +138,6 @@ def kernel_weights(f: CanonicalFamily, P: np.ndarray) -> np.ndarray:
     return f.alpha / (P * f.endowment_levels)
 
 
-def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # Summed in the order of a 1-d ``@``: rows match one-point results bit for bit.
-    return (X[:, None, :] @ Y[:, :, None])[:, 0]
-
-
 def _decompose_rows(f: CanonicalFamily, P: np.ndarray, V: np.ndarray):
     """:func:`decompose_at` on ``(n, l)`` rows: coefficients ``mu`` and
     residual norms for tangent target rows ``V`` at positive price rows ``P``.
@@ -217,6 +212,22 @@ def decompose_at(f: CanonicalFamily, target: TangentVector) -> DecompositionWitn
     return DecompositionWitness(price=p, mu=mu[0], residual=float(residual[0]))
 
 
+def _decompose_grid(f: CanonicalFamily, S: np.ndarray, target) -> tuple:
+    """:func:`decompose_at` at the simplex price rows ``S``, targets
+    ``target(S)``, in one core call and with each of its checks made once:
+    price rows, tangency and ``mu > 0``.  Returns the sphere rows ``Q`` (as
+    :func:`~walraskit.geometry.simplex_to_sphere` gives one), ``mu`` and the
+    residuals."""
+    _check_price_rows(S)
+    V = target(S)
+    Q = S / np.sqrt(_rowdot(S, S))
+    _check_tangent_rows(Q, V)
+    mu, residual = _decompose_rows(f, Q, V)
+    if not np.all(mu > 0.0):
+        raise ValueError("decomposition coefficients must be strictly positive")
+    return Q, mu, residual
+
+
 def realize_economy(f: CanonicalFamily, target_field, S) -> Economy:
     """An ``l``-consumer economy whose aggregate excess demand matches a field
     on a price grid.
@@ -252,13 +263,8 @@ def realize_economy(f: CanonicalFamily, target_field, S) -> Economy:
             f"realisation needs a grid of at least {f.goods} points for "
             f"{f.goods} goods, not {len(S)}"
         )
-    _check_price_rows(S)
     chart_rows = S[:, :-1]
-    _, V = field.full_values(chart_rows)
-    if not np.all(np.isfinite(V)):
-        raise ValueError("target field values must be finite at every grid point")
-    # Decompose at the sphere normalisation of each price, as decompose_at does.
-    mu, _ = _decompose_rows(f, S / np.sqrt(_rowdot(S, S)), V)
+    _, mu, _ = _decompose_grid(f, S, lambda S: field.full_values(S[:, :-1])[1])
     ratios = mu / kernel_weights(f, S)
 
     scales = [

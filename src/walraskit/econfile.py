@@ -39,7 +39,6 @@ import yaml
 from yaml.constructor import SafeConstructor
 
 from .consumers import Consumer, Economy
-from .decomposition import DecompositionWitness
 from .equilibrium import EquilibriumReport
 from .genericity import GenericityResult
 from .revealed import ObservationDataset
@@ -451,16 +450,10 @@ def write_equilibria_csv(path, report: EquilibriumReport, goods: int) -> None:
     _write_csv(path, header, rows)
 
 
-def write_witness_csv(path, witnesses: list[DecompositionWitness]) -> None:
-    if not witnesses:
-        raise ValueError("no decomposition witnesses to write")
-    goods = witnesses[0].mu.size
-    header = [f"p{i + 1}" for i in range(goods)]
-    header += [f"mu{i + 1}" for i in range(goods)]
-    header += ["residual"]
-    rows = (
-        [_fmt(v) for v in (*w.price.simplex_coords(), *w.mu, w.residual)] for w in witnesses
-    )
+def write_witness_csv(path, prices: np.ndarray, mu: np.ndarray, residual: np.ndarray) -> None:
+    goods = prices.shape[1]
+    header = [f"p{i + 1}" for i in range(goods)] + [f"mu{i + 1}" for i in range(goods)] + ["residual"]
+    rows = ([_fmt(v) for v in row] for row in np.column_stack([prices, mu, residual]))
     _write_csv(path, header, rows)
 
 

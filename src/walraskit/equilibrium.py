@@ -34,7 +34,7 @@ endowment changes no answer.
 
 Converged points are deduplicated, and all kept zeros of a field are
 classified from one evaluation of its chart map, on a few probe rows around
-each zero (``fields._probe_rows``):
+each zero (``_probe_rows``, on Newton's central-difference ``_stencil``):
 
 * ``regular``  -- nonsingular chart Jacobian; the local index is the sign of
   ``det(-J)``, so the unique equilibrium of a gross-substitutes economy gets
@@ -66,17 +66,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .fields import (
-    JACOBIAN_STEP,
-    JacobianConsistencyError,
-    TangentField,
-    _chart_coords,
-    _full_rows,
-    _probe_rows,
-    _with_term,
-    as_field,
-)
+from .fields import TangentField, _full_rows, _with_term, as_field
 from .geometry import (
+    ChartPoint,
     PricePoint,
     _close_pairs,
     _greedy_cover,
@@ -105,6 +97,15 @@ CONTINUUM_SCAN_POINTS = 2001
 MAX_SCAN_POINTS = 250_000
 CONTINUUM_RUN_REQUIRED = 20
 CONTINUUM_RESIDUAL_TOL = 1e-9
+# Finite-difference Jacobians step by ``JACOBIAN_STEP * max(1, |c|)``; the
+# probe's estimates at that step and at half of it must agree within
+# ``JACOBIAN_CONSISTENCY_TOL`` relative, plus 1e-12 of the field's scale.
+JACOBIAN_STEP = 1e-6
+JACOBIAN_CONSISTENCY_TOL = 1e-4
+
+
+class JacobianConsistencyError(RuntimeError):
+    """Finite-difference Jacobian estimates at steps h and h/2 disagree."""
 
 
 @dataclass(frozen=True)
@@ -216,15 +217,55 @@ def _start_grid(dim: int, density: int) -> np.ndarray:
     return C
 
 
+def _stencil(C: np.ndarray, fractions=(1.0,)) -> tuple:
+    """The steps ``s = f * JACOBIAN_STEP * max(1, |c|)``, ``(m, k)``, of every
+    row ``c`` of ``C`` and fraction ``f``, and the central-difference rows
+    ``c + s e_j``, then ``c - s e_j``, of each, ``(m, k, 2d, d)``."""
+    d = C.shape[1]
+    s = JACOBIAN_STEP * np.maximum(1.0, np.linalg.norm(C, axis=1))[:, None] * np.asarray(fractions)
+    return s, C[:, None, None, :] + s[:, :, None, None] * np.concatenate([np.eye(d), -np.eye(d)])
+
+
+def _difference_quotient(F: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The Jacobians ``(F_k(c + s e_j) - F_k(c - s e_j)) / 2s`` (entry ``k, j``)
+    from the values ``F``, ``(..., 2d, d)``, on the ``_stencil`` rows of ``s``."""
+    d = F.shape[-1]
+    return ((F[..., :d, :] - F[..., d:, :]) / (2.0 * s)[..., None, None]).swapaxes(-1, -2)
+
+
 def _batched_jacobian(evaluate, C: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobians at the rows of ``C``, with step
-    ``JACOBIAN_STEP * max(1, |c|)`` per row, from one call on the stencil
-    rows ``c + h e_j`` and then ``c - h e_j`` of each row in turn."""
+    """Central-difference Jacobians at the rows of ``C``, from one call on their ``_stencil`` rows."""
     m, d = C.shape
-    h = JACOBIAN_STEP * np.maximum(1.0, np.linalg.norm(C, axis=1))
-    stencil = C[:, None, :] + h[:, None, None] * np.concatenate([np.eye(d), -np.eye(d)])
-    F = evaluate(stencil.reshape(-1, d), np.repeat(rows, 2 * d)).reshape(m, 2, d, d)
-    return ((F[:, 0] - F[:, 1]) / (2.0 * h)[:, None, None]).swapaxes(1, 2)
+    s, stencil = _stencil(C)
+    F = evaluate(stencil.reshape(-1, d), np.repeat(rows, 2 * d))
+    return _difference_quotient(F.reshape(m, 2 * d, d), s[:, 0])
+
+
+def _probe_rows(field: TangentField, C: np.ndarray, sigma: float, window=None):
+    """Probe the chart map around every chart row ``c`` of ``C``, in one call:
+    at ``c``, its ``_stencil`` rows at steps ``h`` and ``h/2`` and, given a
+    ``window``, ``c + r s`` for each ``s`` in it, ``r = min(0.02, margin/2)``
+    (``margin``: the distance to the nearest face).  Returns per row: the
+    full residual norm; the Jacobian at step ``h/2``; whether it agrees with
+    the one at step ``h``, relative to its size plus ``1e-12 sigma``
+    (``sigma``: the field's scale); and the values on the window."""
+    m, d = C.shape
+    s, stencil = _stencil(C, (1.0, 0.5))
+    blocks = [C[:, None, :], stencil.reshape(m, -1, d)]
+    if window is not None:
+        r = np.minimum(0.02, 0.5 * np.minimum(C.min(axis=1), 1.0 - C.sum(axis=1)))
+        blocks.append(C[:, None, :] + (r[:, None] * window)[:, :, None])
+    rows = np.concatenate(blocks, axis=1)
+    V = field.chart_values(rows.reshape(-1, d)).reshape(rows.shape)
+
+    residual = np.linalg.norm(_full_rows(C, V[:, 0])[1], axis=1)
+    J = _difference_quotient(V[:, 1 : 1 + 4 * d].reshape(m, 2, 2 * d, d), s)
+    size = np.abs(J).max(axis=(1, 2, 3))
+    # The floor keeps an exactly (or numerically) flat field from tripping
+    # the check: both estimates are then noise around zero.
+    spread = np.abs(J[:, 0] - J[:, 1]).max(axis=(1, 2))
+    consistent = ~(spread > JACOBIAN_CONSISTENCY_TOL * size + 1e-12 * sigma)
+    return residual, J[:, 1], consistent, V[:, 1 + 4 * d :]
 
 
 def _newton_state(evaluate, C: np.ndarray, rows: np.ndarray, weighted: bool):
@@ -401,7 +442,7 @@ def _lowest_per_label(labels: np.ndarray, res: np.ndarray) -> np.ndarray:
 
 def _classify_rows(field: TangentField, C: np.ndarray, sigma: float, fit: bool = False):
     """Residual norms, regular mask, indices and multiplicities of the zeros
-    ``C``, from one evaluation of every probe row (``fields._probe_rows``).
+    ``C``, from one evaluation of every probe row (``_probe_rows``).
 
     The first row whose residual exceeds ``1e-9 * sigma`` raises
     ``ValueError``.  Multiplicities are fitted on a window of
@@ -433,6 +474,14 @@ def _fit_order(s: np.ndarray, g: np.ndarray, sigma: float) -> int | None:
     b, *_ = np.linalg.lstsq(V, g, rcond=None)
     orders = np.flatnonzero(np.abs(b[1:]) >= 1e-3 * scale)
     return int(orders[0]) + 1 if orders.size else None
+
+
+def _chart_coords(c) -> np.ndarray:
+    if isinstance(c, ChartPoint):
+        return c.coords
+    if isinstance(c, PricePoint):
+        return c.simplex_coords()[:-1]
+    return np.atleast_1d(np.asarray(c, dtype=float))
 
 
 def classify(field_or_economy, p):
@@ -530,14 +579,13 @@ def _evaluate_grid(grid: tuple, terms: list) -> tuple:
     """Simplex rows and full field rows, shaped ``(fields, points, goods)``,
     of the base plus each chart-map term on the grid of ``grid``
     (``_base_grid``).  Each term is added to its own copy of the base values
-    (``_stacked_map``'s arithmetic, row by row)."""
+    (``_add_terms``)."""
     C, _, values = grid
-    F = np.tile(values, (len(terms), 1, 1))
-    for values, term in zip(F, terms):
-        if term is not None:
-            values += term(C)
-    P, Z = _full_rows(np.tile(C, (len(terms), 1)), F.reshape(len(terms) * len(C), -1))
-    shape = (len(terms), len(C), -1)
+    n = len(terms)
+    C = np.tile(C, (n, 1))
+    F = _add_terms(np.tile(values, (n, 1)), C, terms, len(values) * np.arange(n + 1))
+    P, Z = _full_rows(C, F)
+    shape = (n, len(values), -1)
     return P.reshape(shape), Z.reshape(shape)
 
 
@@ -865,19 +913,24 @@ def _restart_between(base, terms, weighted, newton, labels, sigmas, radius: floa
 
 def _stacked_map(base: TangentField, terms: list, labels: np.ndarray):
     """The chart map over stacked rows: the base map, plus on row ``r`` the
-    term of field ``labels[r]`` (``_with_term``'s arithmetic, row by row)."""
+    term of field ``labels[r]`` (``_add_terms``)."""
 
     def evaluate(C, rows):
         # A copy: the base chart map may return a view of its input.
         F = np.array(base.chart_values(C))
         # ``rows`` and the labels are sorted, so each field's rows form one block.
-        bounds = np.searchsorted(labels[rows], np.arange(len(terms) + 1))
-        for term, lo, hi in zip(terms, bounds[:-1], bounds[1:]):
-            if term is not None and hi > lo:
-                F[lo:hi] += term(C[lo:hi])
-        return F
+        return _add_terms(F, C, terms, np.searchsorted(labels[rows], np.arange(len(terms) + 1)))
 
     return evaluate
+
+
+def _add_terms(F: np.ndarray, C: np.ndarray, terms: list, bounds) -> np.ndarray:
+    """``F``, base chart values at the rows ``C``, plus term ``t`` on its rows
+    ``bounds[t]:bounds[t + 1]`` in place (``_with_term``'s arithmetic)."""
+    for term, lo, hi in zip(terms, bounds[:-1], bounds[1:]):
+        if term is not None and hi > lo:
+            F[lo:hi] += term(C[lo:hi])
+    return F
 
 
 def _field_report(

@@ -17,7 +17,7 @@ and assumes them finite and strictly positive without checking.  Prices are
 checked once, where they enter: by :class:`PricePoint` and
 :class:`ChartPoint`, by the chart map of
 :func:`walraskit.fields.economy_field` for batches of chart rows, and by
-:func:`walraskit.decomposition.realize_economy` for its grid rows.
+the grid decomposition of :mod:`walraskit.decomposition` for its grid rows.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class TangentVector:
 
     Components must be finite and tangent (``base . components == 0`` within
     ``1e-10``, relative to their magnitude), which is exactly Walras' law for
-    excess-demand values.  This is the package's one tangency check.
+    excess-demand values (``_check_tangent_rows`` on one row).
     """
 
     base: PricePoint
@@ -117,15 +117,11 @@ class TangentVector:
         comps = _readonly(self.components)
         if comps.shape != self.base.coords.shape:
             raise ValueError("tangent components must match the base dimension")
-        if not np.all(np.isfinite(comps)):
-            raise ValueError("tangent components must be finite")
         base = self.base
         if base.frame != SPHERE:
             base = simplex_to_sphere(base)
             object.__setattr__(self, "base", base)
-        err = abs(float(base.coords @ comps))
-        if err > TANGENCY_TOL * max(1.0, float(np.linalg.norm(comps))):
-            raise ValueError(f"vector is not tangent at its base (|p.v| = {err:.3e})")
+        _check_tangent_rows(base.coords[None, :], comps[None, :])
         object.__setattr__(self, "components", comps)
 
     @property
@@ -152,6 +148,22 @@ def _check_price_rows(P: np.ndarray, frame: str = SIMPLEX) -> None:
             raise ValueError("sphere coordinates must have norm 1 within 1e-12")
     else:
         raise ValueError(f"unknown frame {frame!r}")
+
+
+def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    # Summed in the order of a 1-d ``@``: rows match one-point results bit for bit.
+    return (X[:, None, :] @ Y[:, :, None])[:, 0]
+
+
+def _check_tangent_rows(Q: np.ndarray, V: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every row ``v`` of ``V`` is finite and, at
+    the sphere price row ``q`` of ``Q``, tangent: ``|q.v| <= 1e-10 max(1, |v|)``."""
+    if not np.isfinite(V).all():
+        raise ValueError("tangent components must be finite")
+    err = np.abs(_rowdot(Q, V)[:, 0])
+    bad = err > TANGENCY_TOL * np.maximum(1.0, np.sqrt(_rowdot(V, V)[:, 0]))
+    if bad.any():
+        raise ValueError(f"vector is not tangent at its base (|p.v| = {err[np.argmax(bad)]:.3e})")
 
 
 def simplex_point(coords) -> PricePoint:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import walraskit as wk
-from walraskit.cli import _perturbation_spec, build_parser, main
+from walraskit import equilibrium
+from walraskit.cli import _decomposition_grid, _perturbation_spec, _report_equilibria, build_parser, main
+from walraskit.econfile import _fmt
 from walraskit.consumers import demand_rows
 from support import constant_scale_economy, edgeworth_symmetric, multi_equilibrium_economy, observed_demand
 
@@ -147,6 +149,22 @@ class TestDecomposeAndRealize:
         out = tmp_path / "out"
         assert main(["decompose", "--input", str(path), "--out", str(out)]) == 0
         assert "max reconstruction residual" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("goods", [2, 3, 4, 5])
+    def test_decompose_rows_are_the_per_point_witnesses(self, goods, tmp_path):
+        # One decomposition of the whole grid writes, bit for bit, what a
+        # witness built at each grid point on its own gives.
+        path = tmp_path / "eco.yaml"
+        wk.save_economy(path, constant_scale_economy(np.random.default_rng(goods), goods, 3))
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(path), "--grid", "401", "--seed", "11", "--out", str(out)]) == 0
+        rows = (out / "witness.csv").read_text().splitlines()[1:]
+        economy, family = wk.load_economy(path), wk.CanonicalFamily.symmetric(goods)
+        grid = _decomposition_grid(goods, 401, 11)
+        assert len(rows) == len(grid)
+        for row, s in zip(rows, grid):
+            w = wk.decompose_at(family, wk.aed(economy, wk.simplex_point(s)))
+            assert row == ",".join(_fmt(v) for v in (*w.price.simplex_coords(), *w.mu, w.residual))
 
     def test_realize_continuum_and_reload(self, tmp_path):
         out = tmp_path / "out"
@@ -429,6 +447,34 @@ class TestSarpAndAudit:
         ]
 
 
+class TestContinuumWitness:
+    def test_interval_of_the_realised_continuum(self, tmp_path):
+        # The realised field is the target's zero between nodes once no
+        # interpolation slope reaches past the interval's ends, about a node
+        # spacing in: at 2001 nodes that is less than a scan spacing.
+        argv = ["realize", "--continuum", "0.4", "0.6", "--grid", "2001", "--out", str(tmp_path / "r")]
+        assert main(argv) == 0
+        assert main(["solve", "--input", str(tmp_path / "r" / "realized_economy.yaml"), "--out", str(tmp_path / "s")]) == 0
+        lines = (tmp_path / "s" / "report.txt").read_text().splitlines()
+        assert "finite equilibrium set: NO (continuum suspected)" in lines
+        (line,) = [x for x in lines if x.startswith("continuum witness interval: ")]
+        lo, hi = (float(v) for v in line.split(": ")[1].strip("[]").split(", "))
+        spacing = equilibrium._spacing(equilibrium._scan_grid(1)[1])
+        assert abs(lo - 0.4) <= spacing and abs(hi - 0.6) <= spacing
+
+    def test_box_of_a_three_good_zero_line(self):
+        # Both components vanish on the chart line c0 = c1, which runs through
+        # scan-grid points from the margin to the face sum(c) = 1.
+        field = wk.chart_field(lambda C: np.column_stack([C[:, 1] - C[:, 0], C[:, 0] - C[:, 1]]), goods=3)
+        lines = []
+        _report_equilibria(wk.find_equilibria(field), lines)
+        (line,) = [x for x in lines if x.startswith("continuum witness box: ")]
+        lo, hi = ([float(v) for v in part.strip("[]").split(", ")] for part in line.split(": ")[1].split(" .. "))
+        spacing = equilibrium._spacing(equilibrium._scan_grid(2)[1])
+        assert lo == [equilibrium.BOUNDARY_MARGIN] * 2
+        assert hi[0] == hi[1] and 0.5 - spacing <= hi[0] < 0.5
+
+
 def test_one_parser_serves_many_calls(sym_file, tmp_path):
     # build_parser is cached: nothing parsed by one call may reach the next.
     argvs = [
@@ -460,7 +506,7 @@ def test_internal_assertion_exits_2(sym_file, tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise PositiveSpanningError("synthetic spanning failure")
 
-    monkeypatch.setattr(cli_mod, "decompose_at", broken)
+    monkeypatch.setattr(cli_mod, "_decompose_grid", broken)
     rc = main(["decompose", "--input", str(sym_file), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "internal assertion failed" in capsys.readouterr().err

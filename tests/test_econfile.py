@@ -647,7 +647,9 @@ class TestResultTables:
             v = wk.tangent_project(p, rng.standard_normal(2))
             witnesses.append(wk.decompose_at(symmetric_family, v))
         path = tmp_path / "w.csv"
-        write_witness_csv(path, witnesses)
+        prices = np.array([w.price.simplex_coords() for w in witnesses])
+        mu = np.array([w.mu for w in witnesses])
+        write_witness_csv(path, prices, mu, np.array([w.residual for w in witnesses]))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "p1,p2,mu1,mu2,residual"
         assert len(lines) == 6

@@ -13,11 +13,13 @@ from support import (
     scale_path_equilibria,
     scan_zeros_1d,
 )
-from walraskit import equilibrium, fields
+from walraskit import equilibrium
 from walraskit.equilibrium import (
     BOUNDARY_MARGIN,
     DEDUP_RADIUS,
     DET_RELATIVE_TOL,
+    JACOBIAN_CONSISTENCY_TOL,
+    JACOBIAN_STEP,
     JOIN_RADIUS,
     NEWTON_TOL,
     _dedup,
@@ -27,7 +29,6 @@ from walraskit.equilibrium import (
     _newton_multistart,
     _start_grid,
 )
-from walraskit.fields import JACOBIAN_CONSISTENCY_TOL, JACOBIAN_STEP
 from walraskit.geometry import chart_rows_embed
 
 
@@ -937,7 +938,7 @@ class TestClassifyRows:
         if field.goods == 2:
             assert wk.multiplicity_estimate(field, c) == ref.multiplicity
             window = np.linspace(-1.0, 1.0, 33)
-            G = fields._probe_rows(field, np.atleast_2d(c), equilibrium._scan(field)[0], window)[3]
+            G = equilibrium._probe_rows(field, np.atleast_2d(c), equilibrium._scan(field)[0], window)[3]
             assert np.array_equal(G[0, :, 0], ref.window)
         if eq is not None:
             assert (eq.regularity, eq.index) == (ref.regularity, ref.index)

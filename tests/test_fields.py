@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import walraskit as wk
+from walraskit import equilibrium
 from walraskit.fields import as_field
 from support import edgeworth_symmetric, random_economy
 
@@ -47,6 +48,24 @@ class TestLift:
         field = wk.economy_field(edgeworth_symmetric())
         with pytest.raises(ValueError, match="finite and strictly positive"):
             field.chart_values([row])
+
+    def test_rows_in_fortran_order_get_the_bits_of_c_order(self):
+        # aed_rows's products sum in another order over Fortran-ordered rows
+        # (3.6e-12 apart on this grid), so the chart map takes them in C order.
+        C = equilibrium._scan_grid(2)[0]
+        for seed in range(3):
+            field = wk.economy_field(random_economy(np.random.default_rng(seed), 3, 3))
+            assert np.array_equal(field.chart_values(np.asfortranarray(C)), field.chart_values(C))
+            assert np.array_equal(field.full_values(np.asfortranarray(C))[1], field.full_values(C)[1])
+
+    def test_c_ordered_rows_reach_the_chart_map_uncopied(self):
+        seen = []
+        field = wk.chart_field(lambda C: seen.append(C) or C, goods=3)
+        C = np.full((4, 2), 0.2)
+        field.chart_values(C)
+        field.chart_values(np.asfortranarray(C))
+        assert seen[0] is C
+        assert seen[1].flags.c_contiguous
 
 
 class TestChartJacobian:

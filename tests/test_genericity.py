@@ -319,6 +319,22 @@ class TestStackedTrials:
             assert "batch of 2001" in record.error
         assert res.finite_count == 0
 
+    def test_a_chunk_that_raises_is_solved_one_field_at_a_time(self):
+        import walraskit.equilibrium as eqm
+
+        error = ValueError("the term refuses rows")
+
+        def raising_term(C):
+            raise error
+
+        # The base scans, so the chunk fails in its own scan and is solved
+        # again field by field: the other two fields are the base's solve.
+        base = wk.economy_field(three_good_economy())
+        reports = eqm._solve(base, [None, raising_term, None], wk.SolverConfig())
+        assert reports[1] is error
+        for report in (reports[0], reports[2]):
+            assert_same_report(report, wk.find_equilibria(base))
+
     def test_a_density_once_refused_for_its_start_grid_solves_every_trial(self):
         # grid_density=70 at l = 4 failed every trial for its 70^3 start grid.
         econ = wk.Economy(
