@@ -8,17 +8,18 @@ lattice indices in the chart region (``_interior``), over stacked
 ``(field, point)`` rows, and one routine reads its starts
 (``_level_starts``): the zero of the piecewise-linear interpolant of the
 Newton map in every Freudenthal simplex that holds one (Scarf's
-simplicial method, restarted on a finer mesh as in Eaves 1972) and every
-lattice point whose residual is least in the box of its neighbours.  The
-scan grid is one patch per field.  When it is coarser than the target
-spacing ``_spacing(grid_density)``, its cells that can hold a zero are
-refined in one step into patches of ``m`` subdivisions per axis, the
-fewest that reach the target, evaluated in one call (``_refine``).  Damped
-Newton iteration in chart coordinates (``_newton_multistart``) runs over
-the finest level's starts and one point per cluster of near-zero points,
-and on a refined level once more between and beyond every two close zeros
-of a field (``_restart_between``).  :func:`find_equilibria` is its
-one-field case and the genericity experiment its many-field case.
+simplicial method, restarted on a finer mesh as in Eaves 1972), every
+lattice point whose residual is least in the box of its neighbours, and
+the lowest-residual point of each cluster of near-zero points.  The scan
+grid is one patch per field.  When it is coarser than the target spacing
+``_spacing(grid_density)``, its cells that can hold a zero are refined in
+one step into patches of ``m`` subdivisions per axis, the fewest that
+reach the target, evaluated in one call (``_refine``), and the refined
+level gives the starts.  Damped Newton iteration in chart coordinates
+(``_newton_multistart``) runs over them, merging starts that converge
+together, and on a refined level once more between and beyond every two
+close zeros of a field (``_restart_between``).  :func:`find_equilibria`
+is its one-field case and the genericity experiment its many-field case.
 
 The aggregate excess demand ``z`` of an economy (a field marked
 ``price_weighted``, with no term) is solved on the price-weighted field
@@ -90,8 +91,6 @@ NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 60
 NEWTON_MAX_HALVINGS = 10
 DEDUP_RADIUS = 1e-6
-# PL zeros of a refined level closer than this many of its spacings are one.
-PL_MERGE_RADIUS = 1e-9
 JOIN_RADIUS = 1e-4
 CONTINUUM_SCAN_POINTS = 2001
 MAX_SCAN_POINTS = 250_000
@@ -460,20 +459,20 @@ def _classify_rows(field: TangentField, C: np.ndarray, sigma: float, fit: bool =
     size = np.fmax(np.abs(J).max(axis=(1, 2)), sigma)
     regular = consistent & ~(np.abs(det) <= DET_RELATIVE_TOL * size**d)
     index = np.where(regular, np.where((-1) ** d * det > 0, 1, -1), 0)
-    fits = [_fit_order(window, g[:, 0], sigma) for g in G] if fit else [None] * len(C)
+    fits = _fit_orders(window, G[:, :, 0], sigma) if fit else [None] * len(C)
     return residual, regular, index, fits
 
 
-def _fit_order(s: np.ndarray, g: np.ndarray, sigma: float) -> int | None:
-    """Lowest order whose fitted coefficient on the window ``s`` stands out."""
-    scale = float(np.abs(g).max())
-    if scale <= 1e-12 * sigma:
-        return None
+def _fit_orders(s: np.ndarray, G: np.ndarray, sigma: float) -> list:
+    """Per row ``g`` of ``G``, the lowest order whose fitted coefficient on
+    the window ``s`` stands out, from one least-squares fit of every row."""
+    scale = np.abs(G).max(axis=1)
     # Column j of the fit is s**j, so coefficient j estimates g^(j) r^j / j!.
     V = np.vander(s, MULTIPLICITY_K_MAX + 1, increasing=True)
-    b, *_ = np.linalg.lstsq(V, g, rcond=None)
-    orders = np.flatnonzero(np.abs(b[1:]) >= 1e-3 * scale)
-    return int(orders[0]) + 1 if orders.size else None
+    B = np.linalg.lstsq(V, G.T, rcond=None)[0]
+    stands = np.abs(B[1:].T) >= 1e-3 * scale[:, None]
+    first = np.where(stands.any(axis=1) & ~(scale <= 1e-12 * sigma), np.argmax(stands, axis=1) + 1, 0)
+    return [int(k) or None for k in first]
 
 
 def _chart_coords(c) -> np.ndarray:
@@ -594,12 +593,12 @@ def _scan(field: TangentField, grid: tuple | None = None) -> tuple:
     scan grid (``grid``, its ``_base_grid``, when the caller has made it);
     ``sigma`` is 0 with no finite row."""
     grid = _base_grid(field) if grid is None else grid
-    return _scan_reports(grid[0], grid[1], *_evaluate_grid(grid, [None]))[0][:2]
+    return _scan_reports(grid[0], grid[1], *_evaluate_grid(grid, [None]))[0]
 
 
 def _scan_reports(C: np.ndarray, per_dim: int, P: np.ndarray, Z: np.ndarray) -> list:
     """``_scan``'s result for each field of the evaluation ``P, Z`` of its
-    grid ``C``, each with the field's hit clusters (``_hit_clusters``)."""
+    grid ``C``."""
     zres = np.linalg.norm(Z, axis=2)
     wres = np.linalg.norm(P * Z, axis=2)
     out = []
@@ -612,13 +611,13 @@ def _scan_reports(C: np.ndarray, per_dim: int, P: np.ndarray, Z: np.ndarray) -> 
         if fired:
             lo, hi = C[component].min(axis=0), C[component].max(axis=0)
             box = (float(lo[0]), float(hi[0])) if C.shape[1] == 1 else (lo, hi)
-        out.append((sigma, ContinuumReport(fired, box, int(hits.size)), (hits, labels)))
+        out.append((sigma, ContinuumReport(fired, box, int(hits.size))))
     return out
 
 
 def _hit_clusters(C: np.ndarray, hit: np.ndarray, spacing: float) -> tuple:
-    """The indices of the hit points of the grid ``C`` and their cluster
-    labels, linking points within 1.5 grid spacings."""
+    """The indices of the hit points of the rows ``C`` and their cluster
+    labels, linking points within 1.5 scan-grid spacings ``spacing``."""
     idx = np.flatnonzero(hit)
     return idx, _linked_components(C[idx], 1.5 * spacing)
 
@@ -635,45 +634,40 @@ def _subdivisions(per_dim: int, density: int) -> int:
     return -(-(density - 1) // (per_dim - 1))
 
 
-def _starts(base: TangentField, terms: list, weighted: bool, m: int, P, Z, scans: list) -> tuple:
+def _starts(base: TangentField, terms: list, weighted: bool, m: int, P, Z, sigmas) -> tuple:
     """The Newton starts of ``base`` plus each chart-map term, and the field
     of each start (non-decreasing), from the fields' simplex and full rows
     ``P, Z`` on the scan grid (shaped ``(fields, points, goods)``), their
-    ``_scan_reports`` and the solve's ``_subdivisions`` ``m``.
+    scales ``sigmas`` and the solve's ``_subdivisions`` ``m``.
 
     The scan grid, read on the Newton map (``p * z`` when ``weighted``, else
     ``z``), is a level of one patch per field; with ``m > 1`` its flagged
-    cells are refined (``_level_starts``).  Its hits, points where ``|z|``
-    is at most ``CONTINUUM_RESIDUAL_TOL * sigma``, stand for the zeros near
-    them: the lowest-residual point of each hit cluster is a start, so a
-    flat stretch of zeros gives one start, not one per cell.  A field's
-    starts are its finest level's PL zeros and minima, then these points.
+    cells are refined.  A field's starts are those of the finest level
+    (``_level_starts``).
     """
     C, per_dim, rows = _scan_grid(base.dim)
     F, N, d = len(terms), len(C), base.dim
     field = np.arange(F)
     W = (P * Z if weighted else Z).reshape(F * N, -1)
-    hit = np.zeros(F * N, dtype=bool)
-    hit[np.concatenate([f * N + h for f, (_, _, (h, _)) in enumerate(scans)])] = True
+    hit = (np.linalg.norm(Z, axis=2) <= CONTINUUM_RESIDUAL_TOL * sigmas[:, None]).ravel()
     # The scan grid as one patch per field, its rows stacked field by field.
     keys = (field[:, None] * per_dim**d + np.flatnonzero(rows >= 0)).ravel()
     vertex = np.where(rows >= 0, rows + N * field.reshape((F,) + (1,) * d), -1)
-    sigmas = np.array([scan[0] for scan in scans])
     refine = partial(_refine, base, terms, weighted, sigmas, m) if m > 1 else None
-    blocks = _level_starts(W, hit, keys, per_dim, vertex, field, np.zeros((F, d), dtype=int), refine)
-    for f, (_, _, (h, clusters)) in enumerate(scans):
-        rep = h[_lowest_per_label(clusters, np.linalg.norm(W[f * N + h], axis=1))]
-        blocks.append((np.full(len(rep), f), C[rep]))
+    corner = np.zeros((F, d), dtype=int)
+    blocks = _level_starts(W, hit, keys, per_dim, vertex, field, corner, _spacing(per_dim), refine)
     labels = np.concatenate([f for f, _ in blocks])
     order = np.argsort(labels, kind="stable")
     return np.vstack([X for _, X in blocks])[order], labels[order]
 
 
-def _level_starts(W, hit, keys, n: int, vertex, field, corner, refine=None) -> list:
+def _level_starts(W, hit, keys, n: int, vertex, field, corner, spacing: float, refine=None) -> list:
     """The starts of a lattice level as ``(fields, starts)`` blocks: its PL
-    zeros, merged within ``PL_MERGE_RADIUS`` spacings (a zero on a face
-    shared by two simplices, of one patch or of two, is found in each), and
-    its minima.  With ``refine``, they are the starts of the level that
+    zeros, its minima and the lowest-residual point of each cluster of its
+    hits, linked within 1.5 scan spacings ``spacing`` (``_hit_clusters``),
+    so a flat stretch of zeros gives one start, not one per cell.  A zero on
+    a face that simplices share is found in each; Newton merges such starts.
+    With ``refine``, they are the starts of the level that
     ``refine(fields, corners, n)`` makes of its cells that can hold a zero:
     those where every component takes both signs at the corners that have
     a value (``_sign_screen``), or with a minimum or a hit as a corner.
@@ -681,7 +675,8 @@ def _level_starts(W, hit, keys, n: int, vertex, field, corner, refine=None) -> l
     A level is a set of patches over stacked rows on the lattice of ``n``
     points per axis.  Row ``r`` is the lattice point ``K`` of field ``f``
     with key ``keys[r] = f * n**d + ravel(K)`` (ascending), the Newton map's
-    full values ``W[r]`` there, and ``hit[r]`` marks a hit.  Patch ``q`` of
+    full values ``W[r]`` there, and ``hit[r]`` marks a hit, a point where
+    ``|z| <= CONTINUUM_RESIDUAL_TOL * sigma``.  Patch ``q`` of
     field ``field[q]`` is the cube of lattice indices from ``corner[q]``:
     its entry ``j`` is row ``vertex[q, j]``, -1 for a point with no row.
     Hits are neither simplex vertices nor minima.
@@ -721,12 +716,18 @@ def _level_starts(W, hit, keys, n: int, vertex, field, corner, refine=None) -> l
         mark = np.append(hit, False)
         mark[minima] = True
         patch, *cell = np.nonzero(_sign_screen(G, vertex) | _over_cells(np.logical_or, mark[vertex]))
-        return _level_starts(*refine(field[patch], corner[patch] + np.column_stack(cell), n))
+        return _level_starts(*refine(field[patch], corner[patch] + np.column_stack(cell), n), spacing)
     axis = _axis(n)
     patch, zeros = _pl_zeros(G, vertex, corner, axis)
-    X = np.column_stack([zeros, field[patch]])
-    kept = _greedy_cover(X, np.arange(len(X)), PL_MERGE_RADIUS * _spacing(n), p=2) == np.arange(len(X))
-    return [(field[patch[kept]], zeros[kept]), (labels, axis[K])]
+    blocks = [(field[patch], zeros), (labels, axis[K])]
+    if hit.any():
+        # Fields lie one unit apart on an extra axis, beyond the link.
+        labels, K = np.divmod(keys, n**d)
+        X = np.column_stack([axis[np.column_stack(np.unravel_index(K, (n,) * d))], labels])
+        hits, clusters = _hit_clusters(X, hit, spacing)
+        rep = hits[_lowest_per_label(clusters, res[hits])]
+        blocks.append((labels[rep], X[rep, :-1]))
+    return blocks
 
 
 def _refine(base: TangentField, terms: list, weighted: bool, sigmas, m: int, field, corner, n: int) -> tuple:
@@ -852,7 +853,7 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
             P, Z = _evaluate_grid(grid, group)
             scans = _scan_reports(scan_grid, per_dim, P, Z)
             sigmas = np.array([scan[0] for scan in scans])
-            starts, labels = _starts(base, group, weighted, m, P, Z, scans)
+            starts, labels = _starts(base, group, weighted, m, P, Z, sigmas)
             newton = _newton_multistart(
                 _stacked_map(base, group, labels), starts,
                 NEWTON_TOL * sigmas[labels], weighted, labels,
@@ -869,7 +870,7 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
             try:
                 field = _with_term(base, term)
                 rows = slice(bounds[t], bounds[t + 1])
-                outcomes.append(_field_report(field, newton, rows, *scan[:2]))
+                outcomes.append(_field_report(field, newton, rows, *scan))
             except Exception as exc:  # noqa: BLE001 - per-field isolation is the contract
                 outcomes.append(exc)
     return outcomes

@@ -213,8 +213,6 @@ def sarp_check(d: ObservationDataset) -> SarpResult:
     tie and bundle tolerances) for every consecutive pair ``i, j``.
     Permuting the observations never changes the verdict.
     """
-    if d.size == 1:
-        return SarpResult(True)
     adj, groups, weak = preference_matrix(d)
     cycle = _find_cycle(adj)
     if cycle is None:

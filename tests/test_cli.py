@@ -418,6 +418,17 @@ class TestSarpAndAudit:
         assert main([command, "--input", str(path), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty dataset file"), ("p1,p2,x1,x2\n", "dataset has a header but no rows")],
+        ids=["empty", "header-only"],
+    )
+    def test_sarp_without_rows_exits_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        assert main(["sarp", "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"input error: {path}: {message}"]
+
     def test_audit_reports_scaled_consumers(self, tmp_path):
         econ = wk.Economy(
             (

@@ -1,0 +1,57 @@
+"""Input contracts that the rest of the suite never reaches: each input is
+refused with its own message."""
+
+import re
+
+import numpy as np
+import pytest
+
+import walraskit as wk
+
+TWO_GOODS = wk.Consumer([0.5, 0.5], [1.0, 1.0])
+BASE = wk.PricePoint([0.5, 0.5])
+
+REFUSED = [
+    (lambda: wk.Consumer([0.5, 0.5], [1.0, 1.0, 1.0]), "alpha and endowment must be 1-d vectors of equal length"),
+    (lambda: wk.Economy(()), "an economy needs at least one consumer"),
+    (
+        lambda: wk.Economy((TWO_GOODS, wk.Consumer([0.2, 0.3, 0.5], [1.0, 1.0, 1.0]))),
+        "all consumers must trade the same number of goods",
+    ),
+    (lambda: wk.CanonicalFamily([1.0]), "alpha must be a vector of length >= 2"),
+    (lambda: wk.build_continuum_economy((0.4, 0.6), grid=4), "grid needs at least 5 points"),
+    (
+        lambda: wk.genericity_experiment(wk.Economy((TWO_GOODS,)), wk.PerturbationSpec(1e-3), trials=0),
+        "at least one trial is required",
+    ),
+    (lambda: wk.PricePoint([1.0]), "price point needs a 1-d vector of length >= 2"),
+    (lambda: wk.PricePoint([0.5, 0.5], "polar"), "unknown frame 'polar'"),
+    (lambda: wk.ChartPoint([]), "chart point needs a 1-d vector of length >= 1"),
+    (lambda: wk.ChartPoint([np.nan]), "chart coordinates must be finite"),
+    (lambda: wk.TangentVector(BASE, [1.0, -1.0, 0.0]), "tangent components must match the base dimension"),
+    (lambda: wk.tangent_project(BASE, [1.0, -1.0, 0.0]), "vector dimension must match the price dimension"),
+    (lambda: wk.scaled_field_audit(TWO_GOODS, []), "at least one sample price is required"),
+    (lambda: wk.BumpScale((0.5,), 0.0), "bump radius must be positive"),
+    (lambda: wk.BumpScale((0.5,), 0.2, height=-1.0, floor=-0.5), "bump scale must be positive somewhere"),
+    (lambda: wk.SampledScale([[0.2], [0.2], [0.6]], [1.0, 2.0, 3.0]), "sampled grid points must be distinct"),
+    (lambda: wk.SampledScale([[0.2], [0.4], [0.6]], [1.0, 2.0]), "grid and values must have the same length"),
+    (
+        lambda: wk.KernelSampledScale([[0.2], [0.4], [0.6]], [1.0, 2.0, 3.0], good=0, share=1.0, level=1.0),
+        "share must lie strictly between 0 and 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    REFUSED,
+    ids=[
+        "consumer-lengths", "empty-economy", "mixed-goods", "one-good-family", "continuum-grid-4",
+        "no-trials", "one-price", "polar-frame", "empty-chart-point", "nan-chart-point",
+        "tangent-length", "project-length", "audit-no-samples", "bump-radius-0", "bump-nowhere-positive",
+        "sampled-repeated-node", "sampled-value-short", "kernel-share-1",
+    ],
+)
+def test_refused_with_its_message(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

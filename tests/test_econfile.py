@@ -579,6 +579,25 @@ class TestEconomyReader:
         assert outcome(wk.load_economy, path) == outcome(load_with_yaml, path)
 
 
+    def test_a_file_without_its_final_line_break_is_read_by_yaml(self, tmp_path, monkeypatch):
+        text = self.KERNEL_ECONOMY.rstrip("\n")
+        with pytest.raises(ValueError, match="^the text does not end with a line break$"):
+            _read_economy_yaml(text)
+        path = tmp_path / "eco.yaml"
+        path.write_text(text, newline="")
+        calls = []
+        load = yaml.load
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(yaml, "load", spy)
+        econ = wk.load_economy(path)
+        assert calls == [text]
+        assert economy_to_dict(econ) == economy_to_dict(economy_from_dict(_read_economy_yaml(self.KERNEL_ECONOMY)))
+
+
 class TestDatasetFiles:
     def test_round_trip(self, tmp_path, rng):
         c = wk.Consumer([0.4, 0.6], [1, 1])

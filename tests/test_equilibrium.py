@@ -60,9 +60,9 @@ def _lattice_starts(field, density=50):
     """The Newton starts of a solve of ``field`` at ``grid_density=density``."""
     C, per_dim, _ = equilibrium._scan_grid(field.dim)
     P, Z = (a[None] for a in field.full_values(C))
-    scans = equilibrium._scan_reports(C, per_dim, P, Z)
+    sigmas = np.array([sigma for sigma, _ in equilibrium._scan_reports(C, per_dim, P, Z)])
     m = _lattice(field, density)[1]
-    return equilibrium._starts(field, [None], field.price_weighted, m, P, Z, scans)[0]
+    return equilibrium._starts(field, [None], field.price_weighted, m, P, Z, sigmas)[0]
 
 
 def _converged(field, C):
@@ -561,6 +561,50 @@ class TestRefinedLevel:
             assert np.abs(starts - 0.99988).min() <= 1e-12
             (eq,) = wk.find_equilibria(field, wk.SolverConfig(grid_density=density)).equilibria
             assert abs(eq.chart[0] - 0.99988) <= 1e-12
+
+    @pytest.mark.parametrize("density", [50, 4001])
+    def test_a_zero_on_a_refined_vertex_of_two_goods(self, density):
+        # Half a scan spacing past a scan vertex: a vertex of the 4001 lattice.
+        x = equilibrium._axis(2001)[300] + 0.5 * equilibrium._spacing(2001)
+        economy = wk.Economy((wk.Consumer([0.5, 0.5], [1.0 - x, x]),))
+        report = wk.find_equilibria(economy, wk.SolverConfig(grid_density=density))
+        (eq,) = report.equilibria
+        assert abs(eq.chart[0] - x) <= 1e-12
+        assert (eq.regularity, report.index_check) == ("regular", "ok")
+
+    @pytest.mark.parametrize("goods", [3, 4])
+    def test_a_zero_on_a_refined_vertex_that_the_scan_grid_lacks(self, goods):
+        n, m = _lattice(wk.chart_field(lambda C: C, goods=goods))
+        # One refined spacing past the scan vertex nearest (0.2, 0.3, 0.25).
+        K = np.rint(np.array([0.2, 0.3, 0.25])[: goods - 1] * (n - 1) / m).astype(int) * m + 1
+        c = equilibrium._axis(n)[K]
+        p = np.append(c, 1.0 - c.sum())
+        alpha = np.linspace(1.0, 2.0, goods) / np.linspace(1.0, 2.0, goods).sum()
+        # One consumer: the equilibrium is alpha / endowment, normalised.
+        (eq,) = wk.find_equilibria(wk.Economy((wk.Consumer(alpha, alpha / p),))).equilibria
+        assert np.abs(eq.chart - c).max() <= 1e-12
+
+    def test_a_degenerate_zero_whose_hits_cover_refined_vertices(self):
+        # Its hits, |z| <= 1e-9 sigma, reach about 8e-4 from z, past the
+        # refined vertex at most 6e-5 away, and no simplex or minimum is left.
+        z = np.array([0.2, 0.3, 0.25])
+        field = wk.chart_field(lambda C: -((C - z) ** 3), goods=4)
+        (eq,) = wk.find_equilibria(field).equilibria
+        band = (NEWTON_TOL * equilibrium._scan(field)[0]) ** (1.0 / 3.0)
+        assert np.abs(eq.chart - z).max() <= band
+        assert eq.regularity == "critical"
+
+    def test_a_zero_inside_a_shared_simplex_face_is_reported_once(self):
+        # c0 = c1 is the face shared by the two Freudenthal simplices of a
+        # cell, so both hold the zero and Newton merges their starts.
+        spacing = equilibrium._spacing(45)
+        mid = equilibrium._axis(45)[14] + 0.5 * spacing
+        field = wk.chart_field(lambda C: np.column_stack([C[:, 1] - C[:, 0], 2 * mid - C.sum(axis=1)]), goods=3)
+        report = wk.find_equilibria(field, wk.SolverConfig(grid_density=120))
+        (eq,) = report.equilibria
+        assert np.abs(eq.chart - mid).max() <= 1e-12
+        assert eq.regularity == "regular"
+        assert report.stats.dedup_merges == report.stats.converged - 1
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_the_scan_grid_is_c_ordered(self, dim):

@@ -119,6 +119,14 @@ class TestSarpCheck:
         ds = wk.ObservationDataset([[1, 1]], [[1, 1]])
         assert wk.sarp_check(ds).passed
 
+    def test_one_observation_takes_the_general_path(self):
+        # One bundle group: it reveals only itself, and the graph has no edge.
+        ds = wk.ObservationDataset([[0.2, 0.3, 0.5]], [[0.0, 4.0, 1.0]])
+        adj, groups, weak = preference_matrix(ds)
+        assert (adj.tolist(), groups.tolist(), weak.tolist()) == ([[False]], [0], [[True]])
+        assert _find_cycle(adj) is None
+        assert wk.sarp_check(ds) == wk.SarpResult(True)
+
     def test_identical_bundles_never_violate(self):
         ds = wk.ObservationDataset([[1, 1], [2, 1], [1, 3]], [[1, 1], [1, 1], [1, 1]])
         assert wk.sarp_check(ds).passed
