@@ -19,19 +19,21 @@ the unit of one good (``x_j * s`` with ``p_j / s``) changes neither the
 verdict nor the cycle.
 
 For ``T`` observations the check costs ``O(T^2)`` time and ``O(T^2)``
-bytes, and makes no ``T x T`` float array.  The product ``P X^T`` is
-formed ``ROW_BLOCK`` rows at a time into one reused buffer, and each block
-is compared with its rows' spending while it is still in cache, giving the
-boolean relation, one byte per pair.  A sweep along the first bundle
-coordinate groups the bundles, and an OR-reduction by group gives the
-group relation (a copy of the relation when no bundle repeats).  The nodes
-without an incoming edge are then peeled level by level, counting
-in-degrees in ``uint8``; an empty remainder proves the relation acyclic.
-Otherwise a mutual pair, if any, is the cycle: the upper triangle is
-tested in ``TILE x TILE`` tiles against the transpose of their mirror
-tiles, stopping at the first band of rows that holds one.  Failing that,
-the strong-component search and the BFS for the shortest cycle (scipy's)
-run on the remainder only.
+bytes, and makes no ``T x T`` float array.  The relation is built
+transposed, ``rev[j, i] = (p^i . x^j <= bound_i)``: the product ``X P^T``
+is formed ``ROW_BLOCK`` rows at a time into one reused buffer, and each
+block is compared with the whole vector of spending bounds while it is
+still in cache, giving the boolean relation, one byte per pair; the
+relations are returned as transposed views.  A sweep along the first
+bundle coordinate groups the bundles, and an OR-reduction by group gives
+the group relation (a copy of the relation when no bundle repeats).  In
+whichever orientation is stored by rows, the nodes without an incoming
+edge are then peeled level by level, counting in-degrees in ``uint8``; an
+empty remainder proves the relation acyclic.  Otherwise a mutual pair, if
+any, is the cycle: the upper triangle is tested in ``TILE x TILE`` tiles
+against the transpose of their mirror tiles, stopping at the first band of
+rows that holds one.  Failing that, the strong-component search and the
+BFS for the shortest cycle (scipy's) run on the remainder only.
 
 Positive rescalings of an individual excess-demand field preserve the
 properties a consumer's excess demand must have; ``scaled_field_audit``
@@ -52,7 +54,7 @@ from .geometry import PricePoint, _greedy_cover
 TIE_TOL = 1e-10
 DISTINCT_TOL = 1e-10
 WALRAS_TOL = 1e-9
-ROW_BLOCK = 64      # rows of P X^T formed and compared at a time
+ROW_BLOCK = 64      # rows of X P^T formed and compared at a time
 TILE = 256          # side of the square tiles of the mutual-pair test
 COUNT_CHUNK = 255   # rows summed in uint8 at a time: no in-degree count wraps
 
@@ -107,30 +109,34 @@ def preference_matrix(d: ObservationDataset):
     groups (same-bundle pairs excluded), the group index of each
     observation, and the ``(T, T)`` observation relation ``weak[i, j]``
     (``x^i`` weakly revealed preferred to ``x^j``).  Groups are numbered in
-    the order of their lowest-indexed observation.
+    the order of their lowest-indexed observation.  Both matrices are
+    stored by columns, as transposes of the relations that were built.
     """
     P, X = d.prices, d.bundles
     bound = (1.0 + TIE_TOL) * np.einsum("ij,ij->i", P, X)
-    weak = np.empty((d.size, d.size), dtype=bool)
+    PT = np.ascontiguousarray(P.T)
+    # rev[j, i] = weak[i, j]: a block of rows is compared with the whole
+    # bound vector, which broadcasts along its rows.
+    rev = np.empty((d.size, d.size), dtype=bool)
     buf = np.empty((min(ROW_BLOCK, d.size), d.size))
     for s in range(0, d.size, ROW_BLOCK):
         rows = slice(s, min(s + ROW_BLOCK, d.size))
-        spend = np.matmul(P[rows], X.T, out=buf[: rows.stop - s])   # [i, j] = p^i . x^j
-        np.less_equal(spend, bound[rows, None], out=weak[rows])
+        spend = np.matmul(X[rows], PT, out=buf[: rows.stop - s])   # [j, i] = p^i . x^j
+        np.less_equal(spend, bound, out=rev[rows])
     top = X.max(axis=0)
     unit = X / np.where(top > 0.0, top, 1.0)
     owner = _greedy_cover(unit, np.arange(d.size), DISTINCT_TOL, p=np.inf)
     reps, groups = np.unique(owner, return_inverse=True)
     if reps.size == d.size:
-        adj = weak.copy()
+        adj = rev.copy().T
     else:
         # OR over the rows, then the columns, of each group's block.
         order = np.argsort(groups, kind="stable")
         first = np.searchsorted(groups[order], np.arange(reps.size))
-        rows = np.logical_or.reduceat(weak[order], first, axis=0)
-        adj = np.logical_or.reduceat(rows[:, order], first, axis=1)
+        rows = np.logical_or.reduceat(rev[order], first, axis=0)
+        adj = np.logical_or.reduceat(rows[:, order], first, axis=1).T
     np.fill_diagonal(adj, False)
-    return adj, groups, weak
+    return adj, groups, rev.T
 
 
 def _first_mutual_pair(adj: np.ndarray) -> list[int] | None:
@@ -181,10 +187,14 @@ def _find_cycle(adj: np.ndarray) -> list[int] | None:
     of a mutual pair, and every node on a cycle, survive peeling, so an
     empty remainder proves the relation acyclic.
     """
-    rest = _unpeeled(adj)
+    # Peeling the reversed graph, the nodes with no outgoing edge, also
+    # keeps every cycle node, and a mutual pair is one in either direction:
+    # both passes read whichever orientation is stored by rows.
+    rows = adj if adj.flags.c_contiguous else adj.T
+    rest = _unpeeled(rows)
     if rest.size == 0:
         return None
-    pair = _first_mutual_pair(adj)
+    pair = _first_mutual_pair(rows)
     if pair is not None:
         return pair
     from scipy.sparse import csr_matrix

@@ -21,6 +21,11 @@ ratio of the decomposition coefficient to the kernel weight (instead of the
 coefficient itself) makes the reconstructed aggregate vanish exactly, not
 just approximately, wherever the target field is flat at zero and the
 sampled ratios agree across consumers.
+
+A one-dimensional grid is interpolated by PCHIP in numpy, with per-interval
+cubic coefficients built once with the scale; its values are those of
+scipy's ``PchipInterpolator`` to the bit.  scipy is loaded only for grids of
+two or more chart dimensions (Delaunay triangulation).
 """
 
 from __future__ import annotations
@@ -161,24 +166,77 @@ def _delaunay(data: bytes, shape: tuple):
     return Delaunay(np.frombuffer(data).reshape(shape))
 
 
-def _build_interpolator(grid: np.ndarray, values: np.ndarray):
-    # scipy is loaded here, by the sampled scales alone.
-    from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator, PchipInterpolator
-    from scipy.spatial import QhullError
+def _end_slope(h0, h1, m0, m1):
+    """The one-sided three-point slope at an end node, clamped to keep the
+    shape: 0 where its sign is not that of the end secant ``m0``, and
+    ``3 m0`` where the secants change sign and it exceeds ``3 |m0|``."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
+
+def _pchip_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """PCHIP (Fritsch & Butland 1984) on increasing nodes ``x``: column
+    ``k`` of the ``(4, nodes - 1)`` table holds ``(c0, c1, c2, c3)``, the
+    cubic ``c0 s^3 + c1 s^2 + c2 s + c3`` in ``s = c - x[k]`` on
+    ``[x[k], x[k+1]]``.
+
+    Node slopes are the weighted harmonic mean of the two secants, 0 where
+    they differ in sign or either is 0, with the one-sided end rule (Moler,
+    *Numerical Computing with MATLAB*, 3.6); two nodes give a line.  Every
+    step is scipy's ``PchipInterpolator`` arithmetic, so values agree to
+    the bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        d = np.zeros_like(y)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+        # Where the secants disagree the mean may divide by zero; those
+        # slopes stay 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][smooth] = 1.0 / mean[smooth]
+        d[0] = _end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
+def _build_interpolator(grid: np.ndarray, values: np.ndarray):
     if grid.shape[1] == 1:
         x = grid[:, 0]
+        if x.size < 2:
+            raise ValueError("a 1-d sampled grid needs at least 2 points")
         order = np.argsort(x)
-        if np.any(np.diff(x[order]) <= 0.0):
+        x, y = x[order], values[order]
+        if np.any(np.diff(x) <= 0.0):
             raise ValueError("sampled grid points must be distinct")
-        interp = PchipInterpolator(x[order], values[order], extrapolate=False)
-        lo, hi = x[order][0], x[order][-1]
+        table = _pchip_table(x, y)
+        inner = x[1:-1]
 
         def call(C):
-            c = np.clip(C[:, 0], lo, hi)
-            return interp(c)
+            # Held constant beyond the end nodes.
+            c = np.clip(C[:, 0], x[0], x[-1])
+            k = np.searchsorted(inner, c, side="right")
+            s = c - x[k]
+            c0, c1, c2, c3 = table[:, k]
+            # scipy's power-sum order, not Horner's: the same bits.
+            s2 = s * s
+            return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
 
         return call
+    # scipy is loaded here, by multi-dimensional sampled grids alone.
+    from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
+    from scipy.spatial import QhullError
+
     # Scattered multi-dimensional data: piecewise-linear on the Delaunay
     # triangulation, nearest-value outside the convex hull.
     try:
@@ -226,6 +284,8 @@ class SampledScale(Scale):
             raise ValueError("grid and values must have the same length")
         if not np.all((values > 0.0) & (values < np.inf)):
             raise ValueError("sampled scale values must be finite and strictly positive")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("sampled grid points must be finite")
         grid = grid.copy()
         grid.setflags(write=False)
         values = values.copy()

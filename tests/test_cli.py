@@ -586,6 +586,26 @@ def test_sarp_loads_no_scipy(tmp_path, rng):
     assert verdict.startswith("SARP: violation: cycle (") and verdict.count(",") == 1
 
 
+def test_one_dimensional_sampled_scales_load_no_scipy(tmp_path, rng):
+    # A two-good realised economy interpolates its kernel_sampled ratios by
+    # the numpy PCHIP; only a multi-dimensional grid needs scipy.
+    realized = str(tmp_path / "cont" / "realized_economy.yaml")
+    argv = [
+        ["realize", "--continuum", "0.4", "0.6", "--out", str(tmp_path / "cont")],
+        ["experiment", "--input", realized, "--epsilon", "1e-3", "--trials", "4", "--out", str(tmp_path / "exp")],
+        ["solve", "--input", realized, "--out", str(tmp_path / "solve")],
+        ["perturb", "--input", realized, "--epsilon", "1e-3", "--out", str(tmp_path / "perturb")],
+    ]
+    codes, loaded = _run_loading_no_scipy(argv)
+    assert codes == [0] * len(argv)
+    assert loaded == []
+    wk.save_economy(tmp_path / "three.yaml", constant_scale_economy(rng, 3, 2))
+    argv = [["realize", "--input", str(tmp_path / "three.yaml"), "--grid", "30", "--out", str(tmp_path / "three")]]
+    codes, loaded = _run_loading_no_scipy(argv)
+    assert codes == [0]
+    assert "scipy.spatial" in loaded
+
+
 def _run_loading_no_scipy(argv) -> tuple:
     """Exit codes of ``main`` on each of ``argv`` in one fresh interpreter,
     and the scipy modules loaded by then."""

@@ -34,6 +34,8 @@ REFUSED = [
     (lambda: wk.BumpScale((0.5,), 0.0), "bump radius must be positive"),
     (lambda: wk.BumpScale((0.5,), 0.2, height=-1.0, floor=-0.5), "bump scale must be positive somewhere"),
     (lambda: wk.SampledScale([[0.2], [0.2], [0.6]], [1.0, 2.0, 3.0]), "sampled grid points must be distinct"),
+    (lambda: wk.SampledScale([[0.2]], [1.0]), "a 1-d sampled grid needs at least 2 points"),
+    (lambda: wk.SampledScale([[0.2], [np.nan], [0.6]], [1.0, 2.0, 3.0]), "sampled grid points must be finite"),
     (lambda: wk.SampledScale([[0.2], [0.4], [0.6]], [1.0, 2.0]), "grid and values must have the same length"),
     (
         lambda: wk.KernelSampledScale([[0.2], [0.4], [0.6]], [1.0, 2.0, 3.0], good=0, share=1.0, level=1.0),
@@ -49,7 +51,7 @@ REFUSED = [
         "consumer-lengths", "empty-economy", "mixed-goods", "one-good-family", "continuum-grid-4",
         "no-trials", "one-price", "polar-frame", "empty-chart-point", "nan-chart-point",
         "tangent-length", "project-length", "audit-no-samples", "bump-radius-0", "bump-nowhere-positive",
-        "sampled-repeated-node", "sampled-value-short", "kernel-share-1",
+        "sampled-repeated-node", "sampled-one-node", "sampled-nan-node", "sampled-value-short", "kernel-share-1",
     ],
 )
 def test_refused_with_its_message(build, message):

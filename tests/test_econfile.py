@@ -147,6 +147,22 @@ class TestEconomyFiles:
             economy_from_dict(data)
         assert str(info.value) == f"consumer 1: invalid scale: {message}"
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([[0.5]], "a 1-d sampled grid needs at least 2 points"),
+            ([[0.5], [0.1], [0.5]], "sampled grid points must be distinct"),
+        ],
+        ids=["one-node", "repeated-node"],
+    )
+    def test_a_short_or_repeated_grid_is_refused(self, grid, message):
+        # A single node once ended in scipy's own message.
+        scale = {"type": "sampled", "grid": grid, "values": [1.0] * len(grid)}
+        data = {"goods": 2, "consumers": [{"alpha": [0.3, 0.7], "endowment": [1.0, 0.5], "scale": scale}]}
+        with pytest.raises(EconomyFormatError) as info:
+            economy_from_dict(data)
+        assert str(info.value) == f"consumer 0: invalid scale: {message}"
+
     def test_polynomial_powers_may_be_fewer_than_the_chart_dimensions(self):
         # The default polynomial scale lists one power whatever the goods.
         data = {

@@ -338,6 +338,18 @@ class TestDensePasses:
             adj[i, j] = adj[j, i] = i != j
             assert _find_cycle(adj) == _sparse_find_cycle(adj)
 
+    def test_either_storage_order_gives_the_same_cycle(self, rng):
+        # preference_matrix returns its relations as transposed views, and
+        # _find_cycle peels and pairs whichever orientation is stored by rows.
+        longer = 0
+        for _ in range(3000):
+            kind = ("any", "oriented", "downstream")[int(rng.integers(3))]
+            adj = _random_digraph(rng, int(rng.integers(3, 40)), kind)
+            cycle = _find_cycle(np.ascontiguousarray(adj))
+            assert _find_cycle(np.asfortranarray(adj)) == cycle
+            longer += cycle is not None and len(cycle) > 2
+        assert longer > 500   # cycles from the strong-component search
+
     def test_in_degrees_past_a_byte(self):
         # A complete order, where node k has k incoming edges, then one back
         # edge that closes a two-cycle with the last node.

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 import walraskit as wk
-from walraskit.scales import _delaunay, scale_from_dict
+from walraskit.scales import _delaunay, _pchip_table, scale_from_dict
 from support import random_economy
 
 
@@ -158,6 +159,72 @@ class TestVocabulary:
         # another grid gets its own triangulation
         wk.SampledScale(rng.dirichlet(np.ones(3), size=30)[:, :-1], np.ones(30))
         assert _delaunay.cache_info().misses == 2
+
+
+class TestPchip:
+    """A 1-d sampled scale is scipy's ``PchipInterpolator`` to the bit,
+    held constant beyond the end nodes."""
+
+    @staticmethod
+    def check(rng, x, y):
+        scale = wk.SampledScale(x[:, None], y)
+        order = np.argsort(x)
+        xs, ys = x[order], y[order]
+        reference = PchipInterpolator(xs, ys, extrapolate=False)
+        q = np.concatenate(
+            [
+                xs,
+                (xs[1:] + xs[:-1]) / 2,
+                rng.uniform(xs[0], xs[-1], 200),
+                xs[0] - rng.uniform(0.0, xs[0], 20),
+                xs[-1] + rng.uniform(0.0, 1.0 - xs[-1], 20),
+            ]
+        )
+        got = scale(np.column_stack([q, 1.0 - q]))
+        assert np.array_equal(got, reference(np.clip(q, xs[0], xs[-1])))
+        # Exact at every node but the last, which closes the last cubic, as
+        # in scipy: a few units in the last place at most.
+        assert np.array_equal(got[: xs.size - 1], ys[:-1])
+        assert abs(got[xs.size - 1] - ys[-1]) <= 8 * np.spacing(ys[-1])
+
+    @pytest.mark.parametrize("values", ["random", "monotone", "plateaus"])
+    def test_random_nodes_match_scipy_bit_for_bit(self, rng, values):
+        for _ in range(40):
+            n = int(rng.integers(2, 401))
+            x = rng.uniform(0.02, 0.98, n)   # unsorted
+            y = rng.uniform(0.5, 3.0, n)
+            if values == "monotone":
+                y = np.sort(y)[:: rng.choice([-1, 1])][np.argsort(np.argsort(x))]
+            elif values == "plateaus":
+                y = np.round(y) + 0.5
+            self.check(rng, x, y)
+
+    @pytest.mark.parametrize(
+        "x, y, branch",
+        [
+            ([0.1, 0.2], [1.0, 2.0], "line"),
+            ([0.1, 0.2, 0.3], [1.0, 2.0, 2.5], "three-point"),
+            ([0.1, 0.2, 0.3], [1.0, 1.1, 3.0], "zero"),
+            ([0.1, 0.2, 0.3], [1.0, 1.0, 2.0], "zero"),
+            ([0.1, 0.3, 0.35], [1.0, 2.0, 1.0], "three-secants"),
+            ([0.1, 0.2, 0.3], [1.0, 2.0, 1.5], "three-point"),
+        ],
+    )
+    @pytest.mark.parametrize("mirror", [False, True], ids=["left", "right"])
+    def test_each_end_rule_matches_scipy(self, rng, x, y, branch, mirror):
+        x, y = np.asarray(x), np.asarray(y)
+        secant = (y[1] - y[0]) / (x[1] - x[0])
+        slope = _pchip_table(x, y)[2, 0]
+        if branch == "zero":
+            assert slope == 0.0
+        elif branch == "three-secants":
+            assert slope == 3.0 * secant
+        elif branch == "line":
+            assert slope == secant
+        else:
+            assert slope not in (0.0, 3.0 * secant, secant)
+        # Mirrored, the same shape meets the end rule at the right end.
+        self.check(rng, 1.0 - x if mirror else x, y)
 
 
 class TestSerialisation:
