@@ -76,14 +76,19 @@ def _report_equilibria(report, lines: list[str]) -> None:
     )
 
 
-def _cmd_solve(args, out_dir: Path) -> int:
-    economy = load_economy(args.input)
-    report = find_equilibria(economy, SolverConfig(args.grid))
-    write_equilibria_csv(out_dir / "equilibria.csv", report, economy.goods)
-    lines = [f"solve: {args.input}", f"goods: {economy.goods}, consumers: {len(economy.consumers)}"]
+def _solve_field(args, out_dir: Path, field, lines: list[str]) -> int:
+    """Solve ``field``, write ``equilibria.csv`` and report below ``lines``."""
+    report = find_equilibria(field, SolverConfig(args.grid))
+    write_equilibria_csv(out_dir / "equilibria.csv", report, field.goods)
     _report_equilibria(report, lines)
     _write_report(out_dir, lines)
     return 0
+
+
+def _cmd_solve(args, out_dir: Path) -> int:
+    economy = load_economy(args.input)
+    header = [f"solve: {args.input}", f"goods: {economy.goods}, consumers: {len(economy.consumers)}"]
+    return _solve_field(args, out_dir, economy_field(economy), header)
 
 
 def _decomposition_grid(goods: int, n: int, seed: int) -> np.ndarray:
@@ -161,16 +166,8 @@ def _perturbation_spec(args) -> PerturbationSpec:
 def _cmd_perturb(args, out_dir: Path) -> int:
     economy = load_economy(args.input)
     spec = _perturbation_spec(args)
-    field = perturb(economy, spec)
-    report = find_equilibria(field, SolverConfig(args.grid))
-    write_equilibria_csv(out_dir / "equilibria.csv", report, economy.goods)
-    lines = [
-        f"perturb: {args.input}",
-        f"basis: {spec.basis}, epsilon: {_fmt(spec.epsilon)}, seed: {spec.seed}",
-    ]
-    _report_equilibria(report, lines)
-    _write_report(out_dir, lines)
-    return 0
+    header = [f"perturb: {args.input}", f"basis: {spec.basis}, epsilon: {_fmt(spec.epsilon)}, seed: {spec.seed}"]
+    return _solve_field(args, out_dir, perturb(economy, spec), header)
 
 
 def _cmd_experiment(args, out_dir: Path) -> int:

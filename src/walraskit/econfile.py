@@ -21,22 +21,22 @@ block collections, except that a list or mapping of scalars is written in
 flow style and wrapped past column 80.  A file in that layout is read by a
 direct reader that returns what PyYAML's safe loader returns for it; any
 other file is read with ``yaml.load``, with libyaml's parser when PyYAML has
-it.  Floats are emitted with Python repr (shortest exact form) in YAML and
-with 17 significant digits in CSV tables, so written files re-parse to
-equivalent objects and repeated runs are byte-identical.
+it, and only such a file imports PyYAML.  Floats are emitted with Python
+repr (shortest exact form) in YAML and with 17 significant digits in CSV
+tables, so written files re-parse to equivalent objects and repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 import operator
 import re
 from pathlib import Path
 
 import numpy as np
-import yaml
-from yaml.constructor import SafeConstructor
 
 from .consumers import Consumer, Economy
 from .equilibrium import EquilibriumReport
@@ -45,10 +45,6 @@ from .revealed import ObservationDataset
 from .scales import _number, scale_from_dict
 
 FLOAT_FMT = "%.17g"
-
-# The libyaml parser when PyYAML was built with it; the pure-Python class
-# reads the same text, only slower.
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class EconomyFormatError(ValueError):
@@ -263,11 +259,11 @@ _FLOAT_TEXT = r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?"
 _FLOAT = re.compile(_FLOAT_TEXT)
 _FLOAT_FLOW = re.compile(rf"\[{_FLOAT_TEXT}(?:, {_FLOAT_TEXT})*\]")
 _INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
-# The values of PyYAML's constructor, NaN bits included.
+# SafeConstructor's values, bit for bit: its NaN is inf - inf, not float("nan").
 _FLOAT_WORD_VALUES = {
-    ".inf": SafeConstructor.inf_value,
-    "-.inf": -SafeConstructor.inf_value,
-    ".nan": SafeConstructor.nan_value,
+    ".inf": math.inf,
+    "-.inf": -math.inf,
+    ".nan": math.inf - math.inf,
 }
 # Indent, one "- " per block sequence opened on the line, a key, the rest.
 _LINE = re.compile(r"( *)((?:- )*)(?:([A-Za-z_][A-Za-z0-9_]*):(?:$| (?=[^ ])))?(.*)")
@@ -376,8 +372,11 @@ def load_economy(path) -> Economy:
     try:
         data = _read_economy_yaml(text)
     except (ValueError, RecursionError):  # deeper nesting than _block can recurse
+        import yaml  # only for text outside the emitter's layout
+
         try:
-            data = yaml.load(text, Loader=YAML_LOADER)
+            # libyaml's parser when PyYAML has it: the same values, faster.
+            data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise EconomyFormatError(f"{path}: not valid YAML: {exc}") from exc
     return economy_from_dict(data)

@@ -5,21 +5,22 @@ list of chart-map terms (``None``, or a perturbation added to the base
 chart map) and evaluates each field once on the continuum scan grid, the
 coarse level of a Kuhn lattice.  A level is a set of patches, cubes of
 lattice indices in the chart region (``_interior``), over stacked
-``(field, point)`` rows, and one routine reads its starts
-(``_level_starts``): the zero of the piecewise-linear interpolant of the
-Newton map in every Freudenthal simplex that holds one (Scarf's
-simplicial method, restarted on a finer mesh as in Eaves 1972), every
-lattice point whose residual is least in the box of its neighbours, and
-the lowest-residual point of each cluster of near-zero points.  The scan
-grid is one patch per field.  When it is coarser than the target spacing
-``_spacing(grid_density)``, its cells that can hold a zero are refined in
-one step into patches of ``m`` subdivisions per axis, the fewest that
-reach the target, evaluated in one call (``_refine``), and the refined
-level gives the starts.  Damped Newton iteration in chart coordinates
-(``_newton_multistart``) runs over them, merging starts that converge
-together, and on a refined level once more between and beyond every two
-close zeros of a field (``_restart_between``).  :func:`find_equilibria`
-is its one-field case and the genericity experiment its many-field case.
+``(field, point)`` rows.  One routine lays out both levels (``_layout``),
+and one reads a level's starts (``_level_starts``): the zero of the
+piecewise-linear interpolant of the Newton map in every Freudenthal
+simplex that holds one (Scarf's simplicial method, restarted on a finer
+mesh as in Eaves 1972), every lattice point whose residual is least in the
+box of its neighbours, and the lowest-residual point of each cluster of
+near-zero points.  The scan grid is one patch per field.  When it is
+coarser than the target spacing ``_spacing(grid_density)``, its cells that
+can hold a zero are refined in one step into patches of ``m``
+subdivisions per axis, the fewest that reach the target, evaluated in one
+call (``_refine``), and the refined level gives the starts.  Damped Newton
+iteration in chart coordinates (``_newton_multistart``) runs over them,
+merging starts that converge together, and on a refined level once more
+between and beyond every two close zeros of a field
+(``_restart_between``).  :func:`find_equilibria` is its one-field case
+and the genericity experiment its many-field case.
 
 The aggregate excess demand ``z`` of an economy (a field marked
 ``price_weighted``, with no term) is solved on the price-weighted field
@@ -196,24 +197,36 @@ def _axis(density: int) -> np.ndarray:
     return axis
 
 
-@lru_cache(maxsize=16)
-def _region_rows(dim: int, density: int) -> np.ndarray:
-    """The row of each point of the lattice of ``density`` points per axis
-    among its points in the chart region, in index order, and -1 for a
-    point outside; read-only, since every caller shares it."""
-    inside = _interior(_axis(density)[np.indices((density,) * dim).reshape(dim, -1).T])
-    rows = np.where(inside, np.cumsum(inside) - 1, -1).reshape((density,) * dim)
-    rows.setflags(write=False)
-    return rows
+def _layout(field: np.ndarray, corner: np.ndarray, n: int, m: int) -> tuple:
+    """The level of the cells with corners ``corner`` on the lattice of ``n``
+    points per axis, of the fields ``field``, each refined into a patch of
+    ``m`` subdivisions per axis: the keys (ascending), fields and chart rows
+    of its points in the chart region, a point that patches share once, and
+    its ``n``, ``vertex``, ``field`` and ``corner`` (``_level_starts``)."""
+    d = corner.shape[1]
+    n = (n - 1) * m + 1
+    offsets = np.indices((m + 1,) * d).reshape(d, -1).T @ (n ** np.arange(d - 1, -1, -1))
+    corner = corner * m
+    corners = field * n**d + np.ravel_multi_index(tuple(corner.T), (n,) * d)
+    keys, vertex = np.unique(corners[:, None] + offsets, return_inverse=True)
+    labels, K = np.divmod(keys, n**d)
+    C = _axis(n)[np.column_stack(np.unravel_index(K, (n,) * d))]
+    inside = _interior(C)
+    rows = np.where(inside, np.cumsum(inside) - 1, -1)
+    vertex = rows[vertex].reshape((len(corners),) + (m + 1,) * d)
+    return keys[inside], labels[inside], C[inside], n, vertex, field, corner
 
 
 @lru_cache(maxsize=16)
-def _start_grid(dim: int, density: int) -> np.ndarray:
-    """The points of the lattice of ``density`` points per axis in the
-    chart region, in index order; read-only, since every caller shares it."""
-    C = _axis(density)[np.column_stack(np.nonzero(_region_rows(dim, density) >= 0))]
-    C.setflags(write=False)
-    return C
+def _scan_level(dim: int, density: int) -> tuple:
+    """The lattice of ``density`` points per axis as a level of one patch,
+    the single cell of the 2-point lattice refined by ``density - 1``
+    (``_layout``): its chart rows in index order, ``density``, keys and
+    ``vertex``; read-only, since every caller shares them."""
+    keys, _, C, n, vertex, *_ = _layout(np.zeros(1, dtype=int), np.zeros((1, dim), dtype=int), 2, density - 1)
+    for a in (C, keys, vertex):
+        a.setflags(write=False)
+    return C, n, keys, vertex
 
 
 def _stencil(C: np.ndarray, fractions=(1.0,)) -> tuple:
@@ -397,12 +410,18 @@ def _merge_converged(C, zres, active, owner, tol, labels: np.ndarray) -> None:
     cand = np.flatnonzero(active & (zres <= tol))
     if cand.size < 2:
         return
-    # Fields lie one unit apart on an extra axis, beyond the radius.
-    X = np.column_stack([C[cand], labels[cand]])
+    X = _apart(C[cand], labels[cand])
     cover = cand[_greedy_cover(X, np.argsort(zres[cand], kind="stable"), DEDUP_RADIUS, p=2)]
     merged = cover != cand
     owner[cand[merged]] = cover[merged]
     active[cand[merged]] = False
+
+
+def _apart(C: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The rows ``C`` with their fields ``labels`` on an extra last axis, two
+    units apart: beyond every radius of a near-row search over stacked
+    fields (``DEDUP_RADIUS``, 1.5 scan spacings, ``_restart_between``'s)."""
+    return np.column_stack([C, 2.0 * labels])
 
 
 def _dedup(C: np.ndarray, res: np.ndarray, radius: float):
@@ -475,12 +494,12 @@ def _fit_orders(s: np.ndarray, G: np.ndarray, sigma: float) -> list:
     return [int(k) or None for k in first]
 
 
-def _chart_coords(c) -> np.ndarray:
-    if isinstance(c, ChartPoint):
-        return c.coords
+def _chart_row(c) -> np.ndarray:
+    """The chart row, ``(1, d)``, of a price point or of a chart point given
+    as a ``ChartPoint`` or as raw coordinates, which ``ChartPoint`` checks."""
     if isinstance(c, PricePoint):
-        return c.simplex_coords()[:-1]
-    return np.atleast_1d(np.asarray(c, dtype=float))
+        return c.simplex_coords()[None, :-1]
+    return (c if isinstance(c, ChartPoint) else ChartPoint(c)).coords[None, :]
 
 
 def classify(field_or_economy, p):
@@ -494,8 +513,7 @@ def classify(field_or_economy, p):
     evaluates the field on the scan grid, for ``sigma``, and on the probe rows.
     """
     field = as_field(field_or_economy)
-    C = _chart_coords(p)[None, :]
-    _, regular, index, _ = _classify_rows(field, C, _scan(field)[0])
+    _, regular, index, _ = _classify_rows(field, _chart_row(p), _scan(field)[0])
     return (REGULAR if regular[0] else CRITICAL), int(index[0])
 
 
@@ -513,8 +531,7 @@ def multiplicity_estimate(field_or_economy, p) -> int | None:
     field = as_field(field_or_economy)
     if field.goods != 2:
         raise ValueError("multiplicity estimation is implemented for two goods only")
-    C = _chart_coords(p)[None, :1]
-    return _classify_rows(field, C, _scan(field)[0], fit=True)[3][0]
+    return _classify_rows(field, _chart_row(p), _scan(field)[0], fit=True)[3][0]
 
 
 def chart_jacobian(field_or_economy, c) -> np.ndarray:
@@ -526,7 +543,7 @@ def chart_jacobian(field_or_economy, c) -> np.ndarray:
     the probe that classifies zeros, and evaluates the field twice.
     """
     field = as_field(field_or_economy)
-    _, J, consistent, _ = _probe_rows(field, _chart_coords(c)[None, :], _scan(field)[0])
+    _, J, consistent, _ = _probe_rows(field, _chart_row(c), _scan(field)[0])
     if not consistent[0]:
         raise JacobianConsistencyError(
             "finite-difference Jacobian is step-size dependent at this point"
@@ -550,27 +567,26 @@ def continuum_detector(field_or_economy) -> ContinuumReport:
 
 
 def _spacing(density: int) -> float:
-    """Spacing of the chart grid ``_start_grid(dim, density)``."""
+    """Spacing of the lattice of ``density`` points per axis (``_axis``)."""
     return (1.0 - 2 * BOUNDARY_MARGIN) / (density - 1)
 
 
 def _scan_grid(dim: int) -> tuple:
-    """The continuum scan grid, its points per axis and the row of each of
-    its lattice indices (``_region_rows``); ``ValueError`` when its
-    ``per_dim**dim`` grid would exceed ``MAX_SCAN_POINTS``."""
+    """The continuum scan grid as a level (``_scan_level``); ``ValueError``
+    when its ``per_dim**dim`` grid would exceed ``MAX_SCAN_POINTS``."""
     per_dim = max(11, int(round(CONTINUUM_SCAN_POINTS ** (1.0 / dim))))
     if per_dim**dim > MAX_SCAN_POINTS:
         raise ValueError(
             f"continuum scan grid of {per_dim}^{dim} points is too large "
             f"(limit {MAX_SCAN_POINTS} points)"
         )
-    return _start_grid(dim, per_dim), per_dim, _region_rows(dim, per_dim)
+    return _scan_level(dim, per_dim)
 
 
 def _base_grid(base: TangentField) -> tuple:
     """The continuum scan grid, its points per axis and the chart values of
     ``base`` on it: the one evaluation of the base on the grid."""
-    C, per_dim, _ = _scan_grid(base.dim)
+    C, per_dim, *_ = _scan_grid(base.dim)
     return C, per_dim, base.chart_values(C)
 
 
@@ -593,26 +609,29 @@ def _scan(field: TangentField, grid: tuple | None = None) -> tuple:
     scan grid (``grid``, its ``_base_grid``, when the caller has made it);
     ``sigma`` is 0 with no finite row."""
     grid = _base_grid(field) if grid is None else grid
-    return _scan_reports(grid[0], grid[1], *_evaluate_grid(grid, [None]))[0]
+    sigmas, _, reports = _scan_reports(grid[0], grid[1], *_evaluate_grid(grid, [None]))
+    return float(sigmas[0]), reports[0]
 
 
-def _scan_reports(C: np.ndarray, per_dim: int, P: np.ndarray, Z: np.ndarray) -> list:
-    """``_scan``'s result for each field of the evaluation ``P, Z`` of its
-    grid ``C``."""
-    zres = np.linalg.norm(Z, axis=2)
+def _scan_reports(C: np.ndarray, per_dim: int, P: np.ndarray, Z: np.ndarray) -> tuple:
+    """The scales ``sigma`` of the fields of the evaluation ``P, Z`` of their
+    scan grid ``C`` (``(fields, points, goods)``), their hits
+    (``|z| <= CONTINUUM_RESIDUAL_TOL * sigma``, ``(fields, points)``) and
+    their ``ContinuumReport``s: the one pass over the scan rows."""
     wres = np.linalg.norm(P * Z, axis=2)
-    out = []
-    for z, w in zip(zres, wres):
-        sigma = float(w[np.isfinite(w)].max(initial=0.0))
-        hits, labels = _hit_clusters(C, z <= CONTINUUM_RESIDUAL_TOL * sigma, _spacing(per_dim))
+    sigmas = np.where(np.isfinite(wres), wres, 0.0).max(axis=1)
+    hit = np.linalg.norm(Z, axis=2) <= CONTINUUM_RESIDUAL_TOL * sigmas[:, None]
+    reports = []
+    for h in hit:
+        hits, labels = _hit_clusters(C, h, _spacing(per_dim))
         component = _largest_grid_cluster(hits, labels)
         fired = component.size >= CONTINUUM_RUN_REQUIRED
         box = None
         if fired:
             lo, hi = C[component].min(axis=0), C[component].max(axis=0)
             box = (float(lo[0]), float(hi[0])) if C.shape[1] == 1 else (lo, hi)
-        out.append((sigma, ContinuumReport(fired, box, int(hits.size))))
-    return out
+        reports.append(ContinuumReport(fired, box, int(hits.size)))
+    return sigmas, hit, reports
 
 
 def _hit_clusters(C: np.ndarray, hit: np.ndarray, spacing: float) -> tuple:
@@ -634,28 +653,28 @@ def _subdivisions(per_dim: int, density: int) -> int:
     return -(-(density - 1) // (per_dim - 1))
 
 
-def _starts(base: TangentField, terms: list, weighted: bool, m: int, P, Z, sigmas) -> tuple:
+def _starts(base: TangentField, terms: list, weighted: bool, m: int, P, Z, hit, sigmas) -> tuple:
     """The Newton starts of ``base`` plus each chart-map term, and the field
     of each start (non-decreasing), from the fields' simplex and full rows
     ``P, Z`` on the scan grid (shaped ``(fields, points, goods)``), their
-    scales ``sigmas`` and the solve's ``_subdivisions`` ``m``.
+    hits and scales ``sigmas`` (``_scan_reports``) and the solve's
+    ``_subdivisions`` ``m``.
 
     The scan grid, read on the Newton map (``p * z`` when ``weighted``, else
     ``z``), is a level of one patch per field; with ``m > 1`` its flagged
     cells are refined.  A field's starts are those of the finest level
     (``_level_starts``).
     """
-    C, per_dim, rows = _scan_grid(base.dim)
+    C, per_dim, keys, vertex = _scan_grid(base.dim)
     F, N, d = len(terms), len(C), base.dim
     field = np.arange(F)
     W = (P * Z if weighted else Z).reshape(F * N, -1)
-    hit = (np.linalg.norm(Z, axis=2) <= CONTINUUM_RESIDUAL_TOL * sigmas[:, None]).ravel()
     # The scan grid as one patch per field, its rows stacked field by field.
-    keys = (field[:, None] * per_dim**d + np.flatnonzero(rows >= 0)).ravel()
-    vertex = np.where(rows >= 0, rows + N * field.reshape((F,) + (1,) * d), -1)
+    keys = (field[:, None] * per_dim**d + keys).ravel()
+    vertex = np.where(vertex >= 0, vertex + N * field.reshape((F,) + (1,) * d), -1)
     refine = partial(_refine, base, terms, weighted, sigmas, m) if m > 1 else None
     corner = np.zeros((F, d), dtype=int)
-    blocks = _level_starts(W, hit, keys, per_dim, vertex, field, corner, _spacing(per_dim), refine)
+    blocks = _level_starts(W, hit.ravel(), keys, per_dim, vertex, field, corner, _spacing(per_dim), refine)
     labels = np.concatenate([f for f, _ in blocks])
     order = np.argsort(labels, kind="stable")
     return np.vstack([X for _, X in blocks])[order], labels[order]
@@ -721,36 +740,22 @@ def _level_starts(W, hit, keys, n: int, vertex, field, corner, spacing: float, r
     patch, zeros = _pl_zeros(G, vertex, corner, axis)
     blocks = [(field[patch], zeros), (labels, axis[K])]
     if hit.any():
-        # Fields lie one unit apart on an extra axis, beyond the link.
-        labels, K = np.divmod(keys, n**d)
-        X = np.column_stack([axis[np.column_stack(np.unravel_index(K, (n,) * d))], labels])
-        hits, clusters = _hit_clusters(X, hit, spacing)
-        rep = hits[_lowest_per_label(clusters, res[hits])]
-        blocks.append((labels[rep], X[rep, :-1]))
+        labels, K = np.divmod(keys[hit], n**d)
+        C = axis[np.column_stack(np.unravel_index(K, (n,) * d))]
+        rep = _lowest_per_label(_linked_components(_apart(C, labels), 1.5 * spacing), res[hit])
+        blocks.append((labels[rep], C[rep]))
     return blocks
 
 
 def _refine(base: TangentField, terms: list, weighted: bool, sigmas, m: int, field, corner, n: int) -> tuple:
-    """The level (``_level_starts``' arguments) of the cells with corners
-    ``corner`` on the lattice of ``n`` points per axis, of the fields
-    ``field`` (scales ``sigmas``), each refined into a patch of ``m``
-    subdivisions per axis.  Its points in the chart region are evaluated in
-    one call, a point that patches share once."""
-    d = corner.shape[1]
-    n = (n - 1) * m + 1
-    offsets = np.indices((m + 1,) * d).reshape(d, -1).T @ (n ** np.arange(d - 1, -1, -1))
-    corner = corner * m
-    corners = field * n**d + np.ravel_multi_index(tuple(corner.T), (n,) * d)
-    keys, vertex = np.unique(corners[:, None] + offsets, return_inverse=True)
-    labels, K = np.divmod(keys, n**d)
-    C = _axis(n)[np.column_stack(np.unravel_index(K, (n,) * d))]
-    inside = _interior(C)
-    rows = np.where(inside, np.cumsum(inside) - 1, -1)
-    keys, labels, C = keys[inside], labels[inside], C[inside]
+    """The level (``_level_starts``' arguments) that ``_layout`` makes of the
+    cells with corners ``corner`` on the lattice of ``n`` points per axis, of
+    the fields ``field`` (scales ``sigmas``), each refined into ``m``
+    subdivisions per axis, with its rows evaluated in one call."""
+    keys, labels, C, *patches = _layout(field, corner, n, m)
     P, Z = _full_rows(C, _stacked_map(base, terms, labels)(C, np.arange(len(C))))
     hit = np.linalg.norm(Z, axis=1) <= CONTINUUM_RESIDUAL_TOL * sigmas[labels]
-    vertex = rows[vertex].reshape((len(corners),) + (m + 1,) * d)
-    return (P * Z if weighted else Z), hit, keys, n, vertex, field, corner
+    return (P * Z if weighted else Z), hit, keys, *patches
 
 
 def _over_cells(op, X: np.ndarray, lead: int = 1) -> np.ndarray:
@@ -851,9 +856,8 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
         group = terms[first : first + chunk]
         try:
             P, Z = _evaluate_grid(grid, group)
-            scans = _scan_reports(scan_grid, per_dim, P, Z)
-            sigmas = np.array([scan[0] for scan in scans])
-            starts, labels = _starts(base, group, weighted, m, P, Z, sigmas)
+            sigmas, hit, reports = _scan_reports(scan_grid, per_dim, P, Z)
+            starts, labels = _starts(base, group, weighted, m, P, Z, hit, sigmas)
             newton = _newton_multistart(
                 _stacked_map(base, group, labels), starts,
                 NEWTON_TOL * sigmas[labels], weighted, labels,
@@ -866,11 +870,11 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
             outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg, grid)[0] for t in group]
             continue
         bounds = np.searchsorted(labels, np.arange(len(group) + 1))
-        for t, (term, scan) in enumerate(zip(group, scans)):
+        for t, term in enumerate(group):
             try:
                 field = _with_term(base, term)
                 rows = slice(bounds[t], bounds[t + 1])
-                outcomes.append(_field_report(field, newton, rows, *scan))
+                outcomes.append(_field_report(field, newton, rows, float(sigmas[t]), reports[t]))
             except Exception as exc:  # noqa: BLE001 - per-field isolation is the contract
                 outcomes.append(exc)
     return outcomes
@@ -892,8 +896,7 @@ def _restart_between(base, terms, weighted, newton, labels, sigmas, radius: floa
     idx = np.flatnonzero(converged)
     if idx.size < 2:
         return newton, labels
-    # Fields lie two units apart on an extra axis, beyond both radii.
-    X = np.column_stack([C[idx], 2.0 * labels[idx]])
+    X = _apart(C[idx], labels[idx])
     kept = _greedy_cover(X, np.argsort(zres[idx], kind="stable"), DEDUP_RADIUS, p=2) == np.arange(len(idx))
     idx = idx[kept]
     pairs = _close_pairs(X[kept], radius, p=2)

@@ -538,7 +538,7 @@ NO_SCIPY = """
 import json, sys
 from walraskit.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([codes, *(sorted(m for m in sys.modules if m.split(".")[0] == top) for top in ("scipy", "yaml"))]))
 """
 
 
@@ -559,6 +559,7 @@ def test_solve_perturb_and_audit_load_no_scipy(tmp_path, rng):
         ["perturb", "--input", "polynomial.yaml", "--epsilon", "0.01", "--basis", "poly:3"],
         ["audit", "--input", "polynomial.yaml"],
         ["audit", "--input", "bump.yaml"],
+        ["decompose", "--input", "polynomial.yaml"],
     ]
     argv = [[*run[:2], str(tmp_path / run[2]), *run[3:], "--out", str(tmp_path / f"out{k}")] for k, run in enumerate(runs)]
     codes, loaded = _run_loading_no_scipy(argv)
@@ -608,11 +609,15 @@ def test_one_dimensional_sampled_scales_load_no_scipy(tmp_path, rng):
 
 def _run_loading_no_scipy(argv) -> tuple:
     """Exit codes of ``main`` on each of ``argv`` in one fresh interpreter,
-    and the scipy modules loaded by then."""
+    and the scipy modules loaded by then.  Every input was written by
+    walraskit, so none may load a ``yaml`` module either: PyYAML reads only
+    files outside the emitter's layout."""
     src = str(Path(wk.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY, json.dumps(argv)], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+    codes, scipy, yaml = json.loads(proc.stdout.splitlines()[-1])
+    assert yaml == [], yaml
+    return codes, scipy

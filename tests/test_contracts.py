@@ -9,6 +9,7 @@ import pytest
 import walraskit as wk
 
 TWO_GOODS = wk.Consumer([0.5, 0.5], [1.0, 1.0])
+OUTSIDE = "chart point must satisfy coords > 0 and sum(coords) < 1"
 BASE = wk.PricePoint([0.5, 0.5])
 
 REFUSED = [
@@ -41,6 +42,13 @@ REFUSED = [
         lambda: wk.KernelSampledScale([[0.2], [0.4], [0.6]], [1.0, 2.0, 3.0], good=0, share=1.0, level=1.0),
         "share must lie strictly between 0 and 1",
     ),
+    # Raw chart coordinates of a one-point call go through ChartPoint and the chart map.
+    (lambda: wk.classify(wk.chart_field(lambda C: 0.7 - C, goods=3), [0.7, 0.7]), OUTSIDE),
+    (lambda: wk.chart_jacobian(wk.chart_field(lambda C: 0.3 - C, goods=2), [1.5]), OUTSIDE),
+    (
+        lambda: wk.multiplicity_estimate(wk.chart_field(lambda C: 0.3 - C, goods=2), [0.3, 0.1]),
+        "expected chart rows of width 1",
+    ),
 ]
 
 
@@ -52,6 +60,7 @@ REFUSED = [
         "no-trials", "one-price", "polar-frame", "empty-chart-point", "nan-chart-point",
         "tangent-length", "project-length", "audit-no-samples", "bump-radius-0", "bump-nowhere-positive",
         "sampled-repeated-node", "sampled-one-node", "sampled-nan-node", "sampled-value-short", "kernel-share-1",
+        "classify-outside", "jacobian-outside", "multiplicity-width",
     ],
 )
 def test_refused_with_its_message(build, message):

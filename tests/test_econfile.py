@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 import yaml
+from yaml.constructor import SafeConstructor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,6 @@ import walraskit as wk
 from walraskit.cli import main
 from walraskit.consumers import aed_rows
 from walraskit.econfile import (
-    YAML_LOADER,
     EconomyFormatError,
     _economy_yaml,
     _read_economy_yaml,
@@ -22,6 +22,9 @@ from walraskit.econfile import (
 )
 from walraskit.genericity import TrialRecord
 from support import edgeworth_asymmetric, observed_demand, random_interior_prices
+
+# The loader load_economy falls back to: libyaml's when PyYAML has it.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def mixed_economy():
@@ -516,6 +519,19 @@ class TestEconomyReader:
     def test_emitted_text_reads_as_yaml_reads_it(self, data):
         text = _economy_yaml(data)
         assert same_data(_read_economy_yaml(text), yaml.load(text, Loader=yaml.SafeLoader))
+
+    def test_float_words_have_the_bits_of_pyyaml_values(self):
+        # PyYAML's .nan is the NaN of an invalid operation: on x86 its sign
+        # bit is set, and float("nan")'s is not.
+        words = {
+            ".inf": SafeConstructor.inf_value,
+            "-.inf": -SafeConstructor.inf_value,
+            ".nan": SafeConstructor.nan_value,
+        }
+        for word, value in words.items():
+            got = _read_economy_yaml(f"x: {word}\ny: [{word}, 1.0]\n")
+            bits = np.array([got["x"], got["y"][0], value]).view(np.uint64)
+            assert bits[0] == bits[1] == bits[2], word
 
     def test_emitted_files_are_read_without_yaml(self, tmp_path, monkeypatch):
         econ = wk.build_continuum_economy((0.4, 0.6), grid=41)

@@ -27,7 +27,6 @@ from walraskit.equilibrium import (
     _hit_clusters,
     _largest_grid_cluster,
     _newton_multistart,
-    _start_grid,
 )
 from walraskit.geometry import chart_rows_embed
 
@@ -48,6 +47,12 @@ def _tol(field):
     return NEWTON_TOL * equilibrium._scan(field)[0]
 
 
+def _region_points(dim, density):
+    """The points of the lattice of ``density`` points per axis in the chart
+    region, in index order."""
+    return equilibrium._scan_level(dim, density)[0]
+
+
 def _lattice(field, density=50):
     """The points per axis of the finest lattice of a solve of ``field`` at
     ``grid_density=density``, and its subdivisions of a scan-grid cell."""
@@ -58,11 +63,11 @@ def _lattice(field, density=50):
 
 def _lattice_starts(field, density=50):
     """The Newton starts of a solve of ``field`` at ``grid_density=density``."""
-    C, per_dim, _ = equilibrium._scan_grid(field.dim)
+    C, per_dim, *_ = equilibrium._scan_grid(field.dim)
     P, Z = (a[None] for a in field.full_values(C))
-    sigmas = np.array([sigma for sigma, _ in equilibrium._scan_reports(C, per_dim, P, Z)])
+    sigmas, hit, _ = equilibrium._scan_reports(C, per_dim, P, Z)
     m = _lattice(field, density)[1]
-    return equilibrium._starts(field, [None], field.price_weighted, m, P, Z, sigmas)[0]
+    return equilibrium._starts(field, [None], field.price_weighted, m, P, Z, hit, sigmas)[0]
 
 
 def _converged(field, C):
@@ -177,7 +182,7 @@ class TestFindEquilibria:
 
     def test_start_with_nan_residual_counts_as_stalled(self):
         field = wk.chart_field(lambda C: np.where(C > 0.7, np.nan, 0.5 - C), goods=2)
-        starts = _start_grid(1, 50)
+        starts = _region_points(1, 50)
         _, _, converged, stalled, exhausted, _ = _newton_multistart(
             lambda C, rows: field.chart_values(C), starts, _tol(field)
         )
@@ -348,7 +353,7 @@ class TestPriceWeightedNewton:
         monkeypatch.setattr(equilibrium, "NEWTON_MAX_ITER", 1)
         field = wk.economy_field(sym_edgeworth)
         cfg = wk.SolverConfig()
-        starts = _start_grid(1, cfg.grid_density)
+        starts = _region_points(1, cfg.grid_density)
         tol = _tol(field)
         C, res, converged, *_ = _newton_multistart(
             lambda C, rows: field.chart_values(C), starts, tol, weighted=True
@@ -371,7 +376,7 @@ class TestNewtonMultistart:
             return field.chart_values(C)
 
         cfg = wk.SolverConfig()
-        starts = _start_grid(field.dim, cfg.grid_density)
+        starts = _region_points(field.dim, cfg.grid_density)
         converged, *_, iterations = _newton_multistart(
             spy, starts, _tol(field), field.price_weighted
         )[2:]
@@ -399,7 +404,7 @@ class TestNewtonMultistart:
 
         monkeypatch.setattr(equilibrium, "_merge_converged", spy)
         cfg = wk.SolverConfig()
-        starts = _start_grid(field.dim, cfg.grid_density)
+        starts = _region_points(field.dim, cfg.grid_density)
         C, res, converged, *_ = _newton_multistart(
             lambda C, rows: field.chart_values(C), starts, _tol(field), field.price_weighted
         )
@@ -420,7 +425,7 @@ class TestNewtonMultistart:
         else:
             field = _newton_field(case, rng)
         cfg = wk.SolverConfig()
-        starts = _start_grid(field.dim, cfg.grid_density)
+        starts = _region_points(field.dim, cfg.grid_density)
         tol = _tol(field)
 
         def run():
@@ -447,7 +452,7 @@ class TestNewtonMultistart:
             return np.full_like(C, 0.25)
 
         cfg = wk.SolverConfig()
-        starts = _start_grid(2, cfg.grid_density)
+        starts = _region_points(2, cfg.grid_density)
         _, _, converged, stalled, exhausted, iterations = _newton_multistart(
             constant, starts, NEWTON_TOL
         )
@@ -615,7 +620,7 @@ class TestRefinedLevel:
     @pytest.mark.parametrize("goods, density", [(2, 4001), (2, 6001), (3, 50), (3, 120), (4, 50)])
     def test_every_scan_grid_point_is_a_refined_vertex(self, goods, density):
         field = wk.chart_field(lambda C: 0.3 - C, goods=goods)
-        C, per_dim, rows = equilibrium._scan_grid(field.dim)
+        C, per_dim, scan_keys, _ = equilibrium._scan_grid(field.dim)
         m = equilibrium._subdivisions(per_dim, density)
         # Refine every cell of the scan grid.
         corner = np.argwhere(np.ones((per_dim - 1,) * field.dim, dtype=bool))
@@ -623,9 +628,48 @@ class TestRefinedLevel:
         keys, n = equilibrium._refine(
             field, [None], False, sigmas, m, np.zeros(len(corner), dtype=int), corner, per_dim
         )[2:4]
-        K = np.argwhere(rows >= 0) * m
+        K = np.column_stack(np.unravel_index(scan_keys, (per_dim,) * field.dim)) * m
         assert np.isin(np.ravel_multi_index(tuple(K.T), (n,) * field.dim), keys).all()
         assert np.abs(equilibrium._axis(n)[K] - C).max() <= 1e-15
+
+
+def _reference_region_rows(dim, density):
+    """The row of each point of the lattice of ``density`` points per axis
+    among its points in the chart region, in index order, and -1 for a point
+    outside: the scan grid's construction before ``_layout`` laid it out."""
+    inside = equilibrium._interior(equilibrium._axis(density)[np.indices((density,) * dim).reshape(dim, -1).T])
+    return np.where(inside, np.cumsum(inside) - 1, -1).reshape((density,) * dim)
+
+
+# The scan density of each dimension, then 50 and 120 points per axis where
+# the reference's whole lattice stays under two million points.
+LAYOUT_CASES = [(dim, None) for dim in range(1, 6)] + [(dim, k) for k in (50, 120) for dim in (1, 2, 3)]
+
+
+class TestLayout:
+    """One routine lays out both lattice levels: the scan grid is its
+    one-cell case."""
+
+    @pytest.mark.parametrize(
+        "dim, density", LAYOUT_CASES, ids=[f"l{dim + 1}-{k or 'scan'}" for dim, k in LAYOUT_CASES]
+    )
+    def test_the_one_cell_case_is_the_reference_lattice(self, dim, density):
+        density = density or equilibrium._scan_grid(dim)[1]
+        rows = _reference_region_rows(dim, density)
+        # Uncached: the session keeps no 120^3 lattice.
+        C, _, keys, vertex = equilibrium._scan_level.__wrapped__(dim, density)
+        assert np.array_equal(vertex, rows[None])
+        assert np.array_equal(keys, np.flatnonzero(rows >= 0))
+        assert np.array_equal(C, equilibrium._axis(density)[np.argwhere(rows >= 0)])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_refining_every_scan_cell_once_gives_the_scan_level(self, dim):
+        C, per_dim, keys, _ = equilibrium._scan_grid(dim)
+        corner = np.argwhere(np.ones((per_dim - 1,) * dim, dtype=bool))
+        fine, fields, X, n = equilibrium._layout(np.zeros(len(corner), dtype=int), corner, per_dim, 1)[:4]
+        assert n == per_dim and not fields.any()
+        assert np.array_equal(fine, keys)
+        assert np.array_equal(X, C)
 
 
 class TestScanOracle:
@@ -865,7 +909,7 @@ class TestGrouping:
 
     def test_grid_cluster_is_the_largest_flood_fill_cluster(self, rng):
         for dim in (2, 3):
-            C = _start_grid(dim, 12)
+            C = _region_points(dim, 12)
             spacing = (1.0 - 2e-4) / 11
             for _ in range(20):
                 hit = rng.random(len(C)) < 0.3
@@ -1026,7 +1070,7 @@ class TestClassifyRows:
 
             field = wk.chart_field(counted, goods=2)
             sigma, continuum = equilibrium._scan(field)
-            starts = _start_grid(1, wk.SolverConfig().grid_density)
+            starts = _region_points(1, wk.SolverConfig().grid_density)
             newton = _newton_multistart(
                 lambda C, rows: field.chart_values(C), starts, NEWTON_TOL * sigma
             )
@@ -1073,7 +1117,7 @@ class TestEvaluationCount:
         scan = len(equilibrium._scan_grid(d)[0])
         # The patch call evaluates a part of the finest lattice.
         patch = calls[1:2] if d > 1 else []
-        assert all(0 < n < len(_start_grid(d, _lattice(field)[0])) for n in patch)
+        assert all(0 < n < len(_region_points(d, _lattice(field)[0])) for n in patch)
         probe = 1 + 4 * d + (33 if d == 1 else 0)
         (newton,) = newton_calls
         assert newton[0] == report.stats.starts

@@ -12,7 +12,13 @@ and by 1e8 (under ``rescaled/``), whose answers must not depend on the
 factor.  Under ``solve/extra/`` it runs ``solve`` on two economies with
 three known equilibria (``tests/support.multi_equilibrium_economy``, l = 3
 seed 0 and l = 4 seed 1) and on a five- and a six-good constant-scale
-economy.  Under ``sarp/extra/`` it runs ``sarp`` on datasets that the
+economy.  Under ``audit/`` it runs ``audit`` on economies whose scales
+vary, so that the audit itself runs: the two with three known equilibria
+(polynomial scales), the saved continuum economy (1-d ``kernel_sampled``
+scales) and the first realised three-good economy of the ``realize`` pool
+(n-d ``kernel_sampled`` scales, some samples outside their node hull);
+the ``solve`` economies have constant scales, whose audit checks
+nothing.  Under ``sarp/extra/`` it runs ``sarp`` on datasets that the
 benchmark pool never yields: a three-cycle without a two-cycle behind two
 observations that only reveal it, ``sarp`` dataset 1 with every third
 bundle repeated from the row before, and copies of dataset 1 with every
@@ -80,6 +86,12 @@ FACTORS = ("1e-8", "1e8")
 # of the constant-scale economies, solved under solve/extra/.
 MULTI = ((3, 0), (4, 1))
 MANY_GOODS = (5, 6)
+# The economies with scales that vary, audited under audit/.
+AUDITED = {
+    **{f"multi-l{g}-seed{k}": Path("solve", "extra", f"multi-l{g}-seed{k}.yaml") for g, k in MULTI},
+    "continuum": RESCALED["continuum"],
+    "realized-out0": Path("realize", "out0", "realized_economy.yaml"),
+}
 # Three unit bundles revealed in a cycle with no mutual pair, after two
 # observations that reveal them and that no other observation reveals.
 THREE_CYCLE = (
@@ -137,6 +149,8 @@ def invocations(seed: int) -> list[list[str]]:
     for name, dataset in datasets.items():
         save_dataset(extra / f"{name}.csv", dataset)
         argvs.append(["sarp", "--input", str(extra / f"{name}.csv"), "--out", str(extra / name)])
+    for name, path in AUDITED.items():
+        argvs.append(["audit", "--input", str(path), "--out", str(Path("audit", name))])
     return argvs
 
 
