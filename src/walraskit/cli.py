@@ -36,7 +36,7 @@ from .econfile import (
 from .equilibrium import SolverConfig, continuum_detector, find_equilibria
 from .fields import economy_field
 from .genericity import PerturbationSpec, build_continuum_economy, genericity_experiment, perturb
-from .geometry import simplex_point
+from .geometry import chart_rows_embed, simplex_point
 from .revealed import scaled_field_audit, sarp_check
 from .scales import ConstantScale
 
@@ -133,7 +133,12 @@ def _cmd_realize(args, out_dir: Path) -> int:
         economy = realize_economy(family, target_field, grid)
         grid_chart = grid[:, :-1]
         target = target_field.chart_values(grid_chart)
-        mismatch = np.abs(economy_field(economy).chart_values(grid_chart) - target).max()
+        # The realised economy at its grid nodes, where each scale is its
+        # node value times the kernel weight: no interpolation.
+        P = chart_rows_embed(grid_chart)
+        nodes = P / P.sum(axis=1, keepdims=True)
+        S = np.column_stack([c.scale.at_nodes(nodes) for c in economy.consumers])
+        mismatch = np.abs(aed_rows(economy, P, S)[:, :-1] - target).max()
         lines.append(f"realize: aggregate excess demand of {args.input}")
         lines.append(f"max grid-point mismatch: {_fmt(float(mismatch))}")
         lines.append(

@@ -168,22 +168,23 @@ def excess_rows(c: Consumer, P) -> np.ndarray:
     return _scale_values(c.scale, P)[:, None] * (demand_rows(c, P) - c.endowment)
 
 
-def aed_rows(e: Economy, P) -> np.ndarray:
+def aed_rows(e: Economy, P, S=None) -> np.ndarray:
     """Aggregate excess demand rows: the sum of consumers' excess demands.
 
     One fused expression over the stacked consumers,
     ``((P @ W^T) * S) @ A / P - S @ W``, with ``A`` the shares, ``W`` the
     endowments and ``S`` the ``(n, consumers)`` scale values (one row for
-    every price row when a scale varies, else the constant values).  The
-    products are ``einsum`` loops, whose summation order, unlike that of a
-    BLAS product, does not depend on the batch: a row gets the same bits in
-    every batch.
+    every price row when a scale varies, else the constant values), or the
+    ``S`` given, whose values the caller knows.  The products are ``einsum``
+    loops, whose summation order, unlike that of a BLAS product, does not
+    depend on the batch: a row gets the same bits in every batch.
     """
-    S = e.constant_scales
-    if e.varying_scales:
-        S = np.tile(S, (len(P), 1))
-        for k, scale in e.varying_scales:
-            S[:, k] = _scale_values(scale, P)
+    if S is None:
+        S = e.constant_scales
+        if e.varying_scales:
+            S = np.tile(S, (len(P), 1))
+            for k, scale in e.varying_scales:
+                S[:, k] = _scale_values(scale, P)
     wealth = np.einsum("nj,cj->nc", P, e.endowments) * S
     demand = np.einsum("nc,ci->ni", wealth, e.shares) / P
     return demand - np.einsum("...c,ci->...i", S, e.endowments)

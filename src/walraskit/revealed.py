@@ -32,8 +32,10 @@ edge are then peeled level by level, counting in-degrees in ``uint8``; an
 empty remainder proves the relation acyclic.  Otherwise a mutual pair, if
 any, is the cycle: the upper triangle is tested in ``TILE x TILE`` tiles
 against the transpose of their mirror tiles, stopping at the first band of
-rows that holds one.  Failing that, the strong-component search and the
-BFS for the shortest cycle (scipy's) run on the remainder only.
+rows that holds one.  Failing that, boolean BFS on the dense remainder
+finds the lowest node on a cycle, splitting off the nodes that lie on none,
+and a shortest cycle through it, in the order of scipy's
+``breadth_first_order``; no sparse matrix is built and scipy is not loaded.
 
 Positive rescalings of an individual excess-demand field preserve the
 properties a consumer's excess demand must have; ``scaled_field_audit``
@@ -44,6 +46,7 @@ scaled wealth ``scale(p) * p . omega`` at each sample.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,19 +200,70 @@ def _find_cycle(adj: np.ndarray) -> list[int] | None:
     pair = _first_mutual_pair(rows)
     if pair is not None:
         return pair
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
-
+    # The lowest node on a cycle.  The remainder is split into parts, each a
+    # union of strong components, and the parts are taken lowest node first:
+    # that node either has a cycle back to it, or it lies on none and splits
+    # its part into the nodes it reaches, the nodes that reach it, and the rest.
+    # A part's BFS finds the cycle that the whole graph's would: no node
+    # outside the strong component of its start discovers a node inside it.
     sub = adj[rest][:, rest]
-    graph = csr_matrix(sub)
-    _, labels = connected_components(graph, directed=True, connection="strong")
-    cyclic = np.flatnonzero(np.bincount(labels)[labels] >= 2)
-    start = int(cyclic[0])
-    order, pred = breadth_first_order(graph, start, return_predecessors=True)
-    cycle = [int(order[sub[order, start]][0])]
-    while cycle[-1] != start:
-        cycle.append(int(pred[cycle[-1]]))
-    return rest[cycle[::-1]].tolist()
+    parts = [(0, np.arange(rest.size), sub)]
+    while True:
+        _, part, local = heapq.heappop(parts)
+        cycle, ahead = _bfs(local, 0)
+        if cycle is not None:
+            return rest[part[cycle]].tolist()
+        behind = _bfs(np.ascontiguousarray(local.T), 0)[1]
+        for nodes in (ahead & ~behind, behind & ~ahead, ~(ahead | behind)):
+            _push_part(parts, sub, part[nodes])
+
+
+def _push_part(parts: list, adj: np.ndarray, part: np.ndarray) -> None:
+    """Push the nodes ``part`` (a union of strong components, ascending) on
+    the heap ``parts`` as ``(lowest node, nodes, their adjacency)``, after
+    peeling those without an incoming edge from the part: they lie on no
+    cycle."""
+    local = adj[part][:, part]
+    keep = _unpeeled(local)
+    if keep.size:
+        heapq.heappush(parts, (int(part[keep[0]]), part[keep], local[keep][:, keep]))
+
+
+def _bfs(adj: np.ndarray, start: int) -> tuple:
+    """A shortest cycle through ``start``, from it, and the mask of the
+    nodes seen; the cycle is None when ``start`` lies on no cycle, and the
+    mask then holds every node that ``start`` reaches, itself included.
+
+    A boolean BFS, one level at a time, in the order of scipy's
+    ``breadth_first_order``: a level's nodes are ordered by the position of
+    the node that first reaches each, then by index.  The cycle closes at
+    the first node in that order with an edge back to ``start``, and runs
+    back to it along the BFS tree.
+    """
+    into = adj[:, start]
+    pred = np.full(adj.shape[0], -1)
+    unseen = np.ones(adj.shape[0], dtype=bool)
+    unseen[start] = False
+    frontier = np.array([start])
+    while frontier.size:
+        back = into[frontier]
+        if back.any():
+            cycle = [int(frontier[np.argmax(back)])]
+            while cycle[-1] != start:
+                cycle.append(int(pred[cycle[-1]]))
+            return cycle[::-1], ~unseen
+        reach = adj[frontier] & unseen
+        if frontier.size == 1:  # one discoverer: the level is in index order
+            new, first = np.flatnonzero(reach[0]), 0
+        else:
+            new = np.flatnonzero(reach.any(axis=0))
+            first = np.argmax(reach[:, new], axis=0)
+            order = np.lexsort((new, first))
+            new, first = new[order], first[order]
+        pred[new] = frontier[first]
+        unseen[new] = False
+        frontier = new
+    return None, ~unseen
 
 
 def sarp_check(d: ObservationDataset) -> SarpResult:

@@ -24,8 +24,10 @@ sampled ratios agree across consumers.
 
 A one-dimensional grid is interpolated by PCHIP in numpy, with per-interval
 cubic coefficients built once with the scale; its values are those of
-scipy's ``PchipInterpolator`` to the bit.  scipy is loaded only for grids of
-two or more chart dimensions (Delaunay triangulation).
+scipy's ``PchipInterpolator`` to the bit.  A grid of two or more chart
+dimensions is checked when the scale is built (its points must affinely
+span the chart, a numpy rank test), and its Delaunay triangulation is built
+when the scale is first evaluated: scipy is loaded then, and only then.
 """
 
 from __future__ import annotations
@@ -233,20 +235,35 @@ def _build_interpolator(grid: np.ndarray, values: np.ndarray):
             return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
 
         return call
+    # The construction check: the points must affinely span the chart.
+    span = np.linalg.matrix_rank(grid[1:] - grid[:1])
+    if grid.shape[1] < 1 or span < grid.shape[1]:
+        raise ValueError(_untriangulable(grid, f"its points span {span} of them"))
+    # Built on first evaluation: a scale that is only written, or only read
+    # at its nodes, needs no triangulation and no scipy.
+    linear = functools.cache(lambda: _linear_nd(grid, values))
+    return lambda C: linear()(C)
+
+
+def _untriangulable(grid: np.ndarray, reason: str) -> str:
+    return (
+        f"sampled grid of {grid.shape[0]} points in {grid.shape[1]} chart "
+        f"dimensions cannot be triangulated ({reason})"
+    )
+
+
+def _linear_nd(grid: np.ndarray, values: np.ndarray):
+    """Piecewise-linear interpolation on the Delaunay triangulation of
+    scattered n-d nodes, nearest-value outside their convex hull."""
     # scipy is loaded here, by multi-dimensional sampled grids alone.
     from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
     from scipy.spatial import QhullError
 
-    # Scattered multi-dimensional data: piecewise-linear on the Delaunay
-    # triangulation, nearest-value outside the convex hull.
     try:
         lin = LinearNDInterpolator(_delaunay(grid.tobytes(), grid.shape), values)
     except QhullError as exc:
-        first = str(exc).strip().splitlines()[0]
-        raise ValueError(
-            f"sampled grid of {grid.shape[0]} points in {grid.shape[1]} chart "
-            f"dimensions cannot be triangulated ({first})"
-        ) from None
+        # A grid that is flat within qhull's precision but not by the rank test.
+        raise ValueError(_untriangulable(grid, str(exc).strip().splitlines()[0])) from None
     near = NearestNDInterpolator(grid, values)
 
     def call(C):
@@ -268,6 +285,13 @@ class SampledScale(Scale):
     positive); higher dimensions use piecewise-linear interpolation with
     nearest-value extension outside the hull.  Outside the grid range the
     nearest value is held constant.
+
+    Every check is made when the scale is built, and a grid of two or more
+    chart dimensions whose points do not affinely span the chart is refused
+    there with "cannot be triangulated".  Its interpolator (scipy's) is
+    built on the first call; the grid's triangulation is cached, so scales
+    that share a grid share it.  Should qhull refuse a grid that passed the
+    rank test, that first call raises the same ``ValueError``.
     """
 
     kind = "sampled"
@@ -329,7 +353,15 @@ class KernelSampledScale(SampledScale):
             object.__setattr__(self, "good", int(self.good))
 
     def __call__(self, P):
-        return super().__call__(P) * self.share / (P[:, self.good] * self.level)
+        return self._weighted(super().__call__(P), P)
+
+    def at_nodes(self, P):
+        """The scale at ``P``, the simplex rows of its own grid nodes in grid
+        order: each node value times the kernel weight, with no interpolation."""
+        return self._weighted(self.values, P)
+
+    def _weighted(self, ratio, P):
+        return ratio * self.share / (P[:, self.good] * self.level)
 
 
 _KINDS = {

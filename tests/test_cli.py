@@ -194,6 +194,39 @@ class TestDecomposeAndRealize:
         relative = report.split("relative to the largest |target chart value|: ")[1]
         assert float(relative.splitlines()[0]) <= 1e-12
 
+    @pytest.mark.parametrize("goods", [2, 3])
+    def test_realize_mismatch_is_the_node_value_mismatch(self, goods, tmp_path, rng):
+        # The benchmark oracle's rule, written out: read the realised file
+        # with plain YAML, take each scale at its nodes as its node value
+        # times share / (p_good * level), and compare the canonical
+        # consumers' aggregate excess demand with the source's there.
+        yaml = pytest.importorskip("yaml")
+        path, out = tmp_path / "economy.yaml", tmp_path / "out"
+        source = constant_scale_economy(rng, goods, 3)
+        wk.save_economy(path, source)
+        assert main(["realize", "--input", str(path), "--grid", "41", "--seed", "5", "--out", str(out)]) == 0
+        data = yaml.safe_load((out / "realized_economy.yaml").read_text())
+        C = np.asarray(data["consumers"][0]["scale"]["grid"], dtype=float)
+        P = np.hstack([C, 1.0 - C.sum(axis=1, keepdims=True)])
+        realized = np.zeros_like(P)
+        for c in data["consumers"]:
+            sc = c["scale"]
+            alpha, omega = np.asarray(c["alpha"], dtype=float), np.asarray(c["endowment"], dtype=float)
+            scale = np.asarray(sc["values"], dtype=float) * sc["share"] / (P[:, sc["good"]] * sc["level"])
+            realized += scale[:, None] * (alpha * (P @ omega)[:, None] / P - omega)
+        target = sum(
+            s * (c.alpha * (P @ c.endowment)[:, None] / P - c.endowment)
+            for c, s in zip(source.consumers, source.constant_scales)
+        )
+        expected = np.abs(realized - target)[:, :-1].max()
+        largest = np.abs(target[:, :-1]).max()
+        report = (out / "report.txt").read_text().splitlines()
+        mismatch = float(report[2].removeprefix("max grid-point mismatch: "))
+        relative = float(report[3].removeprefix("relative to the largest |target chart value|: "))
+        # Both are rounding: they agree to a few units of it.
+        assert abs(mismatch - expected) <= 16 * np.finfo(float).eps * largest
+        assert abs(relative - expected / largest) <= 16 * np.finfo(float).eps
+
     def test_realize_without_source_exits_1(self, tmp_path):
         assert main(["realize", "--out", str(tmp_path / "o")]) == 1
 
@@ -568,28 +601,33 @@ def test_solve_perturb_and_audit_load_no_scipy(tmp_path, rng):
 
 
 def test_sarp_loads_no_scipy(tmp_path, rng):
-    # A passing dataset peels to nothing and a two-cycle is a mutual pair:
-    # neither reaches the strong-component search.
+    # A passing dataset peels to nothing and a two-cycle is a mutual pair;
+    # a three-cycle without a mutual pair takes the strong-component search,
+    # a numpy BFS.
     P = rng.dirichlet(np.ones(3), 500)
     X = demand_rows(wk.Consumer([0.6, 0.3, 0.1], [1.0, 0.5, 2.0]), P)
     wk.save_dataset(tmp_path / "pass.csv", wk.ObservationDataset(P, X))
     X[1::2] = demand_rows(wk.Consumer([0.1, 0.3, 0.6], [2.0, 0.5, 1.0]), P[1::2])
     wk.save_dataset(tmp_path / "two-cycle.csv", wk.ObservationDataset(P, X))
-    argv = [
-        ["sarp", "--input", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)]
-        for name in ("pass", "two-cycle")
-    ]
+    P = [[1.0, 0.9, 2.0], [2.0, 1.0, 0.9], [0.9, 2.0, 1.0]]
+    wk.save_dataset(tmp_path / "three-cycle.csv", wk.ObservationDataset(P, np.eye(3)))
+    names = ("pass", "two-cycle", "three-cycle")
+    argv = [["sarp", "--input", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)] for name in names]
     codes, loaded = _run_loading_no_scipy(argv)
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0]
     assert loaded == []
     assert (tmp_path / "pass" / "report.txt").read_text().splitlines()[-1] == "SARP: pass"
     verdict = (tmp_path / "two-cycle" / "report.txt").read_text().splitlines()[-1]
     assert verdict.startswith("SARP: violation: cycle (") and verdict.count(",") == 1
+    verdict = (tmp_path / "three-cycle" / "report.txt").read_text().splitlines()[-1]
+    assert verdict == "SARP: violation: cycle (1, 2, 3)"
 
 
 def test_one_dimensional_sampled_scales_load_no_scipy(tmp_path, rng):
     # A two-good realised economy interpolates its kernel_sampled ratios by
-    # the numpy PCHIP; only a multi-dimensional grid needs scipy.
+    # the numpy PCHIP.  A three-good realize writes its scales and reads
+    # them only at their nodes; only evaluating a multi-dimensional grid
+    # elsewhere, as solve does, needs scipy.
     realized = str(tmp_path / "cont" / "realized_economy.yaml")
     argv = [
         ["realize", "--continuum", "0.4", "0.6", "--out", str(tmp_path / "cont")],
@@ -602,6 +640,10 @@ def test_one_dimensional_sampled_scales_load_no_scipy(tmp_path, rng):
     assert loaded == []
     wk.save_economy(tmp_path / "three.yaml", constant_scale_economy(rng, 3, 2))
     argv = [["realize", "--input", str(tmp_path / "three.yaml"), "--grid", "30", "--out", str(tmp_path / "three")]]
+    codes, loaded = _run_loading_no_scipy(argv)
+    assert codes == [0]
+    assert loaded == []
+    argv = [["solve", "--input", str(tmp_path / "three" / "realized_economy.yaml"), "--out", str(tmp_path / "s3")]]
     codes, loaded = _run_loading_no_scipy(argv)
     assert codes == [0]
     assert "scipy.spatial" in loaded

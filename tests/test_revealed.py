@@ -370,6 +370,22 @@ class TestDensePasses:
             found += cycle is not None and len(cycle) > 2
         assert found > 30 or kind == "any"
 
+    def test_nodes_between_cycles_are_split_off(self, rng):
+        # The lowest nodes lie on no cycle but survive peeling: each is
+        # reached from a three-cycle and reaches a long cycle, with edges
+        # among them that form no cycle.
+        n, k = 1200, 600
+        adj = np.zeros((n, n), dtype=bool)
+        adj[:k, :k] = np.triu(rng.random((k, k)) < 0.01, 1)
+        first, ring = np.arange(k, k + 3), np.arange(k + 3, n)
+        adj[first, np.roll(first, 1)] = adj[ring, np.roll(ring, 1)] = True
+        adj[first[rng.integers(0, 3, k)], np.arange(k)] = True
+        adj[np.arange(k), ring[rng.integers(0, ring.size, k)]] = True
+        for perm in (np.arange(n), rng.permutation(n)):
+            graph = adj[np.ix_(perm, perm)]
+            assert _find_cycle(graph) == _sparse_find_cycle(graph)
+        assert sorted(_find_cycle(adj)) == first.tolist()
+
     def test_chain_is_peeled_no_slower_than_the_whole_graph_search(self, rng):
         # A path through all T = 2000 nodes peels one node per level.
         T = 2000

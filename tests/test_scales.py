@@ -1,10 +1,19 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
+from scipy.spatial import Delaunay, QhullError
 
 import walraskit as wk
+from walraskit import scales
+from walraskit.cli import _decomposition_grid
 from walraskit.scales import _delaunay, _pchip_table, scale_from_dict
 from support import random_economy
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def rows(*points):
@@ -143,22 +152,104 @@ class TestVocabulary:
 
     def test_one_triangulation_per_grid(self, tmp_path, rng):
         # The l kernel_sampled scales of a realised economy share their grid,
-        # and so does the same economy read back from its file.
+        # and so does the same economy read back from its file.  Each scale
+        # triangulates on its first evaluation, through the cache.
         target = wk.economy_field(random_economy(rng, 3, 2))
         _delaunay.cache_clear()
         economy = wk.realize_economy(
             wk.CanonicalFamily.symmetric(3), target, rng.dirichlet(np.ones(3), size=30)
         )
+        assert _delaunay.cache_info().misses == 0
+        probes = within_and_around(rng, rng.dirichlet(np.ones(3), size=30))
+        for c in economy.consumers:
+            c.scale(probes)
         assert (_delaunay.cache_info().misses, _delaunay.cache_info().hits) == (1, 2)
         wk.save_economy(tmp_path / "e.yaml", economy)
         again = wk.load_economy(tmp_path / "e.yaml")
-        assert (_delaunay.cache_info().misses, _delaunay.cache_info().hits) == (1, 5)
-        probes = within_and_around(rng, rng.dirichlet(np.ones(3), size=30))
+        assert (_delaunay.cache_info().misses, _delaunay.cache_info().hits) == (1, 2)
         for c, d in zip(economy.consumers, again.consumers):
             assert np.array_equal(c.scale(probes), d.scale(probes))
+        assert (_delaunay.cache_info().misses, _delaunay.cache_info().hits) == (1, 5)
         # another grid gets its own triangulation
-        wk.SampledScale(rng.dirichlet(np.ones(3), size=30)[:, :-1], np.ones(30))
+        other = wk.SampledScale(rng.dirichlet(np.ones(3), size=30)[:, :-1], np.ones(30))
+        assert _delaunay.cache_info().misses == 1
+        other(probes)
         assert _delaunay.cache_info().misses == 2
+
+
+# Grids of four and five points that do not span the chart: collinear in two
+# chart dimensions (three goods), coplanar in three (four goods).
+FLAT_GRIDS = {
+    3: [[0.1, 0.1], [0.2, 0.2], [0.3, 0.3], [0.4, 0.4]],
+    4: [[0.1, 0.2, 0.3], [0.2, 0.1, 0.3], [0.3, 0.2, 0.1], [0.2, 0.3, 0.1], [0.1, 0.3, 0.2]],
+}
+
+
+class TestGridChecks:
+    """An n-d grid is checked, by a rank test, when its scale is built, and
+    triangulated when the scale is first evaluated."""
+
+    @pytest.mark.parametrize("goods", [3, 4])
+    def test_a_flat_grid_is_refused_when_the_scale_is_built(self, tmp_path, goods):
+        grid = FLAT_GRIDS[goods]
+        n, d = len(grid), goods - 1
+        message = f"sampled grid of {n} points in {d} chart dimensions cannot be triangulated"
+        _delaunay.cache_clear()
+        with pytest.raises(ValueError, match=message):
+            wk.SampledScale(grid, np.ones(n))
+        with pytest.raises(ValueError, match=message):
+            wk.KernelSampledScale(grid, np.ones(n), good=0, share=0.5, level=1.0)
+        path = tmp_path / "flat.yaml"
+        path.write_text(
+            f"goods: {goods}\nconsumers:\n- alpha: {[1.0 / goods] * goods}\n"
+            f"  endowment: {[1.0] * goods}\n"
+            f"  scale: {{type: sampled, grid: {grid}, values: {[1.0] * n}}}\n"
+        )
+        with pytest.raises(wk.EconomyFormatError, match=f"consumer 0: invalid scale: {message}"):
+            wk.load_economy(path)
+        # Refused before any triangulation was tried, and qhull agrees.
+        assert _delaunay.cache_info().misses == 0
+        with pytest.raises(QhullError):
+            Delaunay(np.asarray(grid))
+
+    def test_the_grids_of_tests_and_artifacts_pass_the_rank_test(self, rng, monkeypatch):
+        # Every n-d grid that a test or tools/cli_artifacts.py builds is a
+        # draw of _decomposition_grid (the realize pool of the benchmark
+        # inputs, here at the artifacts' seed 301) or of a Dirichlet, of at
+        # least l rows: the rank test passes them all, and qhull
+        # triangulates them.
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        pool = workloads.Realize(301, smoke=False)
+        grids = [
+            _decomposition_grid(len(alphas[0]), pool.grid, seed)
+            for alphas, _, seed in pool.entries
+            if len(alphas[0]) > 2
+        ]
+        grids += [rng.dirichlet(np.ones(goods), size=size) for goods in (3, 4, 5, 6) for size in (goods, 25, 201)]
+        assert len(grids) > 20
+        for grid in grids:
+            n = len(grid)
+            scale = wk.SampledScale(grid[:, :-1], np.linspace(1.0, 2.0, n))
+            values = scale(grid)
+            assert np.allclose(values, scale.values, rtol=1e-12)
+
+    def test_a_grid_that_qhull_refuses_raises_on_first_evaluation(self, monkeypatch, rng):
+        # A grid flat within qhull's precision, but not by the rank test.
+        def refuse(data, shape):
+            raise QhullError("QH6154 Qhull precision error: initial simplex is flat\nmore detail")
+
+        monkeypatch.setattr(scales, "_delaunay", refuse)
+        scale = wk.SampledScale(rng.dirichlet(np.ones(3), size=10)[:, :-1], np.ones(10))
+        message = (
+            r"^sampled grid of 10 points in 2 chart dimensions cannot be triangulated "
+            r"\(QH6154 Qhull precision error: initial simplex is flat\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            scale(rng.dirichlet(np.ones(3), size=5))
 
 
 class TestPchip:
