@@ -26,6 +26,7 @@ import numpy as np
 
 from .geometry import PricePoint, TangentVector
 from .scales import (
+    _KINDS,
     BumpScale,
     ConstantScale,
     KernelSampledScale,
@@ -51,9 +52,10 @@ class Consumer:
         field-decomposition construction need them).
     scale : Scale, optional
         Positive scaling applied to excess demand; defaults to the constant 1.
-        It must read a chart of ``l - 1`` dimensions and, for
-        ``kernel_sampled``, name one of the ``l`` goods, or ``ValueError``
-        is raised, with the text an economy file gets.
+        It must be an instance of one of the five scale classes, read a
+        chart of ``l - 1`` dimensions and, for ``kernel_sampled``, name one
+        of the ``l`` goods, or ``ValueError`` is raised, with the text an
+        economy file gets.
     """
 
     alpha: np.ndarray
@@ -84,10 +86,12 @@ class Consumer:
 
 
 def _scale_misfit(scale: Scale, goods: int) -> str | None:
-    """Why ``scale`` does not read a chart of ``goods - 1`` dimensions or,
-    for ``kernel_sampled``, does not name one of the goods; None when it
-    fits.  A polynomial term may list fewer powers than there are chart
-    dimensions: the missing ones are 0."""
+    """Why ``scale`` is not one of the scale classes, does not read a chart
+    of ``goods - 1`` dimensions or, for ``kernel_sampled``, does not name
+    one of the goods; None when it fits.  A polynomial term may list fewer
+    powers than there are chart dimensions: the missing ones are 0."""
+    if not isinstance(scale, tuple(_KINDS.values())):
+        return f"a scale must be one of {', '.join(_KINDS)}, not {type(scale).__name__}"
     dim = goods - 1
     if isinstance(scale, PolynomialScale) and any(len(p) > dim for _, p in scale.terms):
         return f"a polynomial term lists more powers than the chart has dimensions ({dim})"

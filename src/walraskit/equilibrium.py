@@ -29,14 +29,17 @@ index signs (``det J_w = prod(p) det J_z`` at a zero), stays bounded at
 the faces where ``z`` grows like ``1/p_j``, and is affine in the chart for
 constant-scale Cobb-Douglas economies, so its PL zero is the equilibrium.
 Convergence is judged on ``|z|`` either way, and other fields, including
-perturbed economy fields, are solved on ``z`` itself.  Every residual
-threshold is a constant times the field's scale ``sigma``, the largest
-finite ``|p * z|`` on the scan grid (``_scan``), so rescaling every
-endowment changes no answer.
+perturbed economy fields, are solved on ``z`` itself.  ``_solve`` makes
+this choice once; ``_stacked_map`` gives every level and Newton phase the
+full rows of both maps.  Every residual threshold is a constant times the
+field's scale ``sigma``, the largest finite ``|p * z|`` on the scan grid
+(``_scan``), so rescaling every endowment changes no answer.
 
-Converged points are deduplicated, and all kept zeros of a field are
-classified from one evaluation of its chart map, on a few probe rows around
-each zero (``_probe_rows``, on Newton's central-difference ``_stencil``):
+One rule, ``_cover``, says which converged rows are one zero: Newton's
+merge, the restarts between close zeros and each report use it.  All kept
+zeros of a field are classified from one evaluation of its chart map, on a
+few probe rows around each zero (``_probe_rows``, on Newton's
+central-difference ``_stencil``):
 
 * ``regular``  -- nonsingular chart Jacobian; the local index is the sign of
   ``det(-J)``, so the unique equilibrium of a gross-substitutes economy gets
@@ -245,14 +248,6 @@ def _difference_quotient(F: np.ndarray, s: np.ndarray) -> np.ndarray:
     return ((F[..., :d, :] - F[..., d:, :]) / (2.0 * s)[..., None, None]).swapaxes(-1, -2)
 
 
-def _batched_jacobian(evaluate, C: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobians at the rows of ``C``, from one call on their ``_stencil`` rows."""
-    m, d = C.shape
-    s, stencil = _stencil(C)
-    F = evaluate(stencil.reshape(-1, d), np.repeat(rows, 2 * d))
-    return _difference_quotient(F.reshape(m, 2 * d, d), s[:, 0])
-
-
 def _probe_rows(field: TangentField, C: np.ndarray, sigma: float, window=None):
     """Probe the chart map around every chart row ``c`` of ``C``, in one call:
     at ``c``, its ``_stencil`` rows at steps ``h`` and ``h/2`` and, given a
@@ -280,32 +275,23 @@ def _probe_rows(field: TangentField, C: np.ndarray, sigma: float, window=None):
     return residual, J[:, 1], consistent, V[:, 1 + 4 * d :]
 
 
-def _newton_state(evaluate, C: np.ndarray, rows: np.ndarray, weighted: bool):
+def _newton_state(evaluate, C: np.ndarray, rows: np.ndarray):
     """The Newton map's chart values and the norms of its full values and of
-    the field's, from one evaluation: the map is ``p * z`` when ``weighted``,
-    else ``z`` itself."""
-    P, Z = _full_rows(C, evaluate(C, rows))
-    W = P * Z if weighted else Z
+    the field's, from one evaluation (``_stacked_map``)."""
+    W, Z = evaluate(C, rows)
     return W[:, :-1], np.linalg.norm(W, axis=1), np.linalg.norm(Z, axis=1)
 
 
-def _newton_multistart(
-    evaluate,
-    starts: np.ndarray,
-    tol,
-    weighted: bool = False,
-    labels: np.ndarray | None = None,
-):
+def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     """Damped Newton from every start row, as one batch.
 
-    ``evaluate(C, rows)`` returns the chart values at the rows of ``C``; row
-    ``k`` of ``C`` is an iterate of start ``rows[k]``, and ``rows`` is
-    non-decreasing.  Each row follows its own iteration and carries one
-    state: its point, the Newton map's chart values there and the residual
-    norms.  With ``weighted`` the map is the price-weighted field
-    ``w = p * z`` (chart part ``C * F``), which has the same zeros and index
-    signs in the open simplex and stays bounded at its faces; convergence is
-    judged on ``|z| <= tol`` (one bound, or one per row) either way.
+    ``evaluate(C, rows)`` returns the full rows of the Newton map and of the
+    field at the rows of ``C`` (``_stacked_map``); row ``k`` of ``C`` is an
+    iterate of start ``rows[k]``, and ``rows`` is non-decreasing.  Each row
+    follows its own iteration and carries one state: its point, the Newton
+    map's chart values there and the residual norms.  Newton steps on the
+    map; convergence is judged on the field, ``|z| <= tol`` (one bound, or
+    one per row).
 
     A step tries ``C - lambda * delta`` for ``lambda = 1, 1/2, ...,
     2**-NEWTON_MAX_HALVINGS`` and takes the first trial inside the boundary
@@ -316,18 +302,15 @@ def _newton_multistart(
     iterating row and one for the trials of all their step sizes.
 
     Rows that are still iterating and already converged are merged at the
-    top of every iteration: within the rows of each field (``labels``, one
-    per row, non-decreasing; one field by default), greedily in ascending
-    residual, a row claims every such row within ``DEDUP_RADIUS``
-    (``_dedup``'s rule).  A claimed row
-    stops and returns the final point and residual of the row that claimed
-    it, following chains of claims to their end.  Returns per-row arrays:
+    top of every iteration, within the rows of each field (``labels``, one
+    per row, non-decreasing), by ``_cover``'s rule.  A claimed row stops and
+    returns the final point and residual of the row that claimed it,
+    following chains of claims to their end.  Returns per-row arrays:
     final points, field residuals ``|z|``, and the converged, stalled and
     exhausted masks and iteration counts.
     """
-    newton_map = (lambda C, rows: C * evaluate(C, rows)) if weighted else evaluate
     C = starts.copy()
-    G, res, zres = _newton_state(evaluate, C, np.arange(len(C)), weighted)
+    G, res, zres = _newton_state(evaluate, C, np.arange(len(C)))
     # Points keep iterating while a damped step still improves the residual,
     # even past the convergence tolerance: the extra polishing drives the
     # offset of degenerate (critical) zeros toward zero, so classification at
@@ -337,7 +320,6 @@ def _newton_multistart(
     active = ~halted & (res > 0.0)
     iterations = np.zeros(len(C), dtype=np.int64)
     owner = np.arange(len(C))
-    labels = np.zeros(len(C), dtype=np.int64) if labels is None else labels
 
     for _ in range(NEWTON_MAX_ITER):
         _merge_converged(C, zres, active, owner, tol, labels)
@@ -345,7 +327,7 @@ def _newton_multistart(
         if idx.size == 0:
             break
         iterations[idx] += 1
-        took = _damped_step(evaluate, newton_map, idx, (C, G, res, zres), weighted)
+        took = _damped_step(evaluate, idx, (C, G, res, zres))
         # A row halts unless one of its trials is accepted.  An exact zero
         # stops here, not after one more Jacobian whose zero step would end it.
         halted[idx], active[idx] = True, False
@@ -362,10 +344,14 @@ def _newton_multistart(
 _STEP_SIZES = 0.5 ** np.arange(NEWTON_MAX_HALVINGS + 1)
 
 
-def _newton_direction(newton_map, C, G, rows) -> np.ndarray:
+def _newton_direction(evaluate, C, G, rows) -> np.ndarray:
     """The Newton steps ``J^-1 G`` at the rows of ``C``, zero where the
-    finite-difference Jacobian is singular or not finite."""
-    J = _batched_jacobian(newton_map, C, rows)
+    Newton map's central-difference Jacobian, from one call on their
+    ``_stencil`` rows, is singular or not finite."""
+    m, d = C.shape
+    s, stencil = _stencil(C)
+    W, _ = evaluate(stencil.reshape(-1, d), np.repeat(rows, 2 * d))
+    J = _difference_quotient(W[:, :-1].reshape(m, 2 * d, d), s[:, 0])
     dets = np.linalg.det(J)
     solvable = np.isfinite(dets) & (np.abs(dets) > 0.0)
     delta = np.zeros_like(C)
@@ -373,7 +359,7 @@ def _newton_direction(newton_map, C, G, rows) -> np.ndarray:
     return delta
 
 
-def _damped_step(evaluate, newton_map, rows, state: tuple, weighted: bool):
+def _damped_step(evaluate, rows, state: tuple):
     """One damped Newton step from each of ``rows`` of the iterates
     ``state``: their points ``C``, the Newton map's chart values ``G`` and
     the residuals ``res`` and ``zres``.  Updates ``state`` in place on the
@@ -386,7 +372,7 @@ def _damped_step(evaluate, newton_map, rows, state: tuple, weighted: bool):
     most ``(1 - lambda / 2) res``.
     """
     C, G, res, zres = (a[rows] for a in state)
-    delta = _newton_direction(newton_map, C, G, rows)
+    delta = _newton_direction(evaluate, C, G, rows)
     T = C[:, None, :] - _STEP_SIZES[:, None] * delta[:, None, :]
     # No shorter step moves a point that a longer one leaves in place.
     live = np.logical_and.accumulate((T != C[:, None, :]).any(axis=2), axis=1)
@@ -395,7 +381,7 @@ def _damped_step(evaluate, newton_map, rows, state: tuple, weighted: bool):
     TR, TZ = np.full((2, *live.shape), np.inf)
     r, k = np.nonzero(ask)
     if r.size:
-        TG[r, k], TR[r, k], TZ[r, k] = _newton_state(evaluate, T[r, k], rows[r], weighted)
+        TG[r, k], TR[r, k], TZ[r, k] = _newton_state(evaluate, T[r, k], rows[r])
     accept = TR <= (1.0 - 0.5 * _STEP_SIZES) * res[:, None]
     hit = np.flatnonzero(accept.any(axis=1))
     pos = np.argmax(accept[hit], axis=1)
@@ -405,32 +391,31 @@ def _damped_step(evaluate, newton_map, rows, state: tuple, weighted: bool):
 
 
 def _merge_converged(C, zres, active, owner, tol, labels: np.ndarray) -> None:
-    """Stop the iterating rows that are converged and within ``DEDUP_RADIUS``
-    of a lower-residual such row of their field, recording it in ``owner``."""
+    """Stop the iterating rows that are converged and claimed by another
+    such row (``_cover``), recording it in ``owner``."""
     cand = np.flatnonzero(active & (zres <= tol))
     if cand.size < 2:
         return
-    X = _apart(C[cand], labels[cand])
-    cover = cand[_greedy_cover(X, np.argsort(zres[cand], kind="stable"), DEDUP_RADIUS, p=2)]
+    cover = _cover(C, zres, labels, cand)
     merged = cover != cand
     owner[cand[merged]] = cover[merged]
     active[cand[merged]] = False
 
 
+def _cover(C: np.ndarray, zres: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The row that claims each of ``rows`` (points ``C``, residuals ``zres``,
+    fields ``labels``): in ascending residual, first on ties, a row not yet
+    claimed claims itself and every such row of its field within
+    ``DEDUP_RADIUS``.  The rows that claim themselves are distinct zeros."""
+    X = _apart(C[rows], labels[rows])
+    return rows[_greedy_cover(X, np.argsort(zres[rows], kind="stable"), DEDUP_RADIUS, p=2)]
+
+
 def _apart(C: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The rows ``C`` with their fields ``labels`` on an extra last axis, two
     units apart: beyond every radius of a near-row search over stacked
-    fields (``DEDUP_RADIUS``, 1.5 scan spacings, ``_restart_between``'s)."""
+    fields (``_cover``'s, 1.5 scan spacings, ``_restart_between``'s)."""
     return np.column_stack([C, 2.0 * labels])
-
-
-def _dedup(C: np.ndarray, res: np.ndarray, radius: float):
-    # Greedy in ascending residual: a point is kept unless it lies within
-    # ``radius`` of a point kept before it.
-    owner = _greedy_cover(C, np.argsort(res, kind="stable"), radius, p=2)
-    kept = np.flatnonzero(owner == np.arange(len(C))).tolist()
-    kept.sort(key=lambda k: tuple(C[k]))
-    return kept, len(C) - len(kept)
 
 
 def _join_flat_zeros(
@@ -458,15 +443,15 @@ def _lowest_per_label(labels: np.ndarray, res: np.ndarray) -> np.ndarray:
     return order[np.unique(labels[order], return_index=True)[1]]
 
 
-def _classify_rows(field: TangentField, C: np.ndarray, sigma: float, fit: bool = False):
+def _classify_rows(field: TangentField, C: np.ndarray, sigma: float):
     """Residual norms, regular mask, indices and multiplicities of the zeros
     ``C``, from one evaluation of every probe row (``_probe_rows``).
 
     The first row whose residual exceeds ``1e-9 * sigma`` raises
     ``ValueError``.  Multiplicities are fitted on a window of
-    ``4 MULTIPLICITY_K_MAX + 1`` points when ``fit`` is set (two goods), else
-    ``None``.
+    ``4 MULTIPLICITY_K_MAX + 1`` points for two goods, else ``None``.
     """
+    fit = field.goods == 2
     window = np.linspace(-1.0, 1.0, 4 * MULTIPLICITY_K_MAX + 1) if fit else None
     residual, J, consistent, G = _probe_rows(field, C, sigma, window)
     bad = residual > 1e-9 * sigma
@@ -531,7 +516,7 @@ def multiplicity_estimate(field_or_economy, p) -> int | None:
     field = as_field(field_or_economy)
     if field.goods != 2:
         raise ValueError("multiplicity estimation is implemented for two goods only")
-    return _classify_rows(field, _chart_row(p), _scan(field)[0], fit=True)[3][0]
+    return _classify_rows(field, _chart_row(p), _scan(field)[0])[3][0]
 
 
 def chart_jacobian(field_or_economy, c) -> np.ndarray:
@@ -653,26 +638,25 @@ def _subdivisions(per_dim: int, density: int) -> int:
     return -(-(density - 1) // (per_dim - 1))
 
 
-def _starts(base: TangentField, terms: list, weighted: bool, m: int, P, Z, hit, sigmas) -> tuple:
-    """The Newton starts of ``base`` plus each chart-map term, and the field
-    of each start (non-decreasing), from the fields' simplex and full rows
-    ``P, Z`` on the scan grid (shaped ``(fields, points, goods)``), their
-    hits and scales ``sigmas`` (``_scan_reports``) and the solve's
-    ``_subdivisions`` ``m``.
+def _starts(evaluator, m: int, W, hit, sigmas) -> tuple:
+    """The Newton starts of a chunk of fields, and the field of each start
+    (non-decreasing), from the full rows ``W`` of their Newton map on the
+    scan grid (shaped ``(fields, points, goods)``), their hits and scales
+    ``sigmas`` (``_scan_reports``) and the solve's ``_subdivisions`` ``m``.
 
-    The scan grid, read on the Newton map (``p * z`` when ``weighted``, else
-    ``z``), is a level of one patch per field; with ``m > 1`` its flagged
-    cells are refined.  A field's starts are those of the finest level
-    (``_level_starts``).
+    The scan grid is a level of one patch per field; with ``m > 1`` its
+    flagged cells are refined, and ``evaluator(labels)`` is the
+    ``_stacked_map`` that evaluates them.  A field's starts are those of the
+    finest level (``_level_starts``).
     """
-    C, per_dim, keys, vertex = _scan_grid(base.dim)
-    F, N, d = len(terms), len(C), base.dim
+    F, N, d = W.shape[0], W.shape[1], W.shape[2] - 1
+    _, per_dim, keys, vertex = _scan_grid(d)
     field = np.arange(F)
-    W = (P * Z if weighted else Z).reshape(F * N, -1)
+    W = W.reshape(F * N, -1)
     # The scan grid as one patch per field, its rows stacked field by field.
     keys = (field[:, None] * per_dim**d + keys).ravel()
     vertex = np.where(vertex >= 0, vertex + N * field.reshape((F,) + (1,) * d), -1)
-    refine = partial(_refine, base, terms, weighted, sigmas, m) if m > 1 else None
+    refine = partial(_refine, evaluator, sigmas, m) if m > 1 else None
     corner = np.zeros((F, d), dtype=int)
     blocks = _level_starts(W, hit.ravel(), keys, per_dim, vertex, field, corner, _spacing(per_dim), refine)
     labels = np.concatenate([f for f, _ in blocks])
@@ -747,15 +731,16 @@ def _level_starts(W, hit, keys, n: int, vertex, field, corner, spacing: float, r
     return blocks
 
 
-def _refine(base: TangentField, terms: list, weighted: bool, sigmas, m: int, field, corner, n: int) -> tuple:
+def _refine(evaluator, sigmas, m: int, field, corner, n: int) -> tuple:
     """The level (``_level_starts``' arguments) that ``_layout`` makes of the
     cells with corners ``corner`` on the lattice of ``n`` points per axis, of
     the fields ``field`` (scales ``sigmas``), each refined into ``m``
-    subdivisions per axis, with its rows evaluated in one call."""
+    subdivisions per axis, with its rows evaluated in one call of
+    ``evaluator(labels)`` (``_stacked_map``)."""
     keys, labels, C, *patches = _layout(field, corner, n, m)
-    P, Z = _full_rows(C, _stacked_map(base, terms, labels)(C, np.arange(len(C))))
+    W, Z = evaluator(labels)(C, np.arange(len(C)))
     hit = np.linalg.norm(Z, axis=1) <= CONTINUUM_RESIDUAL_TOL * sigmas[labels]
-    return (P * Z if weighted else Z), hit, keys, *patches
+    return W, hit, keys, *patches
 
 
 def _over_cells(op, X: np.ndarray, lead: int = 1) -> np.ndarray:
@@ -857,15 +842,15 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
         try:
             P, Z = _evaluate_grid(grid, group)
             sigmas, hit, reports = _scan_reports(scan_grid, per_dim, P, Z)
-            starts, labels = _starts(base, group, weighted, m, P, Z, hit, sigmas)
-            newton = _newton_multistart(
-                _stacked_map(base, group, labels), starts,
-                NEWTON_TOL * sigmas[labels], weighted, labels,
-            )
+            evaluator = partial(_stacked_map, base, group, weighted)
+            starts, labels = _starts(evaluator, m, P * Z if weighted else Z, hit, sigmas)
+
+            def phase(X, labels):
+                return _newton_multistart(evaluator(labels), X, NEWTON_TOL * sigmas[labels], labels)
+
+            newton = phase(starts, labels)
             if m > 1:
-                newton, labels = _restart_between(
-                    base, group, weighted, newton, labels, sigmas, restart_radius
-                )
+                newton, labels = _restart_between(phase, newton, labels, restart_radius)
         except Exception as exc:  # noqa: BLE001 - each field then records its own error
             outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg, grid)[0] for t in group]
             continue
@@ -880,10 +865,11 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
     return outcomes
 
 
-def _restart_between(base, terms, weighted, newton, labels, sigmas, radius: float) -> tuple:
+def _restart_between(phase, newton, labels, radius: float) -> tuple:
     """The Newton phase ``newton`` over rows of the fields ``labels``, and a
-    second phase from the line through every two distinct converged points
-    of a field within ``radius`` of each other, merged field by field.
+    second ``phase`` from the line through every two distinct converged
+    points of a field (``_cover``) within ``radius`` of each other, merged
+    field by field.
 
     The second phase starts at the pair's midpoint and one secant length
     beyond each end, ``c_a + w (c_b - c_a)`` for ``w`` = 1/2, -1 and 2, where
@@ -896,10 +882,8 @@ def _restart_between(base, terms, weighted, newton, labels, sigmas, radius: floa
     idx = np.flatnonzero(converged)
     if idx.size < 2:
         return newton, labels
-    X = _apart(C[idx], labels[idx])
-    kept = _greedy_cover(X, np.argsort(zres[idx], kind="stable"), DEDUP_RADIUS, p=2) == np.arange(len(idx))
-    idx = idx[kept]
-    pairs = _close_pairs(X[kept], radius, p=2)
+    idx = idx[_cover(C, zres, labels, idx) == idx]
+    pairs = _close_pairs(_apart(C[idx], labels[idx]), radius, p=2)
     if not len(pairs):
         return newton, labels
     a, b = np.sort(idx[pairs], axis=1).T
@@ -907,23 +891,25 @@ def _restart_between(base, terms, weighted, newton, labels, sigmas, radius: floa
     a, b = np.repeat(a[order], 3), np.repeat(b[order], 3)
     X = C[a] + np.tile([0.5, -1.0, 2.0], len(pairs))[:, None] * (C[b] - C[a])
     a, X = a[_interior(X)], X[_interior(X)]
-    more = _newton_multistart(
-        _stacked_map(base, terms, labels[a]), X, NEWTON_TOL * sigmas[labels[a]], weighted, labels[a]
-    )
+    more = phase(X, labels[a])
     labels = np.concatenate([labels, labels[a]])
     order = np.argsort(labels, kind="stable")
     return tuple(np.concatenate(pair)[order] for pair in zip(newton, more)), labels[order]
 
 
-def _stacked_map(base: TangentField, terms: list, labels: np.ndarray):
-    """The chart map over stacked rows: the base map, plus on row ``r`` the
-    term of field ``labels[r]`` (``_add_terms``)."""
+def _stacked_map(base: TangentField, terms: list, weighted: bool, labels: np.ndarray):
+    """The full rows ``W`` of the Newton map (``p * z`` when ``weighted``,
+    else ``z``) and ``Z`` of the field at the chart rows ``C``, over stacked
+    rows: the base chart map plus, on row ``r``, the term of field
+    ``labels[r]`` (``_add_terms``), evaluated once."""
 
     def evaluate(C, rows):
         # A copy: the base chart map may return a view of its input.
         F = np.array(base.chart_values(C))
         # ``rows`` and the labels are sorted, so each field's rows form one block.
-        return _add_terms(F, C, terms, np.searchsorted(labels[rows], np.arange(len(terms) + 1)))
+        F = _add_terms(F, C, terms, np.searchsorted(labels[rows], np.arange(len(terms) + 1)))
+        P, Z = _full_rows(C, F)
+        return (P * Z if weighted else Z), Z
 
     return evaluate
 
@@ -947,13 +933,14 @@ def _field_report(
     and statistics."""
     C, res, converged, stalled, exhausted, iterations = (a[rows] for a in newton)
     conv_idx = np.flatnonzero(converged)
-    kept, merges = _dedup(C[conv_idx], res[conv_idx], DEDUP_RADIUS)
+    kept = conv_idx[_cover(C, res, np.zeros(len(C), dtype=int), conv_idx) == conv_idx]
+    merges = len(conv_idx) - len(kept)
 
     equilibria = []
-    if kept:
-        idx = conv_idx[kept]
+    if kept.size:
+        idx = np.array(sorted(kept, key=lambda k: tuple(C[k])))
         Z = C[idx]
-        residual, regular, index, multiplicity = _classify_rows(field, Z, sigma, field.goods == 2)
+        residual, regular, index, multiplicity = _classify_rows(field, Z, sigma)
         joined = _join_flat_zeros(field, Z, res[idx], ~regular, NEWTON_TOL * sigma)
         merges += len(idx) - len(joined)
         P = chart_rows_embed(Z[joined])

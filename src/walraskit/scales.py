@@ -235,8 +235,11 @@ def _build_interpolator(grid: np.ndarray, values: np.ndarray):
             return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
 
         return call
-    # The construction check: the points must affinely span the chart.
-    span = np.linalg.matrix_rank(grid[1:] - grid[:1])
+    # The points must affinely span the chart.  A direction counts above 1e-12
+    # of the largest singular value: qhull refuses ratios up to about 3.5e-14,
+    # and realised grids have about 0.5.
+    s = np.linalg.svd(grid[1:] - grid[:1], compute_uv=False)
+    span = int((s > 1e-12 * s.max(initial=0.0)).sum())
     if grid.shape[1] < 1 or span < grid.shape[1]:
         raise ValueError(_untriangulable(grid, f"its points span {span} of them"))
     # Built on first evaluation: a scale that is only written, or only read
@@ -287,8 +290,9 @@ class SampledScale(Scale):
     nearest value is held constant.
 
     Every check is made when the scale is built, and a grid of two or more
-    chart dimensions whose points do not affinely span the chart is refused
-    there with "cannot be triangulated".  Its interpolator (scipy's) is
+    chart dimensions whose points do not affinely span the chart, a singular
+    value counting only above 1e-12 of the largest, is refused there with
+    "cannot be triangulated".  Its interpolator (scipy's) is
     built on the first call; the grid's triangulation is cached, so scales
     that share a grid share it.  Should qhull refuse a grid that passed the
     rank test, that first call raises the same ``ValueError``.

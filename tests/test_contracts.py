@@ -11,9 +11,15 @@ import walraskit as wk
 TWO_GOODS = wk.Consumer([0.5, 0.5], [1.0, 1.0])
 OUTSIDE = "chart point must satisfy coords > 0 and sum(coords) < 1"
 BASE = wk.PricePoint([0.5, 0.5])
+NOT_A_SCALE = "invalid scale: a scale must be one of constant, polynomial, bump, sampled, kernel_sampled, not {}"
+# 20 points on c2 = 0.5 - c1, off it by +-2e-15: singular values 1.1 and 6.8e-15.
+_C1 = np.linspace(0.1, 0.4, 20)
+NEAR_FLAT = np.column_stack([_C1, 0.5 - _C1 + 2e-15 * (-1.0) ** np.arange(20)])
 
 REFUSED = [
     (lambda: wk.Consumer([0.5, 0.5], [1.0, 1.0, 1.0]), "alpha and endowment must be 1-d vectors of equal length"),
+    (lambda: wk.Consumer([0.5, 0.5], [1.0, 1.0], scale=2.0), NOT_A_SCALE.format("float")),
+    (lambda: wk.Consumer([0.5, 0.5], [1.0, 1.0], scale=lambda P: P[:, 0]), NOT_A_SCALE.format("function")),
     (lambda: wk.Economy(()), "an economy needs at least one consumer"),
     (
         lambda: wk.Economy((TWO_GOODS, wk.Consumer([0.2, 0.3, 0.5], [1.0, 1.0, 1.0]))),
@@ -39,6 +45,10 @@ REFUSED = [
     (lambda: wk.SampledScale([[0.2], [np.nan], [0.6]], [1.0, 2.0, 3.0]), "sampled grid points must be finite"),
     (lambda: wk.SampledScale([[0.2], [0.4], [0.6]], [1.0, 2.0]), "grid and values must have the same length"),
     (
+        lambda: wk.SampledScale(NEAR_FLAT, np.ones(20)),
+        "sampled grid of 20 points in 2 chart dimensions cannot be triangulated (its points span 1 of them)",
+    ),
+    (
         lambda: wk.KernelSampledScale([[0.2], [0.4], [0.6]], [1.0, 2.0, 3.0], good=0, share=1.0, level=1.0),
         "share must lie strictly between 0 and 1",
     ),
@@ -56,10 +66,11 @@ REFUSED = [
     "build, message",
     REFUSED,
     ids=[
-        "consumer-lengths", "empty-economy", "mixed-goods", "one-good-family", "continuum-grid-4",
-        "no-trials", "one-price", "polar-frame", "empty-chart-point", "nan-chart-point",
-        "tangent-length", "project-length", "audit-no-samples", "bump-radius-0", "bump-nowhere-positive",
-        "sampled-repeated-node", "sampled-one-node", "sampled-nan-node", "sampled-value-short", "kernel-share-1",
+        "consumer-lengths", "consumer-float-scale", "consumer-callable-scale", "empty-economy", "mixed-goods",
+        "one-good-family", "continuum-grid-4", "no-trials", "one-price", "polar-frame", "empty-chart-point",
+        "nan-chart-point", "tangent-length", "project-length", "audit-no-samples", "bump-radius-0",
+        "bump-nowhere-positive", "sampled-repeated-node", "sampled-one-node", "sampled-nan-node",
+        "sampled-value-short", "sampled-near-flat", "kernel-share-1",
         "classify-outside", "jacobian-outside", "multiplicity-width",
     ],
 )

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,12 +23,13 @@ from walraskit.equilibrium import (
     JACOBIAN_STEP,
     JOIN_RADIUS,
     NEWTON_TOL,
-    _dedup,
+    _cover,
     _field_report,
     _hit_clusters,
     _largest_grid_cluster,
     _newton_multistart,
 )
+from walraskit.fields import _full_rows
 from walraskit.geometry import chart_rows_embed
 
 
@@ -67,7 +69,28 @@ def _lattice_starts(field, density=50):
     P, Z = (a[None] for a in field.full_values(C))
     sigmas, hit, _ = equilibrium._scan_reports(C, per_dim, P, Z)
     m = _lattice(field, density)[1]
-    return equilibrium._starts(field, [None], field.price_weighted, m, P, Z, hit, sigmas)[0]
+    weighted = field.price_weighted
+    evaluator = partial(equilibrium._stacked_map, field, [None], weighted)
+    return equilibrium._starts(evaluator, m, P * Z if weighted else Z, hit, sigmas)[0]
+
+
+def _evaluator(chart_map, weighted=False):
+    """The map a Newton phase reads (``equilibrium._stacked_map``) of the
+    chart map ``chart_map(C, rows)``: its Newton map ``p * z`` when
+    ``weighted``, else ``z``, and the field ``z``, as full rows."""
+
+    def evaluate(C, rows):
+        P, Z = _full_rows(C, chart_map(C, rows))
+        return (P * Z if weighted else Z), Z
+
+    return evaluate
+
+
+def _newton(chart_map, starts, tol, weighted=False):
+    """``_newton_multistart`` from ``starts``, rows of one field, on
+    ``_evaluator(chart_map, weighted)``."""
+    labels = np.zeros(len(starts), dtype=int)
+    return _newton_multistart(_evaluator(chart_map, weighted), starts, tol, labels)
 
 
 def _converged(field, C):
@@ -89,10 +112,10 @@ def _newton_field(case, rng):
     return field
 
 
-def _one_call_per_step_size(evaluate, newton_map, rows, state, weighted):
+def _one_call_per_step_size(evaluate, rows, state):
     """``equilibrium._damped_step`` as a loop with one call per step size."""
     C, G, res, _ = (a[rows] for a in state)
-    delta = equilibrium._newton_direction(newton_map, C, G, rows)
+    delta = equilibrium._newton_direction(evaluate, C, G, rows)
     hit, live = np.zeros(len(C), bool), np.ones(len(C), bool)
     for lam in equilibrium._STEP_SIZES:
         i = np.flatnonzero(live & ~hit)
@@ -102,7 +125,7 @@ def _one_call_per_step_size(evaluate, newton_map, rows, state, weighted):
         if not ask.any():
             continue
         i, trial = i[ask], trial[ask]
-        G, R, Z = equilibrium._newton_state(evaluate, trial, rows[i], weighted)
+        G, R, Z = equilibrium._newton_state(evaluate, trial, rows[i])
         ok = R <= (1.0 - 0.5 * lam) * res[i]
         for a, v in zip(state, (trial, G, R, Z)):
             a[rows[i[ok]]] = v[ok]
@@ -183,7 +206,7 @@ class TestFindEquilibria:
     def test_start_with_nan_residual_counts_as_stalled(self):
         field = wk.chart_field(lambda C: np.where(C > 0.7, np.nan, 0.5 - C), goods=2)
         starts = _region_points(1, 50)
-        _, _, converged, stalled, exhausted, _ = _newton_multistart(
+        _, _, converged, stalled, exhausted, _ = _newton(
             lambda C, rows: field.chart_values(C), starts, _tol(field)
         )
         assert (converged.sum(), stalled.sum(), exhausted.sum()) == (35, 15, 0)
@@ -355,7 +378,7 @@ class TestPriceWeightedNewton:
         cfg = wk.SolverConfig()
         starts = _region_points(1, cfg.grid_density)
         tol = _tol(field)
-        C, res, converged, *_ = _newton_multistart(
+        C, res, converged, *_ = _newton(
             lambda C, rows: field.chart_values(C), starts, tol, weighted=True
         )
         assert 0 < converged.sum() < len(C)
@@ -377,9 +400,7 @@ class TestNewtonMultistart:
 
         cfg = wk.SolverConfig()
         starts = _region_points(field.dim, cfg.grid_density)
-        converged, *_, iterations = _newton_multistart(
-            spy, starts, _tol(field), field.price_weighted
-        )[2:]
+        converged, *_, iterations = _newton(spy, starts, _tol(field), field.price_weighted)[2:]
         assert converged.any()
         # Every pass of the loop advances the row with the most iterations.
         assert len(calls) - 1 == 2 * int(iterations.max())
@@ -405,7 +426,7 @@ class TestNewtonMultistart:
         monkeypatch.setattr(equilibrium, "_merge_converged", spy)
         cfg = wk.SolverConfig()
         starts = _region_points(field.dim, cfg.grid_density)
-        C, res, converged, *_ = _newton_multistart(
+        C, res, converged, *_ = _newton(
             lambda C, rows: field.chart_values(C), starts, _tol(field), field.price_weighted
         )
         merged = owners[-1] != np.arange(len(C))
@@ -435,7 +456,7 @@ class TestNewtonMultistart:
                 calls.append(len(C))
                 return field.chart_values(C)
 
-            return _newton_multistart(counted, starts, tol, field.price_weighted), calls
+            return _newton(counted, starts, tol, field.price_weighted), calls
 
         (fast, fast_calls) = run()
         monkeypatch.setattr(equilibrium, "_damped_step", _one_call_per_step_size)
@@ -453,9 +474,7 @@ class TestNewtonMultistart:
 
         cfg = wk.SolverConfig()
         starts = _region_points(2, cfg.grid_density)
-        _, _, converged, stalled, exhausted, iterations = _newton_multistart(
-            constant, starts, NEWTON_TOL
-        )
+        _, _, converged, stalled, exhausted, iterations = _newton(constant, starts, NEWTON_TOL)
         assert stalled.all() and not converged.any() and not exhausted.any()
         assert (iterations == 1).all()
         # the starts, then one call for the four stencil rows of each start;
@@ -625,8 +644,9 @@ class TestRefinedLevel:
         # Refine every cell of the scan grid.
         corner = np.argwhere(np.ones((per_dim - 1,) * field.dim, dtype=bool))
         sigmas = np.array([equilibrium._scan(field)[0]])
+        evaluator = partial(equilibrium._stacked_map, field, [None], False)
         keys, n = equilibrium._refine(
-            field, [None], False, sigmas, m, np.zeros(len(corner), dtype=int), corner, per_dim
+            evaluator, sigmas, m, np.zeros(len(corner), dtype=int), corner, per_dim
         )[2:4]
         K = np.column_stack(np.unravel_index(scan_keys, (per_dim,) * field.dim)) * m
         assert np.isin(np.ravel_multi_index(tuple(K.T), (n,) * field.dim), keys).all()
@@ -864,17 +884,30 @@ class TestGrouping:
 
     def test_dedup_is_greedy_along_a_chain(self):
         # 0.8r merges into 0; 1.6r is 0.8r from a merged point but 1.6r from
-        # the kept one, so it is kept.
+        # the kept one, so it claims itself.
         r = DEDUP_RADIUS
         C = np.array([[0.0], [0.8 * r], [1.6 * r]])
-        assert _dedup(C, np.array([1e-14, 2e-14, 3e-14]), r) == ([0, 2], 1)
+        owner = _cover(C, np.array([1e-14, 2e-14, 3e-14]), np.zeros(3, dtype=int), np.arange(3))
+        assert owner.tolist() == [0, 0, 2]
 
     def test_dedup_matches_pairwise_loop(self, rng):
+        # Three fields stacked on the same points, each with its own
+        # residuals; the cover sees a subset of their rows.
         for dim in (1, 2, 3):
             centres = rng.uniform(0.1, 0.3, (5, dim))
             C = centres[rng.integers(0, 5, 200)] + rng.normal(0.0, 0.4, (200, dim)) * DEDUP_RADIUS
-            res = rng.choice([0.0, 1e-13, 2e-13], 200)
-            assert _dedup(C, res, DEDUP_RADIUS) == _loop_dedup(C, res, DEDUP_RADIUS)
+            C, labels = np.tile(C, (3, 1)), np.repeat(np.arange(3), 200)
+            res = rng.choice([0.0, 1e-13, 2e-13], 600)
+            rows = np.flatnonzero(rng.random(600) < 0.8)
+            owner = _cover(C, res, labels, rows)
+            assert np.isin(owner, rows).all()
+            assert np.array_equal(labels[owner], labels[rows])
+            for f in range(3):
+                mine = rows[labels[rows] == f]
+                kept = sorted(mine[owner[labels[rows] == f] == mine], key=lambda k: tuple(C[k]))
+                loop, merges = _loop_dedup(C[mine], res[mine], DEDUP_RADIUS)
+                assert kept == mine[loop].tolist()
+                assert merges == len(mine) - len(kept)
 
     def test_one_dimensional_scan_finds_the_first_longest_run(self, rng, monkeypatch):
         # zeros on a random mask over the scan points: the detector must
@@ -1071,14 +1104,52 @@ class TestClassifyRows:
             field = wk.chart_field(counted, goods=2)
             sigma, continuum = equilibrium._scan(field)
             starts = _region_points(1, wk.SolverConfig().grid_density)
-            newton = _newton_multistart(
-                lambda C, rows: field.chart_values(C), starts, NEWTON_TOL * sigma
-            )
+            newton = _newton(lambda C, rows: field.chart_values(C), starts, NEWTON_TOL * sigma)
             calls.clear()
             report = _field_report(field, newton, slice(None), sigma, continuum)
             assert len(report.equilibria) == n_zeros
             # one probe evaluation for all zeros
             assert len(calls) == 1
+
+
+class TestStackedMap:
+    """The one map a Newton phase reads, and the one place that picks it."""
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_rows_are_the_newton_map_and_the_field(self, weighted, rng):
+        base = wk.economy_field(random_economy(rng, 3, 3))
+
+        def term(C):
+            return 1e-3 * np.sin(7.0 * C)
+
+        C = _region_points(2, 12)
+        X, labels = np.vstack([C, C, C]), np.repeat(np.arange(3), len(C))
+        W, Z = equilibrium._stacked_map(base, [None, term, None], weighted, labels)(X, np.arange(len(X)))
+        F = base.chart_values(X)
+        F[len(C) : 2 * len(C)] += term(C)
+        P, expected = _full_rows(X, F)
+        assert np.array_equal(Z, expected)
+        assert np.array_equal(W, P * expected if weighted else expected)
+
+    def test_only_an_economy_with_no_term_is_solved_on_p_times_z(self, monkeypatch, sym_edgeworth):
+        chosen = []
+        stacked = equilibrium._stacked_map
+
+        def spy(base, terms, weighted, labels):
+            chosen.append(weighted)
+            return stacked(base, terms, weighted, labels)
+
+        monkeypatch.setattr(equilibrium, "_stacked_map", spy)
+        economy = wk.economy_field(sym_edgeworth)
+        cfg = wk.SolverConfig()
+        for base, terms, weighted in (
+            (economy, [None], True),
+            (economy, [None, lambda C: 1e-3 * C], False),
+            (wk.chart_field(lambda C: 0.5 - C, goods=2), [None], False),
+        ):
+            chosen.clear()
+            equilibrium._solve(base, terms, cfg)
+            assert chosen and set(chosen) == {weighted}
 
 
 class TestEvaluationCount:

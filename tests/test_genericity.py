@@ -285,9 +285,9 @@ class TestStackedTrials:
         trials = []
         original = eqm._newton_multistart
 
-        def spy(evaluate, starts, tol, weighted, labels):
+        def spy(evaluate, starts, tol, labels):
             trials.append(len(np.unique(labels)))
-            return original(evaluate, starts, tol, weighted, labels)
+            return original(evaluate, starts, tol, labels)
 
         monkeypatch.setattr(eqm, "_newton_multistart", spy)
         self.check(
