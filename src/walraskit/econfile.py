@@ -18,13 +18,14 @@ in code; this module adds the consumer's position to the message.
 Economy files are written by a small direct emitter that gives exactly the
 text of PyYAML's ``safe_dump(data, sort_keys=False, default_flow_style=None)``:
 block collections, except that a list or mapping of scalars is written in
-flow style and wrapped past column 80.  A file in that layout is read by a
-direct reader that returns what PyYAML's safe loader returns for it; any
-other file is read with ``yaml.load``, with libyaml's parser when PyYAML has
-it, and only such a file imports PyYAML.  Floats are emitted with Python
-repr (shortest exact form) in YAML and with 17 significant digits in CSV
-tables, so written files re-parse to equivalent objects and repeated runs
-are byte-identical.
+flow style and wrapped past column 80.  A sampled grid is written in one
+pass, and a grid shared by several scales is formatted once per file.  A
+file in that layout is read by a direct reader that returns what PyYAML's
+safe loader returns for it; any other file is read with ``yaml.load``, with
+libyaml's parser when PyYAML has it, and only such a file imports PyYAML.
+Floats are emitted with Python repr (shortest exact form) in YAML and with
+17 significant digits in CSV tables, so written files re-parse to equivalent
+objects and repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import itertools
 import math
 import operator
 import re
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +137,14 @@ def _word_text(x: str) -> str:
     raise TypeError(f"cannot write {x!r} as a plain YAML scalar")
 
 
+def _yaml_floats(text: str) -> str:
+    """PyYAML's spellings of ``text``, the reprs of floats joined by ``", "``:
+    only a text with an ``e`` or an ``n`` can hold one to patch."""
+    if "e" in text or "n" in text:
+        return ", ".join(map(_yaml_float, text.split(", ")))
+    return text
+
+
 # By exact type, as PyYAML's safe representer picks: a numpy float is refused.
 _SCALAR_TEXT = {
     float: lambda x: _yaml_float(float.__repr__(x)),
@@ -146,10 +156,8 @@ _SCALAR_TEXT = {
 def _scalar_texts(values) -> list[str] | None:
     """The texts of plain scalars, or None when a value is a list or mapping."""
     types = set(map(type, values))
-    if types == {float}:  # grid rows and sampled values: repr, then fix the rare cases
-        texts = list(map(float.__repr__, values))
-        joined = "".join(texts)
-        return list(map(_yaml_float, texts)) if "e" in joined or "n" in joined else texts
+    if types == {float}:  # sampled values: one repr of the list, then fix the rare cases
+        return _yaml_floats(repr(list(values))[1:-1]).split(", ")
     if types & {list, dict}:
         return None
     bad = types - _SCALAR_TEXT.keys()
@@ -158,18 +166,52 @@ def _scalar_texts(values) -> list[str] | None:
     return [_SCALAR_TEXT[type(v)](v) for v in values]
 
 
+def _flow_text(items: list[str], start: str, end: str, column: int, indent: int) -> str:
+    """A flow collection of ``items`` written from ``column``, its leading
+    space included, with continuation lines at ``indent``."""
+    # Like libyaml and PyYAML, break before an item, after its comma, once
+    # the column is past the width; every such check is at least two
+    # columns before the end of the collection.
+    text = " " + start + ", ".join(items) + end
+    if column + len(text) - 2 <= YAML_WIDTH:
+        return text
+    parts = [" " + start]
+    column += 2
+    for k, item in enumerate(items):
+        if k:
+            parts.append(",")
+            column += 1
+        if column > YAML_WIDTH:
+            parts.append("\n" + " " * indent)
+            column = indent
+        elif k:
+            item = " " + item
+        parts.append(item)
+        column += len(item)
+    parts.append(end)
+    return "".join(parts)
+
+
 class _Emitter:
     """Block layout with indent 2; sequences under a mapping key are not
     indented and a mapping that is a sequence item starts on the dash's line.
-    Lists and mappings of scalars are written in flow style."""
+    Lists and mappings of scalars are written in flow style.
+
+    A block sequence of lists of floats (a sampled grid) is written in one
+    pass, and its text is kept for the rest of the file under the grid's
+    float64 bits, row lengths and indent: the scales of a realised economy
+    share one grid, which is formatted once.  The bits tell ``-0.0`` from
+    ``0.0``, which ``==`` does not."""
 
     def __init__(self):
         self.parts = []
         self.column = 0
+        self.grids = {}
 
     def write(self, text: str) -> None:
         self.parts.append(text)
-        self.column += len(text)
+        line = text.rfind("\n")
+        self.column = self.column + len(text) if line < 0 else len(text) - line - 1
 
     def newline(self, indent: int) -> None:
         self.parts.append("\n" + " " * indent)
@@ -189,12 +231,38 @@ class _Emitter:
             self.write("-")
             self.value(value, indent, in_mapping=False)
 
+    def float_rows(self, rows: list, indent: int) -> str | None:
+        """The text of ``rows`` as a block sequence at ``indent``, from its
+        first ``- `` on, or None when a row is not a list of floats."""
+        if set(map(type, rows)) != {list}:
+            return None
+        flat = list(itertools.chain.from_iterable(rows))
+        if set(map(type, flat)) != {float}:
+            return None
+        key = (array("d", flat).tobytes(), tuple(map(len, rows)), indent)
+        text = self.grids.get(key)
+        if text is None:
+            # Each row's items from one repr of the grid; only a row longer
+            # than _flow_text's one-line test allows goes through its wrap.
+            width = YAML_WIDTH - indent - 2
+            texts = [
+                "[" + row + "]"
+                if len(row) <= width
+                else _flow_text(row.split(", "), "[", "]", indent + 1, indent + 2)[1:]
+                for row in map(_yaml_floats, repr(rows)[2:-2].split("], ["))
+            ]
+            text = self.grids[key] = ("\n" + " " * indent + "- ").join(texts)
+        return text
+
     def value(self, x, indent: int, in_mapping: bool) -> None:
         """``x`` after the ``:`` or ``-`` of a block collection at ``indent``."""
         if isinstance(x, list):
             texts = _scalar_texts(x)
             if texts is not None:
                 return self.flow(texts, "[", "]", indent + 2)
+            rows = self.float_rows(x, indent if in_mapping else indent + 2)
+            if rows is not None:
+                return self.write(("\n" + " " * indent if in_mapping else " ") + "- " + rows)
             block = self.sequence
         elif isinstance(x, dict):
             texts = _scalar_texts(x.values())
@@ -211,28 +279,7 @@ class _Emitter:
             block(x, indent + 2, inline=True)
 
     def flow(self, items: list[str], start: str, end: str, indent: int) -> None:
-        # Like libyaml and PyYAML, break before an item, after its comma, once
-        # the column is past the width; every such check is at least two
-        # columns before the end of the collection.
-        text = " " + start + ", ".join(items) + end
-        if self.column + len(text) - 2 <= YAML_WIDTH:
-            return self.write(text)
-        parts = self.parts
-        parts.append(" " + start)
-        column = self.column + 2
-        for k, item in enumerate(items):
-            if k:
-                parts.append(",")
-                column += 1
-            if column > YAML_WIDTH:
-                parts.append("\n" + " " * indent)
-                column = indent
-            elif k:
-                item = " " + item
-            parts.append(item)
-            column += len(item)
-        parts.append(end)
-        self.column = column + 1
+        self.write(_flow_text(items, start, end, self.column, indent))
 
 
 def _economy_yaml(data: dict) -> str:
@@ -392,38 +439,44 @@ def _write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _dataset_header(goods: int) -> list[str]:
+    return [f"p{i + 1}" for i in range(goods)] + [f"x{i + 1}" for i in range(goods)]
+
+
 def save_dataset(path, d: ObservationDataset) -> None:
-    goods = d.goods
-    header = [f"p{i + 1}" for i in range(goods)] + [f"x{i + 1}" for i in range(goods)]
     rows = ([_fmt(v) for v in (*p_row, *x_row)] for p_row, x_row in zip(d.prices, d.bundles))
-    _write_csv(path, header, rows)
+    _write_csv(path, _dataset_header(d.goods), rows)
 
 
 def load_dataset(path) -> ObservationDataset:
     path = Path(path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows:
+    # Blank lines are skipped, before the header too.
+    first = next((k for k, row in enumerate(rows) if row), None)
+    if first is None:
         raise EconomyFormatError(f"{path}: empty dataset file")
-    header = rows[0]
-    if len(header) % 2 != 0 or not header[0].startswith("p"):
-        raise EconomyFormatError(f"{path}: expected header p1..pl,x1..xl")
+    header = [name.strip() for name in rows[first]]
     goods = len(header) // 2
-    body = [row for row in rows[1:] if row]
+    if header != _dataset_header(goods):
+        raise EconomyFormatError(f"{path}: expected header p1..pl,x1..xl")
+    lines = rows[first + 1 :]
+    body = [row for row in lines if row]
     try:
         if any(len(row) != 2 * goods for row in body):
             raise ValueError("field count")
         values = np.fromiter(map(float, itertools.chain.from_iterable(body)), dtype=float)
     except ValueError:
-        _raise_first_bad_line(path, rows, goods)
+        _raise_first_bad_line(path, lines, first + 2, goods)
     if not body:
         raise EconomyFormatError(f"{path}: dataset has a header but no rows")
     values = values.reshape(len(body), 2 * goods)
     return ObservationDataset(values[:, :goods], values[:, goods:])
 
 
-def _raise_first_bad_line(path, rows: list, goods: int) -> None:
-    for lineno, row in enumerate(rows[1:], start=2):
+def _raise_first_bad_line(path, lines: list, start: int, goods: int) -> None:
+    """Name the first of ``lines``, numbered from ``start``, that is not a row."""
+    for lineno, row in enumerate(lines, start=start):
         if not row:
             continue
         if len(row) != 2 * goods:

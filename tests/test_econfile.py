@@ -314,12 +314,32 @@ class TestEconomyWriter:
         e2 = wk.load_economy(tmp_path / "eco.yaml")
         assert np.array_equal(e2.consumers[0].scale.values, values)
         assert str(e2.consumers[0].endowment[1]) == "-0.0"
+        # Grids equal by == but not bit for bit: each is written as its own text.
+        zero, signed = ([[0.0], [0.5], [0.9]], [[-0.0], [0.5], [0.9]])
+        e = wk.Economy(
+            tuple(
+                wk.Consumer([0.5, 0.5], [1.0, 1.0], scale=wk.SampledScale(grid, [1.0, 2.0, 1.5]))
+                for grid in (zero, signed, zero)
+            )
+        )
+        text = self.assert_writes_safe_dump_text(tmp_path, e)
+        assert text.count("- [0.0]") == 2 and text.count("- [-0.0]") == 1
 
     def test_non_finite_and_unknown_values(self):
-        data = {"goods": 2, "x": [float("inf"), -float("inf"), float("nan"), -3], "y": [-1e300]}
-        text = _economy_yaml(data)
-        assert text == yaml.safe_dump(data, sort_keys=False, default_flow_style=None)
-        assert same_data(_read_economy_yaml(text), yaml.load(text, Loader=yaml.SafeLoader))
+        inf, nan = float("inf"), float("nan")
+
+        def rows(zero=0.0):  # new lists each time: PyYAML writes a shared list as an alias
+            return [[inf, 1e16], [nan, 1e-05], [-inf, zero], [1e16, -1e-05]]
+
+        for data in (
+            {"goods": 2, "x": [inf, -inf, nan, -3], "y": [-1e300]},
+            # Float rows, and the same rows but one zero's sign, under keys and in a sequence.
+            {"grid": rows(), "again": rows(), "signed": rows(-0.0)},
+            {"grid": rows(), "x": [rows(), [[-0.0, 1e-05]], [[0.0, 1e-05]], rows(-0.0)]},
+        ):
+            text = _economy_yaml(data)
+            assert text == yaml.safe_dump(data, sort_keys=False, default_flow_style=None)
+            assert same_data(_read_economy_yaml(text), yaml.load(text, Loader=yaml.SafeLoader))
         for bad in ("two words", "yes", True, None, (1, 2), np.float64(1.0), [1.0, np.float64(2.0)]):
             with pytest.raises(TypeError, match="plain YAML scalar"):
                 _economy_yaml({"goods": 2, "x": bad})
@@ -643,9 +663,11 @@ class TestDatasetFiles:
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(EconomyFormatError, match="header"):
-            wk.load_dataset(path)
+        # The last is p1,p2,x1,x2 interleaved: read as written, it passes SARP on the wrong data.
+        for text in ("a,b,c\n1,2,3\n", "p1,x1,p2,x2\n0.5,1,0.5,1\n0.4,1,0.6,2\n"):
+            path.write_text(text)
+            with pytest.raises(EconomyFormatError, match="expected header p1..pl,x1..xl"):
+                wk.load_dataset(path)
 
     def test_field_count_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -675,10 +697,19 @@ class TestDatasetFiles:
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "obs.csv"
-        path.write_text("p1,p2,x1,x2\n\n1,2,3,4\n\n\n0.5, 1e-3,0,7\n")
-        ds = wk.load_dataset(path)
-        assert ds.prices.tolist() == [[1.0, 2.0], [0.5, 1e-3]]
-        assert ds.bundles.tolist() == [[3.0, 4.0], [0.0, 7.0]]
+        # Before the header too, whose names may carry spaces.
+        for text in ("p1,p2,x1,x2\n\n1,2,3,4\n\n\n0.5, 1e-3,0,7\n", "\n\np1, p2 ,x1,x2\n1,2,3,4\n0.5, 1e-3,0,7\n"):
+            path.write_text(text)
+            ds = wk.load_dataset(path)
+            assert ds.prices.tolist() == [[1.0, 2.0], [0.5, 1e-3]]
+            assert ds.bundles.tolist() == [[3.0, 4.0], [0.0, 7.0]]
+        path.write_text("\n\n\n")
+        with pytest.raises(EconomyFormatError, match="empty dataset file"):
+            wk.load_dataset(path)
+        # A bad line is named by its line in the file, blank lines counted.
+        path.write_text("\n\np1,p2,x1,x2\n1,2,3,4\n1,oops,1,1\n")
+        with pytest.raises(EconomyFormatError, match=":5: non-numeric field"):
+            wk.load_dataset(path)
 
 
 class TestResultTables:
