@@ -448,43 +448,56 @@ def save_dataset(path, d: ObservationDataset) -> None:
     _write_csv(path, _dataset_header(d.goods), rows)
 
 
+# How np.loadtxt reads a dataset's rows: comma-separated floats, each
+# optionally in double quotes, with spaces around a field allowed.
+_ROWS = dict(delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float)
+
+
 def load_dataset(path) -> ObservationDataset:
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    # Universal newlines: "\n", "\r\n" and "\r" each end a line, as for csv.reader.
+    lines = path.read_text().split("\n")
     # Blank lines are skipped, before the header too.
-    first = next((k for k, row in enumerate(rows) if row), None)
+    first = next((k for k, line in enumerate(lines) if line), None)
     if first is None:
         raise EconomyFormatError(f"{path}: empty dataset file")
-    header = [name.strip() for name in rows[first]]
+    header = [name.strip() for name in next(csv.reader([lines[first]]))]
     goods = len(header) // 2
     if header != _dataset_header(goods):
         raise EconomyFormatError(f"{path}: expected header p1..pl,x1..xl")
-    lines = rows[first + 1 :]
-    body = [row for row in lines if row]
-    try:
-        if any(len(row) != 2 * goods for row in body):
-            raise ValueError("field count")
-        values = np.fromiter(map(float, itertools.chain.from_iterable(body)), dtype=float)
-    except ValueError:
-        _raise_first_bad_line(path, lines, first + 2, goods)
+    lines = lines[first + 1 :]
+    body = [line for line in lines if line]
+    # np.loadtxt warns on an empty body.
     if not body:
         raise EconomyFormatError(f"{path}: dataset has a header but no rows")
-    values = values.reshape(len(body), 2 * goods)
+    try:
+        values = np.loadtxt(body, **_ROWS)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (len(body), 2 * goods):
+        _raise_first_bad_line(path, lines, first + 2, goods)
     return ObservationDataset(values[:, :goods], values[:, goods:])
 
 
 def _raise_first_bad_line(path, lines: list, start: int, goods: int) -> None:
-    """Name the first of ``lines``, numbered from ``start``, that is not a row."""
-    for lineno, row in enumerate(lines, start=start):
-        if not row:
+    """Name the first of ``lines``, numbered from ``start``, that is not a row.
+
+    Each line is read alone as ``load_dataset`` reads the body.  A line that
+    reads alone reads the same within the body unless a quote is still open
+    at its end, which would run into the next line; so such a line is refused
+    too, and every body ``load_dataset`` refuses has a line named here.
+    """
+    for lineno, line in enumerate(lines, start=start):
+        if not line:
             continue
-        if len(row) != 2 * goods:
-            raise EconomyFormatError(f"{path}:{lineno}: expected {2 * goods} fields")
         try:
-            [float(v) for v in row]
+            row = np.loadtxt([line], **_ROWS)
         except ValueError as exc:
             raise EconomyFormatError(f"{path}:{lineno}: non-numeric field") from exc
+        if row.shape[1] != 2 * goods:
+            raise EconomyFormatError(f"{path}:{lineno}: expected {2 * goods} fields")
+        if line.count('"') % 2:
+            raise EconomyFormatError(f"{path}:{lineno}: quoted field not closed on its line")
 
 
 # --- result tables ------------------------------------------------------------

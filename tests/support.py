@@ -8,7 +8,6 @@ does not share its implementation.
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.optimize import brentq
 
 import walraskit as wk
 
@@ -80,7 +79,8 @@ def scale_path_equilibria(economy):
     With consumer 1's scale ``r``, ``p`` is an equilibrium iff ``p =
     gamma(t)`` with ``r(gamma(t)) = t``; the roots of that scalar function
     are bracketed on 40,001 log-spaced ``t`` in [1e-3, 1e3] and refined by
-    ``brentq``.  Returns the price rows in ascending ``t``.
+    bisecting every bracket at once until its midpoint is one of its ends.
+    Returns the price rows in ascending ``t``.
     """
     first, second = economy.consumers
     assert second.scale == wk.ConstantScale(1.0)
@@ -93,8 +93,13 @@ def scale_path_equilibria(economy):
     grid = np.logspace(-3.0, 3.0, 40_001)
     g = gap(grid)
     brackets = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
-    roots = [brentq(lambda t: gap(t)[0], grid[i], grid[i + 1], xtol=1e-15) for i in brackets]
-    return scale_path_prices(*args, roots)
+    lo, hi, sign_lo = grid[brackets], grid[brackets + 1], np.sign(g[brackets])
+    mid = 0.5 * (lo + hi)
+    while np.any((mid != lo) & (mid != hi)):
+        right = np.sign(gap(mid)) == sign_lo
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return scale_path_prices(*args, mid)
 
 
 def random_interior_prices(rng, n, goods, concentration=1.0):

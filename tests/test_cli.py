@@ -453,8 +453,12 @@ class TestSarpAndAudit:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("", "empty dataset file"), ("p1,p2,x1,x2\n", "dataset has a header but no rows")],
-        ids=["empty", "header-only"],
+        [
+            ("", "empty dataset file"),
+            ("p1,p2,x1,x2\n", "dataset has a header but no rows"),
+            ("p1,p2,x1,x2\n\n\n", "dataset has a header but no rows"),
+        ],
+        ids=["empty", "header-only", "header-then-blank-lines"],
     )
     def test_sarp_without_rows_exits_1(self, tmp_path, capsys, text, message):
         path = tmp_path / "obs.csv"

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from walraskit.cli import main
 from walraskit.consumers import aed_rows
 from walraskit.econfile import (
     EconomyFormatError,
+    _dataset_header,
     _economy_yaml,
     _read_economy_yaml,
     economy_from_dict,
@@ -650,6 +652,78 @@ class TestEconomyReader:
         assert economy_to_dict(econ) == economy_to_dict(economy_from_dict(_read_economy_yaml(self.KERNEL_ECONOMY)))
 
 
+def load_dataset_by_csv(path):
+    """The dataset reader before np.loadtxt: csv.reader rows, then ``float``
+    of every field."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    first = next((k for k, row in enumerate(rows) if row), None)
+    if first is None:
+        raise EconomyFormatError(f"{path}: empty dataset file")
+    header = [name.strip() for name in rows[first]]
+    goods = len(header) // 2
+    if header != _dataset_header(goods):
+        raise EconomyFormatError(f"{path}: expected header p1..pl,x1..xl")
+    values = []
+    for lineno, row in enumerate(rows[first + 1 :], start=first + 2):
+        if not row:
+            continue
+        if len(row) != 2 * goods:
+            raise EconomyFormatError(f"{path}:{lineno}: expected {2 * goods} fields")
+        try:
+            values.append([float(v) for v in row])
+        except ValueError as exc:
+            raise EconomyFormatError(f"{path}:{lineno}: non-numeric field") from exc
+    if not values:
+        raise EconomyFormatError(f"{path}: dataset has a header but no rows")
+    values = np.array(values)
+    return wk.ObservationDataset(values[:, :goods], values[:, goods:])
+
+
+def dataset_outcome(load, path):
+    """The bits ``load`` reads from ``path``, or where and why it refuses it:
+    the line a format error names (its message if it names none), or the
+    text of the dataset's own ValueError."""
+    try:
+        ds = load(path)
+    except EconomyFormatError as exc:
+        line = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
+        return ("line", int(line[1])) if line else ("file", str(exc))
+    except ValueError as exc:
+        return ("dataset", str(exc))
+    return ("bits", ds.prices.view(np.int64).tolist(), ds.bundles.view(np.int64).tolist())
+
+
+DATASET_NUMBERS = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr),
+    st.integers(1, 10**6).map(str),
+    st.just("1e-3"),
+)
+# What a field may hold besides a number: refused by the dataset (0 as a
+# price, nan, inf) or by the reader (a word, nothing).
+DATASET_ODDITIES = st.sampled_from(["0", "-0.0", "nan", "inf", "-inf", "oops", ""])
+DATASET_SPELLINGS = st.sampled_from(["{}", " {}", "{} ", '"{}"', '" {} "', '"{}" '])
+
+
+@st.composite
+def dataset_texts(draw):
+    """A dataset file with one to three goods, its fields spaced or quoted,
+    some rows too short or too long, blank lines and any line ending."""
+    goods = draw(st.integers(1, 3))
+    width = 2 * goods
+    field = st.tuples(
+        st.integers(0, 11).flatmap(lambda k: DATASET_ODDITIES if k == 0 else DATASET_NUMBERS),
+        DATASET_SPELLINGS,
+    ).map(lambda pair: pair[1].format(pair[0]))
+    blanks = st.sampled_from([0, 0, 0, 1, 2])
+    lines = [""] * draw(blanks) + [",".join(_dataset_header(goods))]
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.sampled_from([width] * 8 + [width - 1, width + 1]))
+        lines += [""] * draw(blanks) + [",".join(draw(st.lists(field, min_size=n, max_size=n)))]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
 class TestDatasetFiles:
     def test_round_trip(self, tmp_path, rng):
         c = wk.Consumer([0.4, 0.6], [1, 1])
@@ -660,6 +734,39 @@ class TestDatasetFiles:
         ds2 = wk.load_dataset(path)
         assert np.array_equal(ds.prices, ds2.prices)
         assert np.array_equal(ds.bundles, ds2.bundles)
+        # Bit for bit at the extremes of float64, the smallest subnormal and -0.0 included.
+        P = rng.dirichlet(np.ones(3), size=2000)
+        X = rng.uniform(0.0, 2.0, size=(2000, 3)) * 10.0 ** rng.integers(-300, 300, size=(2000, 3))
+        X.flat[:8] = [5e-324, 1e-300, 1e300, -0.0, 0.0, 1.7976931348623157e308, 2.2250738585072014e-308, 1.0]
+        wk.save_dataset(path, wk.ObservationDataset(P, X))
+        again = wk.load_dataset(path)
+        assert np.array_equal(again.prices.view(np.int64), P.view(np.int64))
+        assert np.array_equal(again.bundles.view(np.int64), X.view(np.int64))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(dataset_texts())
+    def test_reads_as_csv_reader_and_float_read(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("dataset") / "obs.csv"
+        path.write_bytes(text.encode())
+        assert dataset_outcome(wk.load_dataset, path) == dataset_outcome(load_dataset_by_csv, path)
+
+    @pytest.mark.parametrize(
+        "lines, line, by_csv",
+        [
+            # float() reads digit underscores; np.loadtxt does not.
+            (["1,2,3,4", "1_000,2,3,4"], 3, "bits"),
+            # csv.reader runs an open quote on into the next line, and here
+            # reads one row from the two lines.
+            (["1,2,3,4", '1,2,3,"4', '"'], 3, "bits"),
+            (['1,"2', "3,4", "5,6,7,8"], 2, "line"),
+        ],
+        ids=["underscore", "open-quote-closed-below", "open-quote"],
+    )
+    def test_lines_csv_reader_read_otherwise_are_named(self, tmp_path, lines, line, by_csv):
+        path = tmp_path / "obs.csv"
+        path.write_text("\n".join(["p1,p2,x1,x2", *lines]) + "\n")
+        assert dataset_outcome(load_dataset_by_csv, path)[0] == by_csv
+        assert dataset_outcome(wk.load_dataset, path) == ("line", line)
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
