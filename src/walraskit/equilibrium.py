@@ -6,14 +6,15 @@ chart map) and evaluates each field once on the continuum scan grid, the
 coarse level of a Kuhn lattice.  A level is a set of patches, cubes of
 lattice indices in the chart region (``_interior``), over stacked
 ``(field, point)`` rows.  One routine lays out both levels (``_layout``),
-and one reads a level's starts (``_level_starts``): the zero of the
-piecewise-linear interpolant of the Newton map in every Freudenthal
-simplex that holds one (Scarf's simplicial method, restarted on a finer
-mesh as in Eaves 1972), every lattice point whose residual is least in the
-box of its neighbours, and the lowest-residual point of each cluster of
-near-zero points.  The scan grid is one patch per field.  When it is
-coarser than the target spacing ``_spacing(grid_density)``, its cells that
-can hold a zero are refined in one step into patches of ``m``
+one map evaluates them (``_stacked_map``), and one reads a level's starts
+(``_level_starts``): the zero of the piecewise-linear interpolant of the
+Newton map in every Freudenthal simplex that holds one (Scarf's simplicial
+method, restarted on a finer mesh as in Eaves 1972), every lattice point
+whose residual is least in the box of its neighbours, and the
+lowest-residual point of each cluster of its hits (``_hits``).  The scan
+grid is one patch per field, read in one pass (``_scan_stage``).  When it
+is coarser than the target spacing ``_spacing(grid_density)``, its cells
+that can hold a zero are refined in one step into patches of ``m``
 subdivisions per axis, the fewest that reach the target, evaluated in one
 call (``_refine``), and the refined level gives the starts.  Damped Newton
 iteration in chart coordinates (``_newton_multistart``) runs over them,
@@ -575,61 +576,49 @@ def _base_grid(base: TangentField) -> tuple:
     return C, per_dim, base.chart_values(C)
 
 
-def _evaluate_grid(grid: tuple, terms: list) -> tuple:
-    """Simplex rows and full field rows, shaped ``(fields, points, goods)``,
-    of the base plus each chart-map term on the grid of ``grid``
-    (``_base_grid``).  Each term is added to its own copy of the base values
-    (``_add_terms``)."""
-    C, _, values = grid
-    n = len(terms)
-    C = np.tile(C, (n, 1))
-    F = _add_terms(np.tile(values, (n, 1)), C, terms, len(values) * np.arange(n + 1))
-    P, Z = _full_rows(C, F)
-    shape = (n, len(values), -1)
-    return P.reshape(shape), Z.reshape(shape)
-
-
 def _scan(field: TangentField, grid: tuple | None = None) -> tuple:
     """``(sigma, ContinuumReport)`` of ``field`` from one evaluation of the
     scan grid (``grid``, its ``_base_grid``, when the caller has made it);
-    ``sigma`` is 0 with no finite row."""
-    grid = _base_grid(field) if grid is None else grid
-    sigmas, _, reports = _scan_reports(grid[0], grid[1], *_evaluate_grid(grid, [None]))
+    ``sigma`` is 0 with no finite row.  The one-field ``_scan_stage``."""
+    evaluator = partial(_stacked_map, field, [None], field.price_weighted)
+    sigmas, *_, reports = _scan_stage(evaluator, _base_grid(field) if grid is None else grid, 1)
     return float(sigmas[0]), reports[0]
 
 
-def _scan_reports(C: np.ndarray, per_dim: int, P: np.ndarray, Z: np.ndarray) -> tuple:
-    """The scales ``sigma`` of the fields of the evaluation ``P, Z`` of their
-    scan grid ``C`` (``(fields, points, goods)``), their hits
-    (``|z| <= CONTINUUM_RESIDUAL_TOL * sigma``, ``(fields, points)``) and
-    their ``ContinuumReport``s: the one pass over the scan rows."""
-    wres = np.linalg.norm(P * Z, axis=2)
+def _scan_stage(evaluator, grid: tuple, count: int) -> tuple:
+    """The one pass over the scan grid of ``count`` fields, which
+    ``evaluator(labels)`` (``_stacked_map``) evaluates from the base's values
+    in ``grid`` (``_base_grid``): their scales ``sigma``, the largest finite
+    ``|p * z|`` of each, the full rows of their Newton map, field by field,
+    its hits and their clusters (``_hits``) and their ``ContinuumReport``s."""
+    C, per_dim, values = grid
+    labels = np.repeat(np.arange(count), len(C))
+    X = np.tile(C, (count, 1))
+    W, Z = evaluator(labels)(X, np.arange(len(X)), np.tile(values, (count, 1)))
+    wres = np.linalg.norm(chart_rows_embed(C) * Z.reshape(count, len(C), -1), axis=2)
     sigmas = np.where(np.isfinite(wres), wres, 0.0).max(axis=1)
-    hit = np.linalg.norm(Z, axis=2) <= CONTINUUM_RESIDUAL_TOL * sigmas[:, None]
+    hit, clusters = _hits(X, Z, labels, sigmas, _spacing(per_dim))
+    H, of = X[hit], labels[hit]
     reports = []
-    for h in hit:
-        hits, labels = _hit_clusters(C, h, _spacing(per_dim))
-        component = _largest_grid_cluster(hits, labels)
-        fired = component.size >= CONTINUUM_RUN_REQUIRED
+    for f in range(count):
+        # The largest cluster of the field, the first on ties.
+        own = clusters[of == f]
+        component = H[clusters == np.argmax(np.bincount(own))] if own.size else H[:0]
         box = None
-        if fired:
-            lo, hi = C[component].min(axis=0), C[component].max(axis=0)
+        if len(component) >= CONTINUUM_RUN_REQUIRED:
+            lo, hi = component.min(axis=0), component.max(axis=0)
             box = (float(lo[0]), float(hi[0])) if C.shape[1] == 1 else (lo, hi)
-        reports.append(ContinuumReport(fired, box, int(hits.size)))
-    return sigmas, hit, reports
+        reports.append(ContinuumReport(box is not None, box, own.size))
+    return sigmas, W, hit, clusters, reports
 
 
-def _hit_clusters(C: np.ndarray, hit: np.ndarray, spacing: float) -> tuple:
-    """The indices of the hit points of the rows ``C`` and their cluster
-    labels, linking points within 1.5 scan-grid spacings ``spacing``."""
-    idx = np.flatnonzero(hit)
-    return idx, _linked_components(C[idx], 1.5 * spacing)
-
-
-def _largest_grid_cluster(hits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The sorted indices of the largest of the clusters ``_hit_clusters``
-    returns (the lowest-indexed cluster on ties)."""
-    return hits[labels == np.argmax(np.bincount(labels))] if hits.size else hits
+def _hits(C: np.ndarray, Z: np.ndarray, labels: np.ndarray, sigmas, spacing: float) -> tuple:
+    """Which rows ``C`` of the fields ``labels`` (field rows ``Z``, scales
+    ``sigmas``) are hits, ``|z| <= CONTINUUM_RESIDUAL_TOL * sigma``, and the
+    cluster of each hit, linking the hits of a field within 1.5 scan
+    spacings ``spacing``, so that a flat stretch of zeros is one cluster."""
+    hit = np.linalg.norm(Z, axis=1) <= CONTINUUM_RESIDUAL_TOL * sigmas[labels]
+    return hit, _linked_components(_apart(C[hit], labels[hit]), 1.5 * spacing)
 
 
 def _subdivisions(per_dim: int, density: int) -> int:
@@ -638,39 +627,38 @@ def _subdivisions(per_dim: int, density: int) -> int:
     return -(-(density - 1) // (per_dim - 1))
 
 
-def _starts(evaluator, m: int, W, hit, sigmas) -> tuple:
+def _starts(evaluator, m: int, sigmas, W, hit, clusters) -> tuple:
     """The Newton starts of a chunk of fields, and the field of each start
-    (non-decreasing), from the full rows ``W`` of their Newton map on the
-    scan grid (shaped ``(fields, points, goods)``), their hits and scales
-    ``sigmas`` (``_scan_reports``) and the solve's ``_subdivisions`` ``m``.
+    (non-decreasing), from their scales ``sigmas``, the full rows ``W`` of
+    their Newton map on the scan grid, its hits and their clusters
+    (``_scan_stage``) and the solve's ``_subdivisions`` ``m``.
 
     The scan grid is a level of one patch per field; with ``m > 1`` its
     flagged cells are refined, and ``evaluator(labels)`` is the
     ``_stacked_map`` that evaluates them.  A field's starts are those of the
     finest level (``_level_starts``).
     """
-    F, N, d = W.shape[0], W.shape[1], W.shape[2] - 1
+    F, d = len(sigmas), W.shape[1] - 1
     _, per_dim, keys, vertex = _scan_grid(d)
     field = np.arange(F)
-    W = W.reshape(F * N, -1)
     # The scan grid as one patch per field, its rows stacked field by field.
     keys = (field[:, None] * per_dim**d + keys).ravel()
-    vertex = np.where(vertex >= 0, vertex + N * field.reshape((F,) + (1,) * d), -1)
+    vertex = np.where(vertex >= 0, vertex + len(W) // F * field.reshape((F,) + (1,) * d), -1)
     refine = partial(_refine, evaluator, sigmas, m) if m > 1 else None
     corner = np.zeros((F, d), dtype=int)
-    blocks = _level_starts(W, hit.ravel(), keys, per_dim, vertex, field, corner, _spacing(per_dim), refine)
+    blocks = _level_starts(W, hit, clusters, keys, per_dim, vertex, field, corner, refine)
     labels = np.concatenate([f for f, _ in blocks])
     order = np.argsort(labels, kind="stable")
     return np.vstack([X for _, X in blocks])[order], labels[order]
 
 
-def _level_starts(W, hit, keys, n: int, vertex, field, corner, spacing: float, refine=None) -> list:
+def _level_starts(W, hit, clusters, keys, n: int, vertex, field, corner, refine=None) -> list:
     """The starts of a lattice level as ``(fields, starts)`` blocks: its PL
     zeros, its minima and the lowest-residual point of each cluster of its
-    hits, linked within 1.5 scan spacings ``spacing`` (``_hit_clusters``),
-    so a flat stretch of zeros gives one start, not one per cell.  A zero on
-    a face that simplices share is found in each; Newton merges such starts.
-    With ``refine``, they are the starts of the level that
+    hits (``clusters``, one per hit, from ``_hits``), so a flat stretch of
+    zeros gives one start, not one per cell.  A zero on a face that
+    simplices share is found in each; Newton merges such starts.  With
+    ``refine``, they are the starts of the level that
     ``refine(fields, corners, n)`` makes of its cells that can hold a zero:
     those where every component takes both signs at the corners that have
     a value (``_sign_screen``), or with a minimum or a hit as a corner.
@@ -719,16 +707,13 @@ def _level_starts(W, hit, keys, n: int, vertex, field, corner, spacing: float, r
         mark = np.append(hit, False)
         mark[minima] = True
         patch, *cell = np.nonzero(_sign_screen(G, vertex) | _over_cells(np.logical_or, mark[vertex]))
-        return _level_starts(*refine(field[patch], corner[patch] + np.column_stack(cell), n), spacing)
+        return _level_starts(*refine(field[patch], corner[patch] + np.column_stack(cell), n))
     axis = _axis(n)
     patch, zeros = _pl_zeros(G, vertex, corner, axis)
     blocks = [(field[patch], zeros), (labels, axis[K])]
-    if hit.any():
-        labels, K = np.divmod(keys[hit], n**d)
-        C = axis[np.column_stack(np.unravel_index(K, (n,) * d))]
-        rep = _lowest_per_label(_linked_components(_apart(C, labels), 1.5 * spacing), res[hit])
-        blocks.append((labels[rep], C[rep]))
-    return blocks
+    rep = np.flatnonzero(hit)[_lowest_per_label(clusters, res[hit])]
+    labels, K = np.divmod(keys[rep], n**d)
+    return blocks + [(labels, axis[np.column_stack(np.unravel_index(K, (n,) * d))])]
 
 
 def _refine(evaluator, sigmas, m: int, field, corner, n: int) -> tuple:
@@ -736,11 +721,10 @@ def _refine(evaluator, sigmas, m: int, field, corner, n: int) -> tuple:
     cells with corners ``corner`` on the lattice of ``n`` points per axis, of
     the fields ``field`` (scales ``sigmas``), each refined into ``m``
     subdivisions per axis, with its rows evaluated in one call of
-    ``evaluator(labels)`` (``_stacked_map``)."""
+    ``evaluator(labels)`` (``_stacked_map``) and its ``_hits``."""
     keys, labels, C, *patches = _layout(field, corner, n, m)
     W, Z = evaluator(labels)(C, np.arange(len(C)))
-    hit = np.linalg.norm(Z, axis=1) <= CONTINUUM_RESIDUAL_TOL * sigmas[labels]
-    return W, hit, keys, *patches
+    return W, *_hits(C, Z, labels, sigmas, _spacing(n)), keys, *patches
 
 
 def _over_cells(op, X: np.ndarray, lead: int = 1) -> np.ndarray:
@@ -821,10 +805,10 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
     fields are solved in chunks of ``MAX_STARTS // (scan points * m^d)``
     fields, ``m`` the ``_subdivisions`` of the scan grid's cells: about
     ``MAX_STARTS`` points of the finest lattice.  A chunk is scanned in one
-    call, for ``sigma``, its refined cells evaluated in one call more when
-    ``m > 1`` (``_starts``), and one Newton phase runs over the stacked
-    starts of all its fields.  A chunk that raises is solved again one
-    field at a time.
+    pass (``_scan_stage``), for ``sigma``, its refined cells evaluated in one
+    call more when ``m > 1`` (``_starts``), and one Newton phase runs over
+    the stacked starts of all its fields, each reading its ``_stacked_map``.
+    A chunk that raises is solved again one field at a time.
     """
     try:
         grid = _base_grid(base) if grid is None else grid
@@ -840,10 +824,9 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
     for first in range(0, len(terms), chunk):
         group = terms[first : first + chunk]
         try:
-            P, Z = _evaluate_grid(grid, group)
-            sigmas, hit, reports = _scan_reports(scan_grid, per_dim, P, Z)
             evaluator = partial(_stacked_map, base, group, weighted)
-            starts, labels = _starts(evaluator, m, P * Z if weighted else Z, hit, sigmas)
+            sigmas, *scan, reports = _scan_stage(evaluator, grid, len(group))
+            starts, labels = _starts(evaluator, m, sigmas, *scan)
 
             def phase(X, labels):
                 return _newton_multistart(evaluator(labels), X, NEWTON_TOL * sigmas[labels], labels)
@@ -900,12 +883,12 @@ def _restart_between(phase, newton, labels, radius: float) -> tuple:
 def _stacked_map(base: TangentField, terms: list, weighted: bool, labels: np.ndarray):
     """The full rows ``W`` of the Newton map (``p * z`` when ``weighted``,
     else ``z``) and ``Z`` of the field at the chart rows ``C``, over stacked
-    rows: the base chart map plus, on row ``r``, the term of field
-    ``labels[r]`` (``_add_terms``), evaluated once."""
+    rows: the base's chart values (evaluated once, or ``values``, which take
+    the terms in place) plus, on row ``r``, the term of field ``labels[r]``."""
 
-    def evaluate(C, rows):
+    def evaluate(C, rows, values=None):
         # A copy: the base chart map may return a view of its input.
-        F = np.array(base.chart_values(C))
+        F = np.array(base.chart_values(C)) if values is None else values
         # ``rows`` and the labels are sorted, so each field's rows form one block.
         F = _add_terms(F, C, terms, np.searchsorted(labels[rows], np.arange(len(terms) + 1)))
         P, Z = _full_rows(C, F)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .consumers import Economy, aed_rows
 from .geometry import PricePoint, TangentVector, chart_rows_embed, simplex_to_sphere
+from .scales import _integer
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,10 @@ class TangentField:
     goods: int
     chart_fn: Callable[[np.ndarray], np.ndarray]
     price_weighted: bool = False
+
+    def __post_init__(self):
+        if _integer(self.goods, "goods") < 2:
+            raise ValueError(f"a field needs at least two goods, not goods={self.goods}")
 
     @property
     def dim(self) -> int:

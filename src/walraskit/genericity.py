@@ -31,6 +31,7 @@ from .decomposition import CanonicalFamily, realize_economy
 from .equilibrium import ContinuumReport, SolverConfig, _base_grid, _index_check, _scan, _solve
 from .equilibrium import find_equilibria  # noqa: F401 - in this namespace for wrappers such as bench/tracer.py
 from .fields import TangentField, _with_term, as_field, chart_field
+from .scales import _integer, _number
 
 BASIS_KINDS = ("linear_tilt", "polynomial", "random_fourier")
 CONTINUUM_GRID_MARGIN = 0.01
@@ -51,11 +52,12 @@ class PerturbationSpec:
 
     def __post_init__(self):
         # Written so that NaN fails the check too.
-        if not 0.0 <= self.epsilon < np.inf:
+        if not 0.0 <= _number(self.epsilon, "epsilon") < np.inf:
             raise ValueError("epsilon must be finite and non-negative")
         if self.basis not in BASIS_KINDS:
             raise ValueError(f"basis must be one of {BASIS_KINDS}")
-        if self.degree < 1 or self.terms < 1:
+        _integer(self.seed, "seed")
+        if _integer(self.degree, "degree") < 1 or _integer(self.terms, "terms") < 1:
             raise ValueError("degree and terms must be at least 1")
 
     def with_seed(self, seed: int) -> "PerturbationSpec":
@@ -211,7 +213,7 @@ def genericity_experiment(
     (``base_continuum``, the report :func:`continuum_detector` gives).
     Results are deterministic in the seed.
     """
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise ValueError("at least one trial is required")
     specs = [spec.with_seed(spec.seed + t) for t in range(trials)]
     field = as_field(base)

@@ -274,6 +274,8 @@ def _linked_components(X: np.ndarray, radius: float, keep=None) -> np.ndarray:
     root.  A row's parent is never above it, so each root is the lowest row
     of its tree.
     """
+    if len(X) < 2:
+        return np.zeros(len(X), dtype=int)
     pairs = _close_pairs(X, radius, p=2)
     if keep is not None and len(pairs):
         pairs = pairs[keep(pairs)]

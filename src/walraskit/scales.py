@@ -64,6 +64,13 @@ def _number(x, name: str) -> float:
     return float(x)
 
 
+def _integer(x, name: str):
+    """``x`` itself when it is an integer: an ``Integral``, not a bool."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise ValueError(f"{name} must be an integer, not {x!r}")
+    return x
+
+
 def _power(e) -> int:
     """``e`` as a plain ``int``: an integer, or a float with an integral value."""
     if isinstance(e, bool) or not isinstance(e, Real) or not float(e).is_integer() or e < 0:

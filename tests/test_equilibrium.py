@@ -25,8 +25,6 @@ from walraskit.equilibrium import (
     NEWTON_TOL,
     _cover,
     _field_report,
-    _hit_clusters,
-    _largest_grid_cluster,
     _newton_multistart,
 )
 from walraskit.fields import _full_rows
@@ -65,13 +63,9 @@ def _lattice(field, density=50):
 
 def _lattice_starts(field, density=50):
     """The Newton starts of a solve of ``field`` at ``grid_density=density``."""
-    C, per_dim, *_ = equilibrium._scan_grid(field.dim)
-    P, Z = (a[None] for a in field.full_values(C))
-    sigmas, hit, _ = equilibrium._scan_reports(C, per_dim, P, Z)
-    m = _lattice(field, density)[1]
-    weighted = field.price_weighted
-    evaluator = partial(equilibrium._stacked_map, field, [None], weighted)
-    return equilibrium._starts(evaluator, m, P * Z if weighted else Z, hit, sigmas)[0]
+    evaluator = partial(equilibrium._stacked_map, field, [None], field.price_weighted)
+    sigmas, *scan, _ = equilibrium._scan_stage(evaluator, equilibrium._base_grid(field), 1)
+    return equilibrium._starts(evaluator, _lattice(field, density)[1], sigmas, *scan)[0]
 
 
 def _evaluator(chart_map, weighted=False):
@@ -647,7 +641,7 @@ class TestRefinedLevel:
         evaluator = partial(equilibrium._stacked_map, field, [None], False)
         keys, n = equilibrium._refine(
             evaluator, sigmas, m, np.zeros(len(corner), dtype=int), corner, per_dim
-        )[2:4]
+        )[3:5]
         K = np.column_stack(np.unravel_index(scan_keys, (per_dim,) * field.dim)) * m
         assert np.isin(np.ravel_multi_index(tuple(K.T), (n,) * field.dim), keys).all()
         assert np.abs(equilibrium._axis(n)[K] - C).max() <= 1e-15
@@ -863,6 +857,22 @@ def _loop_longest_run(mask):
     return best_start, best_len
 
 
+def _zero_on(C, hit):
+    """A chart field that is zero on the rows ``C[hit]`` and one elsewhere."""
+    zeros = {tuple(c) for c in C[hit]}
+    return wk.chart_field(
+        lambda X: np.array([[0.0 if tuple(x) in zeros else 1.0] * X.shape[1] for x in X]), goods=C.shape[1] + 1
+    )
+
+
+def _scan_clusters(field):
+    """The hits of ``field`` on its scan grid, their clusters and its
+    ``ContinuumReport``, from the scan stage of a one-field solve."""
+    evaluator = partial(equilibrium._stacked_map, field, [None], False)
+    _, _, hit, clusters, (report,) = equilibrium._scan_stage(evaluator, equilibrium._base_grid(field), 1)
+    return hit, clusters, report
+
+
 def _flood_fill_clusters(C, hit, link):
     remaining = set(np.flatnonzero(hit).tolist())
     clusters = []
@@ -940,18 +950,31 @@ class TestGrouping:
                 assert report.interval is None
         assert fired >= 8
 
-    def test_grid_cluster_is_the_largest_flood_fill_cluster(self, rng):
+    def test_grid_cluster_is_the_largest_flood_fill_cluster(self, rng, monkeypatch):
+        # Every largest cluster fires, so the witness box shows which one the
+        # scan stage chose.
+        monkeypatch.setattr(equilibrium, "CONTINUUM_RUN_REQUIRED", 1)
         for dim in (2, 3):
+            monkeypatch.setattr(equilibrium, "CONTINUUM_SCAN_POINTS", 12**dim)
+            assert equilibrium._scan_grid(dim)[1] == 12
             C = _region_points(dim, 12)
             spacing = (1.0 - 2e-4) / 11
             for _ in range(20):
                 hit = rng.random(len(C)) < 0.3
-                got = _largest_grid_cluster(*_hit_clusters(C, hit, spacing)).tolist()
-                clusters = _flood_fill_clusters(C, hit, 1.5 * spacing)
-                largest = max(len(c) for c in clusters)
+                got, clusters, report = _scan_clusters(_zero_on(C, hit))
+                assert np.array_equal(got, hit)
+                want = _flood_fill_clusters(C, hit, 1.5 * spacing)
+                # The clusters are the flood fill's, numbered by their lowest index.
+                assert [np.flatnonzero(hit)[clusters == k].tolist() for k in range(len(want))] == sorted(want)
+                assert clusters.max() == len(want) - 1
+                largest = max(len(c) for c in want)
                 # ties go to the cluster holding the lowest index
-                assert got == min(c for c in clusters if len(c) == largest)
-        assert _largest_grid_cluster(*_hit_clusters(C, np.zeros(len(C), dtype=bool), spacing)).size == 0
+                box = C[min(c for c in want if len(c) == largest)]
+                assert report.fired and report.points_hit == hit.sum()
+                assert np.array_equal(report.interval[0], box.min(axis=0))
+                assert np.array_equal(report.interval[1], box.max(axis=0))
+        report = _scan_clusters(_zero_on(C, np.zeros(len(C), dtype=bool)))[2]
+        assert report == wk.ContinuumReport(False, None, 0)
 
 
 class _Reference:
@@ -1150,6 +1173,52 @@ class TestStackedMap:
             chosen.clear()
             equilibrium._solve(base, terms, cfg)
             assert chosen and set(chosen) == {weighted}
+
+
+class TestScanStage:
+    """The scan grid is scanned in one pass over the stacked fields of a
+    chunk, which clusters the hits of all of them once."""
+
+    def test_stacked_fields_get_their_one_field_scans(self):
+        # Three fields whose hits overlap in chart coordinates, added as
+        # terms to a zero base so that each stacked field is exactly its own.
+        continuum = wk.economy_field(wk.build_continuum_economy((0.4, 0.6), grid=201))
+
+        def flat_on(*intervals):
+            def fn(C):
+                flat = np.any([(a <= C) & (C <= b) for a, b in intervals], axis=0)
+                return np.where(flat, 0.0, 0.5 - C)
+
+            return fn
+
+        maps = [continuum.chart_values, flat_on((0.45, 0.55)), flat_on((0.1, 0.2), (0.45, 0.7))]
+        base = wk.chart_field(np.zeros_like, goods=2)
+        evaluator = partial(equilibrium._stacked_map, base, maps, False)
+        sigmas, _, hit, _, reports = equilibrium._scan_stage(evaluator, equilibrium._base_grid(base), 3)
+        counts = np.bincount(np.flatnonzero(hit) // len(equilibrium._scan_grid(1)[0]), minlength=3)
+        for k, fn in enumerate(maps):
+            sigma, report = equilibrium._scan(continuum if k == 0 else wk.chart_field(fn, goods=2))
+            assert sigmas[k] == sigma and reports[k] == report
+            assert counts[k] == report.points_hit
+            # Each field's largest cluster holds c = 0.5, where all three overlap.
+            assert report.fired and report.interval[0] < 0.5 < report.interval[1]
+
+    def test_one_subdivision_links_the_scan_hits_once(self, monkeypatch):
+        # The continuum detector's clusters are also the starts' when the
+        # scan grid is the level the starts come from (two goods, m = 1).
+        sizes = []
+        linked = equilibrium._linked_components
+
+        def spy(X, *args):
+            sizes.append(len(X))
+            return linked(X, *args)
+
+        economy = wk.build_continuum_economy((0.4, 0.6), grid=201)
+        assert _lattice(wk.economy_field(economy))[1] == 1
+        monkeypatch.setattr(equilibrium, "_linked_components", spy)
+        report = wk.find_equilibria(economy)
+        assert report.continuum.points_hit == 375
+        assert sizes.count(375) == 1
 
 
 class TestEvaluationCount:

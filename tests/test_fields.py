@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,21 @@ class TestLift:
         assert as_field(f) is f
         with pytest.raises(TypeError):
             as_field("not a field")
+
+    @pytest.mark.parametrize(
+        "goods, message",
+        [(1, "a field needs at least two goods, not goods=1"), (0, "a field needs at least two goods, not goods=0")]
+        + [(goods, f"goods must be an integer, not {goods!r}") for goods in (2.0, True, "3", None)],
+    )
+    def test_goods_must_be_an_integer_of_at_least_two(self, goods, message):
+        # Each of these failed deep inside the solver, not where the field was made.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            wk.chart_field(lambda C: C, goods=goods)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            wk.TangentField(goods, lambda C: C)
+
+    def test_goods_may_be_a_numpy_integer(self):
+        assert wk.chart_field(lambda C: C, goods=np.int64(3)).dim == 2
 
     def test_chart_width_checked(self):
         field = wk.chart_field(lambda C: C, goods=3)

@@ -99,6 +99,18 @@ class TestPerturb:
             wk.PerturbationSpec(1e-3, basis="unknown")
         with pytest.raises(ValueError):
             wk.PerturbationSpec(1e-3, terms=0)
+        # Counts are integers, checked when the spec is made, not deep in perturb.
+        for name, value in (("degree", 2.5), ("terms", 2.5), ("terms", True), ("seed", 1.5), ("seed", False)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, not {value!r}"):
+                wk.PerturbationSpec(1e-3, basis="polynomial", **{name: value})
+        with pytest.raises(ValueError, match="epsilon must be a number, not True"):
+            wk.PerturbationSpec(True)
+        assert wk.PerturbationSpec(1e-3, degree=np.int64(2), terms=np.int64(3), seed=np.int64(4)).seed == 4
+
+    @pytest.mark.parametrize("trials", [2.5, True, "2"])
+    def test_trials_must_be_an_integer(self, continuum_economy, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            wk.genericity_experiment(continuum_economy, wk.PerturbationSpec(1e-3), trials=trials)
 
 
 class TestExperiment:

@@ -11,12 +11,14 @@ and of the saved continuum economy with every endowment multiplied by 1e-8
 and by 1e8 (under ``rescaled/``), whose answers must not depend on the
 factor.  Under ``solve/extra/`` it runs ``solve`` on two economies with
 three known equilibria (``tests/support.multi_equilibrium_economy``, l = 3
-seed 0 and l = 4 seed 1) and on a five- and a six-good constant-scale
-economy.  Under ``audit/`` it runs ``audit`` on economies whose scales
-vary, so that the audit itself runs: the two with three known equilibria
-(polynomial scales), the saved continuum economy (1-d ``kernel_sampled``
-scales) and the first realised three-good economy of the ``realize`` pool
-(n-d ``kernel_sampled`` scales, some samples outside their node hull);
+seed 0 and l = 4 seed 1), on a five- and a six-good constant-scale
+economy and on the saved continuum economy at ``--grid 4001``, whose
+solve reads the hits of a refined level.  Under ``audit/`` it runs
+``audit`` on economies whose scales vary, so that the audit itself runs:
+the two with three known equilibria (polynomial scales), the saved
+continuum economy (1-d ``kernel_sampled`` scales) and the first realised
+three-good economy of the ``realize`` pool (n-d ``kernel_sampled``
+scales, some samples outside their node hull);
 the ``solve`` economies have constant scales, whose audit checks
 nothing.  Under ``sarp/extra/`` it runs ``sarp`` on datasets that the
 benchmark pool never yields: a three-cycle without a two-cycle behind two
@@ -136,6 +138,9 @@ def invocations(seed: int) -> list[list[str]]:
     for name, economy in economies.items():
         save_economy(extra / f"{name}.yaml", economy)
         argvs.append(["solve", "--input", str(extra / f"{name}.yaml"), "--out", str(extra / name)])
+    # Two subdivisions of each scan-grid cell: its hits are read on the refined level.
+    continuum = ["--input", str(RESCALED["continuum"]), "--grid", "4001"]
+    argvs.append(["solve", *continuum, "--out", str(extra / "continuum-grid4001")])
     extra = Path("sarp", "extra")
     extra.mkdir()
     base = load_dataset(Path("sarp", "dataset1.csv"))
