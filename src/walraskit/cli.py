@@ -324,6 +324,8 @@ def main(argv=None) -> int:
         return 1
     out_dir = Path(args.out)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, not {args.seed}")
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, out_dir)
     except (EconomyFormatError, FileNotFoundError, ValueError) as exc:

@@ -30,11 +30,11 @@ index signs (``det J_w = prod(p) det J_z`` at a zero), stays bounded at
 the faces where ``z`` grows like ``1/p_j``, and is affine in the chart for
 constant-scale Cobb-Douglas economies, so its PL zero is the equilibrium.
 Convergence is judged on ``|z|`` either way, and other fields, including
-perturbed economy fields, are solved on ``z`` itself.  ``_solve`` makes
-this choice once; ``_stacked_map`` gives every level and Newton phase the
-full rows of both maps.  Every residual threshold is a constant times the
-field's scale ``sigma``, the largest finite ``|p * z|`` on the scan grid
-(``_scan``), so rescaling every endowment changes no answer.
+perturbed economy fields, are solved on ``z`` itself.  ``_stacked_map``
+makes this choice for each chunk of fields and gives every level and
+Newton phase the full rows of both maps.  Every residual threshold is a
+constant times the field's scale ``sigma``, the largest finite ``|p * z|``
+on the scan grid (``_scan``), so rescaling every endowment changes no answer.
 
 One rule, ``_cover``, says which converged rows are one zero: Newton's
 merge, the restarts between close zeros and each report use it.  All kept
@@ -299,8 +299,9 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     margin that cuts the residual by ``1 - lambda / 2`` (backtracking).  A
     row stops when no step size improves its residual, or when the step no
     longer moves the point (as a singular Jacobian's zero step does).  An
-    iteration makes two calls: one for the Jacobian stencils of every
-    iterating row and one for the trials of all their step sizes.
+    iteration makes one call for the Jacobian stencils of every iterating
+    row and, when some row has a trial inside the margin that moves its
+    point, one more for the trials of all their step sizes.
 
     Rows that are still iterating and already converged are merged at the
     top of every iteration, within the rows of each field (``labels``, one
@@ -580,7 +581,7 @@ def _scan(field: TangentField, grid: tuple | None = None) -> tuple:
     """``(sigma, ContinuumReport)`` of ``field`` from one evaluation of the
     scan grid (``grid``, its ``_base_grid``, when the caller has made it);
     ``sigma`` is 0 with no finite row.  The one-field ``_scan_stage``."""
-    evaluator = partial(_stacked_map, field, [None], field.price_weighted)
+    evaluator = partial(_stacked_map, field, [None])
     sigmas, *_, reports = _scan_stage(evaluator, _base_grid(field) if grid is None else grid, 1)
     return float(sigmas[0]), reports[0]
 
@@ -788,7 +789,7 @@ def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> Equ
     ``|z| <= NEWTON_TOL * sigma`` are merged within ``1e-6`` and classified in
     one call, and critical zeros within ``1e-4`` whose midpoint is a zero are
     joined (both merges counted in ``dedup_merges``).  Non-convergence of
-    individual starts is reported in the statistics, not raised.
+    individual starts is reported in the statistics; the field's errors raise.
     """
     report = _solve(as_field(field_or_economy), [None], config or SolverConfig())[0]
     if isinstance(report, Exception):
@@ -801,30 +802,28 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
     or the exception that its solve raised.
 
     The base is evaluated once on the scan grid (``grid``, from
-    ``_base_grid``, is that evaluation when the caller has made it).  The
-    fields are solved in chunks of ``MAX_STARTS // (scan points * m^d)``
-    fields, ``m`` the ``_subdivisions`` of the scan grid's cells: about
-    ``MAX_STARTS`` points of the finest lattice.  A chunk is scanned in one
-    pass (``_scan_stage``), for ``sigma``, its refined cells evaluated in one
-    call more when ``m > 1`` (``_starts``), and one Newton phase runs over
-    the stacked starts of all its fields, each reading its ``_stacked_map``.
+    ``_base_grid``, is that evaluation when the caller has made it), which
+    raises when it fails, as every field would.  The fields are solved in
+    chunks of ``MAX_STARTS // (scan points * m^d)`` fields, ``m`` the
+    ``_subdivisions`` of the scan grid's cells: about ``MAX_STARTS`` points
+    of the finest lattice.  A chunk is scanned in one pass (``_scan_stage``),
+    for ``sigma``, its refined cells evaluated in one call more when
+    ``m > 1`` (``_starts``), and one Newton phase runs over the stacked
+    starts of all its fields, each reading its ``_stacked_map``; a restart
+    phase appends its rows, and each field's report reads its rows of both.
     A chunk that raises is solved again one field at a time.
     """
-    try:
-        grid = _base_grid(base) if grid is None else grid
-    except Exception as exc:  # noqa: BLE001 - every field fails with it
-        return [exc] * len(terms)
+    grid = _base_grid(base) if grid is None else grid
     scan_grid, per_dim, _ = grid
     m = _subdivisions(per_dim, cfg.grid_density)
     # Zeros this close can hide a third from the scan grid (_restart_between).
     restart_radius = 2.0 * _spacing(per_dim)
-    weighted = base.price_weighted and all(term is None for term in terms)
     chunk = max(1, MAX_STARTS // (len(scan_grid) * m**base.dim))
     outcomes = []
     for first in range(0, len(terms), chunk):
         group = terms[first : first + chunk]
         try:
-            evaluator = partial(_stacked_map, base, group, weighted)
+            evaluator = partial(_stacked_map, base, group)
             sigmas, *scan, reports = _scan_stage(evaluator, grid, len(group))
             starts, labels = _starts(evaluator, m, sigmas, *scan)
 
@@ -837,22 +836,20 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
         except Exception as exc:  # noqa: BLE001 - each field then records its own error
             outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg, grid)[0] for t in group]
             continue
-        bounds = np.searchsorted(labels, np.arange(len(group) + 1))
         for t, term in enumerate(group):
             try:
                 field = _with_term(base, term)
-                rows = slice(bounds[t], bounds[t + 1])
-                outcomes.append(_field_report(field, newton, rows, float(sigmas[t]), reports[t]))
+                outcomes.append(_field_report(field, newton, labels == t, float(sigmas[t]), reports[t]))
             except Exception as exc:  # noqa: BLE001 - per-field isolation is the contract
                 outcomes.append(exc)
     return outcomes
 
 
 def _restart_between(phase, newton, labels, radius: float) -> tuple:
-    """The Newton phase ``newton`` over rows of the fields ``labels``, and a
-    second ``phase`` from the line through every two distinct converged
-    points of a field (``_cover``) within ``radius`` of each other, merged
-    field by field.
+    """The Newton phase ``newton`` over rows of the fields ``labels``, and
+    the rows and labels of a second ``phase`` appended to it, from the line
+    through every two distinct converged points of a field (``_cover``)
+    within ``radius`` of each other, sorted by field as a phase's rows are.
 
     The second phase starts at the pair's midpoint and one secant length
     beyond each end, ``c_a + w (c_b - c_a)`` for ``w`` = 1/2, -1 and 2, where
@@ -875,21 +872,21 @@ def _restart_between(phase, newton, labels, radius: float) -> tuple:
     X = C[a] + np.tile([0.5, -1.0, 2.0], len(pairs))[:, None] * (C[b] - C[a])
     a, X = a[_interior(X)], X[_interior(X)]
     more = phase(X, labels[a])
-    labels = np.concatenate([labels, labels[a]])
-    order = np.argsort(labels, kind="stable")
-    return tuple(np.concatenate(pair)[order] for pair in zip(newton, more)), labels[order]
+    return tuple(map(np.concatenate, zip(newton, more))), np.concatenate([labels, labels[a]])
 
 
-def _stacked_map(base: TangentField, terms: list, weighted: bool, labels: np.ndarray):
-    """The full rows ``W`` of the Newton map (``p * z`` when ``weighted``,
-    else ``z``) and ``Z`` of the field at the chart rows ``C``, over stacked
-    rows: the base's chart values (evaluated once, or ``values``, which take
-    the terms in place) plus, on row ``r``, the term of field ``labels[r]``."""
+def _stacked_map(base: TangentField, terms: list, labels: np.ndarray):
+    """The full rows ``W`` of the Newton map and ``Z`` of the field at the
+    chart rows ``C``, over stacked rows: the base's chart values (evaluated
+    once, or ``values``, which take the terms in place) plus, on row ``r``,
+    the term of field ``labels[r]``.  The Newton map is ``p * z`` when the
+    base is ``price_weighted`` and no field has a term, else ``z``."""
+    weighted = base.price_weighted and all(term is None for term in terms)
 
     def evaluate(C, rows, values=None):
         # A copy: the base chart map may return a view of its input.
         F = np.array(base.chart_values(C)) if values is None else values
-        # ``rows`` and the labels are sorted, so each field's rows form one block.
+        # A phase's ``rows`` and labels are sorted, so each field's rows form one block.
         F = _add_terms(F, C, terms, np.searchsorted(labels[rows], np.arange(len(terms) + 1)))
         P, Z = _full_rows(C, F)
         return (P * Z if weighted else Z), Z
@@ -907,10 +904,10 @@ def _add_terms(F: np.ndarray, C: np.ndarray, terms: list, bounds) -> np.ndarray:
 
 
 def _field_report(
-    field: TangentField, newton: tuple, rows: slice, sigma: float, continuum: ContinuumReport
+    field: TangentField, newton: tuple, rows: np.ndarray, sigma: float, continuum: ContinuumReport
 ) -> EquilibriumReport:
     """The report on ``field`` (scale ``sigma``, continuum report
-    ``continuum``) from its start rows ``rows`` of a Newton phase:
+    ``continuum``) from its rows ``rows`` (a mask) of the Newton phases:
     deduplication, one classification call for all kept zeros, the flat-zero
     join (one call more when two critical zeros are within ``JOIN_RADIUS``)
     and statistics."""

@@ -49,11 +49,14 @@ class TangentField:
 
     def chart_values(self, C) -> np.ndarray:
         """Evaluate the chart map on ``(n, l-1)`` chart rows, in C order (a
-        C-ordered float array is passed on as it is)."""
+        C-ordered float array is passed on as it is).  The map must return
+        ``(n, l-1)`` values, or ``(n,)`` for two goods."""
         C = np.atleast_2d(np.ascontiguousarray(C, dtype=float))
         if C.shape[1] != self.dim:
             raise ValueError(f"expected chart rows of width {self.dim}")
         out = np.asarray(self.chart_fn(C), dtype=float)
+        if out.shape != C.shape and (self.dim, out.shape) != (1, C.shape[:1]):
+            raise ValueError(f"chart map returned shape {out.shape} for {len(C)} chart rows of width {self.dim}")
         return out.reshape(C.shape)
 
     def full_values(self, C) -> tuple[np.ndarray, np.ndarray]:

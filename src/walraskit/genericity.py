@@ -56,7 +56,8 @@ class PerturbationSpec:
             raise ValueError("epsilon must be finite and non-negative")
         if self.basis not in BASIS_KINDS:
             raise ValueError(f"basis must be one of {BASIS_KINDS}")
-        _integer(self.seed, "seed")
+        if _integer(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
         if _integer(self.degree, "degree") < 1 or _integer(self.terms, "terms") < 1:
             raise ValueError("degree and terms must be at least 1")
 
@@ -207,11 +208,11 @@ def genericity_experiment(
     and one damped-Newton phase over the stacked starts of a chunk of
     trials, then deduplication, classification and the flat-zero join per
     trial on its perturbed field (the field :func:`perturb` builds), so each
-    trial gets the report :func:`find_equilibria` would give it.  Failures are recorded per trial
-    and do not abort the batch.  The base is evaluated on the scan grid
-    once, for every trial and for its own continuum scan
-    (``base_continuum``, the report :func:`continuum_detector` gives).
-    Results are deterministic in the seed.
+    trial gets the report :func:`find_equilibria` would give it.  The base
+    is evaluated on the scan grid once, for every trial and for its own
+    continuum scan (``base_continuum``, as :func:`continuum_detector` gives
+    it, or ``None`` when it raises: every trial then records that error).
+    Other failures are recorded per trial.  Results are deterministic.
     """
     if _integer(trials, "trials") < 1:
         raise ValueError("at least one trial is required")
@@ -221,9 +222,10 @@ def genericity_experiment(
     try:
         grid = _base_grid(field)
         base_continuum = _scan(field, grid)[1]
-    except Exception:  # noqa: BLE001 - each trial's solve records the error
-        grid, base_continuum = None, None
-    outcomes = _solve(field, terms, solver_config or SolverConfig(), grid)
+    except Exception as exc:  # noqa: BLE001 - every trial records the base's error
+        outcomes, base_continuum = [exc] * trials, None
+    else:
+        outcomes = _solve(field, terms, solver_config or SolverConfig(), grid)
     records = []
     for t, (trial_spec, outcome) in enumerate(zip(specs, outcomes)):
         if isinstance(outcome, Exception):

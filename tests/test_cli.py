@@ -416,6 +416,30 @@ class TestPerturbAndExperiment:
         ]
         assert not (out / "report.txt").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perturb", "--epsilon", "1e-3"],
+            ["experiment", "--epsilon", "1e-3", "--trials", "2"],
+            ["audit"],
+            ["decompose"],
+            ["realize"],
+        ],
+        ids=["perturb", "experiment", "audit", "decompose", "realize"],
+    )
+    @pytest.mark.parametrize("goods", [2, 3])
+    def test_a_negative_seed_names_the_flag(self, tmp_path, capsys, argv, goods):
+        # It failed inside numpy ("expected non-negative integer"), and at
+        # two goods decompose and realize ignored it.
+        economy = tmp_path / "economy.yaml"
+        wk.save_economy(economy, wk.Economy((wk.Consumer([1.0 / goods] * goods, [1.0] * goods),) * 2))
+        out = tmp_path / "out"
+        assert main(argv + ["--input", str(economy), "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "input error: --seed must be a non-negative integer, not -1"
+        ]
+        assert not out.exists()
+
 
 class TestSarpAndAudit:
     def test_sarp_violation_report(self, tmp_path, capsys):

@@ -63,7 +63,7 @@ def _lattice(field, density=50):
 
 def _lattice_starts(field, density=50):
     """The Newton starts of a solve of ``field`` at ``grid_density=density``."""
-    evaluator = partial(equilibrium._stacked_map, field, [None], field.price_weighted)
+    evaluator = partial(equilibrium._stacked_map, field, [None])
     sigmas, *scan, _ = equilibrium._scan_stage(evaluator, equilibrium._base_grid(field), 1)
     return equilibrium._starts(evaluator, _lattice(field, density)[1], sigmas, *scan)[0]
 
@@ -382,22 +382,43 @@ class TestPriceWeightedNewton:
 
 class TestNewtonMultistart:
     @pytest.mark.parametrize("case", ["weighted-economy", "perturbed-continuum"])
-    def test_an_iteration_makes_at_most_2d_plus_2_calls(self, case, rng):
-        # One for the Jacobian stencils and one for the whole step ladder,
-        # after the one call for the starts.
+    def test_an_iteration_makes_at_most_2d_plus_2_calls(self, monkeypatch, case, rng):
+        # After the one call for the starts, each pass makes exactly one call
+        # for the Jacobian stencils and at most one for the whole step
+        # ladder; it makes that one whenever some row accepts a step.
         field = _newton_field(case, rng)
-        calls = []
+        calls, passes = [], []
+        direction, step = equilibrium._newton_direction, equilibrium._damped_step
 
         def spy(C, rows):
             calls.append(len(C))
             return field.chart_values(C)
 
+        def direction_spy(*args):
+            before = len(calls)
+            delta = direction(*args)
+            passes.append([len(calls) - before])
+            return delta
+
+        def step_spy(*args):
+            before = len(calls)
+            took = step(*args)
+            passes[-1] += [len(calls) - before - passes[-1][0], len(took)]
+            return took
+
+        monkeypatch.setattr(equilibrium, "_newton_direction", direction_spy)
+        monkeypatch.setattr(equilibrium, "_damped_step", step_spy)
         cfg = wk.SolverConfig()
         starts = _region_points(field.dim, cfg.grid_density)
         converged, *_, iterations = _newton(spy, starts, _tol(field), field.price_weighted)[2:]
         assert converged.any()
         # Every pass of the loop advances the row with the most iterations.
-        assert len(calls) - 1 == 2 * int(iterations.max())
+        assert len(passes) == int(iterations.max())
+        stencil, trial, took = np.array(passes).T
+        assert (stencil == 1).all()
+        assert (trial <= 1).all()
+        assert (trial[took > 0] == 1).all()
+        assert len(calls) == 1 + stencil.sum() + trial.sum()
 
     @pytest.mark.parametrize(
         "order, fn",
@@ -638,7 +659,7 @@ class TestRefinedLevel:
         # Refine every cell of the scan grid.
         corner = np.argwhere(np.ones((per_dim - 1,) * field.dim, dtype=bool))
         sigmas = np.array([equilibrium._scan(field)[0]])
-        evaluator = partial(equilibrium._stacked_map, field, [None], False)
+        evaluator = partial(equilibrium._stacked_map, field, [None])
         keys, n = equilibrium._refine(
             evaluator, sigmas, m, np.zeros(len(corner), dtype=int), corner, per_dim
         )[3:5]
@@ -868,7 +889,7 @@ def _zero_on(C, hit):
 def _scan_clusters(field):
     """The hits of ``field`` on its scan grid, their clusters and its
     ``ContinuumReport``, from the scan stage of a one-field solve."""
-    evaluator = partial(equilibrium._stacked_map, field, [None], False)
+    evaluator = partial(equilibrium._stacked_map, field, [None])
     _, _, hit, clusters, (report,) = equilibrium._scan_stage(evaluator, equilibrium._base_grid(field), 1)
     return hit, clusters, report
 
@@ -1140,27 +1161,44 @@ class TestStackedMap:
 
     @pytest.mark.parametrize("weighted", [True, False])
     def test_rows_are_the_newton_map_and_the_field(self, weighted, rng):
-        base = wk.economy_field(random_economy(rng, 3, 3))
+        # The map picks itself: p * z for an economy whose chunk has no term,
+        # z for a chunk with a term and for a chart field.
+        economy = wk.economy_field(random_economy(rng, 3, 3))
 
         def term(C):
             return 1e-3 * np.sin(7.0 * C)
 
+        if weighted:
+            cases = [(economy, [None, None, None])]
+        else:
+            cases = [(economy, [None, term, None]), (wk.chart_field(lambda C: 0.3 - C**2, goods=3), [None] * 3)]
         C = _region_points(2, 12)
         X, labels = np.vstack([C, C, C]), np.repeat(np.arange(3), len(C))
-        W, Z = equilibrium._stacked_map(base, [None, term, None], weighted, labels)(X, np.arange(len(X)))
-        F = base.chart_values(X)
-        F[len(C) : 2 * len(C)] += term(C)
-        P, expected = _full_rows(X, F)
-        assert np.array_equal(Z, expected)
-        assert np.array_equal(W, P * expected if weighted else expected)
+        for base, terms in cases:
+            W, Z = equilibrium._stacked_map(base, terms, labels)(X, np.arange(len(X)))
+            F = base.chart_values(X)
+            if terms[1] is not None:
+                F[len(C) : 2 * len(C)] += term(C)
+            P, expected = _full_rows(X, F)
+            assert np.array_equal(Z, expected)
+            assert np.array_equal(W, P * expected if weighted else expected)
+            assert not np.array_equal(P * expected, expected)
 
     def test_only_an_economy_with_no_term_is_solved_on_p_times_z(self, monkeypatch, sym_edgeworth):
         chosen = []
         stacked = equilibrium._stacked_map
 
-        def spy(base, terms, weighted, labels):
-            chosen.append(weighted)
-            return stacked(base, terms, weighted, labels)
+        def spy(base, terms, labels):
+            evaluate = stacked(base, terms, labels)
+
+            def observed(C, rows, values=None):
+                # Whether W is p * z and whether it is z: both on rows where z is 0.
+                W, Z = evaluate(C, rows, values)
+                maps = (chart_rows_embed(C) * Z, Z)
+                chosen.append(tuple(np.array_equal(W, V, equal_nan=True) for V in maps))
+                return W, Z
+
+            return observed
 
         monkeypatch.setattr(equilibrium, "_stacked_map", spy)
         economy = wk.economy_field(sym_edgeworth)
@@ -1172,7 +1210,9 @@ class TestStackedMap:
         ):
             chosen.clear()
             equilibrium._solve(base, terms, cfg)
-            assert chosen and set(chosen) == {weighted}
+            is_pz, is_z = np.array(chosen).T
+            assert (is_pz if weighted else is_z).all()
+            assert (~is_z if weighted else ~is_pz).any()
 
 
 class TestScanStage:
@@ -1193,7 +1233,7 @@ class TestScanStage:
 
         maps = [continuum.chart_values, flat_on((0.45, 0.55)), flat_on((0.1, 0.2), (0.45, 0.7))]
         base = wk.chart_field(np.zeros_like, goods=2)
-        evaluator = partial(equilibrium._stacked_map, base, maps, False)
+        evaluator = partial(equilibrium._stacked_map, base, maps)
         sigmas, _, hit, _, reports = equilibrium._scan_stage(evaluator, equilibrium._base_grid(base), 3)
         counts = np.bincount(np.flatnonzero(hit) // len(equilibrium._scan_grid(1)[0]), minlength=3)
         for k, fn in enumerate(maps):

@@ -59,6 +59,33 @@ class TestLift:
         with pytest.raises(ValueError):
             field.chart_values(np.array([[0.1]]))
 
+    @pytest.mark.parametrize(
+        "goods, fn, shape",
+        [
+            (3, lambda C: 0.5 - C.T, (2, 6)),
+            (3, lambda C: (0.5 - C).ravel(), (12,)),
+            (3, lambda C: (0.5 - C)[:, :1], (6, 1)),
+            (2, lambda C: np.vstack([C, C[:1]]), (7, 1)),
+            (2, lambda C: np.append(C[:, 0], 0.0), (7,)),
+            (2, lambda C: 0.5, ()),
+        ],
+        ids=["transposed", "flattened", "too-narrow", "row-too-many", "flat-too-long", "scalar"],
+    )
+    def test_a_chart_map_of_another_shape_is_refused(self, goods, fn, shape):
+        # The transposed and flattened results have the right size: a reshape
+        # would scramble them into place.
+        field = wk.chart_field(fn, goods=goods)
+        C = np.full((6, goods - 1), 0.3)
+        message = f"chart map returned shape {shape} for 6 chart rows of width {goods - 1}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            field.chart_values(C)
+
+    def test_a_two_good_chart_map_may_return_a_flat_column(self):
+        C = np.linspace(0.1, 0.9, 7)[:, None]
+        flat = wk.chart_field(lambda C: 0.5 - C[:, 0], goods=2).chart_values(C)
+        assert flat.shape == (7, 1)
+        assert np.array_equal(flat, wk.chart_field(lambda C: 0.5 - C, goods=2).chart_values(C))
+
     @pytest.mark.parametrize("row", [[1.2], [-0.1], [np.nan]])
     def test_economy_field_rejects_prices_off_the_open_simplex(self, row):
         # chart row 1.2 embeds to the price row (1.2, -0.2)

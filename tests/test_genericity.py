@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,11 @@ class TestPerturb:
                 wk.PerturbationSpec(1e-3, basis="polynomial", **{name: value})
         with pytest.raises(ValueError, match="epsilon must be a number, not True"):
             wk.PerturbationSpec(True)
+        # A negative seed failed inside numpy, naming no argument.
+        for seed in (-1, np.int64(-3)):
+            with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, not {seed!r}")):
+                wk.PerturbationSpec(1e-3, seed=seed)
+        assert wk.PerturbationSpec(1e-3, seed=0).seed == 0
         assert wk.PerturbationSpec(1e-3, degree=np.int64(2), terms=np.int64(3), seed=np.int64(4)).seed == 4
 
     @pytest.mark.parametrize("trials", [2.5, True, "2"])
@@ -330,6 +337,24 @@ class TestStackedTrials:
             assert record.error == f"ValueError: {solo.value}"
             assert "batch of 2001" in record.error
         assert res.finite_count == 0
+
+    def test_a_base_that_fails_its_scan_is_evaluated_once(self):
+        calls = []
+
+        def fn(C):
+            calls.append(len(C))
+            if (C > 0.95).any():
+                raise ValueError(f"rows above 0.95 in a batch of {len(C)}")
+            return 0.5 - C
+
+        base = wk.chart_field(fn, goods=2)
+        res = wk.genericity_experiment(base, wk.PerturbationSpec(1e-3, seed=66), trials=3)
+        # Every trial records the base's error, and no trial is solved.
+        assert calls == [2001]
+        assert [r.error for r in res.records] == ["ValueError: rows above 0.95 in a batch of 2001"] * 3
+        assert res.base_continuum is None
+        with pytest.raises(ValueError, match="rows above 0.95 in a batch of 2001"):
+            wk.find_equilibria(base)
 
     def test_a_chunk_that_raises_is_solved_one_field_at_a_time(self):
         import walraskit.equilibrium as eqm
