@@ -33,6 +33,7 @@ from .scales import (
     PolynomialScale,
     SampledScale,
     Scale,
+    _kernel_stacks,
 )
 
 UNIT_SCALE = ConstantScale(1.0)
@@ -111,14 +112,17 @@ class Economy:
     """A non-empty list of consumers over the same two or more goods.
 
     The shares and endowments are also kept stacked, one row per consumer,
-    with the constant scale values and the positions of the other scales,
-    for the fused kernel of :func:`aed_rows`.
+    with the constant scale values, the 1-d ``kernel_sampled`` scales of
+    each grid as one map (``kernel_stacks``: consumer positions and map) and
+    the positions of the other scales, for the fused kernel of
+    :func:`aed_rows`.
     """
 
     consumers: tuple
     shares: np.ndarray = field(init=False, repr=False, compare=False)
     endowments: np.ndarray = field(init=False, repr=False, compare=False)
     constant_scales: np.ndarray = field(init=False, repr=False, compare=False)
+    kernel_stacks: tuple = field(init=False, repr=False, compare=False)
     varying_scales: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -141,7 +145,9 @@ class Economy:
             stacked = np.array(rows, dtype=float)
             stacked.setflags(write=False)
             object.__setattr__(self, name, stacked)
-        varying = tuple((k, s) for k, s in enumerate(scales) if not isinstance(s, ConstantScale))
+        varying = [(k, s) for k, s in enumerate(scales) if not isinstance(s, ConstantScale)]
+        stacks, varying = _kernel_stacks(varying)
+        object.__setattr__(self, "kernel_stacks", stacks)
         object.__setattr__(self, "varying_scales", varying)
 
     @property
@@ -161,7 +167,11 @@ def demand_rows(c: Consumer, P) -> np.ndarray:
 def _scale_values(scale: Scale, P) -> np.ndarray:
     """The scale at the simplex normalisation of each price row; raises
     ``ValueError`` unless every value is finite and strictly positive."""
-    values = np.asarray(scale(P / P.sum(axis=1, keepdims=True)), dtype=float)
+    return _positive(np.asarray(scale(P / P.sum(axis=1, keepdims=True)), dtype=float))
+
+
+def _positive(values: np.ndarray) -> np.ndarray:
+    """``values``, after checking that every one is finite and strictly positive."""
     if not np.all((values > 0.0) & (values < np.inf)):
         raise ValueError("scale must be strictly positive at every evaluated price")
     return values
@@ -179,14 +189,21 @@ def aed_rows(e: Economy, P, S=None) -> np.ndarray:
     ``((P @ W^T) * S) @ A / P - S @ W``, with ``A`` the shares, ``W`` the
     endowments and ``S`` the ``(n, consumers)`` scale values (one row for
     every price row when a scale varies, else the constant values), or the
-    ``S`` given, whose values the caller knows.  The products are ``einsum``
-    loops, whose summation order, unlike that of a BLAS product, does not
-    depend on the batch: a row gets the same bits in every batch.
+    ``S`` given, whose values the caller knows.  The 1-d ``kernel_sampled``
+    scales that share a grid are evaluated in one call
+    (``Economy.kernel_stacks``), every other varying scale by itself.  The
+    products are ``einsum`` loops, whose summation order, unlike that of a
+    BLAS product, does not depend on the batch: a row gets the same bits in
+    every batch.
     """
     if S is None:
         S = e.constant_scales
-        if e.varying_scales:
+        if e.varying_scales or e.kernel_stacks:
             S = np.tile(S, (len(P), 1))
+            if e.kernel_stacks:
+                Q = P / P.sum(axis=1, keepdims=True)
+                for columns, stack in e.kernel_stacks:
+                    S[:, columns] = _positive(stack(Q))
             for k, scale in e.varying_scales:
                 S[:, k] = _scale_values(scale, P)
     wealth = np.einsum("nj,cj->nc", P, e.endowments) * S

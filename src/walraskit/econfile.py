@@ -305,6 +305,9 @@ def save_economy(path, e: Economy) -> None:
 _FLOAT_TEXT = r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?"
 _FLOAT = re.compile(_FLOAT_TEXT)
 _FLOAT_FLOW = re.compile(rf"\[{_FLOAT_TEXT}(?:, {_FLOAT_TEXT})*\]")
+# A run of one-line float rows, "- [x, y]", at one indent.
+_ROW_TEXT = rf"- \[{_FLOAT_TEXT}(?:, {_FLOAT_TEXT})*\]\n"
+_ROW_RUN = re.compile(rf"^( *){_ROW_TEXT}(?:\1{_ROW_TEXT})*", re.MULTILINE)
 _INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
 # SafeConstructor's values, bit for bit: its NaN is inf - inf, not float("nan").
 _FLOAT_WORD_VALUES = {
@@ -349,16 +352,43 @@ def _flow(text: str):
     return out
 
 
+def _row_runs(text: str) -> dict:
+    """``{line: (indent, rows)}`` for each run of one-line float rows in
+    ``text`` (``_ROW_RUN``), keyed by the index of its first line: every run
+    checked by one regex and read by one ``float`` map."""
+    runs, line, pos = {}, 0, 0
+    for match in _ROW_RUN.finditer(text):
+        line += text.count("\n", pos, match.start())
+        pos = match.start()
+        indent = match[1]
+        # The text inside the brackets of each row.
+        items = match[0][len(indent) + 3 : -2].split(f"]\n{indent}- [")
+        if "," in match[0]:
+            values = iter(map(float, ", ".join(items).split(", ")))
+            rows = [list(itertools.islice(values, item.count(",") + 1)) for item in items]
+        else:
+            rows = [[v] for v in map(float, items)]
+        runs[line] = (len(indent), rows)
+    return runs
+
+
 def _tokens(text: str) -> list:
     """The block entries of ``text``: ``(indent, key, value)``, ``key`` None
     for a sequence item, ``value`` ``_BLOCK`` when the entries that follow
-    hold it.  Wrapped flow lines are joined to their first line."""
+    hold it.  Wrapped flow lines are joined to their first line; a run of
+    one-line float rows is read at once (``_row_runs``)."""
     lines = text.split("\n")
     if lines.pop() != "":
         raise ValueError("the text does not end with a line break")
+    runs = _row_runs(text)
     tokens = []
     k = 0
     while k < len(lines):
+        if k in runs:
+            column, rows = runs[k]
+            tokens += [(column, None, row) for row in rows]
+            k += len(rows)
+            continue
         indent, dashes, key, rest = _LINE.fullmatch(lines[k]).groups()
         k += 1
         column = len(indent)

@@ -37,10 +37,11 @@ constant times the field's scale ``sigma``, the largest finite ``|p * z|``
 on the scan grid (``_scan``), so rescaling every endowment changes no answer.
 
 One rule, ``_cover``, says which converged rows are one zero: Newton's
-merge, the restarts between close zeros and each report use it.  All kept
-zeros of a field are classified from one evaluation of its chart map, on a
-few probe rows around each zero (``_probe_rows``, on Newton's
-central-difference ``_stencil``):
+merge, the restarts between close zeros and the report step use it.  The
+report step, like the Newton phase, takes a chunk of fields at a time
+(``_reports``): the kept zeros of all its fields are classified from one
+evaluation of their chart maps (``_stacked_map``), on a few probe rows
+around each zero (``_probe``, on Newton's central-difference ``_stencil``):
 
 * ``regular``  -- nonsingular chart Jacobian; the local index is the sign of
   ``det(-J)``, so the unique equilibrium of a gross-substitutes economy gets
@@ -50,10 +51,10 @@ central-difference ``_stencil``):
   get index 0 recorded and are excluded from degree certification.
 
 Newton creeps onto a degenerate zero and stops on either side of it, so
-critical zeros closer than ``JOIN_RADIUS`` whose midpoint is itself a zero
-are then joined into one.  A finite, all-regular report whose index sum is
-not +1 has missed or misclassified a zero; ``EquilibriumReport.index_check``
-says so.
+critical zeros of a field closer than ``JOIN_RADIUS`` whose midpoint is
+itself a zero are then joined into one.  A finite, all-regular report
+whose index sum is not +1 has missed or misclassified a zero;
+``EquilibriumReport.index_check`` says so.
 
 For two goods the order of the first non-vanishing chart derivative at a
 zero is estimated by a polynomial fit on a window of those probe rows
@@ -250,13 +251,20 @@ def _difference_quotient(F: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _probe_rows(field: TangentField, C: np.ndarray, sigma: float, window=None):
-    """Probe the chart map around every chart row ``c`` of ``C``, in one call:
-    at ``c``, its ``_stencil`` rows at steps ``h`` and ``h/2`` and, given a
-    ``window``, ``c + r s`` for each ``s`` in it, ``r = min(0.02, margin/2)``
-    (``margin``: the distance to the nearest face).  Returns per row: the
-    full residual norm; the Jacobian at step ``h/2``; whether it agrees with
-    the one at step ``h``, relative to its size plus ``1e-12 sigma``
-    (``sigma``: the field's scale); and the values on the window."""
+    """``_probe`` of the one field ``field``."""
+    return _probe(partial(_stacked_map, field, [None]), C, np.zeros(len(C), dtype=int), sigma, window)
+
+
+def _probe(evaluator, C: np.ndarray, labels: np.ndarray, sigma, window=None):
+    """Probe the chart map of field ``labels[k]`` (non-decreasing) around
+    every chart row ``c = C[k]``, in one call of ``evaluator(labels)``
+    (``_stacked_map``) for all of them: at ``c``, its ``_stencil`` rows at
+    steps ``h`` and ``h/2`` and, given a ``window``, ``c + r s`` for each
+    ``s`` in it, ``r = min(0.02, margin/2)`` (``margin``: the distance to
+    the nearest face).  Returns per row: the full residual norm; the
+    Jacobian at step ``h/2``; whether it agrees with the one at step ``h``,
+    relative to its size plus ``1e-12 sigma`` (``sigma``: the field's scale,
+    one or one per row); and the values on the window."""
     m, d = C.shape
     s, stencil = _stencil(C, (1.0, 0.5))
     blocks = [C[:, None, :], stencil.reshape(m, -1, d)]
@@ -264,7 +272,9 @@ def _probe_rows(field: TangentField, C: np.ndarray, sigma: float, window=None):
         r = np.minimum(0.02, 0.5 * np.minimum(C.min(axis=1), 1.0 - C.sum(axis=1)))
         blocks.append(C[:, None, :] + (r[:, None] * window)[:, :, None])
     rows = np.concatenate(blocks, axis=1)
-    V = field.chart_values(rows.reshape(-1, d)).reshape(rows.shape)
+    per = rows.shape[1]
+    Z = evaluator(np.repeat(labels, per))(rows.reshape(-1, d), np.arange(m * per))[1]
+    V = Z[:, :-1].reshape(rows.shape)
 
     residual = np.linalg.norm(_full_rows(C, V[:, 0])[1], axis=1)
     J = _difference_quotient(V[:, 1 : 1 + 4 * d].reshape(m, 2, 2 * d, d), s)
@@ -427,6 +437,8 @@ def _join_flat_zeros(
     critical zeros within ``JOIN_RADIUS`` whose midpoint is a zero
     (``|z| <= tol``); a joined group keeps its lowest-residual zero.  The
     field is evaluated only when two critical zeros are that close."""
+    if np.count_nonzero(critical) < 2:
+        return np.arange(len(Z))
 
     def flat(pairs):
         linked = critical[pairs].all(axis=1)
@@ -446,21 +458,36 @@ def _lowest_per_label(labels: np.ndarray, res: np.ndarray) -> np.ndarray:
 
 
 def _classify_rows(field: TangentField, C: np.ndarray, sigma: float):
-    """Residual norms, regular mask, indices and multiplicities of the zeros
-    ``C``, from one evaluation of every probe row (``_probe_rows``).
+    """``_classification`` of the zeros ``C`` of the one field ``field``;
+    the first whose residual exceeds ``1e-9 * sigma`` raises ``ValueError``."""
+    labels = np.zeros(len(C), dtype=int)
+    out = _classification(partial(_stacked_map, field, [None]), field.goods, C, labels, sigma)
+    _check_zeros(out[0], sigma)
+    return out
 
-    The first row whose residual exceeds ``1e-9 * sigma`` raises
-    ``ValueError``.  Multiplicities are fitted on a window of
-    ``4 MULTIPLICITY_K_MAX + 1`` points for two goods, else ``None``.
-    """
-    fit = field.goods == 2
-    window = np.linspace(-1.0, 1.0, 4 * MULTIPLICITY_K_MAX + 1) if fit else None
-    residual, J, consistent, G = _probe_rows(field, C, sigma, window)
+
+def _check_zeros(residual: np.ndarray, sigma: float) -> None:
+    """Raise ``ValueError``, naming the first, when a residual of zeros of a
+    field of scale ``sigma`` exceeds ``1e-9 * sigma``."""
     bad = residual > 1e-9 * sigma
     if bad.any():
         res = residual[np.argmax(bad)]
         raise ValueError(f"point is not a zero of the field (residual {res:.3e})")
-    d = field.dim
+
+
+def _classification(evaluator, goods: int, C: np.ndarray, labels: np.ndarray, sigma):
+    """Residual norms, regular mask, indices and multiplicities of the zeros
+    ``C`` of the fields ``labels`` (non-decreasing) of a chunk, with ``goods``
+    goods and scale ``sigma`` (one or one per row), from one evaluation of
+    every probe row (``_probe``), one determinant and one fit.
+
+    Multiplicities are fitted on a window of ``4 MULTIPLICITY_K_MAX + 1``
+    points for two goods, else ``None``.
+    """
+    fit = goods == 2
+    window = np.linspace(-1.0, 1.0, 4 * MULTIPLICITY_K_MAX + 1) if fit else None
+    residual, J, consistent, G = _probe(evaluator, C, labels, sigma, window)
+    d = goods - 1
     det = np.linalg.det(J)
     size = np.fmax(np.abs(J).max(axis=(1, 2)), sigma)
     regular = consistent & ~(np.abs(det) <= DET_RELATIVE_TOL * size**d)
@@ -469,9 +496,10 @@ def _classify_rows(field: TangentField, C: np.ndarray, sigma: float):
     return residual, regular, index, fits
 
 
-def _fit_orders(s: np.ndarray, G: np.ndarray, sigma: float) -> list:
-    """Per row ``g`` of ``G``, the lowest order whose fitted coefficient on
-    the window ``s`` stands out, from one least-squares fit of every row."""
+def _fit_orders(s: np.ndarray, G: np.ndarray, sigma) -> list:
+    """Per row ``g`` of ``G`` (scale ``sigma``, one or one per row), the
+    lowest order whose fitted coefficient on the window ``s`` stands out,
+    from one least-squares fit of every row."""
     scale = np.abs(G).max(axis=1)
     # Column j of the fit is s**j, so coefficient j estimates g^(j) r^j / j!.
     V = np.vander(s, MULTIPLICITY_K_MAX + 1, increasing=True)
@@ -697,11 +725,14 @@ def _level_starts(W, hit, clusters, keys, n: int, vertex, field, corner, refine=
     minima = np.unique(vertex[np.isfinite(R[vertex]) & (R[vertex] <= least)])
     labels, K = np.divmod(keys[minima], n**d)
     K = np.column_stack(np.unravel_index(K, (n,) * d))
-    near = K[:, None, :] + np.indices((3,) * d).reshape(d, -1).T - 1
-    within = ((near >= 0) & (near < n)).all(axis=2)
-    near = labels[:, None] * n**d + near @ (n ** np.arange(d - 1, -1, -1))
-    at = np.minimum(np.searchsorted(keys, near), len(keys) - 1)
-    lowest = (~within | (keys[at] != near) | (R[minima][:, None] <= R[at])).all(axis=1) & ~hit[minima]
+    lowest = ~hit[minima]
+    # With one patch per field (the scan grid), no neighbour lies in another.
+    if len(np.unique(field)) < len(field):
+        near = K[:, None, :] + np.indices((3,) * d).reshape(d, -1).T - 1
+        within = ((near >= 0) & (near < n)).all(axis=2)
+        near = labels[:, None] * n**d + near @ (n ** np.arange(d - 1, -1, -1))
+        at = np.minimum(np.searchsorted(keys, near), len(keys) - 1)
+        lowest &= (~within | (keys[at] != near) | (R[minima][:, None] <= R[at])).all(axis=1)
     minima, labels, K = minima[lowest], labels[lowest], K[lowest]
 
     if refine is not None:
@@ -810,8 +841,11 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
     for ``sigma``, its refined cells evaluated in one call more when
     ``m > 1`` (``_starts``), and one Newton phase runs over the stacked
     starts of all its fields, each reading its ``_stacked_map``; a restart
-    phase appends its rows, and each field's report reads its rows of both.
-    A chunk that raises is solved again one field at a time.
+    phase appends its rows.  One report step reads the rows of both
+    (``_reports``): one cover, and one probe call for the zeros of every
+    field.  A chunk whose scan or Newton phases raise is solved again one
+    field at a time, and one whose probe call raises is reported one field
+    at a time (``_field_report``).
     """
     grid = _base_grid(base) if grid is None else grid
     scan_grid, per_dim, _ = grid
@@ -836,13 +870,23 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
         except Exception as exc:  # noqa: BLE001 - each field then records its own error
             outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg, grid)[0] for t in group]
             continue
-        for t, term in enumerate(group):
-            try:
-                field = _with_term(base, term)
-                outcomes.append(_field_report(field, newton, labels == t, float(sigmas[t]), reports[t]))
-            except Exception as exc:  # noqa: BLE001 - per-field isolation is the contract
-                outcomes.append(exc)
+        fields = [_with_term(base, term) for term in group]
+        try:
+            outcomes += _reports(evaluator, fields, newton, labels, sigmas, reports)
+        except Exception as exc:  # noqa: BLE001 - each field then records its own error
+            outcomes += [exc] if len(group) == 1 else [
+                _outcome(_field_report, field, newton, labels == t, float(sigmas[t]), reports[t])
+                for t, field in enumerate(fields)
+            ]
     return outcomes
+
+
+def _outcome(report, *args):
+    """``report(*args)``, or the exception it raised."""
+    try:
+        return report(*args)
+    except Exception as exc:  # noqa: BLE001 - per-field isolation is the contract
+        return exc
 
 
 def _restart_between(phase, newton, labels, radius: float) -> tuple:
@@ -879,69 +923,124 @@ def _stacked_map(base: TangentField, terms: list, labels: np.ndarray):
     """The full rows ``W`` of the Newton map and ``Z`` of the field at the
     chart rows ``C``, over stacked rows: the base's chart values (evaluated
     once, or ``values``, which take the terms in place) plus, on row ``r``,
-    the term of field ``labels[r]``.  The Newton map is ``p * z`` when the
-    base is ``price_weighted`` and no field has a term, else ``z``."""
+    the term of field ``labels[r]`` (``_add_terms``).  The Newton map is
+    ``p * z`` when the base is ``price_weighted`` and no field has a term,
+    else ``z``."""
     weighted = base.price_weighted and all(term is None for term in terms)
+    add = _add_terms(terms)
 
     def evaluate(C, rows, values=None):
         # A copy: the base chart map may return a view of its input.
         F = np.array(base.chart_values(C)) if values is None else values
-        # A phase's ``rows`` and labels are sorted, so each field's rows form one block.
-        F = _add_terms(F, C, terms, np.searchsorted(labels[rows], np.arange(len(terms) + 1)))
+        if add is not None:
+            add(F, C, labels[rows])
         P, Z = _full_rows(C, F)
         return (P * Z if weighted else Z), Z
 
     return evaluate
 
 
-def _add_terms(F: np.ndarray, C: np.ndarray, terms: list, bounds) -> np.ndarray:
-    """``F``, base chart values at the rows ``C``, plus term ``t`` on its rows
-    ``bounds[t]:bounds[t + 1]`` in place (``_with_term``'s arithmetic)."""
-    for term, lo, hi in zip(terms, bounds[:-1], bounds[1:]):
-        if term is not None and hi > lo:
-            F[lo:hi] += term(C[lo:hi])
-    return F
+def _add_terms(terms: list):
+    """``add(F, C, fields)``, which adds to ``F``, base chart values at the
+    rows ``C``, the term of field ``fields[r]`` on row ``r`` in place
+    (``_with_term``'s arithmetic), or None when no field has a term.
+
+    Terms of one class with a ``stack`` class method (the trials of a
+    genericity experiment) are evaluated in one call of
+    ``stack(terms)(C, fields)``; other terms one field at a time, on its
+    block of rows (a phase's rows and labels are sorted).
+    """
+    if all(term is None for term in terms):
+        return None
+    (kind, *others) = {type(term) for term in terms}
+    if not others and hasattr(kind, "stack"):
+        stacked = kind.stack(terms)
+
+        def add(F, C, fields):
+            F += stacked(C, fields)
+
+        return add
+
+    def add(F, C, fields):
+        bounds = np.searchsorted(fields, np.arange(len(terms) + 1))
+        for term, lo, hi in zip(terms, bounds[:-1], bounds[1:]):
+            if term is not None and hi > lo:
+                F[lo:hi] += term(C[lo:hi])
+
+    return add
 
 
 def _field_report(
     field: TangentField, newton: tuple, rows: np.ndarray, sigma: float, continuum: ContinuumReport
 ) -> EquilibriumReport:
-    """The report on ``field`` (scale ``sigma``, continuum report
-    ``continuum``) from its rows ``rows`` (a mask) of the Newton phases:
-    deduplication, one classification call for all kept zeros, the flat-zero
-    join (one call more when two critical zeros are within ``JOIN_RADIUS``)
-    and statistics."""
-    C, res, converged, stalled, exhausted, iterations = (a[rows] for a in newton)
-    conv_idx = np.flatnonzero(converged)
-    kept = conv_idx[_cover(C, res, np.zeros(len(C), dtype=int), conv_idx) == conv_idx]
-    merges = len(conv_idx) - len(kept)
+    """The report on the one field ``field`` (scale ``sigma``, continuum
+    report ``continuum``) from its rows ``rows`` (a mask) of the Newton
+    phases: ``_reports``' one-field case, which raises the field's error."""
+    newton = tuple(a[rows] for a in newton)
+    labels = np.zeros(len(newton[0]), dtype=int)
+    evaluator = partial(_stacked_map, field, [None])
+    (report,) = _reports(evaluator, [field], newton, labels, np.array([sigma]), [continuum])
+    if isinstance(report, Exception):
+        raise report
+    return report
 
-    equilibria = []
+
+def _reports(evaluator, fields: list, newton: tuple, labels: np.ndarray, sigmas, continua: list) -> list:
+    """The report on each field of a chunk (``fields``, scales ``sigmas``,
+    continuum reports ``continua``), or the error of its report, from the
+    rows of its Newton phases (``newton``; ``labels``, the field of each).
+
+    One cover (``_cover``) deduplicates the converged rows of every field.
+    The kept zeros, ordered by field, then by chart coordinates, are
+    classified from one probe call of ``evaluator(labels)``
+    (``_stacked_map``) for all of them (``_classification``), which raises
+    for the whole chunk when that call does.  Then, per field, a zero whose
+    residual exceeds ``1e-9 sigma`` makes that field's error, the flat-zero
+    join evaluates the field only when two of its critical zeros are within
+    ``JOIN_RADIUS``, and its statistics are counted.
+    """
+    C, res, converged, stalled, exhausted, iterations = newton
+    conv = np.flatnonzero(converged)
+    kept = conv[_cover(C, res, labels, conv) == conv]
+    kept = kept[np.lexsort((*C[kept].T[::-1], labels[kept]))]
+    of = labels[kept]
     if kept.size:
-        idx = np.array(sorted(kept, key=lambda k: tuple(C[k])))
-        Z = C[idx]
-        residual, regular, index, multiplicity = _classify_rows(field, Z, sigma)
-        joined = _join_flat_zeros(field, Z, res[idx], ~regular, NEWTON_TOL * sigma)
-        merges += len(idx) - len(joined)
-        P = chart_rows_embed(Z[joined])
-        equilibria = [
-            Equilibrium(
-                price=simplex_point(P[j]),
-                chart=Z[i].copy(),
-                residual=float(residual[i]),
-                regularity=REGULAR if regular[i] else CRITICAL,
-                index=int(index[i]),
-                multiplicity=multiplicity[i],
-            )
-            for j, i in enumerate(joined)
-        ]
+        residual, regular, index, multiplicity = _classification(
+            evaluator, fields[0].goods, C[kept], of, sigmas[of]
+        )
+    bounds = np.searchsorted(of, np.arange(len(fields) + 1))
+    starts = np.bincount(labels, minlength=len(fields))
+    counts = [np.bincount(labels, a, len(fields)) for a in (converged, stalled, exhausted, iterations)]
 
-    stats = SolverStats(
-        starts=len(C),
-        converged=int(converged.sum()),
-        stalled=int(stalled.sum()),
-        exhausted=int(exhausted.sum()),
-        newton_iterations=int(iterations.sum()),
-        dedup_merges=merges,
-    )
-    return EquilibriumReport(tuple(equilibria), stats, continuum)
+    def report(t):
+        zeros = slice(bounds[t], bounds[t + 1])
+        equilibria, joined = [], []
+        if zeros.stop > zeros.start:
+            r, reg, ind, mult = residual[zeros], regular[zeros], index[zeros], multiplicity[zeros]
+            _check_zeros(r, sigmas[t])
+            Z = C[kept[zeros]]
+            joined = _join_flat_zeros(fields[t], Z, res[kept[zeros]], ~reg, NEWTON_TOL * sigmas[t])
+            P = chart_rows_embed(Z[joined])
+            equilibria = [
+                Equilibrium(
+                    price=simplex_point(P[j]),
+                    chart=Z[i].copy(),
+                    residual=float(r[i]),
+                    regularity=REGULAR if reg[i] else CRITICAL,
+                    index=int(ind[i]),
+                    multiplicity=mult[i],
+                )
+                for j, i in enumerate(joined)
+            ]
+        n_converged, stalled_t, exhausted_t, iterations_t = (int(c[t]) for c in counts)
+        stats = SolverStats(
+            starts=int(starts[t]),
+            converged=n_converged,
+            stalled=stalled_t,
+            exhausted=exhausted_t,
+            newton_iterations=iterations_t,
+            dedup_merges=n_converged - len(joined),
+        )
+        return EquilibriumReport(tuple(equilibria), stats, continua[t])
+
+    return [_outcome(report, t) for t in range(len(fields))]

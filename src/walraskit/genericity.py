@@ -24,6 +24,8 @@ probes the field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -65,50 +67,125 @@ class PerturbationSpec:
         return PerturbationSpec(self.epsilon, self.basis, self.degree, self.terms, seed)
 
 
-def _basis_functions(spec: PerturbationSpec, dim: int):
-    """Componentwise basis value and derivative functions, before scaling."""
-    if spec.basis == "linear_tilt":
-        return (lambda C: 0.5 - C), (lambda C: -np.ones_like(C))
-    rng = np.random.default_rng(spec.seed)
-    if spec.basis == "polynomial":
-        # One column of coefficients per chart coordinate.
-        coeffs = rng.standard_normal((dim, spec.degree + 1)).T
-        dcoeffs = np.polynomial.polynomial.polyder(coeffs)
-        polyval = np.polynomial.polynomial.polyval
-        return (
-            lambda C: polyval(C, coeffs, tensor=False),
-            lambda C: polyval(C, dcoeffs, tensor=False),
-        )
-    # random_fourier
-    amp_sin = rng.standard_normal((dim, spec.terms))
-    amp_cos = rng.standard_normal((dim, spec.terms))
-    k = 2.0 * np.pi * np.arange(1, spec.terms + 1)
-
-    def value(C):
-        phases = C[:, :, None] * k  # (n, dim, terms)
-        return (amp_sin * np.sin(phases) + amp_cos * np.cos(phases)).sum(axis=2)
-
-    def deriv(C):
-        phases = C[:, :, None] * k
-        return (k * (amp_sin * np.cos(phases) - amp_cos * np.sin(phases))).sum(axis=2)
-
-    return value, deriv
-
-
-def _normalizer(value, deriv, dim: int) -> float:
+@lru_cache(maxsize=8)
+def _norm_probe(dim: int) -> np.ndarray:
+    """The normaliser's probe: 1025 points of the chart diagonal from 0 to 1;
+    read-only, since every trial shares it."""
     xs = np.linspace(0.0, 1.0, 1025)
     probe = np.column_stack([xs] * dim)
-    sup = max(float(np.abs(value(probe)).max()), float(np.abs(deriv(probe)).max()))
-    return sup if sup > 0.0 else 1.0
+    probe.setflags(write=False)
+    return probe
+
+
+def _wavenumbers(terms: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(1, terms + 1)
+
+
+@lru_cache(maxsize=8)
+def _fourier_table(dim: int, terms: int) -> tuple:
+    """The sine and cosine of the Fourier phases on the probe, ``(1025, dim,
+    terms)``; read-only, since every trial shares them."""
+    phases = _norm_probe(dim)[:, :, None] * _wavenumbers(terms)
+    table = np.sin(phases), np.cos(phases)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+# The bases.  Each takes chart rows ``C`` and coefficient arrays with a
+# leading axis of one entry, shared by every row, or of one entry per row.
+
+
+def _tilt(C):
+    return 0.5 - C
+
+
+def _polynomial(C, coeffs):
+    # ``coeffs``: ``(rows, degree + 1, dim)``, one column per chart coordinate.
+    return np.polynomial.polynomial.polyval(C, np.moveaxis(coeffs, 0, 1), tensor=False)
+
+
+def _fourier(C, amp_sin, amp_cos):
+    # ``amp_sin``, ``amp_cos``: ``(rows, dim, terms)``.  The arithmetic of
+    # ``(amp_sin * sin + amp_cos * cos).sum(axis=2)``, in place: the rows
+    # of a chunk of trials make large arrays.
+    phases = C[:, :, None] * _wavenumbers(amp_sin.shape[-1])
+    sin = np.sin(phases)
+    cos = np.cos(phases, out=phases)
+    sin *= amp_sin
+    cos *= amp_cos
+    sin += cos
+    return sin.sum(axis=2)
+
+
+def _basis(spec: PerturbationSpec, dim: int) -> tuple:
+    """The basis of ``spec``, before scaling: its function, its coefficient
+    arrays (a leading axis of one entry) and the sup-norm of its value and
+    of its derivative on the probe (``_norm_probe``), where the sine and cosine
+    of a Fourier basis are read from one table (``_fourier_table``)."""
+    probe = _norm_probe(dim)
+    if spec.basis == "linear_tilt":
+        coefficients, value, deriv = (), _tilt(probe), -np.ones_like(probe)
+    elif spec.basis == "polynomial":
+        rng = np.random.default_rng(spec.seed)
+        coeffs = rng.standard_normal((dim, spec.degree + 1)).T
+        dcoeffs = np.polynomial.polynomial.polyder(coeffs)
+        coefficients = (coeffs[None],)
+        value = _polynomial(probe, *coefficients)
+        deriv = np.polynomial.polynomial.polyval(probe, dcoeffs, tensor=False)
+    else:
+        rng = np.random.default_rng(spec.seed)
+        amp_sin = rng.standard_normal((dim, spec.terms))
+        amp_cos = rng.standard_normal((dim, spec.terms))
+        sin, cos = _fourier_table(dim, spec.terms)
+        coefficients = (amp_sin[None], amp_cos[None])
+        value = (amp_sin * sin + amp_cos * cos).sum(axis=2)
+        deriv = (_wavenumbers(spec.terms) * (amp_sin * cos - amp_cos * sin)).sum(axis=2)
+    sup = max(float(np.abs(value).max()), float(np.abs(deriv).max()))
+    return _BASES[spec.basis], coefficients, sup
+
+
+_BASES = {"linear_tilt": _tilt, "polynomial": _polynomial, "random_fourier": _fourier}
+
+
+@dataclass(frozen=True, eq=False)
+class _Term:
+    """The chart map ``eps * basis(C, *coefficients)`` of one trial.
+
+    ``stack`` evaluates the terms of several trials of one spec, which
+    share a basis, on stacked rows in one call: each row takes its trial's
+    coefficients and ``eps``, with the same elementwise arithmetic, so each
+    row gets the bits of its own term.
+    """
+
+    basis: Callable
+    eps: float
+    coefficients: tuple
+
+    def __call__(self, C):
+        return self.eps * self.basis(C, *self.coefficients)
+
+    @classmethod
+    def stack(cls, terms: list):
+        """One map ``f(C, fields)``: on row ``r`` of ``C``, the term ``fields[r]``."""
+        eps = np.array([t.eps for t in terms])[:, None]
+        coefficients = [np.concatenate(a) for a in zip(*(t.coefficients for t in terms))]
+        basis = terms[0].basis
+
+        def rows(C, fields):
+            take = partial(np.take, indices=fields, axis=0)
+            return take(eps) * basis(C, *map(take, coefficients))
+
+        return rows
 
 
 def _perturbation_term(spec: PerturbationSpec, dim: int):
-    """The chart map ``epsilon * basis``, or ``None`` when ``epsilon`` is 0."""
+    """The chart map ``epsilon * basis`` (a ``_Term``), or ``None`` when
+    ``epsilon`` is 0."""
     if spec.epsilon == 0.0:
         return None
-    value, deriv = _basis_functions(spec, dim)
-    eps = spec.epsilon / _normalizer(value, deriv, dim)
-    return lambda C: eps * value(C)
+    basis, coefficients, sup = _basis(spec, dim)
+    return _Term(basis, spec.epsilon / (sup if sup > 0.0 else 1.0), coefficients)
 
 
 def perturb(field_or_economy, spec: PerturbationSpec) -> TangentField:
@@ -204,11 +281,14 @@ def genericity_experiment(
     Trial ``t`` uses seed ``spec.seed + t``.  Each trial's perturbation term
     is built once, and the trials go through the solve pipeline of
     :mod:`walraskit.equilibrium` together: one continuum scan call, one
-    lattice call (none in two goods, where the lattice is the scan grid)
-    and one damped-Newton phase over the stacked starts of a chunk of
-    trials, then deduplication, classification and the flat-zero join per
-    trial on its perturbed field (the field :func:`perturb` builds), so each
-    trial gets the report :func:`find_equilibria` would give it.  The base
+    lattice call (none in two goods, where the lattice is the scan grid),
+    one damped-Newton phase over the stacked starts of a chunk of trials
+    and one report step, which deduplicates the zeros of every trial and
+    classifies them in one probe call; only the flat-zero join runs per
+    trial, on its perturbed field (the field :func:`perturb` builds).  The
+    terms of a chunk are evaluated together (``_Term.stack``), each row
+    with the bits of its own trial's term, so each trial gets the report
+    :func:`find_equilibria` would give it.  The base
     is evaluated on the scan grid once, for every trial and for its own
     continuum scan (``base_continuum``, as :func:`continuum_detector` gives
     it, or ``None`` when it raises: every trial then records that error).

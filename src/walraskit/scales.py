@@ -24,7 +24,10 @@ sampled ratios agree across consumers.
 
 A one-dimensional grid is interpolated by PCHIP in numpy, with per-interval
 cubic coefficients built once with the scale; its values are those of
-scipy's ``PchipInterpolator`` to the bit.  A grid of two or more chart
+scipy's ``PchipInterpolator`` to the bit.  The ``kernel_sampled`` scales
+of an economy that share one such grid are evaluated together, with one
+search of the grid and one gather from their stacked coefficient tables
+(``_kernel_stacks``).  A grid of two or more chart
 dimensions is checked when the scale is built (its points must affinely
 span the chart, a numpy rank test), and its Delaunay triangulation is built
 when the scale is first evaluated: scipy is loaded then, and only then.
@@ -219,7 +222,24 @@ def _pchip_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
 
 
+def _pchip(x: np.ndarray, table: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The values, ``(n, k)``, at the chart coordinates ``c`` of ``k``
+    interpolants on the increasing nodes ``x``, their ``_pchip_table``s
+    stacked on the last axis of ``table``, ``(4, nodes - 1, k)``: one clip,
+    one search and one gather for all of them."""
+    # Held constant beyond the end nodes (a clip, without np.clip's overhead).
+    c = np.minimum(np.maximum(c, x[0]), x[-1])
+    k = np.searchsorted(x[1:-1], c, side="right")
+    s = (c - x[k])[:, None]
+    c0, c1, c2, c3 = np.take(table, k, axis=1)
+    # scipy's power-sum order, not Horner's: the same bits.
+    s2 = s * s
+    return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
+
+
 def _build_interpolator(grid: np.ndarray, values: np.ndarray):
+    """The interpolant of ``values`` on ``grid`` and, for a 1-d grid, its
+    sorted nodes and ``(4, nodes - 1, 1)`` table (``_pchip``), else None."""
     if grid.shape[1] == 1:
         x = grid[:, 0]
         if x.size < 2:
@@ -228,20 +248,10 @@ def _build_interpolator(grid: np.ndarray, values: np.ndarray):
         x, y = x[order], values[order]
         if np.any(np.diff(x) <= 0.0):
             raise ValueError("sampled grid points must be distinct")
-        table = _pchip_table(x, y)
-        inner = x[1:-1]
-
-        def call(C):
-            # Held constant beyond the end nodes.
-            c = np.clip(C[:, 0], x[0], x[-1])
-            k = np.searchsorted(inner, c, side="right")
-            s = c - x[k]
-            c0, c1, c2, c3 = table[:, k]
-            # scipy's power-sum order, not Horner's: the same bits.
-            s2 = s * s
-            return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
-
-        return call
+        table = _pchip_table(x, y)[:, :, None]
+        for a in (x, table):
+            a.setflags(write=False)
+        return (lambda C: _pchip(x, table, C[:, 0])[:, 0]), (x, table)
     # The points must affinely span the chart.  A direction counts above 1e-12
     # of the largest singular value: qhull refuses ratios up to about 3.5e-14,
     # and realised grids have about 0.5.
@@ -252,7 +262,7 @@ def _build_interpolator(grid: np.ndarray, values: np.ndarray):
     # Built on first evaluation: a scale that is only written, or only read
     # at its nodes, needs no triangulation and no scipy.
     linear = functools.cache(lambda: _linear_nd(grid, values))
-    return lambda C: linear()(C)
+    return (lambda C: linear()(C)), None
 
 
 def _untriangulable(grid: np.ndarray, reason: str) -> str:
@@ -327,7 +337,9 @@ class SampledScale(Scale):
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_interp", _build_interpolator(grid, values))
+        interp, pchip = _build_interpolator(grid, values)
+        object.__setattr__(self, "_interp", interp)
+        object.__setattr__(self, "_pchip", pchip)
 
     def __call__(self, P):
         return np.asarray(self._interp(P[:, :-1]), dtype=float)
@@ -372,7 +384,38 @@ class KernelSampledScale(SampledScale):
         return self._weighted(self.values, P)
 
     def _weighted(self, ratio, P):
-        return ratio * self.share / (P[:, self.good] * self.level)
+        return _kernel_weighted(ratio, P, self.good, self.share, self.level)
+
+
+def _kernel_weighted(ratio, P, good, share, level):
+    """``ratio`` times the kernel weight ``share / (p_good * level)`` at the
+    simplex rows ``P``, of one scale or, given arrays, of each column."""
+    return ratio * share / (P[:, good] * level)
+
+
+def _kernel_stacks(scales: list) -> tuple:
+    """The ``(position, scale)`` pairs ``scales`` as the 1-d
+    ``kernel_sampled`` scales of each grid, stacked (``_kernel_stack``):
+    ``(positions, map)`` pairs, and the pairs of every other scale."""
+    grids, others = {}, []
+    for k, s in scales:
+        if isinstance(s, KernelSampledScale) and s._pchip is not None:
+            grids.setdefault(s._pchip[0].tobytes(), []).append((k, s))
+        else:
+            others.append((k, s))
+    stacks = tuple((np.array([k for k, _ in g]), _kernel_stack([s for _, s in g])) for g in grids.values())
+    return stacks, tuple(others)
+
+
+def _kernel_stack(scales: list):
+    """The 1-d ``kernel_sampled`` ``scales``, which share one grid, as one
+    map of simplex price rows ``(n, l)`` to their values ``(n, scales)``:
+    one ``_pchip`` call on their stacked tables, then the kernel weight of
+    each column (``_kernel_weighted``)."""
+    x = scales[0]._pchip[0]
+    table = np.concatenate([s._pchip[1] for s in scales], axis=2)
+    kernel = [np.array([getattr(s, name) for s in scales]) for name in ("good", "share", "level")]
+    return lambda P: _kernel_weighted(_pchip(x, table, P[:, 0]), P, *kernel)
 
 
 _KINDS = {

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import walraskit as wk
-from walraskit.consumers import aed_rows, demand_rows, excess_rows
+from walraskit.consumers import _scale_values, aed_rows, demand_rows, excess_rows
 from support import random_economy, random_interior_prices, walras_residuals
 
 
@@ -246,6 +246,64 @@ class TestFusedKernel:
             with pytest.raises(ValueError, match=message):
                 kernel(e, P)
         assert np.all(np.isfinite(aed_rows(e, P[:1])))
+
+
+def kernel_scale(x, values, good, share=0.5, level=1.0):
+    return wk.KernelSampledScale(x, values, good=good, share=share, level=level)
+
+
+class TestKernelStacks:
+    """The 1-d kernel_sampled scales of one grid are evaluated together,
+    with the bits of each scale's own evaluation."""
+
+    @staticmethod
+    def per_scale(e, P):
+        """The scale values, ``(n, consumers)``, one scale at a time."""
+        return np.column_stack([_scale_values(c.scale, P) for c in e.consumers])
+
+    def test_stacked_scales_match_each_scale(self, rng):
+        x = np.linspace(0.01, 0.99, 41)
+        other = np.sort(rng.uniform(0.0, 1.0, 17))
+        shuffled = rng.permutation(len(x))
+        scales = [
+            kernel_scale(x, rng.uniform(0.5, 2.0, 41), good=0),
+            # The same grid given in another order: one stack with the first.
+            kernel_scale(x[shuffled], rng.uniform(0.5, 2.0, 41), good=1, share=0.3, level=2.0),
+            kernel_scale(other, rng.uniform(0.5, 2.0, 17), good=1, share=0.7, level=0.5),
+            wk.SampledScale(x, rng.uniform(0.5, 2.0, 41)),
+            wk.PolynomialScale(((1.0, (0,)), (0.5, (2,)))),
+            wk.BumpScale((0.5,), 0.2, 1.0, 1.0),
+            wk.ConstantScale(2.0),
+            kernel_scale(other, rng.uniform(0.5, 2.0, 17), good=0, share=0.2, level=3.0),
+        ]
+        e = wk.Economy(tuple(wk.Consumer([0.4, 0.6], [1.0, 0.5], s) for s in scales))
+        assert [list(columns) for columns, _ in e.kernel_stacks] == [[0, 1], [2, 7]]
+        assert [k for k, _ in e.varying_scales] == [3, 4, 5]
+        # Rows inside and beyond the grids, on and between their nodes.
+        c = np.concatenate([rng.uniform(0.0, 1.0, 300), x, other, [0.0005, 0.9995]])
+        P = np.column_stack([c, 1.0 - c]) * rng.uniform(0.5, 2.0, (len(c), 1))
+        assert np.array_equal(aed_rows(e, P), aed_rows(e, P, S=self.per_scale(e, P)))
+
+    def test_multi_dimensional_grids_keep_the_per_scale_path(self, rng):
+        grid = rng.dirichlet(np.ones(3), size=12)[:, :-1]
+        scales = [kernel_scale(grid, rng.uniform(0.5, 2.0, 12), good=g) for g in range(3)]
+        consumers = (wk.Consumer([0.2, 0.3, 0.5], np.eye(3)[g], s) for g, s in enumerate(scales))
+        e = wk.Economy(tuple(consumers))
+        assert e.kernel_stacks == ()
+        assert [k for k, _ in e.varying_scales] == [0, 1, 2]
+        P = random_interior_prices(rng, 50, 3)
+        assert np.array_equal(aed_rows(e, P), aed_rows(e, P, S=self.per_scale(e, P)))
+
+    def test_a_bad_value_raises_the_same_error(self):
+        x = np.linspace(0.1, 0.9, 9)
+        scales = [kernel_scale(x, np.ones(9), good=g) for g in range(2)]
+        e = wk.Economy(tuple(wk.Consumer([0.5, 0.5], np.eye(2)[g], s) for g, s in enumerate(scales)))
+        P = np.array([[0.5, 0.5], [np.nan, 0.5]])
+        message = "scale must be strictly positive at every evaluated price"
+        with pytest.raises(ValueError, match=message):
+            aed_rows(e, P)
+        with pytest.raises(ValueError, match=message):
+            self.per_scale(e, P)
 
 
 class TestJacobian:

@@ -632,6 +632,28 @@ class TestEconomyReader:
         path.write_text(text, newline="")
         assert outcome(wk.load_economy, path) == outcome(load_with_yaml, path)
 
+    @pytest.mark.parametrize(
+        "row", ["[.5]", "[1e5]", "[0.5, 0.25]", "[0.5", "[0.5] ", "[0.5]]", " [0.5]", "- [0.5]", "[]"]
+    )
+    def test_a_bad_row_in_a_grid_reads_as_yaml_reads_it(self, tmp_path, row):
+        # A run of one-line float rows is read at once; a row in the middle
+        # of a 201-row grid that breaks the run, or joins it with another
+        # length, reads as each line read on its own did.
+        econ = wk.build_continuum_economy((0.4, 0.6), grid=201)
+        lines = _economy_yaml(economy_to_dict(econ)).split("\n")
+        rows = [k for k, line in enumerate(lines) if line.startswith("    - [")]
+        assert len(rows) == 402
+        lines[rows[100]] = "    - " + row
+        text = "\n".join(lines)
+        try:
+            data = _read_economy_yaml(text)
+        except ValueError:
+            pass  # outside the emitter's layout: load_economy hands it to yaml.load
+        else:
+            assert same_data(data, yaml.load(text, Loader=yaml.SafeLoader))
+        path = tmp_path / "eco.yaml"
+        path.write_text(text)
+        assert outcome(wk.load_economy, path) == outcome(load_with_yaml, path)
 
     def test_a_file_without_its_final_line_break_is_read_by_yaml(self, tmp_path, monkeypatch):
         text = self.KERNEL_ECONOMY.rstrip("\n")

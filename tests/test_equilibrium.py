@@ -707,6 +707,33 @@ class TestLayout:
         assert np.array_equal(X, C)
 
 
+class TestLevelMinima:
+    """A minimum is judged against the whole box around it, in its own
+    patch and in the patches next to it."""
+
+    @staticmethod
+    def minima(residuals, field, corner):
+        """The minima of the level of ``_layout(field, corner, 3, 2)`` (1-d
+        cells of two subdivisions) whose points have ``residuals``."""
+        keys, _, C, n, vertex, field, corner = equilibrium._layout(np.asarray(field), np.asarray(corner), 3, 2)
+        W = np.column_stack([residuals, np.zeros(len(C))])
+        hit = np.zeros(len(C), dtype=bool)
+        blocks = equilibrium._level_starts(W, hit, np.zeros(0, dtype=int), keys, n, vertex, field, corner)
+        labels, X = blocks[1]
+        return labels.tolist(), X[:, 0].round(4).tolist()
+
+    def test_a_border_point_with_a_lower_neighbour_in_the_next_patch_is_no_minimum(self):
+        # Two cells of one field share the point 0.5.  It is least in the
+        # first patch's box, but the next patch holds a lower neighbour.
+        assert self.minima([5.0, 4.0, 3.0, 1.0, 2.0], [0, 0], [[0], [1]]) == ([0], [0.75])
+
+    def test_each_field_alone_in_its_patch_keeps_its_minima(self):
+        # The same cells as two fields, one patch each: the points 0.5 of
+        # the two fields are apart.
+        got = self.minima([5.0, 4.0, 3.0, 3.0, 1.0, 2.0], [0, 1], [[0], [1]])
+        assert got == ([0, 1], [0.5, 0.75])
+
+
 class TestScanOracle:
     def test_solver_matches_dense_scan_on_cubic(self):
         field = cubic_field()
@@ -1154,6 +1181,35 @@ class TestClassifyRows:
             assert len(report.equilibria) == n_zeros
             # one probe evaluation for all zeros
             assert len(calls) == 1
+
+
+class TestChunkReports:
+    """The report step of a chunk of fields against each field's own."""
+
+    def test_a_field_that_fails_the_residual_check_keeps_its_error_alone(self):
+        # Field 1's third row is 1e-3 off its zero, far above 1e-9 sigma.
+        maps = [lambda C: 0.5 - C, lambda C: (C - 0.3) * (C - 0.7), lambda C: 0.6 - C]
+        base = wk.chart_field(np.zeros_like, goods=2)
+        fields = [wk.chart_field(fn, goods=2) for fn in maps]
+        C = np.array([[0.5], [0.3], [0.701], [0.7], [0.6]])
+        labels = np.array([0, 1, 1, 1, 2])
+        mask = np.ones(len(C), dtype=bool)
+        newton = (C, np.zeros(len(C)), mask, ~mask, ~mask, np.zeros(len(C), dtype=np.int64))
+        scans = [equilibrium._scan(field) for field in fields]
+        sigmas = np.array([sigma for sigma, _ in scans])
+        evaluator = partial(equilibrium._stacked_map, base, maps)
+        reports = equilibrium._reports(evaluator, fields, newton, labels, sigmas, [c for _, c in scans])
+        with pytest.raises(ValueError) as solo:
+            _field_report(fields[1], newton, labels == 1, sigmas[1], scans[1][1])
+        assert isinstance(reports[1], ValueError) and str(reports[1]) == str(solo.value)
+        assert str(solo.value) == "point is not a zero of the field (residual 1.022e-03)"
+        for t in (0, 2):
+            alone = _field_report(fields[t], newton, labels == t, sigmas[t], scans[t][1])
+            assert (reports[t].stats, reports[t].continuum) == (alone.stats, alone.continuum)
+            (a,), (b,) = reports[t].equilibria, alone.equilibria
+            assert np.array_equal(a.chart, b.chart)
+            for name in ("residual", "regularity", "index", "multiplicity"):
+                assert getattr(a, name) == getattr(b, name)
 
 
 class TestStackedMap:

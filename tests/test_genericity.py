@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import walraskit as wk
-from support import multi_equilibrium_economy
+from support import multi_equilibrium_economy, random_economy
 from walraskit.genericity import continuum_chart_map
 
 
@@ -199,8 +199,10 @@ class TestExperiment:
     def test_solver_failure_is_recorded_not_raised(self, monkeypatch, continuum_economy):
         import walraskit.equilibrium as eqm
 
+        # The report step joins each trial's flat zeros on its own; the
+        # second trial's join fails.
         calls = {"n": 0}
-        original = eqm._field_report
+        original = eqm._join_flat_zeros
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -208,7 +210,7 @@ class TestExperiment:
                 raise RuntimeError("synthetic solver failure")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(eqm, "_field_report", flaky)
+        monkeypatch.setattr(eqm, "_join_flat_zeros", flaky)
         res = wk.genericity_experiment(
             continuum_economy, wk.PerturbationSpec(1e-3, seed=1), trials=3
         )
@@ -444,3 +446,82 @@ def test_each_chunk_of_trials_evaluates_its_patches_in_one_call(monkeypatch):
     assert all(len(r.equilibria) == 1 for r in reports)
     # Three goods: the 45-per-axis scan grid's flagged cells split in two.
     assert len(calls) == 1
+
+
+def test_each_chunk_of_trials_is_classified_in_one_call(monkeypatch):
+    import dataclasses
+
+    import walraskit.equilibrium as eqm
+    import walraskit.genericity as gen
+
+    base = wk.economy_field(multi_equilibrium_economy(3, 0))
+    reporting, calls = [], []
+
+    def counted(C):
+        if reporting:
+            calls.append(len(C))
+        return base.chart_values(C)
+
+    reports = eqm._reports
+
+    def spy(*args):
+        reporting.append(True)
+        try:
+            return reports(*args)
+        finally:
+            reporting.pop()
+
+    monkeypatch.setattr(eqm, "_reports", spy)
+    field = dataclasses.replace(base, chart_fn=counted)
+    spec = wk.PerturbationSpec(1e-3, basis="polynomial", degree=3, seed=70)
+    terms = [gen._perturbation_term(spec.with_seed(70 + t), field.dim) for t in range(4)]
+    solved = eqm._solve(field, terms, wk.SolverConfig())
+    assert [len(r.equilibria) for r in solved] == [3] * 4
+    assert all(eq.regularity == "regular" for r in solved for eq in r.equilibria)
+    # One probe call for the twelve zeros of the four trials: each zero,
+    # then its stencils at two steps (no window beyond two goods).
+    assert calls == [12 * (1 + 4 * 2)]
+
+
+@pytest.mark.parametrize("basis", ["linear_tilt", "polynomial", "random_fourier"])
+def test_a_stacked_evaluation_calls_the_basis_once(monkeypatch, basis):
+    import walraskit.equilibrium as eqm
+    import walraskit.genericity as gen
+
+    calls = []
+    function = gen._BASES[basis]
+
+    def counted(C, *coefficients):
+        calls.append(len(C))
+        return function(C, *coefficients)
+
+    monkeypatch.setitem(gen._BASES, basis, counted)
+    spec = wk.PerturbationSpec(1e-3, basis=basis, seed=71)
+    base = wk.chart_field(lambda C: 0.5 - C, goods=3)
+    terms = [gen._perturbation_term(spec.with_seed(71 + t), 2) for t in range(4)]
+    X = np.random.default_rng(72).dirichlet(np.ones(3), 30)[:, :-1]
+    labels = np.repeat(np.arange(4), [7, 0, 15, 8])
+    eqm._stacked_map(base, terms, labels)(X, np.arange(len(X)))
+    assert calls == [30]
+
+
+class TestStackedTerm:
+    """The stacked term of a chunk against each trial's own perturbed field."""
+
+    @pytest.mark.parametrize("basis", ["linear_tilt", "polynomial", "random_fourier"])
+    @pytest.mark.parametrize("goods", [2, 3, 4])
+    def test_rows_get_the_bits_of_their_trial(self, basis, goods, rng):
+        import walraskit.equilibrium as eqm
+        import walraskit.genericity as gen
+
+        base = wk.economy_field(random_economy(rng, goods, 3))
+        spec = wk.PerturbationSpec(1e-3, basis=basis, degree=4, terms=3, seed=73)
+        specs = [spec.with_seed(73 + t) for t in range(5)]
+        terms = [gen._perturbation_term(s, base.dim) for s in specs]
+        counts = [40, 1, 0, 3, 2001]
+        X = rng.dirichlet(np.ones(goods), sum(counts))[:, :-1]
+        labels = np.repeat(np.arange(5), counts)
+        _, Z = eqm._stacked_map(base, terms, labels)(X, np.arange(len(X)))
+        for t, s in enumerate(specs):
+            rows = labels == t
+            assert np.array_equal(Z[rows], gen.perturb(base, s).full_values(X[rows])[1])

@@ -13,7 +13,10 @@ factor.  Under ``solve/extra/`` it runs ``solve`` on two economies with
 three known equilibria (``tests/support.multi_equilibrium_economy``, l = 3
 seed 0 and l = 4 seed 1), on a five- and a six-good constant-scale
 economy and on the saved continuum economy at ``--grid 4001``, whose
-solve reads the hits of a refined level.  Under ``audit/`` it runs
+solve reads the hits of a refined level.  Under ``experiment/extra/`` it
+runs ``experiment`` with four trials on the three-good economy of those
+(bases ``poly:3`` and ``fourier:5``), whose stacked trials are solved on
+a refined level.  Under ``audit/`` it runs
 ``audit`` on economies whose scales vary, so that the audit itself runs:
 the two with three known equilibria (polynomial scales), the saved
 continuum economy (1-d ``kernel_sampled`` scales) and the first realised
@@ -141,6 +144,13 @@ def invocations(seed: int) -> list[list[str]]:
     # Two subdivisions of each scan-grid cell: its hits are read on the refined level.
     continuum = ["--input", str(RESCALED["continuum"]), "--grid", "4001"]
     argvs.append(["solve", *continuum, "--out", str(extra / "continuum-grid4001")])
+    experiments = Path("experiment", "extra")
+    for basis in BASES[1:]:
+        out = experiments / ("multi-l3-seed0-" + basis.replace(":", ""))
+        argvs.append(
+            ["experiment", "--input", str(extra / "multi-l3-seed0.yaml"), "--out", str(out),
+             "--epsilon", "1e-3", "--basis", basis, "--trials", "4"]
+        )
     extra = Path("sarp", "extra")
     extra.mkdir()
     base = load_dataset(Path("sarp", "dataset1.csv"))
