@@ -33,7 +33,7 @@ from .scales import (
     PolynomialScale,
     SampledScale,
     Scale,
-    _kernel_stacks,
+    _scale_groups,
 )
 
 UNIT_SCALE = ConstantScale(1.0)
@@ -112,18 +112,17 @@ class Economy:
     """A non-empty list of consumers over the same two or more goods.
 
     The shares and endowments are also kept stacked, one row per consumer,
-    with the constant scale values, the 1-d ``kernel_sampled`` scales of
-    each grid as one map (``kernel_stacks``: consumer positions and map) and
-    the positions of the other scales, for the fused kernel of
-    :func:`aed_rows`.
+    with the constant scale values and the varying scales as groups
+    (``scale_groups``: consumer positions and one map for them), the 1-d
+    ``kernel_sampled`` scales of each grid in one group and every other
+    scale in its own, for the fused kernel of :func:`aed_rows`.
     """
 
     consumers: tuple
     shares: np.ndarray = field(init=False, repr=False, compare=False)
     endowments: np.ndarray = field(init=False, repr=False, compare=False)
     constant_scales: np.ndarray = field(init=False, repr=False, compare=False)
-    kernel_stacks: tuple = field(init=False, repr=False, compare=False)
-    varying_scales: tuple = field(init=False, repr=False, compare=False)
+    scale_groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         consumers = tuple(self.consumers)
@@ -146,9 +145,7 @@ class Economy:
             stacked.setflags(write=False)
             object.__setattr__(self, name, stacked)
         varying = [(k, s) for k, s in enumerate(scales) if not isinstance(s, ConstantScale)]
-        stacks, varying = _kernel_stacks(varying)
-        object.__setattr__(self, "kernel_stacks", stacks)
-        object.__setattr__(self, "varying_scales", varying)
+        object.__setattr__(self, "scale_groups", _scale_groups(varying))
 
     @property
     def goods(self) -> int:
@@ -189,23 +186,20 @@ def aed_rows(e: Economy, P, S=None) -> np.ndarray:
     ``((P @ W^T) * S) @ A / P - S @ W``, with ``A`` the shares, ``W`` the
     endowments and ``S`` the ``(n, consumers)`` scale values (one row for
     every price row when a scale varies, else the constant values), or the
-    ``S`` given, whose values the caller knows.  The 1-d ``kernel_sampled``
-    scales that share a grid are evaluated in one call
-    (``Economy.kernel_stacks``), every other varying scale by itself.  The
-    products are ``einsum`` loops, whose summation order, unlike that of a
-    BLAS product, does not depend on the batch: a row gets the same bits in
-    every batch.
+    ``S`` given, whose values the caller knows.  The varying scales are
+    evaluated one group at a time (``Economy.scale_groups``), on price rows
+    normalised once: the 1-d ``kernel_sampled`` scales that share a grid in
+    one call, every other varying scale by itself.  The products are
+    ``einsum`` loops, whose summation order, unlike that of a BLAS product,
+    does not depend on the batch: a row gets the same bits in every batch.
     """
     if S is None:
         S = e.constant_scales
-        if e.varying_scales or e.kernel_stacks:
+        if e.scale_groups:
             S = np.tile(S, (len(P), 1))
-            if e.kernel_stacks:
-                Q = P / P.sum(axis=1, keepdims=True)
-                for columns, stack in e.kernel_stacks:
-                    S[:, columns] = _positive(stack(Q))
-            for k, scale in e.varying_scales:
-                S[:, k] = _scale_values(scale, P)
+            Q = P / P.sum(axis=1, keepdims=True)
+            for columns, values in e.scale_groups:
+                S[:, columns] = _positive(values(Q))
     wealth = np.einsum("nj,cj->nc", P, e.endowments) * S
     demand = np.einsum("nc,ci->ni", wealth, e.shares) / P
     return demand - np.einsum("...c,ci->...i", S, e.endowments)

@@ -39,9 +39,10 @@ on the scan grid (``_scan``), so rescaling every endowment changes no answer.
 One rule, ``_cover``, says which converged rows are one zero: Newton's
 merge, the restarts between close zeros and the report step use it.  The
 report step, like the Newton phase, takes a chunk of fields at a time
-(``_reports``): the kept zeros of all its fields are classified from one
-evaluation of their chart maps (``_stacked_map``), on a few probe rows
-around each zero (``_probe``, on Newton's central-difference ``_stencil``):
+(``_reports``) and reads them only through its map (``_stacked_map``): the
+kept zeros of all its fields are classified from one evaluation, on a few
+probe rows around each zero (``_probe``, on Newton's central-difference
+``_stencil``):
 
 * ``regular``  -- nonsingular chart Jacobian; the local index is the sign of
   ``det(-J)``, so the unique equilibrium of a gross-substitutes economy gets
@@ -54,7 +55,8 @@ Newton creeps onto a degenerate zero and stops on either side of it, so
 critical zeros of a field closer than ``JOIN_RADIUS`` whose midpoint is
 itself a zero are then joined into one.  A finite, all-regular report
 whose index sum is not +1 has missed or misclassified a zero;
-``EquilibriumReport.index_check`` says so.
+``EquilibriumReport.index_check`` says so.  A chunk that raises anywhere
+is solved again one field at a time (``_solve``).
 
 For two goods the order of the first non-vanishing chart derivative at a
 zero is estimated by a polynomial fit on a window of those probe rows
@@ -73,7 +75,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .fields import TangentField, _full_rows, _with_term, as_field
+from .fields import TangentField, _full_rows, as_field
 from .geometry import (
     ChartPoint,
     PricePoint,
@@ -248,11 +250,6 @@ def _difference_quotient(F: np.ndarray, s: np.ndarray) -> np.ndarray:
     from the values ``F``, ``(..., 2d, d)``, on the ``_stencil`` rows of ``s``."""
     d = F.shape[-1]
     return ((F[..., :d, :] - F[..., d:, :]) / (2.0 * s)[..., None, None]).swapaxes(-1, -2)
-
-
-def _probe_rows(field: TangentField, C: np.ndarray, sigma: float, window=None):
-    """``_probe`` of the one field ``field``."""
-    return _probe(partial(_stacked_map, field, [None]), C, np.zeros(len(C), dtype=int), sigma, window)
 
 
 def _probe(evaluator, C: np.ndarray, labels: np.ndarray, sigma, window=None):
@@ -430,13 +427,12 @@ def _apart(C: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.column_stack([C, 2.0 * labels])
 
 
-def _join_flat_zeros(
-    field: TangentField, Z: np.ndarray, res: np.ndarray, critical: np.ndarray, tol: float
-) -> np.ndarray:
+def _join_flat_zeros(residuals, Z: np.ndarray, res: np.ndarray, critical: np.ndarray, tol: float) -> np.ndarray:
     """Ascending positions of the zeros ``Z`` left after joining, transitively,
-    critical zeros within ``JOIN_RADIUS`` whose midpoint is a zero
-    (``|z| <= tol``); a joined group keeps its lowest-residual zero.  The
-    field is evaluated only when two critical zeros are that close."""
+    critical zeros within ``JOIN_RADIUS`` whose midpoint is a zero, with
+    ``residuals(midpoints)``, the field's ``|z|``, at most ``tol``; a joined
+    group keeps its lowest-residual zero.  ``residuals`` is called once, and
+    only when two critical zeros are that close."""
     if np.count_nonzero(critical) < 2:
         return np.arange(len(Z))
 
@@ -444,7 +440,7 @@ def _join_flat_zeros(
         linked = critical[pairs].all(axis=1)
         if linked.any():
             a, b = pairs[linked].T
-            linked[linked] = field.residual_norms(0.5 * (Z[a] + Z[b])) <= tol
+            linked[linked] = residuals(0.5 * (Z[a] + Z[b])) <= tol
         return linked
 
     return np.sort(_lowest_per_label(_linked_components(Z, JOIN_RADIUS, flat), res))
@@ -461,7 +457,7 @@ def _classify_rows(field: TangentField, C: np.ndarray, sigma: float):
     """``_classification`` of the zeros ``C`` of the one field ``field``;
     the first whose residual exceeds ``1e-9 * sigma`` raises ``ValueError``."""
     labels = np.zeros(len(C), dtype=int)
-    out = _classification(partial(_stacked_map, field, [None]), field.goods, C, labels, sigma)
+    out = _classification(partial(_stacked_map, field, [None]), C, labels, sigma)
     _check_zeros(out[0], sigma)
     return out
 
@@ -475,24 +471,23 @@ def _check_zeros(residual: np.ndarray, sigma: float) -> None:
         raise ValueError(f"point is not a zero of the field (residual {res:.3e})")
 
 
-def _classification(evaluator, goods: int, C: np.ndarray, labels: np.ndarray, sigma):
+def _classification(evaluator, C: np.ndarray, labels: np.ndarray, sigma):
     """Residual norms, regular mask, indices and multiplicities of the zeros
-    ``C`` of the fields ``labels`` (non-decreasing) of a chunk, with ``goods``
-    goods and scale ``sigma`` (one or one per row), from one evaluation of
-    every probe row (``_probe``), one determinant and one fit.
+    ``C`` of the fields ``labels`` (non-decreasing) of a chunk, of scale
+    ``sigma`` (one or one per row), from one evaluation of every probe row
+    (``_probe``), one determinant and one fit.
 
     Multiplicities are fitted on a window of ``4 MULTIPLICITY_K_MAX + 1``
-    points for two goods, else ``None``.
+    points for two goods (``d = 1`` chart axis), else ``None``.
     """
-    fit = goods == 2
-    window = np.linspace(-1.0, 1.0, 4 * MULTIPLICITY_K_MAX + 1) if fit else None
+    d = C.shape[1]
+    window = np.linspace(-1.0, 1.0, 4 * MULTIPLICITY_K_MAX + 1) if d == 1 else None
     residual, J, consistent, G = _probe(evaluator, C, labels, sigma, window)
-    d = goods - 1
     det = np.linalg.det(J)
     size = np.fmax(np.abs(J).max(axis=(1, 2)), sigma)
     regular = consistent & ~(np.abs(det) <= DET_RELATIVE_TOL * size**d)
     index = np.where(regular, np.where((-1) ** d * det > 0, 1, -1), 0)
-    fits = _fit_orders(window, G[:, :, 0], sigma) if fit else [None] * len(C)
+    fits = _fit_orders(window, G[:, :, 0], sigma) if d == 1 else [None] * len(C)
     return residual, regular, index, fits
 
 
@@ -558,7 +553,8 @@ def chart_jacobian(field_or_economy, c) -> np.ndarray:
     the probe that classifies zeros, and evaluates the field twice.
     """
     field = as_field(field_or_economy)
-    _, J, consistent, _ = _probe_rows(field, _chart_row(c), _scan(field)[0])
+    evaluator = partial(_stacked_map, field, [None])
+    _, J, consistent, _ = _probe(evaluator, _chart_row(c), np.zeros(1, dtype=int), _scan(field)[0])
     if not consistent[0]:
         raise JacobianConsistencyError(
             "finite-difference Jacobian is step-size dependent at this point"
@@ -843,9 +839,9 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
     starts of all its fields, each reading its ``_stacked_map``; a restart
     phase appends its rows.  One report step reads the rows of both
     (``_reports``): one cover, and one probe call for the zeros of every
-    field.  A chunk whose scan or Newton phases raise is solved again one
-    field at a time, and one whose probe call raises is reported one field
-    at a time (``_field_report``).
+    field.  One rule holds for failure: a chunk of several fields whose
+    scan, Newton phases or report step raise is solved again one field at
+    a time, and a chunk of one field records the exception.
     """
     grid = _base_grid(base) if grid is None else grid
     scan_grid, per_dim, _ = grid
@@ -867,17 +863,9 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
             newton = phase(starts, labels)
             if m > 1:
                 newton, labels = _restart_between(phase, newton, labels, restart_radius)
+            outcomes += _reports(evaluator, newton, labels, sigmas, reports)
         except Exception as exc:  # noqa: BLE001 - each field then records its own error
             outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg, grid)[0] for t in group]
-            continue
-        fields = [_with_term(base, term) for term in group]
-        try:
-            outcomes += _reports(evaluator, fields, newton, labels, sigmas, reports)
-        except Exception as exc:  # noqa: BLE001 - each field then records its own error
-            outcomes += [exc] if len(group) == 1 else [
-                _outcome(_field_report, field, newton, labels == t, float(sigmas[t]), reports[t])
-                for t, field in enumerate(fields)
-            ]
     return outcomes
 
 
@@ -942,8 +930,8 @@ def _stacked_map(base: TangentField, terms: list, labels: np.ndarray):
 
 def _add_terms(terms: list):
     """``add(F, C, fields)``, which adds to ``F``, base chart values at the
-    rows ``C``, the term of field ``fields[r]`` on row ``r`` in place
-    (``_with_term``'s arithmetic), or None when no field has a term.
+    rows ``C``, the term of field ``fields[r]`` on row ``r`` in place (the
+    bits of ``base.chart_values(C) + term(C)``), or None when no field has one.
 
     Terms of one class with a ``stack`` class method (the trials of a
     genericity experiment) are evaluated in one call of
@@ -970,34 +958,20 @@ def _add_terms(terms: list):
     return add
 
 
-def _field_report(
-    field: TangentField, newton: tuple, rows: np.ndarray, sigma: float, continuum: ContinuumReport
-) -> EquilibriumReport:
-    """The report on the one field ``field`` (scale ``sigma``, continuum
-    report ``continuum``) from its rows ``rows`` (a mask) of the Newton
-    phases: ``_reports``' one-field case, which raises the field's error."""
-    newton = tuple(a[rows] for a in newton)
-    labels = np.zeros(len(newton[0]), dtype=int)
-    evaluator = partial(_stacked_map, field, [None])
-    (report,) = _reports(evaluator, [field], newton, labels, np.array([sigma]), [continuum])
-    if isinstance(report, Exception):
-        raise report
-    return report
-
-
-def _reports(evaluator, fields: list, newton: tuple, labels: np.ndarray, sigmas, continua: list) -> list:
-    """The report on each field of a chunk (``fields``, scales ``sigmas``,
-    continuum reports ``continua``), or the error of its report, from the
-    rows of its Newton phases (``newton``; ``labels``, the field of each).
+def _reports(evaluator, newton: tuple, labels: np.ndarray, sigmas, continua: list) -> list:
+    """The report on each field of a chunk (scales ``sigmas``, continuum
+    reports ``continua``), or the error of its report, from the rows of its
+    Newton phases (``newton``; ``labels``, the field of each), reading the
+    fields only through the chunk's map ``evaluator(labels)`` (``_stacked_map``).
 
     One cover (``_cover``) deduplicates the converged rows of every field.
     The kept zeros, ordered by field, then by chart coordinates, are
-    classified from one probe call of ``evaluator(labels)``
-    (``_stacked_map``) for all of them (``_classification``), which raises
-    for the whole chunk when that call does.  Then, per field, a zero whose
-    residual exceeds ``1e-9 sigma`` makes that field's error, the flat-zero
-    join evaluates the field only when two of its critical zeros are within
-    ``JOIN_RADIUS``, and its statistics are counted.
+    classified from one probe call for all of them (``_classification``),
+    which raises for the whole chunk when that call does.  Then, per field,
+    a zero whose residual exceeds ``1e-9 sigma`` makes that field's error,
+    the flat-zero join evaluates the field, in one call with its label,
+    only when two of its critical zeros are within ``JOIN_RADIUS``, and its
+    statistics are counted.
     """
     C, res, converged, stalled, exhausted, iterations = newton
     conv = np.flatnonzero(converged)
@@ -1005,12 +979,11 @@ def _reports(evaluator, fields: list, newton: tuple, labels: np.ndarray, sigmas,
     kept = kept[np.lexsort((*C[kept].T[::-1], labels[kept]))]
     of = labels[kept]
     if kept.size:
-        residual, regular, index, multiplicity = _classification(
-            evaluator, fields[0].goods, C[kept], of, sigmas[of]
-        )
-    bounds = np.searchsorted(of, np.arange(len(fields) + 1))
-    starts = np.bincount(labels, minlength=len(fields))
-    counts = [np.bincount(labels, a, len(fields)) for a in (converged, stalled, exhausted, iterations)]
+        residual, regular, index, multiplicity = _classification(evaluator, C[kept], of, sigmas[of])
+    F = len(continua)
+    bounds = np.searchsorted(of, np.arange(F + 1))
+    starts = np.bincount(labels, minlength=F)
+    counts = [np.bincount(labels, a, F) for a in (converged, stalled, exhausted, iterations)]
 
     def report(t):
         zeros = slice(bounds[t], bounds[t + 1])
@@ -1019,7 +992,11 @@ def _reports(evaluator, fields: list, newton: tuple, labels: np.ndarray, sigmas,
             r, reg, ind, mult = residual[zeros], regular[zeros], index[zeros], multiplicity[zeros]
             _check_zeros(r, sigmas[t])
             Z = C[kept[zeros]]
-            joined = _join_flat_zeros(fields[t], Z, res[kept[zeros]], ~reg, NEWTON_TOL * sigmas[t])
+
+            def residuals(X):
+                return np.linalg.norm(evaluator(np.full(len(X), t))(X, np.arange(len(X)))[1], axis=1)
+
+            joined = _join_flat_zeros(residuals, Z, res[kept[zeros]], ~reg, NEWTON_TOL * sigmas[t])
             P = chart_rows_embed(Z[joined])
             equilibria = [
                 Equilibrium(
@@ -1043,4 +1020,4 @@ def _reports(evaluator, fields: list, newton: tuple, labels: np.ndarray, sigmas,
         )
         return EquilibriumReport(tuple(equilibria), stats, continua[t])
 
-    return [_outcome(report, t) for t in range(len(fields))]
+    return [_outcome(report, t) for t in range(F)]

@@ -285,10 +285,11 @@ def genericity_experiment(
     one damped-Newton phase over the stacked starts of a chunk of trials
     and one report step, which deduplicates the zeros of every trial and
     classifies them in one probe call; only the flat-zero join runs per
-    trial, on its perturbed field (the field :func:`perturb` builds).  The
+    trial, in one call of the chunk's map with that trial's label.  The
     terms of a chunk are evaluated together (``_Term.stack``), each row
     with the bits of its own trial's term, so each trial gets the report
-    :func:`find_equilibria` would give it.  The base
+    :func:`find_equilibria` would give its field (:func:`perturb`'s); a
+    chunk that raises is solved again one trial at a time.  The base
     is evaluated on the scan grid once, for every trial and for its own
     continuum scan (``base_continuum``, as :func:`continuum_detector` gives
     it, or ``None`` when it raises: every trial then records that error).

@@ -25,12 +25,12 @@ sampled ratios agree across consumers.
 A one-dimensional grid is interpolated by PCHIP in numpy, with per-interval
 cubic coefficients built once with the scale; its values are those of
 scipy's ``PchipInterpolator`` to the bit.  The ``kernel_sampled`` scales
-of an economy that share one such grid are evaluated together, with one
-search of the grid and one gather from their stacked coefficient tables
-(``_kernel_stacks``).  A grid of two or more chart
-dimensions is checked when the scale is built (its points must affinely
-span the chart, a numpy rank test), and its Delaunay triangulation is built
-when the scale is first evaluated: scipy is loaded then, and only then.
+of an economy that share one such grid are evaluated together, as one
+group with one search of the grid and one gather (``_scale_groups``).  A
+grid of two or more chart dimensions is checked when the scale is built
+(its points must affinely span the chart, a numpy rank test), and its
+Delaunay triangulation is built when the scale is first evaluated: scipy
+is loaded then, and only then.
 """
 
 from __future__ import annotations
@@ -393,18 +393,19 @@ def _kernel_weighted(ratio, P, good, share, level):
     return ratio * share / (P[:, good] * level)
 
 
-def _kernel_stacks(scales: list) -> tuple:
-    """The ``(position, scale)`` pairs ``scales`` as the 1-d
-    ``kernel_sampled`` scales of each grid, stacked (``_kernel_stack``):
-    ``(positions, map)`` pairs, and the pairs of every other scale."""
+def _scale_groups(scales: list) -> tuple:
+    """The ``(position, scale)`` pairs ``scales`` as ``(positions, map)``
+    groups, each map taking simplex price rows to the values of its scales,
+    one column each: the 1-d ``kernel_sampled`` scales of each grid, stacked
+    (``_kernel_stack``), then every other scale alone, in the order given."""
     grids, others = {}, []
     for k, s in scales:
         if isinstance(s, KernelSampledScale) and s._pchip is not None:
             grids.setdefault(s._pchip[0].tobytes(), []).append((k, s))
         else:
-            others.append((k, s))
-    stacks = tuple((np.array([k for k, _ in g]), _kernel_stack([s for _, s in g])) for g in grids.values())
-    return stacks, tuple(others)
+            others.append((np.array([k]), lambda P, s=s: s(P)[:, None]))
+    stacks = [(np.array([k for k, _ in g]), _kernel_stack([s for _, s in g])) for g in grids.values()]
+    return tuple(stacks + others)
 
 
 def _kernel_stack(scales: list):

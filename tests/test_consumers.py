@@ -277,8 +277,7 @@ class TestKernelStacks:
             kernel_scale(other, rng.uniform(0.5, 2.0, 17), good=0, share=0.2, level=3.0),
         ]
         e = wk.Economy(tuple(wk.Consumer([0.4, 0.6], [1.0, 0.5], s) for s in scales))
-        assert [list(columns) for columns, _ in e.kernel_stacks] == [[0, 1], [2, 7]]
-        assert [k for k, _ in e.varying_scales] == [3, 4, 5]
+        assert [list(columns) for columns, _ in e.scale_groups] == [[0, 1], [2, 7], [3], [4], [5]]
         # Rows inside and beyond the grids, on and between their nodes.
         c = np.concatenate([rng.uniform(0.0, 1.0, 300), x, other, [0.0005, 0.9995]])
         P = np.column_stack([c, 1.0 - c]) * rng.uniform(0.5, 2.0, (len(c), 1))
@@ -289,8 +288,7 @@ class TestKernelStacks:
         scales = [kernel_scale(grid, rng.uniform(0.5, 2.0, 12), good=g) for g in range(3)]
         consumers = (wk.Consumer([0.2, 0.3, 0.5], np.eye(3)[g], s) for g, s in enumerate(scales))
         e = wk.Economy(tuple(consumers))
-        assert e.kernel_stacks == ()
-        assert [k for k, _ in e.varying_scales] == [0, 1, 2]
+        assert [list(columns) for columns, _ in e.scale_groups] == [[0], [1], [2]]
         P = random_interior_prices(rng, 50, 3)
         assert np.array_equal(aed_rows(e, P), aed_rows(e, P, S=self.per_scale(e, P)))
 

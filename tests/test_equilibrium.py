@@ -24,7 +24,6 @@ from walraskit.equilibrium import (
     JOIN_RADIUS,
     NEWTON_TOL,
     _cover,
-    _field_report,
     _newton_multistart,
 )
 from walraskit.fields import _full_rows
@@ -91,6 +90,30 @@ def _converged(field, C):
     """Hand-made output of a Newton phase whose rows all converged at ``C``."""
     mask = np.ones(len(C), dtype=bool)
     return (C, field.residual_norms(C), mask, ~mask, ~mask, np.zeros(len(C), dtype=np.int64))
+
+
+def _field_report(field, newton, rows, sigma, continuum):
+    """The report on the one field ``field`` (scale ``sigma``, continuum
+    report ``continuum``) from its rows ``rows`` of the Newton phases
+    ``newton``: the one-field case of ``_reports``, which raises the field's
+    error."""
+    newton = tuple(a[rows] for a in newton)
+    labels = np.zeros(len(newton[0]), dtype=int)
+    evaluator = partial(equilibrium._stacked_map, field, [None])
+    (report,) = equilibrium._reports(evaluator, newton, labels, np.array([sigma]), [continuum])
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
+def _assert_same_report(a, b):
+    """``a`` and ``b`` are the same report of a two-good field, to the bit."""
+    assert (a.stats, a.continuum) == (b.stats, b.continuum)
+    assert len(a.equilibria) == len(b.equilibria)
+    for x, y in zip(a.equilibria, b.equilibria):
+        assert np.array_equal(x.chart, y.chart) and np.array_equal(x.price.coords, y.price.coords)
+        for name in ("residual", "regularity", "index", "multiplicity"):
+            assert getattr(x, name) == getattr(y, name)
 
 
 def _newton_field(case, rng):
@@ -1130,7 +1153,9 @@ class TestClassifyRows:
         if field.goods == 2:
             assert wk.multiplicity_estimate(field, c) == ref.multiplicity
             window = np.linspace(-1.0, 1.0, 33)
-            G = equilibrium._probe_rows(field, np.atleast_2d(c), equilibrium._scan(field)[0], window)[3]
+            evaluator = partial(equilibrium._stacked_map, field, [None])
+            sigma = equilibrium._scan(field)[0]
+            G = equilibrium._probe(evaluator, np.atleast_2d(c), np.zeros(1, dtype=int), sigma, window)[3]
             assert np.array_equal(G[0, :, 0], ref.window)
         if eq is not None:
             assert (eq.regularity, eq.index) == (ref.regularity, ref.index)
@@ -1198,7 +1223,7 @@ class TestChunkReports:
         scans = [equilibrium._scan(field) for field in fields]
         sigmas = np.array([sigma for sigma, _ in scans])
         evaluator = partial(equilibrium._stacked_map, base, maps)
-        reports = equilibrium._reports(evaluator, fields, newton, labels, sigmas, [c for _, c in scans])
+        reports = equilibrium._reports(evaluator, newton, labels, sigmas, [c for _, c in scans])
         with pytest.raises(ValueError) as solo:
             _field_report(fields[1], newton, labels == 1, sigmas[1], scans[1][1])
         assert isinstance(reports[1], ValueError) and str(reports[1]) == str(solo.value)
@@ -1210,6 +1235,46 @@ class TestChunkReports:
             assert np.array_equal(a.chart, b.chart)
             for name in ("residual", "regularity", "index", "multiplicity"):
                 assert getattr(a, name) == getattr(b, name)
+
+    # A regular field and one with a degenerate zero at 0.5, added as terms
+    # to a zero base so that each stacked field is exactly its own.
+    JOINED = [lambda C: 0.6 - C, DEGENERATE_ZEROS[0][1]]
+
+    def test_a_chunk_with_a_degenerate_zero_gets_each_fields_solve(self):
+        base = wk.chart_field(np.zeros_like, goods=2)
+        reports = equilibrium._solve(base, self.JOINED, wk.SolverConfig())
+        for report, fn in zip(reports, self.JOINED):
+            _assert_same_report(report, wk.find_equilibria(wk.chart_field(fn, goods=2)))
+
+    def test_the_join_reads_the_chunks_map_with_the_fields_label(self):
+        # Field 1's Newton rows stopped 1.2e-6 below and 2.9e-6 above its zero.
+        base = wk.chart_field(np.zeros_like, goods=2)
+        fields = [wk.chart_field(fn, goods=2) for fn in self.JOINED]
+        C = np.array([[0.6], [0.5 - 1.2e-6], [0.5 + 2.9e-6]])
+        labels = np.array([0, 1, 1])
+        res = np.array([fields[t].residual_norms(c[None])[0] for c, t in zip(C, labels)])
+        mask = np.ones(len(C), dtype=bool)
+        newton = (C, res, mask, ~mask, ~mask, np.zeros(len(C), dtype=np.int64))
+        calls = []
+
+        def evaluator(labels):
+            evaluate = equilibrium._stacked_map(base, self.JOINED, labels)
+
+            def counted(C, rows, values=None):
+                calls.append(labels[rows])
+                return evaluate(C, rows, values)
+
+            return counted
+
+        scans = [equilibrium._scan(field) for field in fields]
+        sigmas = np.array([sigma for sigma, _ in scans])
+        reports = equilibrium._reports(evaluator, newton, labels, sigmas, [c for _, c in scans])
+        # One probe call for the three zeros, then one for field 1's one midpoint.
+        assert [len(rows) for rows in calls] == [3 * (1 + 4 + 33), 1]
+        assert calls[1].tolist() == [1]
+        assert (len(reports[1].equilibria), reports[1].stats.dedup_merges) == (1, 1)
+        for t, field in enumerate(fields):
+            _assert_same_report(reports[t], _field_report(field, newton, labels == t, *scans[t]))
 
 
 class TestStackedMap:

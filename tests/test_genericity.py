@@ -483,6 +483,55 @@ def test_each_chunk_of_trials_is_classified_in_one_call(monkeypatch):
     assert calls == [12 * (1 + 4 * 2)]
 
 
+class TestChunkFailure:
+    """One failure rule: a chunk of trials whose solve raises anywhere, here
+    in its probe call, is solved again one trial at a time."""
+
+    SPEC = wk.PerturbationSpec(1e-3, basis="polynomial", degree=3, seed=80)
+
+    @staticmethod
+    def solve(monkeypatch, economy, spec, refused=None):
+        """``_solve`` of four trials of ``spec`` on ``economy`` with a probe
+        that raises on the rows of more than one field and in a chunk that
+        holds the term of trial ``refused``; the terms, reports and the
+        number of refused probe calls."""
+        import walraskit.equilibrium as eqm
+        import walraskit.genericity as gen
+
+        field = wk.economy_field(economy)
+        terms = [gen._perturbation_term(spec.with_seed(spec.seed + t), field.dim) for t in range(4)]
+        probe, refusals = eqm._probe, []
+
+        def spy(evaluator, C, labels, *args):
+            # ``evaluator`` is the chunk's partial(_stacked_map, base, terms).
+            chunk = evaluator.args[1]
+            if len(np.unique(labels)) > 1 or (refused is not None and any(t is terms[refused] for t in chunk)):
+                refusals.append(len(chunk))
+                raise RuntimeError("probe refused")
+            return probe(evaluator, C, labels, *args)
+
+        monkeypatch.setattr(eqm, "_probe", spy)
+        return eqm._solve(field, terms, wk.SolverConfig()), len(refusals)
+
+    @pytest.mark.parametrize("case", ["continuum", "multi-l3-seed0"])
+    def test_a_failing_chunk_gives_each_trial_its_own_report(self, monkeypatch, continuum_economy, case):
+        economy = continuum_economy if case == "continuum" else multi_equilibrium_economy(3, 0)
+        reports, refusals = self.solve(monkeypatch, economy, self.SPEC)
+        assert refusals == 1
+        for t, report in enumerate(reports):
+            assert_same_report(report, wk.find_equilibria(wk.perturb(economy, self.SPEC.with_seed(80 + t))))
+
+    @pytest.mark.parametrize("case", ["continuum", "multi-l3-seed0"])
+    def test_a_trial_whose_own_probe_fails_records_its_error(self, monkeypatch, continuum_economy, case):
+        economy = continuum_economy if case == "continuum" else multi_equilibrium_economy(3, 0)
+        reports, refusals = self.solve(monkeypatch, economy, self.SPEC, refused=2)
+        # The chunk's call, then trial 2's own.
+        assert refusals == 2
+        assert isinstance(reports[2], RuntimeError) and str(reports[2]) == "probe refused"
+        for t in (0, 1, 3):
+            assert_same_report(reports[t], wk.find_equilibria(wk.perturb(economy, self.SPEC.with_seed(80 + t))))
+
+
 @pytest.mark.parametrize("basis", ["linear_tilt", "polynomial", "random_fourier"])
 def test_a_stacked_evaluation_calls_the_basis_once(monkeypatch, basis):
     import walraskit.equilibrium as eqm

@@ -16,7 +16,10 @@ economy and on the saved continuum economy at ``--grid 4001``, whose
 solve reads the hits of a refined level.  Under ``experiment/extra/`` it
 runs ``experiment`` with four trials on the three-good economy of those
 (bases ``poly:3`` and ``fourier:5``), whose stacked trials are solved on
-a refined level.  Under ``audit/`` it runs
+a refined level, and with four ``poly:3`` trials on the four-good economy
+of seed 42 of the same family, whose trials all fail (a scale is not
+positive at a price the solve evaluates), so that a failing chunk of
+trials is solved again one trial at a time.  Under ``audit/`` it runs
 ``audit`` on economies whose scales vary, so that the audit itself runs:
 the two with three known equilibria (polynomial scales), the saved
 continuum economy (1-d ``kernel_sampled`` scales) and the first realised
@@ -90,6 +93,11 @@ FACTORS = ("1e-8", "1e8")
 # (goods, seed) of the economies with three known equilibria, and the goods
 # of the constant-scale economies, solved under solve/extra/.
 MULTI = ((3, 0), (4, 1))
+# (goods, seed) of an economy of the same family whose polynomial scale is
+# not positive at some price that a solve evaluates beyond the scan grid:
+# every trial of its experiment records that error.  Its own solve exits 1,
+# so it is not solved.
+FAILING = (4, 42)
 MANY_GOODS = (5, 6)
 # The economies with scales that vary, audited under audit/.
 AUDITED = {
@@ -145,10 +153,15 @@ def invocations(seed: int) -> list[list[str]]:
     continuum = ["--input", str(RESCALED["continuum"]), "--grid", "4001"]
     argvs.append(["solve", *continuum, "--out", str(extra / "continuum-grid4001")])
     experiments = Path("experiment", "extra")
-    for basis in BASES[1:]:
-        out = experiments / ("multi-l3-seed0-" + basis.replace(":", ""))
+    experiments.mkdir()
+    goods, k = FAILING
+    save_economy(experiments / f"multi-l{goods}-seed{k}.yaml", multi_equilibrium_economy(goods, k))
+    for economy, basis in [(extra / "multi-l3-seed0.yaml", b) for b in BASES[1:]] + [
+        (experiments / f"multi-l{goods}-seed{k}.yaml", "poly:3")
+    ]:
+        out = experiments / f"{economy.stem}-{basis.replace(':', '')}"
         argvs.append(
-            ["experiment", "--input", str(extra / "multi-l3-seed0.yaml"), "--out", str(out),
+            ["experiment", "--input", str(economy), "--out", str(out),
              "--epsilon", "1e-3", "--basis", basis, "--trials", "4"]
         )
     extra = Path("sarp", "extra")
