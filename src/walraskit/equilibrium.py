@@ -18,10 +18,12 @@ that can hold a zero are refined in one step into patches of ``m``
 subdivisions per axis, the fewest that reach the target, evaluated in one
 call (``_refine``), and the refined level gives the starts.  Damped Newton
 iteration in chart coordinates (``_newton_multistart``) runs over them,
-merging starts that converge together, and on a refined level once more
-between and beyond every two close zeros of a field
-(``_restart_between``).  :func:`find_equilibria` is its one-field case
-and the genericity experiment its many-field case.
+merging starts that converge together; a converged start takes only full
+steps and stops at the first that does not halve its residual, which
+polishes a degenerate zero and stops at a regular one.  On a refined
+level Newton runs once more between and beyond every two close zeros of a
+field (``_restart_between``).  :func:`find_equilibria` is its one-field
+case and the genericity experiment its many-field case.
 
 The aggregate excess demand ``z`` of an economy (a field marked
 ``price_weighted``, with no term) is solved on the price-weighted field
@@ -304,7 +306,9 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     A step tries ``C - lambda * delta`` for ``lambda = 1, 1/2, ...,
     2**-NEWTON_MAX_HALVINGS`` and takes the first trial inside the boundary
     margin that cuts the residual by ``1 - lambda / 2`` (backtracking).  A
-    row stops when no step size improves its residual, or when the step no
+    converged row, ``|z| <= tol``, tries the full step ``lambda = 1`` only,
+    and takes it when it at least halves the residual.  A row stops when
+    no step size it tries improves its residual, or when the step no
     longer moves the point (as a singular Jacobian's zero step does).  An
     iteration makes one call for the Jacobian stencils of every iterating
     row and, when some row has a trial inside the margin that moves its
@@ -320,10 +324,13 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     """
     C = starts.copy()
     G, res, zres = _newton_state(evaluate, C, np.arange(len(C)))
-    # Points keep iterating while a damped step still improves the residual,
-    # even past the convergence tolerance: the extra polishing drives the
-    # offset of degenerate (critical) zeros toward zero, so classification at
-    # the returned point behaves like classification at the exact zero.
+    # Points keep iterating past the convergence tolerance while a full step
+    # still halves the residual: at a zero of multiplicity k it cuts |z| by
+    # ((k - 1) / k)^k <= 1/e, so this polishing drives the offset of
+    # degenerate (critical) zeros toward zero, and classification at the
+    # returned point behaves like classification at the exact zero.  At a
+    # regular zero the first full step that fails this ends a walk through
+    # rounding noise that damped steps would continue.
     # A start whose residual is not finite cannot take a step: it stalls.
     halted = ~np.isfinite(res)
     active = ~halted & (res > 0.0)
@@ -336,7 +343,7 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
         if idx.size == 0:
             break
         iterations[idx] += 1
-        took = _damped_step(evaluate, idx, (C, G, res, zres))
+        took = _damped_step(evaluate, idx, (C, G, res, zres), (zres <= tol)[idx])
         # A row halts unless one of its trials is accepted.  An exact zero
         # stops here, not after one more Jacobian whose zero step would end it.
         halted[idx], active[idx] = True, False
@@ -368,23 +375,25 @@ def _newton_direction(evaluate, C, G, rows) -> np.ndarray:
     return delta
 
 
-def _damped_step(evaluate, rows, state: tuple):
+def _damped_step(evaluate, rows, state: tuple, converged: np.ndarray):
     """One damped Newton step from each of ``rows`` of the iterates
     ``state``: their points ``C``, the Newton map's chart values ``G`` and
     the residuals ``res`` and ``zres``.  Updates ``state`` in place on the
     rows that accept a trial, and returns those rows.
 
     The trials ``C - lambda * delta`` of every row and step size
-    (``_STEP_SIZES``) are evaluated in one call.  A row's trials end before
-    the first that rounds to its point, and one outside the boundary margin
-    has residual ``inf``; a row accepts its first trial whose residual is at
-    most ``(1 - lambda / 2) res``.
+    (``_STEP_SIZES``) are evaluated in one call; a row that has
+    ``converged`` (one flag per row) is asked ``lambda = 1`` only.  A row's
+    trials end before the first that rounds to its point, and one outside
+    the boundary margin has residual ``inf``; a row accepts its first trial
+    whose residual is at most ``(1 - lambda / 2) res``.
     """
     C, G, res, zres = (a[rows] for a in state)
     delta = _newton_direction(evaluate, C, G, rows)
     T = C[:, None, :] - _STEP_SIZES[:, None] * delta[:, None, :]
     # No shorter step moves a point that a longer one leaves in place.
     live = np.logical_and.accumulate((T != C[:, None, :]).any(axis=2), axis=1)
+    live[converged, 1:] = False
     ask = live & _interior(T.reshape(-1, C.shape[1])).reshape(live.shape)
     TG = np.empty_like(T)
     TR, TZ = np.full((2, *live.shape), np.inf)
@@ -613,15 +622,18 @@ def _scan(field: TangentField, grid: tuple | None = None) -> tuple:
 def _scan_stage(evaluator, grid: tuple, count: int) -> tuple:
     """The one pass over the scan grid of ``count`` fields, which
     ``evaluator(labels)`` (``_stacked_map``) evaluates from the base's values
-    in ``grid`` (``_base_grid``): their scales ``sigma``, the largest finite
-    ``|p * z|`` of each, the full rows of their Newton map, field by field,
-    its hits and their clusters (``_hits``) and their ``ContinuumReport``s."""
+    in ``grid`` (``_base_grid``), every field on every grid row in one call:
+    their scales ``sigma``, the largest finite ``|p * z|`` of each, the full
+    rows of their Newton map, field by field, its hits and their clusters
+    (``_hits``) and their ``ContinuumReport``s."""
     C, per_dim, values = grid
-    labels = np.repeat(np.arange(count), len(C))
-    X = np.tile(C, (count, 1))
-    W, Z = evaluator(labels)(X, np.arange(len(X)), np.tile(values, (count, 1)))
-    wres = np.linalg.norm(chart_rows_embed(C) * Z.reshape(count, len(C), -1), axis=2)
+    fields = np.arange(count)
+    W, Z = evaluator(fields)(C, fields[:, None], values)
+    wres = np.linalg.norm(chart_rows_embed(C) * Z, axis=2)
     sigmas = np.where(np.isfinite(wres), wres, 0.0).max(axis=1)
+    W, Z = W.reshape(-1, W.shape[2]), Z.reshape(-1, Z.shape[2])
+    labels = np.repeat(fields, len(C))
+    X = np.tile(C, (count, 1))
     hit, clusters = _hits(X, Z, labels, sigmas, _spacing(per_dim))
     H, of = X[hit], labels[hit]
     reports = []
@@ -910,18 +922,23 @@ def _restart_between(phase, newton, labels, radius: float) -> tuple:
 def _stacked_map(base: TangentField, terms: list, labels: np.ndarray):
     """The full rows ``W`` of the Newton map and ``Z`` of the field at the
     chart rows ``C``, over stacked rows: the base's chart values (evaluated
-    once, or ``values``, which take the terms in place) plus, on row ``r``,
-    the term of field ``labels[r]`` (``_add_terms``).  The Newton map is
+    once, or ``values``) plus, on row ``r``, the term of field
+    ``labels[rows[r]]`` (``_add_terms``).  With ``rows`` of shape ``(k, 1)``
+    each of those ``k`` fields is evaluated on every row of ``C`` (the scan
+    grid), and ``W`` and ``Z`` are ``(k, len(C), l)``.  The Newton map is
     ``p * z`` when the base is ``price_weighted`` and no field has a term,
     else ``z``."""
     weighted = base.price_weighted and all(term is None for term in terms)
     add = _add_terms(terms)
 
     def evaluate(C, rows, values=None):
-        # A copy: the base chart map may return a view of its input.
-        F = np.array(base.chart_values(C)) if values is None else values
+        fields = labels[rows]
+        F = base.chart_values(C) if values is None else values
+        # A copy, one block per field of a grid: the base chart map may
+        # return a view of its input, and the terms are added in place.
+        F = np.array(np.broadcast_to(F, fields.shape[:-1] + F.shape), order="C")
         if add is not None:
-            add(F, C, labels[rows])
+            add(F, C, fields)
         P, Z = _full_rows(C, F)
         return (P * Z if weighted else Z), Z
 
@@ -930,8 +947,9 @@ def _stacked_map(base: TangentField, terms: list, labels: np.ndarray):
 
 def _add_terms(terms: list):
     """``add(F, C, fields)``, which adds to ``F``, base chart values at the
-    rows ``C``, the term of field ``fields[r]`` on row ``r`` in place (the
-    bits of ``base.chart_values(C) + term(C)``), or None when no field has one.
+    rows ``C`` (one block per field of ``fields`` of shape ``(k, 1)``), the
+    term of field ``fields[r]`` on row ``r`` in place (the bits of
+    ``base.chart_values(C) + term(C)``), or None when no field has one.
 
     Terms of one class with a ``stack`` class method (the trials of a
     genericity experiment) are evaluated in one call of
@@ -950,10 +968,13 @@ def _add_terms(terms: list):
         return add
 
     def add(F, C, fields):
+        d = C.shape[1]
+        X = np.broadcast_to(C, F.shape).reshape(-1, d)
+        F, fields = F.reshape(-1, d), np.broadcast_to(fields, F.shape[:-1]).ravel()
         bounds = np.searchsorted(fields, np.arange(len(terms) + 1))
         for term, lo, hi in zip(terms, bounds[:-1], bounds[1:]):
             if term is not None and hi > lo:
-                F[lo:hi] += term(C[lo:hi])
+                F[lo:hi] += term(X[lo:hi])
 
     return add
 

@@ -77,10 +77,11 @@ class TangentField:
 
 
 def _full_rows(C: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Simplex price rows and full field rows from chart rows and chart values."""
+    """Simplex price rows and full field rows from chart rows and chart
+    values; ``F`` may stack several fields' values at ``C``, ``(k, n, l-1)``."""
     P = chart_rows_embed(C)
-    last = -(P[:, :-1] * F).sum(axis=1) / P[:, -1]
-    return P, np.hstack([F, last[:, None]])
+    last = -(P[:, :-1] * F).sum(axis=-1) / P[:, -1]
+    return P, np.concatenate([F, last[..., None]], axis=-1)
 
 
 def _with_term(base: TangentField, term) -> TangentField:

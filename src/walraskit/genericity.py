@@ -92,8 +92,11 @@ def _fourier_table(dim: int, terms: int) -> tuple:
     return table
 
 
-# The bases.  Each takes chart rows ``C`` and coefficient arrays with a
-# leading axis of one entry, shared by every row, or of one entry per row.
+# The bases.  Each takes chart rows ``C``, ``(n, dim)``, and coefficient
+# arrays whose leading axes broadcast against ``n``: one entry, shared by
+# every row, one entry per row, or ``(trials, 1)``, each trial on every row
+# (a chunk's scan grid), which gives ``(trials, n, dim)`` values.  Every
+# value gets the same elementwise arithmetic in each layout.
 
 
 def _tilt(C):
@@ -101,21 +104,23 @@ def _tilt(C):
 
 
 def _polynomial(C, coeffs):
-    # ``coeffs``: ``(rows, degree + 1, dim)``, one column per chart coordinate.
-    return np.polynomial.polynomial.polyval(C, np.moveaxis(coeffs, 0, 1), tensor=False)
+    # ``coeffs``: ``(..., degree + 1, dim)``, one column per chart coordinate.
+    return np.polynomial.polynomial.polyval(C, np.moveaxis(coeffs, -2, 0), tensor=False)
 
 
 def _fourier(C, amp_sin, amp_cos):
-    # ``amp_sin``, ``amp_cos``: ``(rows, dim, terms)``.  The arithmetic of
-    # ``(amp_sin * sin + amp_cos * cos).sum(axis=2)``, in place: the rows
-    # of a chunk of trials make large arrays.
+    # ``amp_sin``, ``amp_cos``: ``(..., dim, terms)``.  The arithmetic of
+    # ``(amp_sin * sin + amp_cos * cos).sum(axis=-1)`` on one table of the
+    # sines and cosines of ``C``, in place where the result has the table's
+    # shape: the rows of a chunk of trials make large arrays.
     phases = C[:, :, None] * _wavenumbers(amp_sin.shape[-1])
     sin = np.sin(phases)
     cos = np.cos(phases, out=phases)
-    sin *= amp_sin
-    cos *= amp_cos
+    shared = amp_sin.ndim > sin.ndim
+    sin = np.multiply(sin, amp_sin, out=None if shared else sin)
+    cos = np.multiply(cos, amp_cos, out=None if shared else cos)
     sin += cos
-    return sin.sum(axis=2)
+    return sin.sum(axis=-1)
 
 
 def _basis(spec: PerturbationSpec, dim: int) -> tuple:
@@ -153,9 +158,11 @@ class _Term:
     """The chart map ``eps * basis(C, *coefficients)`` of one trial.
 
     ``stack`` evaluates the terms of several trials of one spec, which
-    share a basis, on stacked rows in one call: each row takes its trial's
-    coefficients and ``eps``, with the same elementwise arithmetic, so each
-    row gets the bits of its own term.
+    share a basis, in one call: on stacked rows, each row takes its trial's
+    coefficients and ``eps``, and on a grid shared by the trials (the scan
+    grid), each trial's coefficients meet one table of the grid's values
+    (a Fourier basis's sines and cosines).  The elementwise arithmetic is
+    the same, so each row gets the bits of its own term.
     """
 
     basis: Callable
@@ -167,7 +174,9 @@ class _Term:
 
     @classmethod
     def stack(cls, terms: list):
-        """One map ``f(C, fields)``: on row ``r`` of ``C``, the term ``fields[r]``."""
+        """One map ``f(C, fields)``: on row ``r`` of ``C``, the term
+        ``fields[r]``; with ``fields`` of shape ``(k, 1)``, each of those
+        ``k`` terms on every row, ``(k, len(C), dim)``."""
         eps = np.array([t.eps for t in terms])[:, None]
         coefficients = [np.concatenate(a) for a in zip(*(t.coefficients for t in terms))]
         basis = terms[0].basis

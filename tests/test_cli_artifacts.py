@@ -82,7 +82,26 @@ def test_numeric_drift_is_measured_and_passes(tmp_path):
         assert f"largest {count} count change: 47 (solve/out0/report.txt)" in lines
     assert "largest stalled count change: 0" in lines
     assert "largest audit max |p.z| change: 3e-17 (extra/economy0/audit/report.txt)" in lines
+    assert "Newton iterations of solve and perturb reports: 120 → 51" in lines
     assert not any(line.startswith("CHANGED") for line in lines)
+
+
+def test_newton_iterations_are_summed_over_every_report(tmp_path):
+    def report(path, its):
+        path.mkdir()
+        fields = dict(p="0.5", res="1e-16", reg="regular", index="+1", starts=2, merges=1)
+        (path / "report.txt").write_text(REPORT.format(its=its, **fields))
+
+    # A report that is the same on both sides counts on both.
+    for root, its in (("old", 120), ("new", 51)):
+        write_tree(tmp_path / root, its=its)
+        report(tmp_path / root / "solve" / "out1", 7)
+    report(tmp_path / "new" / "extra" / "economy0" / "perturb-tilt", 30)
+    done = compare(tmp_path / "old", tmp_path / "new")
+    lines = done.stdout.splitlines()
+    assert "Newton iterations of solve and perturb reports: 127 → 88" in lines
+    # A report on one side only is still a changed output.
+    assert f"CHANGED extra/economy0/perturb-tilt/report.txt: only in {tmp_path / 'new'}" in lines
 
 
 @pytest.mark.parametrize(

@@ -129,13 +129,14 @@ def _newton_field(case, rng):
     return field
 
 
-def _one_call_per_step_size(evaluate, rows, state):
-    """``equilibrium._damped_step`` as a loop with one call per step size."""
+def _one_call_per_step_size(evaluate, rows, state, converged):
+    """``equilibrium._damped_step`` as a loop with one call per step size;
+    a converged row is asked the full step only."""
     C, G, res, _ = (a[rows] for a in state)
     delta = equilibrium._newton_direction(evaluate, C, G, rows)
     hit, live = np.zeros(len(C), bool), np.ones(len(C), bool)
     for lam in equilibrium._STEP_SIZES:
-        i = np.flatnonzero(live & ~hit)
+        i = np.flatnonzero(live & ~hit & ((lam == 1.0) | ~converged))
         trial = C[i] - lam * delta[i]
         live[i[(trial == C[i]).all(axis=1)]] = False
         ask = live[i] & equilibrium._interior(trial)
@@ -326,6 +327,17 @@ class TestFlatZeroJoin:
         assert (eq.regularity, eq.index, eq.multiplicity) == ("critical", 0, order)
         assert report.stats.dedup_merges == 1
 
+    # The offset from 0.5 of the one reported zero of each order before
+    # converged rows took only full steps: the start, the PL zero, is one
+    # rounding away from it.
+    OFFSETS = dict.fromkeys(range(3, 8), 1.1102230246251565e-16)
+
+    @pytest.mark.parametrize("order, fn", DEGENERATE_ZEROS)
+    def test_degenerate_zero_is_polished_as_before(self, order, fn):
+        (eq,) = wk.find_equilibria(wk.chart_field(fn, goods=2)).equilibria
+        assert (eq.regularity, eq.multiplicity) == ("critical", order)
+        assert abs(eq.chart[0] - 0.5) <= self.OFFSETS[order]
+
     @pytest.mark.parametrize("scale", [1.0, 1e-3])
     def test_close_zeros_with_a_nonzero_midpoint_stay_apart(self, scale):
         # zeros 5e-5 apart, both regular; the field is -6.25e-10 * scale
@@ -502,6 +514,43 @@ class TestNewtonMultistart:
         for a, b in zip(fast, slow):
             assert np.array_equal(a, b)
         assert len(fast_calls) <= len(slow_calls)
+
+    @pytest.mark.parametrize("case", ["multi-l3-seed0", "perturbed-continuum"])
+    def test_a_converged_row_takes_only_full_steps(self, monkeypatch, case, rng):
+        # A weighted three-good economy with three zeros, and a field whose
+        # rows backtrack on the way to its zeros.
+        if case == "multi-l3-seed0":
+            field = wk.economy_field(multi_equilibrium_economy(3, 0))
+        else:
+            field = _newton_field(case, rng)
+        tol = _tol(field)
+        direction, step = equilibrium._newton_direction, equilibrium._damped_step
+        deltas, steps = [], []
+
+        def direction_spy(*args):
+            deltas.append(direction(*args))
+            return deltas[-1]
+
+        def step_spy(evaluate, rows, state, converged):
+            before = state[0][rows], state[3][rows]
+            took = step(evaluate, rows, state, converged)
+            steps.append((rows, *before, state[0][rows], np.isin(rows, took), deltas[-1], converged))
+            return took
+
+        monkeypatch.setattr(equilibrium, "_newton_direction", direction_spy)
+        monkeypatch.setattr(equilibrium, "_damped_step", step_spy)
+        starts = _region_points(field.dim, wk.SolverConfig().grid_density)
+        _newton(lambda C, rows: field.chart_values(C), starts, tol, field.price_weighted)
+        full, damped = [], []
+        for rows, C, zres, after, took, delta, converged in steps:
+            assert np.array_equal(converged, zres <= tol)
+            whole = (after == C - delta).all(axis=1)
+            full.append(took & converged & whole)
+            damped.append(took & ~whole)
+            # No converged row accepts a step shorter than the full one.
+            assert not (took & converged & ~whole).any()
+        # Converged rows polish, and the spy sees the rows that backtrack.
+        assert np.concatenate(full).any() and np.concatenate(damped).any()
 
     def test_zero_jacobian_stalls_every_start_after_one_iteration(self):
         calls = []

@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -556,6 +557,28 @@ def test_a_stacked_evaluation_calls_the_basis_once(monkeypatch, basis):
 
 class TestStackedTerm:
     """The stacked term of a chunk against each trial's own perturbed field."""
+
+    @pytest.mark.parametrize("basis", ["linear_tilt", "polynomial", "random_fourier"])
+    @pytest.mark.parametrize("goods", [2, 3])
+    def test_scan_grid_rows_get_the_bits_of_their_trial(self, basis, goods, rng):
+        # The chunk's terms on the scan grid, from one table of the grid,
+        # and the scan's field rows of each trial.
+        import walraskit.equilibrium as eqm
+        import walraskit.genericity as gen
+
+        base = wk.economy_field(random_economy(rng, goods, 3))
+        spec = wk.PerturbationSpec(1e-3, basis=basis, degree=4, terms=5, seed=74)
+        specs = [spec.with_seed(74 + t) for t in range(4)]
+        terms = [gen._perturbation_term(s, base.dim) for s in specs]
+        C = eqm._scan_grid(base.dim)[0]
+        T = gen._Term.stack(terms)(C, np.arange(len(terms))[:, None])
+        assert T.shape == (len(terms), *C.shape)
+        evaluator = partial(eqm._stacked_map, base, terms)
+        W = eqm._scan_stage(evaluator, eqm._base_grid(base), len(terms))[1]
+        for t, (term, s) in enumerate(zip(terms, specs)):
+            assert np.array_equal(T[t], term(C))
+            rows = slice(t * len(C), (t + 1) * len(C))
+            assert np.array_equal(W[rows], gen.perturb(base, s).full_values(C)[1])
 
     @pytest.mark.parametrize("basis", ["linear_tilt", "polynomial", "random_fourier"])
     @pytest.mark.parametrize("goods", [2, 3, 4])

@@ -44,13 +44,15 @@ prints the number of files that differ, naming each, and the largest
 change of a price, a residual and each count of the ``solver:`` line
 (starts, converged, stalled, exhausted, Newton iterations, dedup merges)
 in the ``solve`` and ``perturb`` outputs, and of a ``max |p.z|`` of an
-``audit`` report.  It exits 1 when an output changed beyond those
-numbers: a file added or removed, an ``equilibria.csv`` or
-``solve``/``perturb`` report with another equilibrium count, regularity,
-index, multiplicity, index sum, index check or finite flag, an ``audit``
-report with another verdict or violation count, or any change to an
-``experiment.csv``, ``witness.csv``, ``realized_economy.yaml``,
-``experiment`` report or ``sarp`` report.
+``audit`` report, then the Newton iterations of every ``solve`` and
+``perturb`` report summed on each side, ``old → new``, so that the effect
+of a change to Newton's iteration reads in one line.  It exits 1 when an
+output changed beyond those numbers: a file added or removed, an
+``equilibria.csv`` or ``solve``/``perturb`` report with another
+equilibrium count, regularity, index, multiplicity, index sum, index
+check or finite flag, an ``audit`` report with another verdict or
+violation count, or any change to an ``experiment.csv``, ``witness.csv``,
+``realized_economy.yaml``, ``experiment`` report or ``sarp`` report.
 """
 
 from __future__ import annotations
@@ -248,8 +250,13 @@ def compare(old: Path, new: Path) -> int:
     differ, changed = [], []
     keys = ("price", "residual", *SOLVER_COUNTS.values(), "audit max |p.z|")
     largest = {key: (0, None) for key in keys}
+    iterations = [0, 0]
     for rel in sorted(files):
         a, b = old / rel, new / rel
+        if rel.name == "report.txt" and _is_solve_output(rel):
+            for side, path in enumerate((a, b)):
+                if path.is_file():
+                    iterations[side] += sum(_solve_numbers(rel, path.read_text())[1]["Newton-iteration total"])
         if not (a.is_file() and b.is_file()):
             differ.append(rel)
             changed.append(f"{rel}: only in {old if a.is_file() else new}")
@@ -284,6 +291,7 @@ def compare(old: Path, new: Path) -> int:
         print(f"  {rel}")
     for key, (value, rel) in largest.items():
         print(f"largest {key} change: {value:g}" + (f" ({rel})" if rel else ""))
+    print("Newton iterations of solve and perturb reports: {} → {}".format(*iterations))
     for line in changed:
         print(f"CHANGED {line}")
     return 1 if changed else 0
