@@ -174,6 +174,14 @@ def _decompose_rows(f: CanonicalFamily, P: np.ndarray, V: np.ndarray):
     return mu, residual
 
 
+def _price_row(f: CanonicalFamily, p: PricePoint, name: str) -> np.ndarray:
+    """The coordinates of ``p``, the price of the argument ``name``, as one
+    row, refused unless it prices the family's goods."""
+    if p.goods != f.goods:
+        raise ValueError(f"{name} must have {f.goods} goods, as the family has, not {p.goods}")
+    return p.coords[None, :]
+
+
 def positive_kernel(f: CanonicalFamily, p: PricePoint) -> np.ndarray:
     """Strictly positive dependency of the canonical excess demands at ``p``.
 
@@ -184,7 +192,7 @@ def positive_kernel(f: CanonicalFamily, p: PricePoint) -> np.ndarray:
     basis matrix is ``diag(-omega)`` plus a rank-one matrix, so its rank is
     at least ``l - 1``.
     """
-    return _decompose_rows(f, p.coords[None, :], np.zeros((1, p.goods)))[0][0]
+    return _decompose_rows(f, _price_row(f, p, "p"), np.zeros((1, p.goods)))[0][0]
 
 
 def decompose_at(f: CanonicalFamily, target: TangentVector) -> DecompositionWitness:
@@ -208,7 +216,7 @@ def decompose_at(f: CanonicalFamily, target: TangentVector) -> DecompositionWitn
     :class:`PositiveSpanningError`.
     """
     p = target.base
-    mu, residual = _decompose_rows(f, p.coords[None, :], target.components[None, :])
+    mu, residual = _decompose_rows(f, _price_row(f, p, "target"), target.components[None, :])
     return DecompositionWitness(price=p, mu=mu[0], residual=float(residual[0]))
 
 

@@ -106,9 +106,10 @@ CONTINUUM_SCAN_POINTS = 2001
 MAX_SCAN_POINTS = 250_000
 CONTINUUM_RUN_REQUIRED = 20
 CONTINUUM_RESIDUAL_TOL = 1e-9
-# Finite-difference Jacobians step by ``JACOBIAN_STEP * max(1, |c|)``; the
-# probe's estimates at that step and at half of it must agree within
-# ``JACOBIAN_CONSISTENCY_TOL`` relative, plus 1e-12 of the field's scale.
+# Finite-difference Jacobians step by ``JACOBIAN_STEP`` (chart points have
+# |c| < 1, so no step needs scaling); the probe's estimates at that step and
+# at half of it must agree within ``JACOBIAN_CONSISTENCY_TOL`` relative,
+# plus 1e-12 of the field's scale.
 JACOBIAN_STEP = 1e-6
 JACOBIAN_CONSISTENCY_TOL = 1e-4
 
@@ -239,11 +240,11 @@ def _scan_level(dim: int, density: int) -> tuple:
 
 
 def _stencil(C: np.ndarray, fractions=(1.0,)) -> tuple:
-    """The steps ``s = f * JACOBIAN_STEP * max(1, |c|)``, ``(m, k)``, of every
-    row ``c`` of ``C`` and fraction ``f``, and the central-difference rows
-    ``c + s e_j``, then ``c - s e_j``, of each, ``(m, k, 2d, d)``."""
+    """The steps ``s = f * JACOBIAN_STEP``, ``(m, k)``, of every row ``c`` of
+    ``C`` and fraction ``f``, and the central-difference rows ``c + s e_j``,
+    then ``c - s e_j``, of each, ``(m, k, 2d, d)``."""
     d = C.shape[1]
-    s = JACOBIAN_STEP * np.maximum(1.0, np.linalg.norm(C, axis=1))[:, None] * np.asarray(fractions)
+    s = np.full((len(C), 1), JACOBIAN_STEP) * np.asarray(fractions)
     return s, C[:, None, None, :] + s[:, :, None, None] * np.concatenate([np.eye(d), -np.eye(d)])
 
 
@@ -556,7 +557,7 @@ def multiplicity_estimate(field_or_economy, p) -> int | None:
 def chart_jacobian(field_or_economy, c) -> np.ndarray:
     """Central-difference Jacobian of a field's chart map at chart point ``c``.
 
-    Two estimates at steps ``h = 1e-6 * max(1, |c|)`` and ``h/2`` are
+    Two estimates at steps ``h = 1e-6`` and ``h/2`` are
     compared; a disagreement above ``1e-4`` relative plus ``1e-12 sigma``
     raises :class:`JacobianConsistencyError`.  This is the one-point case of
     the probe that classifies zeros, and evaluates the field twice.
@@ -881,14 +882,6 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
     return outcomes
 
 
-def _outcome(report, *args):
-    """``report(*args)``, or the exception it raised."""
-    try:
-        return report(*args)
-    except Exception as exc:  # noqa: BLE001 - per-field isolation is the contract
-        return exc
-
-
 def _restart_between(phase, newton, labels, radius: float) -> tuple:
     """The Newton phase ``newton`` over rows of the fields ``labels``, and
     the rows and labels of a second ``phase`` appended to it, from the line
@@ -981,18 +974,18 @@ def _add_terms(terms: list):
 
 def _reports(evaluator, newton: tuple, labels: np.ndarray, sigmas, continua: list) -> list:
     """The report on each field of a chunk (scales ``sigmas``, continuum
-    reports ``continua``), or the error of its report, from the rows of its
-    Newton phases (``newton``; ``labels``, the field of each), reading the
-    fields only through the chunk's map ``evaluator(labels)`` (``_stacked_map``).
+    reports ``continua``) from the rows of its Newton phases (``newton``;
+    ``labels``, the field of each), reading the fields only through the
+    chunk's map ``evaluator(labels)`` (``_stacked_map``).  Any error raises
+    for the whole chunk, which ``_solve`` then solves one field at a time.
 
     One cover (``_cover``) deduplicates the converged rows of every field.
     The kept zeros, ordered by field, then by chart coordinates, are
-    classified from one probe call for all of them (``_classification``),
-    which raises for the whole chunk when that call does.  Then, per field,
-    a zero whose residual exceeds ``1e-9 sigma`` makes that field's error,
-    the flat-zero join evaluates the field, in one call with its label,
-    only when two of its critical zeros are within ``JOIN_RADIUS``, and its
-    statistics are counted.
+    classified from one probe call for all of them (``_classification``).
+    Then, per field, a zero whose residual exceeds ``1e-9 sigma`` raises
+    that field's error, the flat-zero join evaluates the field, in one call
+    with its label, only when two of its critical zeros are within
+    ``JOIN_RADIUS``, and its statistics are counted.
     """
     C, res, converged, stalled, exhausted, iterations = newton
     conv = np.flatnonzero(converged)
@@ -1041,4 +1034,4 @@ def _reports(evaluator, newton: tuple, labels: np.ndarray, sigmas, continua: lis
         )
         return EquilibriumReport(tuple(equilibria), stats, continua[t])
 
-    return [_outcome(report, t) for t in range(F)]
+    return [report(t) for t in range(F)]

@@ -84,14 +84,6 @@ def _full_rows(C: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P, np.concatenate([F, last[..., None]], axis=-1)
 
 
-def _with_term(base: TangentField, term) -> TangentField:
-    """``base`` with the chart map ``term`` added to its own, or ``base``
-    itself when ``term`` is ``None``."""
-    if term is None:
-        return base
-    return TangentField(base.goods, lambda C: base.chart_values(C) + term(C))
-
-
 def economy_field(e: Economy) -> TangentField:
     """The aggregate-excess-demand field of an economy.
 

@@ -32,7 +32,7 @@ import numpy as np
 from .decomposition import CanonicalFamily, realize_economy
 from .equilibrium import ContinuumReport, SolverConfig, _base_grid, _index_check, _scan, _solve
 from .equilibrium import find_equilibria  # noqa: F401 - in this namespace for wrappers such as bench/tracer.py
-from .fields import TangentField, _with_term, as_field, chart_field
+from .fields import TangentField, as_field, chart_field
 from .scales import _integer, _number
 
 BASIS_KINDS = ("linear_tilt", "polynomial", "random_fourier")
@@ -198,9 +198,13 @@ def _perturbation_term(spec: PerturbationSpec, dim: int):
 
 
 def perturb(field_or_economy, spec: PerturbationSpec) -> TangentField:
-    """Add ``epsilon * basis`` (sup-normalised with its derivative) to the chart map."""
+    """Add ``epsilon * basis`` (sup-normalised with its derivative) to the
+    chart map; ``epsilon`` 0 gives the base field itself."""
     base = as_field(field_or_economy)
-    return _with_term(base, _perturbation_term(spec, base.dim))
+    term = _perturbation_term(spec, base.dim)
+    if term is None:
+        return base
+    return TangentField(base.goods, lambda C: base.chart_values(C) + term(C))
 
 
 def continuum_chart_map(a: float, b: float):
@@ -229,7 +233,7 @@ def build_continuum_economy(interval: tuple[float, float], grid: int = 201):
     a, b = float(interval[0]), float(interval[1])
     if not (0.0 < a < b < 1.0):
         raise ValueError("interval must satisfy 0 < a < b < 1")
-    if grid < 5:
+    if _integer(grid, "grid") < 5:
         raise ValueError("grid needs at least 5 points")
     xs = np.linspace(CONTINUUM_GRID_MARGIN, 1.0 - CONTINUUM_GRID_MARGIN, grid)
     target = chart_field(continuum_chart_map(a, b), goods=2)

@@ -606,10 +606,19 @@ print(json.dumps([codes, *(sorted(m for m in sys.modules if m.split(".")[0] == t
 def test_solve_perturb_and_audit_load_no_scipy(tmp_path, rng):
     # Closed-form scales need no interpolation and no graph search from scipy.
     bump = wk.BumpScale((0.3, 0.3), 0.2, height=2.0)
+    poly = wk.PolynomialScale(((1.0, (0, 0, 0)), (0.5, (1, 0, 0))))
     economies = {
         "constant": constant_scale_economy(rng, 4, 3),
         "polynomial": multi_equilibrium_economy(3, 0),
         "bump": wk.Economy((wk.Consumer([0.3, 0.3, 0.4], [1, 2, 1], bump), wk.Consumer([0.5, 0.2, 0.3], [1, 1, 1]))),
+        # A constant, a polynomial and a bump scale in one four-good economy.
+        "closed": wk.Economy(
+            (
+                wk.Consumer([0.1, 0.2, 0.3, 0.4], [1, 1, 1, 1], wk.ConstantScale(2.0)),
+                wk.Consumer([0.4, 0.3, 0.2, 0.1], [2, 0, 1, 1], poly),
+                wk.Consumer([0.3, 0.3, 0.2, 0.2], [1, 2, 1, 0], wk.BumpScale((0.2, 0.2, 0.2), 0.2, 2.0)),
+            )
+        ),
     }
     for name, economy in economies.items():
         wk.save_economy(tmp_path / f"{name}.yaml", economy)
@@ -621,11 +630,16 @@ def test_solve_perturb_and_audit_load_no_scipy(tmp_path, rng):
         ["audit", "--input", "polynomial.yaml"],
         ["audit", "--input", "bump.yaml"],
         ["decompose", "--input", "polynomial.yaml"],
+        ["solve", "--input", "closed.yaml"],
+        ["perturb", "--input", "closed.yaml", "--epsilon", "0.01", "--basis", "poly:3"],
+        ["audit", "--input", "closed.yaml"],
+        ["decompose", "--input", "closed.yaml", "--grid", "2001"],
     ]
     argv = [[*run[:2], str(tmp_path / run[2]), *run[3:], "--out", str(tmp_path / f"out{k}")] for k, run in enumerate(runs)]
     codes, loaded = _run_loading_no_scipy(argv)
     assert codes == [0] * len(runs)
     assert loaded == []
+    assert len((tmp_path / f"out{len(runs) - 1}" / "witness.csv").read_text().splitlines()) == 2001 + 1
 
 
 def test_sarp_loads_no_scipy(tmp_path, rng):
@@ -639,14 +653,20 @@ def test_sarp_loads_no_scipy(tmp_path, rng):
     wk.save_dataset(tmp_path / "two-cycle.csv", wk.ObservationDataset(P, X))
     P = [[1.0, 0.9, 2.0], [2.0, 1.0, 0.9], [0.9, 2.0, 1.0]]
     wk.save_dataset(tmp_path / "three-cycle.csv", wk.ObservationDataset(P, np.eye(3)))
-    names = ("pass", "two-cycle", "three-cycle")
+    # The two-cycle as edited by hand: CRLF endings, every field of row 3
+    # quoted, two blank lines after the header.
+    lines = (tmp_path / "two-cycle.csv").read_text().splitlines()
+    lines[3] = ",".join(f'"{field}"' for field in lines[3].split(","))
+    (tmp_path / "edited.csv").write_bytes(("\r\n".join([lines[0], "", "", *lines[1:]]) + "\r\n").encode())
+    names = ("pass", "two-cycle", "three-cycle", "edited")
     argv = [["sarp", "--input", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)] for name in names]
     codes, loaded = _run_loading_no_scipy(argv)
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     assert loaded == []
     assert (tmp_path / "pass" / "report.txt").read_text().splitlines()[-1] == "SARP: pass"
     verdict = (tmp_path / "two-cycle" / "report.txt").read_text().splitlines()[-1]
     assert verdict.startswith("SARP: violation: cycle (") and verdict.count(",") == 1
+    assert (tmp_path / "edited" / "report.txt").read_text().splitlines()[-1] == verdict
     verdict = (tmp_path / "three-cycle" / "report.txt").read_text().splitlines()[-1]
     assert verdict == "SARP: violation: cycle (1, 2, 3)"
 

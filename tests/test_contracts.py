@@ -11,6 +11,7 @@ import walraskit as wk
 TWO_GOODS = wk.Consumer([0.5, 0.5], [1.0, 1.0])
 OUTSIDE = "chart point must satisfy coords > 0 and sum(coords) < 1"
 BASE = wk.PricePoint([0.5, 0.5])
+THREE_GOOD_FAMILY = wk.CanonicalFamily.symmetric(3)
 NOT_A_SCALE = "invalid scale: a scale must be one of constant, polynomial, bump, sampled, kernel_sampled, not {}"
 # 20 points on c2 = 0.5 - c1, off it by +-2e-15: singular values 1.1 and 6.8e-15.
 _C1 = np.linspace(0.1, 0.4, 20)
@@ -27,6 +28,12 @@ REFUSED = [
     ),
     (lambda: wk.CanonicalFamily([1.0]), "alpha must be a vector of length >= 2"),
     (lambda: wk.build_continuum_economy((0.4, 0.6), grid=4), "grid needs at least 5 points"),
+    (lambda: wk.build_continuum_economy((0.4, 0.6), grid=21.0), "grid must be an integer, not 21.0"),
+    (
+        lambda: wk.decompose_at(THREE_GOOD_FAMILY, wk.TangentVector(BASE, [0.1, -0.1])),
+        "target must have 3 goods, as the family has, not 2",
+    ),
+    (lambda: wk.positive_kernel(THREE_GOOD_FAMILY, BASE), "p must have 3 goods, as the family has, not 2"),
     (
         lambda: wk.genericity_experiment(wk.Economy((TWO_GOODS,)), wk.PerturbationSpec(1e-3), trials=0),
         "at least one trial is required",
@@ -67,8 +74,9 @@ REFUSED = [
     REFUSED,
     ids=[
         "consumer-lengths", "consumer-float-scale", "consumer-callable-scale", "empty-economy", "mixed-goods",
-        "one-good-family", "continuum-grid-4", "no-trials", "one-price", "polar-frame", "empty-chart-point",
-        "nan-chart-point", "tangent-length", "project-length", "audit-no-samples", "bump-radius-0",
+        "one-good-family", "continuum-grid-4", "continuum-grid-float", "decompose-goods", "kernel-goods",
+        "no-trials", "one-price", "polar-frame", "empty-chart-point", "nan-chart-point",
+        "tangent-length", "project-length", "audit-no-samples", "bump-radius-0",
         "bump-nowhere-positive", "sampled-repeated-node", "sampled-one-node", "sampled-nan-node",
         "sampled-value-short", "sampled-near-flat", "kernel-share-1",
         "classify-outside", "jacobian-outside", "multiplicity-width",

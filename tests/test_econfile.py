@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walraskit as wk
-from walraskit.cli import main
+from walraskit.cli import _decomposition_grid, main
 from walraskit.consumers import aed_rows
 from walraskit.econfile import (
     EconomyFormatError,
@@ -300,6 +300,17 @@ class TestEconomyWriter:
         rows = [line for line in text.splitlines() if line.startswith("    - [")]
         assert len(rows) == goods * len(grid)
         assert any(not row.endswith("]") for row in rows) == (goods >= 6)
+
+    def test_a_three_good_realize_at_the_cli_defaults(self, tmp_path):
+        # realize --input at --grid 201, the benchmark's shape: the three
+        # scales share one grid, and --seed 49 puts a 2.85e-05 in a row.
+        target = wk.Economy((wk.Consumer([0.2, 0.3, 0.5], [1, 2, 1]), wk.Consumer([0.5, 0.3, 0.2], [1, 0, 1])))
+        grid = _decomposition_grid(3, 201, 49)
+        econ = wk.realize_economy(wk.CanonicalFamily.symmetric(3), wk.economy_field(target), grid)
+        text = self.assert_writes_safe_dump_text(tmp_path, econ)
+        grids = [c["scale"]["grid"] for c in economy_to_dict(econ)["consumers"]]
+        assert len(grids) == 3 and len(grids[0]) == 201 and grids[0] == grids[1] == grids[2]
+        assert "e-05, " in text
 
     def test_float_spellings(self, tmp_path):
         values = [1e16, 1e22, 1e-300, 5e-324, 0.1, 1.0, 123456.789, 1e-05, 2.5e-08]

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from functools import partial
 
 import numpy as np
@@ -95,14 +96,11 @@ def _converged(field, C):
 def _field_report(field, newton, rows, sigma, continuum):
     """The report on the one field ``field`` (scale ``sigma``, continuum
     report ``continuum``) from its rows ``rows`` of the Newton phases
-    ``newton``: the one-field case of ``_reports``, which raises the field's
-    error."""
+    ``newton``: the one-field case of ``_reports``."""
     newton = tuple(a[rows] for a in newton)
     labels = np.zeros(len(newton[0]), dtype=int)
     evaluator = partial(equilibrium._stacked_map, field, [None])
     (report,) = equilibrium._reports(evaluator, newton, labels, np.array([sigma]), [continuum])
-    if isinstance(report, Exception):
-        raise report
     return report
 
 
@@ -599,13 +597,22 @@ class TestKnownEquilibria:
 class TestManyGoods:
     """Default solves at five and six goods, against the null-space price."""
 
-    @pytest.mark.parametrize("goods, n", [(5, 2), (5, 4), (6, 2), (6, 3)])
+    # Two consumers of six goods, the second endowed with three goods only.
+    SIX = wk.Economy(
+        (
+            wk.Consumer([0.1, 0.1, 0.1, 0.2, 0.2, 0.3], [1, 1, 1, 1, 1, 1]),
+            wk.Consumer([0.3, 0.2, 0.2, 0.1, 0.1, 0.1], [2, 0, 1, 0, 1, 0]),
+        )
+    )
+
+    @pytest.mark.parametrize("goods, n", [(5, 2), (5, 4), (6, 2), (6, 3), (6, None)])
     def test_constant_scale_economies(self, goods, n, rng):
-        economy = constant_scale_economy(rng, goods, n)
+        economy = constant_scale_economy(rng, goods, n) if n else self.SIX
         report = wk.find_equilibria(economy)
         (eq,) = report.equilibria
         assert np.abs(eq.price.coords - nullspace_price(economy)).max() <= 1e-9
         assert report.finite_flag
+        assert report.index_check == "ok"
 
 
 def _face_economy(scale=None):
@@ -672,6 +679,15 @@ class TestRefinedLevel:
             assert np.abs(starts - 0.99988).min() <= 1e-12
             (eq,) = wk.find_equilibria(field, wk.SolverConfig(grid_density=density)).equilibria
             assert abs(eq.chart[0] - 0.99988) <= 1e-12
+        # An economy whose equilibrium lies in that last cell: the default
+        # grid and one above the scan density list the same zeros.
+        economy = wk.Economy((wk.Consumer([0.9995, 0.0005], [0, 1]), wk.Consumer([0.5, 0.5], [0.001, 0])))
+        default, fine = (wk.find_equilibria(economy, wk.SolverConfig(grid_density=k)) for k in (50, 4001))
+        assert default.index_check == fine.index_check == "ok"
+        assert len(default.equilibria) == len(fine.equilibria) >= 1
+        for a, b in zip(default.equilibria, fine.equilibria):
+            assert np.abs(a.price.coords - b.price.coords).max() <= 1e-12
+            assert (a.regularity, a.index, a.multiplicity) == (b.regularity, b.index, b.multiplicity)
 
     @pytest.mark.parametrize("density", [50, 4001])
     def test_a_zero_on_a_refined_vertex_of_two_goods(self, density):
@@ -1262,6 +1278,9 @@ class TestChunkReports:
 
     def test_a_field_that_fails_the_residual_check_keeps_its_error_alone(self):
         # Field 1's third row is 1e-3 off its zero, far above 1e-9 sigma.
+        # The chunk raises field 1's error; _solve then solves each field of
+        # it alone, and the others' one-field reports are the ones a chunk
+        # without field 1 gives.
         maps = [lambda C: 0.5 - C, lambda C: (C - 0.3) * (C - 0.7), lambda C: 0.6 - C]
         base = wk.chart_field(np.zeros_like, goods=2)
         fields = [wk.chart_field(fn, goods=2) for fn in maps]
@@ -1271,16 +1290,21 @@ class TestChunkReports:
         newton = (C, np.zeros(len(C)), mask, ~mask, ~mask, np.zeros(len(C), dtype=np.int64))
         scans = [equilibrium._scan(field) for field in fields]
         sigmas = np.array([sigma for sigma, _ in scans])
+        continua = [c for _, c in scans]
         evaluator = partial(equilibrium._stacked_map, base, maps)
-        reports = equilibrium._reports(evaluator, newton, labels, sigmas, [c for _, c in scans])
-        with pytest.raises(ValueError) as solo:
+        message = "point is not a zero of the field (residual 1.022e-03)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            equilibrium._reports(evaluator, newton, labels, sigmas, continua)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _field_report(fields[1], newton, labels == 1, sigmas[1], scans[1][1])
-        assert isinstance(reports[1], ValueError) and str(reports[1]) == str(solo.value)
-        assert str(solo.value) == "point is not a zero of the field (residual 1.022e-03)"
-        for t in (0, 2):
+        others = labels != 1
+        without = tuple(a[others] for a in newton)
+        evaluator = partial(equilibrium._stacked_map, base, [maps[0], maps[2]])
+        reports = equilibrium._reports(evaluator, without, labels[others] // 2, sigmas[[0, 2]], continua[::2])
+        for t, report in zip((0, 2), reports):
             alone = _field_report(fields[t], newton, labels == t, sigmas[t], scans[t][1])
-            assert (reports[t].stats, reports[t].continuum) == (alone.stats, alone.continuum)
-            (a,), (b,) = reports[t].equilibria, alone.equilibria
+            assert (report.stats, report.continuum) == (alone.stats, alone.continuum)
+            (a,), (b,) = report.equilibria, alone.equilibria
             assert np.array_equal(a.chart, b.chart)
             for name in ("residual", "regularity", "index", "multiplicity"):
                 assert getattr(a, name) == getattr(b, name)

@@ -200,14 +200,16 @@ class TestExperiment:
     def test_solver_failure_is_recorded_not_raised(self, monkeypatch, continuum_economy):
         import walraskit.equilibrium as eqm
 
-        # The report step joins each trial's flat zeros on its own; the
-        # second trial's join fails.
+        # The report step joins each trial's flat zeros on its own.  The
+        # second trial's join fails (call 2), so the chunk of three trials
+        # is solved again one trial at a time (calls 3-5), where it fails
+        # again (call 4).
         calls = {"n": 0}
         original = eqm._join_flat_zeros
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
-            if calls["n"] == 2:
+            if calls["n"] in (2, 4):
                 raise RuntimeError("synthetic solver failure")
             return original(*args, **kwargs)
 
@@ -215,8 +217,9 @@ class TestExperiment:
         res = wk.genericity_experiment(
             continuum_economy, wk.PerturbationSpec(1e-3, seed=1), trials=3
         )
+        assert calls["n"] == 5
         errors = [r for r in res.records if r.error is not None]
-        assert len(errors) == 1
+        assert [r.trial for r in errors] == [1]
         assert "synthetic solver failure" in errors[0].error
         assert res.finite_count == 2
 

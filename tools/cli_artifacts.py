@@ -298,7 +298,7 @@ def compare(old: Path, new: Path) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
                         help="compare two artifact directories instead of writing one")
     parser.add_argument("--seed", type=int)
