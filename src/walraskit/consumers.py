@@ -169,7 +169,7 @@ def _scale_values(scale: Scale, P) -> np.ndarray:
 
 def _positive(values: np.ndarray) -> np.ndarray:
     """``values``, after checking that every one is finite and strictly positive."""
-    if not np.all((values > 0.0) & (values < np.inf)):
+    if not ((values > 0.0) & (values < np.inf)).all():
         raise ValueError("scale must be strictly positive at every evaluated price")
     return values
 
@@ -196,7 +196,7 @@ def aed_rows(e: Economy, P, S=None) -> np.ndarray:
     if S is None:
         S = e.constant_scales
         if e.scale_groups:
-            S = np.tile(S, (len(P), 1))
+            S = np.repeat(S[None, :], len(P), axis=0)
             Q = P / P.sum(axis=1, keepdims=True)
             for columns, values in e.scale_groups:
                 S[:, columns] = _positive(values(Q))

@@ -20,10 +20,13 @@ call (``_refine``), and the refined level gives the starts.  Damped Newton
 iteration in chart coordinates (``_newton_multistart``) runs over them,
 merging starts that converge together; a converged start takes only full
 steps and stops at the first that does not halve its residual, which
-polishes a degenerate zero and stops at a regular one.  On a refined
-level Newton runs once more between and beyond every two close zeros of a
-field (``_restart_between``).  :func:`find_equilibria` is its one-field
-case and the genericity experiment its many-field case.
+polishes a degenerate zero and stops at a regular one.  Each full-step
+trial is evaluated with its central-difference Jacobian stencil
+(``_stencil``) in the one call of an iteration, so only a start whose
+last step was shorter than full needs a call more for its Jacobian.  On
+a refined level Newton runs once more between and beyond every two close
+zeros of a field (``_restart_between``).  :func:`find_equilibria` is its
+one-field case and the genericity experiment its many-field case.
 
 The aggregate excess demand ``z`` of an economy (a field marked
 ``price_weighted``, with no term) is solved on the price-weighted field
@@ -193,9 +196,10 @@ MAX_STARTS = 250_000
 
 
 def _interior(C: np.ndarray) -> np.ndarray:
-    """The chart region: the rows of ``C`` at least ``BOUNDARY_MARGIN`` from
-    every face.  Every lattice level, Newton trial and restart keeps to it."""
-    return (C >= BOUNDARY_MARGIN).all(axis=1) & (C.sum(axis=1) <= 1.0 - BOUNDARY_MARGIN)
+    """The chart region: the rows of ``C`` (its last axis) at least
+    ``BOUNDARY_MARGIN`` from every face.  Every lattice level, Newton trial
+    and restart keeps to it."""
+    return (C >= BOUNDARY_MARGIN).all(axis=-1) & (C.sum(axis=-1) <= 1.0 - BOUNDARY_MARGIN)
 
 
 @lru_cache(maxsize=16)
@@ -239,18 +243,30 @@ def _scan_level(dim: int, density: int) -> tuple:
     return C, n, keys, vertex
 
 
+@lru_cache(maxsize=16)
+def _offsets(d: int, fractions: tuple) -> tuple:
+    """The steps ``s = f * JACOBIAN_STEP``, ``(k,)``, of the fractions ``f``
+    and the offsets ``s e_j``, then ``-s e_j``, of each, ``(k, 2d, d)``;
+    read-only, since every stencil shares them."""
+    s = JACOBIAN_STEP * np.asarray(fractions)
+    E = s[:, None, None] * np.concatenate([np.eye(d), -np.eye(d)])
+    for a in (s, E):
+        a.setflags(write=False)
+    return s, E
+
+
 def _stencil(C: np.ndarray, fractions=(1.0,)) -> tuple:
-    """The steps ``s = f * JACOBIAN_STEP``, ``(m, k)``, of every row ``c`` of
-    ``C`` and fraction ``f``, and the central-difference rows ``c + s e_j``,
-    then ``c - s e_j``, of each, ``(m, k, 2d, d)``."""
-    d = C.shape[1]
-    s = np.full((len(C), 1), JACOBIAN_STEP) * np.asarray(fractions)
-    return s, C[:, None, None, :] + s[:, :, None, None] * np.concatenate([np.eye(d), -np.eye(d)])
+    """The steps ``s = f * JACOBIAN_STEP``, ``(k,)``, of the fractions ``f``,
+    and the central-difference rows ``c + s e_j``, then ``c - s e_j``, of
+    every row ``c`` of ``C`` and each step, ``(m, k, 2d, d)``."""
+    s, E = _offsets(C.shape[1], tuple(fractions))
+    return s, C[:, None, None, :] + E
 
 
 def _difference_quotient(F: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The Jacobians ``(F_k(c + s e_j) - F_k(c - s e_j)) / 2s`` (entry ``k, j``)
-    from the values ``F``, ``(..., 2d, d)``, on the ``_stencil`` rows of ``s``."""
+    from the values ``F``, ``(..., 2d, d)``, on the ``_stencil`` rows of the
+    steps ``s``, which broadcast against the leading axes of ``F``."""
     d = F.shape[-1]
     return ((F[..., :d, :] - F[..., d:, :]) / (2.0 * s)[..., None, None]).swapaxes(-1, -2)
 
@@ -286,11 +302,35 @@ def _probe(evaluator, C: np.ndarray, labels: np.ndarray, sigma, window=None):
     return residual, J[:, 1], consistent, V[:, 1 + 4 * d :]
 
 
-def _newton_state(evaluate, C: np.ndarray, rows: np.ndarray):
-    """The Newton map's chart values and the norms of its full values and of
-    the field's, from one evaluation (``_stacked_map``)."""
-    W, Z = evaluate(C, rows)
-    return W[:, :-1], np.linalg.norm(W, axis=1), np.linalg.norm(Z, axis=1)
+def _with_stencil(T: np.ndarray) -> np.ndarray:
+    """The points ``T``, ``(m, k, d)``, of each row followed by the ``2d``
+    ``_stencil`` rows of its first, ``(m, k + 2d, d)``."""
+    return np.concatenate([T, _stencil(T[:, 0])[1][:, 0]], axis=1)
+
+
+def _newton_state(evaluate, X: np.ndarray, ask: np.ndarray, rows: np.ndarray) -> tuple:
+    """The full rows of the Newton map, ``(m, k, d + 1)`` (0 where not
+    asked), and the norms of its full values and of the field's, ``(m, k)``
+    (``inf`` where not asked), at the points ``X``, ``(m, k, d)``, where
+    ``ask`` holds, from one evaluation (``_stacked_map``), or none when none
+    is asked.  Point ``X[i, j]`` is evaluated on row ``rows[i]``
+    (non-decreasing) in row-major order, so the rows of the call stay
+    non-decreasing."""
+    m, k, d = X.shape
+    W = np.zeros((m, k, d + 1))
+    R, Rz = np.full((2, m, k), np.inf)
+    i, j = np.nonzero(ask)
+    if i.size:
+        V, Z = evaluate(X[i, j], rows[i])
+        W[i, j], R[i, j], Rz[i, j] = V, np.linalg.norm(V, axis=1), np.linalg.norm(Z, axis=1)
+    return W, R, Rz
+
+
+def _jacobians(W: np.ndarray) -> np.ndarray:
+    """The central-difference Jacobians, ``(m, d, d)``, of the Newton map from
+    its full rows ``W``, ``(m, 2d, d + 1)``, on the ``_stencil`` rows of
+    ``m`` points."""
+    return _difference_quotient(W[..., :-1], _offsets(W.shape[2] - 1, (1.0,))[0])
 
 
 def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
@@ -300,9 +340,10 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     field at the rows of ``C`` (``_stacked_map``); row ``k`` of ``C`` is an
     iterate of start ``rows[k]``, and ``rows`` is non-decreasing.  Each row
     follows its own iteration and carries one state: its point, the Newton
-    map's chart values there and the residual norms.  Newton steps on the
-    map; convergence is judged on the field, ``|z| <= tol`` (one bound, or
-    one per row).
+    map's chart values there, the residual norms, and the central-difference
+    Jacobian of the Newton map there with whether it is known.  Newton steps
+    on the map; convergence is judged on the field, ``|z| <= tol`` (one
+    bound, or one per row).
 
     A step tries ``C - lambda * delta`` for ``lambda = 1, 1/2, ...,
     2**-NEWTON_MAX_HALVINGS`` and takes the first trial inside the boundary
@@ -310,10 +351,17 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     converged row, ``|z| <= tol``, tries the full step ``lambda = 1`` only,
     and takes it when it at least halves the residual.  A row stops when
     no step size it tries improves its residual, or when the step no
-    longer moves the point (as a singular Jacobian's zero step does).  An
-    iteration makes one call for the Jacobian stencils of every iterating
-    row and, when some row has a trial inside the margin that moves its
-    point, one more for the trials of all their step sizes.
+    longer moves the point (as a singular Jacobian's zero step does).
+
+    The first call evaluates every start followed by its ``2d`` Jacobian
+    stencil rows, ``starts x (1 + 2d)`` rows.  Then an iteration makes one
+    call (``_damped_step``), for the trials of every iterating row, each
+    row's trials followed by the stencil rows of its full step, so a row
+    that takes the full step carries its Jacobian into the next iteration.
+    Only the rows whose last step was shorter than full need one call more,
+    for their stencil rows alone.  Every iterate, Jacobian and step has the
+    bits that a stencil call of its own would give, since a row gets the
+    same bits in any batch.
 
     Rows that are still iterating and already converged are merged at the
     top of every iteration, within the rows of each field (``labels``, one
@@ -324,7 +372,16 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     exhausted masks and iteration counts.
     """
     C = starts.copy()
-    G, res, zres = _newton_state(evaluate, C, np.arange(len(C)))
+    m, d = C.shape
+    W, Z = evaluate(_with_stencil(C[:, None, :]).reshape(-1, d), np.repeat(np.arange(m), 1 + 2 * d))
+    W = W.reshape(m, 1 + 2 * d, d + 1)
+    res, zres = np.linalg.norm(W[:, 0], axis=1), np.linalg.norm(Z[:: 1 + 2 * d], axis=1)
+    # A start whose residual is not finite cannot take a step: it stalls,
+    # and needs no Jacobian from values that may not be finite either.
+    halted = ~np.isfinite(res)
+    J = np.zeros((m, d, d))
+    J[~halted] = _jacobians(W[~halted, 1:])
+    state = (C, W[:, 0, :-1], res, zres, J, ~halted)
     # Points keep iterating past the convergence tolerance while a full step
     # still halves the residual: at a zero of multiplicity k it cuts |z| by
     # ((k - 1) / k)^k <= 1/e, so this polishing drives the offset of
@@ -332,11 +389,9 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     # returned point behaves like classification at the exact zero.  At a
     # regular zero the first full step that fails this ends a walk through
     # rounding noise that damped steps would continue.
-    # A start whose residual is not finite cannot take a step: it stalls.
-    halted = ~np.isfinite(res)
     active = ~halted & (res > 0.0)
-    iterations = np.zeros(len(C), dtype=np.int64)
-    owner = np.arange(len(C))
+    iterations = np.zeros(m, dtype=np.int64)
+    owner = np.arange(m)
 
     for _ in range(NEWTON_MAX_ITER):
         _merge_converged(C, zres, active, owner, tol, labels)
@@ -344,7 +399,7 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
         if idx.size == 0:
             break
         iterations[idx] += 1
-        took = _damped_step(evaluate, idx, (C, G, res, zres), (zres <= tol)[idx])
+        took = _damped_step(evaluate, idx, state, (zres <= tol)[idx])
         # A row halts unless one of its trials is accepted.  An exact zero
         # stops here, not after one more Jacobian whose zero step would end it.
         halted[idx], active[idx] = True, False
@@ -359,54 +414,64 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
 
 
 _STEP_SIZES = 0.5 ** np.arange(NEWTON_MAX_HALVINGS + 1)
+# A trial of step size lambda is accepted at residual (1 - lambda / 2) res.
+_ACCEPT = 1.0 - 0.5 * _STEP_SIZES
 
 
-def _newton_direction(evaluate, C, G, rows) -> np.ndarray:
-    """The Newton steps ``J^-1 G`` at the rows of ``C``, zero where the
-    Newton map's central-difference Jacobian, from one call on their
-    ``_stencil`` rows, is singular or not finite."""
-    m, d = C.shape
-    s, stencil = _stencil(C)
-    W, _ = evaluate(stencil.reshape(-1, d), np.repeat(rows, 2 * d))
-    J = _difference_quotient(W[:, :-1].reshape(m, 2 * d, d), s[:, 0])
+def _newton_direction(J: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The Newton steps ``J^-1 G`` of the Jacobians ``J`` and the Newton
+    map's chart values ``G``, zero where ``J`` is singular or not finite."""
     dets = np.linalg.det(J)
     solvable = np.isfinite(dets) & (np.abs(dets) > 0.0)
-    delta = np.zeros_like(C)
+    delta = np.zeros_like(G)
     delta[solvable] = np.linalg.solve(J[solvable], G[solvable][..., None])[..., 0]
     return delta
 
 
 def _damped_step(evaluate, rows, state: tuple, converged: np.ndarray):
     """One damped Newton step from each of ``rows`` of the iterates
-    ``state``: their points ``C``, the Newton map's chart values ``G`` and
-    the residuals ``res`` and ``zres``.  Updates ``state`` in place on the
-    rows that accept a trial, and returns those rows.
+    ``state``: their points ``C``, the Newton map's chart values ``G``, the
+    residuals ``res`` and ``zres``, the Newton map's Jacobians ``J`` and
+    whether each is ``known``.  Updates ``state`` in place on the rows that
+    accept a trial, and returns those rows.
 
-    The trials ``C - lambda * delta`` of every row and step size
-    (``_STEP_SIZES``) are evaluated in one call; a row that has
-    ``converged`` (one flag per row) is asked ``lambda = 1`` only.  A row's
-    trials end before the first that rounds to its point, and one outside
-    the boundary margin has residual ``inf``; a row accepts its first trial
-    whose residual is at most ``(1 - lambda / 2) res``.
+    The rows whose Jacobian is not known (their last step was shorter than
+    full) first get it from one call on their ``_stencil`` rows.  The step
+    solves ``J delta = G`` (``_newton_direction``).  One call evaluates the
+    trials ``C - lambda * delta`` of every row and step size
+    (``_STEP_SIZES``), each row's followed by the stencil rows of its full
+    step (``_with_stencil``); a row that has ``converged`` (one flag per
+    row) is asked ``lambda = 1`` only.  A row's trials end before the first
+    that rounds to its point, and one outside the boundary margin is not
+    asked; a row accepts its first trial whose residual is at most
+    ``(1 - lambda / 2) res``, and keeps the Jacobian there when that is the
+    full step.
     """
-    C, G, res, zres = (a[rows] for a in state)
-    delta = _newton_direction(evaluate, C, G, rows)
-    T = C[:, None, :] - _STEP_SIZES[:, None] * delta[:, None, :]
+    C, G, res, _, J, known = (a[rows] for a in state)
+    d = C.shape[1]
+    stale = np.flatnonzero(~known)
+    if stale.size:
+        W, _ = evaluate(_stencil(C[stale])[1].reshape(-1, d), np.repeat(rows[stale], 2 * d))
+        J[stale] = _jacobians(W.reshape(stale.size, 2 * d, d + 1))
+    T = C[:, None, :] - _STEP_SIZES[:, None] * _newton_direction(J, G)[:, None, :]
     # No shorter step moves a point that a longer one leaves in place.
     live = np.logical_and.accumulate((T != C[:, None, :]).any(axis=2), axis=1)
     live[converged, 1:] = False
-    ask = live & _interior(T.reshape(-1, C.shape[1])).reshape(live.shape)
-    TG = np.empty_like(T)
-    TR, TZ = np.full((2, *live.shape), np.inf)
-    r, k = np.nonzero(ask)
-    if r.size:
-        TG[r, k], TR[r, k], TZ[r, k] = _newton_state(evaluate, T[r, k], rows[r])
-    accept = TR <= (1.0 - 0.5 * _STEP_SIZES) * res[:, None]
+    ask = live & _interior(T)
+    # A full step's stencil rows are asked with it.
+    ask = np.concatenate([ask, np.repeat(ask[:, :1], 2 * d, axis=1)], axis=1)
+    TW, TR, TZ = _newton_state(evaluate, _with_stencil(T), ask, rows)
+    k = len(_STEP_SIZES)
+    accept = TR[:, :k] <= _ACCEPT * res[:, None]
     hit = np.flatnonzero(accept.any(axis=1))
     pos = np.argmax(accept[hit], axis=1)
-    for a, v in zip(state, (T, TG, TR, TZ)):
-        a[rows[hit]] = v[hit, pos]
-    return rows[hit]
+    took = rows[hit]
+    for a, v in zip(state, (T[hit, pos], TW[hit, pos, :-1], TR[hit, pos], TZ[hit, pos])):
+        a[took] = v
+    whole = pos == 0
+    state[4][took[whole]] = _jacobians(TW[hit[whole], k:])
+    state[5][took] = whole
+    return took
 
 
 def _merge_converged(C, zres, active, owner, tol, labels: np.ndarray) -> None:
@@ -927,9 +992,11 @@ def _stacked_map(base: TangentField, terms: list, labels: np.ndarray):
     def evaluate(C, rows, values=None):
         fields = labels[rows]
         F = base.chart_values(C) if values is None else values
-        # A copy, one block per field of a grid: the base chart map may
-        # return a view of its input, and the terms are added in place.
-        F = np.array(np.broadcast_to(F, fields.shape[:-1] + F.shape), order="C")
+        # A copy, one block per field of a grid, or of the rows when a term
+        # is added: the base chart map may return a view of its input, and
+        # the terms are added in place.
+        if fields.ndim > 1 or add is not None:
+            F = np.array(np.broadcast_to(F, fields.shape[:-1] + F.shape), order="C")
         if add is not None:
             add(F, C, fields)
         P, Z = _full_rows(C, F)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .consumers import Economy, aed_rows
-from .geometry import PricePoint, TangentVector, chart_rows_embed, simplex_to_sphere
+from .geometry import PricePoint, TangentVector, chart_rows, chart_rows_embed, simplex_to_sphere
 from .scales import _integer
 
 
@@ -51,7 +51,7 @@ class TangentField:
         """Evaluate the chart map on ``(n, l-1)`` chart rows, in C order (a
         C-ordered float array is passed on as it is).  The map must return
         ``(n, l-1)`` values, or ``(n,)`` for two goods."""
-        C = np.atleast_2d(np.ascontiguousarray(C, dtype=float))
+        C = chart_rows(C)
         if C.shape[1] != self.dim:
             raise ValueError(f"expected chart rows of width {self.dim}")
         out = np.asarray(self.chart_fn(C), dtype=float)
@@ -61,7 +61,7 @@ class TangentField:
 
     def full_values(self, C) -> tuple[np.ndarray, np.ndarray]:
         """Simplex price rows and full field rows over ``(n, l-1)`` chart rows."""
-        C = np.atleast_2d(np.ascontiguousarray(C, dtype=float))
+        C = chart_rows(C)
         return _full_rows(C, self.chart_values(C))
 
     def value(self, p: PricePoint) -> TangentVector:
@@ -94,7 +94,8 @@ def economy_field(e: Economy) -> TangentField:
 
     def fn(C):
         P = chart_rows_embed(C)
-        if not np.all(np.isfinite(P)) or np.any(P <= 0.0):
+        # Written so that NaN fails the check too.
+        if not ((P > 0.0) & (P < np.inf)).all():
             raise ValueError("price rows must be finite and strictly positive")
         return aed_rows(e, P)[:, :-1]
 

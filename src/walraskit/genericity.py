@@ -24,7 +24,7 @@ probes the field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -182,8 +182,7 @@ class _Term:
         basis = terms[0].basis
 
         def rows(C, fields):
-            take = partial(np.take, indices=fields, axis=0)
-            return take(eps) * basis(C, *map(take, coefficients))
+            return eps[fields] * basis(C, *(a[fields] for a in coefficients))
 
         return rows
 

@@ -193,11 +193,21 @@ def tangent_project(p: PricePoint, v) -> TangentVector:
 # --- raw-array helpers used by the vectorised evaluation core ---------------
 
 
+def chart_rows(C) -> np.ndarray:
+    """``C`` as C-ordered float chart rows, one row when it is a single point
+    (a C-ordered float array of rows is passed on as it is)."""
+    C = np.ascontiguousarray(C, dtype=float)
+    return C.reshape(1, -1) if C.ndim < 2 else C
+
+
 def chart_rows_embed(C: np.ndarray) -> np.ndarray:
-    """Vectorised chart inverse: ``(n, l-1)`` chart rows to ``(n, l)`` simplex rows."""
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    last = 1.0 - C.sum(axis=1, keepdims=True)
-    return np.hstack([C, last])
+    """Vectorised chart inverse: ``(n, l-1)`` chart rows (or one row) to
+    ``(n, l)`` simplex rows."""
+    C = chart_rows(C)
+    P = np.empty((len(C), C.shape[1] + 1))
+    P[:, :-1] = C
+    np.subtract(1.0, C.sum(axis=1), out=P[:, -1])
+    return P
 
 
 def _windows(X: np.ndarray, radius: float) -> tuple:

@@ -128,10 +128,16 @@ def _newton_field(case, rng):
 
 
 def _one_call_per_step_size(evaluate, rows, state, converged):
-    """``equilibrium._damped_step`` as a loop with one call per step size;
-    a converged row is asked the full step only."""
-    C, G, res, _ = (a[rows] for a in state)
-    delta = equilibrium._newton_direction(evaluate, C, G, rows)
+    """``equilibrium._damped_step`` as a loop that makes its own call for
+    the Jacobian stencils of every row, then one call per step size, with
+    no stencil rows; a converged row is asked the full step only.  It
+    neither reads nor keeps the Jacobians of ``state``."""
+    C, G, res = (a[rows] for a in state[:3])
+    m, d = C.shape
+    s, stencil = equilibrium._stencil(C)
+    W, _ = evaluate(stencil.reshape(-1, d), np.repeat(rows, 2 * d))
+    J = equilibrium._difference_quotient(W[:, :-1].reshape(m, 2 * d, d), s)
+    delta = equilibrium._newton_direction(J, G)
     hit, live = np.zeros(len(C), bool), np.ones(len(C), bool)
     for lam in equilibrium._STEP_SIZES:
         i = np.flatnonzero(live & ~hit & ((lam == 1.0) | ~converged))
@@ -141,9 +147,10 @@ def _one_call_per_step_size(evaluate, rows, state, converged):
         if not ask.any():
             continue
         i, trial = i[ask], trial[ask]
-        G, R, Z = equilibrium._newton_state(evaluate, trial, rows[i])
+        W, Z = evaluate(trial, rows[i])
+        R = np.linalg.norm(W, axis=1)
         ok = R <= (1.0 - 0.5 * lam) * res[i]
-        for a, v in zip(state, (trial, G, R, Z)):
+        for a, v in zip(state, (trial, W[:, :-1], R, np.linalg.norm(Z, axis=1))):
             a[rows[i[ok]]] = v[ok]
         hit[i[ok]] = True
     return rows[hit]
@@ -416,42 +423,48 @@ class TestPriceWeightedNewton:
 class TestNewtonMultistart:
     @pytest.mark.parametrize("case", ["weighted-economy", "perturbed-continuum"])
     def test_an_iteration_makes_at_most_2d_plus_2_calls(self, monkeypatch, case, rng):
-        # After the one call for the starts, each pass makes exactly one call
-        # for the Jacobian stencils and at most one for the whole step
-        # ladder; it makes that one whenever some row accepts a step.
+        # The first call evaluates every start with its 2d stencil rows.  A
+        # pass then makes one call for the trials of its step ladders, each
+        # full-step trial with its stencil rows, and one call before it for
+        # the stencil rows alone of the rows whose Jacobian is unknown, the
+        # rows whose last step was shorter than full: at most two calls.
         field = _newton_field(case, rng)
+        d = field.dim
         calls, passes = [], []
-        direction, step = equilibrium._newton_direction, equilibrium._damped_step
+        step = equilibrium._damped_step
 
         def spy(C, rows):
             calls.append(len(C))
             return field.chart_values(C)
 
-        def direction_spy(*args):
-            before = len(calls)
-            delta = direction(*args)
-            passes.append([len(calls) - before])
-            return delta
-
-        def step_spy(*args):
-            before = len(calls)
-            took = step(*args)
-            passes[-1] += [len(calls) - before - passes[-1][0], len(took)]
+        def step_spy(evaluate, rows, state, converged):
+            before, stale = len(calls), np.count_nonzero(~state[5][rows])
+            took = step(evaluate, rows, state, converged)
+            passes.append((calls[before:], stale, converged.all(), len(took)))
             return took
 
-        monkeypatch.setattr(equilibrium, "_newton_direction", direction_spy)
         monkeypatch.setattr(equilibrium, "_damped_step", step_spy)
         cfg = wk.SolverConfig()
-        starts = _region_points(field.dim, cfg.grid_density)
+        starts = _region_points(d, cfg.grid_density)
         converged, *_, iterations = _newton(spy, starts, _tol(field), field.price_weighted)[2:]
         assert converged.any()
+        assert calls[0] == len(starts) * (1 + 2 * d)
         # Every pass of the loop advances the row with the most iterations.
         assert len(passes) == int(iterations.max())
-        stencil, trial, took = np.array(passes).T
-        assert (stencil == 1).all()
-        assert (trial <= 1).all()
-        assert (trial[took > 0] == 1).all()
-        assert len(calls) == 1 + stencil.sum() + trial.sum()
+        polish = 0
+        for made, stale, polishing, took in passes:
+            if stale:
+                assert made[0] == 2 * d * stale
+                made = made[1:]
+            # One call for the trials, made whenever some row accepts a step.
+            assert len(made) <= 1 and (len(made) == 1 or not took)
+            # Here every row converged by a full step, so a pass of converged
+            # rows knows their Jacobians and makes the trial call only.
+            if polishing:
+                polish += 1
+                assert not stale and len(made) == 1
+        assert polish > 0
+        assert len(calls) == 1 + sum(len(made) for made, *_ in passes)
 
     @pytest.mark.parametrize(
         "order, fn",
@@ -511,7 +524,32 @@ class TestNewtonMultistart:
         (slow, slow_calls) = run()
         for a, b in zip(fast, slow):
             assert np.array_equal(a, b)
-        assert len(fast_calls) <= len(slow_calls)
+        assert len(fast_calls) < len(slow_calls)
+
+    def test_a_chunk_whose_terms_have_no_stack_matches_a_stencil_call_per_pass(self, monkeypatch):
+        # The per-field path of _add_terms reads each field's block of rows,
+        # so every call of the chunk's phases keeps its rows sorted.
+        base = wk.chart_field(np.zeros_like, goods=2)
+        phase = equilibrium._newton_multistart
+
+        def run():
+            phases = []
+
+            def spy(*args):
+                phases.append(phase(*args))
+                return phases[-1]
+
+            monkeypatch.setattr(equilibrium, "_newton_multistart", spy)
+            return equilibrium._solve(base, TestChunkReports.JOINED, wk.SolverConfig()), phases
+
+        fused, fused_phases = run()
+        monkeypatch.setattr(equilibrium, "_damped_step", _one_call_per_step_size)
+        reference, reference_phases = run()
+        assert len(fused_phases) == len(reference_phases) > 0
+        for a, b in zip(fused_phases, reference_phases):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        for a, b in zip(fused, reference):
+            _assert_same_report(a, b)
 
     @pytest.mark.parametrize("case", ["multi-l3-seed0", "perturbed-continuum"])
     def test_a_converged_row_takes_only_full_steps(self, monkeypatch, case, rng):
@@ -562,9 +600,9 @@ class TestNewtonMultistart:
         _, _, converged, stalled, exhausted, iterations = _newton(constant, starts, NEWTON_TOL)
         assert stalled.all() and not converged.any() and not exhausted.any()
         assert (iterations == 1).all()
-        # the starts, then one call for the four stencil rows of each start;
-        # no zero step is tried
-        assert calls == [len(starts), 4 * len(starts)]
+        # one call for the starts, each with its four stencil rows; no zero
+        # step is tried
+        assert calls == [(1 + 4) * len(starts)]
 
 
 class TestKnownEquilibria:
@@ -1494,9 +1532,40 @@ class TestEvaluationCount:
         assert all(0 < n < len(_region_points(d, _lattice(field)[0])) for n in patch)
         probe = 1 + 4 * d + (33 if d == 1 else 0)
         (newton,) = newton_calls
-        assert newton[0] == report.stats.starts
+        # The first Newton call holds every start with its 2d stencil rows.
+        assert newton[0] == report.stats.starts * (1 + 2 * d)
         assert calls == [scan] + patch + newton + [zeros * probe]
         assert len(report.equilibria) == zeros
+
+    def test_genericity_experiment(self, monkeypatch, tmp_path):
+        # The bench's experiment: four fourier:5 trials of the saved
+        # continuum economy, one chunk.  The base is evaluated once on the
+        # scan grid, then in each call of the chunk's Newton phase (two
+        # goods: no patch call) and in one probe call for every zero.
+        wk.save_economy(tmp_path / "continuum.yaml", wk.build_continuum_economy((0.4, 0.6), grid=201))
+        base = wk.economy_field(wk.load_economy(tmp_path / "continuum.yaml"))
+        calls, newton_calls = [], []
+
+        def counted(C):
+            calls.append(len(C))
+            return base.chart_values(C)
+
+        phase = equilibrium._newton_multistart
+
+        def spy(*args):
+            first = len(calls)
+            out = phase(*args)
+            newton_calls.append(calls[first:])
+            return out
+
+        monkeypatch.setattr(equilibrium, "_newton_multistart", spy)
+        spec = wk.PerturbationSpec(1e-4, basis="random_fourier", terms=5, seed=0)
+        result = wk.genericity_experiment(dataclasses.replace(base, chart_fn=counted), spec, trials=4)
+        assert result.equilibrium_counts == [3, 1, 3, 1] and result.all_regular_count == 4
+        (newton,) = newton_calls
+        # 20 starts, each with its 2 stencil rows, then 11 more calls.
+        assert newton[0] == 20 * 3 and len(newton) == 12
+        assert calls == [len(equilibrium._scan_grid(1)[0])] + newton + [8 * (1 + 4 + 33)]
 
     def test_the_join_takes_one_call_more(self):
         calls = []
