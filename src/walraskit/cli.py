@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .consumers import aed_rows
-from .decomposition import CanonicalFamily, PositiveSpanningError, _decompose_grid, realize_economy
+from .decomposition import CanonicalFamily, PositiveSpanningError, _decompose_grid, _two_good_grid
+from .decomposition import realize_economy
 from .econfile import (
     EconomyFormatError,
     _fmt,
@@ -96,8 +97,7 @@ def _decomposition_grid(goods: int, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"--grid must be at least 1, not {n}")
     if goods == 2:
-        xs = np.linspace(0.01, 0.99, n)
-        return np.column_stack([xs, 1.0 - xs])
+        return _two_good_grid(n)
     return np.random.default_rng(seed).dirichlet(np.ones(goods), size=n)
 
 

@@ -236,6 +236,12 @@ def _decompose_grid(f: CanonicalFamily, S: np.ndarray, target) -> tuple:
     return Q, mu, residual
 
 
+def _two_good_grid(n: int) -> np.ndarray:
+    """``(n, 2)`` simplex rows whose first coordinates are evenly spaced over [0.01, 0.99]."""
+    xs = np.linspace(0.01, 0.99, n)
+    return np.column_stack([xs, 1.0 - xs])
+
+
 def realize_economy(f: CanonicalFamily, target_field, S) -> Economy:
     """An ``l``-consumer economy whose aggregate excess demand matches a field
     on a price grid.

@@ -36,10 +36,11 @@ the faces where ``z`` grows like ``1/p_j``, and is affine in the chart for
 constant-scale Cobb-Douglas economies, so its PL zero is the equilibrium.
 Convergence is judged on ``|z|`` either way, and other fields, including
 perturbed economy fields, are solved on ``z`` itself.  ``_stacked_map``
-makes this choice for each chunk of fields and gives every level and
-Newton phase the full rows of both maps.  Every residual threshold is a
-constant times the field's scale ``sigma``, the largest finite ``|p * z|``
-on the scan grid (``_scan``), so rescaling every endowment changes no answer.
+makes this choice for each chunk of fields and gives every level, Newton
+phase and probe the full rows of both maps, each row on the field that the
+caller names for it.  Every residual threshold is a constant times the
+field's scale ``sigma``, the largest finite ``|p * z|`` on the scan grid
+(``_scan``), so rescaling every endowment changes no answer.
 
 One rule, ``_cover``, says which converged rows are one zero: Newton's
 merge, the restarts between close zeros and the report step use it.  The
@@ -271,9 +272,9 @@ def _difference_quotient(F: np.ndarray, s: np.ndarray) -> np.ndarray:
     return ((F[..., :d, :] - F[..., d:, :]) / (2.0 * s)[..., None, None]).swapaxes(-1, -2)
 
 
-def _probe(evaluator, C: np.ndarray, labels: np.ndarray, sigma, window=None):
+def _probe(evaluate, C: np.ndarray, labels: np.ndarray, sigma, window=None):
     """Probe the chart map of field ``labels[k]`` (non-decreasing) around
-    every chart row ``c = C[k]``, in one call of ``evaluator(labels)``
+    every chart row ``c = C[k]``, in one call of the chunk's map ``evaluate``
     (``_stacked_map``) for all of them: at ``c``, its ``_stencil`` rows at
     steps ``h`` and ``h/2`` and, given a ``window``, ``c + r s`` for each
     ``s`` in it, ``r = min(0.02, margin/2)`` (``margin``: the distance to
@@ -289,7 +290,7 @@ def _probe(evaluator, C: np.ndarray, labels: np.ndarray, sigma, window=None):
         blocks.append(C[:, None, :] + (r[:, None] * window)[:, :, None])
     rows = np.concatenate(blocks, axis=1)
     per = rows.shape[1]
-    Z = evaluator(np.repeat(labels, per))(rows.reshape(-1, d), np.arange(m * per))[1]
+    Z = evaluate(rows.reshape(-1, d), np.repeat(labels, per))[1]
     V = Z[:, :-1].reshape(rows.shape)
 
     residual = np.linalg.norm(_full_rows(C, V[:, 0])[1], axis=1)
@@ -312,8 +313,8 @@ def _newton_state(evaluate, X: np.ndarray, ask: np.ndarray, rows: np.ndarray) ->
     """The full rows of the Newton map, ``(m, k, d + 1)`` (0 where not
     asked), and the norms of its full values and of the field's, ``(m, k)``
     (``inf`` where not asked), at the points ``X``, ``(m, k, d)``, where
-    ``ask`` holds, from one evaluation (``_stacked_map``), or none when none
-    is asked.  Point ``X[i, j]`` is evaluated on row ``rows[i]``
+    ``ask`` holds, from one call of ``evaluate``, or none when none is
+    asked.  Point ``X[i, j]`` is evaluated on row ``rows[i]``
     (non-decreasing) in row-major order, so the rows of the call stay
     non-decreasing."""
     m, k, d = X.shape
@@ -337,8 +338,8 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     """Damped Newton from every start row, as one batch.
 
     ``evaluate(C, rows)`` returns the full rows of the Newton map and of the
-    field at the rows of ``C`` (``_stacked_map``); row ``k`` of ``C`` is an
-    iterate of start ``rows[k]``, and ``rows`` is non-decreasing.  Each row
+    field at the rows of ``C``; row ``k`` of ``C`` is an iterate of start
+    ``rows[k]``, and ``rows`` is non-decreasing.  Each row
     follows its own iteration and carries one state: its point, the Newton
     map's chart values there, the residual norms, and the central-difference
     Jacobian of the Newton map there with whether it is known.  Newton steps
@@ -363,13 +364,11 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     bits that a stencil call of its own would give, since a row gets the
     same bits in any batch.
 
-    Rows that are still iterating and already converged are merged at the
-    top of every iteration, within the rows of each field (``labels``, one
-    per row, non-decreasing), by ``_cover``'s rule.  A claimed row stops and
-    returns the final point and residual of the row that claimed it,
-    following chains of claims to their end.  Returns per-row arrays:
-    final points, field residuals ``|z|``, and the converged, stalled and
-    exhausted masks and iteration counts.
+    At the top of every iteration the rows of each field (``labels``, one
+    per row, non-decreasing) that are still iterating and converged are
+    merged (``_merge_converged``).  Returns per-row arrays: final points,
+    field residuals ``|z|``, and the converged, stalled and exhausted masks
+    and iteration counts.
     """
     C = starts.copy()
     m, d = C.shape
@@ -391,10 +390,9 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     # rounding noise that damped steps would continue.
     active = ~halted & (res > 0.0)
     iterations = np.zeros(m, dtype=np.int64)
-    owner = np.arange(m)
 
     for _ in range(NEWTON_MAX_ITER):
-        _merge_converged(C, zres, active, owner, tol, labels)
+        _merge_converged(C, zres, active, tol, labels)
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -405,10 +403,6 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
         halted[idx], active[idx] = True, False
         halted[took], active[took] = False, res[took] > 0.0
 
-    # Each claim was made by a row still iterating, so chains end.
-    while (owner[owner] != owner).any():
-        owner = owner[owner]
-    C, zres = C[owner], zres[owner]
     converged = zres <= tol
     return C, zres, converged, halted & ~converged, active & ~converged, iterations
 
@@ -474,16 +468,13 @@ def _damped_step(evaluate, rows, state: tuple, converged: np.ndarray):
     return took
 
 
-def _merge_converged(C, zres, active, owner, tol, labels: np.ndarray) -> None:
-    """Stop the iterating rows that are converged and claimed by another
-    such row (``_cover``), recording it in ``owner``."""
+def _merge_converged(C, zres, active, tol, labels: np.ndarray) -> None:
+    """Stop, where they are, the iterating rows that are converged and
+    claimed by another such row (``_cover``): a stopped row keeps its own
+    point and residual, and the report step's cover claims it again."""
     cand = np.flatnonzero(active & (zres <= tol))
-    if cand.size < 2:
-        return
-    cover = _cover(C, zres, labels, cand)
-    merged = cover != cand
-    owner[cand[merged]] = cover[merged]
-    active[cand[merged]] = False
+    if cand.size > 1:
+        active[cand[_cover(C, zres, labels, cand) != cand]] = False
 
 
 def _cover(C: np.ndarray, zres: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -531,8 +522,7 @@ def _lowest_per_label(labels: np.ndarray, res: np.ndarray) -> np.ndarray:
 def _classify_rows(field: TangentField, C: np.ndarray, sigma: float):
     """``_classification`` of the zeros ``C`` of the one field ``field``;
     the first whose residual exceeds ``1e-9 * sigma`` raises ``ValueError``."""
-    labels = np.zeros(len(C), dtype=int)
-    out = _classification(partial(_stacked_map, field, [None]), C, labels, sigma)
+    out = _classification(_stacked_map(field, [None]), C, np.zeros(len(C), dtype=int), sigma)
     _check_zeros(out[0], sigma)
     return out
 
@@ -546,7 +536,7 @@ def _check_zeros(residual: np.ndarray, sigma: float) -> None:
         raise ValueError(f"point is not a zero of the field (residual {res:.3e})")
 
 
-def _classification(evaluator, C: np.ndarray, labels: np.ndarray, sigma):
+def _classification(evaluate, C: np.ndarray, labels: np.ndarray, sigma):
     """Residual norms, regular mask, indices and multiplicities of the zeros
     ``C`` of the fields ``labels`` (non-decreasing) of a chunk, of scale
     ``sigma`` (one or one per row), from one evaluation of every probe row
@@ -557,7 +547,7 @@ def _classification(evaluator, C: np.ndarray, labels: np.ndarray, sigma):
     """
     d = C.shape[1]
     window = np.linspace(-1.0, 1.0, 4 * MULTIPLICITY_K_MAX + 1) if d == 1 else None
-    residual, J, consistent, G = _probe(evaluator, C, labels, sigma, window)
+    residual, J, consistent, G = _probe(evaluate, C, labels, sigma, window)
     det = np.linalg.det(J)
     size = np.fmax(np.abs(J).max(axis=(1, 2)), sigma)
     regular = consistent & ~(np.abs(det) <= DET_RELATIVE_TOL * size**d)
@@ -628,8 +618,7 @@ def chart_jacobian(field_or_economy, c) -> np.ndarray:
     the probe that classifies zeros, and evaluates the field twice.
     """
     field = as_field(field_or_economy)
-    evaluator = partial(_stacked_map, field, [None])
-    _, J, consistent, _ = _probe(evaluator, _chart_row(c), np.zeros(1, dtype=int), _scan(field)[0])
+    _, J, consistent, _ = _probe(_stacked_map(field, [None]), _chart_row(c), np.zeros(1, int), _scan(field)[0])
     if not consistent[0]:
         raise JacobianConsistencyError(
             "finite-difference Jacobian is step-size dependent at this point"
@@ -680,21 +669,22 @@ def _scan(field: TangentField, grid: tuple | None = None) -> tuple:
     """``(sigma, ContinuumReport)`` of ``field`` from one evaluation of the
     scan grid (``grid``, its ``_base_grid``, when the caller has made it);
     ``sigma`` is 0 with no finite row.  The one-field ``_scan_stage``."""
-    evaluator = partial(_stacked_map, field, [None])
-    sigmas, *_, reports = _scan_stage(evaluator, _base_grid(field) if grid is None else grid, 1)
+    grid = _base_grid(field) if grid is None else grid
+    sigmas, *_, reports = _scan_stage(_stacked_map(field, [None]), grid, 1)
     return float(sigmas[0]), reports[0]
 
 
-def _scan_stage(evaluator, grid: tuple, count: int) -> tuple:
-    """The one pass over the scan grid of ``count`` fields, which
-    ``evaluator(labels)`` (``_stacked_map``) evaluates from the base's values
-    in ``grid`` (``_base_grid``), every field on every grid row in one call:
+def _scan_stage(evaluate, grid: tuple, count: int) -> tuple:
+    """The one pass over the scan grid of ``count`` fields, which the
+    chunk's map ``evaluate`` (``_stacked_map``) evaluates from the base's
+    values in ``grid`` (``_base_grid``), every field on every grid row in one
+    call:
     their scales ``sigma``, the largest finite ``|p * z|`` of each, the full
     rows of their Newton map, field by field, its hits and their clusters
     (``_hits``) and their ``ContinuumReport``s."""
     C, per_dim, values = grid
     fields = np.arange(count)
-    W, Z = evaluator(fields)(C, fields[:, None], values)
+    W, Z = evaluate(C, fields[:, None], values)
     wres = np.linalg.norm(chart_rows_embed(C) * Z, axis=2)
     sigmas = np.where(np.isfinite(wres), wres, 0.0).max(axis=1)
     W, Z = W.reshape(-1, W.shape[2]), Z.reshape(-1, Z.shape[2])
@@ -730,15 +720,15 @@ def _subdivisions(per_dim: int, density: int) -> int:
     return -(-(density - 1) // (per_dim - 1))
 
 
-def _starts(evaluator, m: int, sigmas, W, hit, clusters) -> tuple:
+def _starts(evaluate, m: int, sigmas, W, hit, clusters) -> tuple:
     """The Newton starts of a chunk of fields, and the field of each start
     (non-decreasing), from their scales ``sigmas``, the full rows ``W`` of
     their Newton map on the scan grid, its hits and their clusters
     (``_scan_stage``) and the solve's ``_subdivisions`` ``m``.
 
     The scan grid is a level of one patch per field; with ``m > 1`` its
-    flagged cells are refined, and ``evaluator(labels)`` is the
-    ``_stacked_map`` that evaluates them.  A field's starts are those of the
+    flagged cells are refined, and the chunk's map ``evaluate``
+    (``_stacked_map``) evaluates them.  A field's starts are those of the
     finest level (``_level_starts``).
     """
     F, d = len(sigmas), W.shape[1] - 1
@@ -747,7 +737,7 @@ def _starts(evaluator, m: int, sigmas, W, hit, clusters) -> tuple:
     # The scan grid as one patch per field, its rows stacked field by field.
     keys = (field[:, None] * per_dim**d + keys).ravel()
     vertex = np.where(vertex >= 0, vertex + len(W) // F * field.reshape((F,) + (1,) * d), -1)
-    refine = partial(_refine, evaluator, sigmas, m) if m > 1 else None
+    refine = partial(_refine, evaluate, sigmas, m) if m > 1 else None
     corner = np.zeros((F, d), dtype=int)
     blocks = _level_starts(W, hit, clusters, keys, per_dim, vertex, field, corner, refine)
     labels = np.concatenate([f for f, _ in blocks])
@@ -822,14 +812,14 @@ def _level_starts(W, hit, clusters, keys, n: int, vertex, field, corner, refine=
     return blocks + [(labels, axis[np.column_stack(np.unravel_index(K, (n,) * d))])]
 
 
-def _refine(evaluator, sigmas, m: int, field, corner, n: int) -> tuple:
+def _refine(evaluate, sigmas, m: int, field, corner, n: int) -> tuple:
     """The level (``_level_starts``' arguments) that ``_layout`` makes of the
     cells with corners ``corner`` on the lattice of ``n`` points per axis, of
     the fields ``field`` (scales ``sigmas``), each refined into ``m``
-    subdivisions per axis, with its rows evaluated in one call of
-    ``evaluator(labels)`` (``_stacked_map``) and its ``_hits``."""
+    subdivisions per axis, with its rows evaluated in one call of the
+    chunk's map ``evaluate`` (``_stacked_map``) and its ``_hits``."""
     keys, labels, C, *patches = _layout(field, corner, n, m)
-    W, Z = evaluator(labels)(C, np.arange(len(C)))
+    W, Z = evaluate(C, labels)
     return W, *_hits(C, Z, labels, sigmas, _spacing(n)), keys, *patches
 
 
@@ -914,8 +904,8 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
     of the finest lattice.  A chunk is scanned in one pass (``_scan_stage``),
     for ``sigma``, its refined cells evaluated in one call more when
     ``m > 1`` (``_starts``), and one Newton phase runs over the stacked
-    starts of all its fields, each reading its ``_stacked_map``; a restart
-    phase appends its rows.  One report step reads the rows of both
+    starts of all its fields, reading the chunk's map (``_stacked_map``) on
+    the field of each start; a restart phase appends its rows.  One report step reads the rows of both
     (``_reports``): one cover, and one probe call for the zeros of every
     field.  One rule holds for failure: a chunk of several fields whose
     scan, Newton phases or report step raise is solved again one field at
@@ -931,17 +921,19 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
     for first in range(0, len(terms), chunk):
         group = terms[first : first + chunk]
         try:
-            evaluator = partial(_stacked_map, base, group)
-            sigmas, *scan, reports = _scan_stage(evaluator, grid, len(group))
-            starts, labels = _starts(evaluator, m, sigmas, *scan)
+            evaluate = _stacked_map(base, group)
+            sigmas, *scan, reports = _scan_stage(evaluate, grid, len(group))
+            starts, labels = _starts(evaluate, m, sigmas, *scan)
 
             def phase(X, labels):
-                return _newton_multistart(evaluator(labels), X, NEWTON_TOL * sigmas[labels], labels)
+                return _newton_multistart(
+                    lambda C, rows: evaluate(C, labels[rows]), X, NEWTON_TOL * sigmas[labels], labels
+                )
 
             newton = phase(starts, labels)
             if m > 1:
                 newton, labels = _restart_between(phase, newton, labels, restart_radius)
-            outcomes += _reports(evaluator, newton, labels, sigmas, reports)
+            outcomes += _reports(evaluate, newton, labels, sigmas, reports)
         except Exception as exc:  # noqa: BLE001 - each field then records its own error
             outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg, grid)[0] for t in group]
     return outcomes
@@ -977,20 +969,20 @@ def _restart_between(phase, newton, labels, radius: float) -> tuple:
     return tuple(map(np.concatenate, zip(newton, more))), np.concatenate([labels, labels[a]])
 
 
-def _stacked_map(base: TangentField, terms: list, labels: np.ndarray):
-    """The full rows ``W`` of the Newton map and ``Z`` of the field at the
-    chart rows ``C``, over stacked rows: the base's chart values (evaluated
-    once, or ``values``) plus, on row ``r``, the term of field
-    ``labels[rows[r]]`` (``_add_terms``).  With ``rows`` of shape ``(k, 1)``
-    each of those ``k`` fields is evaluated on every row of ``C`` (the scan
-    grid), and ``W`` and ``Z`` are ``(k, len(C), l)``.  The Newton map is
-    ``p * z`` when the base is ``price_weighted`` and no field has a term,
-    else ``z``."""
+def _stacked_map(base: TangentField, terms: list):
+    """The map of a chunk of fields, ``base`` plus each of ``terms``:
+    ``evaluate(C, fields, values=None)`` returns the full rows ``W`` of the
+    Newton map and ``Z`` of the field at the chart rows ``C``, row ``r`` of
+    field ``fields[r]`` (non-decreasing), from the base's chart values
+    (evaluated once, or ``values``) plus that field's term (``_add_terms``).
+    With ``fields`` of shape ``(k, 1)`` each of those ``k`` fields is
+    evaluated on every row of ``C`` (the scan grid), and ``W`` and ``Z`` are
+    ``(k, len(C), l)``.  The Newton map is ``p * z`` when the base is
+    ``price_weighted`` and no field has a term, else ``z``."""
     weighted = base.price_weighted and all(term is None for term in terms)
     add = _add_terms(terms)
 
-    def evaluate(C, rows, values=None):
-        fields = labels[rows]
+    def evaluate(C, fields, values=None):
         F = base.chart_values(C) if values is None else values
         # A copy, one block per field of a grid, or of the rows when a term
         # is added: the base chart map may return a view of its input, and
@@ -1039,20 +1031,21 @@ def _add_terms(terms: list):
     return add
 
 
-def _reports(evaluator, newton: tuple, labels: np.ndarray, sigmas, continua: list) -> list:
+def _reports(evaluate, newton: tuple, labels: np.ndarray, sigmas, continua: list) -> list:
     """The report on each field of a chunk (scales ``sigmas``, continuum
     reports ``continua``) from the rows of its Newton phases (``newton``;
     ``labels``, the field of each), reading the fields only through the
-    chunk's map ``evaluator(labels)`` (``_stacked_map``).  Any error raises
-    for the whole chunk, which ``_solve`` then solves one field at a time.
+    chunk's map ``evaluate`` (``_stacked_map``).  Any error raises for the
+    whole chunk, which ``_solve`` then solves one field at a time.
 
-    One cover (``_cover``) deduplicates the converged rows of every field.
+    One cover (``_cover``) deduplicates the converged rows of every field,
+    the rows that Newton's merge stopped among them.
     The kept zeros, ordered by field, then by chart coordinates, are
     classified from one probe call for all of them (``_classification``).
     Then, per field, a zero whose residual exceeds ``1e-9 sigma`` raises
-    that field's error, the flat-zero join evaluates the field, in one call
-    with its label, only when two of its critical zeros are within
-    ``JOIN_RADIUS``, and its statistics are counted.
+    that field's error, the flat-zero join evaluates the field, in one call,
+    only when two of its critical zeros are within ``JOIN_RADIUS``, and its
+    statistics are counted.
     """
     C, res, converged, stalled, exhausted, iterations = newton
     conv = np.flatnonzero(converged)
@@ -1060,7 +1053,7 @@ def _reports(evaluator, newton: tuple, labels: np.ndarray, sigmas, continua: lis
     kept = kept[np.lexsort((*C[kept].T[::-1], labels[kept]))]
     of = labels[kept]
     if kept.size:
-        residual, regular, index, multiplicity = _classification(evaluator, C[kept], of, sigmas[of])
+        residual, regular, index, multiplicity = _classification(evaluate, C[kept], of, sigmas[of])
     F = len(continua)
     bounds = np.searchsorted(of, np.arange(F + 1))
     starts = np.bincount(labels, minlength=F)
@@ -1075,7 +1068,7 @@ def _reports(evaluator, newton: tuple, labels: np.ndarray, sigmas, continua: lis
             Z = C[kept[zeros]]
 
             def residuals(X):
-                return np.linalg.norm(evaluator(np.full(len(X), t))(X, np.arange(len(X)))[1], axis=1)
+                return np.linalg.norm(evaluate(X, np.full(len(X), t))[1], axis=1)
 
             joined = _join_flat_zeros(residuals, Z, res[kept[zeros]], ~reg, NEWTON_TOL * sigmas[t])
             P = chart_rows_embed(Z[joined])

@@ -29,14 +29,13 @@ from typing import Callable
 
 import numpy as np
 
-from .decomposition import CanonicalFamily, realize_economy
+from .decomposition import CanonicalFamily, _two_good_grid, realize_economy
 from .equilibrium import ContinuumReport, SolverConfig, _base_grid, _index_check, _scan, _solve
 from .equilibrium import find_equilibria  # noqa: F401 - in this namespace for wrappers such as bench/tracer.py
 from .fields import TangentField, as_field, chart_field
 from .scales import _integer, _number
 
 BASIS_KINDS = ("linear_tilt", "polynomial", "random_fourier")
-CONTINUUM_GRID_MARGIN = 0.01
 
 
 @dataclass(frozen=True)
@@ -234,9 +233,8 @@ def build_continuum_economy(interval: tuple[float, float], grid: int = 201):
         raise ValueError("interval must satisfy 0 < a < b < 1")
     if _integer(grid, "grid") < 5:
         raise ValueError("grid needs at least 5 points")
-    xs = np.linspace(CONTINUUM_GRID_MARGIN, 1.0 - CONTINUUM_GRID_MARGIN, grid)
     target = chart_field(continuum_chart_map(a, b), goods=2)
-    return realize_economy(CanonicalFamily.symmetric(2), target, np.column_stack([xs, 1.0 - xs]))
+    return realize_economy(CanonicalFamily.symmetric(2), target, _two_good_grid(grid))
 
 
 @dataclass(frozen=True)

@@ -108,9 +108,9 @@ class ConstantScale(Scale):
 class PolynomialScale(Scale):
     """Polynomial in chart coordinates: sum of ``coeff * prod(c_j ** power_j)``.
 
-    ``terms`` is a list of ``(coeff, powers)`` with one integer power per
-    chart dimension.  Positivity is the caller's responsibility and is
-    enforced where the scale is evaluated.
+    ``terms`` is a list of ``(coeff, powers)`` with finite coefficients and
+    one integer power per chart dimension.  Positivity is the caller's
+    responsibility and is enforced where the scale is evaluated.
     """
 
     kind = "polynomial"
@@ -122,6 +122,8 @@ class PolynomialScale(Scale):
             (_number(coeff, "polynomial coefficient"), tuple(_power(e) for e in powers))
             for coeff, powers in self.terms
         )
+        if not np.all(np.isfinite([coeff for coeff, _ in clean])):
+            raise ValueError("polynomial coefficients must be finite")
         object.__setattr__(self, "terms", clean)
 
     def __call__(self, P):

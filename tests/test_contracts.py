@@ -45,6 +45,8 @@ REFUSED = [
     (lambda: wk.TangentVector(BASE, [1.0, -1.0, 0.0]), "tangent components must match the base dimension"),
     (lambda: wk.tangent_project(BASE, [1.0, -1.0, 0.0]), "vector dimension must match the price dimension"),
     (lambda: wk.scaled_field_audit(TWO_GOODS, []), "at least one sample price is required"),
+    (lambda: wk.PolynomialScale([[np.nan, [0]]]), "polynomial coefficients must be finite"),
+    (lambda: wk.PolynomialScale([[1.0, [0]], [np.inf, [1]]]), "polynomial coefficients must be finite"),
     (lambda: wk.BumpScale((0.5,), 0.0), "bump radius must be positive"),
     (lambda: wk.BumpScale((0.5,), 0.2, height=-1.0, floor=-0.5), "bump scale must be positive somewhere"),
     (lambda: wk.SampledScale([[0.2], [0.2], [0.6]], [1.0, 2.0, 3.0]), "sampled grid points must be distinct"),
@@ -76,7 +78,7 @@ REFUSED = [
         "consumer-lengths", "consumer-float-scale", "consumer-callable-scale", "empty-economy", "mixed-goods",
         "one-good-family", "continuum-grid-4", "continuum-grid-float", "decompose-goods", "kernel-goods",
         "no-trials", "one-price", "polar-frame", "empty-chart-point", "nan-chart-point",
-        "tangent-length", "project-length", "audit-no-samples", "bump-radius-0",
+        "tangent-length", "project-length", "audit-no-samples", "polynomial-nan", "polynomial-inf", "bump-radius-0",
         "bump-nowhere-positive", "sampled-repeated-node", "sampled-one-node", "sampled-nan-node",
         "sampled-value-short", "sampled-near-flat", "kernel-share-1",
         "classify-outside", "jacobian-outside", "multiplicity-width",

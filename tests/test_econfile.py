@@ -110,6 +110,8 @@ class TestEconomyFiles:
             ({"good": True}, "kernel_sampled good must be an integer from 0 to 1, not True"),
             ({"level": float("nan")}, "endowment level must be a positive finite number"),
             ({"level": float("inf")}, "endowment level must be a positive finite number"),
+            ({"type": "polynomial", "terms": [[float("nan"), [0]]]}, "polynomial coefficients must be finite"),
+            ({"type": "polynomial", "terms": [[float("inf"), [1]]]}, "polynomial coefficients must be finite"),
             (
                 {"type": "polynomial", "terms": [[1.0, [1, 2]]]},
                 "a polynomial term lists more powers than the chart has dimensions (1)",
@@ -125,7 +127,7 @@ class TestEconomyFiles:
         ],
         ids=[
             "good-5", "good-0.5", "good--1", "good-true", "level-nan", "level-inf",
-            "powers-1-2", "bump-center-2", "grid-2d",
+            "coefficient-nan", "coefficient-inf", "powers-1-2", "bump-center-2", "grid-2d",
         ],
     )
     def test_scales_must_fit_the_goods(self, scale, message):

@@ -1,6 +1,5 @@
 import dataclasses
 import re
-from functools import partial
 
 import numpy as np
 import pytest
@@ -63,15 +62,16 @@ def _lattice(field, density=50):
 
 def _lattice_starts(field, density=50):
     """The Newton starts of a solve of ``field`` at ``grid_density=density``."""
-    evaluator = partial(equilibrium._stacked_map, field, [None])
-    sigmas, *scan, _ = equilibrium._scan_stage(evaluator, equilibrium._base_grid(field), 1)
-    return equilibrium._starts(evaluator, _lattice(field, density)[1], sigmas, *scan)[0]
+    evaluate = equilibrium._stacked_map(field, [None])
+    sigmas, *scan, _ = equilibrium._scan_stage(evaluate, equilibrium._base_grid(field), 1)
+    return equilibrium._starts(evaluate, _lattice(field, density)[1], sigmas, *scan)[0]
 
 
 def _evaluator(chart_map, weighted=False):
-    """The map a Newton phase reads (``equilibrium._stacked_map``) of the
-    chart map ``chart_map(C, rows)``: its Newton map ``p * z`` when
-    ``weighted``, else ``z``, and the field ``z``, as full rows."""
+    """The map a Newton phase reads (``_solve``'s ``phase`` over
+    ``equilibrium._stacked_map``) of the chart map ``chart_map(C, rows)``:
+    its Newton map ``p * z`` when ``weighted``, else ``z``, and the field
+    ``z``, as full rows."""
 
     def evaluate(C, rows):
         P, Z = _full_rows(C, chart_map(C, rows))
@@ -99,8 +99,8 @@ def _field_report(field, newton, rows, sigma, continuum):
     ``newton``: the one-field case of ``_reports``."""
     newton = tuple(a[rows] for a in newton)
     labels = np.zeros(len(newton[0]), dtype=int)
-    evaluator = partial(equilibrium._stacked_map, field, [None])
-    (report,) = equilibrium._reports(evaluator, newton, labels, np.array([sigma]), [continuum])
+    evaluate = equilibrium._stacked_map(field, [None])
+    (report,) = equilibrium._reports(evaluate, newton, labels, np.array([sigma]), [continuum])
     return report
 
 
@@ -471,32 +471,27 @@ class TestNewtonMultistart:
         DEGENERATE_ZEROS + [(None, None)],
         ids=[f"order-{order}" for order, _ in DEGENERATE_ZEROS] + ["economy-l4"],
     )
-    def test_merged_rows_end_at_the_point_of_a_row_not_merged(self, monkeypatch, order, fn, rng):
+    def test_merged_rows_have_converged(self, monkeypatch, order, fn, rng):
         if fn is None:
             field = wk.economy_field(constant_scale_economy(rng, 4, 3))
         else:
             field = wk.chart_field(fn, goods=2)
-        owners = []
-        merge = equilibrium._merge_converged
-
-        def spy(C, zres, active, owner, tol, block):
-            # One array, updated in place by every merge.
-            owners.append(owner)
-            merge(C, zres, active, owner, tol, block)
-
-        monkeypatch.setattr(equilibrium, "_merge_converged", spy)
         cfg = wk.SolverConfig()
         starts = _region_points(field.dim, cfg.grid_density)
-        C, res, converged, *_ = _newton(
-            lambda C, rows: field.chart_values(C), starts, _tol(field), field.price_weighted
-        )
-        merged = owners[-1] != np.arange(len(C))
+        merged = np.zeros(len(starts), dtype=bool)
+        merge = equilibrium._merge_converged
+
+        def spy(C, zres, active, tol, labels):
+            before = active.copy()
+            merge(C, zres, active, tol, labels)
+            merged[before & ~active] = True
+
+        monkeypatch.setattr(equilibrium, "_merge_converged", spy)
+        converged = _newton(lambda C, rows: field.chart_values(C), starts, _tol(field), field.price_weighted)[2]
         # Around the order-7 zero, rows creep toward it at one rate and
         # never come within the merge radius of each other.
         assert merged.any() == (order != 7)
         assert converged[merged].all()
-        ends = {(tuple(c), r) for c, r in zip(C[~merged].tolist(), res[~merged].tolist())}
-        assert all((tuple(c), r) in ends for c, r in zip(C[merged].tolist(), res[merged].tolist()))
 
     @pytest.mark.parametrize(
         "case", ["weighted-economy", "perturbed-economy", "perturbed-continuum", "order-3"]
@@ -785,9 +780,8 @@ class TestRefinedLevel:
         # Refine every cell of the scan grid.
         corner = np.argwhere(np.ones((per_dim - 1,) * field.dim, dtype=bool))
         sigmas = np.array([equilibrium._scan(field)[0]])
-        evaluator = partial(equilibrium._stacked_map, field, [None])
         keys, n = equilibrium._refine(
-            evaluator, sigmas, m, np.zeros(len(corner), dtype=int), corner, per_dim
+            equilibrium._stacked_map(field, [None]), sigmas, m, np.zeros(len(corner), dtype=int), corner, per_dim
         )[3:5]
         K = np.column_stack(np.unravel_index(scan_keys, (per_dim,) * field.dim)) * m
         assert np.isin(np.ravel_multi_index(tuple(K.T), (n,) * field.dim), keys).all()
@@ -1042,8 +1036,8 @@ def _zero_on(C, hit):
 def _scan_clusters(field):
     """The hits of ``field`` on its scan grid, their clusters and its
     ``ContinuumReport``, from the scan stage of a one-field solve."""
-    evaluator = partial(equilibrium._stacked_map, field, [None])
-    _, _, hit, clusters, (report,) = equilibrium._scan_stage(evaluator, equilibrium._base_grid(field), 1)
+    evaluate = equilibrium._stacked_map(field, [None])
+    _, _, hit, clusters, (report,) = equilibrium._scan_stage(evaluate, equilibrium._base_grid(field), 1)
     return hit, clusters, report
 
 
@@ -1256,9 +1250,9 @@ class TestClassifyRows:
         if field.goods == 2:
             assert wk.multiplicity_estimate(field, c) == ref.multiplicity
             window = np.linspace(-1.0, 1.0, 33)
-            evaluator = partial(equilibrium._stacked_map, field, [None])
+            evaluate = equilibrium._stacked_map(field, [None])
             sigma = equilibrium._scan(field)[0]
-            G = equilibrium._probe(evaluator, np.atleast_2d(c), np.zeros(1, dtype=int), sigma, window)[3]
+            G = equilibrium._probe(evaluate, np.atleast_2d(c), np.zeros(1, dtype=int), sigma, window)[3]
             assert np.array_equal(G[0, :, 0], ref.window)
         if eq is not None:
             assert (eq.regularity, eq.index) == (ref.regularity, ref.index)
@@ -1329,16 +1323,15 @@ class TestChunkReports:
         scans = [equilibrium._scan(field) for field in fields]
         sigmas = np.array([sigma for sigma, _ in scans])
         continua = [c for _, c in scans]
-        evaluator = partial(equilibrium._stacked_map, base, maps)
         message = "point is not a zero of the field (residual 1.022e-03)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            equilibrium._reports(evaluator, newton, labels, sigmas, continua)
+            equilibrium._reports(equilibrium._stacked_map(base, maps), newton, labels, sigmas, continua)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _field_report(fields[1], newton, labels == 1, sigmas[1], scans[1][1])
         others = labels != 1
         without = tuple(a[others] for a in newton)
-        evaluator = partial(equilibrium._stacked_map, base, [maps[0], maps[2]])
-        reports = equilibrium._reports(evaluator, without, labels[others] // 2, sigmas[[0, 2]], continua[::2])
+        evaluate = equilibrium._stacked_map(base, [maps[0], maps[2]])
+        reports = equilibrium._reports(evaluate, without, labels[others] // 2, sigmas[[0, 2]], continua[::2])
         for t, report in zip((0, 2), reports):
             alone = _field_report(fields[t], newton, labels == t, sigmas[t], scans[t][1])
             assert (report.stats, report.continuum) == (alone.stats, alone.continuum)
@@ -1367,19 +1360,15 @@ class TestChunkReports:
         mask = np.ones(len(C), dtype=bool)
         newton = (C, res, mask, ~mask, ~mask, np.zeros(len(C), dtype=np.int64))
         calls = []
+        evaluate = equilibrium._stacked_map(base, self.JOINED)
 
-        def evaluator(labels):
-            evaluate = equilibrium._stacked_map(base, self.JOINED, labels)
-
-            def counted(C, rows, values=None):
-                calls.append(labels[rows])
-                return evaluate(C, rows, values)
-
-            return counted
+        def counted(C, fields, values=None):
+            calls.append(fields)
+            return evaluate(C, fields, values)
 
         scans = [equilibrium._scan(field) for field in fields]
         sigmas = np.array([sigma for sigma, _ in scans])
-        reports = equilibrium._reports(evaluator, newton, labels, sigmas, [c for _, c in scans])
+        reports = equilibrium._reports(counted, newton, labels, sigmas, [c for _, c in scans])
         # One probe call for the three zeros, then one for field 1's one midpoint.
         assert [len(rows) for rows in calls] == [3 * (1 + 4 + 33), 1]
         assert calls[1].tolist() == [1]
@@ -1407,7 +1396,7 @@ class TestStackedMap:
         C = _region_points(2, 12)
         X, labels = np.vstack([C, C, C]), np.repeat(np.arange(3), len(C))
         for base, terms in cases:
-            W, Z = equilibrium._stacked_map(base, terms, labels)(X, np.arange(len(X)))
+            W, Z = equilibrium._stacked_map(base, terms)(X, labels)
             F = base.chart_values(X)
             if terms[1] is not None:
                 F[len(C) : 2 * len(C)] += term(C)
@@ -1420,12 +1409,12 @@ class TestStackedMap:
         chosen = []
         stacked = equilibrium._stacked_map
 
-        def spy(base, terms, labels):
-            evaluate = stacked(base, terms, labels)
+        def spy(base, terms):
+            evaluate = stacked(base, terms)
 
-            def observed(C, rows, values=None):
+            def observed(C, fields, values=None):
                 # Whether W is p * z and whether it is z: both on rows where z is 0.
-                W, Z = evaluate(C, rows, values)
+                W, Z = evaluate(C, fields, values)
                 maps = (chart_rows_embed(C) * Z, Z)
                 chosen.append(tuple(np.array_equal(W, V, equal_nan=True) for V in maps))
                 return W, Z
@@ -1446,6 +1435,56 @@ class TestStackedMap:
             assert (is_pz if weighted else is_z).all()
             assert (~is_z if weighted else ~is_pz).any()
 
+    @pytest.mark.parametrize("case", ["multi-l2-seed0", "multi-l3-seed0", "experiment"])
+    def test_every_call_names_the_field_of_each_row(self, monkeypatch, case):
+        # Solves with three zeros each, on the scan grid (two goods) and on
+        # refined patches with restarts (three), and four stacked trials of
+        # the latter.
+        economy = multi_equilibrium_economy(2 if case == "multi-l2-seed0" else 3, 0)
+        spec = wk.PerturbationSpec(1e-3, basis="polynomial", degree=3, seed=70)
+        reports, stacked = equilibrium._reports, equilibrium._stacked_map
+
+        def run():
+            out = []
+
+            def report_spy(*args):
+                made = reports(*args)
+                out.extend(made)
+                return made
+
+            monkeypatch.setattr(equilibrium, "_reports", report_spy)
+            if case == "experiment":
+                wk.genericity_experiment(economy, spec, trials=4)
+            else:
+                wk.find_equilibria(economy)
+            return out
+
+        reference = run()
+        calls = []
+
+        def spy(base, terms):
+            evaluate = stacked(base, terms)
+
+            def passed(C, fields, values=None):
+                calls.append((C, fields.copy(), len(terms)))
+                return evaluate(C, fields, values)
+
+            return passed
+
+        monkeypatch.setattr(equilibrium, "_stacked_map", spy)
+        wrapped = run()
+        scan_grid = equilibrium._scan_grid(economy.goods - 1)[0]
+        assert len(calls) > 3
+        for C, fields, count in calls:
+            if fields.ndim == 2:
+                assert np.array_equal(fields, np.arange(count)[:, None]) and np.array_equal(C, scan_grid)
+            else:
+                assert fields.shape == (len(C),) and fields.dtype.kind == "i"
+                assert ((0 <= fields) & (fields < count)).all() and (np.diff(fields) >= 0).all()
+        assert len(wrapped) == len(reference) == (4 if case == "experiment" else 1)
+        for a, b in zip(wrapped, reference):
+            _assert_same_report(a, b)
+
 
 class TestScanStage:
     """The scan grid is scanned in one pass over the stacked fields of a
@@ -1465,8 +1504,8 @@ class TestScanStage:
 
         maps = [continuum.chart_values, flat_on((0.45, 0.55)), flat_on((0.1, 0.2), (0.45, 0.7))]
         base = wk.chart_field(np.zeros_like, goods=2)
-        evaluator = partial(equilibrium._stacked_map, base, maps)
-        sigmas, _, hit, _, reports = equilibrium._scan_stage(evaluator, equilibrium._base_grid(base), 3)
+        evaluate = equilibrium._stacked_map(base, maps)
+        sigmas, _, hit, _, reports = equilibrium._scan_stage(evaluate, equilibrium._base_grid(base), 3)
         counts = np.bincount(np.flatnonzero(hit) // len(equilibrium._scan_grid(1)[0]), minlength=3)
         for k, fn in enumerate(maps):
             sigma, report = equilibrium._scan(continuum if k == 0 else wk.chart_field(fn, goods=2))

@@ -1,5 +1,4 @@
 import re
-from functools import partial
 
 import numpy as np
 import pytest
@@ -504,16 +503,21 @@ class TestChunkFailure:
 
         field = wk.economy_field(economy)
         terms = [gen._perturbation_term(spec.with_seed(spec.seed + t), field.dim) for t in range(4)]
-        probe, refusals = eqm._probe, []
+        probe, stacked, chunks, refusals = eqm._probe, eqm._stacked_map, [], []
 
-        def spy(evaluator, C, labels, *args):
-            # ``evaluator`` is the chunk's partial(_stacked_map, base, terms).
-            chunk = evaluator.args[1]
+        def map_spy(base, terms):
+            chunks.append(terms)
+            return stacked(base, terms)
+
+        def spy(evaluate, C, labels, *args):
+            # A chunk's probe follows its map, the latest built.
+            chunk = chunks[-1]
             if len(np.unique(labels)) > 1 or (refused is not None and any(t is terms[refused] for t in chunk)):
                 refusals.append(len(chunk))
                 raise RuntimeError("probe refused")
-            return probe(evaluator, C, labels, *args)
+            return probe(evaluate, C, labels, *args)
 
+        monkeypatch.setattr(eqm, "_stacked_map", map_spy)
         monkeypatch.setattr(eqm, "_probe", spy)
         return eqm._solve(field, terms, wk.SolverConfig()), len(refusals)
 
@@ -554,7 +558,7 @@ def test_a_stacked_evaluation_calls_the_basis_once(monkeypatch, basis):
     terms = [gen._perturbation_term(spec.with_seed(71 + t), 2) for t in range(4)]
     X = np.random.default_rng(72).dirichlet(np.ones(3), 30)[:, :-1]
     labels = np.repeat(np.arange(4), [7, 0, 15, 8])
-    eqm._stacked_map(base, terms, labels)(X, np.arange(len(X)))
+    eqm._stacked_map(base, terms)(X, labels)
     assert calls == [30]
 
 
@@ -576,8 +580,7 @@ class TestStackedTerm:
         C = eqm._scan_grid(base.dim)[0]
         T = gen._Term.stack(terms)(C, np.arange(len(terms))[:, None])
         assert T.shape == (len(terms), *C.shape)
-        evaluator = partial(eqm._stacked_map, base, terms)
-        W = eqm._scan_stage(evaluator, eqm._base_grid(base), len(terms))[1]
+        W = eqm._scan_stage(eqm._stacked_map(base, terms), eqm._base_grid(base), len(terms))[1]
         for t, (term, s) in enumerate(zip(terms, specs)):
             assert np.array_equal(T[t], term(C))
             rows = slice(t * len(C), (t + 1) * len(C))
@@ -596,7 +599,7 @@ class TestStackedTerm:
         counts = [40, 1, 0, 3, 2001]
         X = rng.dirichlet(np.ones(goods), sum(counts))[:, :-1]
         labels = np.repeat(np.arange(5), counts)
-        _, Z = eqm._stacked_map(base, terms, labels)(X, np.arange(len(X)))
+        _, Z = eqm._stacked_map(base, terms)(X, labels)
         for t, s in enumerate(specs):
             rows = labels == t
             assert np.array_equal(Z[rows], gen.perturb(base, s).full_values(X[rows])[1])

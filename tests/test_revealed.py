@@ -476,7 +476,10 @@ class TestScaledFieldAudit:
         assert len(report.nonpositive_scale_samples) > 0
 
     def test_infinite_scale_is_flagged(self, rng):
-        c = wk.Consumer([0.5, 0.5], [1, 0], scale=wk.PolynomialScale(((np.inf, (0,)),)))
-        report = wk.scaled_field_audit(c, self.prices(rng, 10))
+        # Finite coefficients whose sum overflows: the scale is infinite at
+        # every price (an infinite coefficient is refused where it is built).
+        c = wk.Consumer([0.5, 0.5], [1, 0], scale=wk.PolynomialScale(((1e308, (0,)), (1e308, (0,)))))
+        with np.errstate(over="ignore"):
+            report = wk.scaled_field_audit(c, self.prices(rng, 10))
         assert not report.passed
         assert report.nonpositive_scale_samples == tuple(range(10))

@@ -13,9 +13,13 @@ factor.  Under ``solve/extra/`` it runs ``solve`` on two economies with
 three known equilibria (``tests/support.multi_equilibrium_economy``, l = 3
 seed 0 and l = 4 seed 1), on a five- and a six-good constant-scale
 economy and on the saved continuum economy at ``--grid 4001``, whose
-solve reads the hits of a refined level.  Under ``experiment/extra/`` it
-runs ``experiment`` with four trials on the three-good economy of those
-(bases ``poly:3`` and ``fourier:5``), whose stacked trials are solved on
+solve reads the hits of a refined level.  Under ``solve/arena/`` it runs
+``solve`` on the arena, the economies of that family at l = 3 and 4 with
+seeds 0-71 and at l = 5 and 6 with seeds 0-11, less those whose solve
+exits 1 (``ARENA_REFUSED``), so that a change to the zeros the solver
+finds on them reads as a changed answer.  Under ``experiment/extra/`` it
+runs ``experiment`` with four trials on the three-good economy of
+``solve/extra/`` (bases ``poly:3`` and ``fourier:5``), whose stacked trials are solved on
 a refined level, and with four ``poly:3`` trials on the four-good economy
 of seed 42 of the same family, whose trials all fail (a scale is not
 positive at a price the solve evaluates), so that a failing chunk of
@@ -101,6 +105,11 @@ MULTI = ((3, 0), (4, 1))
 # so it is not solved.
 FAILING = (4, 42)
 MANY_GOODS = (5, 6)
+# The seeds of each l of the arena, solved under solve/arena/.
+ARENA = {3: range(72), 4: range(72), 5: range(12), 6: range(12)}
+# The arena economies whose polynomial scale is not positive at some price
+# that their solve evaluates: the solve exits 1, so they are not solved.
+ARENA_REFUSED = {3: (34, 40, 54, 55, 65), 4: (42, 52, 57, 58, 64, 66, 71), 5: (10,), 6: (1, 5, 6)}
 # The economies with scales that vary, audited under audit/.
 AUDITED = {
     **{f"multi-l{g}-seed{k}": Path("solve", "extra", f"multi-l{g}-seed{k}.yaml") for g, k in MULTI},
@@ -154,6 +163,13 @@ def invocations(seed: int) -> list[list[str]]:
     # Two subdivisions of each scan-grid cell: its hits are read on the refined level.
     continuum = ["--input", str(RESCALED["continuum"]), "--grid", "4001"]
     argvs.append(["solve", *continuum, "--out", str(extra / "continuum-grid4001")])
+    arena = Path("solve", "arena")
+    arena.mkdir()
+    for goods, seeds in ARENA.items():
+        for k in (k for k in seeds if k not in ARENA_REFUSED[goods]):
+            path = arena / f"multi-l{goods}-seed{k}.yaml"
+            save_economy(path, multi_equilibrium_economy(goods, k))
+            argvs.append(["solve", "--input", str(path), "--out", str(path.with_suffix(""))])
     experiments = Path("experiment", "extra")
     experiments.mkdir()
     goods, k = FAILING
