@@ -19,23 +19,29 @@ the unit of one good (``x_j * s`` with ``p_j / s``) changes neither the
 verdict nor the cycle.
 
 For ``T`` observations the check costs ``O(T^2)`` time and ``O(T^2)``
-bytes, and makes no ``T x T`` float array.  The relation is built
-transposed, ``rev[j, i] = (p^i . x^j <= bound_i)``: the product ``X P^T``
-is formed ``ROW_BLOCK`` rows at a time into one reused buffer, and each
-block is compared with the whole vector of spending bounds while it is
-still in cache, giving the boolean relation, one byte per pair; the
-relations are returned as transposed views.  A sweep along the first
-bundle coordinate groups the bundles, and an OR-reduction by group gives
-the group relation (a copy of the relation when no bundle repeats).  In
-whichever orientation is stored by rows, the nodes without an incoming
-edge are then peeled level by level, counting in-degrees in ``uint8``; an
-empty remainder proves the relation acyclic.  Otherwise a mutual pair, if
-any, is the cycle: the upper triangle is tested in ``TILE x TILE`` tiles
-against the transpose of their mirror tiles, stopping at the first band of
-rows that holds one.  Failing that, boolean BFS on the dense remainder
-finds the lowest node on a cycle, splitting off the nodes that lie on none,
-and a shortest cycle through it, in the order of scipy's
-``breadth_first_order``; no sparse matrix is built and scipy is not loaded.
+bytes, and makes no ``T x T`` float array.  A sweep along the first
+bundle coordinate groups the bundles, and the observations are taken in
+group order.  The relation is built transposed, ``rev[j, i] = (p^i . x^j
+<= bound_i)``, as products ``X P^T`` formed into one reused float buffer
+and compared with the spending bounds while they are still in cache, one
+byte per pair; each product is formed once, ``T^2`` in all.  The first
+``TILE`` groups are built in bands of ``ROW_BLOCK``: band ``[s, e)``
+forms its row strip ``rev[s:e, s:]``, then its column strip ``rev[e:,
+s:e]``, and then holds every pair whose lower node lies in it, so the
+check stops at the first band that holds a mutual pair, with that band's
+lowest paired node and the node's lowest partner as the cycle.  The
+groups past the bands are built as one block.  When some bundle repeats,
+each part is OR-reduced by group into the group relation; otherwise the
+relation is the group relation.  On a completed relation the diagonal is
+cleared in place and the nodes without an incoming edge are peeled level
+by level, counting in-degrees in ``uint8``; an empty remainder proves the
+relation acyclic.  Otherwise a mutual pair, if any, is the cycle (bands
+of ``TILE`` rows, each tested against its column strip), and failing
+that, boolean BFS on the dense remainder finds the lowest node on a
+cycle, splitting off the nodes that lie on none, and a shortest cycle
+through it, in the order of scipy's ``breadth_first_order``; no sparse
+matrix is built and scipy is not loaded.  ``preference_matrix`` builds
+the relation the same way, to its end.
 
 Positive rescalings of an individual excess-demand field preserve the
 properties a consumer's excess demand must have; ``scaled_field_audit``
@@ -57,9 +63,10 @@ from .geometry import PricePoint, _greedy_cover
 TIE_TOL = 1e-10
 DISTINCT_TOL = 1e-10
 WALRAS_TOL = 1e-9
-ROW_BLOCK = 64      # rows of X P^T formed and compared at a time
-TILE = 256          # side of the square tiles of the mutual-pair test
+ROW_BLOCK = 64      # groups per band of the relation as it is built
+TILE = 256          # groups built in bands, and rows per band of a whole relation's pair test
 COUNT_CHUNK = 255   # rows summed in uint8 at a time: no in-degree count wraps
+_ABOVE = ~np.tri(max(ROW_BLOCK, TILE), dtype=bool)   # [k, c]: c > k
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,86 @@ class SarpResult:
         return self.passed
 
 
+class _StripRelation:
+    """The revealed-preference relation of a dataset, built in row-and-column
+    strips of ``ROW_BLOCK`` bundle groups over the first ``TILE``, then in
+    one block.
+
+    Observations are taken in group order: ``order`` is the stable argsort
+    of ``groups``, and group ``a`` holds positions ``first[a]:first[a + 1]``.
+    ``weak[v, u]`` says that the observation at position ``u`` weakly reveals
+    the bundle at position ``v`` (``p^u . x^v <= bound_u``), and ``adj[b, a]``
+    ORs the block of groups ``b`` and ``a``; ``adj`` is ``weak`` itself when
+    no bundle repeats.  Both are stored by rows, transposed.
+    """
+
+    def __init__(self, d: ObservationDataset):
+        P, X = d.prices, d.bundles
+        top = X.max(axis=0)
+        unit = X / np.where(top > 0.0, top, 1.0)
+        owner = _greedy_cover(unit, np.arange(d.size), DISTINCT_TOL, p=np.inf)
+        reps, self.groups = np.unique(owner, return_inverse=True)
+        self.order = np.argsort(self.groups, kind="stable")
+        self.first = np.searchsorted(self.groups[self.order], np.arange(reps.size + 1))
+        P, self.X = P[self.order], X[self.order]
+        self.PT = np.ascontiguousarray(P.T)
+        self.bound = (1.0 + TIE_TOL) * np.einsum("ij,ij->i", P, self.X)
+        self.weak = np.empty((d.size, d.size), dtype=bool)
+        self.repeats = reps.size < d.size
+        self.adj = np.empty((reps.size, reps.size), dtype=bool) if self.repeats else self.weak
+        self.buf = np.empty(min(ROW_BLOCK, d.size) * d.size)
+
+    def bands(self):
+        """Build the relation, yielding each band ``(s, e)`` of ``ROW_BLOCK``
+        groups among the first ``TILE`` once its row strip ``adj[s:e, s:]``
+        and its column strip ``adj[e:, s:e]`` are built, so that the pairs
+        whose lower node lies in the band can be tested; the groups past
+        them are then built as one block."""
+        G = self.adj.shape[0]
+        stop = min(TILE, G)
+        for s in range(0, stop, ROW_BLOCK):
+            e = min(s + ROW_BLOCK, stop)
+            self._build(slice(s, e), slice(s, G))
+            self._build(slice(e, G), slice(s, e))
+            yield s, e
+        self._build(slice(stop, G), slice(stop, G))
+
+    def _build(self, rows: slice, cols: slice) -> None:
+        """``adj[rows, cols]`` for slices of groups: ``weak`` over their
+        observations, OR-reduced by group only when some bundle repeats."""
+        if rows.start == rows.stop:
+            return
+        first = self.first
+        obs = [slice(first[g.start], first[g.stop]) for g in (rows, cols)]
+        self._compare(*obs)
+        if self.repeats:
+            block = np.logical_or.reduceat(self.weak[tuple(obs)], first[rows] - obs[0].start, axis=0)
+            self.adj[rows, cols] = np.logical_or.reduceat(block, first[cols] - obs[1].start, axis=1)
+
+    def _compare(self, rows: slice, cols: slice) -> None:
+        """``weak[rows, cols]``: the product ``X P^T`` is formed into the
+        float buffer a chunk of rows at a time, and compared with the
+        spending bounds while it is still in cache."""
+        width = cols.stop - cols.start
+        step = self.buf.size // width
+        for r in range(rows.start, rows.stop, step):
+            chunk = slice(r, min(r + step, rows.stop))
+            out = self.buf[: (chunk.stop - r) * width].reshape(-1, width)
+            spend = np.matmul(self.X[chunk], self.PT[:, cols], out=out)   # [v, u] = p^u . x^v
+            np.less_equal(spend, self.bound[cols], out=self.weak[chunk, cols])
+
+    def witness(self, cycle: list[int]) -> tuple:
+        """The observations of a cycle of groups: for each step ``a -> b``,
+        the lowest-indexed observation of group ``a`` whose price reveals a
+        bundle of group ``b``."""
+        first = self.first
+        steps = []
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            carries = self.weak[first[b] : first[b + 1], first[a] : first[a + 1]].any(axis=0)
+            steps.append(int(self.order[first[a] + np.argmax(carries)]))
+        return tuple(steps)
+
+
 def preference_matrix(d: ObservationDataset):
     """Weak revealed preference between distinct-bundle groups.
 
@@ -112,53 +199,46 @@ def preference_matrix(d: ObservationDataset):
     groups (same-bundle pairs excluded), the group index of each
     observation, and the ``(T, T)`` observation relation ``weak[i, j]``
     (``x^i`` weakly revealed preferred to ``x^j``).  Groups are numbered in
-    the order of their lowest-indexed observation.  Both matrices are
-    stored by columns, as transposes of the relations that were built.
+    the order of their lowest-indexed observation.  The relation is built
+    as ``sarp_check`` builds it, in row-and-column strips of ``ROW_BLOCK``
+    groups over the first ``TILE`` and then one block, here always to its
+    end; both matrices are stored by columns, as transposes of the
+    relations that were built.
     """
-    P, X = d.prices, d.bundles
-    bound = (1.0 + TIE_TOL) * np.einsum("ij,ij->i", P, X)
-    PT = np.ascontiguousarray(P.T)
-    # rev[j, i] = weak[i, j]: a block of rows is compared with the whole
-    # bound vector, which broadcasts along its rows.
-    rev = np.empty((d.size, d.size), dtype=bool)
-    buf = np.empty((min(ROW_BLOCK, d.size), d.size))
-    for s in range(0, d.size, ROW_BLOCK):
-        rows = slice(s, min(s + ROW_BLOCK, d.size))
-        spend = np.matmul(X[rows], PT, out=buf[: rows.stop - s])   # [j, i] = p^i . x^j
-        np.less_equal(spend, bound, out=rev[rows])
-    top = X.max(axis=0)
-    unit = X / np.where(top > 0.0, top, 1.0)
-    owner = _greedy_cover(unit, np.arange(d.size), DISTINCT_TOL, p=np.inf)
-    reps, groups = np.unique(owner, return_inverse=True)
-    if reps.size == d.size:
-        adj = rev.copy().T
+    rel = _StripRelation(d)
+    for _ in rel.bands():
+        pass
+    if rel.repeats:
+        back = np.argsort(rel.order)
+        adj, weak = rel.adj, rel.weak[np.ix_(back, back)]
     else:
-        # OR over the rows, then the columns, of each group's block.
-        order = np.argsort(groups, kind="stable")
-        first = np.searchsorted(groups[order], np.arange(reps.size))
-        rows = np.logical_or.reduceat(rev[order], first, axis=0)
-        adj = np.logical_or.reduceat(rows[:, order], first, axis=1).T
+        adj, weak = rel.weak.copy(), rel.weak
     np.fill_diagonal(adj, False)
-    return adj, groups, rev.T
+    return adj.T, rel.groups, weak.T
+
+
+def _band_pair(rel: np.ndarray, s: int, e: int) -> list[int] | None:
+    """The first pair ``a < b`` with ``rel[a, b] and rel[b, a]`` and ``a``
+    in ``[s, e)``, in row-major order, or None.  Reads only the row strip
+    ``rel[s:e, s:]`` and the column strip ``rel[s:, s:e]``."""
+    mutual = rel[s:e, s:] & rel[s:, s:e].T
+    mutual[:, : e - s] &= _ABOVE[: e - s, : e - s]
+    paired = mutual.any(axis=1)
+    if not paired.any():
+        return None
+    k = int(np.argmax(paired))
+    return [s + k, s + int(np.argmax(mutual[k]))]
 
 
 def _first_mutual_pair(adj: np.ndarray) -> list[int] | None:
     """The first pair ``i < j`` with ``adj[i, j] and adj[j, i]``, in
-    row-major order, or None.
-
-    A pair is found at the row of its lower node, in a ``TILE x TILE`` tile
-    on or right of the diagonal tested against the transpose of its mirror
-    tile.  The tiles are taken one band of rows at a time, so the search
-    stops at the first band that holds a pair.
-    """
+    row-major order, or None: the bands of ``TILE`` rows are tested in
+    turn, so the search stops at the first band that holds a pair."""
     n = adj.shape[0]
     for s in range(0, n, TILE):
-        paired = np.zeros(min(TILE, n - s), dtype=bool)
-        for t in range(s, n, TILE):
-            paired |= (adj[s : s + TILE, t : t + TILE] & adj[t : t + TILE, s : s + TILE].T).any(axis=1)
-        if paired.any():
-            i = s + int(np.argmax(paired))
-            return [i, int(np.argmax(adj[i] & adj[:, i]))]
+        pair = _band_pair(adj, s, min(s + TILE, n))
+        if pair is not None:
+            return pair
     return None
 
 
@@ -276,17 +356,23 @@ def sarp_check(d: ObservationDataset) -> SarpResult:
     a bundle of group ``b``, so ``p^i . x^j <= p^i . x^i`` holds (within the
     tie and bundle tolerances) for every consecutive pair ``i, j``.
     Permuting the observations never changes the verdict.
+
+    The first ``TILE`` groups are built in bands of ``ROW_BLOCK``, each
+    band's row strip then its column strip, and the pairs whose lower node
+    lies in a band are tested as soon as it is built: the check returns at
+    the first band that holds a mutual pair, with the first such pair in
+    row-major order.  Otherwise the relation is completed, peeled and
+    searched (``_find_cycle``, whose pair test goes over the first bands
+    again).
     """
-    adj, groups, weak = preference_matrix(d)
-    cycle = _find_cycle(adj)
-    if cycle is None:
-        return SarpResult(True)
-    witness = []
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        rows = np.flatnonzero(groups == a)
-        carries = weak[np.ix_(rows, groups == b)].any(axis=1)
-        witness.append(int(rows[carries][0]))
-    return SarpResult(False, tuple(witness))
+    rel = _StripRelation(d)
+    for s, e in rel.bands():
+        pair = _band_pair(rel.adj, s, e)
+        if pair is not None:
+            return SarpResult(False, rel.witness(pair))
+    np.fill_diagonal(rel.adj, False)
+    cycle = _find_cycle(rel.adj.T)
+    return SarpResult(True) if cycle is None else SarpResult(False, rel.witness(cycle))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import walraskit as wk
+from walraskit.revealed import ROW_BLOCK
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_artifacts.py"
 
@@ -156,7 +157,8 @@ def test_rescaled_economies_are_written_and_solved(written):
 def test_extra_sarp_datasets_are_written_and_checked(written):
     root, listed = written
     extra = root / "sarp" / "extra"
-    for name in ("three-cycle", "repeated", "dataset1-x1e-11", "dataset1-x1e8"):
+    names = ("three-cycle", "repeated", "dataset1-x1e-11", "dataset1-x1e8", "dataset1-unpaired-first", "band-edge-repeated")
+    for name in names:
         assert f"sarp --input sarp/extra/{name}.csv --out sarp/extra/{name}" in listed
     base = wk.load_dataset(root / "sarp" / "dataset1.csv")
     for factor in ("1e-11", "1e8"):
@@ -170,3 +172,19 @@ def test_extra_sarp_datasets_are_written_and_checked(written):
     adj = wk.revealed.preference_matrix(three)[0]
     assert not (adj & adj.T).any()
     assert wk.sarp_check(three).cycle == (0, 1, 2)
+    # The rows of dataset 1, reordered: the first mutual pair's lower
+    # observation lies past the first band.
+    moved = wk.load_dataset(extra / "dataset1-unpaired-first.csv")
+    rows = [np.unique(np.hstack([d.prices, d.bundles]), axis=0) for d in (moved, base)]
+    assert np.array_equal(*rows)
+    lower = wk.sarp_check(moved).cycle[0]
+    assert lower > ROW_BLOCK
+    # Whole rows copied before that observation: its first mutual pair is of
+    # groups ROW_BLOCK - 1 and one past the band edge.
+    edge = wk.load_dataset(extra / "band-edge-repeated.csv")
+    assert np.array_equal(edge.prices[lower:], moved.prices[lower:])
+    assert np.array_equal(edge.bundles[:lower], moved.bundles[np.arange(lower) % (ROW_BLOCK - 1)])
+    cycle = wk.sarp_check(edge).cycle
+    assert cycle == wk.sarp_check(moved).cycle
+    a, b = wk.revealed.preference_matrix(edge)[1][list(cycle)]
+    assert a == ROW_BLOCK - 1 and b >= ROW_BLOCK

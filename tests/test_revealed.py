@@ -12,7 +12,15 @@ import walraskit as wk
 from support import brute_force_sarp, observed_demand
 from walraskit.consumers import demand_rows, excess_rows
 from walraskit.geometry import _greedy_cover
-from walraskit.revealed import DISTINCT_TOL, ROW_BLOCK, TIE_TOL, TILE, _find_cycle, preference_matrix
+from walraskit.revealed import (
+    DISTINCT_TOL,
+    ROW_BLOCK,
+    TIE_TOL,
+    TILE,
+    _find_cycle,
+    _StripRelation,
+    preference_matrix,
+)
 
 
 def cd_dataset(rng, goods=2, n_obs=20, alpha=None, omega=None):
@@ -403,6 +411,128 @@ class TestDensePasses:
         assert len(_find_cycle(closed)) == T - T // 2
         peeled, whole = _best_times([_find_cycle, _sparse_find_cycle], chain)
         assert peeled <= whole
+
+
+def _oracle_sarp(ds):
+    """``sarp_check`` from the edge scatter and the whole-graph search: each
+    step ``a -> b`` of the cycle names the lowest observation of group ``a``
+    whose price reveals a bundle of group ``b``."""
+    adj, groups, weak = _scatter_preference_matrix(ds)
+    cycle = _sparse_find_cycle(adj)
+    if cycle is None:
+        return wk.SarpResult(True)
+    witness = []
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        rows = np.flatnonzero(groups == a)
+        witness.append(int(rows[weak[np.ix_(rows, groups == b)].any(axis=1)][0]))
+    return wk.SarpResult(False, tuple(witness))
+
+
+def _planted(rng, n, goods, pairs):
+    """Demand of one Cobb-Douglas consumer at ``n`` prices, with each pair
+    ``(i, j)`` of observations made a two-cycle: ``x^i`` and ``x^j`` lie on
+    both their budget lines, at amounts no other observation can afford, and
+    each pair's amounts are ten times those of the pair before, so the
+    planted pairs are the only mutually preferring ones."""
+    P = rng.dirichlet(np.full(goods, 2.0), n)
+    consumer = wk.Consumer(rng.dirichlet(np.full(goods, 3.0)), rng.uniform(0.25, 2.0, goods))
+    X = demand_rows(consumer, P)
+    for k, (i, j) in enumerate(pairs):
+        P[[i, j]] = 1.0
+        P[j, 1] = 2.0
+        X[[i, j]] = 0.0
+        X[i, 0] = X[j, 1] = 2e8 * 10.0**k
+    return wk.ObservationDataset(P, X)
+
+
+class TestStrips:
+    """``sarp_check`` builds the first ``TILE`` groups of the relation band
+    by band, stopping at the first band that holds a mutual pair, and
+    completes, peels and searches it otherwise; its verdict and cycle are
+    those of the edge scatter and the whole-graph search."""
+
+    @staticmethod
+    def check(ds):
+        result = wk.sarp_check(ds)
+        assert result == _oracle_sarp(ds)
+        if ds.size <= 8:
+            assert result.passed == brute_force_sarp(ds.prices, ds.bundles)
+        return result
+
+    @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 2 * TILE + 1])
+    @pytest.mark.parametrize("make", [_tied_dataset, _repeated_dataset])
+    def test_sizes_across_band_edges(self, rng, make, n):
+        for goods in (2, 3, 3):
+            self.check(make(rng, n, goods))
+
+    def test_small_datasets_match_brute_force(self, rng):
+        violations = 0
+        for _ in range(100):
+            make = (_tied_dataset, _repeated_dataset)[int(rng.integers(2))]
+            violations += not self.check(make(rng, int(rng.integers(1, 9)), int(rng.integers(2, 4))))
+        assert violations > 10
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(3, 40)],                                        # both nodes in band 0
+            [(2, ROW_BLOCK + 5)],                             # lower node in band 0
+            [(ROW_BLOCK - 1, ROW_BLOCK)],                     # across a band edge
+            [(5, -1)],                                        # partner in the last band
+            [(TILE - 1, TILE)],                               # across the last band edge
+            [(TILE + 3, -1)],                                 # past the bands: found after peeling
+            [(ROW_BLOCK + 9, ROW_BLOCK + 20), (ROW_BLOCK + 1, -1), (2 * ROW_BLOCK + 3, -2)],
+        ],
+    )
+    def test_planted_pairs(self, rng, pairs):
+        n = TILE + ROW_BLOCK + 7
+        pairs = [(i, j % n) for i, j in pairs]
+        for goods in (2, 3):
+            assert self.check(_planted(rng, n, goods, pairs)).cycle == min(pairs)
+
+    def test_repeated_groups_across_a_band_edge(self, rng):
+        # Groups ROW_BLOCK - 1 and ROW_BLOCK form the first mutual pair, each
+        # first seen past row ROW_BLOCK, where its price reveals nothing of
+        # the other: the witness names copies of their bundles further on.
+        n = 2 * ROW_BLOCK + 10
+        base = _planted(rng, n, 3, [])
+        P, X = base.prices.copy(), base.bundles.copy()
+        P[ROW_BLOCK - 1 : ROW_BLOCK + 9], X[ROW_BLOCK - 1 : ROW_BLOCK + 9] = P[:10], X[:10]
+        a, b = ROW_BLOCK + 9, ROW_BLOCK + 10
+        X[[a, b, n - 5, n - 4, n - 2, n - 1]] = np.array([[2e8, 0, 0], [0, 2e8, 0]] * 3)
+        P[[a, b, n - 5, n - 4]] = [[1.0, 3.0, 1.0], [3.0, 1.0, 1.0], [1.0, 3.0, 1.0], [3.0, 1.0, 1.0]]
+        P[[n - 2, n - 1]] = [[1.0, 1.0, 1.0], [1.0, 2.0, 1.0]]
+        ds = wk.ObservationDataset(P, X)
+        groups = preference_matrix(ds)[1]
+        assert groups[[a, b]].tolist() == [ROW_BLOCK - 1, ROW_BLOCK]
+        assert self.check(ds).cycle == (n - 2, n - 1)
+
+    def test_products_formed(self, rng, monkeypatch):
+        # Every product is formed once; a violation in band 0 forms only that
+        # band's row and column strips.
+        formed = []
+        compare = _StripRelation._compare
+
+        def counting(rel, rows, cols):
+            formed.append((rows.stop - rows.start) * (cols.stop - cols.start))
+            compare(rel, rows, cols)
+
+        monkeypatch.setattr(_StripRelation, "_compare", counting)
+        T = TILE + 2 * ROW_BLOCK + 5
+        passing = _planted(rng, T, 3, [])
+        thirds = np.arange(T) // 3
+        repeated = wk.ObservationDataset(passing.prices[thirds], passing.bundles[thirds])
+        late = _planted(rng, T, 3, [(TILE + 1, T - 1)])
+        for ds, passed in ((passing, True), (repeated, True), (late, False)):
+            formed.clear()
+            assert wk.sarp_check(ds).passed == passed
+            assert sum(formed) == T * T
+        formed.clear()
+        preference_matrix(passing)
+        assert sum(formed) == T * T
+        formed.clear()
+        assert wk.sarp_check(_planted(rng, T, 3, [(2, T - 1)])).cycle == (2, T - 1)
+        assert sum(formed) <= 2 * ROW_BLOCK * T
 
 
 class TestMemory:

@@ -33,10 +33,17 @@ the ``solve`` economies have constant scales, whose audit checks
 nothing.  Under ``sarp/extra/`` it runs ``sarp`` on datasets that the
 benchmark pool never yields: a three-cycle without a two-cycle behind two
 observations that only reveal it, ``sarp`` dataset 1 with every third
-bundle repeated from the row before, and copies of dataset 1 with every
+bundle repeated from the row before, copies of dataset 1 with every
 bundle multiplied by 1e-11 and by 1e8, whose verdict and cycle must not
-depend on the factor.  ``commands.txt`` lists every invocation
-with its exit status and error output.  The commands run with ``DIR`` as
+depend on the factor, dataset 1 with the observations that lie in no
+mutually preferring pair moved ahead of the rest, so that its first
+mutual pair's lower observation lies past row ``ROW_BLOCK``, out of the
+first band in which ``sarp`` builds the relation, and that dataset with
+its rows before that observation copied, whole, from its first
+``ROW_BLOCK - 1`` rows in turn, so that its first mutual pair is of
+bundle groups ``ROW_BLOCK - 1`` and one past the band edge.
+``commands.txt`` lists every invocation with its exit status and error
+output.  The commands run with ``DIR`` as
 the working directory and get relative paths, so no output names ``DIR``.
 
 Run it in two checkouts and compare the two directories: the runs are
@@ -86,6 +93,7 @@ from walraskit import (  # noqa: E402
     save_dataset,
     save_economy,
 )
+from walraskit.revealed import ROW_BLOCK, preference_matrix  # noqa: E402
 from support import constant_scale_economy, multi_equilibrium_economy  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -187,10 +195,18 @@ def invocations(seed: int) -> list[list[str]]:
     base = load_dataset(Path("sarp", "dataset1.csv"))
     repeated = base.bundles.copy()
     repeated[1::3] = repeated[:-1:3]
+    adj, groups, _ = preference_matrix(base)
+    paired = (adj & adj.T).any(axis=1)[groups]
+    order = np.argsort(paired, kind="stable")
+    # Rows copied whole, which adds no edge between bundle groups.
+    copies = np.arange(base.size)
+    copies[: np.count_nonzero(~paired)] %= ROW_BLOCK - 1
     datasets = {
         "three-cycle": ObservationDataset(*THREE_CYCLE),
         "repeated": ObservationDataset(base.prices, repeated),
         **{f"dataset1-x{f}": ObservationDataset(base.prices, base.bundles * float(f)) for f in SARP_FACTORS},
+        "dataset1-unpaired-first": ObservationDataset(base.prices[order], base.bundles[order]),
+        "band-edge-repeated": ObservationDataset(base.prices[order[copies]], base.bundles[order[copies]]),
     }
     for name, dataset in datasets.items():
         save_dataset(extra / f"{name}.csv", dataset)
