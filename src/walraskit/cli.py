@@ -130,9 +130,11 @@ def _cmd_realize(args, out_dir: Path) -> int:
         target_field = economy_field(base)
         family = CanonicalFamily.symmetric(base.goods)
         grid = _decomposition_grid(base.goods, args.grid, args.seed)
-        economy = realize_economy(family, target_field, grid)
         grid_chart = grid[:, :-1]
-        target = target_field.chart_values(grid_chart)
+        # The target at the grid rows, evaluated once: realised, then compared.
+        values = target_field.full_values(grid_chart)[1]
+        economy = realize_economy(family, target_field, grid, values=values)
+        target = values[:, :-1]
         # The realised economy at its grid nodes, where each scale is its
         # node value times the kernel weight: no interpolation.
         P = chart_rows_embed(grid_chart)

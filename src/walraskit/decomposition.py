@@ -242,7 +242,7 @@ def _two_good_grid(n: int) -> np.ndarray:
     return np.column_stack([xs, 1.0 - xs])
 
 
-def realize_economy(f: CanonicalFamily, target_field, S) -> Economy:
+def realize_economy(f: CanonicalFamily, target_field, S, *, values=None) -> Economy:
     """An ``l``-consumer economy whose aggregate excess demand matches a field
     on a price grid.
 
@@ -261,9 +261,14 @@ def realize_economy(f: CanonicalFamily, target_field, S) -> Economy:
     values (see :class:`~walraskit.scales.SampledScale`), so every scale is
     strictly positive between grid points too.
 
+    A caller that has evaluated the target at the grid passes its full rows
+    there (``target_field.full_values`` of the grid's chart rows) as
+    ``values``, and the target is not evaluated again.
+
     Raises ``ValueError`` if the rows are not ``l`` wide, are fewer than
     ``l`` (the fewest that span the chart), are not interior simplex prices,
-    or the target is not finite at a grid point.
+    ``values`` are not one row per grid point, or the target is not finite
+    at a grid point.
     """
     field = as_field(target_field)
     S = np.asarray(S, dtype=float)
@@ -278,7 +283,10 @@ def realize_economy(f: CanonicalFamily, target_field, S) -> Economy:
             f"{f.goods} goods, not {len(S)}"
         )
     chart_rows = S[:, :-1]
-    _, mu, _ = _decompose_grid(f, S, lambda S: field.full_values(S[:, :-1])[1])
+    V = None if values is None else np.asarray(values, dtype=float)
+    if V is not None and V.shape != S.shape:
+        raise ValueError(f"target values of shape {V.shape} for a grid of shape {S.shape}")
+    _, mu, _ = _decompose_grid(f, S, lambda S: field.full_values(S[:, :-1])[1] if V is None else V)
     ratios = mu / kernel_weights(f, S)
 
     scales = [

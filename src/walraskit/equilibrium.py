@@ -20,13 +20,15 @@ call (``_refine``), and the refined level gives the starts.  Damped Newton
 iteration in chart coordinates (``_newton_multistart``) runs over them,
 merging starts that converge together; a converged start takes only full
 steps and stops at the first that does not halve its residual, which
-polishes a degenerate zero and stops at a regular one.  Each full-step
-trial is evaluated with its central-difference Jacobian stencil
-(``_stencil``) in the one call of an iteration, so only a start whose
-last step was shorter than full needs a call more for its Jacobian.  On
-a refined level Newton runs once more between and beyond every two close
-zeros of a field (``_restart_between``).  :func:`find_equilibria` is its
-one-field case and the genericity experiment its many-field case.
+polishes a degenerate zero and stops at a regular one.  Every point
+Newton evaluates comes with its central-difference Jacobian stencil
+(``_stencil``, ``_newton_points``): an iteration asks the full steps in
+one call and the shorter steps, in one call more, only of the starts
+whose full step failed, and each start moves with the Jacobian of its
+new point.  On a refined level Newton runs once more between and beyond
+every two close zeros of a field (``_restart_between``).
+:func:`find_equilibria` is its one-field case and the genericity
+experiment its many-field case.
 
 The aggregate excess demand ``z`` of an economy (a field marked
 ``price_weighted``, with no term) is solved on the price-weighted field
@@ -303,35 +305,31 @@ def _probe(evaluate, C: np.ndarray, labels: np.ndarray, sigma, window=None):
     return residual, J[:, 1], consistent, V[:, 1 + 4 * d :]
 
 
-def _with_stencil(T: np.ndarray) -> np.ndarray:
-    """The points ``T``, ``(m, k, d)``, of each row followed by the ``2d``
-    ``_stencil`` rows of its first, ``(m, k + 2d, d)``."""
-    return np.concatenate([T, _stencil(T[:, 0])[1][:, 0]], axis=1)
-
-
-def _newton_state(evaluate, X: np.ndarray, ask: np.ndarray, rows: np.ndarray) -> tuple:
-    """The full rows of the Newton map, ``(m, k, d + 1)`` (0 where not
-    asked), and the norms of its full values and of the field's, ``(m, k)``
-    (``inf`` where not asked), at the points ``X``, ``(m, k, d)``, where
-    ``ask`` holds, from one call of ``evaluate``, or none when none is
-    asked.  Point ``X[i, j]`` is evaluated on row ``rows[i]``
-    (non-decreasing) in row-major order, so the rows of the call stay
-    non-decreasing."""
-    m, k, d = X.shape
-    W = np.zeros((m, k, d + 1))
-    R, Rz = np.full((2, m, k), np.inf)
-    i, j = np.nonzero(ask)
-    if i.size:
-        V, Z = evaluate(X[i, j], rows[i])
-        W[i, j], R[i, j], Rz[i, j] = V, np.linalg.norm(V, axis=1), np.linalg.norm(Z, axis=1)
-    return W, R, Rz
-
-
 def _jacobians(W: np.ndarray) -> np.ndarray:
     """The central-difference Jacobians, ``(m, d, d)``, of the Newton map from
     its full rows ``W``, ``(m, 2d, d + 1)``, on the ``_stencil`` rows of
     ``m`` points."""
     return _difference_quotient(W[..., :-1], _offsets(W.shape[2] - 1, (1.0,))[0])
+
+
+def _newton_points(evaluate, X: np.ndarray, rows: np.ndarray) -> tuple:
+    """The Newton map's chart values, ``(m, d)``, the norms of its full
+    values and of the field's, ``(m,)``, and its central-difference
+    Jacobians, ``(m, d, d)``, at the points ``X``, ``(m, d)``, from one call
+    of ``evaluate`` on every point followed by its ``2d`` ``_stencil`` rows;
+    point ``X[k]`` is evaluated on row ``rows[k]`` (non-decreasing), so the
+    rows of the call stay non-decreasing.  A point whose residual is not
+    finite gets a zero Jacobian: no step is taken from it."""
+    m, d = X.shape
+    per = 1 + 2 * d
+    points = np.concatenate([X[:, None, :], _stencil(X)[1][:, 0]], axis=1)
+    W, Z = evaluate(points.reshape(-1, d), np.repeat(rows, per))
+    W = W.reshape(m, per, d + 1)
+    res = np.linalg.norm(W[:, 0], axis=1)
+    finite = np.isfinite(res)
+    J = np.zeros((m, d, d))
+    J[finite] = _jacobians(W[finite, 1:])
+    return W[:, 0, :-1], res, np.linalg.norm(Z[::per], axis=1), J
 
 
 def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
@@ -342,9 +340,8 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     ``rows[k]``, and ``rows`` is non-decreasing.  Each row
     follows its own iteration and carries one state: its point, the Newton
     map's chart values there, the residual norms, and the central-difference
-    Jacobian of the Newton map there with whether it is known.  Newton steps
-    on the map; convergence is judged on the field, ``|z| <= tol`` (one
-    bound, or one per row).
+    Jacobian of the Newton map there.  Newton steps on the map; convergence
+    is judged on the field, ``|z| <= tol`` (one bound, or one per row).
 
     A step tries ``C - lambda * delta`` for ``lambda = 1, 1/2, ...,
     2**-NEWTON_MAX_HALVINGS`` and takes the first trial inside the boundary
@@ -354,15 +351,15 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     no step size it tries improves its residual, or when the step no
     longer moves the point (as a singular Jacobian's zero step does).
 
-    The first call evaluates every start followed by its ``2d`` Jacobian
-    stencil rows, ``starts x (1 + 2d)`` rows.  Then an iteration makes one
-    call (``_damped_step``), for the trials of every iterating row, each
-    row's trials followed by the stencil rows of its full step, so a row
-    that takes the full step carries its Jacobian into the next iteration.
-    Only the rows whose last step was shorter than full need one call more,
-    for their stencil rows alone.  Every iterate, Jacobian and step has the
-    bits that a stencil call of its own would give, since a row gets the
-    same bits in any batch.
+    Every point is evaluated with its ``2d`` Jacobian stencil rows
+    (``_newton_points``): the first call holds every start, ``starts x
+    (1 + 2d)`` rows.  Then an iteration (``_damped_step``) makes one call
+    for the full steps of every iterating row and, only when some row that
+    has not converged failed its full step, one call more for the shorter
+    steps of those rows.  A row moves to its first accepted trial with the
+    Jacobian there, so every iteration starts from a known Jacobian.  Every
+    iterate, Jacobian and step has the bits that a call of its own would
+    give, since a row gets the same bits in any batch.
 
     At the top of every iteration the rows of each field (``labels``, one
     per row, non-decreasing) that are still iterating and converged are
@@ -371,16 +368,10 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     and iteration counts.
     """
     C = starts.copy()
-    m, d = C.shape
-    W, Z = evaluate(_with_stencil(C[:, None, :]).reshape(-1, d), np.repeat(np.arange(m), 1 + 2 * d))
-    W = W.reshape(m, 1 + 2 * d, d + 1)
-    res, zres = np.linalg.norm(W[:, 0], axis=1), np.linalg.norm(Z[:: 1 + 2 * d], axis=1)
-    # A start whose residual is not finite cannot take a step: it stalls,
-    # and needs no Jacobian from values that may not be finite either.
+    state = (C, *_newton_points(evaluate, C, np.arange(len(C))))
+    res, zres = state[2], state[3]
+    # A start whose residual is not finite cannot take a step: it stalls.
     halted = ~np.isfinite(res)
-    J = np.zeros((m, d, d))
-    J[~halted] = _jacobians(W[~halted, 1:])
-    state = (C, W[:, 0, :-1], res, zres, J, ~halted)
     # Points keep iterating past the convergence tolerance while a full step
     # still halves the residual: at a zero of multiplicity k it cuts |z| by
     # ((k - 1) / k)^k <= 1/e, so this polishing drives the offset of
@@ -389,7 +380,7 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     # regular zero the first full step that fails this ends a walk through
     # rounding noise that damped steps would continue.
     active = ~halted & (res > 0.0)
-    iterations = np.zeros(m, dtype=np.int64)
+    iterations = np.zeros(len(C), dtype=np.int64)
 
     for _ in range(NEWTON_MAX_ITER):
         _merge_converged(C, zres, active, tol, labels)
@@ -425,47 +416,40 @@ def _newton_direction(J: np.ndarray, G: np.ndarray) -> np.ndarray:
 def _damped_step(evaluate, rows, state: tuple, converged: np.ndarray):
     """One damped Newton step from each of ``rows`` of the iterates
     ``state``: their points ``C``, the Newton map's chart values ``G``, the
-    residuals ``res`` and ``zres``, the Newton map's Jacobians ``J`` and
-    whether each is ``known``.  Updates ``state`` in place on the rows that
-    accept a trial, and returns those rows.
+    residuals ``res`` and ``zres`` and the Newton map's Jacobians ``J``.
+    Updates ``state`` in place on the rows that accept a trial, and returns
+    those rows.
 
-    The rows whose Jacobian is not known (their last step was shorter than
-    full) first get it from one call on their ``_stencil`` rows.  The step
-    solves ``J delta = G`` (``_newton_direction``).  One call evaluates the
-    trials ``C - lambda * delta`` of every row and step size
-    (``_STEP_SIZES``), each row's followed by the stencil rows of its full
-    step (``_with_stencil``); a row that has ``converged`` (one flag per
-    row) is asked ``lambda = 1`` only.  A row's trials end before the first
-    that rounds to its point, and one outside the boundary margin is not
-    asked; a row accepts its first trial whose residual is at most
-    ``(1 - lambda / 2) res``, and keeps the Jacobian there when that is the
-    full step.
+    The step solves ``J delta = G`` (``_newton_direction``) and tries
+    ``C - lambda * delta`` for each step size (``_STEP_SIZES``), every trial
+    evaluated with its stencil rows (``_newton_points``).  One call asks the
+    full step of every row; a second asks the shorter steps of the rows
+    whose full step failed and that have not ``converged`` (one flag per
+    row), and is made only when there are any.  A row's trials end before
+    the first that rounds to its point, and one outside the boundary margin
+    is not asked; a row accepts its first trial whose residual is at most
+    ``(1 - lambda / 2) res``, with the Jacobian there.
     """
-    C, G, res, _, J, known = (a[rows] for a in state)
-    d = C.shape[1]
-    stale = np.flatnonzero(~known)
-    if stale.size:
-        W, _ = evaluate(_stencil(C[stale])[1].reshape(-1, d), np.repeat(rows[stale], 2 * d))
-        J[stale] = _jacobians(W.reshape(stale.size, 2 * d, d + 1))
+    C, G, res, _, J = (a[rows] for a in state)
     T = C[:, None, :] - _STEP_SIZES[:, None] * _newton_direction(J, G)[:, None, :]
     # No shorter step moves a point that a longer one leaves in place.
-    live = np.logical_and.accumulate((T != C[:, None, :]).any(axis=2), axis=1)
-    live[converged, 1:] = False
-    ask = live & _interior(T)
-    # A full step's stencil rows are asked with it.
-    ask = np.concatenate([ask, np.repeat(ask[:, :1], 2 * d, axis=1)], axis=1)
-    TW, TR, TZ = _newton_state(evaluate, _with_stencil(T), ask, rows)
-    k = len(_STEP_SIZES)
-    accept = TR[:, :k] <= _ACCEPT * res[:, None]
-    hit = np.flatnonzero(accept.any(axis=1))
-    pos = np.argmax(accept[hit], axis=1)
-    took = rows[hit]
-    for a, v in zip(state, (T[hit, pos], TW[hit, pos, :-1], TR[hit, pos], TZ[hit, pos])):
-        a[took] = v
-    whole = pos == 0
-    state[4][took[whole]] = _jacobians(TW[hit[whole], k:])
-    state[5][took] = whole
-    return took
+    ask = np.logical_and.accumulate((T != C[:, None, :]).any(axis=2), axis=1) & _interior(T)
+    hit = np.zeros(len(rows), dtype=bool)
+    for steps in (slice(0, 1), slice(1, None)):
+        i, j = np.nonzero(ask[:, steps])
+        j += steps.start
+        if i.size:
+            X = T[i, j]
+            out = _newton_points(evaluate, X, rows[i])
+            # The first accepted trial of each row; i is non-decreasing.
+            ok = np.flatnonzero(out[1] <= _ACCEPT[j] * res[i])
+            ok = ok[np.unique(i[ok], return_index=True)[1]]
+            for a, v in zip(state, (X, *out)):
+                a[rows[i[ok]]] = v[ok]
+            hit[i[ok]] = True
+        # Only a row that has not converged and failed its full step goes on.
+        ask[hit | converged] = False
+    return rows[hit]
 
 
 def _merge_converged(C, zres, active, tol, labels: np.ndarray) -> None:

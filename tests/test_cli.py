@@ -194,6 +194,25 @@ class TestDecomposeAndRealize:
         relative = report.split("relative to the largest |target chart value|: ")[1]
         assert float(relative.splitlines()[0]) <= 1e-12
 
+    def test_realize_evaluates_its_target_once(self, sym_file, tmp_path, monkeypatch):
+        # One call on the grid rows serves the realisation and the mismatch.
+        import walraskit.cli as cli_mod
+
+        calls = []
+
+        def counted_field(economy):
+            field = wk.economy_field(economy)
+
+            def counted(C):
+                calls.append(len(C))
+                return field.chart_values(C)
+
+            return wk.chart_field(counted, goods=field.goods)
+
+        monkeypatch.setattr(cli_mod, "economy_field", counted_field)
+        assert main(["realize", "--input", str(sym_file), "--grid", "51", "--out", str(tmp_path / "o")]) == 0
+        assert calls == [51]
+
     @pytest.mark.parametrize("goods", [2, 3])
     def test_realize_mismatch_is_the_node_value_mismatch(self, goods, tmp_path, rng):
         # The benchmark oracle's rule, written out: read the realised file

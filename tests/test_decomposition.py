@@ -290,3 +290,28 @@ class TestRealizeEconomy:
         grid = rng.dirichlet(np.ones(3), size=30)
         with pytest.raises(ValueError, match="finite"):
             wk.realize_economy(wk.CanonicalFamily.symmetric(3), bad, grid)
+
+    def test_given_values_realise_the_same_economy_and_are_checked(self, rng):
+        # A caller that evaluated the target passes its full rows; the
+        # economy keeps its bits and the target is not evaluated again.
+        three = wk.CanonicalFamily.symmetric(3)
+        target = wk.economy_field(random_economy(rng, 3, 3))
+        grid = rng.dirichlet(np.ones(3), size=30)
+        values = target.full_values(grid[:, :-1])[1]
+        calls = []
+
+        def counted(C):
+            calls.append(len(C))
+            return target.chart_values(C)
+
+        econ = wk.realize_economy(three, wk.chart_field(counted, goods=3), grid, values=values)
+        assert calls == []
+        expected = wk.realize_economy(three, target, grid)
+        for a, b in zip(econ.consumers, expected.consumers):
+            assert np.array_equal(a.scale.values, b.scale.values)
+        with pytest.raises(ValueError, match="target values of shape"):
+            wk.realize_economy(three, target, grid, values=values[:, :-1])
+        with pytest.raises(ValueError, match="finite"):
+            wk.realize_economy(three, target, grid, values=np.where(grid > 0.5, np.nan, values))
+        with pytest.raises(ValueError, match="interior"):
+            wk.realize_economy(three, target, np.vstack([grid[:-1], [0.0, 0.5, 0.5]]), values=values)

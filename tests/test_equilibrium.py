@@ -127,6 +127,12 @@ def _newton_field(case, rng):
     return field
 
 
+def _with_stencils(X):
+    """The points ``X``, each followed by its ``2d`` ``_stencil`` rows, as
+    the rows of one call."""
+    return np.concatenate([X[:, None, :], equilibrium._stencil(X)[1][:, 0]], axis=1).reshape(-1, X.shape[1])
+
+
 def _one_call_per_step_size(evaluate, rows, state, converged):
     """``equilibrium._damped_step`` as a loop that makes its own call for
     the Jacobian stencils of every row, then one call per step size, with
@@ -423,24 +429,44 @@ class TestPriceWeightedNewton:
 class TestNewtonMultistart:
     @pytest.mark.parametrize("case", ["weighted-economy", "perturbed-continuum"])
     def test_an_iteration_makes_at_most_2d_plus_2_calls(self, monkeypatch, case, rng):
-        # The first call evaluates every start with its 2d stencil rows.  A
-        # pass then makes one call for the trials of its step ladders, each
-        # full-step trial with its stencil rows, and one call before it for
-        # the stencil rows alone of the rows whose Jacobian is unknown, the
-        # rows whose last step was shorter than full: at most two calls.
+        # Every point is evaluated with its 2d stencil rows; no call holds
+        # stencil rows alone.  The first call holds every start.  A pass
+        # then makes one call for the live, interior full steps of its rows
+        # and, only when a row that has not converged failed its full step,
+        # one more for the live, interior shorter steps of those rows.
         field = _newton_field(case, rng)
         d = field.dim
         calls, passes = [], []
         step = equilibrium._damped_step
 
         def spy(C, rows):
-            calls.append(len(C))
+            calls.append(C.copy())
             return field.chart_values(C)
 
         def step_spy(evaluate, rows, state, converged):
-            before, stale = len(calls), np.count_nonzero(~state[5][rows])
-            took = step(evaluate, rows, state, converged)
-            passes.append((calls[before:], stale, converged.all(), len(took)))
+            C, G, res, _, J = (a[rows].copy() for a in state)
+            T = C[:, None, :] - equilibrium._STEP_SIZES[:, None] * equilibrium._newton_direction(J, G)[:, None, :]
+            ask = np.logical_and.accumulate((T != C[:, None, :]).any(axis=2), axis=1) & equilibrium._interior(T)
+            residuals = []
+
+            def seen(X, r):
+                out = evaluate(X, r)
+                residuals.append(np.linalg.norm(out[0][:: 1 + 2 * d], axis=1))
+                return out
+
+            before = len(calls)
+            took = step(seen, rows, state, converged)
+            full = ask[:, 0]
+            accepted = np.zeros(len(rows), dtype=bool)
+            if full.any():
+                accepted[full] = residuals[0] <= 0.5 * res[full]
+            i, j = np.nonzero(ask[:, 1:] & ~(accepted | converged)[:, None])
+            expected = [X for X in (T[full, 0], T[i, j + 1]) if len(X)]
+            made = calls[before:]
+            assert len(made) == len(expected)
+            for X, points in zip(made, expected):
+                assert np.array_equal(X, _with_stencils(points))
+            passes.append((len(made), i.size, converged.all(), len(took)))
             return took
 
         monkeypatch.setattr(equilibrium, "_damped_step", step_spy)
@@ -448,23 +474,48 @@ class TestNewtonMultistart:
         starts = _region_points(d, cfg.grid_density)
         converged, *_, iterations = _newton(spy, starts, _tol(field), field.price_weighted)[2:]
         assert converged.any()
-        assert calls[0] == len(starts) * (1 + 2 * d)
+        assert np.array_equal(calls[0], _with_stencils(starts))
         # Every pass of the loop advances the row with the most iterations.
         assert len(passes) == int(iterations.max())
+        # The perturbed continuum's rows backtrack, in a second call; the
+        # weighted economy's take full steps only.
+        assert any(shorter for _, shorter, *_ in passes) == (case == "perturbed-continuum")
         polish = 0
-        for made, stale, polishing, took in passes:
-            if stale:
-                assert made[0] == 2 * d * stale
-                made = made[1:]
-            # One call for the trials, made whenever some row accepts a step.
-            assert len(made) <= 1 and (len(made) == 1 or not took)
+        for made, shorter, polishing, took in passes:
+            # A call for the full steps is made whenever some row accepts one.
+            assert made <= 2 and (made >= 1 or not took)
             # Here every row converged by a full step, so a pass of converged
-            # rows knows their Jacobians and makes the trial call only.
+            # rows makes the full-step call only.
             if polishing:
                 polish += 1
-                assert not stale and len(made) == 1
+                assert made == 1 and not shorter
         assert polish > 0
-        assert len(calls) == 1 + sum(len(made) for made, *_ in passes)
+        assert len(calls) == 1 + sum(made for made, *_ in passes)
+
+    @pytest.mark.parametrize("case", ["perturbed-economy", "perturbed-continuum"])
+    def test_every_step_keeps_the_jacobian_of_its_point(self, monkeypatch, case, rng):
+        # A row that took a shorter step, like one that took the full step,
+        # starts its next step from the Jacobian that a stencil call of its
+        # own at its new point gives, to the bit.
+        field = _newton_field(case, rng)
+        d = field.dim
+        step = equilibrium._damped_step
+        shorter = []
+
+        def step_spy(evaluate, rows, state, converged):
+            C, G, J = state[0][rows].copy(), state[1][rows], state[4][rows]
+            full = C - equilibrium._newton_direction(J, G)
+            took = step(evaluate, rows, state, converged)
+            at = state[0][took]
+            shorter.append(np.count_nonzero((at != full[np.isin(rows, took)]).any(axis=1)))
+            W, _ = evaluate(equilibrium._stencil(at)[1].reshape(-1, d), np.repeat(took, 2 * d))
+            assert np.array_equal(state[4][took], equilibrium._jacobians(W.reshape(len(took), 2 * d, d + 1)))
+            return took
+
+        monkeypatch.setattr(equilibrium, "_damped_step", step_spy)
+        starts = _region_points(d, wk.SolverConfig().grid_density)
+        _newton(lambda C, rows: field.chart_values(C), starts, _tol(field), field.price_weighted)
+        assert sum(shorter) > 0
 
     @pytest.mark.parametrize(
         "order, fn",
@@ -1602,8 +1653,10 @@ class TestEvaluationCount:
         result = wk.genericity_experiment(dataclasses.replace(base, chart_fn=counted), spec, trials=4)
         assert result.equilibrium_counts == [3, 1, 3, 1] and result.all_regular_count == 4
         (newton,) = newton_calls
-        # 20 starts, each with its 2 stencil rows, then 11 more calls.
-        assert newton[0] == 20 * 3 and len(newton) == 12
+        # 20 starts, each with its 2 stencil rows; then each of the nine
+        # passes makes a call for its full steps, and three of them one more
+        # for the shorter steps of the rows whose full step failed.
+        assert newton[0] == 20 * 3 and len(newton) == 1 + 9 + 3
         assert calls == [len(equilibrium._scan_grid(1)[0])] + newton + [8 * (1 + 4 + 33)]
 
     def test_the_join_takes_one_call_more(self):
