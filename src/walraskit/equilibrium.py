@@ -2,33 +2,34 @@
 
 One pipeline, ``_solve``, does every solve.  It takes a base field and a
 list of chart-map terms (``None``, or a perturbation added to the base
-chart map) and evaluates each field once on the continuum scan grid, the
-coarse level of a Kuhn lattice.  A level is a set of patches, cubes of
-lattice indices in the chart region (``_interior``), over stacked
-``(field, point)`` rows.  One routine lays out both levels (``_layout``),
-one map evaluates them (``_stacked_map``), and one reads a level's starts
-(``_level_starts``): the zero of the piecewise-linear interpolant of the
-Newton map in every Freudenthal simplex that holds one (Scarf's simplicial
-method, restarted on a finer mesh as in Eaves 1972), every lattice point
-whose residual is least in the box of its neighbours, and the
-lowest-residual point of each cluster of its hits (``_hits``).  The scan
-grid is one patch per field, read in one pass (``_scan_stage``).  When it
-is coarser than the target spacing ``_spacing(grid_density)``, its cells
-that can hold a zero are refined in one step into patches of ``m``
-subdivisions per axis, the fewest that reach the target, evaluated in one
-call (``_refine``), and the refined level gives the starts.  Damped Newton
-iteration in chart coordinates (``_newton_multistart``) runs over them,
-merging starts that converge together; a converged start takes only full
-steps and stops at the first that does not halve its residual, which
-polishes a degenerate zero and stops at a regular one.  Every point
-Newton evaluates comes with its central-difference Jacobian stencil
-(``_stencil``, ``_newton_points``): an iteration asks the full steps in
-one call and the shorter steps, in one call more, only of the starts
-whose full step failed, and each start moves with the Jacobian of its
-new point.  On a refined level Newton runs once more between and beyond
-every two close zeros of a field (``_restart_between``).
-:func:`find_equilibria` is its one-field case and the genericity
-experiment its many-field case.
+chart map), so that each field's chart values are the base's plus its
+term, the field that ``perturb`` returns, and evaluates each field once on
+the continuum scan grid, the coarse level of a Kuhn lattice.  A level is a
+set of patches, cubes of lattice indices in the chart region
+(``_interior``), over stacked ``(field, point)`` rows.  One routine lays
+out both levels (``_layout``), one map evaluates them (``_stacked_map``),
+and one reads a level's starts (``_level_starts``): the zero of the
+piecewise-linear interpolant of the Newton map in every Freudenthal
+simplex that holds one (Scarf's simplicial method, restarted on a finer
+mesh as in Eaves 1972), every lattice point whose residual is least in the
+box of its neighbours, and the lowest-residual point of each cluster of
+its hits (``_hits``).  The scan grid is one patch per field, read in one
+pass (``_scan_stage``).  When it is coarser than the target spacing
+``_spacing(grid_density)``, its cells that can hold a zero are refined in
+one step into patches of ``m`` subdivisions per axis, the fewest that
+reach the target, evaluated in one call (``_refine``), and the refined
+level gives the starts.  Damped Newton iteration in chart coordinates
+(``_newton_multistart``) runs over them, merging starts that converge
+together; a converged start takes only full steps and stops at the first
+that does not halve its residual, which polishes a degenerate zero and
+stops at a regular one.  Every point Newton evaluates comes with its
+central-difference Jacobian stencil (``_stencil``, ``_newton_points``): an
+iteration asks the full steps in one call and the shorter steps, in one
+call more, only of the starts whose full step failed, and each start moves
+with the Jacobian of its new point.  On a refined level Newton runs once
+more between and beyond every two close zeros of a field
+(``_restart_between``).  :func:`find_equilibria` is its one-field case
+and the genericity experiment its many-field case.
 
 The aggregate excess demand ``z`` of an economy (a field marked
 ``price_weighted``, with no term) is solved on the price-weighted field
@@ -957,62 +958,57 @@ def _stacked_map(base: TangentField, terms: list):
     """The map of a chunk of fields, ``base`` plus each of ``terms``:
     ``evaluate(C, fields, values=None)`` returns the full rows ``W`` of the
     Newton map and ``Z`` of the field at the chart rows ``C``, row ``r`` of
-    field ``fields[r]`` (non-decreasing), from the base's chart values
-    (evaluated once, or ``values``) plus that field's term (``_add_terms``).
-    With ``fields`` of shape ``(k, 1)`` each of those ``k`` fields is
-    evaluated on every row of ``C`` (the scan grid), and ``W`` and ``Z`` are
-    ``(k, len(C), l)``.  The Newton map is ``p * z`` when the base is
+    field ``fields[r]`` (non-decreasing), each chart value the base's
+    (evaluated once, or ``values``) plus that field's term (``_term_rows``),
+    the field that ``perturb`` returns.  With ``fields`` of shape ``(k, 1)``
+    each of those ``k`` fields is evaluated on every row of ``C`` (the scan
+    grid), and ``W`` and ``Z`` are ``(k, len(C), l)``.  It writes into no
+    array it did not allocate.  The Newton map is ``p * z`` when the base is
     ``price_weighted`` and no field has a term, else ``z``."""
     weighted = base.price_weighted and all(term is None for term in terms)
-    add = _add_terms(terms)
+    term_rows = _term_rows(terms)
 
     def evaluate(C, fields, values=None):
         F = base.chart_values(C) if values is None else values
-        # A copy, one block per field of a grid, or of the rows when a term
-        # is added: the base chart map may return a view of its input, and
-        # the terms are added in place.
-        if fields.ndim > 1 or add is not None:
-            F = np.array(np.broadcast_to(F, fields.shape[:-1] + F.shape), order="C")
-        if add is not None:
-            add(F, C, fields)
+        if term_rows is not None:
+            F = F + term_rows(C, fields)
+        elif fields.ndim > 1:
+            F = np.broadcast_to(F, fields.shape[:-1] + F.shape)
         P, Z = _full_rows(C, F)
         return (P * Z if weighted else Z), Z
 
     return evaluate
 
 
-def _add_terms(terms: list):
-    """``add(F, C, fields)``, which adds to ``F``, base chart values at the
-    rows ``C`` (one block per field of ``fields`` of shape ``(k, 1)``), the
-    term of field ``fields[r]`` on row ``r`` in place (the bits of
-    ``base.chart_values(C) + term(C)``), or None when no field has one.
+def _term_rows(terms: list):
+    """``rows(C, fields)``, the values of the term of field ``fields[r]`` on
+    row ``r`` of the chart rows ``C`` (each of the ``k`` terms on every row,
+    ``(k, len(C), d)``, for ``fields`` of shape ``(k, 1)``), or None when no
+    field has a term.
 
     Terms of one class with a ``stack`` class method (the trials of a
     genericity experiment) are evaluated in one call of
     ``stack(terms)(C, fields)``; other terms one field at a time, on its
-    block of rows (a phase's rows and labels are sorted).
+    block of rows (a phase's rows and labels are sorted), into zeros, so a
+    field without a term gets ``+0.0``.
     """
     if all(term is None for term in terms):
         return None
     (kind, *others) = {type(term) for term in terms}
     if not others and hasattr(kind, "stack"):
-        stacked = kind.stack(terms)
+        return kind.stack(terms)
 
-        def add(F, C, fields):
-            F += stacked(C, fields)
-
-        return add
-
-    def add(F, C, fields):
-        d = C.shape[1]
-        X = np.broadcast_to(C, F.shape).reshape(-1, d)
-        F, fields = F.reshape(-1, d), np.broadcast_to(fields, F.shape[:-1]).ravel()
+    def rows(C, fields):
+        T = np.zeros(fields.shape[:-1] + C.shape)
+        X = np.broadcast_to(C, T.shape).reshape(-1, C.shape[1])
+        flat, fields = T.reshape(-1, C.shape[1]), np.broadcast_to(fields, T.shape[:-1]).ravel()
         bounds = np.searchsorted(fields, np.arange(len(terms) + 1))
         for term, lo, hi in zip(terms, bounds[:-1], bounds[1:]):
             if term is not None and hi > lo:
-                F[lo:hi] += term(X[lo:hi])
+                flat[lo:hi] = term(X[lo:hi])
+        return T
 
-    return add
+    return rows
 
 
 def _reports(evaluate, newton: tuple, labels: np.ndarray, sigmas, continua: list) -> list:

@@ -110,16 +110,13 @@ def _polynomial(C, coeffs):
 def _fourier(C, amp_sin, amp_cos):
     # ``amp_sin``, ``amp_cos``: ``(..., dim, terms)``.  The arithmetic of
     # ``(amp_sin * sin + amp_cos * cos).sum(axis=-1)`` on one table of the
-    # sines and cosines of ``C``, in place where the result has the table's
-    # shape: the rows of a chunk of trials make large arrays.
+    # sines and cosines of ``C``: the cosine products are added to a fresh
+    # array of the sine products, so the rows of a chunk of trials make two
+    # large arrays.
     phases = C[:, :, None] * _wavenumbers(amp_sin.shape[-1])
-    sin = np.sin(phases)
-    cos = np.cos(phases, out=phases)
-    shared = amp_sin.ndim > sin.ndim
-    sin = np.multiply(sin, amp_sin, out=None if shared else sin)
-    cos = np.multiply(cos, amp_cos, out=None if shared else cos)
-    sin += cos
-    return sin.sum(axis=-1)
+    values = amp_sin * np.sin(phases)
+    values += amp_cos * np.cos(phases, out=phases)
+    return values.sum(axis=-1)
 
 
 def _basis(spec: PerturbationSpec, dim: int) -> tuple:

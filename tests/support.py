@@ -63,6 +63,15 @@ def multi_equilibrium_economy(goods, seed):
     )
 
 
+# The seeds of each l of the arena, the economies of that family at l = 3
+# and 4 with seeds 0-71 and at l = 5 and 6 with seeds 0-11.
+ARENA = {3: range(72), 4: range(72), 5: range(12), 6: range(12)}
+# The arena economies whose consumer-0 scale is negative somewhere on the
+# open simplex, so that a solve refuses them.  Kept in the arena, not
+# redrawn, so that arena counts stay comparable.
+ARENA_REFUSED = {3: (34, 40, 54, 55, 65), 4: (42, 52, 57, 58, 64, 66, 71), 5: (10,), 6: (1, 5, 6)}
+
+
 def scale_path_prices(alphas, endowments, t):
     """``gamma(t)``: the equilibrium price rows of two Cobb-Douglas consumers
     with constant scales ``t`` and 1, one row per ``t`` (``nullspace_price``)."""

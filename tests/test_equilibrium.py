@@ -6,6 +6,8 @@ import pytest
 
 import walraskit as wk
 from support import (
+    ARENA,
+    ARENA_REFUSED,
     constant_scale_economy,
     cubic_field,
     multi_equilibrium_economy,
@@ -14,7 +16,7 @@ from support import (
     scale_path_equilibria,
     scan_zeros_1d,
 )
-from walraskit import equilibrium
+from walraskit import equilibrium, genericity
 from walraskit.equilibrium import (
     BOUNDARY_MARGIN,
     DEDUP_RADIUS,
@@ -78,6 +80,10 @@ def _evaluator(chart_map, weighted=False):
         return (P * Z if weighted else Z), Z
 
     return evaluate
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _newton(chart_map, starts, tol, weighted=False):
@@ -184,6 +190,22 @@ class TestFindEquilibria:
         assert [eq.index for eq in report.equilibria] == [1, -1, 1]
         assert report.index_sum == 1
         assert report.finite_flag
+
+    def test_an_error_on_newtons_rows_is_raised(self):
+        # The map evaluates cleanly on the 2,001-point scan grid and raises
+        # on every other batch of rows, so the solve fails in Newton's phase.
+        scan = len(equilibrium._scan_grid(1)[0])
+        raised = []
+
+        def fn(C):
+            if len(C) != scan:
+                raised.append(RuntimeError("not the scan grid"))
+                raise raised[-1]
+            return 0.5 - C
+
+        with pytest.raises(RuntimeError) as info:
+            wk.find_equilibria(wk.chart_field(fn, goods=2))
+        assert len(raised) == 1 and info.value is raised[0]
 
     def test_residuals_reevaluate_below_tolerance(self, rng):
         for _ in range(10):
@@ -573,7 +595,7 @@ class TestNewtonMultistart:
         assert len(fast_calls) < len(slow_calls)
 
     def test_a_chunk_whose_terms_have_no_stack_matches_a_stencil_call_per_pass(self, monkeypatch):
-        # The per-field path of _add_terms reads each field's block of rows,
+        # The per-field path of _term_rows reads each field's block of rows,
         # so every call of the chunk's phases keeps its rows sorted.
         base = wk.chart_field(np.zeros_like, goods=2)
         phase = equilibrium._newton_multistart
@@ -668,6 +690,26 @@ class TestKnownEquilibria:
         # determinant rule judges J against the field's global scale; a
         # report whose zeros are all regular sums to +1.
         assert report.index_check in ("ok", "n/a")
+
+    def test_the_refused_arena_seeds_are_those_whose_scale_is_negative(self):
+        # Consumer 0's scale is a0 + a1 c_1 + a2 c_1^2, and c_1 covers (0, 1)
+        # on the open simplex: the scale is negative there iff it is at
+        # c_1 = 0, at c_1 = 1, or at its vertex when the vertex lies in (0, 1).
+        def negative(goods, seed):
+            terms = multi_equilibrium_economy(goods, seed).consumers[0].scale.terms
+            assert [powers for _, powers in terms] == [(j,) + (0,) * (goods - 2) for j in range(3)]
+            (a0, a1, a2) = (coeff for coeff, _ in terms)
+            values = [a0, a0 + a1 + a2]
+            if a2 != 0.0 and 0.0 < -a1 / (2.0 * a2) < 1.0:
+                values.append(a0 - a1**2 / (4.0 * a2))
+            return min(values) < 0.0
+
+        assert {g: tuple(k for k in seeds if negative(g, k)) for g, seeds in ARENA.items()} == ARENA_REFUSED
+        message = "scale must be strictly positive at every evaluated price"
+        for goods, seeds in ARENA_REFUSED.items():
+            for seed in seeds:
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    wk.find_equilibria(multi_equilibrium_economy(goods, seed))
 
     def test_the_oracle_roots_are_equilibria(self):
         for goods, seed in ((3, 2), (4, 1)):
@@ -1455,6 +1497,39 @@ class TestStackedMap:
             assert np.array_equal(Z, expected)
             assert np.array_equal(W, P * expected if weighted else expected)
             assert not np.array_equal(P * expected, expected)
+
+    @pytest.mark.parametrize("layout", ["rows", "grid"])
+    @pytest.mark.parametrize("kind", ["random_fourier", "polynomial", "callables", "none"])
+    @pytest.mark.parametrize("goods", [2, 3])
+    def test_each_field_is_the_base_plus_its_term_and_no_input_is_written(self, goods, kind, layout):
+        # Both base chart maps return a view of their input.
+        base = wk.chart_field((lambda C: C) if goods == 2 else (lambda C: C[:, ::-1]), goods=goods)
+        d = goods - 1
+        if kind in ("random_fourier", "polynomial"):
+            spec = wk.PerturbationSpec(1e-3, basis=kind, degree=3, terms=5)
+            terms = [genericity._perturbation_term(spec.with_seed(s), d) for s in (4, 5, 6)]
+        elif kind == "callables":
+            terms = [lambda C: 1e-3 * np.sin(7.0 * C), None, lambda C: 0.2 - C**2]
+        else:
+            terms = [None] * 3
+        C = _region_points(d, 12)
+        if layout == "rows":
+            blocks = [C[::2], C[1::3], C]
+            X, fields, values = np.vstack(blocks), np.repeat(np.arange(3), [len(b) for b in blocks]), None
+        else:
+            blocks = [C] * 3
+            X, fields = C, np.arange(3)[:, None]
+            values = base.chart_values(X)
+        inputs = [(a, a.copy()) for a in (X, fields, values) if a is not None]
+        W, Z = equilibrium._stacked_map(base, terms)(X, fields, values)
+        for a, before in inputs:
+            assert _same_bits(a, before)
+        assert _same_bits(W, Z)
+        Z = Z.reshape(-1, goods)
+        bounds = np.cumsum([0] + [len(b) for b in blocks])
+        for Y, term, lo, hi in zip(blocks, terms, bounds[:-1], bounds[1:]):
+            F = base.chart_values(Y)
+            assert _same_bits(Z[lo:hi, :-1], F if term is None else F + term(Y))
 
     def test_only_an_economy_with_no_term_is_solved_on_p_times_z(self, monkeypatch, sym_edgeworth):
         chosen = []

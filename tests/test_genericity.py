@@ -150,6 +150,25 @@ class TestExperiment:
         assert found == [(0.3739, 1), (0.5279, -1), (0.5757, 1), (0.6028, -1), (0.6101, 1)]
         assert report.index_check == "ok"
 
+    # Three trials of the bench ``experiment`` pool, each named by its bench
+    # seed and pool entry and given by its base seed and trial, have a
+    # simple crossing that the probe labels ``critical``: its estimates at
+    # steps h and h/2 disagree.  Their index sums read 2, 2 and 1 (ROADMAP
+    # item 16).
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 16")
+    @pytest.mark.parametrize(
+        "seed, trial",
+        [
+            pytest.param(948876492, 2, id="bench-seed603-entry6"),
+            pytest.param(1446321147, 0, id="bench-seed1043-entry0"),
+            pytest.param(702953600, 0, id="bench-seed5302-entry6"),
+        ],
+    )
+    def test_a_simple_crossing_is_regular(self, continuum_economy, seed, trial):
+        spec = wk.PerturbationSpec(1e-4, "random_fourier", terms=5, seed=seed)
+        record = wk.genericity_experiment(continuum_economy, spec, trials=4).records[trial]
+        assert record.all_regular and record.index_sum == 1
+
     def test_regular_economy_robustness(self, sym_edgeworth):
         # |det J| = 2 at the unique zero; all sampled epsilons sit far below
         # half that margin, so the equilibrium count never changes

@@ -15,11 +15,11 @@ seed 0 and l = 4 seed 1), on a five- and a six-good constant-scale
 economy and on the saved continuum economy at ``--grid 4001``, whose
 solve reads the hits of a refined level.  Under ``solve/arena/`` it runs
 ``solve`` on the arena, the economies of that family at l = 3 and 4 with
-seeds 0-71 and at l = 5 and 6 with seeds 0-11, less those whose solve
-exits 1 (``ARENA_REFUSED``), so that a change to the zeros the solver
-finds on them reads as a changed answer.  Under ``experiment/extra/`` it
-runs ``experiment`` with four trials on the three-good economy of
-``solve/extra/`` (bases ``poly:3`` and ``fourier:5``), whose stacked trials are solved on
+seeds 0-71 and at l = 5 and 6 with seeds 0-11 (``tests/support.ARENA``),
+less those whose solve exits 1 (``ARENA_REFUSED``), so that a change to
+the zeros the solver finds on them reads as a changed answer.  Under
+``experiment/extra/`` it runs ``experiment`` with four trials on the
+three-good economy of ``solve/extra/`` (bases ``poly:3`` and ``fourier:5``), whose stacked trials are solved on
 a refined level, and with four ``poly:3`` trials on the four-good economy
 of seed 42 of the same family, whose trials all fail (a scale is not
 positive at a price the solve evaluates), so that a failing chunk of
@@ -94,7 +94,12 @@ from walraskit import (  # noqa: E402
     save_economy,
 )
 from walraskit.revealed import ROW_BLOCK, preference_matrix  # noqa: E402
-from support import constant_scale_economy, multi_equilibrium_economy  # noqa: E402
+from support import (  # noqa: E402
+    ARENA,
+    ARENA_REFUSED,
+    constant_scale_economy,
+    multi_equilibrium_economy,
+)
 from workloads import WORKLOADS  # noqa: E402
 
 ECONOMIES = 6
@@ -113,11 +118,6 @@ MULTI = ((3, 0), (4, 1))
 # so it is not solved.
 FAILING = (4, 42)
 MANY_GOODS = (5, 6)
-# The seeds of each l of the arena, solved under solve/arena/.
-ARENA = {3: range(72), 4: range(72), 5: range(12), 6: range(12)}
-# The arena economies whose polynomial scale is not positive at some price
-# that their solve evaluates: the solve exits 1, so they are not solved.
-ARENA_REFUSED = {3: (34, 40, 54, 55, 65), 4: (42, 52, 57, 58, 64, 66, 71), 5: (10,), 6: (1, 5, 6)}
 # The economies with scales that vary, audited under audit/.
 AUDITED = {
     **{f"multi-l{g}-seed{k}": Path("solve", "extra", f"multi-l{g}-seed{k}.yaml") for g, k in MULTI},
