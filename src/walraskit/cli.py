@@ -69,6 +69,10 @@ def _report_equilibria(report, lines: list[str]) -> None:
                 "continuum witness box: "
                 f"[{', '.join(_fmt(v) for v in lo)}] .. [{', '.join(_fmt(v) for v in hi)}]"
             )
+    method = report.method
+    if report.declined is not None:
+        method += f" (closed form declined: {report.declined})"
+    lines.append(f"method: {method}")
     s = report.stats
     lines.append(
         f"solver: {s.starts} starts, {s.converged} converged, {s.stalled} stalled, "
@@ -77,10 +81,10 @@ def _report_equilibria(report, lines: list[str]) -> None:
     )
 
 
-def _solve_field(args, out_dir: Path, field, lines: list[str]) -> int:
-    """Solve ``field``, write ``equilibria.csv`` and report below ``lines``."""
-    report = find_equilibria(field, SolverConfig(args.grid))
-    write_equilibria_csv(out_dir / "equilibria.csv", report, field.goods)
+def _solve_field(args, out_dir: Path, field_or_economy, lines: list[str]) -> int:
+    """Solve ``field_or_economy``, write ``equilibria.csv`` and report below ``lines``."""
+    report = find_equilibria(field_or_economy, SolverConfig(args.grid))
+    write_equilibria_csv(out_dir / "equilibria.csv", report, field_or_economy.goods)
     _report_equilibria(report, lines)
     _write_report(out_dir, lines)
     return 0
@@ -89,7 +93,7 @@ def _solve_field(args, out_dir: Path, field, lines: list[str]) -> int:
 def _cmd_solve(args, out_dir: Path) -> int:
     economy = load_economy(args.input)
     header = [f"solve: {args.input}", f"goods: {economy.goods}, consumers: {len(economy.consumers)}"]
-    return _solve_field(args, out_dir, economy_field(economy), header)
+    return _solve_field(args, out_dir, economy, header)
 
 
 def _decomposition_grid(goods: int, n: int, seed: int) -> np.ndarray:

@@ -73,17 +73,26 @@ zero is estimated by a polynomial fit on a window of those probe rows
 ``chart_jacobian`` are the one-zero case.  The scan flags clusters of zeros
 (``continuum_detector``) -- no finite procedure can decide infinitude, so
 the detector is a heuristic with documented thresholds.
+
+:func:`find_equilibria` answers an economy in closed form, before any of
+this, when every scale is constant and every good has a positive aggregate
+scaled endowment (``_closed_form``): its one equilibrium is the positive
+null vector of a matrix, from one linear solve, regular with index +1.
+Every other input, and an economy whose closed form fails its checks, goes
+to the grid pipeline.  ``EquilibriumReport.method`` says which answered,
+and ``declined`` why the closed form did not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
 from itertools import permutations
 from numbers import Integral
 
 import numpy as np
 
+from .consumers import Economy, aed_rows
 from .fields import TangentField, _full_rows, as_field
 from .geometry import (
     ChartPoint,
@@ -94,9 +103,13 @@ from .geometry import (
     chart_rows_embed,
     simplex_point,
 )
+from .scales import ConstantScale
 
 REGULAR = "regular"
 CRITICAL = "critical"
+# The methods that answer a solve (``EquilibriumReport.method``).
+GRID = "grid"
+CLOSED_FORM = "closed form"
 
 DET_RELATIVE_TOL = 1e-6
 BOUNDARY_MARGIN = 1e-4
@@ -163,9 +176,15 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class EquilibriumReport:
+    """The zeros of a solve, its solver counts and continuum scan, the
+    method that answered (``GRID`` or ``CLOSED_FORM``) and, when the closed
+    form did not, why (None for the fields of a genericity experiment)."""
+
     equilibria: tuple
     stats: SolverStats
     continuum: ContinuumReport
+    method: str = GRID
+    declined: str | None = None
 
     @property
     def index_sum(self) -> int:
@@ -514,8 +533,8 @@ def _classify_rows(field: TangentField, C: np.ndarray, sigma: float):
 
 def _check_zeros(residual: np.ndarray, sigma: float) -> None:
     """Raise ``ValueError``, naming the first, when a residual of zeros of a
-    field of scale ``sigma`` exceeds ``1e-9 * sigma``."""
-    bad = residual > 1e-9 * sigma
+    field of scale ``sigma`` exceeds ``1e-9 * sigma`` or is NaN."""
+    bad = ~(residual <= 1e-9 * sigma)
     if bad.any():
         res = residual[np.argmax(bad)]
         raise ValueError(f"point is not a zero of the field (residual {res:.3e})")
@@ -860,21 +879,99 @@ def _pl_zeros(G: np.ndarray, vertex: np.ndarray, corner: np.ndarray, axis: np.nd
 def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> EquilibriumReport:
     """Locate, deduplicate, and classify the zeros of an excess-demand field.
 
-    The one-field case of the solve pipeline: the continuum scan gives
-    ``sigma`` and ``finite_flag``; damped Newton iteration runs from the
-    starts found on the finest lattice level, the scan grid or its refined
-    patches (``_starts``; the report's ``starts``), and stays in the chart
-    region ``BOUNDARY_MARGIN`` from every face, on ``p * z``
+    An economy with constant scales only, every good of which has a
+    positive aggregate scaled endowment, is answered in closed form
+    (``_closed_form``): one linear solve, no field evaluated on a grid, and
+    ``config`` unused.  Every other input, and such an economy whose closed
+    form fails its checks, goes to the grid pipeline, and the report's
+    ``declined`` says why.
+
+    The grid is the one-field case of the solve pipeline: the continuum
+    scan gives ``sigma`` and ``finite_flag``; damped Newton iteration runs
+    from the starts found on the finest lattice level, the scan grid or its
+    refined patches (``_starts``; the report's ``starts``), and stays in
+    the chart region ``BOUNDARY_MARGIN`` from every face, on ``p * z``
     for an economy's field and on the field itself otherwise; points with
     ``|z| <= NEWTON_TOL * sigma`` are merged within ``1e-6`` and classified in
     one call, and critical zeros within ``1e-4`` whose midpoint is a zero are
     joined (both merges counted in ``dedup_merges``).  Non-convergence of
     individual starts is reported in the statistics; the field's errors raise.
     """
+    if isinstance(field_or_economy, Economy):
+        report, declined = _closed_form(field_or_economy)
+        if report is not None:
+            return report
+    else:
+        declined = "the input is a field, not an economy"
     report = _solve(as_field(field_or_economy), [None], config or SolverConfig())[0]
     if isinstance(report, Exception):
         raise report
-    return report
+    return replace(report, declined=declined)
+
+
+def _closed_form(e: Economy) -> tuple:
+    """``(report, None)``, the closed-form report of the economy ``e``, or
+    ``(None, reason)`` when the closed form declines.  It never raises.
+
+    With constant scales ``t_c``, coordinate ``j`` of ``p * z(p)`` is
+    ``(M p)_j`` with ``M = sum_c t_c (alpha_c omega_c^T - diag omega_c)``, so
+    the equilibria are the positive null vectors of ``M``.  ``Consumer``
+    makes every share ``alpha_cj`` positive.  When every good ``k`` has a
+    positive aggregate scaled endowment ``sum_c t_c omega_ck``, some consumer
+    holds it, so every off-diagonal entry ``M_jk = sum_c t_c alpha_cj
+    omega_ck`` is positive: ``M`` is an irreducible Metzler matrix, and
+    ``1^T M = 0`` since every consumer's shares sum to one.  A positive left
+    eigenvector belongs to the Perron eigenvalue, so 0 is that eigenvalue
+    (Perron-Frobenius): it is simple, with a positive eigenvector ``v``.
+    Excess demand then has strict gross substitutes, and ``v`` is the unique
+    equilibrium, regular with index +1 (Arrow, Block & Hurwicz 1959).  The
+    rows of ``M`` sum to zero, so its first ``l - 1`` rows have its null
+    space, and the bordered system ``[M[:-1]; 1^T] p = e_l`` is nonsingular:
+    its solution is ``v`` scaled to sum to one.  It is solved by LU, then
+    one step of iterative refinement, which gives a price near a face, such
+    as 1e-6, to its last bits where the first solve was off in the 11th
+    digit.
+
+    The price is checked, not trusted: it must be positive, and its
+    residual ``|z|`` at most ``1e-9 sigma`` (``_check_zeros``), with
+    ``sigma = max_j |M e_j|``, the largest ``|p * z|`` on the closed
+    simplex, which scales with the endowments as ``|z|`` does.  A failed
+    check declines, so the grid answers instead.
+    """
+    varying = [k for k, c in enumerate(e.consumers) if not isinstance(c.scale, ConstantScale)]
+    if varying:
+        return None, f"the scale of consumer {varying[0]} is not constant"
+    t, shares, endowments = e.constant_scales, e.shares, e.endowments
+    total = t @ endowments
+    if not (total > 0.0).all():
+        return None, f"good {np.argmin(total > 0.0)} has no aggregate endowment"
+    with np.errstate(all="ignore"):
+        M = np.einsum("c,cj,ck->jk", t, shares, endowments) - np.diag(total)
+        B, b = np.vstack([M[:-1], np.ones(e.goods)]), np.eye(e.goods)[-1]
+        try:
+            p = np.linalg.solve(B, b)
+            p = p + np.linalg.solve(B, b - B @ p)
+        except np.linalg.LinAlgError:
+            return None, "the bordered system is singular"
+        C = p[None, :-1]
+        P = chart_rows_embed(C)
+        if not ((p > 0.0) & (P > 0.0) & (P < np.inf)).all():
+            return None, "a price of the null vector is not positive"
+        residual = np.linalg.norm(_full_rows(C, aed_rows(e, P)[:, :-1])[1], axis=1)
+        sigma = np.linalg.norm(M, axis=0).max()
+    try:
+        _check_zeros(residual, sigma)
+    except ValueError as exc:
+        return None, f"the null vector failed its check: {exc}"
+    eq = Equilibrium(
+        price=simplex_point(P[0]),
+        chart=C[0].copy(),
+        residual=float(residual[0]),
+        regularity=REGULAR,
+        index=1,
+        multiplicity=1 if e.goods == 2 else None,
+    )
+    return EquilibriumReport((eq,), SolverStats(0, 0, 0, 0, 0, 0), ContinuumReport(False, None, 0), CLOSED_FORM), None
 
 
 def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | None = None) -> list:

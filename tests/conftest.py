@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import walraskit as wk
-from support import edgeworth_asymmetric, edgeworth_symmetric
+from support import SOLVE_INPUTS, edgeworth_asymmetric, edgeworth_symmetric
 
 
 @pytest.fixture
@@ -23,3 +23,11 @@ def asym_edgeworth():
 @pytest.fixture
 def symmetric_family():
     return wk.CanonicalFamily.symmetric(2)
+
+
+@pytest.fixture(params=list(SOLVE_INPUTS))
+def as_input(request):
+    """An economy as a test hands it to ``find_equilibria``: itself or its
+    field (``support.SOLVE_INPUTS``), so that the test checks both the
+    closed form and the grid."""
+    return SOLVE_INPUTS[request.param]

@@ -111,6 +111,12 @@ def scale_path_equilibria(economy):
     return scale_path_prices(*args, mid)
 
 
+# The two ways a test hands an economy to ``find_equilibria``: as itself,
+# which the closed form answers when its scales are constant, and as its
+# field, which the grid answers.
+SOLVE_INPUTS = {"economy": lambda e: e, "field": wk.economy_field}
+
+
 def random_interior_prices(rng, n, goods, concentration=1.0):
     return rng.dirichlet(np.full(goods, concentration), size=n)
 

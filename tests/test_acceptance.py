@@ -16,6 +16,7 @@ from walraskit.cli import main as cli_main
 from walraskit.consumers import aed_rows
 from walraskit.equilibrium import DEDUP_RADIUS
 from support import (
+    SOLVE_INPUTS,
     brute_force_sarp,
     observed_demand,
     edgeworth_asymmetric,
@@ -50,16 +51,23 @@ def random_l2_economies():
     return [random_economy(rng, 2, int(rng.integers(1, 6))) for _ in range(50)]
 
 
-@pytest.fixture(scope="module")
-def l2_reports(random_l2_economies):
-    return [wk.find_equilibria(e) for e in random_l2_economies]
+@pytest.fixture(scope="module", params=list(SOLVE_INPUTS))
+def as_input(request):
+    """Criteria 4-6 hand the economies to the solve as themselves (the
+    closed form answers) and as their fields (the grid answers)."""
+    return SOLVE_INPUTS[request.param]
 
 
 @pytest.fixture(scope="module")
-def edgeworth_reports():
+def l2_reports(random_l2_economies, as_input):
+    return [wk.find_equilibria(as_input(e)) for e in random_l2_economies]
+
+
+@pytest.fixture(scope="module")
+def edgeworth_reports(as_input):
     return [
-        wk.find_equilibria(edgeworth_symmetric()),
-        wk.find_equilibria(edgeworth_asymmetric()),
+        wk.find_equilibria(as_input(edgeworth_symmetric())),
+        wk.find_equilibria(as_input(edgeworth_asymmetric())),
     ]
 
 
@@ -151,7 +159,7 @@ def test_criterion_05_solver_completeness(random_l2_economies, l2_reports):
     )
 
 
-def test_criterion_06_index_sum(edgeworth_reports, l2_reports):
+def test_criterion_06_index_sum(edgeworth_reports, l2_reports, as_input):
     rng = np.random.default_rng(59)
     reports = list(edgeworth_reports) + list(l2_reports)
     for report in reports:
@@ -160,7 +168,7 @@ def test_criterion_06_index_sum(edgeworth_reports, l2_reports):
     checked = len(reports)
     for goods in (2, 3):
         for _ in range(50):
-            report = wk.find_equilibria(random_economy(rng, goods, int(rng.integers(2, 6))))
+            report = wk.find_equilibria(as_input(random_economy(rng, goods, int(rng.integers(2, 6)))))
             assert report.all_regular
             assert report.index_check == "ok"
             checked += 1

@@ -36,6 +36,35 @@ class TestSolve:
         csv_text = (out / "equilibria.csv").read_text()
         assert csv_text.splitlines()[1].startswith("0.5,0.5,")
 
+    def test_the_report_names_its_method(self, sym_file, tmp_path):
+        # The closed form answers whatever --grid says.
+        texts = []
+        for grid in ("50", "2"):
+            out = tmp_path / f"out{grid}"
+            assert main(["solve", "--input", str(sym_file), "--out", str(out), "--grid", grid]) == 0
+            texts.append((out / "report.txt").read_text())
+        assert texts[0] == texts[1]
+        lines = texts[0].splitlines()
+        at = lines.index("method: closed form")
+        assert lines[at + 1] == (
+            "solver: 0 starts, 0 converged, 0 stalled, 0 exhausted, 0 Newton iterations, 0 dedup merges"
+        )
+        multi = tmp_path / "multi.yaml"
+        wk.save_economy(multi, multi_equilibrium_economy(2, 0))
+        argvs = {
+            "solve": ["solve", "--input", str(multi)],
+            "perturb": ["perturb", "--input", str(sym_file), "--epsilon", "1e-3"],
+        }
+        declined = {
+            "solve": "the scale of consumer 0 is not constant",
+            "perturb": "the input is a field, not an economy",
+        }
+        for command, argv in argvs.items():
+            out = tmp_path / command
+            assert main(argv + ["--out", str(out)]) == 0
+            lines = (out / "report.txt").read_text().splitlines()
+            assert f"method: grid (closed form declined: {declined[command]})" in lines
+
     def test_index_sum_check_follows_the_index_sum(self, sym_file, tmp_path):
         out = tmp_path / "out"
         assert main(["solve", "--input", str(sym_file), "--out", str(out)]) == 0

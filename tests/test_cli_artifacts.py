@@ -105,6 +105,27 @@ def test_newton_iterations_are_summed_over_every_report(tmp_path):
     assert f"CHANGED extra/economy0/perturb-tilt/report.txt: only in {tmp_path / 'new'}" in lines
 
 
+def test_a_method_change_is_counted_and_passes(tmp_path):
+    # The parent's reports have no method: line, and count as grid.
+    write_tree(tmp_path / "old")
+    write_tree(tmp_path / "new", p="0.50000000000000011", its=0, starts=1)
+    report = tmp_path / "new" / "solve" / "out0" / "report.txt"
+    lines = report.read_text().splitlines()
+    report.write_text("\n".join(lines[:-1] + ["method: closed form", lines[-1]]) + "\n")
+    perturb = tmp_path / "new" / "extra" / "economy0" / "perturb-tilt"
+    perturb.mkdir()
+    fields = dict(p="0.5", res="1e-16", reg="regular", index="+1", starts=2, merges=1, its=4)
+    declined = "method: grid (closed form declined: the input is a field, not an economy)\n"
+    (perturb / "report.txt").write_text(REPORT.format(**fields) + declined)
+    done = compare(tmp_path / "old", tmp_path / "new")
+    lines = done.stdout.splitlines()
+    assert "solve and perturb reports by method: closed form: 0 → 1, grid: 1 → 1" in lines
+    assert "Newton iterations of solve and perturb reports: 120 → 4" in lines
+    # Only the report that is new on one side is a changed output.
+    changed = [line for line in lines if line.startswith("CHANGED")]
+    assert changed == [f"CHANGED extra/economy0/perturb-tilt/report.txt: only in {tmp_path / 'new'}"]
+
+
 @pytest.mark.parametrize(
     "changed, named",
     [

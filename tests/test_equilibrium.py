@@ -169,8 +169,8 @@ def _one_call_per_step_size(evaluate, rows, state, converged):
 
 
 class TestFindEquilibria:
-    def test_symmetric_edgeworth(self, sym_edgeworth):
-        report = wk.find_equilibria(sym_edgeworth)
+    def test_symmetric_edgeworth(self, sym_edgeworth, as_input):
+        report = wk.find_equilibria(as_input(sym_edgeworth))
         assert len(report.equilibria) == 1
         eq = report.equilibria[0]
         assert np.allclose(eq.price.coords, [0.5, 0.5], atol=1e-8)
@@ -178,8 +178,8 @@ class TestFindEquilibria:
         assert eq.index == 1
         assert eq.residual <= 1e-9
 
-    def test_asymmetric_edgeworth(self, asym_edgeworth):
-        report = wk.find_equilibria(asym_edgeworth)
+    def test_asymmetric_edgeworth(self, asym_edgeworth, as_input):
+        report = wk.find_equilibria(as_input(asym_edgeworth))
         assert len(report.equilibria) == 1
         assert np.allclose(report.equilibria[0].price.coords, [0.4, 0.6], atol=1e-8)
 
@@ -207,17 +207,17 @@ class TestFindEquilibria:
             wk.find_equilibria(wk.chart_field(fn, goods=2))
         assert len(raised) == 1 and info.value is raised[0]
 
-    def test_residuals_reevaluate_below_tolerance(self, rng):
+    def test_residuals_reevaluate_below_tolerance(self, rng, as_input):
         for _ in range(10):
             e = random_economy(rng, 2, int(rng.integers(1, 6)))
-            report = wk.find_equilibria(e)
+            report = wk.find_equilibria(as_input(e))
             for eq in report.equilibria:
                 z = wk.aed(e, eq.price)
                 assert z.norm() <= 1e-9
 
-    def test_determinism(self, asym_edgeworth):
-        r1 = wk.find_equilibria(asym_edgeworth)
-        r2 = wk.find_equilibria(asym_edgeworth)
+    def test_determinism(self, asym_edgeworth, as_input):
+        r1 = wk.find_equilibria(as_input(asym_edgeworth))
+        r2 = wk.find_equilibria(as_input(asym_edgeworth))
         assert len(r1.equilibria) == len(r2.equilibria)
         for a, b in zip(r1.equilibria, r2.equilibria):
             assert np.array_equal(a.chart, b.chart)
@@ -228,30 +228,31 @@ class TestFindEquilibria:
         cfg = wk.SolverConfig()
         for _ in range(5):
             e = random_economy(rng, 2, 3)
-            report = wk.find_equilibria(e, cfg)
+            report = wk.find_equilibria(wk.economy_field(e), cfg)
             charts = [eq.chart for eq in report.equilibria]
             for i in range(len(charts)):
                 for j in range(i + 1, len(charts)):
                     assert np.linalg.norm(charts[i] - charts[j]) > DEDUP_RADIUS
 
-    def test_three_goods_unique_equilibrium(self, rng):
+    def test_three_goods_unique_equilibrium(self, rng, as_input):
         for _ in range(5):
             e = random_economy(rng, 3, int(rng.integers(1, 5)))
-            report = wk.find_equilibria(e)
+            report = wk.find_equilibria(as_input(e))
             assert len(report.equilibria) == 1
             assert report.equilibria[0].regularity == "regular"
             assert report.index_sum == 1
 
     def test_solver_stats_accounting(self, sym_edgeworth):
-        report = wk.find_equilibria(sym_edgeworth)
+        field = wk.economy_field(sym_edgeworth)
+        report = wk.find_equilibria(field)
         s = report.stats
-        assert s.starts == len(_lattice_starts(wk.economy_field(sym_edgeworth)))
+        assert s.starts == len(_lattice_starts(field))
         assert s.converged + s.stalled + s.exhausted == s.starts
         assert s.dedup_merges == s.converged - len(report.equilibria)
 
     @pytest.mark.parametrize("goods", [2, 3, 4])
     def test_every_start_is_counted(self, goods, rng):
-        s = wk.find_equilibria(random_economy(rng, goods, 3)).stats
+        s = wk.find_equilibria(wk.economy_field(random_economy(rng, goods, 3))).stats
         assert s.converged + s.stalled + s.exhausted == s.starts
 
     def test_start_with_nan_residual_counts_as_stalled(self):
@@ -315,7 +316,7 @@ class TestFindEquilibria:
                 wk.Consumer([0.4, 0.3, 0.2, 0.1], [0, 1, 1, 1]),
             )
         )
-        report = wk.find_equilibria(economy, wk.SolverConfig(grid_density=70))
+        report = wk.find_equilibria(wk.economy_field(economy), wk.SolverConfig(grid_density=70))
         (eq,) = report.equilibria
         assert (eq.regularity, eq.index, report.index_check) == ("regular", 1, "ok")
         assert np.abs(eq.price.coords - nullspace_price(economy)).max() <= 1e-9
@@ -323,6 +324,93 @@ class TestFindEquilibria:
     def test_continuum_scan_refuses_a_grid_too_large(self):
         with pytest.raises(ValueError, match="continuum scan grid of 11\\^8 points"):
             wk.continuum_detector(_nine_good_field())
+
+
+class TestClosedForm:
+    """A constant-scale economy with a positive aggregate endowment of every
+    good is answered in closed form; its field, and every other input, by
+    the grid."""
+
+    @pytest.mark.parametrize("goods", [2, 3, 4, 5, 6])
+    def test_the_closed_form_and_the_grid_agree(self, goods, rng):
+        for n in range(1, 6):
+            economy = constant_scale_economy(rng, goods, n)
+            for factor in (1.0, 1e-8, 1e8):
+                e = wk.Economy(tuple(wk.Consumer(c.alpha, c.endowment * factor, c.scale) for c in economy.consumers))
+                closed, grid = wk.find_equilibria(e), wk.find_equilibria(wk.economy_field(e))
+                assert (closed.method, closed.declined) == ("closed form", None)
+                assert grid.method == "grid" and grid.stats.starts > 0
+                assert closed.stats == equilibrium.SolverStats(0, 0, 0, 0, 0, 0)
+                assert not closed.continuum.fired
+                assert closed.index_check == grid.index_check == "ok"
+                (a,), (b,) = closed.equilibria, grid.equilibria
+                assert np.abs(a.price.coords - b.price.coords).max() <= 1e-9
+                assert (a.regularity, a.index, a.multiplicity) == (b.regularity, b.index, b.multiplicity)
+
+    @pytest.mark.parametrize(
+        "consumers",
+        [
+            (wk.Consumer([1e-5, 1.0 - 1e-5], [1, 1]),) * 2,
+            (wk.Consumer([1e-6, 1.0 - 1e-6], [1, 1]),) * 2,
+            (wk.Consumer([1e-6, 0.5, 0.5 - 1e-6], [1, 1, 1]),),
+        ],
+        ids=["two-consumers-1e-5", "two-consumers-1e-6", "one-consumer-l3"],
+    )
+    def test_an_equilibrium_near_a_face(self, consumers):
+        # The grid's chart region ends BOUNDARY_MARGIN from every face, and
+        # it reports no equilibrium of these; the closed form has no margin.
+        report = wk.find_equilibria(wk.Economy(consumers))
+        alpha, omega = consumers[0].alpha, consumers[0].endowment
+        expected = alpha / omega / (alpha / omega).sum()
+        (eq,) = report.equilibria
+        np.testing.assert_allclose(eq.price.coords, expected, rtol=1e-12, atol=0.0)
+        assert (eq.regularity, eq.index, report.index_check) == ("regular", 1, "ok")
+        assert report.method == "closed form"
+
+    def test_no_field_is_evaluated(self, monkeypatch, asym_edgeworth):
+        calls = []
+        chart_values = wk.TangentField.chart_values
+
+        def counted(self, C):
+            calls.append(len(C))
+            return chart_values(self, C)
+
+        monkeypatch.setattr(wk.TangentField, "chart_values", counted)
+        economy = constant_scale_economy(np.random.default_rng(1), 4, 3)
+        for e in (asym_edgeworth, economy):
+            assert wk.find_equilibria(e).method == "closed form"
+        assert calls == []
+        wk.find_equilibria(wk.economy_field(asym_edgeworth))
+        assert calls
+
+    @pytest.mark.parametrize(
+        "economy, declined",
+        [
+            (multi_equilibrium_economy(2, 0), "the scale of consumer 0 is not constant"),
+            (
+                wk.Economy((wk.Consumer([0.5, 0.5], [1, 0]), wk.Consumer([0.25, 0.75], [2, 0]))),
+                "good 1 has no aggregate endowment",
+            ),
+        ],
+        ids=["varying-scale", "no-endowment"],
+    )
+    def test_an_economy_it_declines_gets_the_grids_report(self, economy, declined):
+        report, grid = wk.find_equilibria(economy), wk.find_equilibria(wk.economy_field(economy))
+        assert (report.method, report.declined) == ("grid", declined)
+        assert grid.declined == "the input is a field, not an economy"
+        _assert_same_report(report, grid)
+
+    def test_a_failed_check_declines(self, monkeypatch, asym_edgeworth):
+        # Excess demand off by 1e-6 of the scale at the null vector: the
+        # closed form declines, and the grid, which evaluates the economy's
+        # own field, answers.
+        aed_rows = equilibrium.aed_rows
+        monkeypatch.setattr(equilibrium, "aed_rows", lambda e, P: aed_rows(e, P) + 1e-6)
+        report = wk.find_equilibria(asym_edgeworth)
+        assert report.method == "grid"
+        assert report.declined.startswith("the null vector failed its check: point is not a zero")
+        (eq,) = report.equilibria
+        assert np.abs(eq.price.coords - [0.4, 0.6]).max() <= 1e-12
 
 
 # Two-good chart fields with one degenerate zero, at 0.5, of the given order.
@@ -394,7 +482,7 @@ class TestPriceWeightedNewton:
     def test_constant_scale_economies(self, goods, concentration, rng):
         for n in range(1, 7):
             e = constant_scale_economy(rng, goods, n, concentration)
-            report = wk.find_equilibria(e)
+            report = wk.find_equilibria(wk.economy_field(e))
             s = report.stats
             assert len(report.equilibria) == 1
             eq = report.equilibria[0]
@@ -734,7 +822,7 @@ class TestManyGoods:
     @pytest.mark.parametrize("goods, n", [(5, 2), (5, 4), (6, 2), (6, 3), (6, None)])
     def test_constant_scale_economies(self, goods, n, rng):
         economy = constant_scale_economy(rng, goods, n) if n else self.SIX
-        report = wk.find_equilibria(economy)
+        report = wk.find_equilibria(wk.economy_field(economy))
         (eq,) = report.equilibria
         assert np.abs(eq.price.coords - nullspace_price(economy)).max() <= 1e-9
         assert report.finite_flag
@@ -765,7 +853,7 @@ class TestSlantedFace:
     def test_zero_at_a_small_last_price(self, scale):
         economy, p = _face_economy(scale)
         assert 0.025 <= p[3] <= 0.035
-        report = wk.find_equilibria(economy)
+        report = wk.find_equilibria(wk.economy_field(economy))
         assert min(np.abs(eq.price.coords - p).max() for eq in report.equilibria) <= 1e-9
         if scale is None:
             (eq,) = report.equilibria
@@ -808,7 +896,7 @@ class TestRefinedLevel:
         # An economy whose equilibrium lies in that last cell: the default
         # grid and one above the scan density list the same zeros.
         economy = wk.Economy((wk.Consumer([0.9995, 0.0005], [0, 1]), wk.Consumer([0.5, 0.5], [0.001, 0])))
-        default, fine = (wk.find_equilibria(economy, wk.SolverConfig(grid_density=k)) for k in (50, 4001))
+        default, fine = (wk.find_equilibria(wk.economy_field(economy), wk.SolverConfig(grid_density=k)) for k in (50, 4001))
         assert default.index_check == fine.index_check == "ok"
         assert len(default.equilibria) == len(fine.equilibria) >= 1
         for a, b in zip(default.equilibria, fine.equilibria):
@@ -820,7 +908,7 @@ class TestRefinedLevel:
         # Half a scan spacing past a scan vertex: a vertex of the 4001 lattice.
         x = equilibrium._axis(2001)[300] + 0.5 * equilibrium._spacing(2001)
         economy = wk.Economy((wk.Consumer([0.5, 0.5], [1.0 - x, x]),))
-        report = wk.find_equilibria(economy, wk.SolverConfig(grid_density=density))
+        report = wk.find_equilibria(wk.economy_field(economy), wk.SolverConfig(grid_density=density))
         (eq,) = report.equilibria
         assert abs(eq.chart[0] - x) <= 1e-12
         assert (eq.regularity, report.index_check) == ("regular", "ok")
@@ -834,7 +922,7 @@ class TestRefinedLevel:
         p = np.append(c, 1.0 - c.sum())
         alpha = np.linspace(1.0, 2.0, goods) / np.linspace(1.0, 2.0, goods).sum()
         # One consumer: the equilibrium is alpha / endowment, normalised.
-        (eq,) = wk.find_equilibria(wk.Economy((wk.Consumer(alpha, alpha / p),))).equilibria
+        (eq,) = wk.find_equilibria(wk.economy_field(wk.Economy((wk.Consumer(alpha, alpha / p),)))).equilibria
         assert np.abs(eq.chart - c).max() <= 1e-12
 
     def test_a_degenerate_zero_whose_hits_cover_refined_vertices(self):
@@ -960,7 +1048,7 @@ class TestScanOracle:
         for _ in range(10):
             e = random_economy(rng, 2, int(rng.integers(1, 6)))
             field = wk.economy_field(e)
-            found = np.sort([float(eq.chart[0]) for eq in wk.find_equilibria(e).equilibria])
+            found = np.sort([float(eq.chart[0]) for eq in wk.find_equilibria(field).equilibria])
             oracle = scan_zeros_1d(field)
             assert found.size == oracle.size
             assert np.max(np.abs(found - oracle)) <= 1e-6
@@ -987,9 +1075,9 @@ class TestClassify:
 
 
 class TestIndexSum:
-    def test_certifies_regular_reports(self, sym_edgeworth, asym_edgeworth):
+    def test_certifies_regular_reports(self, sym_edgeworth, asym_edgeworth, as_input):
         for e in (sym_edgeworth, asym_edgeworth):
-            assert wk.find_equilibria(e).index_check == "ok"
+            assert wk.find_equilibria(as_input(e)).index_check == "ok"
         assert wk.find_equilibria(cubic_field()).index_check == "ok"
 
     def test_truncated_report_fails(self):
@@ -1013,11 +1101,11 @@ class TestIndexSum:
         quad = wk.chart_field(lambda C: -((C - 0.5) ** 2), goods=2)
         assert wk.find_equilibria(quad).index_check == "n/a"
 
-    def test_random_inward_fields_sum_to_one(self, rng):
+    def test_random_inward_fields_sum_to_one(self, rng, as_input):
         for goods in (2, 3):
             for _ in range(10):
                 e = random_economy(rng, goods, int(rng.integers(2, 6)))
-                report = wk.find_equilibria(e)
+                report = wk.find_equilibria(as_input(e))
                 assert report.all_regular
                 assert report.index_check == "ok"
 
@@ -1045,10 +1133,10 @@ class TestMultiplicity:
         with pytest.raises(ValueError, match="two goods"):
             wk.multiplicity_estimate(flat, wk.ChartPoint([0.3, 0.3]))
 
-    def test_multiplicity_one_iff_regular(self, rng):
+    def test_multiplicity_one_iff_regular(self, rng, as_input):
         for _ in range(10):
             e = random_economy(rng, 2, int(rng.integers(1, 5)))
-            for eq in wk.find_equilibria(e).equilibria:
+            for eq in wk.find_equilibria(as_input(e)).equilibria:
                 assert (eq.multiplicity == 1) == (eq.regularity == "regular")
 
 
@@ -1756,7 +1844,7 @@ class TestEvaluationCount:
         # trough gave 742 Newton starts on the 50-per-axis lattice; minima
         # judged against the whole box around them give two.
         economy = wk.Economy((wk.Consumer([0.118, 0.086, 0.694, 0.102], [0.275, 0.377, 1.378, 1.699]),))
-        report = wk.find_equilibria(economy)
+        report = wk.find_equilibria(wk.economy_field(economy))
         (eq,) = report.equilibria
         assert np.abs(eq.price.coords - nullspace_price(economy)).max() <= 1e-12
         assert report.stats.starts <= 10

@@ -5,11 +5,12 @@ do not depend on the units of its bundles, goods or prices, nor does the
 audit of a scaled consumer on a common factor of its endowment."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walraskit as wk
-from support import constant_scale_economy, nullspace_price
+from support import SOLVE_INPUTS, constant_scale_economy, nullspace_price
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
@@ -39,37 +40,45 @@ def economies(draw):
     return constant_scale_economy(np.random.default_rng(seed), goods, n, concentration)
 
 
+# Each test hands the economies to the solve as themselves (the closed form
+# answers) and as their fields (the grid answers).
+BOTH = pytest.mark.parametrize("as_input", list(SOLVE_INPUTS.values()), ids=list(SOLVE_INPUTS))
+
+
+@BOTH
 @SETTINGS
 @given(economies(), st.data())
-def test_permuting_goods_permutes_the_equilibrium(economy, data):
+def test_permuting_goods_permutes_the_equilibrium(as_input, economy, data):
     perm = np.array(data.draw(st.permutations(range(economy.goods))))
     permuted = wk.Economy(
         tuple(wk.Consumer(c.alpha[perm], c.endowment[perm], c.scale) for c in economy.consumers)
     )
-    price, index = solve(economy)
-    moved, moved_index = solve(permuted)
+    price, index = solve(as_input(economy))
+    moved, moved_index = solve(as_input(permuted))
     assert np.abs(price - nullspace_price(economy)).max() <= 1e-12
     assert np.abs(moved - price[perm]).max() <= 1e-12
     assert moved_index == index
 
 
+@BOTH
 @SETTINGS
 @given(economies(), st.data())
-def test_permuting_consumers_keeps_the_equilibrium(economy, data):
+def test_permuting_consumers_keeps_the_equilibrium(as_input, economy, data):
     order = data.draw(st.permutations(range(len(economy.consumers))))
     permuted = wk.Economy(tuple(economy.consumers[k] for k in order))
-    price, index = solve(economy)
-    moved, moved_index = solve(permuted)
+    price, index = solve(as_input(economy))
+    moved, moved_index = solve(as_input(permuted))
     assert np.abs(moved - price).max() <= 1e-12
     assert moved_index == index
 
 
+@BOTH
 @SETTINGS
 @given(economies(), st.integers(-10, 10))
-def test_rescaling_endowments_keeps_the_equilibrium(economy, k):
+def test_rescaling_endowments_keeps_the_equilibrium(as_input, economy, k):
     # Excess demand is homogeneous of degree one in endowments, so every
     # answer is the same at every common factor.
-    report = wk.find_equilibria(rescaled(economy, 10.0**k))
+    report = wk.find_equilibria(as_input(rescaled(economy, 10.0**k)))
     assert (report.finite_flag, report.index_check) == (True, "ok")
     assert len(report.equilibria) == 1
     eq = report.equilibria[0]

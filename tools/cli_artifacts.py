@@ -57,7 +57,15 @@ change of a price, a residual and each count of the ``solver:`` line
 in the ``solve`` and ``perturb`` outputs, and of a ``max |p.z|`` of an
 ``audit`` report, then the Newton iterations of every ``solve`` and
 ``perturb`` report summed on each side, ``old → new``, so that the effect
-of a change to Newton's iteration reads in one line.  It exits 1 when an
+of a change to Newton's iteration reads in one line, and how many of those
+reports each side has per ``method:`` (``closed form: 0 → N``; a report
+without the line, as written before it existed, counts as ``grid``).  The
+``solve/`` and ``solve/extra/constant-l5``/``-l6`` economies and the
+``rescaled/`` copies of ``solve`` economy 0 have constant scales, so the
+closed form answers them; the arena (l = 3-6), the other economies of
+``solve/extra/``, the continuum economy and its copies, and every
+``perturb`` keep the grid.  A changed ``method:`` line alone is no
+changed output.  It exits 1 when an
 output changed beyond those numbers: a file added or removed, an
 ``equilibria.csv`` or ``solve``/``perturb`` report with another
 equilibrium count, regularity, index, multiplicity, index sum, index
@@ -228,13 +236,16 @@ SOLVER_COUNTS = {
     "dedup merges": "dedup-merge count",
 }
 COUNT = re.compile(r"\b(\d+) (" + "|".join(SOLVER_COUNTS) + r")\b")
+# The method a ``method:`` line names, before any reason it gives.
+METHOD = re.compile(r"^method: ([^(]*?)(?: \(.*)?$")
 WALRAS = re.compile(r"(max \|p\.z\| = )([^,]+)")
 
 
 def _solve_numbers(path: Path, text: str):
     """The text of a ``solve`` or ``perturb`` output with its prices,
-    residuals and solver counts replaced by ``*``, and those numbers by
-    kind: ``(text, {"price": [...], "residual": [...], count label: [...]})``."""
+    residuals and solver counts replaced by ``*`` and its ``method:`` line
+    left out, and those numbers by kind: ``(text, {"price": [...],
+    "residual": [...], count label: [...]})``."""
     numbers = {"price": [], "residual": [], **{label: [] for label in SOLVER_COUNTS.values()}}
     prices, residuals = numbers["price"], numbers["residual"]
     lines = text.splitlines()
@@ -255,7 +266,14 @@ def _solve_numbers(path: Path, text: str):
                 for m in COUNT.finditer(line):
                     numbers[SOLVER_COUNTS[m[2]]].append(int(m[1]))
                 lines[i] = COUNT.sub(r"* \2", line)
-    return "\n".join(lines), numbers
+    return "\n".join(line for line in lines if not METHOD.match(line)), numbers
+
+
+def _method(text: str) -> str:
+    """The method a ``solve`` or ``perturb`` report names; ``grid`` when it
+    has no ``method:`` line."""
+    m = next(filter(None, map(METHOD.match, text.splitlines())), None)
+    return m[1] if m else "grid"
 
 
 def _report_command(rel: Path, text: str) -> str | None:
@@ -283,12 +301,15 @@ def compare(old: Path, new: Path) -> int:
     keys = ("price", "residual", *SOLVER_COUNTS.values(), "audit max |p.z|")
     largest = {key: (0, None) for key in keys}
     iterations = [0, 0]
+    methods = {}
     for rel in sorted(files):
         a, b = old / rel, new / rel
         if rel.name == "report.txt" and _is_solve_output(rel):
             for side, path in enumerate((a, b)):
                 if path.is_file():
-                    iterations[side] += sum(_solve_numbers(rel, path.read_text())[1]["Newton-iteration total"])
+                    text = path.read_text()
+                    iterations[side] += sum(_solve_numbers(rel, text)[1]["Newton-iteration total"])
+                    methods.setdefault(_method(text), [0, 0])[side] += 1
         if not (a.is_file() and b.is_file()):
             differ.append(rel)
             changed.append(f"{rel}: only in {old if a.is_file() else new}")
@@ -324,6 +345,8 @@ def compare(old: Path, new: Path) -> int:
     for key, (value, rel) in largest.items():
         print(f"largest {key} change: {value:g}" + (f" ({rel})" if rel else ""))
     print("Newton iterations of solve and perturb reports: {} → {}".format(*iterations))
+    counts = ", ".join(f"{name}: {a} → {b}" for name, (a, b) in sorted(methods.items()))
+    print(f"solve and perturb reports by method: {counts}")
     for line in changed:
         print(f"CHANGED {line}")
     return 1 if changed else 0
