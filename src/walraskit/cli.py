@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: solve, decompose, realize, perturb, experiment, sarp, audit.
-Each reads an input file, runs the corresponding analysis, and writes a
-human-readable ``report.txt`` plus command-specific CSV artifacts into the
-output directory.  Runs are deterministic given the same inputs and seed
+Each reads an input file, runs the corresponding analysis, writes its
+command-specific artifacts into the output directory and returns the
+lines of its human-readable report, which :func:`main` alone writes to
+``report.txt``.  Runs are deterministic given the same inputs and seed
 (the default seed is the documented constant 1729).
 
 Exit status: 0 on success, 1 on input errors, 2 on an internal assertion
@@ -44,10 +45,6 @@ from .scales import ConstantScale
 DEFAULT_SEED = 1729
 
 
-def _write_report(out_dir: Path, lines: list[str]) -> None:
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
-
-
 def _report_equilibria(report, lines: list[str]) -> None:
     lines.append(f"equilibria found: {len(report.equilibria)}")
     for eq in report.equilibria:
@@ -81,16 +78,15 @@ def _report_equilibria(report, lines: list[str]) -> None:
     )
 
 
-def _solve_field(args, out_dir: Path, field_or_economy, lines: list[str]) -> int:
+def _solve_field(args, out_dir: Path, field_or_economy, lines: list[str]) -> list[str]:
     """Solve ``field_or_economy``, write ``equilibria.csv`` and report below ``lines``."""
     report = find_equilibria(field_or_economy, SolverConfig(args.grid))
     write_equilibria_csv(out_dir / "equilibria.csv", report, field_or_economy.goods)
     _report_equilibria(report, lines)
-    _write_report(out_dir, lines)
-    return 0
+    return lines
 
 
-def _cmd_solve(args, out_dir: Path) -> int:
+def _cmd_solve(args, out_dir: Path) -> list[str]:
     economy = load_economy(args.input)
     header = [f"solve: {args.input}", f"goods: {economy.goods}, consumers: {len(economy.consumers)}"]
     return _solve_field(args, out_dir, economy, header)
@@ -105,35 +101,35 @@ def _decomposition_grid(goods: int, n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).dirichlet(np.ones(goods), size=n)
 
 
-def _cmd_decompose(args, out_dir: Path) -> int:
+def _decomposition_input(args) -> tuple:
+    """The ``--input`` economy, its symmetric canonical family and the
+    decomposition grid of ``--grid`` points, read in that order."""
     economy = load_economy(args.input)
     family = CanonicalFamily.symmetric(economy.goods)
-    grid = _decomposition_grid(economy.goods, args.grid, args.seed)
+    return economy, family, _decomposition_grid(economy.goods, args.grid, args.seed)
+
+
+def _cmd_decompose(args, out_dir: Path) -> list[str]:
+    economy, family, grid = _decomposition_input(args)
     Q, mu, residual = _decompose_grid(family, grid, functools.partial(aed_rows, economy))
     write_witness_csv(out_dir / "witness.csv", Q / Q.sum(axis=1, keepdims=True), mu, residual)
-    _write_report(
-        out_dir,
-        [
-            f"decompose: {args.input}",
-            f"grid points: {len(grid)}",
-            f"max reconstruction residual: {_fmt(residual.max())}",
-            f"smallest coefficient: {_fmt(mu.min())}",
-        ],
-    )
-    return 0
+    return [
+        f"decompose: {args.input}",
+        f"grid points: {len(grid)}",
+        f"max reconstruction residual: {_fmt(residual.max())}",
+        f"smallest coefficient: {_fmt(mu.min())}",
+    ]
 
 
-def _cmd_realize(args, out_dir: Path) -> int:
+def _cmd_realize(args, out_dir: Path) -> list[str]:
     lines = []
     if args.continuum is not None:
         a, b = args.continuum
         economy = build_continuum_economy((a, b), grid=args.grid)
         lines.append(f"realize: continuum field on [{_fmt(a)}, {_fmt(b)}]")
     else:
-        base = load_economy(args.input)
+        base, family, grid = _decomposition_input(args)
         target_field = economy_field(base)
-        family = CanonicalFamily.symmetric(base.goods)
-        grid = _decomposition_grid(base.goods, args.grid, args.seed)
         grid_chart = grid[:, :-1]
         # The target at the grid rows, evaluated once: realised, then compared.
         values = target_field.full_values(grid_chart)[1]
@@ -154,8 +150,7 @@ def _cmd_realize(args, out_dir: Path) -> int:
     save_economy(out_dir / "realized_economy.yaml", economy)
     lines.insert(1, f"grid points: {args.grid}")
     lines.append("wrote realized_economy.yaml")
-    _write_report(out_dir, lines)
-    return 0
+    return lines
 
 
 _BASES = {"tilt": "linear_tilt", "poly": "polynomial", "fourier": "random_fourier"}
@@ -174,14 +169,14 @@ def _perturbation_spec(args) -> PerturbationSpec:
     return PerturbationSpec(epsilon=args.epsilon, basis=_BASES[kind], seed=args.seed, **counts)
 
 
-def _cmd_perturb(args, out_dir: Path) -> int:
+def _cmd_perturb(args, out_dir: Path) -> list[str]:
     economy = load_economy(args.input)
     spec = _perturbation_spec(args)
     header = [f"perturb: {args.input}", f"basis: {spec.basis}, epsilon: {_fmt(spec.epsilon)}, seed: {spec.seed}"]
     return _solve_field(args, out_dir, perturb(economy, spec), header)
 
 
-def _cmd_experiment(args, out_dir: Path) -> int:
+def _cmd_experiment(args, out_dir: Path) -> list[str]:
     economy = load_economy(args.input)
     spec = _perturbation_spec(args)
     result = genericity_experiment(economy, spec, args.trials, SolverConfig(args.grid))
@@ -200,11 +195,10 @@ def _cmd_experiment(args, out_dir: Path) -> int:
     lines.append(
         "unperturbed base: " + ("continuum detector fired" if baseline.fired else "finite")
     )
-    _write_report(out_dir, lines)
-    return 0
+    return lines
 
 
-def _cmd_sarp(args, out_dir: Path) -> int:
+def _cmd_sarp(args, out_dir: Path) -> list[str]:
     dataset = load_dataset(args.input)
     result = sarp_check(dataset)
     if result.passed:
@@ -212,15 +206,11 @@ def _cmd_sarp(args, out_dir: Path) -> int:
     else:
         cycle = ", ".join(str(i + 1) for i in result.cycle)
         verdict = f"SARP: violation: cycle ({cycle})"
-    _write_report(
-        out_dir,
-        [f"sarp: {args.input}", f"observations: {dataset.size}", verdict],
-    )
     print(verdict)
-    return 0
+    return [f"sarp: {args.input}", f"observations: {dataset.size}", verdict]
 
 
-def _cmd_audit(args, out_dir: Path) -> int:
+def _cmd_audit(args, out_dir: Path) -> list[str]:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, not {args.samples}")
     economy = load_economy(args.input)
@@ -246,8 +236,7 @@ def _cmd_audit(args, out_dir: Path) -> int:
     else:
         verdict = "PASS" if all(passed) else "FAIL"
     lines.append(f"audit result: {verdict}")
-    _write_report(out_dir, lines)
-    return 0
+    return lines
 
 
 _COMMANDS = {
@@ -283,6 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if "points" in flags:
             p.add_argument("--grid", type=int, help="number of grid points")
+        if "perturbation" in flags:
+            p.add_argument("--epsilon", type=float, required=True)
+            p.add_argument("--basis", default="fourier:5", help="tilt | poly:DEG | fourier:TERMS")
 
     p = sub.add_parser("solve", help="locate and classify all equilibria")
     common(p, "grid")
@@ -303,15 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("perturb", help="perturb the excess demand and re-solve")
-    common(p, "seed", "grid")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--basis", default="fourier:5", help="tilt | poly:DEG | fourier:TERMS")
+    common(p, "seed", "grid", "perturbation")
 
     p = sub.add_parser("experiment", help="seeded perturbation experiment")
-    common(p, "seed", "grid")
-    p.add_argument("--epsilon", type=float, required=True)
+    common(p, "seed", "grid", "perturbation")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--basis", default="fourier:5")
 
     p = sub.add_parser("sarp", help="check a dataset for revealed-preference cycles")
     common(p)
@@ -333,13 +321,15 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, not {args.seed}")
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, out_dir)
+        lines = _COMMANDS[args.command](args, out_dir)
+        (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
     except (EconomyFormatError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except PositiveSpanningError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

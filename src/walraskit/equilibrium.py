@@ -70,8 +70,9 @@ is solved again one field at a time (``_solve``).
 For two goods the order of the first non-vanishing chart derivative at a
 zero is estimated by a polynomial fit on a window of those probe rows
 (``multiplicity_estimate``).  ``classify``, ``multiplicity_estimate`` and
-``chart_jacobian`` are the one-zero case.  The scan flags clusters of zeros
-(``continuum_detector``) -- no finite procedure can decide infinitude, so
+``chart_jacobian`` are the one-zero case: each takes its map, chart row and
+``sigma`` from one helper (``_one_point``, one scan) and makes one probe
+call.  The scan flags clusters of zeros (``continuum_detector``) -- no finite procedure can decide infinitude, so
 the detector is a heuristic with documented thresholds.
 
 :func:`find_equilibria` answers an economy in closed form, before any of
@@ -523,14 +524,6 @@ def _lowest_per_label(labels: np.ndarray, res: np.ndarray) -> np.ndarray:
     return order[np.unique(labels[order], return_index=True)[1]]
 
 
-def _classify_rows(field: TangentField, C: np.ndarray, sigma: float):
-    """``_classification`` of the zeros ``C`` of the one field ``field``;
-    the first whose residual exceeds ``1e-9 * sigma`` raises ``ValueError``."""
-    out = _classification(_stacked_map(field, [None]), C, np.zeros(len(C), dtype=int), sigma)
-    _check_zeros(out[0], sigma)
-    return out
-
-
 def _check_zeros(residual: np.ndarray, sigma: float) -> None:
     """Raise ``ValueError``, naming the first, when a residual of zeros of a
     field of scale ``sigma`` exceeds ``1e-9 * sigma`` or is NaN."""
@@ -573,12 +566,17 @@ def _fit_orders(s: np.ndarray, G: np.ndarray, sigma) -> list:
     return [int(k) or None for k in first]
 
 
-def _chart_row(c) -> np.ndarray:
-    """The chart row, ``(1, d)``, of a price point or of a chart point given
-    as a ``ChartPoint`` or as raw coordinates, which ``ChartPoint`` checks."""
+def _one_point(field_or_economy, c) -> tuple:
+    """The probe arguments of a one-point call at ``c``: the field's map
+    (``_stacked_map``), the chart row ``(1, d)`` of ``c`` (a price point, a
+    ``ChartPoint`` or raw coordinates, which ``ChartPoint`` checks), its
+    label and ``sigma``, from one evaluation of the scan grid (``_scan``)."""
+    field = as_field(field_or_economy)
     if isinstance(c, PricePoint):
-        return c.simplex_coords()[None, :-1]
-    return (c if isinstance(c, ChartPoint) else ChartPoint(c)).coords[None, :]
+        C = c.simplex_coords()[None, :-1]
+    else:
+        C = (c if isinstance(c, ChartPoint) else ChartPoint(c)).coords[None, :]
+    return _stacked_map(field, [None]), C, np.zeros(1, dtype=int), _scan(field)[0]
 
 
 def classify(field_or_economy, p):
@@ -591,8 +589,9 @@ def classify(field_or_economy, p):
     case of the rows core that classifies every zero of a solver report; it
     evaluates the field on the scan grid, for ``sigma``, and on the probe rows.
     """
-    field = as_field(field_or_economy)
-    _, regular, index, _ = _classify_rows(field, _chart_row(p), _scan(field)[0])
+    evaluate, C, labels, sigma = _one_point(field_or_economy, p)
+    residual, regular, index, _ = _classification(evaluate, C, labels, sigma)
+    _check_zeros(residual, sigma)
     return (REGULAR if regular[0] else CRITICAL), int(index[0])
 
 
@@ -610,7 +609,10 @@ def multiplicity_estimate(field_or_economy, p) -> int | None:
     field = as_field(field_or_economy)
     if field.goods != 2:
         raise ValueError("multiplicity estimation is implemented for two goods only")
-    return _classify_rows(field, _chart_row(p), _scan(field)[0])[3][0]
+    evaluate, C, labels, sigma = _one_point(field, p)
+    residual, *_, multiplicity = _classification(evaluate, C, labels, sigma)
+    _check_zeros(residual, sigma)
+    return multiplicity[0]
 
 
 def chart_jacobian(field_or_economy, c) -> np.ndarray:
@@ -621,8 +623,7 @@ def chart_jacobian(field_or_economy, c) -> np.ndarray:
     raises :class:`JacobianConsistencyError`.  This is the one-point case of
     the probe that classifies zeros, and evaluates the field twice.
     """
-    field = as_field(field_or_economy)
-    _, J, consistent, _ = _probe(_stacked_map(field, [None]), _chart_row(c), np.zeros(1, int), _scan(field)[0])
+    _, J, consistent, _ = _probe(*_one_point(field_or_economy, c))
     if not consistent[0]:
         raise JacobianConsistencyError(
             "finite-difference Jacobian is step-size dependent at this point"

@@ -72,6 +72,15 @@ ARENA = {3: range(72), 4: range(72), 5: range(12), 6: range(12)}
 ARENA_REFUSED = {3: (34, 40, 54, 55, 65), 4: (42, 52, 57, 58, 64, 66, 71), 5: (10,), 6: (1, 5, 6)}
 
 
+def arena_economies():
+    """``(goods, seed, economy)`` of every arena economy that a solve
+    accepts, ``ARENA`` less ``ARENA_REFUSED``, in the order of ``ARENA``."""
+    for goods, seeds in ARENA.items():
+        for seed in seeds:
+            if seed not in ARENA_REFUSED[goods]:
+                yield goods, seed, multi_equilibrium_economy(goods, seed)
+
+
 def scale_path_prices(alphas, endowments, t):
     """``gamma(t)``: the equilibrium price rows of two Cobb-Douglas consumers
     with constant scales ``t`` and 1, one row per ``t`` (``nullspace_price``)."""

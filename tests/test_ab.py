@@ -20,6 +20,12 @@ def test_a_tree_against_itself(pool):
     q1, q3 = result["ratio_iqr"]
     assert 0 < q1 <= result["ratio_median"] <= q3
     assert 0 <= result["change_wins"] <= 2
+    # One tree on both sides does the same work, op by op.
+    for kind in ("calls", "rows"):
+        work = result[f"field_{kind}_per_op"]
+        assert work["base"] == work["change"]
+        # The smoke solve pool has constant scales: the closed form calls no field.
+        assert (work["change"]["mean"] > 0) == (pool == "arena")
 
 
 def test_the_two_trees_are_two_packages():

@@ -327,7 +327,10 @@ class TestJacobian:
 
     def test_inconsistent_steps_raise(self):
         # |c - 0.5|^1.3 has unbounded second derivative at 0.5: the two
-        # finite-difference estimates cannot agree there.
+        # finite-difference estimates disagree near it.  The points are off
+        # the kink, where the field is not symmetric, so that the estimates
+        # differ by the kink (22% to 38%), not by rounding noise as at 0.5.
         rough = wk.chart_field(lambda C: np.abs(C - 0.5) ** 1.3, goods=2)
-        with pytest.raises(wk.JacobianConsistencyError):
-            wk.chart_jacobian(rough, wk.ChartPoint([0.5]))
+        for c in (0.5 + 3e-7, 0.5 + 7e-7):
+            with pytest.raises(wk.JacobianConsistencyError):
+                wk.chart_jacobian(rough, wk.ChartPoint([c]))

@@ -799,6 +799,20 @@ class TestKnownEquilibria:
                 with pytest.raises(ValueError, match=f"^{message}$"):
                     wk.find_equilibria(multi_equilibrium_economy(goods, seed))
 
+    # Two of its zeros, 0.39994 and 0.40006, lie within 1.2e-4 of a fold; the
+    # lattice does not separate them, and the solve reports the second and
+    # 0.7 only (ROADMAP item 24, deflation).
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 24")
+    def test_a_pair_near_a_fold_is_found(self):
+        cubic = [-1.0, 0.0, 0.03, 0.002 - 1e-9]
+        field = wk.chart_field(lambda C: np.polyval(cubic, C - 0.5), goods=2)
+        exact = np.sort(np.roots(cubic).real) + 0.5
+        report = wk.find_equilibria(field)
+        found = np.sort([eq.chart[0] for eq in report.equilibria])
+        assert found.shape == exact.shape
+        assert np.abs(found - exact).max() <= 1e-6
+        assert report.index_check == "ok"
+
     def test_the_oracle_roots_are_equilibria(self):
         for goods, seed in ((3, 2), (4, 1)):
             economy = multi_equilibrium_economy(goods, seed)
@@ -1431,9 +1445,7 @@ class TestClassifyRows:
         if field.goods == 2:
             assert wk.multiplicity_estimate(field, c) == ref.multiplicity
             window = np.linspace(-1.0, 1.0, 33)
-            evaluate = equilibrium._stacked_map(field, [None])
-            sigma = equilibrium._scan(field)[0]
-            G = equilibrium._probe(evaluate, np.atleast_2d(c), np.zeros(1, dtype=int), sigma, window)[3]
+            G = equilibrium._probe(*equilibrium._one_point(field, c), window)[3]
             assert np.array_equal(G[0, :, 0], ref.window)
         if eq is not None:
             assert (eq.regularity, eq.index) == (ref.regularity, ref.index)
@@ -1464,8 +1476,11 @@ class TestClassifyRows:
         # values 0, 1e-3 and 2e-3 at the chart points 0.3, 0.5 and 0.7
         field = wk.chart_field(lambda C: 1e-3 * ((C > 0.4) + (C > 0.6)), goods=2)
         C = np.array([[0.3], [0.5], [0.7]])
+        sigma = equilibrium._scan(field)[0]
+        evaluate = equilibrium._stacked_map(field, [None])
+        residual = equilibrium._classification(evaluate, C, np.zeros(3, dtype=int), sigma)[0]
         with pytest.raises(ValueError, match=r"not a zero of the field \(residual 1\.414e-03\)"):
-            equilibrium._classify_rows(field, C, equilibrium._scan(field)[0])
+            equilibrium._check_zeros(residual, sigma)
 
     def test_report_evaluates_the_field_once(self):
         for fn, n_zeros in ((lambda C: 0.5 - C, 1), (lambda C: -(C - 0.3) * (C - 0.5) * (C - 0.7), 3)):
@@ -1821,6 +1836,19 @@ class TestEvaluationCount:
         # for the shorter steps of the rows whose full step failed.
         assert newton[0] == 20 * 3 and len(newton) == 1 + 9 + 3
         assert calls == [len(equilibrium._scan_grid(1)[0])] + newton + [8 * (1 + 4 + 33)]
+
+    @pytest.mark.parametrize(
+        "call, probe", [(wk.classify, 1 + 4 + 33), (wk.multiplicity_estimate, 1 + 4 + 33), (wk.chart_jacobian, 1 + 4)]
+    )
+    def test_a_one_point_call_scans_once_and_probes_once(self, call, probe):
+        calls = []
+
+        def counted(C):
+            calls.append(len(C))
+            return 0.5 - C
+
+        call(wk.chart_field(counted, goods=2), wk.ChartPoint([0.5]))
+        assert calls == [len(equilibrium._scan_grid(1)[0]), probe]
 
     def test_the_join_takes_one_call_more(self):
         calls = []

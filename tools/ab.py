@@ -14,18 +14,24 @@ value is 1.
 The inputs are written once, in a temporary directory, from the pools of
 ``bench/workloads.py`` at full size (``--pool`` ``solve``, ``experiment``,
 ``realize`` or ``sarp``, seeded by ``--seed``), or for ``--pool arena``
-from ``tests/support.ARENA``: ``solve`` on the economies of that family at
-l = 3 and 4 with seeds 0-71 and at l = 5 and 6 with seeds 0-11, less those
-whose solve exits 1 (``ARENA_REFUSED``), which time the grid solver at
-l = 3-6.  Every round runs every op of the pool on both trees in turn,
+``solve`` on every arena economy that a solve accepts
+(``tests/support.arena_economies``: l = 3 and 4 with seeds 0-71 and l = 5
+and 6 with seeds 0-11, less the refused ones), which time the grid solver
+at l = 3-6.  Every round runs every op of the pool on both trees in turn,
 three times each, the tree that goes first alternating from op to op and
 from round to round; an op's time on a tree is the best of its three.  An op that does not exit 0
 stops the run.
 
+After the timed rounds, one more pass, untimed, runs every op once on
+each tree with that tree's own ``TangentField.chart_values`` wrapped, and
+counts its field calls and rows per op: work that does not depend on the
+machine.
+
 Prints each tree's median milliseconds per op, the median of the per-op
 ratios change / base with their interquartile range, and in how many
-rounds the change took less time over the whole pool, then the same as
-one JSON object on the last line.
+rounds the change took less time over the whole pool, then each tree's
+median and mean field calls and rows per op, then all of it as one JSON
+object on the last line.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import groupby, islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,17 +90,14 @@ def pool(name: str, seed: int, work: Path, smoke: bool = False) -> list[list[str
         from workloads import WORKLOADS
 
         return WORKLOADS[name](seed, smoke).write(work)
-    from support import ARENA, ARENA_REFUSED, multi_equilibrium_economy
+    from support import arena_economies
     from walraskit import save_economy
 
     argvs = []
-    for goods, seeds in ARENA.items():
-        kept = [k for k in seeds if k not in ARENA_REFUSED[goods]]
-        if smoke:
-            kept = kept[:2] if goods <= 4 else []
-        for k in kept:
+    for goods, group in groupby(arena_economies(), key=lambda arena: arena[0]):
+        for _, k, economy in islice(group, 2 if goods <= 4 else 0) if smoke else group:
             path = work / f"multi-l{goods}-seed{k}.yaml"
-            save_economy(path, multi_equilibrium_economy(goods, k))
+            save_economy(path, economy)
             argvs.append(["solve", "--input", str(path), "--out", str(path.with_suffix(""))])
     return argvs
 
@@ -131,13 +135,48 @@ def measure(clis: tuple, argvs: list[list[str]], rounds: int) -> list[list[tuple
     return times
 
 
-def summary(times: list[list[tuple]]) -> dict:
+def count(cli, argvs: list[list[str]]) -> dict:
+    """The calls and rows of ``TangentField.chart_values`` of the tree of
+    ``cli``, a list of each with one entry per op, from one untimed run of
+    every op; the method is wrapped on that tree's class for the pass, then
+    restored."""
+    field = sys.modules[cli.__name__.rpartition(".")[0] + ".fields"].TangentField
+    original = field.chart_values
+    seen = []
+
+    def counted(self, *args, **kwargs):
+        out = original(self, *args, **kwargs)
+        seen.append(len(out))
+        return out
+
+    field.chart_values = counted
+    work = {"calls": [], "rows": []}
+    try:
+        for argv in argvs:
+            seen.clear()
+            _time(cli, argv)
+            work["calls"].append(len(seen))
+            work["rows"].append(sum(seen))
+    finally:
+        field.chart_values = original
+    return work
+
+
+def summary(times: list[list[tuple]], counts: tuple) -> dict:
     """Each tree's median ms per op, the median and quartiles of the per-op
-    ratios change / base, and the rounds in which the change's pool took
-    less time."""
+    ratios change / base, the rounds in which the change's pool took less
+    time, and each tree's median and mean field calls and rows per op from
+    its ``counts``."""
     ops = [t for row in times for t in row]
     ratios = [b / a for a, b in ops]
     q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+    work = {
+        f"field_{kind}_per_op": {
+            side: {"median": statistics.median(tree[kind]), "mean": statistics.mean(tree[kind])}
+            for side, tree in zip(("base", "change"), counts)
+        }
+        for kind in ("calls", "rows")
+    }
     return {
         "ops": len(times[0]),
         "rounds": len(times),
@@ -146,6 +185,7 @@ def summary(times: list[list[tuple]]) -> dict:
         "ratio_median": statistics.median(ratios),
         "ratio_iqr": [q1, q3],
         "change_wins": sum(sum(b for _, b in row) < sum(a for a, _ in row) for row in times),
+        **work,
     }
 
 
@@ -155,7 +195,8 @@ def run(base: Path, change: Path, name: str, seed: int, rounds: int, smoke: bool
     clis = (load(base, "walraskit_ab_base"), load(change, "walraskit_ab_change"))
     with tempfile.TemporaryDirectory() as tmp:
         argvs = pool(name, seed, Path(tmp), smoke)
-        return summary(measure(clis, argvs, rounds))
+        times = measure(clis, argvs, rounds)
+        return summary(times, tuple(count(cli, argvs) for cli in clis))
 
 
 def main(argv=None) -> int:
@@ -187,6 +228,12 @@ def main(argv=None) -> int:
     q1, q3 = result["ratio_iqr"]
     print(f"ratio change/base per op: median {result['ratio_median']:.3f}, interquartile {q1:.3f}-{q3:.3f}")
     print(f"change faster in {result['change_wins']} of {result['rounds']} rounds")
+    for kind in ("calls", "rows"):
+        work = result[f"field_{kind}_per_op"]
+        print(
+            f"field {kind} per op: base median {work['base']['median']:g} (mean {work['base']['mean']:.2f}), "
+            f"change median {work['change']['median']:g} (mean {work['change']['mean']:.2f})"
+        )
     print(json.dumps(result))
     return 0
 

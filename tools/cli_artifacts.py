@@ -14,10 +14,11 @@ three known equilibria (``tests/support.multi_equilibrium_economy``, l = 3
 seed 0 and l = 4 seed 1), on a five- and a six-good constant-scale
 economy and on the saved continuum economy at ``--grid 4001``, whose
 solve reads the hits of a refined level.  Under ``solve/arena/`` it runs
-``solve`` on the arena, the economies of that family at l = 3 and 4 with
-seeds 0-71 and at l = 5 and 6 with seeds 0-11 (``tests/support.ARENA``),
-less those whose solve exits 1 (``ARENA_REFUSED``), so that a change to
-the zeros the solver finds on them reads as a changed answer.  Under
+``solve`` on every arena economy that a solve accepts
+(``tests/support.arena_economies``: the economies of that family at l = 3
+and 4 with seeds 0-71 and at l = 5 and 6 with seeds 0-11, less the refused
+ones), so that a change to the zeros the solver finds on them reads as a
+changed answer.  Under
 ``experiment/extra/`` it runs ``experiment`` with four trials on the
 three-good economy of ``solve/extra/`` (bases ``poly:3`` and ``fourier:5``), whose stacked trials are solved on
 a refined level, and with four ``poly:3`` trials on the four-good economy
@@ -102,12 +103,7 @@ from walraskit import (  # noqa: E402
     save_economy,
 )
 from walraskit.revealed import ROW_BLOCK, preference_matrix  # noqa: E402
-from support import (  # noqa: E402
-    ARENA,
-    ARENA_REFUSED,
-    constant_scale_economy,
-    multi_equilibrium_economy,
-)
+from support import arena_economies, constant_scale_economy, multi_equilibrium_economy  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 ECONOMIES = 6
@@ -181,11 +177,10 @@ def invocations(seed: int) -> list[list[str]]:
     argvs.append(["solve", *continuum, "--out", str(extra / "continuum-grid4001")])
     arena = Path("solve", "arena")
     arena.mkdir()
-    for goods, seeds in ARENA.items():
-        for k in (k for k in seeds if k not in ARENA_REFUSED[goods]):
-            path = arena / f"multi-l{goods}-seed{k}.yaml"
-            save_economy(path, multi_equilibrium_economy(goods, k))
-            argvs.append(["solve", "--input", str(path), "--out", str(path.with_suffix(""))])
+    for goods, k, economy in arena_economies():
+        path = arena / f"multi-l{goods}-seed{k}.yaml"
+        save_economy(path, economy)
+        argvs.append(["solve", "--input", str(path), "--out", str(path.with_suffix(""))])
     experiments = Path("experiment", "extra")
     experiments.mkdir()
     goods, k = FAILING
