@@ -72,7 +72,7 @@ def _report_equilibria(report, lines: list[str]) -> None:
     lines.append(f"method: {method}")
     s = report.stats
     lines.append(
-        f"solver: {s.starts} starts, {s.converged} converged, {s.stalled} stalled, "
+        f"solver: {s.starts} starts ({s.deflated} deflated), {s.converged} converged, {s.stalled} stalled, "
         f"{s.exhausted} exhausted, {s.newton_iterations} Newton iterations, "
         f"{s.dedup_merges} dedup merges"
     )
@@ -267,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         if "grid" in flags:
             p.add_argument(
                 "--grid", type=int, default=50,
-                help="solver's target spacing, 1/(GRID-1) of a chart axis: scan-grid cells that "
-                "can hold a zero are refined to at most it (default 50)",
+                help="solver's target spacing, 1/(GRID-1) of a chart axis: where the scan grid "
+                "is coarser, Newton is deflated next to every zero found (default 50)",
             )
         if "points" in flags:
             p.add_argument("--grid", type=int, help="number of grid points")

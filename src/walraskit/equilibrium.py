@@ -4,32 +4,30 @@ One pipeline, ``_solve``, does every solve.  It takes a base field and a
 list of chart-map terms (``None``, or a perturbation added to the base
 chart map), so that each field's chart values are the base's plus its
 term, the field that ``perturb`` returns, and evaluates each field once on
-the continuum scan grid, the coarse level of a Kuhn lattice.  A level is a
-set of patches, cubes of lattice indices in the chart region
-(``_interior``), over stacked ``(field, point)`` rows.  One routine lays
-out both levels (``_layout``), one map evaluates them (``_stacked_map``),
-and one reads a level's starts (``_level_starts``): the zero of the
-piecewise-linear interpolant of the Newton map in every Freudenthal
-simplex that holds one (Scarf's simplicial method, restarted on a finer
-mesh as in Eaves 1972), every lattice point whose residual is least in the
-box of its neighbours, and the lowest-residual point of each cluster of
-its hits (``_hits``).  The scan grid is one patch per field, read in one
-pass (``_scan_stage``).  When it is coarser than the target spacing
-``_spacing(grid_density)``, its cells that can hold a zero are refined in
-one step into patches of ``m`` subdivisions per axis, the fewest that
-reach the target, evaluated in one call (``_refine``), and the refined
-level gives the starts.  Damped Newton iteration in chart coordinates
-(``_newton_multistart``) runs over them, merging starts that converge
-together; a converged start takes only full steps and stops at the first
-that does not halve its residual, which polishes a degenerate zero and
-stops at a regular one.  Every point Newton evaluates comes with its
-central-difference Jacobian stencil (``_stencil``, ``_newton_points``): an
-iteration asks the full steps in one call and the shorter steps, in one
-call more, only of the starts whose full step failed, and each start moves
-with the Jacobian of its new point.  On a refined level Newton runs once
-more between and beyond every two close zeros of a field
-(``_restart_between``).  :func:`find_equilibria` is its one-field case
-and the genericity experiment its many-field case.
+the continuum scan grid, a Kuhn lattice of the chart region
+(``_interior``), over stacked ``(field, point)`` rows, in one pass
+(``_scan_stage``) of the one map that evaluates every row
+(``_stacked_map``).  The grid gives the starts (``_starts``): the zero of
+the piecewise-linear interpolant of the Newton map in every Freudenthal
+simplex that holds one (Scarf's simplicial method), every lattice point
+whose residual is least in the box of its neighbours, and the
+lowest-residual point of each cluster of its hits (``_hits``).  Damped
+Newton iteration in chart coordinates (``_newton_multistart``) runs over
+them, merging starts that converge together; a converged start takes only
+full steps and stops at the first that does not halve its residual, which
+polishes a degenerate zero and stops at a regular one.  Every point Newton
+evaluates comes with its central-difference Jacobian stencil
+(``_stencil``, ``_newton_points``): an iteration asks the full steps in one
+call and the shorter steps, in one call more, only of the starts whose
+full step failed, and each start moves with the Jacobian of its new point.
+When the scan grid is coarser than the target spacing
+``_spacing(grid_density)``, deflation searches next to every zero found
+(``_deflate``): Newton runs again from small offsets of each zero, on the
+Newton map times a factor that grows without bound at every zero of the
+field found so far, for up to ``DEFLATION_ROUNDS`` rounds, each from the
+zeros that the round before found.  A field whose continuum detector fired
+is not deflated.  :func:`find_equilibria` is the one-field case and the
+genericity experiment the many-field case.
 
 The aggregate excess demand ``z`` of an economy (a field marked
 ``price_weighted``, with no term) is solved on the price-weighted field
@@ -39,14 +37,14 @@ the faces where ``z`` grows like ``1/p_j``, and is affine in the chart for
 constant-scale Cobb-Douglas economies, so its PL zero is the equilibrium.
 Convergence is judged on ``|z|`` either way, and other fields, including
 perturbed economy fields, are solved on ``z`` itself.  ``_stacked_map``
-makes this choice for each chunk of fields and gives every level, Newton
-phase and probe the full rows of both maps, each row on the field that the
+makes this choice for each chunk of fields and gives the scan, every
+Newton phase and probe the full rows of both maps, each row on the field that the
 caller names for it.  Every residual threshold is a constant times the
 field's scale ``sigma``, the largest finite ``|p * z|`` on the scan grid
 (``_scan``), so rescaling every endowment changes no answer.
 
 One rule, ``_cover``, says which converged rows are one zero: Newton's
-merge, the restarts between close zeros and the report step use it.  The
+merge, the deflation rounds and the report step use it.  The
 report step, like the Newton phase, takes a chunk of fields at a time
 (``_reports``) and reads them only through its map (``_stacked_map``): the
 kept zeros of all its fields are classified from one evaluation, on a few
@@ -87,7 +85,7 @@ and ``declined`` why the closed form did not.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import permutations
 from numbers import Integral
 
@@ -98,7 +96,6 @@ from .fields import TangentField, _full_rows, as_field
 from .geometry import (
     ChartPoint,
     PricePoint,
-    _close_pairs,
     _greedy_cover,
     _linked_components,
     chart_rows_embed,
@@ -122,6 +119,13 @@ NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 60
 NEWTON_MAX_HALVINGS = 10
 DEDUP_RADIUS = 1e-6
+# The deflation phase (``_deflate``): at most this many rounds, each from
+# the zeros ``r`` that the round before found, at ``r + s u`` for each step
+# ``s``; a deflation row takes at most this many iterations and halvings.
+DEFLATION_ROUNDS = 3
+DEFLATION_STEPS = (1e-3, 1e-2)
+DEFLATION_MAX_ITER = 15
+DEFLATION_MAX_HALVINGS = 3
 JOIN_RADIUS = 1e-4
 CONTINUUM_SCAN_POINTS = 2001
 MAX_SCAN_POINTS = 250_000
@@ -163,6 +167,7 @@ class SolverStats:
     exhausted: int
     newton_iterations: int
     dedup_merges: int
+    deflated: int
 
 
 @dataclass(frozen=True)
@@ -221,8 +226,8 @@ MAX_STARTS = 250_000
 
 def _interior(C: np.ndarray) -> np.ndarray:
     """The chart region: the rows of ``C`` (its last axis) at least
-    ``BOUNDARY_MARGIN`` from every face.  Every lattice level, Newton trial
-    and restart keeps to it."""
+    ``BOUNDARY_MARGIN`` from every face.  The scan grid, every Newton trial
+    and every deflation start keep to it."""
     return (C >= BOUNDARY_MARGIN).all(axis=-1) & (C.sum(axis=-1) <= 1.0 - BOUNDARY_MARGIN)
 
 
@@ -235,36 +240,19 @@ def _axis(density: int) -> np.ndarray:
     return axis
 
 
-def _layout(field: np.ndarray, corner: np.ndarray, n: int, m: int) -> tuple:
-    """The level of the cells with corners ``corner`` on the lattice of ``n``
-    points per axis, of the fields ``field``, each refined into a patch of
-    ``m`` subdivisions per axis: the keys (ascending), fields and chart rows
-    of its points in the chart region, a point that patches share once, and
-    its ``n``, ``vertex``, ``field`` and ``corner`` (``_level_starts``)."""
-    d = corner.shape[1]
-    n = (n - 1) * m + 1
-    offsets = np.indices((m + 1,) * d).reshape(d, -1).T @ (n ** np.arange(d - 1, -1, -1))
-    corner = corner * m
-    corners = field * n**d + np.ravel_multi_index(tuple(corner.T), (n,) * d)
-    keys, vertex = np.unique(corners[:, None] + offsets, return_inverse=True)
-    labels, K = np.divmod(keys, n**d)
-    C = _axis(n)[np.column_stack(np.unravel_index(K, (n,) * d))]
-    inside = _interior(C)
-    rows = np.where(inside, np.cumsum(inside) - 1, -1)
-    vertex = rows[vertex].reshape((len(corners),) + (m + 1,) * d)
-    return keys[inside], labels[inside], C[inside], n, vertex, field, corner
-
-
 @lru_cache(maxsize=16)
 def _scan_level(dim: int, density: int) -> tuple:
-    """The lattice of ``density`` points per axis as a level of one patch,
-    the single cell of the 2-point lattice refined by ``density - 1``
-    (``_layout``): its chart rows in index order, ``density``, keys and
-    ``vertex``; read-only, since every caller shares them."""
-    keys, _, C, n, vertex, *_ = _layout(np.zeros(1, dtype=int), np.zeros((1, dim), dtype=int), 2, density - 1)
-    for a in (C, keys, vertex):
+    """The lattice of ``density`` points per axis in the chart region: its
+    chart rows in index order, ``density``, and ``vertex``, the cube of
+    lattice indices holding the row of each point (-1 for a point outside
+    the region); read-only, since every caller shares them."""
+    C = _axis(density)[np.indices((density,) * dim).reshape(dim, -1).T]
+    inside = _interior(C)
+    vertex = np.where(inside, np.cumsum(inside) - 1, -1).reshape((density,) * dim)
+    C = C[inside]
+    for a in (C, vertex):
         a.setflags(write=False)
-    return C, n, keys, vertex
+    return C, density, vertex
 
 
 @lru_cache(maxsize=16)
@@ -353,7 +341,9 @@ def _newton_points(evaluate, X: np.ndarray, rows: np.ndarray) -> tuple:
     return W[:, 0, :-1], res, np.linalg.norm(Z[::per], axis=1), J
 
 
-def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
+def _newton_multistart(
+    evaluate, starts: np.ndarray, tol, labels: np.ndarray, max_iter=NEWTON_MAX_ITER, max_halvings=NEWTON_MAX_HALVINGS
+):
     """Damped Newton from every start row, as one batch.
 
     ``evaluate(C, rows)`` returns the full rows of the Newton map and of the
@@ -365,12 +355,13 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     is judged on the field, ``|z| <= tol`` (one bound, or one per row).
 
     A step tries ``C - lambda * delta`` for ``lambda = 1, 1/2, ...,
-    2**-NEWTON_MAX_HALVINGS`` and takes the first trial inside the boundary
+    2**-max_halvings`` and takes the first trial inside the boundary
     margin that cuts the residual by ``1 - lambda / 2`` (backtracking).  A
     converged row, ``|z| <= tol``, tries the full step ``lambda = 1`` only,
     and takes it when it at least halves the residual.  A row stops when
-    no step size it tries improves its residual, or when the step no
-    longer moves the point (as a singular Jacobian's zero step does).
+    no step size it tries improves its residual, when the step no longer
+    moves the point (as a singular Jacobian's zero step does), or after
+    ``max_iter`` iterations.
 
     Every point is evaluated with its ``2d`` Jacobian stencil rows
     (``_newton_points``): the first call holds every start, ``starts x
@@ -403,13 +394,13 @@ def _newton_multistart(evaluate, starts: np.ndarray, tol, labels: np.ndarray):
     active = ~halted & (res > 0.0)
     iterations = np.zeros(len(C), dtype=np.int64)
 
-    for _ in range(NEWTON_MAX_ITER):
+    for _ in range(max_iter):
         _merge_converged(C, zres, active, tol, labels)
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         iterations[idx] += 1
-        took = _damped_step(evaluate, idx, state, (zres <= tol)[idx])
+        took = _damped_step(evaluate, idx, state, (zres <= tol)[idx], max_halvings)
         # A row halts unless one of its trials is accepted.  An exact zero
         # stops here, not after one more Jacobian whose zero step would end it.
         halted[idx], active[idx] = True, False
@@ -434,7 +425,7 @@ def _newton_direction(J: np.ndarray, G: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _damped_step(evaluate, rows, state: tuple, converged: np.ndarray):
+def _damped_step(evaluate, rows, state: tuple, converged: np.ndarray, halvings: int):
     """One damped Newton step from each of ``rows`` of the iterates
     ``state``: their points ``C``, the Newton map's chart values ``G``, the
     residuals ``res`` and ``zres`` and the Newton map's Jacobians ``J``.
@@ -442,8 +433,9 @@ def _damped_step(evaluate, rows, state: tuple, converged: np.ndarray):
     those rows.
 
     The step solves ``J delta = G`` (``_newton_direction``) and tries
-    ``C - lambda * delta`` for each step size (``_STEP_SIZES``), every trial
-    evaluated with its stencil rows (``_newton_points``).  One call asks the
+    ``C - lambda * delta`` for the first ``halvings + 1`` step sizes
+    (``_STEP_SIZES``), every trial evaluated with its stencil rows
+    (``_newton_points``).  One call asks the
     full step of every row; a second asks the shorter steps of the rows
     whose full step failed and that have not ``converged`` (one flag per
     row), and is made only when there are any.  A row's trials end before
@@ -452,7 +444,7 @@ def _damped_step(evaluate, rows, state: tuple, converged: np.ndarray):
     ``(1 - lambda / 2) res``, with the Jacobian there.
     """
     C, G, res, _, J = (a[rows] for a in state)
-    T = C[:, None, :] - _STEP_SIZES[:, None] * _newton_direction(J, G)[:, None, :]
+    T = C[:, None, :] - _STEP_SIZES[: halvings + 1, None] * _newton_direction(J, G)[:, None, :]
     # No shorter step moves a point that a longer one leaves in place.
     ask = np.logical_and.accumulate((T != C[:, None, :]).any(axis=2), axis=1) & _interior(T)
     hit = np.zeros(len(rows), dtype=bool)
@@ -494,7 +486,7 @@ def _cover(C: np.ndarray, zres: np.ndarray, labels: np.ndarray, rows: np.ndarray
 def _apart(C: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The rows ``C`` with their fields ``labels`` on an extra last axis, two
     units apart: beyond every radius of a near-row search over stacked
-    fields (``_cover``'s, 1.5 scan spacings, ``_restart_between``'s)."""
+    fields (``_cover``'s and 1.5 scan spacings)."""
     return np.column_stack([C, 2.0 * labels])
 
 
@@ -652,7 +644,7 @@ def _spacing(density: int) -> float:
 
 
 def _scan_grid(dim: int) -> tuple:
-    """The continuum scan grid as a level (``_scan_level``); ``ValueError``
+    """The continuum scan grid (``_scan_level``); ``ValueError``
     when its ``per_dim**dim`` grid would exceed ``MAX_SCAN_POINTS``."""
     per_dim = max(11, int(round(CONTINUUM_SCAN_POINTS ** (1.0 / dim))))
     if per_dim**dim > MAX_SCAN_POINTS:
@@ -719,113 +711,44 @@ def _hits(C: np.ndarray, Z: np.ndarray, labels: np.ndarray, sigmas, spacing: flo
     return hit, _linked_components(_apart(C[hit], labels[hit]), 1.5 * spacing)
 
 
-def _subdivisions(per_dim: int, density: int) -> int:
-    """Subdivisions per axis of a refined scan-grid cell: the fewest whose
-    spacing is at most ``_spacing(density)``."""
-    return -(-(density - 1) // (per_dim - 1))
-
-
-def _starts(evaluate, m: int, sigmas, W, hit, clusters) -> tuple:
+def _starts(W: np.ndarray, hit: np.ndarray, clusters: np.ndarray) -> tuple:
     """The Newton starts of a chunk of fields, and the field of each start
-    (non-decreasing), from their scales ``sigmas``, the full rows ``W`` of
-    their Newton map on the scan grid, its hits and their clusters
-    (``_scan_stage``) and the solve's ``_subdivisions`` ``m``.
+    (non-decreasing), from the full rows ``W`` of their Newton map on the
+    scan grid, field by field, its hits (``|z| <= CONTINUUM_RESIDUAL_TOL *
+    sigma``) and their clusters (``_scan_stage``): the PL zeros of the grid
+    (``_pl_zeros``), its minima and the lowest-residual point of each
+    cluster of its hits, so a flat stretch of zeros gives one start, not one
+    per cell.  A zero on a face that simplices share is found in each;
+    Newton merges such starts.  Hits are neither simplex vertices nor
+    minima.
 
-    The scan grid is a level of one patch per field; with ``m > 1`` its
-    flagged cells are refined, and the chunk's map ``evaluate``
-    (``_stacked_map``) evaluates them.  A field's starts are those of the
-    finest level (``_level_starts``).
+    A point ``v`` is a minimum when its residual is finite and at most that
+    of every point ``v + b``, ``b`` in ``{-1, 0, 1}^d``, of the grid.  In one
+    dimension these are its Freudenthal neighbours ``v +- e_1``; in more, the
+    box also holds the points ``v + b`` whose ``b`` mixes signs, along which
+    a trough's floor descends.
     """
-    F, d = len(sigmas), W.shape[1] - 1
-    _, per_dim, keys, vertex = _scan_grid(d)
-    field = np.arange(F)
-    # The scan grid as one patch per field, its rows stacked field by field.
-    keys = (field[:, None] * per_dim**d + keys).ravel()
-    vertex = np.where(vertex >= 0, vertex + len(W) // F * field.reshape((F,) + (1,) * d), -1)
-    refine = partial(_refine, evaluate, sigmas, m) if m > 1 else None
-    corner = np.zeros((F, d), dtype=int)
-    blocks = _level_starts(W, hit, clusters, keys, per_dim, vertex, field, corner, refine)
-    labels = np.concatenate([f for f, _ in blocks])
-    order = np.argsort(labels, kind="stable")
-    return np.vstack([X for _, X in blocks])[order], labels[order]
-
-
-def _level_starts(W, hit, clusters, keys, n: int, vertex, field, corner, refine=None) -> list:
-    """The starts of a lattice level as ``(fields, starts)`` blocks: its PL
-    zeros, its minima and the lowest-residual point of each cluster of its
-    hits (``clusters``, one per hit, from ``_hits``), so a flat stretch of
-    zeros gives one start, not one per cell.  A zero on a face that
-    simplices share is found in each; Newton merges such starts.  With
-    ``refine``, they are the starts of the level that
-    ``refine(fields, corners, n)`` makes of its cells that can hold a zero:
-    those where every component takes both signs at the corners that have
-    a value (``_sign_screen``), or with a minimum or a hit as a corner.
-
-    A level is a set of patches over stacked rows on the lattice of ``n``
-    points per axis.  Row ``r`` is the lattice point ``K`` of field ``f``
-    with key ``keys[r] = f * n**d + ravel(K)`` (ascending), the Newton map's
-    full values ``W[r]`` there, and ``hit[r]`` marks a hit, a point where
-    ``|z| <= CONTINUUM_RESIDUAL_TOL * sigma``.  Patch ``q`` of
-    field ``field[q]`` is the cube of lattice indices from ``corner[q]``:
-    its entry ``j`` is row ``vertex[q, j]``, -1 for a point with no row.
-    Hits are neither simplex vertices nor minima.
-
-    A vertex is a minimum when its residual is finite and at most that of
-    every point ``v + b``, ``b`` in ``{-1, 0, 1}^d``, of the level, in its
-    own patch and in the patches next to it.  In one dimension these are
-    its Freudenthal neighbours ``v +- e_1``; in more, the box also holds the
-    points ``v + b`` whose ``b`` mixes signs, along which a trough's floor
-    descends.  Judged within its own patch alone, each border vertex of a
-    patch on the floor of a trough was one; judged only where the whole box
-    was evaluated, a minimum on the border of a refined region, next to a
-    zero that the scan grid hides, was none.
-    """
-    d = vertex.ndim - 1
+    d = W.shape[1] - 1
+    C, n, vertex = _scan_grid(d)
+    F = len(W) // len(C)
+    # The grid of each field is one cube of its rows, stacked field by field.
+    vertex = np.where(vertex >= 0, vertex + len(C) * np.arange(F).reshape((F,) + (1,) * d), -1)
     res = np.linalg.norm(W, axis=1)
     finite = np.isfinite(res)
     # Row -1 stands for a lattice point with no row: no values, no residual.
     G = np.vstack([np.where((finite & ~hit)[:, None], W[:, :-1], np.nan), np.full(d, np.nan)])
     R = np.append(np.where(finite, res, np.inf), np.inf)
 
-    # Minima within their patch, then against their neighbours in others.
-    box = np.full((len(vertex),) + tuple(np.add(vertex.shape[1:], 2)), np.inf)
+    box = np.full((F,) + (n + 2,) * d, np.inf)
     box[(slice(None),) + (slice(1, -1),) * d] = R[vertex]
     least = _over_cells(np.minimum, _over_cells(np.minimum, box))
     minima = np.unique(vertex[np.isfinite(R[vertex]) & (R[vertex] <= least)])
-    labels, K = np.divmod(keys[minima], n**d)
-    K = np.column_stack(np.unravel_index(K, (n,) * d))
-    lowest = ~hit[minima]
-    # With one patch per field (the scan grid), no neighbour lies in another.
-    if len(np.unique(field)) < len(field):
-        near = K[:, None, :] + np.indices((3,) * d).reshape(d, -1).T - 1
-        within = ((near >= 0) & (near < n)).all(axis=2)
-        near = labels[:, None] * n**d + near @ (n ** np.arange(d - 1, -1, -1))
-        at = np.minimum(np.searchsorted(keys, near), len(keys) - 1)
-        lowest &= (~within | (keys[at] != near) | (R[minima][:, None] <= R[at])).all(axis=1)
-    minima, labels, K = minima[lowest], labels[lowest], K[lowest]
-
-    if refine is not None:
-        mark = np.append(hit, False)
-        mark[minima] = True
-        patch, *cell = np.nonzero(_sign_screen(G, vertex) | _over_cells(np.logical_or, mark[vertex]))
-        return _level_starts(*refine(field[patch], corner[patch] + np.column_stack(cell), n))
-    axis = _axis(n)
-    patch, zeros = _pl_zeros(G, vertex, corner, axis)
-    blocks = [(field[patch], zeros), (labels, axis[K])]
+    minima = minima[~hit[minima]]
+    field, zeros = _pl_zeros(G, vertex, _axis(n))
     rep = np.flatnonzero(hit)[_lowest_per_label(clusters, res[hit])]
-    labels, K = np.divmod(keys[rep], n**d)
-    return blocks + [(labels, axis[np.column_stack(np.unravel_index(K, (n,) * d))])]
-
-
-def _refine(evaluate, sigmas, m: int, field, corner, n: int) -> tuple:
-    """The level (``_level_starts``' arguments) that ``_layout`` makes of the
-    cells with corners ``corner`` on the lattice of ``n`` points per axis, of
-    the fields ``field`` (scales ``sigmas``), each refined into ``m``
-    subdivisions per axis, with its rows evaluated in one call of the
-    chunk's map ``evaluate`` (``_stacked_map``) and its ``_hits``."""
-    keys, labels, C, *patches = _layout(field, corner, n, m)
-    W, Z = evaluate(C, labels)
-    return W, *_hits(C, Z, labels, sigmas, _spacing(n)), keys, *patches
+    labels = np.concatenate([field, minima // len(C), rep // len(C)])
+    order = np.argsort(labels, kind="stable")
+    return np.vstack([zeros, C[minima % len(C)], C[rep % len(C)]])[order], labels[order]
 
 
 def _over_cells(op, X: np.ndarray, lead: int = 1) -> np.ndarray:
@@ -838,43 +761,42 @@ def _over_cells(op, X: np.ndarray, lead: int = 1) -> np.ndarray:
 
 
 def _sign_screen(G: np.ndarray, vertex: np.ndarray) -> np.ndarray:
-    """The cells of each patch (``_pl_zeros``'s layout) in which every
+    """The cells of each cube (``_pl_zeros``'s layout) in which every
     component takes both signs at the corners that have a value; only they
     can hold a zero of the interpolant."""
     signs = np.ascontiguousarray(np.concatenate([G >= 0.0, G <= 0.0], axis=1).T)
     return reduce(np.logical_and, _over_cells(np.logical_or, np.take(signs, vertex, axis=1), 2))
 
 
-def _pl_zeros(G: np.ndarray, vertex: np.ndarray, corner: np.ndarray, axis: np.ndarray) -> tuple:
+def _pl_zeros(G: np.ndarray, vertex: np.ndarray, axis: np.ndarray) -> tuple:
     """The zeros of the piecewise-linear interpolant of the chart values
     ``G`` (rows, NaN where there is none) in the closed Freudenthal
-    simplices whose vertices all have values, and the patch of each, in
-    patch, cell and permutation order.
+    simplices whose vertices all have values, and the field of each, in
+    field, cell and permutation order.
 
-    ``vertex`` stacks patches, cubes of lattice indices: entry ``j`` of
-    patch ``q`` is the lattice point ``corner[q] + j``, at chart coordinates
-    ``axis[corner[q] + j]``, whose values are row ``vertex[q, j]`` of ``G``.
-    The simplex of permutation ``p`` in the cell with corner ``k`` has
-    vertices ``k``, ``k + e_p1``, ..., ``k + 1``.
+    ``vertex`` stacks one cube of lattice indices per field: entry ``j`` of
+    field ``q`` is the lattice point ``j``, at chart coordinates
+    ``axis[j]``, whose values are row ``vertex[q, j]`` of ``G``.  The
+    simplex of permutation ``p`` in the cell with corner ``k`` has vertices
+    ``k``, ``k + e_p1``, ..., ``k + 1``.
     """
     d = G.shape[1]
     cells = np.argwhere(_sign_screen(G, vertex))
     # Vertex j of permutation p steps along the axes p_1, ..., p_j.
     paths = np.arange(d + 1)[:, None] > np.argsort(list(permutations(range(d))), axis=1)[:, None, :]
     V = (cells[:, None, None, 1:] + paths).reshape(-1, d + 1, d)
-    patch = np.repeat(cells[:, 0], len(paths))
+    field = np.repeat(cells[:, 0], len(paths))
     # Barycentric weights lam: sum(lam) = 1 and sum(lam_j G(v_j)) = 0.
-    values = G[vertex[(patch[:, None], *np.moveaxis(V, -1, 0))]].swapaxes(1, 2)
+    values = G[vertex[(field[:, None], *np.moveaxis(V, -1, 0))]].swapaxes(1, 2)
     whole = ~np.isnan(values).any(axis=(1, 2))
-    V, values, patch = V[whole], values[whole], patch[whole]
+    V, values, field = V[whole], values[whole], field[whole]
     A = np.concatenate([np.ones((len(V), 1, d + 1)), values], axis=1)
     det = np.linalg.det(A)
     solvable = np.isfinite(det) & (det != 0.0)
-    V, A, patch = V[solvable], A[solvable], patch[solvable]
+    V, A, field = V[solvable], A[solvable], field[solvable]
     lam = np.linalg.solve(A, np.eye(d + 1)[:, :1])[..., 0]
     inside = (lam >= 0.0).all(axis=1)
-    patch = patch[inside]
-    return patch, np.einsum("kj,kji->ki", lam[inside], axis[corner[patch][:, None, :] + V[inside]])
+    return field[inside], np.einsum("kj,kji->ki", lam[inside], axis[V[inside]])
 
 
 def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> EquilibriumReport:
@@ -889,8 +811,10 @@ def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> Equ
 
     The grid is the one-field case of the solve pipeline: the continuum
     scan gives ``sigma`` and ``finite_flag``; damped Newton iteration runs
-    from the starts found on the finest lattice level, the scan grid or its
-    refined patches (``_starts``; the report's ``starts``), and stays in
+    from the starts found on the scan grid (``_starts``) and, where the scan
+    grid is coarser than ``config.grid_density`` points per axis, from the
+    deflation starts next to every zero found (``_deflate``; the report's
+    ``starts`` count both, ``deflated`` the second), and stays in
     the chart region ``BOUNDARY_MARGIN`` from every face, on ``p * z``
     for an economy's field and on the field itself otherwise; points with
     ``|z| <= NEWTON_TOL * sigma`` are merged within ``1e-6`` and classified in
@@ -972,7 +896,7 @@ def _closed_form(e: Economy) -> tuple:
         index=1,
         multiplicity=1 if e.goods == 2 else None,
     )
-    return EquilibriumReport((eq,), SolverStats(0, 0, 0, 0, 0, 0), ContinuumReport(False, None, 0), CLOSED_FORM), None
+    return EquilibriumReport((eq,), SolverStats(0, 0, 0, 0, 0, 0, 0), ContinuumReport(False, None, 0), CLOSED_FORM), None
 
 
 def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | None = None) -> list:
@@ -982,74 +906,134 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
     The base is evaluated once on the scan grid (``grid``, from
     ``_base_grid``, is that evaluation when the caller has made it), which
     raises when it fails, as every field would.  The fields are solved in
-    chunks of ``MAX_STARTS // (scan points * m^d)`` fields, ``m`` the
-    ``_subdivisions`` of the scan grid's cells: about ``MAX_STARTS`` points
-    of the finest lattice.  A chunk is scanned in one pass (``_scan_stage``),
-    for ``sigma``, its refined cells evaluated in one call more when
-    ``m > 1`` (``_starts``), and one Newton phase runs over the stacked
-    starts of all its fields, reading the chunk's map (``_stacked_map``) on
-    the field of each start; a restart phase appends its rows.  One report step reads the rows of both
-    (``_reports``): one cover, and one probe call for the zeros of every
-    field.  One rule holds for failure: a chunk of several fields whose
-    scan, Newton phases or report step raise is solved again one field at
-    a time, and a chunk of one field records the exception.
+    chunks of ``MAX_STARTS // scan points`` fields.  A chunk is scanned in
+    one pass (``_scan_stage``), for ``sigma`` and the starts (``_starts``),
+    and one Newton phase runs over the stacked starts of all its fields,
+    reading the chunk's map (``_stacked_map``) on the field of each start.
+    When the scan grid is coarser than the target spacing
+    ``_spacing(grid_density)``, the deflation phase appends its rows
+    (``_deflate``) on every field whose continuum detector did not fire.
+    One report step reads the rows of both (``_reports``): one cover, and
+    one probe call for the zeros of every field.  One rule holds for
+    failure: a chunk of several fields whose scan, Newton phases or report
+    step raise is solved again one field at a time, and a chunk of one
+    field records the exception.
     """
     grid = _base_grid(base) if grid is None else grid
     scan_grid, per_dim, _ = grid
-    m = _subdivisions(per_dim, cfg.grid_density)
-    # Zeros this close can hide a third from the scan grid (_restart_between).
-    restart_radius = 2.0 * _spacing(per_dim)
-    chunk = max(1, MAX_STARTS // (len(scan_grid) * m**base.dim))
+    deflate = per_dim < cfg.grid_density
+    chunk = max(1, MAX_STARTS // len(scan_grid))
     outcomes = []
     for first in range(0, len(terms), chunk):
         group = terms[first : first + chunk]
         try:
             evaluate = _stacked_map(base, group)
-            sigmas, *scan, reports = _scan_stage(evaluate, grid, len(group))
-            starts, labels = _starts(evaluate, m, sigmas, *scan)
+            sigmas, W, hit, clusters, reports = _scan_stage(evaluate, grid, len(group))
 
-            def phase(X, labels):
-                return _newton_multistart(
-                    lambda C, rows: evaluate(C, labels[rows]), X, NEWTON_TOL * sigmas[labels], labels
-                )
+            def phase(X, labels, factor=None, **caps):
+                def newton_map(C, rows):
+                    W, Z = evaluate(C, labels[rows])
+                    return (W if factor is None else W * factor(C, labels[rows])[:, None]), Z
 
-            newton = phase(starts, labels)
-            if m > 1:
-                newton, labels = _restart_between(phase, newton, labels, restart_radius)
-            outcomes += _reports(evaluate, newton, labels, sigmas, reports)
+                return _newton_multistart(newton_map, X, NEWTON_TOL * sigmas[labels], labels, **caps)
+
+            def is_zero(X, fields):
+                return np.linalg.norm(evaluate(X, fields)[1], axis=1) <= NEWTON_TOL * sigmas[fields]
+
+            starts, labels = _starts(W, hit, clusters)
+            searched = np.array([deflate and not r.fired for r in reports])
+            newton = _deflate(phase, is_zero, phase(starts, labels), labels, searched)
+            outcomes += _reports(evaluate, *newton, sigmas, reports)
         except Exception as exc:  # noqa: BLE001 - each field then records its own error
             outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg, grid)[0] for t in group]
     return outcomes
 
 
-def _restart_between(phase, newton, labels, radius: float) -> tuple:
-    """The Newton phase ``newton`` over rows of the fields ``labels``, and
-    the rows and labels of a second ``phase`` appended to it, from the line
-    through every two distinct converged points of a field (``_cover``)
-    within ``radius`` of each other, sorted by field as a phase's rows are.
+def _deflate(phase, is_zero, newton, labels, searched) -> tuple:
+    """The Newton phase ``newton`` over rows of the fields ``labels``, with
+    the rows of up to ``DEFLATION_ROUNDS`` deflation rounds appended, the
+    field of every row, and which rows are the rounds'.
 
-    The second phase starts at the pair's midpoint and one secant length
-    beyond each end, ``c_a + w (c_b - c_a)`` for ``w`` = 1/2, -1 and 2, where
-    inside the boundary margin.  Zeros on a curve alternate in index, as at
-    a fold, so two close zeros that a refined level resolved can have a
-    third between or beyond them that it did not (a secant predictor, as
-    in continuation).
+    A round is one more ``phase``.  It starts at ``r + s u``
+    (``_deflation_starts``) around each zero ``r`` of a ``searched`` field
+    (one row per ``_cover`` claim) that the round before found, the first
+    round around the zeros of ``newton``, and its Newton map is the field's
+    times ``prod_i (1/|c - r_i|^2 + 1)`` over the zeros ``r_i`` of the field
+    found so far (``_deflation``; Brown & Gearhart 1971, Farrell, Birkisson
+    & Funke 2015).  Near each ``r_i`` that map grows like ``1/|c - r_i|``,
+    so Newton leaves it for a zero not yet found, or fails; convergence is
+    still judged on the field.  A deflation row takes at most
+    ``DEFLATION_MAX_ITER`` iterations of at most ``DEFLATION_MAX_HALVINGS``
+    halvings.  The factor does not repel Newton from a zero of multiplicity
+    above two, and around such a zero every point of a wide neighbourhood
+    meets the tolerance: a converged row whose midpoint with the nearest
+    zero of its field is a zero (``is_zero(X, fields)``, one call) has come
+    back to that zero, so it counts as stalled.  The rounds stop after the
+    first that finds no new zero, a claim whose rows are all of that round.
     """
+    caps = {"max_iter": DEFLATION_MAX_ITER, "max_halvings": DEFLATION_MAX_HALVINGS}
+    deflated = np.zeros(len(labels), dtype=bool)
     C, zres, converged = newton[:3]
-    idx = np.flatnonzero(converged)
-    if idx.size < 2:
-        return newton, labels
-    idx = idx[_cover(C, zres, labels, idx) == idx]
-    pairs = _close_pairs(_apart(C[idx], labels[idx]), radius, p=2)
-    if not len(pairs):
-        return newton, labels
-    a, b = np.sort(idx[pairs], axis=1).T
-    order = np.lexsort((b, a, labels[a]))
-    a, b = np.repeat(a[order], 3), np.repeat(b[order], 3)
-    X = C[a] + np.tile([0.5, -1.0, 2.0], len(pairs))[:, None] * (C[b] - C[a])
-    a, X = a[_interior(X)], X[_interior(X)]
-    more = phase(X, labels[a])
-    return tuple(map(np.concatenate, zip(newton, more))), np.concatenate([labels, labels[a]])
+    new = np.flatnonzero(converged & searched[labels])
+    new = zeros = new[_cover(C, zres, labels, new) == new]
+    for _ in range(DEFLATION_ROUNDS):
+        X, of = _deflation_starts(C[new], labels[new])
+        if not len(X):
+            break
+        more = phase(X, of, _deflation(C[zeros], labels[zeros]), **caps)
+        got = np.flatnonzero(more[2])
+        if got.size:
+            K = _apart(C[zeros], labels[zeros])
+            near = zeros[np.square(_apart(more[0][got], of[got])[:, None, :] - K).sum(axis=2).argmin(axis=1)]
+            back = got[is_zero(0.5 * (more[0][got] + C[near]), of[got])]
+            more[2][back], more[3][back] = False, True
+        first = len(labels)
+        newton = tuple(map(np.concatenate, zip(newton, more)))
+        labels, deflated = np.concatenate([labels, of]), np.append(deflated, np.ones(len(of), dtype=bool))
+        C, zres, converged = newton[:3]
+        conv = np.flatnonzero(converged & searched[labels])
+        owner = _cover(C, zres, labels, conv)
+        zeros = conv[owner == conv]
+        new = zeros[(zeros >= first) & ~np.isin(zeros, owner[conv < first])]
+    return newton, labels, deflated
+
+
+def _deflation_starts(R: np.ndarray, of: np.ndarray) -> tuple:
+    """The starts ``r + s u`` around each zero ``r`` of ``R``, of the field
+    ``of`` (non-decreasing), for each step ``s`` of ``DEFLATION_STEPS`` and
+    each direction ``u`` of ``+-e_k`` and, above one chart dimension,
+    ``+-(1, ..., 1)/sqrt(d)``, that lie in the chart region, and the field
+    of each."""
+    d = R.shape[1]
+    U = np.vstack([np.eye(d), -np.eye(d)] + ([np.full((2, d), d**-0.5) * [[1.0], [-1.0]]] if d > 1 else []))
+    offsets = (np.asarray(DEFLATION_STEPS)[:, None, None] * U).reshape(-1, d)
+    X = (R[:, None, :] + offsets).reshape(-1, d)
+    of = np.repeat(of, len(offsets))
+    inside = _interior(X)
+    return X[inside], of[inside]
+
+
+def _deflation(R: np.ndarray, of: np.ndarray):
+    """``factor(C, fields)``: ``prod_i (1/|c - r_i|^2 + 1)`` at each row ``c``
+    of ``C`` over the zeros ``r_i`` of ``R`` whose field ``of`` is that row's
+    ``fields`` entry.  Each row multiplies its field's zeros in one order,
+    padded with factors of exactly 1, so a row gets the same bits in any
+    batch."""
+    order = np.argsort(of, kind="stable")
+    R, of = R[order], of[order]
+    rank = np.arange(len(of)) - np.searchsorted(of, of)
+    P = np.full((of[-1] + 1, rank.max() + 1, R.shape[1]), np.nan)
+    P[of, rank] = R
+
+    def factor(C, fields):
+        T = 1.0 / np.square(C[:, None, :] - P[fields]).sum(axis=2) + 1.0
+        T[np.isnan(T)] = 1.0
+        f = T[:, 0]
+        for k in range(1, T.shape[1]):
+            f = f * T[:, k]
+        return f
+
+    return factor
 
 
 def _stacked_map(base: TangentField, terms: list):
@@ -1109,10 +1093,11 @@ def _term_rows(terms: list):
     return rows
 
 
-def _reports(evaluate, newton: tuple, labels: np.ndarray, sigmas, continua: list) -> list:
+def _reports(evaluate, newton: tuple, labels: np.ndarray, deflated: np.ndarray, sigmas, continua: list) -> list:
     """The report on each field of a chunk (scales ``sigmas``, continuum
     reports ``continua``) from the rows of its Newton phases (``newton``;
-    ``labels``, the field of each), reading the fields only through the
+    ``labels``, the field of each; ``deflated``, which rows are those of the
+    deflation phase), reading the fields only through the
     chunk's map ``evaluate`` (``_stacked_map``).  Any error raises for the
     whole chunk, which ``_solve`` then solves one field at a time.
 
@@ -1135,7 +1120,7 @@ def _reports(evaluate, newton: tuple, labels: np.ndarray, sigmas, continua: list
     F = len(continua)
     bounds = np.searchsorted(of, np.arange(F + 1))
     starts = np.bincount(labels, minlength=F)
-    counts = [np.bincount(labels, a, F) for a in (converged, stalled, exhausted, iterations)]
+    counts = [np.bincount(labels, a, F) for a in (converged, stalled, exhausted, iterations, deflated)]
 
     def report(t):
         zeros = slice(bounds[t], bounds[t + 1])
@@ -1161,7 +1146,7 @@ def _reports(evaluate, newton: tuple, labels: np.ndarray, sigmas, continua: list
                 )
                 for j, i in enumerate(joined)
             ]
-        n_converged, stalled_t, exhausted_t, iterations_t = (int(c[t]) for c in counts)
+        n_converged, stalled_t, exhausted_t, iterations_t, deflated_t = (int(c[t]) for c in counts)
         stats = SolverStats(
             starts=int(starts[t]),
             converged=n_converged,
@@ -1169,6 +1154,7 @@ def _reports(evaluate, newton: tuple, labels: np.ndarray, sigmas, continua: list
             exhausted=exhausted_t,
             newton_iterations=iterations_t,
             dedup_merges=n_converged - len(joined),
+            deflated=deflated_t,
         )
         return EquilibriumReport(tuple(equilibria), stats, continua[t])
 

@@ -54,7 +54,11 @@ def multi_equilibrium_economy(goods, seed):
     alphas = [rng.dirichlet(np.full(goods, 3.0)) for _ in range(2)]
     endowments = [rng.uniform(0.25, 2.0, size=goods) for _ in range(2)]
     t = np.array([0.5, 1.0, 2.0])
-    x = scale_path_prices(alphas, endowments, t)[:, 0]
+    # gamma(t) as the null vector of an SVD, the construction that drew these
+    # economies: the scale's coefficients keep their bits.
+    M = [np.outer(a, w) - np.diag(w) for a, w in zip(alphas, endowments)]
+    v = np.linalg.svd(t[:, None, None] * M[0] + M[1])[2][:, -1]
+    x = v[:, 0] / v.sum(axis=1)
     coeffs = np.linalg.solve(np.vander(x, 3, increasing=True), t)
     unit = (0,) * (goods - 2)
     scale = wk.PolynomialScale(tuple((float(a), (j, *unit)) for j, a in enumerate(coeffs)))
@@ -83,11 +87,17 @@ def arena_economies():
 
 def scale_path_prices(alphas, endowments, t):
     """``gamma(t)``: the equilibrium price rows of two Cobb-Douglas consumers
-    with constant scales ``t`` and 1, one row per ``t`` (``nullspace_price``)."""
+    with constant scales ``t`` and 1, one row per ``t``.  Coordinate j of
+    ``p * z(p)`` is ``(M(t) p)_j``, ``M(t) = t M_0 + M_1``, whose columns sum
+    to zero, so its first ``l - 1`` rows have its null space: ``gamma(t)``
+    solves the bordered system ``[M(t)[:-1]; 1^T] p = e_l``, one batched
+    solve for every ``t``."""
     M = [np.outer(a, w) - np.diag(w) for a, w in zip(alphas, endowments)]
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    v = np.linalg.svd(t[:, None, None] * M[0] + M[1])[2][:, -1]
-    return v / v.sum(axis=1, keepdims=True)
+    B = t[:, None, None] * M[0][:-1] + M[1][:-1]
+    B = np.concatenate([B, np.ones((len(t), 1, len(alphas[0])))], axis=1)
+    e = np.broadcast_to(np.eye(len(alphas[0]))[-1][:, None], B.shape[:-1] + (1,))
+    return np.linalg.solve(B, e)[..., 0]
 
 
 def scale_path_equilibria(economy):

@@ -21,10 +21,11 @@ def test_a_tree_against_itself(pool):
     assert 0 < q1 <= result["ratio_median"] <= q3
     assert 0 <= result["change_wins"] <= 2
     # One tree on both sides does the same work, op by op.
-    for kind in ("calls", "rows"):
-        work = result[f"field_{kind}_per_op"]
+    for name in ("field_calls", "field_rows", "newton_iterations"):
+        work = result[f"{name}_per_op"]
         assert work["base"] == work["change"]
-        # The smoke solve pool has constant scales: the closed form calls no field.
+        # The smoke solve pool has constant scales: the closed form calls no
+        # field and takes no Newton step.
         assert (work["change"]["mean"] > 0) == (pool == "arena")
 
 

@@ -47,7 +47,7 @@ class TestSolve:
         lines = texts[0].splitlines()
         at = lines.index("method: closed form")
         assert lines[at + 1] == (
-            "solver: 0 starts, 0 converged, 0 stalled, 0 exhausted, 0 Newton iterations, 0 dedup merges"
+            "solver: 0 starts (0 deflated), 0 converged, 0 stalled, 0 exhausted, 0 Newton iterations, 0 dedup merges"
         )
         multi = tmp_path / "multi.yaml"
         wk.save_economy(multi, multi_equilibrium_economy(2, 0))

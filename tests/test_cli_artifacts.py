@@ -18,7 +18,7 @@ REPORT = (
     "equilibria found: 1\n"
     "  p = ({p}, 0.5)  residual = {res}  {reg}  index = {index}  multiplicity = -\n"
     "finite equilibrium set: yes\n"
-    "solver: {starts} starts, {starts} converged, 0 stalled, 0 exhausted, "
+    "solver: {starts} starts{deflated}, {starts} converged, 0 stalled, 0 exhausted, "
     "{its} Newton iterations, {merges} dedup merges\n"
 )
 AUDIT = (
@@ -37,6 +37,7 @@ def write_tree(
     index="1",
     its=120,
     starts=50,
+    deflated="",
     trial="0,ok",
     finite="4",
     walras="1e-17",
@@ -48,7 +49,7 @@ def write_tree(
     (out / "equilibria.csv").write_text(CSV.format(res=res, reg=reg, index=index))
     (out / "report.txt").write_text(
         REPORT.format(
-            p=p, res=res, reg=reg, index=f"+{index}", its=its, starts=starts, merges=starts - 1
+            p=p, res=res, reg=reg, index=f"+{index}", its=its, starts=starts, deflated=deflated, merges=starts - 1
         )
     )
     experiment = root / "experiment" / "out0"
@@ -64,6 +65,15 @@ def compare(old, new):
     return subprocess.run(
         [sys.executable, str(TOOL), "--compare", str(old), str(new)], capture_output=True, text=True
     )
+
+
+def test_a_report_without_the_deflated_count_has_none(tmp_path):
+    # Reports written before the count existed lack it.
+    write_tree(tmp_path / "old")
+    write_tree(tmp_path / "new", deflated=" (24 deflated)")
+    done = compare(tmp_path / "old", tmp_path / "new")
+    assert done.returncode == 0, done.stdout
+    assert "largest deflated count change: 24 (solve/out0/report.txt)" in done.stdout.splitlines()
 
 
 def test_numeric_drift_is_measured_and_passes(tmp_path):
@@ -90,7 +100,7 @@ def test_numeric_drift_is_measured_and_passes(tmp_path):
 def test_newton_iterations_are_summed_over_every_report(tmp_path):
     def report(path, its):
         path.mkdir()
-        fields = dict(p="0.5", res="1e-16", reg="regular", index="+1", starts=2, merges=1)
+        fields = dict(p="0.5", res="1e-16", reg="regular", index="+1", starts=2, deflated="", merges=1)
         (path / "report.txt").write_text(REPORT.format(its=its, **fields))
 
     # A report that is the same on both sides counts on both.
@@ -114,7 +124,7 @@ def test_a_method_change_is_counted_and_passes(tmp_path):
     report.write_text("\n".join(lines[:-1] + ["method: closed form", lines[-1]]) + "\n")
     perturb = tmp_path / "new" / "extra" / "economy0" / "perturb-tilt"
     perturb.mkdir()
-    fields = dict(p="0.5", res="1e-16", reg="regular", index="+1", starts=2, merges=1, its=4)
+    fields = dict(p="0.5", res="1e-16", reg="regular", index="+1", starts=2, deflated="", merges=1, its=4)
     declined = "method: grid (closed form declined: the input is a field, not an economy)\n"
     (perturb / "report.txt").write_text(REPORT.format(**fields) + declined)
     done = compare(tmp_path / "old", tmp_path / "new")

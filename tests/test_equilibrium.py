@@ -20,6 +20,7 @@ from walraskit import equilibrium, genericity
 from walraskit.equilibrium import (
     BOUNDARY_MARGIN,
     DEDUP_RADIUS,
+    DEFLATION_MAX_ITER,
     DET_RELATIVE_TOL,
     JACOBIAN_CONSISTENCY_TOL,
     JACOBIAN_STEP,
@@ -54,19 +55,11 @@ def _region_points(dim, density):
     return equilibrium._scan_level(dim, density)[0]
 
 
-def _lattice(field, density=50):
-    """The points per axis of the finest lattice of a solve of ``field`` at
-    ``grid_density=density``, and its subdivisions of a scan-grid cell."""
-    per_dim = equilibrium._scan_grid(field.dim)[1]
-    m = equilibrium._subdivisions(per_dim, density)
-    return (per_dim - 1) * m + 1, m
-
-
-def _lattice_starts(field, density=50):
-    """The Newton starts of a solve of ``field`` at ``grid_density=density``."""
+def _scan_starts(field):
+    """The Newton starts of a solve of ``field`` that its scan grid gives."""
     evaluate = equilibrium._stacked_map(field, [None])
-    sigmas, *scan, _ = equilibrium._scan_stage(evaluate, equilibrium._base_grid(field), 1)
-    return equilibrium._starts(evaluate, _lattice(field, density)[1], sigmas, *scan)[0]
+    _, *scan, _ = equilibrium._scan_stage(evaluate, equilibrium._base_grid(field), 1)
+    return equilibrium._starts(*scan)[0]
 
 
 def _evaluator(chart_map, weighted=False):
@@ -86,11 +79,11 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _newton(chart_map, starts, tol, weighted=False):
+def _newton(chart_map, starts, tol, weighted=False, **caps):
     """``_newton_multistart`` from ``starts``, rows of one field, on
-    ``_evaluator(chart_map, weighted)``."""
+    ``_evaluator(chart_map, weighted)``, with its iteration ``caps``."""
     labels = np.zeros(len(starts), dtype=int)
-    return _newton_multistart(_evaluator(chart_map, weighted), starts, tol, labels)
+    return _newton_multistart(_evaluator(chart_map, weighted), starts, tol, labels, **caps)
 
 
 def _converged(field, C):
@@ -106,7 +99,8 @@ def _field_report(field, newton, rows, sigma, continuum):
     newton = tuple(a[rows] for a in newton)
     labels = np.zeros(len(newton[0]), dtype=int)
     evaluate = equilibrium._stacked_map(field, [None])
-    (report,) = equilibrium._reports(evaluate, newton, labels, np.array([sigma]), [continuum])
+    deflated = np.zeros(len(labels), dtype=bool)
+    (report,) = equilibrium._reports(evaluate, newton, labels, deflated, np.array([sigma]), [continuum])
     return report
 
 
@@ -139,11 +133,12 @@ def _with_stencils(X):
     return np.concatenate([X[:, None, :], equilibrium._stencil(X)[1][:, 0]], axis=1).reshape(-1, X.shape[1])
 
 
-def _one_call_per_step_size(evaluate, rows, state, converged):
+def _one_call_per_step_size(evaluate, rows, state, converged, halvings):
     """``equilibrium._damped_step`` as a loop that makes its own call for
-    the Jacobian stencils of every row, then one call per step size, with
-    no stencil rows; a converged row is asked the full step only.  It
-    neither reads nor keeps the Jacobians of ``state``."""
+    the Jacobian stencils of every row, then one call per step size of the
+    first ``halvings + 1``, with no stencil rows; a converged row is asked
+    the full step only.  It neither reads nor keeps the Jacobians of
+    ``state``."""
     C, G, res = (a[rows] for a in state[:3])
     m, d = C.shape
     s, stencil = equilibrium._stencil(C)
@@ -151,7 +146,7 @@ def _one_call_per_step_size(evaluate, rows, state, converged):
     J = equilibrium._difference_quotient(W[:, :-1].reshape(m, 2 * d, d), s)
     delta = equilibrium._newton_direction(J, G)
     hit, live = np.zeros(len(C), bool), np.ones(len(C), bool)
-    for lam in equilibrium._STEP_SIZES:
+    for lam in equilibrium._STEP_SIZES[: halvings + 1]:
         i = np.flatnonzero(live & ~hit & ((lam == 1.0) | ~converged))
         trial = C[i] - lam * delta[i]
         live[i[(trial == C[i]).all(axis=1)]] = False
@@ -246,7 +241,7 @@ class TestFindEquilibria:
         field = wk.economy_field(sym_edgeworth)
         report = wk.find_equilibria(field)
         s = report.stats
-        assert s.starts == len(_lattice_starts(field))
+        assert s.starts == len(_scan_starts(field)) and s.deflated == 0
         assert s.converged + s.stalled + s.exhausted == s.starts
         assert s.dedup_merges == s.converged - len(report.equilibria)
 
@@ -308,8 +303,9 @@ class TestFindEquilibria:
         assert str(err.value) == message
 
     def test_a_density_once_refused_for_its_start_grid_solves(self):
-        # grid_density=70 at l = 4 was refused for its 70^3 start grid; the
-        # refined patches reach a spacing of 1/72 on a few cells.
+        # grid_density=70 at l = 4 was refused for its 70^3 start grid; it
+        # now only says that the 13-per-axis scan grid is coarser, so
+        # Newton is deflated next to the zero found.
         economy = wk.Economy(
             (
                 wk.Consumer([0.1, 0.2, 0.3, 0.4], [1, 0, 0, 0]),
@@ -340,7 +336,7 @@ class TestClosedForm:
                 closed, grid = wk.find_equilibria(e), wk.find_equilibria(wk.economy_field(e))
                 assert (closed.method, closed.declined) == ("closed form", None)
                 assert grid.method == "grid" and grid.stats.starts > 0
-                assert closed.stats == equilibrium.SolverStats(0, 0, 0, 0, 0, 0)
+                assert closed.stats == equilibrium.SolverStats(0, 0, 0, 0, 0, 0, 0)
                 assert not closed.continuum.fired
                 assert closed.index_check == grid.index_check == "ok"
                 (a,), (b,) = closed.equilibria, grid.equilibria
@@ -488,27 +484,30 @@ class TestPriceWeightedNewton:
             eq = report.equilibria[0]
             assert (eq.regularity, eq.index) == ("regular", 1)
             assert np.abs(eq.price.coords - nullspace_price(e)).max() <= 1e-12
-            assert s.converged == s.starts
+            # Every lattice start converges; no deflation row finds a second zero.
+            assert s.converged == s.starts - s.deflated
             # About 11 iterations per start on z at l = 4.  Here a start
             # converges in one step and stops at the next, or is merged;
             # polishing at rounding level adds at most two steps.
-            assert s.newton_iterations <= 2 * s.starts + 2
+            assert s.newton_iterations <= 2 * s.converged + 2 + DEFLATION_MAX_ITER * s.deflated
 
     @pytest.mark.parametrize("goods", [2, 3, 4, 5])
     def test_the_first_start_is_the_equilibrium(self, goods, rng):
         # p * z is affine in the chart for constant scales, so the zero of
         # its piecewise-linear interpolant, the first start, is the
-        # equilibrium before any Newton step.
+        # equilibrium before any Newton step.  The zero's cell of the scan
+        # grid (11 points per axis at l = 5) is often cut by the face, so
+        # twelve economies are drawn for four such checks.
         seen = 0
-        for n in range(1, 7):
+        for n in range(1, 13):
             e = constant_scale_economy(rng, goods, n, 1.0)
             field, exact = wk.economy_field(e), nullspace_price(e)
-            density = _lattice(field)[0]
+            density = equilibrium._scan_grid(field.dim)[1]
             # There is a PL zero unless the zero's cell has a corner off the lattice.
             axis = np.linspace(BOUNDARY_MARGIN, 1.0 - BOUNDARY_MARGIN, density)
             corner = ((exact[:-1] - BOUNDARY_MARGIN) // (axis[1] - axis[0])).astype(int)
             if axis[corner + 1].sum() <= 1.0 - BOUNDARY_MARGIN:
-                first = _lattice_starts(field, density)[:1]
+                first = _scan_starts(field)[:1]
                 assert np.abs(chart_rows_embed(first)[0] - exact).max() <= 1e-12
                 seen += 1
         assert seen >= 4
@@ -523,13 +522,12 @@ class TestPriceWeightedNewton:
     def test_residuals_are_those_of_the_field(self, monkeypatch, sym_edgeworth):
         # One iteration leaves the residuals far from zero, where |p * z|
         # and |z| differ.
-        monkeypatch.setattr(equilibrium, "NEWTON_MAX_ITER", 1)
         field = wk.economy_field(sym_edgeworth)
         cfg = wk.SolverConfig()
         starts = _region_points(1, cfg.grid_density)
         tol = _tol(field)
         C, res, converged, *_ = _newton(
-            lambda C, rows: field.chart_values(C), starts, tol, weighted=True
+            lambda C, rows: field.chart_values(C), starts, tol, weighted=True, max_iter=1
         )
         assert 0 < converged.sum() < len(C)
         assert np.allclose(res, field.residual_norms(C), rtol=1e-12, atol=0.0)
@@ -553,7 +551,7 @@ class TestNewtonMultistart:
             calls.append(C.copy())
             return field.chart_values(C)
 
-        def step_spy(evaluate, rows, state, converged):
+        def step_spy(evaluate, rows, state, converged, halvings):
             C, G, res, _, J = (a[rows].copy() for a in state)
             T = C[:, None, :] - equilibrium._STEP_SIZES[:, None] * equilibrium._newton_direction(J, G)[:, None, :]
             ask = np.logical_and.accumulate((T != C[:, None, :]).any(axis=2), axis=1) & equilibrium._interior(T)
@@ -565,7 +563,7 @@ class TestNewtonMultistart:
                 return out
 
             before = len(calls)
-            took = step(seen, rows, state, converged)
+            took = step(seen, rows, state, converged, halvings)
             full = ask[:, 0]
             accepted = np.zeros(len(rows), dtype=bool)
             if full.any():
@@ -612,10 +610,10 @@ class TestNewtonMultistart:
         step = equilibrium._damped_step
         shorter = []
 
-        def step_spy(evaluate, rows, state, converged):
+        def step_spy(evaluate, rows, state, converged, halvings):
             C, G, J = state[0][rows].copy(), state[1][rows], state[4][rows]
             full = C - equilibrium._newton_direction(J, G)
-            took = step(evaluate, rows, state, converged)
+            took = step(evaluate, rows, state, converged, halvings)
             at = state[0][took]
             shorter.append(np.count_nonzero((at != full[np.isin(rows, took)]).any(axis=1)))
             W, _ = evaluate(equilibrium._stencil(at)[1].reshape(-1, d), np.repeat(took, 2 * d))
@@ -723,9 +721,9 @@ class TestNewtonMultistart:
             deltas.append(direction(*args))
             return deltas[-1]
 
-        def step_spy(evaluate, rows, state, converged):
+        def step_spy(evaluate, rows, state, converged, halvings):
             before = state[0][rows], state[3][rows]
-            took = step(evaluate, rows, state, converged)
+            took = step(evaluate, rows, state, converged, halvings)
             steps.append((rows, *before, state[0][rows], np.isin(rows, took), deltas[-1], converged))
             return took
 
@@ -894,17 +892,16 @@ class TestSlantedFace:
             assert screen[(q, *k)] == both.all()
 
 
-class TestRefinedLevel:
-    """The refined level keeps every scan-grid point as a vertex, the face
-    vertex of a two-good scan grid among them."""
+class TestScanGridZeros:
+    """Zeros on and between scan-grid points, the face vertex of a two-good
+    scan grid among them, with and without deflation."""
 
     def test_two_good_face_zero_above_the_scan_density(self):
         # 0.99988 lies in the last cell of the scan grid, whose right end
         # 0.9999 is on the face sum(c) = 1 - BOUNDARY_MARGIN.
         field = wk.chart_field(lambda C: 0.99988 - C, goods=2)
+        assert np.abs(_scan_starts(field)[:, 0] - 0.99988).min() <= 1e-12
         for density in (2001, 4001):
-            starts = _lattice_starts(field, density)[:, 0]
-            assert np.abs(starts - 0.99988).min() <= 1e-12
             (eq,) = wk.find_equilibria(field, wk.SolverConfig(grid_density=density)).equilibria
             assert abs(eq.chart[0] - 0.99988) <= 1e-12
         # An economy whose equilibrium lies in that last cell: the default
@@ -912,42 +909,32 @@ class TestRefinedLevel:
         economy = wk.Economy((wk.Consumer([0.9995, 0.0005], [0, 1]), wk.Consumer([0.5, 0.5], [0.001, 0])))
         default, fine = (wk.find_equilibria(wk.economy_field(economy), wk.SolverConfig(grid_density=k)) for k in (50, 4001))
         assert default.index_check == fine.index_check == "ok"
+        assert (default.stats.deflated, fine.stats.deflated > 0) == (0, True)
         assert len(default.equilibria) == len(fine.equilibria) >= 1
         for a, b in zip(default.equilibria, fine.equilibria):
             assert np.abs(a.price.coords - b.price.coords).max() <= 1e-12
             assert (a.regularity, a.index, a.multiplicity) == (b.regularity, b.index, b.multiplicity)
 
-    @pytest.mark.parametrize("density", [50, 4001])
-    def test_a_zero_on_a_refined_vertex_of_two_goods(self, density):
-        # Half a scan spacing past a scan vertex: a vertex of the 4001 lattice.
-        x = equilibrium._axis(2001)[300] + 0.5 * equilibrium._spacing(2001)
-        economy = wk.Economy((wk.Consumer([0.5, 0.5], [1.0 - x, x]),))
-        report = wk.find_equilibria(wk.economy_field(economy), wk.SolverConfig(grid_density=density))
-        (eq,) = report.equilibria
-        assert abs(eq.chart[0] - x) <= 1e-12
-        assert (eq.regularity, report.index_check) == ("regular", "ok")
-
-    @pytest.mark.parametrize("goods", [3, 4])
-    def test_a_zero_on_a_refined_vertex_that_the_scan_grid_lacks(self, goods):
-        n, m = _lattice(wk.chart_field(lambda C: C, goods=goods))
-        # One refined spacing past the scan vertex nearest (0.2, 0.3, 0.25).
-        K = np.rint(np.array([0.2, 0.3, 0.25])[: goods - 1] * (n - 1) / m).astype(int) * m + 1
-        c = equilibrium._axis(n)[K]
-        p = np.append(c, 1.0 - c.sum())
-        alpha = np.linspace(1.0, 2.0, goods) / np.linspace(1.0, 2.0, goods).sum()
-        # One consumer: the equilibrium is alpha / endowment, normalised.
-        (eq,) = wk.find_equilibria(wk.economy_field(wk.Economy((wk.Consumer(alpha, alpha / p),)))).equilibria
-        assert np.abs(eq.chart - c).max() <= 1e-12
-
-    def test_a_degenerate_zero_whose_hits_cover_refined_vertices(self):
-        # Its hits, |z| <= 1e-9 sigma, reach about 8e-4 from z, past the
-        # refined vertex at most 6e-5 away, and no simplex or minimum is left.
-        z = np.array([0.2, 0.3, 0.25])
-        field = wk.chart_field(lambda C: -((C - z) ** 3), goods=4)
-        (eq,) = wk.find_equilibria(field).equilibria
-        band = (NEWTON_TOL * equilibrium._scan(field)[0]) ** (1.0 / 3.0)
-        assert np.abs(eq.chart - z).max() <= band
-        assert eq.regularity == "critical"
+    @pytest.mark.parametrize(
+        "goods, fn",
+        [
+            (4, lambda C: -((C - [0.2, 0.3, 0.25]) ** 3)),
+            (3, lambda C: np.column_stack([-((C[:, 0] - 0.2) ** 5), -((C[:, 1] - 0.2) ** 3)])),
+        ],
+        ids=["order-3-l4", "orders-5-3-l3"],
+    )
+    def test_deflation_adds_no_zero_next_to_a_degenerate_one(self, goods, fn):
+        # Every point within about (1e-11 sigma)^(1/k) of a zero of order k,
+        # along that axis, meets the Newton tolerance, and the factor does
+        # not repel Newton from it: deflation rows that converge there have
+        # come back to it.  A target no finer than the scan grid deflates
+        # nothing.
+        field = wk.chart_field(fn, goods=goods)
+        plain = wk.find_equilibria(field, wk.SolverConfig(grid_density=equilibrium._scan_grid(goods - 1)[1]))
+        report = wk.find_equilibria(field)
+        assert plain.stats.deflated == 0 < report.stats.deflated
+        assert [eq.chart.tolist() for eq in report.equilibria] == [eq.chart.tolist() for eq in plain.equilibria]
+        assert all(eq.regularity == "critical" for eq in report.equilibria)
 
     def test_a_zero_inside_a_shared_simplex_face_is_reported_once(self):
         # c0 = c1 is the face shared by the two Freudenthal simplices of a
@@ -967,26 +954,11 @@ class TestRefinedLevel:
         # same points, and every sigma, hit and scan-grid start follows it.
         assert equilibrium._scan_grid(dim)[0].flags.c_contiguous
 
-    @pytest.mark.parametrize("goods, density", [(2, 4001), (2, 6001), (3, 50), (3, 120), (4, 50)])
-    def test_every_scan_grid_point_is_a_refined_vertex(self, goods, density):
-        field = wk.chart_field(lambda C: 0.3 - C, goods=goods)
-        C, per_dim, scan_keys, _ = equilibrium._scan_grid(field.dim)
-        m = equilibrium._subdivisions(per_dim, density)
-        # Refine every cell of the scan grid.
-        corner = np.argwhere(np.ones((per_dim - 1,) * field.dim, dtype=bool))
-        sigmas = np.array([equilibrium._scan(field)[0]])
-        keys, n = equilibrium._refine(
-            equilibrium._stacked_map(field, [None]), sigmas, m, np.zeros(len(corner), dtype=int), corner, per_dim
-        )[3:5]
-        K = np.column_stack(np.unravel_index(scan_keys, (per_dim,) * field.dim)) * m
-        assert np.isin(np.ravel_multi_index(tuple(K.T), (n,) * field.dim), keys).all()
-        assert np.abs(equilibrium._axis(n)[K] - C).max() <= 1e-15
-
 
 def _reference_region_rows(dim, density):
     """The row of each point of the lattice of ``density`` points per axis
     among its points in the chart region, in index order, and -1 for a point
-    outside: the scan grid's construction before ``_layout`` laid it out."""
+    outside."""
     inside = equilibrium._interior(equilibrium._axis(density)[np.indices((density,) * dim).reshape(dim, -1).T])
     return np.where(inside, np.cumsum(inside) - 1, -1).reshape((density,) * dim)
 
@@ -996,57 +968,87 @@ def _reference_region_rows(dim, density):
 LAYOUT_CASES = [(dim, None) for dim in range(1, 6)] + [(dim, k) for k in (50, 120) for dim in (1, 2, 3)]
 
 
-class TestLayout:
-    """One routine lays out both lattice levels: the scan grid is its
-    one-cell case."""
-
+class TestScanLevel:
     @pytest.mark.parametrize(
         "dim, density", LAYOUT_CASES, ids=[f"l{dim + 1}-{k or 'scan'}" for dim, k in LAYOUT_CASES]
     )
-    def test_the_one_cell_case_is_the_reference_lattice(self, dim, density):
+    def test_the_scan_level_is_the_reference_lattice(self, dim, density):
         density = density or equilibrium._scan_grid(dim)[1]
         rows = _reference_region_rows(dim, density)
         # Uncached: the session keeps no 120^3 lattice.
-        C, _, keys, vertex = equilibrium._scan_level.__wrapped__(dim, density)
-        assert np.array_equal(vertex, rows[None])
-        assert np.array_equal(keys, np.flatnonzero(rows >= 0))
+        C, n, vertex = equilibrium._scan_level.__wrapped__(dim, density)
+        assert n == density
+        assert np.array_equal(vertex, rows)
         assert np.array_equal(C, equilibrium._axis(density)[np.argwhere(rows >= 0)])
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
-    def test_refining_every_scan_cell_once_gives_the_scan_level(self, dim):
-        C, per_dim, keys, _ = equilibrium._scan_grid(dim)
-        corner = np.argwhere(np.ones((per_dim - 1,) * dim, dtype=bool))
-        fine, fields, X, n = equilibrium._layout(np.zeros(len(corner), dtype=int), corner, per_dim, 1)[:4]
-        assert n == per_dim and not fields.any()
-        assert np.array_equal(fine, keys)
-        assert np.array_equal(X, C)
 
+class TestDeflation:
+    """Where the scan grid is coarser than the target spacing, Newton runs
+    again next to every zero found, on a map that repels it from them."""
 
-class TestLevelMinima:
-    """A minimum is judged against the whole box around it, in its own
-    patch and in the patches next to it."""
+    def test_the_factor_multiplies_each_rows_own_fields_zeros(self):
+        R = np.array([[0.2, 0.3], [0.5, 0.1], [0.3, 0.3]])
+        factor = equilibrium._deflation(R, np.array([1, 0, 1]))
+        C = np.array([[0.25, 0.3], [0.4, 0.2], [0.3, 0.25]])
+        fields = np.array([0, 1, 1])
+        expected = [
+            1.0 / ((C[0] - R[1]) ** 2).sum() + 1.0,
+            (1.0 / ((C[1] - R[0]) ** 2).sum() + 1.0) * (1.0 / ((C[1] - R[2]) ** 2).sum() + 1.0),
+            (1.0 / ((C[2] - R[0]) ** 2).sum() + 1.0) * (1.0 / ((C[2] - R[2]) ** 2).sum() + 1.0),
+        ]
+        assert np.array_equal(factor(C, fields), expected)
+        # A row gets the same bits alone as in any batch.
+        for k in range(len(C)):
+            assert factor(C[k : k + 1], fields[k : k + 1])[0] == expected[k]
 
-    @staticmethod
-    def minima(residuals, field, corner):
-        """The minima of the level of ``_layout(field, corner, 3, 2)`` (1-d
-        cells of two subdivisions) whose points have ``residuals``."""
-        keys, _, C, n, vertex, field, corner = equilibrium._layout(np.asarray(field), np.asarray(corner), 3, 2)
-        W = np.column_stack([residuals, np.zeros(len(C))])
-        hit = np.zeros(len(C), dtype=bool)
-        blocks = equilibrium._level_starts(W, hit, np.zeros(0, dtype=int), keys, n, vertex, field, corner)
-        labels, X = blocks[1]
-        return labels.tolist(), X[:, 0].round(4).tolist()
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_starts_are_small_offsets_inside_the_region(self, d):
+        R = np.vstack([np.full(d, 0.2), np.full(d, 1e-3)])
+        X, of = equilibrium._deflation_starts(R, np.array([0, 3]))
+        directions = 2 * d + (2 if d > 1 else 0)
+        assert np.count_nonzero(of == 0) == 2 * directions
+        assert of.tolist() == sorted(of.tolist()) and equilibrium._interior(X).all()
+        steps = np.linalg.norm(X - R[of // 3], axis=1)
+        assert np.allclose(np.sort(np.unique(steps.round(12))), equilibrium.DEFLATION_STEPS)
 
-    def test_a_border_point_with_a_lower_neighbour_in_the_next_patch_is_no_minimum(self):
-        # Two cells of one field share the point 0.5.  It is least in the
-        # first patch's box, but the next patch holds a lower neighbour.
-        assert self.minima([5.0, 4.0, 3.0, 1.0, 2.0], [0, 0], [[0], [1]]) == ([0], [0.75])
+    def test_a_fired_continuum_detector_is_not_deflated(self):
+        # The line c0 = c1 passes through scan-grid points, so the detector
+        # fires; the scan grid is coarser than the default target spacing at
+        # three goods, where every other field is deflated.
+        line = wk.chart_field(lambda C: (C[:, :1] - C[:, 1:]) * [1.0, 2.0], goods=3)
+        report = wk.find_equilibria(line)
+        assert report.continuum.fired and report.stats.deflated == 0
+        assert wk.find_equilibria(wk.economy_field(multi_equilibrium_economy(3, 0))).stats.deflated > 0
 
-    def test_each_field_alone_in_its_patch_keeps_its_minima(self):
-        # The same cells as two fields, one patch each: the points 0.5 of
-        # the two fields are apart.
-        got = self.minima([5.0, 4.0, 3.0, 3.0, 1.0, 2.0], [0, 1], [[0], [1]])
-        assert got == ([0, 1], [0.5, 0.75])
+    @pytest.mark.parametrize("goods, seed", [(3, 46), (3, 64), (4, 22), (4, 65)])
+    def test_no_deflation_row_converges_on_a_known_zero(self, monkeypatch, goods, seed):
+        # Economies whose scan grid hides two of their three zeros: every row
+        # of a deflation round that converges lies beyond DEDUP_RADIUS of the
+        # zeros its round deflates.
+        known, rows = [], []
+        deflation, newton = equilibrium._deflation, equilibrium._newton_multistart
+
+        def deflation_spy(R, of):
+            known.append(R.copy())
+            return deflation(R, of)
+
+        def newton_spy(*args, **caps):
+            out = newton(*args, **caps)
+            if caps:
+                rows.append(out[0][out[2]].copy())
+            return out
+
+        monkeypatch.setattr(equilibrium, "_deflation", deflation_spy)
+        monkeypatch.setattr(equilibrium, "_newton_multistart", newton_spy)
+        economy = multi_equilibrium_economy(goods, seed)
+        report = wk.find_equilibria(economy)
+        assert len(rows) == len(known) >= 2 and sum(map(len, rows)) > 0
+        for R, X in zip(known, rows):
+            assert np.linalg.norm(X[:, None, :] - R, axis=2).min(initial=np.inf) > DEDUP_RADIUS
+        exact = scale_path_equilibria(economy)
+        found = np.array([eq.price.coords for eq in report.equilibria])
+        assert found.shape == exact.shape
+        assert np.abs(np.sort(found[:, 0]) - np.sort(exact[:, 0])).max() <= 1e-8
 
 
 class TestScanOracle:
@@ -1521,13 +1523,13 @@ class TestChunkReports:
         continua = [c for _, c in scans]
         message = "point is not a zero of the field (residual 1.022e-03)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            equilibrium._reports(equilibrium._stacked_map(base, maps), newton, labels, sigmas, continua)
+            equilibrium._reports(equilibrium._stacked_map(base, maps), newton, labels, ~mask, sigmas, continua)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _field_report(fields[1], newton, labels == 1, sigmas[1], scans[1][1])
         others = labels != 1
         without = tuple(a[others] for a in newton)
         evaluate = equilibrium._stacked_map(base, [maps[0], maps[2]])
-        reports = equilibrium._reports(evaluate, without, labels[others] // 2, sigmas[[0, 2]], continua[::2])
+        reports = equilibrium._reports(evaluate, without, labels[others] // 2, ~mask[others], sigmas[[0, 2]], continua[::2])
         for t, report in zip((0, 2), reports):
             alone = _field_report(fields[t], newton, labels == t, sigmas[t], scans[t][1])
             assert (report.stats, report.continuum) == (alone.stats, alone.continuum)
@@ -1564,7 +1566,7 @@ class TestChunkReports:
 
         scans = [equilibrium._scan(field) for field in fields]
         sigmas = np.array([sigma for sigma, _ in scans])
-        reports = equilibrium._reports(counted, newton, labels, sigmas, [c for _, c in scans])
+        reports = equilibrium._reports(counted, newton, labels, ~mask, sigmas, [c for _, c in scans])
         # One probe call for the three zeros, then one for field 1's one midpoint.
         assert [len(rows) for rows in calls] == [3 * (1 + 4 + 33), 1]
         assert calls[1].tolist() == [1]
@@ -1744,8 +1746,8 @@ class TestScanStage:
             assert report.fired and report.interval[0] < 0.5 < report.interval[1]
 
     def test_one_subdivision_links_the_scan_hits_once(self, monkeypatch):
-        # The continuum detector's clusters are also the starts' when the
-        # scan grid is the level the starts come from (two goods, m = 1).
+        # The continuum detector's clusters are also the starts': the scan
+        # grid is the one level the starts come from.
         sizes = []
         linked = equilibrium._linked_components
 
@@ -1754,7 +1756,6 @@ class TestScanStage:
             return linked(X, *args)
 
         economy = wk.build_continuum_economy((0.4, 0.6), grid=201)
-        assert _lattice(wk.economy_field(economy))[1] == 1
         monkeypatch.setattr(equilibrium, "_linked_components", spy)
         report = wk.find_equilibria(economy)
         assert report.continuum.points_hit == 375
@@ -1762,10 +1763,10 @@ class TestScanStage:
 
 
 class TestEvaluationCount:
-    """A solve evaluates the field in one scan call, one call for the
-    vertices of its refined patches unless the scan grid is already at the
-    target spacing (two goods), its Newton phase and one probe call for all
-    zeros; the flat-zero join takes one call more."""
+    """A solve evaluates the field in one scan call, its Newton phase, the
+    phases of its deflation rounds unless the scan grid is already at the
+    target spacing (two goods) and one probe call for all zeros; the
+    flat-zero join takes one call more."""
 
     @pytest.mark.parametrize(
         "case, zeros",
@@ -1785,24 +1786,27 @@ class TestEvaluationCount:
         field = dataclasses.replace(base, chart_fn=counted)
         phase = equilibrium._newton_multistart
 
-        def spy(*args):
+        def spy(*args, **caps):
             first = len(calls)
-            out = phase(*args)
+            out = phase(*args, **caps)
             newton_calls.append(calls[first:])
             return out
 
         monkeypatch.setattr(equilibrium, "_newton_multistart", spy)
         report = wk.find_equilibria(field)
-        d = field.dim
+        s, d = report.stats, field.dim
         scan = len(equilibrium._scan_grid(d)[0])
-        # The patch call evaluates a part of the finest lattice.
-        patch = calls[1:2] if d > 1 else []
-        assert all(0 < n < len(_region_points(d, _lattice(field)[0])) for n in patch)
         probe = 1 + 4 * d + (33 if d == 1 else 0)
-        (newton,) = newton_calls
-        # The first Newton call holds every start with its 2d stencil rows.
-        assert newton[0] == report.stats.starts * (1 + 2 * d)
-        assert calls == [scan] + patch + newton + [zeros * probe]
+        newton, *rounds = newton_calls
+        # The first call of each phase holds every start with its 2d stencil
+        # rows.  From three goods one deflation round runs around the one
+        # zero, 4 (d + 1) starts at most, and finds no other.
+        assert newton[0] == (s.starts - s.deflated) * (1 + 2 * d)
+        assert len(rounds) == (d > 1) and s.converged - s.dedup_merges == zeros
+        if rounds:
+            assert rounds[0][0] == s.deflated * (1 + 2 * d) and 0 < s.deflated <= 4 * (d + 1)
+            assert s.starts - s.deflated <= 10
+        assert calls == [scan] + newton + sum(rounds, []) + [zeros * probe]
         assert len(report.equilibria) == zeros
 
     def test_genericity_experiment(self, monkeypatch, tmp_path):
@@ -1870,12 +1874,14 @@ class TestEvaluationCount:
     def test_a_flat_trough_gets_few_starts(self):
         # The lattice minima of |p * z| along the floor of this economy's
         # trough gave 742 Newton starts on the 50-per-axis lattice; minima
-        # judged against the whole box around them give two.
+        # judged against the whole box around them give a few.  One
+        # deflation round around the zero adds at most 4 (d + 1) = 16 rows.
         economy = wk.Economy((wk.Consumer([0.118, 0.086, 0.694, 0.102], [0.275, 0.377, 1.378, 1.699]),))
         report = wk.find_equilibria(wk.economy_field(economy))
         (eq,) = report.equilibria
         assert np.abs(eq.price.coords - nullspace_price(economy)).max() <= 1e-12
-        assert report.stats.starts <= 10
+        assert report.stats.starts - report.stats.deflated <= 10
+        assert report.stats.deflated <= 16
 
     @pytest.mark.parametrize("goods, budget", [(2, 2100), (4, 25_000)])
     def test_a_solve_evaluates_few_rows(self, goods, budget, rng):

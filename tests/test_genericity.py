@@ -284,6 +284,7 @@ class TestStackedTrials:
         stacked = eqm._solve(field, [gen._perturbation_term(s, field.dim) for s in specs], cfg)
         for trial_spec, report in zip(specs, stacked):
             assert_same_report(report, wk.find_equilibria(gen.perturb(field, trial_spec), cfg))
+        return stacked
 
     @pytest.mark.parametrize(
         "spec",
@@ -306,18 +307,19 @@ class TestStackedTrials:
         ):
             self.check(three_good_economy(), spec, 3, wk.SolverConfig(grid_density=15))
 
-    @pytest.mark.parametrize("goods", [3, 4])
-    def test_refined_trials_match_solo_solves(self, goods):
-        # The default grid refines the scan grid's cells (m = 2 at l = 3,
-        # 5 at l = 4), and the three close zeros of these economies restart
-        # Newton between them: patches and restarts of several fields in
-        # one chunk.
-        economy = multi_equilibrium_economy(goods, 0)
+    @pytest.mark.parametrize("goods, seed", [(3, 0), (3, 46), (4, 0)])
+    def test_deflated_trials_match_solo_solves(self, goods, seed):
+        # The default grid is finer than the scan grid from three goods, so
+        # every trial is deflated next to its zeros; at l = 3 seed 46 the
+        # scan grid hides two of the three, which deflation finds: deflation
+        # rounds of several fields in one chunk.
+        economy = multi_equilibrium_economy(goods, seed)
         for spec in (
             wk.PerturbationSpec(1e-4, basis="random_fourier", terms=3, seed=71),
             wk.PerturbationSpec(1e-4, basis="polynomial", degree=3, seed=72),
         ):
-            self.check(economy, spec, 3, wk.SolverConfig())
+            reports = self.check(economy, spec, 3, wk.SolverConfig())
+            assert all(r.stats.deflated > 0 and len(r.equilibria) == 3 for r in reports)
 
     def test_chunk_boundaries(self, monkeypatch, continuum_economy):
         import walraskit.equilibrium as eqm
@@ -435,39 +437,6 @@ def test_each_chunk_of_trials_is_scanned_in_one_call(monkeypatch):
     assert [n for n in calls if n >= 2001] == [2001]
     assert res.base_continuum == wk.continuum_detector(base)
     assert res.base_continuum.fired
-
-
-def test_each_chunk_of_trials_evaluates_its_patches_in_one_call(monkeypatch):
-    import dataclasses
-
-    import walraskit.equilibrium as eqm
-    import walraskit.genericity as gen
-
-    base = wk.economy_field(three_good_economy())
-    refining, calls = [], []
-
-    def counted(C):
-        if refining:
-            calls.append(len(C))
-        return base.chart_values(C)
-
-    refine = eqm._refine
-
-    def spy(*args):
-        refining.append(True)
-        try:
-            return refine(*args)
-        finally:
-            refining.pop()
-
-    monkeypatch.setattr(eqm, "_refine", spy)
-    field = dataclasses.replace(base, chart_fn=counted)
-    spec = wk.PerturbationSpec(1e-3, basis="random_fourier", terms=3, seed=69)
-    terms = [gen._perturbation_term(spec.with_seed(69 + t), field.dim) for t in range(4)]
-    reports = eqm._solve(field, terms, wk.SolverConfig())
-    assert all(len(r.equilibria) == 1 for r in reports)
-    # Three goods: the 45-per-axis scan grid's flagged cells split in two.
-    assert len(calls) == 1
 
 
 def test_each_chunk_of_trials_is_classified_in_one_call(monkeypatch):

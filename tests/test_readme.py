@@ -23,15 +23,13 @@ def _significant(token: str) -> int:
 
 
 def test_limitations_name_every_lattice_spacing():
-    # The finest spacing (--grid 50) and the scan spacing at l = 2-6, each
-    # written in the limitation on close zeros to the digits it shows.
-    from walraskit.equilibrium import SolverConfig, _scan_grid, _spacing, _subdivisions
+    # The scan spacing at l = 2-6, the solve's one lattice, each written in
+    # the limitation on close zeros to the digits it shows.
+    from walraskit.equilibrium import _scan_grid, _spacing
 
     text = README.read_text()
-    paragraph = text[text.index("* Two zeros within one lattice spacing") :].split("\n* ")[0]
+    paragraph = text[text.index("* The scan grid is the solve's one lattice") :].split("\n* ")[0]
     written = re.findall(r"\d+(?:\.\d+)?(?:e-?\d+)?", paragraph)
     for goods in range(2, 7):
-        per_dim = _scan_grid(goods - 1)[1]
-        m = _subdivisions(per_dim, SolverConfig().grid_density)
-        for spacing in (_spacing((per_dim - 1) * m + 1), _spacing(per_dim)):
-            assert any(float(f"{spacing:.{_significant(w)}g}") == float(w) for w in written), (goods, spacing)
+        spacing = _spacing(_scan_grid(goods - 1)[1])
+        assert any(float(f"{spacing:.{_significant(w)}g}") == float(w) for w in written), (goods, spacing)

@@ -24,14 +24,15 @@ stops the run.
 
 After the timed rounds, one more pass, untimed, runs every op once on
 each tree with that tree's own ``TangentField.chart_values`` wrapped, and
-counts its field calls and rows per op: work that does not depend on the
-machine.
+counts its field calls and rows per op, and its Newton iterations, which
+the ``solver:`` lines of the op's ``report.txt`` give (0 for an op
+without one): work that does not depend on the machine.
 
 Prints each tree's median milliseconds per op, the median of the per-op
 ratios change / base with their interquartile range, and in how many
 rounds the change took less time over the whole pool, then each tree's
-median and mean field calls and rows per op, then all of it as one JSON
-object on the last line.
+median and mean field calls, rows and Newton iterations per op, then all
+of it as one JSON object on the last line.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -55,6 +57,9 @@ ROOT = Path(__file__).resolve().parent.parent
 POOLS = ("solve", "experiment", "realize", "sarp", "arena")
 BEST_OF = 3
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+NEWTON = re.compile(r"\b(\d+) Newton iterations\b")
+# The work counted per op, by the name of its entry in the output.
+WORK = {"calls": "field_calls", "rows": "field_rows", "iterations": "newton_iterations"}
 
 
 def export(ref: str, dest: Path) -> Path:
@@ -137,9 +142,9 @@ def measure(clis: tuple, argvs: list[list[str]], rounds: int) -> list[list[tuple
 
 def count(cli, argvs: list[list[str]]) -> dict:
     """The calls and rows of ``TangentField.chart_values`` of the tree of
-    ``cli``, a list of each with one entry per op, from one untimed run of
-    every op; the method is wrapped on that tree's class for the pass, then
-    restored."""
+    ``cli`` and the Newton iterations of its ``solver:`` lines, a list of
+    each with one entry per op, from one untimed run of every op; the method
+    is wrapped on that tree's class for the pass, then restored."""
     field = sys.modules[cli.__name__.rpartition(".")[0] + ".fields"].TangentField
     original = field.chart_values
     seen = []
@@ -150,13 +155,15 @@ def count(cli, argvs: list[list[str]]) -> dict:
         return out
 
     field.chart_values = counted
-    work = {"calls": [], "rows": []}
+    work = {kind: [] for kind in WORK}
     try:
         for argv in argvs:
             seen.clear()
             _time(cli, argv)
             work["calls"].append(len(seen))
             work["rows"].append(sum(seen))
+            report = Path(argv[argv.index("--out") + 1], "report.txt").read_text()
+            work["iterations"].append(sum(int(m[1]) for m in NEWTON.finditer(report)))
     finally:
         field.chart_values = original
     return work
@@ -165,17 +172,17 @@ def count(cli, argvs: list[list[str]]) -> dict:
 def summary(times: list[list[tuple]], counts: tuple) -> dict:
     """Each tree's median ms per op, the median and quartiles of the per-op
     ratios change / base, the rounds in which the change's pool took less
-    time, and each tree's median and mean field calls and rows per op from
-    its ``counts``."""
+    time, and each tree's median and mean field calls, rows and Newton
+    iterations per op from its ``counts``."""
     ops = [t for row in times for t in row]
     ratios = [b / a for a, b in ops]
     q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
     work = {
-        f"field_{kind}_per_op": {
+        f"{name}_per_op": {
             side: {"median": statistics.median(tree[kind]), "mean": statistics.mean(tree[kind])}
             for side, tree in zip(("base", "change"), counts)
         }
-        for kind in ("calls", "rows")
+        for kind, name in WORK.items()
     }
     return {
         "ops": len(times[0]),
@@ -228,10 +235,10 @@ def main(argv=None) -> int:
     q1, q3 = result["ratio_iqr"]
     print(f"ratio change/base per op: median {result['ratio_median']:.3f}, interquartile {q1:.3f}-{q3:.3f}")
     print(f"change faster in {result['change_wins']} of {result['rounds']} rounds")
-    for kind in ("calls", "rows"):
-        work = result[f"field_{kind}_per_op"]
+    for name in WORK.values():
+        work = result[f"{name}_per_op"]
         print(
-            f"field {kind} per op: base median {work['base']['median']:g} (mean {work['base']['mean']:.2f}), "
+            f"{name.replace('_', ' ')} per op: base median {work['base']['median']:g} (mean {work['base']['mean']:.2f}), "
             f"change median {work['change']['median']:g} (mean {work['change']['mean']:.2f})"
         )
     print(json.dumps(result))

@@ -12,16 +12,17 @@ and by 1e8 (under ``rescaled/``), whose answers must not depend on the
 factor.  Under ``solve/extra/`` it runs ``solve`` on two economies with
 three known equilibria (``tests/support.multi_equilibrium_economy``, l = 3
 seed 0 and l = 4 seed 1), on a five- and a six-good constant-scale
-economy and on the saved continuum economy at ``--grid 4001``, whose
-solve reads the hits of a refined level.  Under ``solve/arena/`` it runs
+economy and on the saved continuum economy at ``--grid 4001``, a target
+finer than its 2,001-point scan grid, where every field is deflated
+unless its continuum detector fires, as this economy's does.  Under ``solve/arena/`` it runs
 ``solve`` on every arena economy that a solve accepts
 (``tests/support.arena_economies``: the economies of that family at l = 3
 and 4 with seeds 0-71 and at l = 5 and 6 with seeds 0-11, less the refused
 ones), so that a change to the zeros the solver finds on them reads as a
 changed answer.  Under
 ``experiment/extra/`` it runs ``experiment`` with four trials on the
-three-good economy of ``solve/extra/`` (bases ``poly:3`` and ``fourier:5``), whose stacked trials are solved on
-a refined level, and with four ``poly:3`` trials on the four-good economy
+three-good economy of ``solve/extra/`` (bases ``poly:3`` and ``fourier:5``), whose stacked trials are deflated
+together, and with four ``poly:3`` trials on the four-good economy
 of seed 42 of the same family, whose trials all fail (a scale is not
 positive at a price the solve evaluates), so that a failing chunk of
 trials is solved again one trial at a time.  Under ``audit/`` it runs
@@ -54,8 +55,9 @@ deterministic, so any difference is a change of behaviour.
 
 prints the number of files that differ, naming each, and the largest
 change of a price, a residual and each count of the ``solver:`` line
-(starts, converged, stalled, exhausted, Newton iterations, dedup merges)
-in the ``solve`` and ``perturb`` outputs, and of a ``max |p.z|`` of an
+(starts, deflated, converged, stalled, exhausted, Newton iterations,
+dedup merges; a line without the deflated count, as written before it
+existed, has 0) in the ``solve`` and ``perturb`` outputs, and of a ``max |p.z|`` of an
 ``audit`` report, then the Newton iterations of every ``solve`` and
 ``perturb`` report summed on each side, ``old → new``, so that the effect
 of a change to Newton's iteration reads in one line, and how many of those
@@ -172,7 +174,7 @@ def invocations(seed: int) -> list[list[str]]:
     for name, economy in economies.items():
         save_economy(extra / f"{name}.yaml", economy)
         argvs.append(["solve", "--input", str(extra / f"{name}.yaml"), "--out", str(extra / name)])
-    # Two subdivisions of each scan-grid cell: its hits are read on the refined level.
+    # A target finer than the scan grid, on a field whose continuum detector fires.
     continuum = ["--input", str(RESCALED["continuum"]), "--grid", "4001"]
     argvs.append(["solve", *continuum, "--out", str(extra / "continuum-grid4001")])
     arena = Path("solve", "arena")
@@ -231,6 +233,7 @@ SOLVER_COUNTS = {
     "dedup merges": "dedup-merge count",
 }
 COUNT = re.compile(r"\b(\d+) (" + "|".join(SOLVER_COUNTS) + r")\b")
+DEFLATED = re.compile(r" \((\d+) deflated\)")
 # The method a ``method:`` line names, before any reason it gives.
 METHOD = re.compile(r"^method: ([^(]*?)(?: \(.*)?$")
 WALRAS = re.compile(r"(max \|p\.z\| = )([^,]+)")
@@ -241,7 +244,7 @@ def _solve_numbers(path: Path, text: str):
     residuals and solver counts replaced by ``*`` and its ``method:`` line
     left out, and those numbers by kind: ``(text, {"price": [...],
     "residual": [...], count label: [...]})``."""
-    numbers = {"price": [], "residual": [], **{label: [] for label in SOLVER_COUNTS.values()}}
+    numbers = {"price": [], "residual": [], "deflated count": [], **{label: [] for label in SOLVER_COUNTS.values()}}
     prices, residuals = numbers["price"], numbers["residual"]
     lines = text.splitlines()
     if path.name == "equilibria.csv":
@@ -258,6 +261,9 @@ def _solve_numbers(path: Path, text: str):
                 residuals.append(float(m[4]))
                 lines[i] = PRICE_LINE.sub(r"\1*\3*", line)
             elif line.startswith("solver:"):
+                m = DEFLATED.search(line)
+                numbers["deflated count"].append(int(m[1]) if m else 0)
+                line = DEFLATED.sub("", line)
                 for m in COUNT.finditer(line):
                     numbers[SOLVER_COUNTS[m[2]]].append(int(m[1]))
                 lines[i] = COUNT.sub(r"* \2", line)
@@ -293,7 +299,7 @@ def compare(old: Path, new: Path) -> int:
     0 when no output changed beyond the numbers that may change, else 1."""
     files = {p.relative_to(root) for root in (old, new) for p in root.rglob("*") if p.is_file()}
     differ, changed = [], []
-    keys = ("price", "residual", *SOLVER_COUNTS.values(), "audit max |p.z|")
+    keys = ("price", "residual", "deflated count", *SOLVER_COUNTS.values(), "audit max |p.z|")
     largest = {key: (0, None) for key in keys}
     iterations = [0, 0]
     methods = {}
