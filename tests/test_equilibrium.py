@@ -915,6 +915,42 @@ class TestScanGridZeros:
             assert np.abs(a.price.coords - b.price.coords).max() <= 1e-12
             assert (a.regularity, a.index, a.multiplicity) == (b.regularity, b.index, b.multiplicity)
 
+    @pytest.mark.parametrize("density", [50, 4001])
+    def test_a_zero_between_scan_grid_points_of_two_goods(self, density):
+        # Half a scan spacing past a scan-grid point: a point of the 4001
+        # lattice that the scan grid lacks.
+        x = equilibrium._axis(2001)[300] + 0.5 * equilibrium._spacing(2001)
+        economy = wk.Economy((wk.Consumer([0.5, 0.5], [1.0 - x, x]),))
+        report = wk.find_equilibria(wk.economy_field(economy), wk.SolverConfig(grid_density=density))
+        (eq,) = report.equilibria
+        assert abs(eq.chart[0] - x) <= 1e-12
+        assert (eq.regularity, report.index_check) == ("regular", "ok")
+
+    @pytest.mark.parametrize("goods", [3, 4])
+    def test_a_zero_between_scan_grid_points(self, goods):
+        per_dim = equilibrium._scan_grid(goods - 1)[1]
+        # A third of a scan spacing past the scan-grid point nearest
+        # (0.2, 0.3, 0.25) along every axis.
+        K = np.rint(np.array([0.2, 0.3, 0.25])[: goods - 1] * (per_dim - 1)).astype(int)
+        c = equilibrium._axis(per_dim)[K] + equilibrium._spacing(per_dim) / 3.0
+        p = np.append(c, 1.0 - c.sum())
+        alpha = np.linspace(1.0, 2.0, goods) / np.linspace(1.0, 2.0, goods).sum()
+        # One consumer: the equilibrium is alpha / endowment, normalised.
+        report = wk.find_equilibria(wk.economy_field(wk.Economy((wk.Consumer(alpha, alpha / p),))))
+        (eq,) = report.equilibria
+        assert np.abs(eq.chart - c).max() <= 1e-12
+        assert (eq.regularity, report.index_check) == ("regular", "ok")
+
+    def test_a_degenerate_zero_is_reported_once_within_its_band(self):
+        # Its hits, |z| <= 1e-9 sigma, reach about 8e-4 from z, over many
+        # scan-grid points, and deflation next to it adds no zero.
+        z = np.array([0.2, 0.3, 0.25])
+        field = wk.chart_field(lambda C: -((C - z) ** 3), goods=4)
+        (eq,) = wk.find_equilibria(field).equilibria
+        band = (NEWTON_TOL * equilibrium._scan(field)[0]) ** (1.0 / 3.0)
+        assert np.abs(eq.chart - z).max() <= band
+        assert eq.regularity == "critical"
+
     @pytest.mark.parametrize(
         "goods, fn",
         [

@@ -439,6 +439,32 @@ def test_each_chunk_of_trials_is_scanned_in_one_call(monkeypatch):
     assert res.base_continuum.fired
 
 
+def test_each_chunk_of_trials_runs_each_deflation_round_in_one_phase(monkeypatch):
+    import walraskit.equilibrium as eqm
+    import walraskit.genericity as gen
+
+    phases = []
+    newton = eqm._newton_multistart
+
+    def spy(evaluate, starts, tol, labels, **caps):
+        if caps:
+            phases.append(sorted(set(labels.tolist())))
+        return newton(evaluate, starts, tol, labels, **caps)
+
+    monkeypatch.setattr(eqm, "_newton_multistart", spy)
+    # The scan grid hides two of the three zeros of this economy, and
+    # deflation finds them in every trial.
+    field = wk.economy_field(multi_equilibrium_economy(3, 46))
+    spec = wk.PerturbationSpec(1e-4, basis="random_fourier", terms=3, seed=73)
+    terms = [gen._perturbation_term(spec.with_seed(73 + t), field.dim) for t in range(4)]
+    reports = eqm._solve(field, terms, wk.SolverConfig())
+    assert all(r.stats.deflated > 0 and len(r.equilibria) == 3 for r in reports)
+    # One Newton phase per round for the whole chunk: the first holds
+    # deflation rows of every trial.
+    assert 1 <= len(phases) <= eqm.DEFLATION_ROUNDS
+    assert phases[0] == [0, 1, 2, 3]
+
+
 def test_each_chunk_of_trials_is_classified_in_one_call(monkeypatch):
     import dataclasses
 
