@@ -37,7 +37,6 @@ from .equilibrium import (
     Equilibrium,
     EquilibriumReport,
     JacobianConsistencyError,
-    SolverConfig,
     chart_jacobian,
     classify,
     continuum_detector,
@@ -105,7 +104,6 @@ __all__ = [
     "PricePoint",
     "SampledScale",
     "SarpResult",
-    "SolverConfig",
     "TangentField",
     "TangentVector",
     "aed",

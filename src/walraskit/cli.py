@@ -35,7 +35,7 @@ from .econfile import (
     write_experiment_csv,
     write_witness_csv,
 )
-from .equilibrium import SolverConfig, continuum_detector, find_equilibria
+from .equilibrium import continuum_detector, find_equilibria
 from .fields import economy_field
 from .genericity import PerturbationSpec, build_continuum_economy, genericity_experiment, perturb
 from .geometry import chart_rows_embed, simplex_point
@@ -80,7 +80,7 @@ def _report_equilibria(report, lines: list[str]) -> None:
 
 def _solve_field(args, out_dir: Path, field_or_economy, lines: list[str]) -> list[str]:
     """Solve ``field_or_economy``, write ``equilibria.csv`` and report below ``lines``."""
-    report = find_equilibria(field_or_economy, SolverConfig(args.grid))
+    report = find_equilibria(field_or_economy)
     write_equilibria_csv(out_dir / "equilibria.csv", report, field_or_economy.goods)
     _report_equilibria(report, lines)
     return lines
@@ -179,7 +179,7 @@ def _cmd_perturb(args, out_dir: Path) -> list[str]:
 def _cmd_experiment(args, out_dir: Path) -> list[str]:
     economy = load_economy(args.input)
     spec = _perturbation_spec(args)
-    result = genericity_experiment(economy, spec, args.trials, SolverConfig(args.grid))
+    result = genericity_experiment(economy, spec, args.trials)
     write_experiment_csv(out_dir / "experiment.csv", result)
     errors = [r for r in result.records if r.error is not None]
     lines = [
@@ -265,26 +265,20 @@ def build_parser() -> argparse.ArgumentParser:
         if "seed" in flags:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if "grid" in flags:
-            p.add_argument(
-                "--grid", type=int, default=50,
-                help="solver's target spacing, 1/(GRID-1) of a chart axis: where the scan grid "
-                "is coarser, Newton is deflated next to every zero found (default 50)",
-            )
-        if "points" in flags:
             p.add_argument("--grid", type=int, help="number of grid points")
         if "perturbation" in flags:
             p.add_argument("--epsilon", type=float, required=True)
             p.add_argument("--basis", default="fourier:5", help="tilt | poly:DEG | fourier:TERMS")
 
     p = sub.add_parser("solve", help="locate and classify all equilibria")
-    common(p, "grid")
+    common(p)
 
     p = sub.add_parser("decompose", help="decompose the economy's excess demand over the canonical family")
-    common(p, "seed", "points")
+    common(p, "seed", "grid")
     p.set_defaults(grid=101)
 
     p = sub.add_parser("realize", help="realise a field as a canonical-consumer economy")
-    common(p, "seed", "points", input_required=False)
+    common(p, "seed", "grid", input_required=False)
     p.set_defaults(grid=201)
     p.add_argument(
         "--continuum",
@@ -295,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("perturb", help="perturb the excess demand and re-solve")
-    common(p, "seed", "grid", "perturbation")
+    common(p, "seed", "perturbation")
 
     p = sub.add_parser("experiment", help="seeded perturbation experiment")
-    common(p, "seed", "grid", "perturbation")
+    common(p, "seed", "perturbation")
     p.add_argument("--trials", type=int, required=True)
 
     p = sub.add_parser("sarp", help="check a dataset for revealed-preference cycles")

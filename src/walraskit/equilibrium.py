@@ -20,14 +20,14 @@ evaluates comes with its central-difference Jacobian stencil
 (``_stencil``, ``_newton_points``): an iteration asks the full steps in one
 call and the shorter steps, in one call more, only of the starts whose
 full step failed, and each start moves with the Jacobian of its new point.
-When the scan grid is coarser than the target spacing
-``_spacing(grid_density)``, deflation searches next to every zero found
-(``_deflate``): Newton runs again from small offsets of each zero, on the
-Newton map times a factor that grows without bound at every zero of the
-field found so far, for up to ``DEFLATION_ROUNDS`` rounds, each from the
-zeros that the round before found.  A field whose continuum detector fired
-is not deflated.  :func:`find_equilibria` is the one-field case and the
-genericity experiment the many-field case.
+Above one chart dimension, where the scan grid is coarser than
+``CONTINUUM_SCAN_POINTS`` along an axis, deflation searches next to every
+zero found (``_deflate``): Newton runs again from small offsets of each
+zero, on the Newton map times a factor that grows without bound at every
+zero of the field found so far, for up to ``DEFLATION_ROUNDS`` rounds, each
+from the zeros that the round before found.  A field whose continuum
+detector fired is not deflated.  :func:`find_equilibria` is the one-field
+case and the genericity experiment the many-field case.
 
 The aggregate excess demand ``z`` of an economy (a field marked
 ``price_weighted``, with no term) is solved on the price-weighted field
@@ -87,7 +87,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import permutations
-from numbers import Integral
 
 import numpy as np
 
@@ -122,11 +121,18 @@ DEDUP_RADIUS = 1e-6
 # The deflation phase (``_deflate``): at most this many rounds, each from
 # the zeros ``r`` that the round before found, at ``r + s u`` for each step
 # ``s``; a deflation row takes at most this many iterations and halvings.
+# The shift ``a`` of the factor ``1/|c - r|^2 + a`` makes it nearly flat
+# beyond ``1/sqrt(a)`` (a tenth of a chart axis) of every known zero.
 DEFLATION_ROUNDS = 3
 DEFLATION_STEPS = (1e-3, 1e-2)
 DEFLATION_MAX_ITER = 15
 DEFLATION_MAX_HALVINGS = 3
+DEFLATION_SHIFT = 100.0
 JOIN_RADIUS = 1e-4
+# Around a zero of order k <= MULTIPLICITY_K_MAX of a field that varies by
+# its scale sigma across the chart, |z| <= NEWTON_TOL sigma reaches about
+# NEWTON_TOL^(1/k) of it along some axis: at most this far.
+DEGENERATE_BAND = NEWTON_TOL ** (1.0 / MULTIPLICITY_K_MAX)
 CONTINUUM_SCAN_POINTS = 2001
 MAX_SCAN_POINTS = 250_000
 CONTINUUM_RUN_REQUIRED = 20
@@ -141,15 +147,6 @@ JACOBIAN_CONSISTENCY_TOL = 1e-4
 
 class JacobianConsistencyError(RuntimeError):
     """Finite-difference Jacobian estimates at steps h and h/2 disagree."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    grid_density: int = 50
-
-    def __post_init__(self):
-        if not isinstance(self.grid_density, Integral) or self.grid_density < 2:
-            raise ValueError("grid_density must be an integer of at least 2")
 
 
 @dataclass(frozen=True)
@@ -503,10 +500,17 @@ def _join_flat_zeros(residuals, Z: np.ndarray, res: np.ndarray, critical: np.nda
         linked = critical[pairs].all(axis=1)
         if linked.any():
             a, b = pairs[linked].T
-            linked[linked] = residuals(0.5 * (Z[a] + Z[b])) <= tol
+            linked[linked] = _one_flat_zero(residuals, Z[a], Z[b], tol)
         return linked
 
     return np.sort(_lowest_per_label(_linked_components(Z, JOIN_RADIUS, flat), res))
+
+
+def _one_flat_zero(residuals, A: np.ndarray, B: np.ndarray, tol) -> np.ndarray:
+    """Whether the zeros ``A[k]`` and ``B[k]`` are one flat zero: their
+    midpoint is a zero, ``residuals(midpoints)``, the field's ``|z|``, at
+    most ``tol`` (one bound, or one per pair), from one call."""
+    return residuals(0.5 * (A + B)) <= tol
 
 
 def _lowest_per_label(labels: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -799,20 +803,20 @@ def _pl_zeros(G: np.ndarray, vertex: np.ndarray, axis: np.ndarray) -> tuple:
     return field[inside], np.einsum("kj,kji->ki", lam[inside], axis[V[inside]])
 
 
-def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> EquilibriumReport:
+def find_equilibria(field_or_economy) -> EquilibriumReport:
     """Locate, deduplicate, and classify the zeros of an excess-demand field.
 
     An economy with constant scales only, every good of which has a
     positive aggregate scaled endowment, is answered in closed form
-    (``_closed_form``): one linear solve, no field evaluated on a grid, and
-    ``config`` unused.  Every other input, and such an economy whose closed
-    form fails its checks, goes to the grid pipeline, and the report's
-    ``declined`` says why.
+    (``_closed_form``): one linear solve, no field evaluated on a grid.
+    Every other input, and such an economy whose closed form fails its
+    checks, goes to the grid pipeline, and the report's ``declined`` says
+    why.
 
     The grid is the one-field case of the solve pipeline: the continuum
     scan gives ``sigma`` and ``finite_flag``; damped Newton iteration runs
-    from the starts found on the scan grid (``_starts``) and, where the scan
-    grid is coarser than ``config.grid_density`` points per axis, from the
+    from the starts found on the scan grid (``_starts``) and, above one
+    chart dimension and unless the continuum detector fired, from the
     deflation starts next to every zero found (``_deflate``; the report's
     ``starts`` count both, ``deflated`` the second), and stays in
     the chart region ``BOUNDARY_MARGIN`` from every face, on ``p * z``
@@ -828,7 +832,7 @@ def find_equilibria(field_or_economy, config: SolverConfig | None = None) -> Equ
             return report
     else:
         declined = "the input is a field, not an economy"
-    report = _solve(as_field(field_or_economy), [None], config or SolverConfig())[0]
+    report = _solve(as_field(field_or_economy), [None])[0]
     if isinstance(report, Exception):
         raise report
     return replace(report, declined=declined)
@@ -899,7 +903,7 @@ def _closed_form(e: Economy) -> tuple:
     return EquilibriumReport((eq,), SolverStats(0, 0, 0, 0, 0, 0, 0), ContinuumReport(False, None, 0), CLOSED_FORM), None
 
 
-def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | None = None) -> list:
+def _solve(base: TangentField, terms: list, grid: tuple | None = None) -> list:
     """The report of ``base`` plus each chart-map term (``None``: no term),
     or the exception that its solve raised.
 
@@ -910,18 +914,17 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
     one pass (``_scan_stage``), for ``sigma`` and the starts (``_starts``),
     and one Newton phase runs over the stacked starts of all its fields,
     reading the chunk's map (``_stacked_map``) on the field of each start.
-    When the scan grid is coarser than the target spacing
-    ``_spacing(grid_density)``, the deflation phase appends its rows
-    (``_deflate``) on every field whose continuum detector did not fire.
-    One report step reads the rows of both (``_reports``): one cover, and
-    one probe call for the zeros of every field.  One rule holds for
-    failure: a chunk of several fields whose scan, Newton phases or report
-    step raise is solved again one field at a time, and a chunk of one
-    field records the exception.
+    Above one chart dimension, where the scan grid is coarser than the
+    ``CONTINUUM_SCAN_POINTS`` points of a two-good one, the deflation phase
+    appends its rows (``_deflate``) on every field whose continuum detector
+    did not fire.  One report step reads the rows of both (``_reports``):
+    one cover, and one probe call for the zeros of every field.  One rule
+    holds for failure: a chunk of several fields whose scan, Newton phases
+    or report step raise is solved again one field at a time, and a chunk
+    of one field records the exception.
     """
     grid = _base_grid(base) if grid is None else grid
-    scan_grid, per_dim, _ = grid
-    deflate = per_dim < cfg.grid_density
+    scan_grid = grid[0]
     chunk = max(1, MAX_STARTS // len(scan_grid))
     outcomes = []
     for first in range(0, len(terms), chunk):
@@ -937,19 +940,19 @@ def _solve(base: TangentField, terms: list, cfg: SolverConfig, grid: tuple | Non
 
                 return _newton_multistart(newton_map, X, NEWTON_TOL * sigmas[labels], labels, **caps)
 
-            def is_zero(X, fields):
-                return np.linalg.norm(evaluate(X, fields)[1], axis=1) <= NEWTON_TOL * sigmas[fields]
+            def residuals(X, fields):
+                return np.linalg.norm(evaluate(X, fields)[1], axis=1)
 
             starts, labels = _starts(W, hit, clusters)
-            searched = np.array([deflate and not r.fired for r in reports])
-            newton = _deflate(phase, is_zero, phase(starts, labels), labels, searched)
+            searched = np.array([base.dim > 1 and not r.fired for r in reports])
+            newton = _deflate(phase, residuals, NEWTON_TOL * sigmas, phase(starts, labels), labels, searched)
             outcomes += _reports(evaluate, *newton, sigmas, reports)
         except Exception as exc:  # noqa: BLE001 - each field then records its own error
-            outcomes += [exc] if len(group) == 1 else [_solve(base, [t], cfg, grid)[0] for t in group]
+            outcomes += [exc] if len(group) == 1 else [_solve(base, [t], grid)[0] for t in group]
     return outcomes
 
 
-def _deflate(phase, is_zero, newton, labels, searched) -> tuple:
+def _deflate(phase, residuals, tol: np.ndarray, newton, labels, searched) -> tuple:
     """The Newton phase ``newton`` over rows of the fields ``labels``, with
     the rows of up to ``DEFLATION_ROUNDS`` deflation rounds appended, the
     field of every row, and which rows are the rounds'.
@@ -958,18 +961,25 @@ def _deflate(phase, is_zero, newton, labels, searched) -> tuple:
     (``_deflation_starts``) around each zero ``r`` of a ``searched`` field
     (one row per ``_cover`` claim) that the round before found, the first
     round around the zeros of ``newton``, and its Newton map is the field's
-    times ``prod_i (1/|c - r_i|^2 + 1)`` over the zeros ``r_i`` of the field
-    found so far (``_deflation``; Brown & Gearhart 1971, Farrell, Birkisson
-    & Funke 2015).  Near each ``r_i`` that map grows like ``1/|c - r_i|``,
-    so Newton leaves it for a zero not yet found, or fails; convergence is
-    still judged on the field.  A deflation row takes at most
-    ``DEFLATION_MAX_ITER`` iterations of at most ``DEFLATION_MAX_HALVINGS``
-    halvings.  The factor does not repel Newton from a zero of multiplicity
-    above two, and around such a zero every point of a wide neighbourhood
-    meets the tolerance: a converged row whose midpoint with the nearest
-    zero of its field is a zero (``is_zero(X, fields)``, one call) has come
-    back to that zero, so it counts as stalled.  The rounds stop after the
-    first that finds no new zero, a claim whose rows are all of that round.
+    times ``prod_i (1/|c - r_i|^2 + DEFLATION_SHIFT)`` over the zeros
+    ``r_i`` of the field found so far (``_deflation``; Brown & Gearhart
+    1971, Farrell, Birkisson & Funke 2015).  Near each ``r_i`` that map
+    grows like ``1/|c - r_i|``, so Newton leaves it for a zero not yet
+    found, or fails; convergence is still judged on the field, ``|z| <=
+    tol`` (one bound per field).  Beyond about ``1/sqrt(DEFLATION_SHIFT)``
+    of the known zeros the factor is nearly flat, so a step there that
+    lowers the deflated residual lowers ``|z|`` too, and a row with no zero
+    ahead stalls there instead of running on to its cap.  A deflation row
+    takes at most ``DEFLATION_MAX_ITER`` iterations of at most
+    ``DEFLATION_MAX_HALVINGS`` halvings.  The factor does not repel Newton
+    from a zero of multiplicity above two, and around such a zero every
+    point within ``DEGENERATE_BAND`` of it may meet the tolerance: a
+    converged row within that band of the nearest zero of its field that is
+    one flat zero with it (``_one_flat_zero``, the rule of the flat-zero
+    join, from one call of ``residuals(X, fields)``, the field's ``|z|``)
+    has come back to that zero, so it counts as stalled.  The rounds stop
+    after the first that finds no new zero, a claim whose rows are all of
+    that round.
     """
     caps = {"max_iter": DEFLATION_MAX_ITER, "max_halvings": DEFLATION_MAX_HALVINGS}
     deflated = np.zeros(len(labels), dtype=bool)
@@ -985,7 +995,11 @@ def _deflate(phase, is_zero, newton, labels, searched) -> tuple:
         if got.size:
             K = _apart(C[zeros], labels[zeros])
             near = zeros[np.square(_apart(more[0][got], of[got])[:, None, :] - K).sum(axis=2).argmin(axis=1)]
-            back = got[is_zero(0.5 * (more[0][got] + C[near]), of[got])]
+            close = np.linalg.norm(more[0][got] - C[near], axis=1) <= DEGENERATE_BAND
+            got, near = got[close], near[close]
+        if got.size:
+            fields = of[got]
+            back = got[_one_flat_zero(lambda M: residuals(M, fields), more[0][got], C[near], tol[fields])]
             more[2][back], more[3][back] = False, True
         first = len(labels)
         newton = tuple(map(np.concatenate, zip(newton, more)))
@@ -1014,11 +1028,11 @@ def _deflation_starts(R: np.ndarray, of: np.ndarray) -> tuple:
 
 
 def _deflation(R: np.ndarray, of: np.ndarray):
-    """``factor(C, fields)``: ``prod_i (1/|c - r_i|^2 + 1)`` at each row ``c``
-    of ``C`` over the zeros ``r_i`` of ``R`` whose field ``of`` is that row's
-    ``fields`` entry.  Each row multiplies its field's zeros in one order,
-    padded with factors of exactly 1, so a row gets the same bits in any
-    batch."""
+    """``factor(C, fields)``: ``prod_i (1/|c - r_i|^2 + DEFLATION_SHIFT)``
+    at each row ``c`` of ``C`` over the zeros ``r_i`` of ``R`` whose field
+    ``of`` is that row's ``fields`` entry.  Each row multiplies its field's
+    zeros in one order, padded with factors of exactly 1, so a row gets the
+    same bits in any batch."""
     order = np.argsort(of, kind="stable")
     R, of = R[order], of[order]
     rank = np.arange(len(of)) - np.searchsorted(of, of)
@@ -1026,7 +1040,7 @@ def _deflation(R: np.ndarray, of: np.ndarray):
     P[of, rank] = R
 
     def factor(C, fields):
-        T = 1.0 / np.square(C[:, None, :] - P[fields]).sum(axis=2) + 1.0
+        T = 1.0 / np.square(C[:, None, :] - P[fields]).sum(axis=2) + DEFLATION_SHIFT
         T[np.isnan(T)] = 1.0
         f = T[:, 0]
         for k in range(1, T.shape[1]):

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .decomposition import CanonicalFamily, _two_good_grid, realize_economy
-from .equilibrium import ContinuumReport, SolverConfig, _base_grid, _index_check, _scan, _solve
+from .equilibrium import ContinuumReport, _base_grid, _index_check, _scan, _solve
 from .equilibrium import find_equilibria  # noqa: F401 - in this namespace for wrappers such as bench/tracer.py
 from .fields import TangentField, as_field, chart_field
 from .scales import _integer, _number
@@ -281,7 +281,6 @@ def genericity_experiment(
     base,
     spec: PerturbationSpec,
     trials: int,
-    solver_config: SolverConfig | None = None,
 ) -> GenericityResult:
     """Perturb ``base`` with ``trials`` fresh seeds and tally the outcomes.
 
@@ -313,7 +312,7 @@ def genericity_experiment(
     except Exception as exc:  # noqa: BLE001 - every trial records the base's error
         outcomes, base_continuum = [exc] * trials, None
     else:
-        outcomes = _solve(field, terms, solver_config or SolverConfig(), grid)
+        outcomes = _solve(field, terms, grid)
     records = []
     for t, (trial_spec, outcome) in enumerate(zip(specs, outcomes)):
         if isinstance(outcome, Exception):

@@ -37,14 +37,9 @@ class TestSolve:
         assert csv_text.splitlines()[1].startswith("0.5,0.5,")
 
     def test_the_report_names_its_method(self, sym_file, tmp_path):
-        # The closed form answers whatever --grid says.
-        texts = []
-        for grid in ("50", "2"):
-            out = tmp_path / f"out{grid}"
-            assert main(["solve", "--input", str(sym_file), "--out", str(out), "--grid", grid]) == 0
-            texts.append((out / "report.txt").read_text())
-        assert texts[0] == texts[1]
-        lines = texts[0].splitlines()
+        out = tmp_path / "out"
+        assert main(["solve", "--input", str(sym_file), "--out", str(out)]) == 0
+        lines = (out / "report.txt").read_text().splitlines()
         at = lines.index("method: closed form")
         assert lines[at + 1] == (
             "solver: 0 starts (0 deflated), 0 converged, 0 stalled, 0 exhausted, 0 Newton iterations, 0 dedup merges"
@@ -466,6 +461,20 @@ class TestPerturbAndExperiment:
 
     @pytest.mark.parametrize(
         "argv",
+        [["solve"], ["perturb", "--epsilon", "1e-3"], ["experiment", "--epsilon", "1e-3", "--trials", "2"]],
+        ids=["solve", "perturb", "experiment"],
+    )
+    def test_the_solver_commands_take_no_grid(self, sym_file, tmp_path, capsys, argv):
+        # The solver's lattice follows from the number of goods alone.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--input", str(sym_file), "--out", str(out), "--grid", "50"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid 50" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ["perturb", "--epsilon", "1e-3"],
             ["experiment", "--epsilon", "1e-3", "--trials", "2"],
@@ -615,7 +624,7 @@ def test_one_parser_serves_many_calls(sym_file, tmp_path):
     realize_input = vars(build_parser().parse_args(argvs[1] + ["--out", "o"]))
     assert realize_input["continuum"] is None
     assert (realize_input["grid"], realize_input["seed"]) == (201, 1729)
-    assert vars(build_parser().parse_args(argvs[2] + ["--out", "o"]))["grid"] == 50
+    assert "grid" not in vars(build_parser().parse_args(argvs[2] + ["--out", "o"]))
     assert "grid points: 201" in reports[tuple(argvs[1])].pop()
 
 

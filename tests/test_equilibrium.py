@@ -220,10 +220,9 @@ class TestFindEquilibria:
         assert r1.stats == r2.stats
 
     def test_pairwise_separation(self, rng):
-        cfg = wk.SolverConfig()
         for _ in range(5):
             e = random_economy(rng, 2, 3)
-            report = wk.find_equilibria(wk.economy_field(e), cfg)
+            report = wk.find_equilibria(wk.economy_field(e))
             charts = [eq.chart for eq in report.equilibria]
             for i in range(len(charts)):
                 for j in range(i + 1, len(charts)):
@@ -268,52 +267,51 @@ class TestFindEquilibria:
         assert report.stats.newton_iterations <= 2 * report.stats.starts
         assert len(report.equilibria) == 1
 
-    def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            wk.SolverConfig(grid_density=0)
-        for density in (1, 2.5, True):
-            with pytest.raises(ValueError, match="grid_density must be an integer of at least 2"):
-                wk.SolverConfig(grid_density=density)
-        # The tolerance is NEWTON_TOL times the field's scale, not a setting.
-        with pytest.raises(TypeError, match="newton_tol"):
-            wk.SolverConfig(newton_tol=1e-10)
-        assert wk.SolverConfig(grid_density=np.int64(2)).grid_density == 2
+    def test_the_solver_takes_no_settings(self, sym_edgeworth):
+        # The scan grid, the deflation phase and the tolerance (NEWTON_TOL
+        # times the field's scale) follow from the field alone.
+        field = wk.economy_field(sym_edgeworth)
+        with pytest.raises(TypeError):
+            wk.find_equilibria(field, 50)
+        with pytest.raises(TypeError):
+            wk.find_equilibria(field, newton_tol=1e-10)
+        assert not hasattr(wk, "SolverConfig")
 
     @pytest.mark.parametrize(
-        "field, cfg, message",
+        "field, message",
         [
             (
-                # the continuum scan's 11^8 grid is too large at any density
+                # the continuum scan's 11^8 grid is too large
                 _nine_good_field(),
-                wk.SolverConfig(grid_density=4),
                 "continuum scan grid of 11^8 points is too large (limit 250000 points)",
             ),
             (
                 wk.chart_field(_refusing_map, goods=2),
-                wk.SolverConfig(),
                 "chart map refuses rows",
             ),
         ],
         ids=["scan_grid_too_large", "chart_map_error"],
     )
-    def test_errors_keep_their_type_and_text(self, field, cfg, message):
+    def test_errors_keep_their_type_and_text(self, field, message):
         with pytest.raises(ValueError) as err:
-            wk.find_equilibria(field, cfg)
+            wk.find_equilibria(field)
         assert type(err.value) is ValueError
         assert str(err.value) == message
 
-    def test_a_density_once_refused_for_its_start_grid_solves(self):
-        # grid_density=70 at l = 4 was refused for its 70^3 start grid; it
-        # now only says that the 13-per-axis scan grid is coarser, so
-        # Newton is deflated next to the zero found.
+    def test_a_four_good_solve_deflates_next_to_its_zero(self):
+        # The 13-per-axis scan grid of three chart axes finds the zero, and
+        # Newton is deflated next to it, finding no other.
         economy = wk.Economy(
             (
                 wk.Consumer([0.1, 0.2, 0.3, 0.4], [1, 0, 0, 0]),
                 wk.Consumer([0.4, 0.3, 0.2, 0.1], [0, 1, 1, 1]),
             )
         )
-        report = wk.find_equilibria(wk.economy_field(economy), wk.SolverConfig(grid_density=70))
+        report = wk.find_equilibria(wk.economy_field(economy))
         (eq,) = report.equilibria
+        # With no zero ahead, a deflation row stalls where the shifted
+        # factor flattens instead of running to its iteration cap.
+        assert report.stats.deflated > 0 and report.stats.exhausted == 0
         assert (eq.regularity, eq.index, report.index_check) == ("regular", 1, "ok")
         assert np.abs(eq.price.coords - nullspace_price(economy)).max() <= 1e-9
 
@@ -523,8 +521,7 @@ class TestPriceWeightedNewton:
         # One iteration leaves the residuals far from zero, where |p * z|
         # and |z| differ.
         field = wk.economy_field(sym_edgeworth)
-        cfg = wk.SolverConfig()
-        starts = _region_points(1, cfg.grid_density)
+        starts = _region_points(1, 50)
         tol = _tol(field)
         C, res, converged, *_ = _newton(
             lambda C, rows: field.chart_values(C), starts, tol, weighted=True, max_iter=1
@@ -578,8 +575,7 @@ class TestNewtonMultistart:
             return took
 
         monkeypatch.setattr(equilibrium, "_damped_step", step_spy)
-        cfg = wk.SolverConfig()
-        starts = _region_points(d, cfg.grid_density)
+        starts = _region_points(d, 50)
         converged, *_, iterations = _newton(spy, starts, _tol(field), field.price_weighted)[2:]
         assert converged.any()
         assert np.array_equal(calls[0], _with_stencils(starts))
@@ -621,7 +617,7 @@ class TestNewtonMultistart:
             return took
 
         monkeypatch.setattr(equilibrium, "_damped_step", step_spy)
-        starts = _region_points(d, wk.SolverConfig().grid_density)
+        starts = _region_points(d, 50)
         _newton(lambda C, rows: field.chart_values(C), starts, _tol(field), field.price_weighted)
         assert sum(shorter) > 0
 
@@ -635,8 +631,7 @@ class TestNewtonMultistart:
             field = wk.economy_field(constant_scale_economy(rng, 4, 3))
         else:
             field = wk.chart_field(fn, goods=2)
-        cfg = wk.SolverConfig()
-        starts = _region_points(field.dim, cfg.grid_density)
+        starts = _region_points(field.dim, 50)
         merged = np.zeros(len(starts), dtype=bool)
         merge = equilibrium._merge_converged
 
@@ -660,8 +655,7 @@ class TestNewtonMultistart:
             field = wk.chart_field(DEGENERATE_ZEROS[0][1], goods=2)
         else:
             field = _newton_field(case, rng)
-        cfg = wk.SolverConfig()
-        starts = _region_points(field.dim, cfg.grid_density)
+        starts = _region_points(field.dim, 50)
         tol = _tol(field)
 
         def run():
@@ -694,7 +688,7 @@ class TestNewtonMultistart:
                 return phases[-1]
 
             monkeypatch.setattr(equilibrium, "_newton_multistart", spy)
-            return equilibrium._solve(base, TestChunkReports.JOINED, wk.SolverConfig()), phases
+            return equilibrium._solve(base, TestChunkReports.JOINED), phases
 
         fused, fused_phases = run()
         monkeypatch.setattr(equilibrium, "_damped_step", _one_call_per_step_size)
@@ -729,7 +723,7 @@ class TestNewtonMultistart:
 
         monkeypatch.setattr(equilibrium, "_newton_direction", direction_spy)
         monkeypatch.setattr(equilibrium, "_damped_step", step_spy)
-        starts = _region_points(field.dim, wk.SolverConfig().grid_density)
+        starts = _region_points(field.dim, 50)
         _newton(lambda C, rows: field.chart_values(C), starts, tol, field.price_weighted)
         full, damped = [], []
         for rows, C, zres, after, took, delta, converged in steps:
@@ -749,8 +743,7 @@ class TestNewtonMultistart:
             calls.append(len(C))
             return np.full_like(C, 0.25)
 
-        cfg = wk.SolverConfig()
-        starts = _region_points(2, cfg.grid_density)
+        starts = _region_points(2, 50)
         _, _, converged, stalled, exhausted, iterations = _newton(constant, starts, NEWTON_TOL)
         assert stalled.all() and not converged.any() and not exhausted.any()
         assert (iterations == 1).all()
@@ -901,27 +894,21 @@ class TestScanGridZeros:
         # 0.9999 is on the face sum(c) = 1 - BOUNDARY_MARGIN.
         field = wk.chart_field(lambda C: 0.99988 - C, goods=2)
         assert np.abs(_scan_starts(field)[:, 0] - 0.99988).min() <= 1e-12
-        for density in (2001, 4001):
-            (eq,) = wk.find_equilibria(field, wk.SolverConfig(grid_density=density)).equilibria
-            assert abs(eq.chart[0] - 0.99988) <= 1e-12
-        # An economy whose equilibrium lies in that last cell: the default
-        # grid and one above the scan density list the same zeros.
+        (eq,) = wk.find_equilibria(field).equilibria
+        assert abs(eq.chart[0] - 0.99988) <= 1e-12
+        # An economy whose equilibrium lies in that last cell, found by the
+        # scan grid's starts alone: two goods are never deflated.
         economy = wk.Economy((wk.Consumer([0.9995, 0.0005], [0, 1]), wk.Consumer([0.5, 0.5], [0.001, 0])))
-        default, fine = (wk.find_equilibria(wk.economy_field(economy), wk.SolverConfig(grid_density=k)) for k in (50, 4001))
-        assert default.index_check == fine.index_check == "ok"
-        assert (default.stats.deflated, fine.stats.deflated > 0) == (0, True)
-        assert len(default.equilibria) == len(fine.equilibria) >= 1
-        for a, b in zip(default.equilibria, fine.equilibria):
-            assert np.abs(a.price.coords - b.price.coords).max() <= 1e-12
-            assert (a.regularity, a.index, a.multiplicity) == (b.regularity, b.index, b.multiplicity)
+        report = wk.find_equilibria(wk.economy_field(economy))
+        assert (report.index_check, report.stats.deflated) == ("ok", 0)
+        assert len(report.equilibria) >= 1
 
-    @pytest.mark.parametrize("density", [50, 4001])
-    def test_a_zero_between_scan_grid_points_of_two_goods(self, density):
-        # Half a scan spacing past a scan-grid point: a point of the 4001
-        # lattice that the scan grid lacks.
-        x = equilibrium._axis(2001)[300] + 0.5 * equilibrium._spacing(2001)
+    @pytest.mark.parametrize("fraction", [0.5, 1.0 / 3.0], ids=["half", "third"])
+    def test_a_zero_between_scan_grid_points_of_two_goods(self, fraction):
+        # Half or a third of a scan spacing past a scan-grid point.
+        x = equilibrium._axis(2001)[300] + fraction * equilibrium._spacing(2001)
         economy = wk.Economy((wk.Consumer([0.5, 0.5], [1.0 - x, x]),))
-        report = wk.find_equilibria(wk.economy_field(economy), wk.SolverConfig(grid_density=density))
+        report = wk.find_equilibria(wk.economy_field(economy))
         (eq,) = report.equilibria
         assert abs(eq.chart[0] - x) <= 1e-12
         assert (eq.regularity, report.index_check) == ("regular", "ok")
@@ -959,15 +946,15 @@ class TestScanGridZeros:
         ],
         ids=["order-3-l4", "orders-5-3-l3"],
     )
-    def test_deflation_adds_no_zero_next_to_a_degenerate_one(self, goods, fn):
+    def test_deflation_adds_no_zero_next_to_a_degenerate_one(self, monkeypatch, goods, fn):
         # Every point within about (1e-11 sigma)^(1/k) of a zero of order k,
         # along that axis, meets the Newton tolerance, and the factor does
         # not repel Newton from it: deflation rows that converge there have
-        # come back to it.  A target no finer than the scan grid deflates
-        # nothing.
+        # come back to it.  No deflation round is the plain solve.
         field = wk.chart_field(fn, goods=goods)
-        plain = wk.find_equilibria(field, wk.SolverConfig(grid_density=equilibrium._scan_grid(goods - 1)[1]))
         report = wk.find_equilibria(field)
+        monkeypatch.setattr(equilibrium, "DEFLATION_ROUNDS", 0)
+        plain = wk.find_equilibria(field)
         assert plain.stats.deflated == 0 < report.stats.deflated
         assert [eq.chart.tolist() for eq in report.equilibria] == [eq.chart.tolist() for eq in plain.equilibria]
         assert all(eq.regularity == "critical" for eq in report.equilibria)
@@ -978,7 +965,7 @@ class TestScanGridZeros:
         spacing = equilibrium._spacing(45)
         mid = equilibrium._axis(45)[14] + 0.5 * spacing
         field = wk.chart_field(lambda C: np.column_stack([C[:, 1] - C[:, 0], 2 * mid - C.sum(axis=1)]), goods=3)
-        report = wk.find_equilibria(field, wk.SolverConfig(grid_density=120))
+        report = wk.find_equilibria(field)
         (eq,) = report.equilibria
         assert np.abs(eq.chart - mid).max() <= 1e-12
         assert eq.regularity == "regular"
@@ -1019,18 +1006,19 @@ class TestScanLevel:
 
 
 class TestDeflation:
-    """Where the scan grid is coarser than the target spacing, Newton runs
-    again next to every zero found, on a map that repels it from them."""
+    """From three goods on, Newton runs again next to every zero found, on
+    a map that repels it from them."""
 
     def test_the_factor_multiplies_each_rows_own_fields_zeros(self):
         R = np.array([[0.2, 0.3], [0.5, 0.1], [0.3, 0.3]])
         factor = equilibrium._deflation(R, np.array([1, 0, 1]))
         C = np.array([[0.25, 0.3], [0.4, 0.2], [0.3, 0.25]])
         fields = np.array([0, 1, 1])
+        a = equilibrium.DEFLATION_SHIFT
         expected = [
-            1.0 / ((C[0] - R[1]) ** 2).sum() + 1.0,
-            (1.0 / ((C[1] - R[0]) ** 2).sum() + 1.0) * (1.0 / ((C[1] - R[2]) ** 2).sum() + 1.0),
-            (1.0 / ((C[2] - R[0]) ** 2).sum() + 1.0) * (1.0 / ((C[2] - R[2]) ** 2).sum() + 1.0),
+            1.0 / ((C[0] - R[1]) ** 2).sum() + a,
+            (1.0 / ((C[1] - R[0]) ** 2).sum() + a) * (1.0 / ((C[1] - R[2]) ** 2).sum() + a),
+            (1.0 / ((C[2] - R[0]) ** 2).sum() + a) * (1.0 / ((C[2] - R[2]) ** 2).sum() + a),
         ]
         assert np.array_equal(factor(C, fields), expected)
         # A row gets the same bits alone as in any batch.
@@ -1049,12 +1037,32 @@ class TestDeflation:
 
     def test_a_fired_continuum_detector_is_not_deflated(self):
         # The line c0 = c1 passes through scan-grid points, so the detector
-        # fires; the scan grid is coarser than the default target spacing at
-        # three goods, where every other field is deflated.
+        # fires, at three goods, where every other field is deflated.
         line = wk.chart_field(lambda C: (C[:, :1] - C[:, 1:]) * [1.0, 2.0], goods=3)
         report = wk.find_equilibria(line)
         assert report.continuum.fired and report.stats.deflated == 0
         assert wk.find_equilibria(wk.economy_field(multi_equilibrium_economy(3, 0))).stats.deflated > 0
+
+    def test_only_rows_in_the_degenerate_band_can_come_back(self, monkeypatch):
+        # A converged deflation row is held to be its nearest known zero
+        # only within DEGENERATE_BAND of it, by the flat-zero join's rule:
+        # a genuine zero farther off is kept whatever its midpoint with a
+        # known zero is.  The quintic's rows come back; l = 3 seed 46's
+        # deflation finds two zeros.
+        pairs = []
+        one_flat_zero = equilibrium._one_flat_zero
+
+        def spy(residuals, A, B, tol):
+            pairs.append(np.linalg.norm(A - B, axis=1))
+            return one_flat_zero(residuals, A, B, tol)
+
+        monkeypatch.setattr(equilibrium, "_one_flat_zero", spy)
+        quintic = wk.chart_field(lambda C: np.column_stack([-((C[:, 0] - 0.2) ** 5), -((C[:, 1] - 0.2) ** 3)]), goods=3)
+        assert wk.find_equilibria(quintic).stats.deflated > 0 and pairs
+        report = wk.find_equilibria(multi_equilibrium_economy(3, 46))
+        assert len(report.equilibria) == 3
+        distances = np.concatenate(pairs)
+        assert distances.max() <= equilibrium.DEGENERATE_BAND
 
     @pytest.mark.parametrize("goods, seed", [(3, 46), (3, 64), (4, 22), (4, 65)])
     def test_no_deflation_row_converges_on_a_known_zero(self, monkeypatch, goods, seed):
@@ -1450,21 +1458,20 @@ def _synthetic_fields():
 
 
 def _reference_fields(rng):
-    """(field, solver config) for every field the rows core is held to."""
+    """Every field the rows core is held to."""
     out = []
     for goods in (2, 3, 4):
         for _ in range(2):
             e = random_economy(rng, goods, 3)
             for factor in (1.0, 1e6):
-                cfg = wk.SolverConfig(grid_density=12 if goods == 4 else 50)
-                out.append((wk.economy_field(_scaled(e, factor)), cfg))
+                out.append(wk.economy_field(_scaled(e, factor)))
     base = wk.build_continuum_economy((0.4, 0.6), grid=201)
     bases = (("linear_tilt", 1e-3), ("polynomial", 1e-2), ("random_fourier", 1e-3), ("random_fourier", 1e-4))
     for basis, eps in bases:
         for seed in (3, 4):
             spec = wk.PerturbationSpec(eps, basis=basis, seed=seed)
-            out.append((wk.perturb(base, spec), wk.SolverConfig()))
-    return out + [(field, wk.SolverConfig()) for field in _synthetic_fields()]
+            out.append(wk.perturb(base, spec))
+    return out + _synthetic_fields()
 
 
 class TestClassifyRows:
@@ -1492,8 +1499,8 @@ class TestClassifyRows:
 
     def test_matches_the_per_zero_path(self, rng):
         seen = 0
-        for field, cfg in _reference_fields(rng):
-            report = wk.find_equilibria(field, cfg)
+        for field in _reference_fields(rng):
+            report = wk.find_equilibria(field)
             # Off the zeros by 1e-12: at x1e6 a residual above 1e-9 that still
             # passes the not-a-zero test, relative to the field's size.
             C = np.array([eq.chart + 1e-12 for eq in report.equilibria])
@@ -1530,7 +1537,7 @@ class TestClassifyRows:
 
             field = wk.chart_field(counted, goods=2)
             sigma, continuum = equilibrium._scan(field)
-            starts = _region_points(1, wk.SolverConfig().grid_density)
+            starts = _region_points(1, 50)
             newton = _newton(lambda C, rows: field.chart_values(C), starts, NEWTON_TOL * sigma)
             calls.clear()
             report = _field_report(field, newton, slice(None), sigma, continuum)
@@ -1580,7 +1587,7 @@ class TestChunkReports:
 
     def test_a_chunk_with_a_degenerate_zero_gets_each_fields_solve(self):
         base = wk.chart_field(np.zeros_like, goods=2)
-        reports = equilibrium._solve(base, self.JOINED, wk.SolverConfig())
+        reports = equilibrium._solve(base, self.JOINED)
         for report, fn in zip(reports, self.JOINED):
             _assert_same_report(report, wk.find_equilibria(wk.chart_field(fn, goods=2)))
 
@@ -1690,14 +1697,13 @@ class TestStackedMap:
 
         monkeypatch.setattr(equilibrium, "_stacked_map", spy)
         economy = wk.economy_field(sym_edgeworth)
-        cfg = wk.SolverConfig()
         for base, terms, weighted in (
             (economy, [None], True),
             (economy, [None, lambda C: 1e-3 * C], False),
             (wk.chart_field(lambda C: 0.5 - C, goods=2), [None], False),
         ):
             chosen.clear()
-            equilibrium._solve(base, terms, cfg)
+            equilibrium._solve(base, terms)
             is_pz, is_z = np.array(chosen).T
             assert (is_pz if weighted else is_z).all()
             assert (~is_z if weighted else ~is_pz).any()

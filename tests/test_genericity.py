@@ -200,12 +200,10 @@ class TestExperiment:
                 wk.Consumer([0.3, 0.4, 0.3], [0, 0, 1]),
             )
         )
-        cfg = wk.SolverConfig(grid_density=15)
         res = wk.genericity_experiment(
             econ,
             wk.PerturbationSpec(1e-4, basis="random_fourier", terms=3, seed=8),
             trials=3,
-            solver_config=cfg,
         )
         assert res.finite_count == 3
         assert res.equilibrium_counts == [1, 1, 1]
@@ -275,15 +273,15 @@ class TestStackedTrials:
     """The stacked Newton phase against each trial solved on its own."""
 
     @staticmethod
-    def check(base, spec, trials, cfg):
+    def check(base, spec, trials):
         import walraskit.equilibrium as eqm
         import walraskit.genericity as gen
 
         field = wk.economy_field(base)
         specs = [spec.with_seed(spec.seed + t) for t in range(trials)]
-        stacked = eqm._solve(field, [gen._perturbation_term(s, field.dim) for s in specs], cfg)
+        stacked = eqm._solve(field, [gen._perturbation_term(s, field.dim) for s in specs])
         for trial_spec, report in zip(specs, stacked):
-            assert_same_report(report, wk.find_equilibria(gen.perturb(field, trial_spec), cfg))
+            assert_same_report(report, wk.find_equilibria(gen.perturb(field, trial_spec)))
         return stacked
 
     @pytest.mark.parametrize(
@@ -297,7 +295,7 @@ class TestStackedTrials:
         ids=["random_fourier", "polynomial", "linear_tilt", "epsilon_0"],
     )
     def test_continuum_trials_match_solo_solves(self, continuum_economy, spec):
-        self.check(continuum_economy, spec, 4, wk.SolverConfig())
+        self.check(continuum_economy, spec, 4)
 
     def test_three_good_trials_match_solo_solves(self):
         # epsilon = 0: every trial is the economy's own field, solved on p * z.
@@ -305,7 +303,7 @@ class TestStackedTrials:
             wk.PerturbationSpec(1e-4, basis="random_fourier", terms=3, seed=8),
             wk.PerturbationSpec(0.0, seed=9),
         ):
-            self.check(three_good_economy(), spec, 3, wk.SolverConfig(grid_density=15))
+            self.check(three_good_economy(), spec, 3)
 
     @pytest.mark.parametrize("goods, seed", [(3, 0), (3, 46), (4, 0)])
     def test_deflated_trials_match_solo_solves(self, goods, seed):
@@ -318,7 +316,7 @@ class TestStackedTrials:
             wk.PerturbationSpec(1e-4, basis="random_fourier", terms=3, seed=71),
             wk.PerturbationSpec(1e-4, basis="polynomial", degree=3, seed=72),
         ):
-            reports = self.check(economy, spec, 3, wk.SolverConfig())
+            reports = self.check(economy, spec, 3)
             assert all(r.stats.deflated > 0 and len(r.equilibria) == 3 for r in reports)
 
     def test_chunk_boundaries(self, monkeypatch, continuum_economy):
@@ -339,7 +337,6 @@ class TestStackedTrials:
             continuum_economy,
             wk.PerturbationSpec(1e-3, basis="random_fourier", terms=5, seed=65),
             5,
-            wk.SolverConfig(),
         )
         # the stacked chunks, then each trial's own solve
         assert trials == [2, 2, 1] + [1] * 5
@@ -393,13 +390,13 @@ class TestStackedTrials:
         # The base scans, so the chunk fails in its own scan and is solved
         # again field by field: the other two fields are the base's solve.
         base = wk.economy_field(three_good_economy())
-        reports = eqm._solve(base, [None, raising_term, None], wk.SolverConfig())
+        reports = eqm._solve(base, [None, raising_term, None])
         assert reports[1] is error
         for report in (reports[0], reports[2]):
             assert_same_report(report, wk.find_equilibria(base))
 
-    def test_a_density_once_refused_for_its_start_grid_solves_every_trial(self):
-        # grid_density=70 at l = 4 failed every trial for its 70^3 start grid.
+    def test_four_good_trials_solve(self):
+        # Every trial, deflated next to its zero, lists that zero alone.
         econ = wk.Economy(
             (
                 wk.Consumer([0.1, 0.2, 0.3, 0.4], [1, 0, 0, 0]),
@@ -410,7 +407,6 @@ class TestStackedTrials:
             econ,
             wk.PerturbationSpec(1e-3, seed=67),
             trials=2,
-            solver_config=wk.SolverConfig(grid_density=70),
         )
         assert [r.error for r in res.records] == [None, None]
         assert res.equilibrium_counts == [1, 1]
@@ -457,7 +453,7 @@ def test_each_chunk_of_trials_runs_each_deflation_round_in_one_phase(monkeypatch
     field = wk.economy_field(multi_equilibrium_economy(3, 46))
     spec = wk.PerturbationSpec(1e-4, basis="random_fourier", terms=3, seed=73)
     terms = [gen._perturbation_term(spec.with_seed(73 + t), field.dim) for t in range(4)]
-    reports = eqm._solve(field, terms, wk.SolverConfig())
+    reports = eqm._solve(field, terms)
     assert all(r.stats.deflated > 0 and len(r.equilibria) == 3 for r in reports)
     # One Newton phase per round for the whole chunk: the first holds
     # deflation rows of every trial.
@@ -492,7 +488,7 @@ def test_each_chunk_of_trials_is_classified_in_one_call(monkeypatch):
     field = dataclasses.replace(base, chart_fn=counted)
     spec = wk.PerturbationSpec(1e-3, basis="polynomial", degree=3, seed=70)
     terms = [gen._perturbation_term(spec.with_seed(70 + t), field.dim) for t in range(4)]
-    solved = eqm._solve(field, terms, wk.SolverConfig())
+    solved = eqm._solve(field, terms)
     assert [len(r.equilibria) for r in solved] == [3] * 4
     assert all(eq.regularity == "regular" for r in solved for eq in r.equilibria)
     # One probe call for the twelve zeros of the four trials: each zero,
@@ -533,7 +529,7 @@ class TestChunkFailure:
 
         monkeypatch.setattr(eqm, "_stacked_map", map_spy)
         monkeypatch.setattr(eqm, "_probe", spy)
-        return eqm._solve(field, terms, wk.SolverConfig()), len(refusals)
+        return eqm._solve(field, terms), len(refusals)
 
     @pytest.mark.parametrize("case", ["continuum", "multi-l3-seed0"])
     def test_a_failing_chunk_gives_each_trial_its_own_report(self, monkeypatch, continuum_economy, case):

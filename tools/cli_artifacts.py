@@ -11,10 +11,8 @@ and of the saved continuum economy with every endowment multiplied by 1e-8
 and by 1e8 (under ``rescaled/``), whose answers must not depend on the
 factor.  Under ``solve/extra/`` it runs ``solve`` on two economies with
 three known equilibria (``tests/support.multi_equilibrium_economy``, l = 3
-seed 0 and l = 4 seed 1), on a five- and a six-good constant-scale
-economy and on the saved continuum economy at ``--grid 4001``, a target
-finer than its 2,001-point scan grid, where every field is deflated
-unless its continuum detector fires, as this economy's does.  Under ``solve/arena/`` it runs
+seed 0 and l = 4 seed 1) and on a five- and a six-good constant-scale
+economy.  Under ``solve/arena/`` it runs
 ``solve`` on every arena economy that a solve accepts
 (``tests/support.arena_economies``: the economies of that family at l = 3
 and 4 with seeds 0-71 and at l = 5 and 6 with seeds 0-11, less the refused
@@ -174,9 +172,6 @@ def invocations(seed: int) -> list[list[str]]:
     for name, economy in economies.items():
         save_economy(extra / f"{name}.yaml", economy)
         argvs.append(["solve", "--input", str(extra / f"{name}.yaml"), "--out", str(extra / name)])
-    # A target finer than the scan grid, on a field whose continuum detector fires.
-    continuum = ["--input", str(RESCALED["continuum"]), "--grid", "4001"]
-    argvs.append(["solve", *continuum, "--out", str(extra / "continuum-grid4001")])
     arena = Path("solve", "arena")
     arena.mkdir()
     for goods, k, economy in arena_economies():
