@@ -11,9 +11,9 @@ closed vocabulary in :mod:`walraskit.scales`:
       scale: {type: constant, value: 1.0}
 
 A scale is its kind's dataclass fields under ``type``: every field is
-required and other keys are ignored.  Whether the scale fits the goods is
-checked by :class:`~walraskit.consumers.Consumer`, as for an economy built
-in code; this module adds the consumer's position to the message.
+required and other keys are ignored.  The consumers' shares, endowments and
+scales are checked at once, as stacked rows, by the rule of
+:class:`~walraskit.consumers.Consumer`, whose message names the first.
 
 Economy files are written by a small direct emitter that gives exactly the
 text of PyYAML's ``safe_dump(data, sort_keys=False, default_flow_style=None)``:
@@ -21,8 +21,11 @@ block collections, except that a list or mapping of scalars is written in
 flow style and wrapped past column 80.  A sampled grid is written in one
 pass, and a grid shared by several scales is formatted once per file.  A
 file in that layout is read by a direct reader that returns what PyYAML's
-safe loader returns for it; any other file is read with ``yaml.load``, with
-libyaml's parser when PyYAML has it, and only such a file imports PyYAML.
+safe loader returns for it, each run of floats (a flow list, or a grid's
+rows, read once for all the scales that share it) checked by one match and
+read by one split and one ``float`` map; any other file is read with
+``yaml.load``, with libyaml's parser when PyYAML has it, and only such a
+file imports PyYAML.
 Floats are emitted with Python repr (shortest exact form) in YAML and with
 17 significant digits in CSV tables, so written files re-parse to equivalent
 objects and repeated runs are byte-identical.
@@ -31,6 +34,7 @@ objects and repeated runs are byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import operator
@@ -40,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .consumers import Consumer, Economy
+from .consumers import Economy, _consumers as _stacked_consumers
 from .equilibrium import EquilibriumReport
 from .genericity import GenericityResult
 from .revealed import ObservationDataset
@@ -81,31 +85,35 @@ def economy_from_dict(data: dict) -> Economy:
     raw_consumers = data.get("consumers")
     if not isinstance(raw_consumers, list) or not raw_consumers:
         raise EconomyFormatError("'consumers' must be a non-empty list")
-    consumers = []
-    for k, entry in enumerate(raw_consumers):
+    rows = []
+
+    def consumers():  # checked at once, the rows read so far
         try:
-            alpha = [_number(x, "alpha") for x in entry["alpha"]]
-            endowment = [_number(x, "endowment") for x in entry["endowment"]]
-        except (KeyError, TypeError) as exc:
-            raise EconomyFormatError(
-                f"consumer {k}: 'alpha' and 'endowment' must be numeric lists"
-            ) from exc
+            return _stacked_consumers(*zip(*rows))
         except ValueError as exc:
-            raise EconomyFormatError(f"consumer {k}: {exc}") from exc
-        scale_data = entry.get("scale", {"type": "constant", "value": 1.0})
-        try:
-            scale = scale_from_dict(scale_data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise EconomyFormatError(f"consumer {k}: invalid scale: {exc}") from exc
-        if len(alpha) != goods or len(endowment) != goods:
-            raise EconomyFormatError(
-                f"consumer {k}: alpha/endowment length must equal goods={goods}"
-            )
-        try:
-            consumers.append(Consumer(alpha, endowment, scale=scale))
-        except ValueError as exc:
-            raise EconomyFormatError(f"consumer {k}: {exc}") from exc
-    return Economy(tuple(consumers))
+            raise EconomyFormatError(str(exc)) from exc
+    try:
+        for k, entry in enumerate(raw_consumers):
+            try:
+                alpha = [_number(x, "alpha") for x in entry["alpha"]]
+                endowment = [_number(x, "endowment") for x in entry["endowment"]]
+            except (KeyError, TypeError) as exc:
+                raise EconomyFormatError(f"consumer {k}: 'alpha' and 'endowment' must be numeric lists") from exc
+            except ValueError as exc:
+                raise EconomyFormatError(f"consumer {k}: {exc}") from exc
+            scale_data = entry.get("scale", {"type": "constant", "value": 1.0})
+            try:
+                scale = scale_from_dict(scale_data)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise EconomyFormatError(f"consumer {k}: invalid scale: {exc}") from exc
+            if len(alpha) != goods or len(endowment) != goods:
+                raise EconomyFormatError(f"consumer {k}: alpha/endowment length must equal goods={goods}")
+            rows.append((alpha, endowment, scale))
+    except EconomyFormatError:
+        if rows:  # the checks of the consumers before come first
+            consumers()
+        raise
+    return Economy(consumers())
 
 
 # --- YAML emitter -------------------------------------------------------------
@@ -302,12 +310,8 @@ def save_economy(path, e: Economy) -> None:
 # YAML 1.1 and Python read differently, such as 1e5, 010 or 1_000) raises
 # ValueError, and load_economy hands the whole text to yaml.load.
 
-_FLOAT_TEXT = r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?"
+_FLOAT_TEXT = r"-?+[0-9]++\.[0-9]++(?:e[-+][0-9]++)?+"  # possessive: no backtracking
 _FLOAT = re.compile(_FLOAT_TEXT)
-_FLOAT_FLOW = re.compile(rf"\[{_FLOAT_TEXT}(?:, {_FLOAT_TEXT})*\]")
-# A run of one-line float rows, "- [x, y]", at one indent.
-_ROW_TEXT = rf"- \[{_FLOAT_TEXT}(?:, {_FLOAT_TEXT})*\]\n"
-_ROW_RUN = re.compile(rf"^( *){_ROW_TEXT}(?:\1{_ROW_TEXT})*", re.MULTILINE)
 _INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
 # SafeConstructor's values, bit for bit: its NaN is inf - inf, not float("nan").
 _FLOAT_WORD_VALUES = {
@@ -318,6 +322,18 @@ _FLOAT_WORD_VALUES = {
 # Indent, one "- " per block sequence opened on the line, a key, the rest.
 _LINE = re.compile(r"( *)((?:- )*)(?:([A-Za-z_][A-Za-z0-9_]*):(?:$| (?=[^ ])))?(.*)")
 _BLOCK = object()  # a value that is the block collection on the next tokens
+
+
+@functools.lru_cache(maxsize=32)
+def _float_run(indent: int, rows: bool):
+    """One-line float rows at ``indent``, or a float list continued there."""
+    if rows:
+        return re.compile(rf"(?: {{{indent}}}- \[{_FLOAT_TEXT}(?:, {_FLOAT_TEXT})*+\]\n)++")
+    return re.compile(rf"\[{_FLOAT_TEXT}(?:,(?: |\n {{{indent}}}){_FLOAT_TEXT})*+\]\n")
+
+
+class _Items(list):
+    """Consecutive items of a block sequence, one token for all of them."""
 
 
 def _scalar(text: str):
@@ -338,8 +354,6 @@ def _word(text: str) -> str:
 
 def _flow(text: str):
     """The list or mapping of scalars of a one-line flow collection."""
-    if _FLOAT_FLOW.fullmatch(text):
-        return list(map(float, text[1:-1].split(", ")))
     inner = text[1:-1].split(", ") if len(text) > 2 else []
     if text[0] + text[-1] == "[]":
         return [_scalar(item) for item in inner]
@@ -352,61 +366,54 @@ def _flow(text: str):
     return out
 
 
-def _row_runs(text: str) -> dict:
-    """``{line: (indent, rows)}`` for each run of one-line float rows in
-    ``text`` (``_ROW_RUN``), keyed by the index of its first line: every run
-    checked by one regex and read by one ``float`` map."""
-    runs, line, pos = {}, 0, 0
-    for match in _ROW_RUN.finditer(text):
-        line += text.count("\n", pos, match.start())
-        pos = match.start()
-        indent = match[1]
-        # The text inside the brackets of each row.
-        items = match[0][len(indent) + 3 : -2].split(f"]\n{indent}- [")
-        if "," in match[0]:
-            values = iter(map(float, ", ".join(items).split(", ")))
-            rows = [list(itertools.islice(values, item.count(",") + 1)) for item in items]
-        else:
-            rows = [[v] for v in map(float, items)]
-        runs[line] = (len(indent), rows)
-    return runs
-
-
 def _tokens(text: str) -> list:
     """The block entries of ``text``: ``(indent, key, value)``, ``key`` None
     for a sequence item, ``value`` ``_BLOCK`` when the entries that follow
     hold it.  Wrapped flow lines are joined to their first line; a run of
-    one-line float rows is read at once (``_row_runs``)."""
-    lines = text.split("\n")
-    if lines.pop() != "":
+    floats is read at once (``_float_run``), a run of rows as one entry."""
+    if not text.endswith("\n"):
         raise ValueError("the text does not end with a line break")
-    runs = _row_runs(text)
-    tokens = []
-    k = 0
-    while k < len(lines):
-        if k in runs:
-            column, rows = runs[k]
-            tokens += [(column, None, row) for row in rows]
-            k += len(rows)
-            continue
-        indent, dashes, key, rest = _LINE.fullmatch(lines[k]).groups()
-        k += 1
+    tokens, runs, pos = [], {}, 0
+    while pos < len(text):
+        end = text.index("\n", pos)
+        indent, dashes, key, rest = _LINE.fullmatch(text, pos, end).groups()
         column = len(indent)
         for _ in range(len(dashes) // 2 - (key is None)):
             tokens.append((column, None, _BLOCK))
             column += 2
         if key is None and not (dashes and rest):
-            raise ValueError(f"line {k} is not a key or a sequence item")
+            raise ValueError("line %d is not a key or a sequence item" % (text.count("\n", 0, pos) + 1))
+        if rest[:1] == "[" and dashes == "- " and key is None:
+            run = next((r for r in runs if text.startswith(r, pos)), None)
+            match = run is None and _float_run(column, True).match(text, pos)
+            if match:
+                run = match[0]
+                # The text inside the brackets of each row.
+                items = run[column + 3 : -2].split("]\n" + " " * column + "- [")
+                if "," in run:
+                    values = iter(map(float, ", ".join(items).split(", ")))
+                    runs[run] = [list(itertools.islice(values, item.count(",") + 1)) for item in items]
+                else:
+                    runs[run] = [[v] for v in map(float, items)]
+            if run:
+                tokens.append((column, None, _Items(map(list, runs[run]))))
+                pos += len(run)
+                continue
         if rest[:1] in ("[", "{"):
             # Continuation lines sit two columns right of the key or dash.
-            wrap = " " * (column + 2)
-            while rest[-1] == "," and k < len(lines) and lines[k].startswith(wrap):
-                rest += " " + lines[k][len(wrap) :]
-                k += 1
-            value = _flow(rest)
+            start, wrap = end - len(rest), "\n" + " " * (column + 2)
+            floats = _float_run(column + 2, False).match(text, start)
+            if floats:
+                end = floats.end() - 1
+                value = list(map(float, text[start + 1 : end - 1].replace("," + wrap, ", ").split(", ")))
+            else:
+                while text[end - 1] == "," and text.startswith(wrap, end):
+                    end = text.index("\n", end + 1)
+                value = _flow(text[start:end].replace(wrap, " "))
         else:
             value = _scalar(rest) if rest else _BLOCK
         tokens.append((column, key if key is None else _word(key), value))
+        pos = end + 1
     return tokens
 
 
@@ -426,7 +433,9 @@ def _block(tokens: list, pos: int, indent: int) -> tuple:
             # A sequence under a key is not indented; a mapping is.
             nested = is_sequence or pos < len(tokens) and tokens[pos][1] is not None
             value, pos = _block(tokens, pos, indent + 2 if nested else indent)
-        if is_sequence:
+        if type(value) is _Items:
+            out += value
+        elif is_sequence:
             out.append(value)
         else:
             out[key] = value

@@ -97,6 +97,7 @@ from .geometry import (
     PricePoint,
     _greedy_cover,
     _linked_components,
+    _row_sums,
     chart_rows_embed,
     simplex_point,
 )
@@ -225,7 +226,7 @@ def _interior(C: np.ndarray) -> np.ndarray:
     """The chart region: the rows of ``C`` (its last axis) at least
     ``BOUNDARY_MARGIN`` from every face.  The scan grid, every Newton trial
     and every deflation start keep to it."""
-    return (C >= BOUNDARY_MARGIN).all(axis=-1) & (C.sum(axis=-1) <= 1.0 - BOUNDARY_MARGIN)
+    return np.logical_and.reduce(C >= BOUNDARY_MARGIN, axis=-1) & (np.add.reduce(C, axis=-1) <= 1.0 - BOUNDARY_MARGIN)
 
 
 @lru_cache(maxsize=16)
@@ -301,7 +302,7 @@ def _probe(evaluate, C: np.ndarray, labels: np.ndarray, sigma, window=None):
     Z = evaluate(rows.reshape(-1, d), np.repeat(labels, per))[1]
     V = Z[:, :-1].reshape(rows.shape)
 
-    residual = np.linalg.norm(_full_rows(C, V[:, 0])[1], axis=1)
+    residual = _norms(_full_rows(C, V[:, 0])[1])
     J = _difference_quotient(V[:, 1 : 1 + 4 * d].reshape(m, 2, 2 * d, d), s)
     size = np.abs(J).max(axis=(1, 2, 3))
     # The floor keeps an exactly (or numerically) flat field from tripping
@@ -315,7 +316,13 @@ def _jacobians(W: np.ndarray) -> np.ndarray:
     """The central-difference Jacobians, ``(m, d, d)``, of the Newton map from
     its full rows ``W``, ``(m, 2d, d + 1)``, on the ``_stencil`` rows of
     ``m`` points."""
-    return _difference_quotient(W[..., :-1], _offsets(W.shape[2] - 1, (1.0,))[0])
+    d = W.shape[2] - 1
+    return ((W[:, :d, :-1] - W[:, d:, :-1]) / (2.0 * JACOBIAN_STEP)).swapaxes(-1, -2)
+
+
+def _norms(V: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(V, axis=-1)`` to the bit, without its checks."""
+    return np.sqrt(_row_sums(V * V))
 
 
 def _newton_points(evaluate, X: np.ndarray, rows: np.ndarray) -> tuple:
@@ -330,12 +337,14 @@ def _newton_points(evaluate, X: np.ndarray, rows: np.ndarray) -> tuple:
     per = 1 + 2 * d
     points = np.concatenate([X[:, None, :], _stencil(X)[1][:, 0]], axis=1)
     W, Z = evaluate(points.reshape(-1, d), np.repeat(rows, per))
+    zres = None if W is Z else _norms(Z[::per])  # the map may be the field
     W = W.reshape(m, per, d + 1)
-    res = np.linalg.norm(W[:, 0], axis=1)
+    res = _norms(W[:, 0])
     finite = np.isfinite(res)
-    J = np.zeros((m, d, d))
-    J[finite] = _jacobians(W[finite, 1:])
-    return W[:, 0, :-1], res, np.linalg.norm(Z[::per], axis=1), J
+    J = _jacobians(W[:, 1:]) if finite.all() else np.zeros((m, d, d))
+    if not finite.all():
+        J[finite] = _jacobians(W[finite, 1:])
+    return W[:, 0, :-1], res, res if zres is None else zres, J
 
 
 def _newton_multistart(
@@ -361,14 +370,10 @@ def _newton_multistart(
     ``max_iter`` iterations.
 
     Every point is evaluated with its ``2d`` Jacobian stencil rows
-    (``_newton_points``): the first call holds every start, ``starts x
-    (1 + 2d)`` rows.  Then an iteration (``_damped_step``) makes one call
-    for the full steps of every iterating row and, only when some row that
-    has not converged failed its full step, one call more for the shorter
-    steps of those rows.  A row moves to its first accepted trial with the
-    Jacobian there, so every iteration starts from a known Jacobian.  Every
-    iterate, Jacobian and step has the bits that a call of its own would
-    give, since a row gets the same bits in any batch.
+    (``_newton_points``), the starts in the first call and each iteration
+    in one or two more (``_damped_step``), so every iteration starts from a
+    known Jacobian.  Every iterate, Jacobian and step has the bits that a
+    call of its own would give, since a row gets the same bits in any batch.
 
     At the top of every iteration the rows of each field (``labels``, one
     per row, non-decreasing) that are still iterating and converged are
@@ -393,10 +398,10 @@ def _newton_multistart(
 
     for _ in range(max_iter):
         _merge_converged(C, zres, active, tol, labels)
-        idx = np.flatnonzero(active)
+        idx = active.nonzero()[0]
         if idx.size == 0:
             break
-        iterations[idx] += 1
+        iterations += active
         took = _damped_step(evaluate, idx, state, (zres <= tol)[idx], max_halvings)
         # A row halts unless one of its trials is accepted.  An exact zero
         # stops here, not after one more Jacobian whose zero step would end it.
@@ -417,57 +422,64 @@ def _newton_direction(J: np.ndarray, G: np.ndarray) -> np.ndarray:
     map's chart values ``G``, zero where ``J`` is singular or not finite."""
     dets = np.linalg.det(J)
     solvable = np.isfinite(dets) & (np.abs(dets) > 0.0)
+    if solvable.all():
+        return np.linalg.solve(J, G[..., None])[..., 0]
     delta = np.zeros_like(G)
     delta[solvable] = np.linalg.solve(J[solvable], G[solvable][..., None])[..., 0]
     return delta
 
 
 def _damped_step(evaluate, rows, state: tuple, converged: np.ndarray, halvings: int):
-    """One damped Newton step from each of ``rows`` of the iterates
-    ``state``: their points ``C``, the Newton map's chart values ``G``, the
-    residuals ``res`` and ``zres`` and the Newton map's Jacobians ``J``.
-    Updates ``state`` in place on the rows that accept a trial, and returns
-    those rows.
-
-    The step solves ``J delta = G`` (``_newton_direction``) and tries
-    ``C - lambda * delta`` for the first ``halvings + 1`` step sizes
-    (``_STEP_SIZES``), every trial evaluated with its stencil rows
-    (``_newton_points``).  One call asks the
-    full step of every row; a second asks the shorter steps of the rows
-    whose full step failed and that have not ``converged`` (one flag per
-    row), and is made only when there are any.  A row's trials end before
-    the first that rounds to its point, and one outside the boundary margin
-    is not asked; a row accepts its first trial whose residual is at most
-    ``(1 - lambda / 2) res``, with the Jacobian there.
+    """One damped Newton step (``_newton_multistart``) from each of ``rows``
+    of the iterates ``state``, their points ``C``, the Newton map's chart
+    values ``G``, residuals ``res`` and ``zres`` and Jacobians ``J``, which
+    it updates in place on the rows that accept a trial and returns: one
+    call for the full steps ``C - J^-1 G`` (``_newton_direction``) and, when
+    there are any, one for the shorter steps (``_STEP_SIZES``) of the rows
+    whose full step failed and that have not ``converged``.  A row's trials
+    end before the first that rounds to its point, and one outside the
+    boundary margin is not asked.
     """
-    C, G, res, _, J = (a[rows] for a in state)
-    T = C[:, None, :] - _STEP_SIZES[: halvings + 1, None] * _newton_direction(J, G)[:, None, :]
-    # No shorter step moves a point that a longer one leaves in place.
-    ask = np.logical_and.accumulate((T != C[:, None, :]).any(axis=2), axis=1) & _interior(T)
+    C = state[0][rows]
+    delta = _newton_direction(state[4][rows], state[1][rows])
+    full = C - delta
+    moves = np.logical_or.reduce(full != C, axis=1)
     hit = np.zeros(len(rows), dtype=bool)
-    for steps in (slice(0, 1), slice(1, None)):
-        i, j = np.nonzero(ask[:, steps])
-        j += steps.start
-        if i.size:
-            X = T[i, j]
-            out = _newton_points(evaluate, X, rows[i])
-            # The first accepted trial of each row; i is non-decreasing.
-            ok = np.flatnonzero(out[1] <= _ACCEPT[j] * res[i])
-            ok = ok[np.unique(i[ok], return_index=True)[1]]
-            for a, v in zip(state, (X, *out)):
-                a[rows[i[ok]]] = v[ok]
-            hit[i[ok]] = True
-        # Only a row that has not converged and failed its full step goes on.
-        ask[hit | converged] = False
+    i = (moves & _interior(full)).nonzero()[0]
+    _accept(evaluate, rows, state, hit, i, full[i], 0)
+    i = (moves & ~(hit | converged)).nonzero()[0]
+    if i.size and halvings:
+        T = C[i, None, :] - _STEP_SIZES[1 : halvings + 1, None] * delta[i, None, :]
+        # No shorter step moves a point that a longer one leaves in place.
+        k, j = (np.logical_and.accumulate((T != C[i, None, :]).any(axis=2), axis=1) & _interior(T)).nonzero()
+        _accept(evaluate, rows, state, hit, i[k], T[k, j], j + 1)
     return rows[hit]
+
+
+def _accept(evaluate, rows, state: tuple, hit: np.ndarray, i: np.ndarray, X: np.ndarray, j) -> None:
+    """``_damped_step``'s call for the trials ``X`` of ``rows[i]`` at step ``j``."""
+    if not i.size:
+        return
+    at = rows[i]
+    out = _newton_points(evaluate, X, at)
+    ok = (out[1] <= _ACCEPT[j] * state[2][at]).nonzero()[0]
+    if np.ndim(j) and ok.size:  # a row with several trials takes its first
+        ok = ok[np.concatenate(([True], i[ok][1:] != i[ok][:-1]))]
+    if ok.size < i.size:
+        i, at, X, out = i[ok], at[ok], X[ok], [v[ok] for v in out]
+    for a, v in zip(state, (X, *out)):
+        a[at] = v
+    hit[i] = True
 
 
 def _merge_converged(C, zres, active, tol, labels: np.ndarray) -> None:
     """Stop, where they are, the iterating rows that are converged and
     claimed by another such row (``_cover``): a stopped row keeps its own
-    point and residual, and the report step's cover claims it again."""
-    cand = np.flatnonzero(active & (zres <= tol))
-    if cand.size > 1:
+    point and residual, and the report step's cover claims it again.  The
+    cover runs only when two are within ``DEDUP_RADIUS`` on the first axis."""
+    cand = (active & (zres <= tol)).nonzero()[0]
+    x = np.sort(C[cand, 0])
+    if np.logical_or.reduce(x[1:] - x[:-1] <= 2.0 * DEDUP_RADIUS):
         active[cand[_cover(C, zres, labels, cand) != cand]] = False
 
 
@@ -686,7 +698,7 @@ def _scan_stage(evaluate, grid: tuple, count: int) -> tuple:
     C, per_dim, values = grid
     fields = np.arange(count)
     W, Z = evaluate(C, fields[:, None], values)
-    wres = np.linalg.norm(chart_rows_embed(C) * Z, axis=2)
+    wres = _norms(chart_rows_embed(C) * Z)
     sigmas = np.where(np.isfinite(wres), wres, 0.0).max(axis=1)
     W, Z = W.reshape(-1, W.shape[2]), Z.reshape(-1, Z.shape[2])
     labels = np.repeat(fields, len(C))
@@ -711,7 +723,7 @@ def _hits(C: np.ndarray, Z: np.ndarray, labels: np.ndarray, sigmas, spacing: flo
     ``sigmas``) are hits, ``|z| <= CONTINUUM_RESIDUAL_TOL * sigma``, and the
     cluster of each hit, linking the hits of a field within 1.5 scan
     spacings ``spacing``, so that a flat stretch of zeros is one cluster."""
-    hit = np.linalg.norm(Z, axis=1) <= CONTINUUM_RESIDUAL_TOL * sigmas[labels]
+    hit = _norms(Z) <= CONTINUUM_RESIDUAL_TOL * sigmas[labels]
     return hit, _linked_components(_apart(C[hit], labels[hit]), 1.5 * spacing)
 
 
@@ -737,16 +749,16 @@ def _starts(W: np.ndarray, hit: np.ndarray, clusters: np.ndarray) -> tuple:
     F = len(W) // len(C)
     # The grid of each field is one cube of its rows, stacked field by field.
     vertex = np.where(vertex >= 0, vertex + len(C) * np.arange(F).reshape((F,) + (1,) * d), -1)
-    res = np.linalg.norm(W, axis=1)
+    res = _norms(W)
     finite = np.isfinite(res)
     # Row -1 stands for a lattice point with no row: no values, no residual.
     G = np.vstack([np.where((finite & ~hit)[:, None], W[:, :-1], np.nan), np.full(d, np.nan)])
-    R = np.append(np.where(finite, res, np.inf), np.inf)
+    R = np.append(np.where(finite, res, np.inf), np.inf)[vertex]
 
     box = np.full((F,) + (n + 2,) * d, np.inf)
-    box[(slice(None),) + (slice(1, -1),) * d] = R[vertex]
+    box[(slice(None),) + (slice(1, -1),) * d] = R
     least = _over_cells(np.minimum, _over_cells(np.minimum, box))
-    minima = np.unique(vertex[np.isfinite(R[vertex]) & (R[vertex] <= least)])
+    minima = vertex[np.isfinite(R) & (R <= least)]  # ascending, as the cube's rows
     minima = minima[~hit[minima]]
     field, zeros = _pl_zeros(G, vertex, _axis(n))
     rep = np.flatnonzero(hit)[_lowest_per_label(clusters, res[hit])]
@@ -785,13 +797,14 @@ def _pl_zeros(G: np.ndarray, vertex: np.ndarray, axis: np.ndarray) -> tuple:
     ``k``, ``k + e_p1``, ..., ``k + 1``.
     """
     d = G.shape[1]
-    cells = np.argwhere(_sign_screen(G, vertex))
+    screen = _sign_screen(G, vertex)  # np.argwhere, whose 2-d nonzero is slow:
+    cells = np.column_stack(np.unravel_index(screen.ravel().nonzero()[0], screen.shape))
     # Vertex j of permutation p steps along the axes p_1, ..., p_j.
     paths = np.arange(d + 1)[:, None] > np.argsort(list(permutations(range(d))), axis=1)[:, None, :]
     V = (cells[:, None, None, 1:] + paths).reshape(-1, d + 1, d)
     field = np.repeat(cells[:, 0], len(paths))
     # Barycentric weights lam: sum(lam) = 1 and sum(lam_j G(v_j)) = 0.
-    values = G[vertex[(field[:, None], *np.moveaxis(V, -1, 0))]].swapaxes(1, 2)
+    values = G[vertex[(field[:, None], *V.transpose(2, 0, 1))]].swapaxes(1, 2)
     whole = ~np.isnan(values).any(axis=(1, 2))
     V, values, field = V[whole], values[whole], field[whole]
     A = np.concatenate([np.ones((len(V), 1, d + 1)), values], axis=1)
@@ -886,7 +899,7 @@ def _closed_form(e: Economy) -> tuple:
         P = chart_rows_embed(C)
         if not ((p > 0.0) & (P > 0.0) & (P < np.inf)).all():
             return None, "a price of the null vector is not positive"
-        residual = np.linalg.norm(_full_rows(C, aed_rows(e, P)[:, :-1])[1], axis=1)
+        residual = _norms(_full_rows(C, aed_rows(e, P)[:, :-1])[1])
         sigma = np.linalg.norm(M, axis=0).max()
     try:
         _check_zeros(residual, sigma)
@@ -941,7 +954,7 @@ def _solve(base: TangentField, terms: list, grid: tuple | None = None) -> list:
                 return _newton_multistart(newton_map, X, NEWTON_TOL * sigmas[labels], labels, **caps)
 
             def residuals(X, fields):
-                return np.linalg.norm(evaluate(X, fields)[1], axis=1)
+                return _norms(evaluate(X, fields)[1])
 
             starts, labels = _starts(W, hit, clusters)
             searched = np.array([base.dim > 1 and not r.fired for r in reports])
@@ -995,7 +1008,7 @@ def _deflate(phase, residuals, tol: np.ndarray, newton, labels, searched) -> tup
         if got.size:
             K = _apart(C[zeros], labels[zeros])
             near = zeros[np.square(_apart(more[0][got], of[got])[:, None, :] - K).sum(axis=2).argmin(axis=1)]
-            close = np.linalg.norm(more[0][got] - C[near], axis=1) <= DEGENERATE_BAND
+            close = _norms(more[0][got] - C[near]) <= DEGENERATE_BAND
             got, near = got[close], near[close]
         if got.size:
             fields = of[got]
@@ -1145,7 +1158,7 @@ def _reports(evaluate, newton: tuple, labels: np.ndarray, deflated: np.ndarray, 
             Z = C[kept[zeros]]
 
             def residuals(X):
-                return np.linalg.norm(evaluate(X, np.full(len(X), t))[1], axis=1)
+                return _norms(evaluate(X, np.full(len(X), t))[1])
 
             joined = _join_flat_zeros(residuals, Z, res[kept[zeros]], ~reg, NEWTON_TOL * sigmas[t])
             P = chart_rows_embed(Z[joined])

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .consumers import Economy, aed_rows
-from .geometry import PricePoint, TangentVector, chart_rows, chart_rows_embed, simplex_to_sphere
+from .geometry import PricePoint, TangentVector, _row_sums, chart_rows, chart_rows_embed, simplex_to_sphere
 from .scales import _integer
 
 
@@ -80,7 +80,7 @@ def _full_rows(C: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Simplex price rows and full field rows from chart rows and chart
     values; ``F`` may stack several fields' values at ``C``, ``(k, n, l-1)``."""
     P = chart_rows_embed(C)
-    last = -(P[:, :-1] * F).sum(axis=-1) / P[:, -1]
+    last = -_row_sums(P[:, :-1] * F) / P[:, -1]
     return P, np.concatenate([F, last[..., None]], axis=-1)
 
 

@@ -33,6 +33,7 @@ from .decomposition import CanonicalFamily, _two_good_grid, realize_economy
 from .equilibrium import ContinuumReport, _base_grid, _index_check, _scan, _solve
 from .equilibrium import find_equilibria  # noqa: F401 - in this namespace for wrappers such as bench/tracer.py
 from .fields import TangentField, as_field, chart_field
+from .geometry import _row_sums
 from .scales import _integer, _number
 
 BASIS_KINDS = ("linear_tilt", "polynomial", "random_fourier")
@@ -116,7 +117,7 @@ def _fourier(C, amp_sin, amp_cos):
     phases = C[:, :, None] * _wavenumbers(amp_sin.shape[-1])
     values = amp_sin * np.sin(phases)
     values += amp_cos * np.cos(phases, out=phases)
-    return values.sum(axis=-1)
+    return _row_sums(values)
 
 
 def _basis(spec: PerturbationSpec, dim: int) -> tuple:
@@ -140,8 +141,8 @@ def _basis(spec: PerturbationSpec, dim: int) -> tuple:
         amp_cos = rng.standard_normal((dim, spec.terms))
         sin, cos = _fourier_table(dim, spec.terms)
         coefficients = (amp_sin[None], amp_cos[None])
-        value = (amp_sin * sin + amp_cos * cos).sum(axis=2)
-        deriv = (_wavenumbers(spec.terms) * (amp_sin * cos - amp_cos * sin)).sum(axis=2)
+        value = _row_sums(amp_sin * sin + amp_cos * cos)
+        deriv = _row_sums(_wavenumbers(spec.terms) * (amp_sin * cos - amp_cos * sin))
     sup = max(float(np.abs(value).max()), float(np.abs(deriv).max()))
     return _BASES[spec.basis], coefficients, sup
 

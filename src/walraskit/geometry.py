@@ -206,8 +206,19 @@ def chart_rows_embed(C: np.ndarray) -> np.ndarray:
     C = chart_rows(C)
     P = np.empty((len(C), C.shape[1] + 1))
     P[:, :-1] = C
-    np.subtract(1.0, C.sum(axis=1), out=P[:, -1])
+    np.subtract(1.0, _row_sums(C), out=P[:, -1])
     return P
+
+
+def _row_sums(V: np.ndarray) -> np.ndarray:
+    """``V.sum(axis=-1)`` to the bit: numpy adds a short row to ``+0.0`` left
+    to right, one slow loop per row; this adds columns, for many rows."""
+    if V.shape[-1] >= 8 or V.size < 1024:
+        return V.sum(axis=-1)
+    S = V[..., 0] + 0.0
+    for k in range(1, V.shape[-1]):
+        S += V[..., k]
+    return S
 
 
 def _windows(X: np.ndarray, radius: float) -> tuple:
@@ -233,7 +244,7 @@ def _within(D: np.ndarray, radius: float, p: float) -> np.ndarray:
     ``radius``, for ``p`` = 2 or infinity (squared for ``p`` = 2)."""
     if p == np.inf:
         return np.abs(D).max(axis=1) <= radius
-    return (D * D).sum(axis=1) <= radius * radius
+    return _row_sums(D * D) <= radius * radius
 
 
 def _greedy_cover(X: np.ndarray, order, radius: float, p: float) -> np.ndarray:

@@ -23,10 +23,10 @@ just approximately, wherever the target field is flat at zero and the
 sampled ratios agree across consumers.
 
 A one-dimensional grid is interpolated by PCHIP in numpy, with per-interval
-cubic coefficients built once with the scale; its values are those of
-scipy's ``PchipInterpolator`` to the bit.  The ``kernel_sampled`` scales
-of an economy that share one such grid are evaluated together, as one
-group with one search of the grid and one gather (``_scale_groups``).  A
+cubic coefficients; its values are those of scipy's ``PchipInterpolator``
+to the bit.  The ``kernel_sampled`` scales of an economy that share one
+such grid are evaluated together, on their tables built in one pass, with
+one search of the grid and one gather (``_scale_groups``).  A
 grid of two or more chart dimensions is checked when the scale is built
 (its points must affinely span the chart, a numpy rank test), and its
 Delaunay triangulation is built when the scale is first evaluated: scipy
@@ -185,18 +185,15 @@ def _end_slope(h0, h1, m0, m1):
     shape: 0 where its sign is not that of the end secant ``m0``, and
     ``3 m0`` where the secants change sign and it exceeds ``3 |m0|``."""
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+    d = np.where(np.sign(d) != np.sign(m0), 0.0, d)
+    return np.where((np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0)), 3.0 * m0, d)
 
 
 def _pchip_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """PCHIP (Fritsch & Butland 1984) on increasing nodes ``x``: column
     ``k`` of the ``(4, nodes - 1)`` table holds ``(c0, c1, c2, c3)``, the
     cubic ``c0 s^3 + c1 s^2 + c2 s + c3`` in ``s = c - x[k]`` on
-    ``[x[k], x[k+1]]``.
+    ``[x[k], x[k+1]]``; for values ``(nodes, m)``, the tables of the columns.
 
     Node slopes are the weighted harmonic mean of the two secants, 0 where
     they differ in sign or either is 0, with the one-sided end rule (Moler,
@@ -204,12 +201,13 @@ def _pchip_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     step is scipy's ``PchipInterpolator`` arithmetic, so values agree to
     the bit.
     """
-    h = np.diff(x)
-    m = np.diff(y) / h
+    Y = y.reshape(len(x), -1)
+    h = np.diff(x)[:, None]
+    m = np.diff(Y, axis=0) / h
     if x.size == 2:
-        d = np.array([m[0], m[0]])
+        d = np.concatenate([m, m])
     else:
-        d = np.zeros_like(y)
+        d = np.zeros_like(Y)
         w1 = 2.0 * h[1:] + h[:-1]
         w2 = h[1:] + 2.0 * h[:-1]
         smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
@@ -218,10 +216,11 @@ def _pchip_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
         d[1:-1][smooth] = 1.0 / mean[smooth]
-        d[0] = _end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        end, inner = [0, -1], [1, -2]
+        d[end] = _end_slope(h[end], h[inner], m[end], m[inner])
     t = (d[:-1] + d[1:] - 2.0 * m) / h
-    return np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+    table = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], Y[:-1]])
+    return table.reshape(table.shape[:2] + y.shape[1:])
 
 
 def _pchip(x: np.ndarray, table: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -241,7 +240,7 @@ def _pchip(x: np.ndarray, table: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _build_interpolator(grid: np.ndarray, values: np.ndarray):
     """The interpolant of ``values`` on ``grid`` and, for a 1-d grid, its
-    sorted nodes and ``(4, nodes - 1, 1)`` table (``_pchip``), else None."""
+    sorted nodes and the values there (``_pchip``), else None."""
     if grid.shape[1] == 1:
         x = grid[:, 0]
         if x.size < 2:
@@ -250,10 +249,11 @@ def _build_interpolator(grid: np.ndarray, values: np.ndarray):
         x, y = x[order], values[order]
         if np.any(np.diff(x) <= 0.0):
             raise ValueError("sampled grid points must be distinct")
-        table = _pchip_table(x, y)[:, :, None]
-        for a in (x, table):
+        for a in (x, y):
             a.setflags(write=False)
-        return (lambda C: _pchip(x, table, C[:, 0])[:, 0]), (x, table)
+        # Built when first needed: an economy's group has one (_kernel_stack).
+        table = functools.cache(lambda: _pchip_table(x, y[:, None]))
+        return (lambda C: _pchip(x, table(), C[:, 0])[:, 0]), (x, y)
     # The points must affinely span the chart.  A direction counts above 1e-12
     # of the largest singular value: qhull refuses ratios up to about 3.5e-14,
     # and realised grids have about 0.5.
@@ -413,10 +413,10 @@ def _scale_groups(scales: list) -> tuple:
 def _kernel_stack(scales: list):
     """The 1-d ``kernel_sampled`` ``scales``, which share one grid, as one
     map of simplex price rows ``(n, l)`` to their values ``(n, scales)``:
-    one ``_pchip`` call on their stacked tables, then the kernel weight of
-    each column (``_kernel_weighted``)."""
+    one ``_pchip`` call on their tables, built in one pass, then the kernel
+    weight of each column (``_kernel_weighted``)."""
     x = scales[0]._pchip[0]
-    table = np.concatenate([s._pchip[1] for s in scales], axis=2)
+    table = _pchip_table(x, np.column_stack([s._pchip[1] for s in scales]))
     kernel = [np.array([getattr(s, name) for s in scales]) for name in ("good", "share", "level")]
     return lambda P: _kernel_weighted(_pchip(x, table, P[:, 0]), P, *kernel)
 

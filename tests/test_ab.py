@@ -1,5 +1,6 @@
 """``tools/ab.py`` times two trees in one process, at smoke size."""
 
+import random
 import runpy
 import subprocess
 import sys
@@ -19,6 +20,8 @@ def test_a_tree_against_itself(pool):
     assert result["base_ms_per_op"] > 0 and result["change_ms_per_op"] > 0
     q1, q3 = result["ratio_iqr"]
     assert 0 < q1 <= result["ratio_median"] <= q3
+    lo, hi = result["ratio_ci95"]
+    assert 0 < lo <= result["ratio_median"] <= hi
     assert 0 <= result["change_wins"] <= 2
     # One tree on both sides does the same work, op by op.
     for name in ("field_calls", "field_rows", "newton_iterations"):
@@ -53,3 +56,17 @@ def test_base_and_aa_exclude_each_other(capsys):
             AB["main"](argv)
         assert exited.value.code == 2
     assert "give exactly one of --base and --aa" in capsys.readouterr().err
+
+
+def test_the_interval_holds_the_median_and_repeats_for_a_seed():
+    # 12 ops x 5 rounds of times (base, change), a change about 10% faster.
+    rng = random.Random(3)
+    times = [[(1e-3, rng.uniform(0.8e-3, 1.0e-3)) for _ in range(12)] for _ in range(5)]
+    counts = ({kind: [0] * 12 for kind in ("calls", "rows", "iterations")},) * 2
+    result = AB["summary"](times, counts, seed=7)
+    lo, hi = result["ratio_ci95"]
+    assert lo < result["ratio_median"] < hi
+    assert 0.8 < lo and hi < 1.0
+    assert AB["summary"](times, counts, seed=7)["ratio_ci95"] == [lo, hi]
+    assert AB["interval"](times, 7) == [lo, hi]
+    assert AB["interval"](times, 8) != [lo, hi]

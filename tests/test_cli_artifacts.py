@@ -86,7 +86,9 @@ def test_numeric_drift_is_measured_and_passes(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[0] == "files: 5, differing: 3"
     assert "largest price change: 1.11022e-16 (solve/out0/report.txt)" in lines
-    assert "largest residual change: 2e-16 (solve/out0/equilibria.csv)" in lines
+    # Residuals compare by their ratio: 1e-16 → 3e-16 moves log10 by log10(3).
+    assert "largest log10 residual change: 0.477121 (solve/out0/equilibria.csv)" in lines
+    assert "residuals from or to 0: 0" in lines
     assert "largest Newton-iteration total change: 69 (solve/out0/report.txt)" in lines
     # The solver's counts are measured like the Newton-iteration total.
     for count in ("start", "converged", "dedup-merge"):
@@ -95,6 +97,26 @@ def test_numeric_drift_is_measured_and_passes(tmp_path):
     assert "largest audit max |p.z| change: 3e-17 (extra/economy0/audit/report.txt)" in lines
     assert "Newton iterations of solve and perturb reports: 120 → 51" in lines
     assert not any(line.startswith("CHANGED") for line in lines)
+
+
+def test_a_rescaled_residual_does_not_hide_a_small_one_and_zeros_are_listed(tmp_path):
+    # A rescaled economy's residual that moves 1e-7 absolute but 1% relative,
+    # beside an unscaled one that moves 1e-16 absolute but 10x, and one that
+    # leaves an exact 0.
+    def report(root, out, res):
+        path = root / "solve" / out
+        path.mkdir(parents=True)
+        (path / "equilibria.csv").write_text(CSV.format(res=res, reg="regular", index="1"))
+
+    for root, residuals in (("old", ("1e-5", "1e-17", "0")), ("new", ("1.01e-5", "1e-16", "2e-17"))):
+        write_tree(tmp_path / root)
+        for k, res in enumerate(residuals, 1):
+            report(tmp_path / root, f"out{k}", res)
+    done = compare(tmp_path / "old", tmp_path / "new")
+    assert done.returncode == 0, done.stdout
+    lines = done.stdout.splitlines()
+    assert "largest log10 residual change: 1 (solve/out2/equilibria.csv)" in lines
+    assert lines[lines.index("residuals from or to 0: 1") + 1] == "  solve/out3/equilibria.csv: 0 → 2e-17"
 
 
 def test_newton_iterations_are_summed_over_every_report(tmp_path):

@@ -456,6 +456,47 @@ class TestInCodeEconomies:
             _economy_yaml({"scale": {"type": "constant", "value": np.float64(2.5)}})
 
 
+class TestStackedConsumerCheck:
+    """``economy_from_dict`` checks the shares and endowments of all its
+    consumers at once, as stacked rows, and names the first that does not
+    fit with the message a ``Consumer`` of it gives; a consumer's own error
+    still comes before that of any consumer after it."""
+
+    GOOD = {"alpha": [0.25, 0.75], "endowment": [1.0, 2.0]}
+    SHARES = "alpha must be strictly positive and sum to 1 within 1e-12"
+    ENDOWMENT = "endowment must be finite and non-negative with a positive entry"
+
+    @pytest.mark.parametrize(
+        "field, values, reason",
+        [
+            ("alpha", [0.0, 1.0], SHARES),
+            ("alpha", [-0.5, 1.5], SHARES),
+            ("alpha", [0.5, 0.6], SHARES),
+            ("endowment", [-1.0, 2.0], ENDOWMENT),
+            ("endowment", [0.0, 0.0], ENDOWMENT),
+            ("endowment", [float("inf"), 1.0], ENDOWMENT),
+        ],
+        ids=["share-zero", "share-negative", "shares-sum", "endowment-negative", "endowment-zero", "endowment-inf"],
+    )
+    def test_one_bad_consumer_is_named(self, tmp_path, field, values, reason):
+        consumers = [dict(self.GOOD) for _ in range(3)]
+        consumers[1][field] = values
+        with pytest.raises(ValueError) as alone:
+            wk.Consumer(consumers[1]["alpha"], consumers[1]["endowment"])
+        assert str(alone.value) == reason
+        path = tmp_path / "economy.yaml"
+        path.write_text(_economy_yaml({"goods": 2, "consumers": consumers}))
+        with pytest.raises(EconomyFormatError) as read:
+            wk.load_economy(path)
+        assert str(read.value) == f"consumer 1: {reason}"
+        # A later consumer that cannot be read does not hide it; an earlier one does.
+        for k, name in ((2, 1), (0, 0)):
+            data = {"goods": 2, "consumers": [dict(c) for c in consumers]}
+            data["consumers"][k]["alpha"] = ["x", 0.5]
+            with pytest.raises(EconomyFormatError, match=f"^consumer {name}: "):
+                economy_from_dict(data)
+
+
 def leaf_types(data) -> set:
     """The types of the scalars in nested lists and mappings."""
     if isinstance(data, dict):

@@ -1940,3 +1940,61 @@ class TestEvaluationCount:
             report = wk.find_equilibria(dataclasses.replace(base, chart_fn=counted))
             assert len(report.equilibria) == 1
             assert sum(rows) <= budget
+
+
+class TestBenchChunkNewton:
+    """The Newton phase of the bench's experiment chunk (four fourier:5
+    trials, epsilon 1e-4, of the saved continuum economy) to the bit: every
+    row's start and field, final point and residual ``|z|`` (as
+    ``float.hex``), flags and iteration count, as recorded before the
+    passes' bookkeeping was cut down.  Nothing that only makes a pass
+    cheaper may move one of them."""
+
+    STARTS = (
+        "0x1.ae106fe985396p-2", "0x1.1859a983431e7p-1", "0x1.ae18ac9f2fdbap-2", "0x1.1850acc0bdcaep-1",
+        "0x1.337219f8cf8a2p-1", "0x1.d2f3f88ac0b8dp-2", "0x1.e5e579da533e2p-2", "0x1.94806290eed03p-2",
+        "0x1.e5e4aa39240e1p-2", "0x1.3642da70237e9p-1", "0x1.91f3d9104e2c1p-2", "0x1.98d91e700ae5ep-2",
+        "0x1.f346cc87ec905p-2", "0x1.91f127f5e84f1p-2", "0x1.9898c055c6054p-2", "0x1.f333daf8df7a6p-2",
+        "0x1.3642da70237e9p-1", "0x1.d267aa3b83aa2p-2", "0x1.d270ecd225d23p-2", "0x1.33b39fd51cfd7p-1",
+    )
+    POINTS = (
+        "0x1.ae1052faa45f4p-2", "0x1.1859aee76b926p-1", "0x1.ae1050fe3593dp-2", "0x1.1859aee76b947p-1",
+        "0x1.337219f8cf8a2p-1", "0x1.d2f4396934343p-2", "0x1.e5e57aadab4d4p-2", "0x1.947398c71f9c9p-2",
+        "0x1.e5e57aaf01c13p-2", "0x1.3642da70237e9p-1", "0x1.91f37a7aa7c13p-2", "0x1.98da9aac51909p-2",
+        "0x1.f346da73e4ec1p-2", "0x1.91f37a7aa7bacp-2", "0x1.98da9af595fbep-2", "0x1.f346da73e4f5cp-2",
+        "0x1.98da9aac518d7p-2", "0x1.d267a7eb60c1ep-2", "0x1.d267a7bd0a6e3p-2", "0x1.33b39fd51cfd7p-1",
+    )
+    RESIDUALS = (
+        "0x1.77e4880cd978dp-70", "0x1.2abc43732008bp-69", "0x1.597fc2a966ba0p-41", "0x1.76d1cfd40bce9p-63",
+        "0x1.1a39121fbc915p-19", "0x1.2388a29c86477p-73", "0x1.58c9f76de567bp-52", "0x1.a5201fead06dep-26",
+        "0x1.120f40175a9a6p-47", "0x1.80e599846cf43p-20", "0x1.1368082e7fbd4p-54", "0x1.3df36856899e3p-58",
+        "0x1.a9059c65de1efp-70", "0x1.76237d07fcdd7p-52", "0x1.7ad88d40a2cf4p-42", "0x1.1e40dcc0465e8p-60",
+        "0x1.4db58fb06ad5bp-58", "0x1.57f2b93fcff72p-58", "0x1.86a884f155a94p-42", "0x1.b13ab5d17b943p-21",
+    )
+    FIELDS = [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3]
+    CONVERGED = [1, 1, 1, 1, 0, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0]
+    STALLED = [0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
+    ITERATIONS = [3, 3, 1, 2, 1, 3, 2, 2, 1, 1, 4, 4, 3, 2, 2, 2, 9, 2, 1, 1]
+
+    def test_every_row_ends_where_it_did(self, monkeypatch, tmp_path):
+        wk.save_economy(tmp_path / "continuum.yaml", wk.build_continuum_economy((0.4, 0.6), grid=201))
+        base = wk.economy_field(wk.load_economy(tmp_path / "continuum.yaml"))
+        phases = []
+        phase = equilibrium._newton_multistart
+
+        def spy(*args):
+            phases.append((args, phase(*args)))
+            return phases[-1][1]
+
+        monkeypatch.setattr(equilibrium, "_newton_multistart", spy)
+        spec = wk.PerturbationSpec(1e-4, basis="random_fourier", terms=5, seed=0)
+        wk.genericity_experiment(base, spec, trials=4)
+        ((_, starts, _, fields), (C, zres, converged, stalled, exhausted, iterations)), = phases
+        assert [float.hex(x) for x in starts[:, 0]] == list(self.STARTS)
+        assert fields.tolist() == self.FIELDS
+        assert [float.hex(x) for x in C[:, 0]] == list(self.POINTS)
+        assert [float.hex(x) for x in zres] == list(self.RESIDUALS)
+        assert converged.astype(int).tolist() == self.CONVERGED
+        assert stalled.astype(int).tolist() == self.STALLED
+        assert not exhausted.any()
+        assert iterations.tolist() == self.ITERATIONS

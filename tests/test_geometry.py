@@ -5,7 +5,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 import walraskit as wk
-from walraskit.geometry import _close_pairs, _linked_components, chart_rows_embed
+from walraskit.geometry import _close_pairs, _linked_components, _row_sums, chart_rows_embed
 
 
 class TestFrames:
@@ -157,3 +157,18 @@ class TestNearRows:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         labels = _linked_components(X, 1.0, lambda pairs: pairs.min(axis=1) != 1)
         assert labels.tolist() == [0, 0, 1, 1]
+
+
+class TestRowSums:
+    """``_row_sums`` adds columns where numpy's ``sum(axis=-1)`` adds each
+    row: the same additions in the same order, so the same bits, signed
+    zeros too, for rows of every width and arrays of every layout."""
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    @pytest.mark.parametrize("layout", ["rows", "stacked", "strided", "few"])
+    def test_every_bit_is_numpy_s(self, rng, width, layout):
+        V = rng.standard_normal((3000, 3, width)) * 10.0 ** rng.integers(-20, 20, (3000, 3, width))
+        V[rng.random(V.shape) < 0.2] = -0.0
+        V = {"rows": V[:, 0], "stacked": V, "strided": V[::2, 1:], "few": V[:10, 0]}[layout]
+        assert _row_sums(V).tobytes() == V.sum(axis=-1).tobytes()
+        assert np.sqrt(_row_sums(V * V)).tobytes() == np.linalg.norm(V, axis=-1).tobytes()

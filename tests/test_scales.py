@@ -10,6 +10,7 @@ from scipy.spatial import Delaunay, QhullError
 import walraskit as wk
 from walraskit import scales
 from walraskit.cli import _decomposition_grid
+from walraskit.econfile import economy_to_dict
 from walraskit.scales import _delaunay, _pchip_table, scale_from_dict
 from support import random_economy
 
@@ -340,3 +341,39 @@ class TestSerialisation:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             scale_from_dict({"type": "mystery"})
+
+
+class TestSharedGrid:
+    """The scales of an economy file that share one grid, their grid read
+    once, are evaluated together on one table of them all, built in one
+    pass; every bit is that of each scale built alone from its own part of
+    the file."""
+
+    @pytest.mark.parametrize("goods", [2, 3])
+    def test_shared_builds_equal_the_scales_built_alone(self, goods, tmp_path, rng):
+        if goods == 2:
+            economy = wk.build_continuum_economy((0.4, 0.6), grid=201)
+        else:
+            target = wk.Economy((wk.Consumer([0.2, 0.3, 0.5], [1, 2, 1]), wk.Consumer([0.5, 0.3, 0.2], [1, 0, 1])))
+            grid = _decomposition_grid(3, 201, 49)
+            economy = wk.realize_economy(wk.CanonicalFamily.symmetric(3), wk.economy_field(target), grid)
+        wk.save_economy(tmp_path / "economy.yaml", economy)
+        shared = wk.load_economy(tmp_path / "economy.yaml")
+        scales_shared = [c.scale for c in shared.consumers]
+        alone = [scale_from_dict(c["scale"]) for c in economy_to_dict(shared)["consumers"]]
+        assert len(scales_shared) == goods
+        for s, t in zip(scales_shared, alone):
+            for name in ("grid", "values"):
+                assert getattr(s, name).tobytes() == getattr(t, name).tobytes()
+        # 10,000 simplex rows, some of them beyond the grid's nodes.
+        P = rng.dirichlet(np.full(goods, 0.7), size=10_000)
+        for columns, values in shared.scale_groups:
+            got = values(P)
+            want = np.column_stack([alone[k](P) for k in columns])
+            assert got.tobytes() == want.tobytes()
+        if goods == 2:
+            # The table of both, built in one pass, is each scale's own.
+            (x, y0), (_, y1) = (s._pchip for s in scales_shared)
+            table = _pchip_table(x, np.column_stack([y0, y1]))
+            for k, t in enumerate(alone):
+                assert table[..., k].tobytes() == _pchip_table(*t._pchip).tobytes()

@@ -29,10 +29,14 @@ the ``solver:`` lines of the op's ``report.txt`` give (0 for an op
 without one): work that does not depend on the machine.
 
 Prints each tree's median milliseconds per op, the median of the per-op
-ratios change / base with their interquartile range, and in how many
-rounds the change took less time over the whole pool, then each tree's
-median and mean field calls, rows and Newton iterations per op, then all
-of it as one JSON object on the last line.
+ratios change / base with their interquartile range and a bootstrap 95%
+interval of that median, and in how many rounds the change took less time
+over the whole pool, then each tree's median and mean field calls, rows
+and Newton iterations per op, then all of it as one JSON object on the
+last line.  The interval resamples the ops with replacement, each with
+its ratios of every round, ``BOOTSTRAP`` times, seeded by ``--seed``, and
+takes the 2.5th and 97.5th percentiles of the resamples' medians; under
+``--aa`` it is the harness's resolution.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import re
 import statistics
 import subprocess
@@ -56,6 +61,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 POOLS = ("solve", "experiment", "realize", "sarp", "arena")
 BEST_OF = 3
+BOOTSTRAP = 2000
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 NEWTON = re.compile(r"\b(\d+) Newton iterations\b")
 # The work counted per op, by the name of its entry in the output.
@@ -169,11 +175,25 @@ def count(cli, argvs: list[list[str]]) -> dict:
     return work
 
 
-def summary(times: list[list[tuple]], counts: tuple) -> dict:
+def interval(times: list[list[tuple]], seed: int, resamples: int = BOOTSTRAP) -> list:
+    """The bootstrap 95% interval of the median per-op ratio change / base:
+    the 2.5th and 97.5th percentiles of the medians of ``resamples``
+    resamples of the ops, with replacement, each op with its ratios of
+    every round; seeded by ``seed``."""
+    by_op = [[b / a for a, b in op] for op in zip(*times)]
+    rng = random.Random(seed)
+    medians = sorted(
+        statistics.median([r for op in rng.choices(by_op, k=len(by_op)) for r in op]) for _ in range(resamples)
+    )
+    return [medians[round(0.025 * (resamples - 1))], medians[round(0.975 * (resamples - 1))]]
+
+
+def summary(times: list[list[tuple]], counts: tuple, seed: int = 0) -> dict:
     """Each tree's median ms per op, the median and quartiles of the per-op
-    ratios change / base, the rounds in which the change's pool took less
-    time, and each tree's median and mean field calls, rows and Newton
-    iterations per op from its ``counts``."""
+    ratios change / base and the bootstrap 95% interval of that median
+    (``interval``, seeded by ``seed``), the rounds in which the change's
+    pool took less time, and each tree's median and mean field calls, rows
+    and Newton iterations per op from its ``counts``."""
     ops = [t for row in times for t in row]
     ratios = [b / a for a, b in ops]
     q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
@@ -191,6 +211,7 @@ def summary(times: list[list[tuple]], counts: tuple) -> dict:
         "change_ms_per_op": 1e3 * statistics.median(b for _, b in ops),
         "ratio_median": statistics.median(ratios),
         "ratio_iqr": [q1, q3],
+        "ratio_ci95": interval(times, seed),
         "change_wins": sum(sum(b for _, b in row) < sum(a for a, _ in row) for row in times),
         **work,
     }
@@ -203,7 +224,7 @@ def run(base: Path, change: Path, name: str, seed: int, rounds: int, smoke: bool
     with tempfile.TemporaryDirectory() as tmp:
         argvs = pool(name, seed, Path(tmp), smoke)
         times = measure(clis, argvs, rounds)
-        return summary(times, tuple(count(cli, argvs) for cli in clis))
+        return summary(times, tuple(count(cli, argvs) for cli in clis), seed)
 
 
 def main(argv=None) -> int:
@@ -233,7 +254,11 @@ def main(argv=None) -> int:
     print(f"base   ({labels[0]}): median {result['base_ms_per_op']:.3f} ms/op")
     print(f"change ({labels[1]}): median {result['change_ms_per_op']:.3f} ms/op")
     q1, q3 = result["ratio_iqr"]
-    print(f"ratio change/base per op: median {result['ratio_median']:.3f}, interquartile {q1:.3f}-{q3:.3f}")
+    lo, hi = result["ratio_ci95"]
+    print(
+        f"ratio change/base per op: median {result['ratio_median']:.3f}, interquartile {q1:.3f}-{q3:.3f}, "
+        f"bootstrap 95% interval {lo:.3f}-{hi:.3f}"
+    )
     print(f"change faster in {result['change_wins']} of {result['rounds']} rounds")
     for name in WORK.values():
         work = result[f"{name}_per_op"]

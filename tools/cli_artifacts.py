@@ -52,11 +52,14 @@ deterministic, so any difference is a change of behaviour.
     python tools/cli_artifacts.py --compare OLD NEW
 
 prints the number of files that differ, naming each, and the largest
-change of a price, a residual and each count of the ``solver:`` line
-(starts, deflated, converged, stalled, exhausted, Newton iterations,
-dedup merges; a line without the deflated count, as written before it
-existed, has 0) in the ``solve`` and ``perturb`` outputs, and of a ``max |p.z|`` of an
-``audit`` report, then the Newton iterations of every ``solve`` and
+change of a price, of the ``log10`` of a residual and of each count of the
+``solver:`` line (starts, deflated, converged, stalled, exhausted, Newton
+iterations, dedup merges; a line without the deflated count, as written
+before it existed, has 0) in the ``solve`` and ``perturb`` outputs, and of
+a ``max |p.z|`` of an ``audit`` report, then, apart, every residual that
+goes from or to exactly 0, which has no ``log10``: a residual is compared
+by its ratio, so that a rescaled economy's, whose scale may be 1e8, does
+not set the number.  Then the Newton iterations of every ``solve`` and
 ``perturb`` report summed on each side, ``old → new``, so that the effect
 of a change to Newton's iteration reads in one line, and how many of those
 reports each side has per ``method:`` (``closed form: 0 → N``; a report
@@ -80,6 +83,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import math
 import os
 import re
 import sys
@@ -294,8 +298,9 @@ def compare(old: Path, new: Path) -> int:
     0 when no output changed beyond the numbers that may change, else 1."""
     files = {p.relative_to(root) for root in (old, new) for p in root.rglob("*") if p.is_file()}
     differ, changed = [], []
-    keys = ("price", "residual", "deflated count", *SOLVER_COUNTS.values(), "audit max |p.z|")
+    keys = ("price", "log10 residual", "deflated count", *SOLVER_COUNTS.values(), "audit max |p.z|")
     largest = {key: (0, None) for key in keys}
+    zeros = []
     iterations = [0, 0]
     methods = {}
     for rel in sorted(files):
@@ -332,7 +337,12 @@ def compare(old: Path, new: Path) -> int:
         else:
             continue
         for key in na:
-            change = max((abs(u - v) for u, v in zip(na[key], nb[key])), default=0)
+            pairs = list(zip(na[key], nb[key]))
+            if key == "residual":
+                zeros += [f"{rel}: {u:g} → {v:g}" for u, v in pairs if u != v and 0.0 in (u, v)]
+                pairs = [(math.log10(u), math.log10(v)) for u, v in pairs if u > 0.0 and v > 0.0]
+                key = "log10 residual"
+            change = max((abs(u - v) for u, v in pairs), default=0)
             if change > largest[key][0]:
                 largest[key] = (change, rel)
     print(f"files: {len(files)}, differing: {len(differ)}")
@@ -340,6 +350,9 @@ def compare(old: Path, new: Path) -> int:
         print(f"  {rel}")
     for key, (value, rel) in largest.items():
         print(f"largest {key} change: {value:g}" + (f" ({rel})" if rel else ""))
+    print(f"residuals from or to 0: {len(zeros)}")
+    for line in zeros:
+        print(f"  {line}")
     print("Newton iterations of solve and perturb reports: {} → {}".format(*iterations))
     counts = ", ".join(f"{name}: {a} → {b}" for name, (a, b) in sorted(methods.items()))
     print(f"solve and perturb reports by method: {counts}")
