@@ -24,7 +24,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import PricePoint, TangentVector, _readonly, _row_sums
+from .geometry import PricePoint, TangentVector, _row_sums
 from .scales import (
     _KINDS,
     BumpScale,
@@ -68,9 +68,14 @@ class Consumer:
         omega = np.array(self.endowment, dtype=float)
         if alpha.ndim != 1 or alpha.shape != omega.shape:
             raise ValueError("alpha and endowment must be 1-d vectors of equal length")
-        misfit = _misfit(alpha[None], omega[None], [self.scale])
+        # Written so that NaN and inf entries fail the checks too.
+        if not (np.all(alpha > 0.0) and abs(alpha.sum() - 1.0) <= 1e-12):
+            raise ValueError("alpha must be strictly positive and sum to 1 within 1e-12")
+        if not (np.all((omega >= 0.0) & (omega < np.inf)) and np.any(omega > 0.0)):
+            raise ValueError("endowment must be finite and non-negative with a positive entry")
+        misfit = _scale_misfit(self.scale, alpha.size)
         if misfit:
-            raise ValueError(misfit[1])
+            raise ValueError(f"invalid scale: {misfit}")
         alpha.setflags(write=False)
         omega.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
@@ -79,35 +84,6 @@ class Consumer:
     @property
     def goods(self) -> int:
         return self.alpha.size
-
-
-def _misfit(shares: np.ndarray, endowments: np.ndarray, scales) -> tuple | None:
-    """``(k, why)`` for the first row of the stacked shares, endowments and
-    scales that is not a :class:`Consumer`, all checked at once; else None."""
-    # Written so that NaN and inf entries fail the checks too.
-    shares_fit = (shares > 0.0).all(axis=1) & (abs(shares.sum(axis=1) - 1.0) <= 1e-12)
-    endowments_fit = ((endowments >= 0.0) & (endowments < np.inf)).all(axis=1) & (endowments > 0.0).any(axis=1)
-    for k, scale in enumerate(scales):
-        if not shares_fit[k]:
-            return k, "alpha must be strictly positive and sum to 1 within 1e-12"
-        if not endowments_fit[k]:
-            return k, "endowment must be finite and non-negative with a positive entry"
-        misfit = _scale_misfit(scale, shares.shape[1])
-        if misfit:
-            return k, f"invalid scale: {misfit}"
-    return None
-
-
-def _consumers(shares, endowments, scales) -> tuple:
-    """The consumers of stacked rows, checked at once (``_misfit``)."""
-    shares, endowments = (_readonly(a) for a in (shares, endowments))
-    misfit = _misfit(shares, endowments, scales)
-    if misfit:
-        raise ValueError("consumer %d: %s" % misfit)
-    consumers = [object.__new__(Consumer) for _ in scales]
-    for c, alpha, omega, scale in zip(consumers, shares, endowments, scales):
-        c.__dict__.update(alpha=alpha, endowment=omega, scale=scale)  # a frozen dataclass's fields
-    return tuple(consumers)
 
 
 def _scale_misfit(scale: Scale, goods: int) -> str | None:
@@ -135,8 +111,7 @@ def _scale_misfit(scale: Scale, goods: int) -> str | None:
 class Economy:
     """A non-empty list of consumers over the same two or more goods.
 
-    The shares and endowments are also kept stacked, one row per consumer
-    (an economy file's are checked as such rows at once, ``_consumers``),
+    The shares and endowments are also kept stacked, one row per consumer,
     with the constant scale values and the varying scales as groups
     (``scale_groups``: consumer positions and one map for them), the 1-d
     ``kernel_sampled`` scales of each grid in one group and every other

@@ -11,9 +11,9 @@ closed vocabulary in :mod:`walraskit.scales`:
       scale: {type: constant, value: 1.0}
 
 A scale is its kind's dataclass fields under ``type``: every field is
-required and other keys are ignored.  The consumers' shares, endowments and
-scales are checked at once, as stacked rows, by the rule of
-:class:`~walraskit.consumers.Consumer`, whose message names the first.
+required and other keys are ignored.  Whether the scale fits the goods is
+checked by :class:`~walraskit.consumers.Consumer`, as for an economy built
+in code; this module adds the consumer's position to the message.
 
 Economy files are written by a small direct emitter that gives exactly the
 text of PyYAML's ``safe_dump(data, sort_keys=False, default_flow_style=None)``:
@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .consumers import Economy, _consumers as _stacked_consumers
+from .consumers import Consumer, Economy
 from .equilibrium import EquilibriumReport
 from .genericity import GenericityResult
 from .revealed import ObservationDataset
@@ -85,35 +85,31 @@ def economy_from_dict(data: dict) -> Economy:
     raw_consumers = data.get("consumers")
     if not isinstance(raw_consumers, list) or not raw_consumers:
         raise EconomyFormatError("'consumers' must be a non-empty list")
-    rows = []
-
-    def consumers():  # checked at once, the rows read so far
+    consumers = []
+    for k, entry in enumerate(raw_consumers):
         try:
-            return _stacked_consumers(*zip(*rows))
+            alpha = [_number(x, "alpha") for x in entry["alpha"]]
+            endowment = [_number(x, "endowment") for x in entry["endowment"]]
+        except (KeyError, TypeError) as exc:
+            raise EconomyFormatError(
+                f"consumer {k}: 'alpha' and 'endowment' must be numeric lists"
+            ) from exc
         except ValueError as exc:
-            raise EconomyFormatError(str(exc)) from exc
-    try:
-        for k, entry in enumerate(raw_consumers):
-            try:
-                alpha = [_number(x, "alpha") for x in entry["alpha"]]
-                endowment = [_number(x, "endowment") for x in entry["endowment"]]
-            except (KeyError, TypeError) as exc:
-                raise EconomyFormatError(f"consumer {k}: 'alpha' and 'endowment' must be numeric lists") from exc
-            except ValueError as exc:
-                raise EconomyFormatError(f"consumer {k}: {exc}") from exc
-            scale_data = entry.get("scale", {"type": "constant", "value": 1.0})
-            try:
-                scale = scale_from_dict(scale_data)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise EconomyFormatError(f"consumer {k}: invalid scale: {exc}") from exc
-            if len(alpha) != goods or len(endowment) != goods:
-                raise EconomyFormatError(f"consumer {k}: alpha/endowment length must equal goods={goods}")
-            rows.append((alpha, endowment, scale))
-    except EconomyFormatError:
-        if rows:  # the checks of the consumers before come first
-            consumers()
-        raise
-    return Economy(consumers())
+            raise EconomyFormatError(f"consumer {k}: {exc}") from exc
+        scale_data = entry.get("scale", {"type": "constant", "value": 1.0})
+        try:
+            scale = scale_from_dict(scale_data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise EconomyFormatError(f"consumer {k}: invalid scale: {exc}") from exc
+        if len(alpha) != goods or len(endowment) != goods:
+            raise EconomyFormatError(
+                f"consumer {k}: alpha/endowment length must equal goods={goods}"
+            )
+        try:
+            consumers.append(Consumer(alpha, endowment, scale=scale))
+        except ValueError as exc:
+            raise EconomyFormatError(f"consumer {k}: {exc}") from exc
+    return Economy(tuple(consumers))
 
 
 # --- YAML emitter -------------------------------------------------------------
@@ -310,7 +306,7 @@ def save_economy(path, e: Economy) -> None:
 # YAML 1.1 and Python read differently, such as 1e5, 010 or 1_000) raises
 # ValueError, and load_economy hands the whole text to yaml.load.
 
-_FLOAT_TEXT = r"-?+[0-9]++\.[0-9]++(?:e[-+][0-9]++)?+"  # possessive: no backtracking
+_FLOAT_TEXT = r"-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?"
 _FLOAT = re.compile(_FLOAT_TEXT)
 _INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
 # SafeConstructor's values, bit for bit: its NaN is inf - inf, not float("nan").
@@ -328,8 +324,8 @@ _BLOCK = object()  # a value that is the block collection on the next tokens
 def _float_run(indent: int, rows: bool):
     """One-line float rows at ``indent``, or a float list continued there."""
     if rows:
-        return re.compile(rf"(?: {{{indent}}}- \[{_FLOAT_TEXT}(?:, {_FLOAT_TEXT})*+\]\n)++")
-    return re.compile(rf"\[{_FLOAT_TEXT}(?:,(?: |\n {{{indent}}}){_FLOAT_TEXT})*+\]\n")
+        return re.compile(rf"(?: {{{indent}}}- \[{_FLOAT_TEXT}(?:, {_FLOAT_TEXT})*\]\n)+")
+    return re.compile(rf"\[{_FLOAT_TEXT}(?:,(?: |\n {{{indent}}}){_FLOAT_TEXT})*\]\n")
 
 
 class _Items(list):

@@ -316,8 +316,7 @@ def _jacobians(W: np.ndarray) -> np.ndarray:
     """The central-difference Jacobians, ``(m, d, d)``, of the Newton map from
     its full rows ``W``, ``(m, 2d, d + 1)``, on the ``_stencil`` rows of
     ``m`` points."""
-    d = W.shape[2] - 1
-    return ((W[:, :d, :-1] - W[:, d:, :-1]) / (2.0 * JACOBIAN_STEP)).swapaxes(-1, -2)
+    return _difference_quotient(W[..., :-1], np.float64(JACOBIAN_STEP))
 
 
 def _norms(V: np.ndarray) -> np.ndarray:

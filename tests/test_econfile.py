@@ -456,11 +456,10 @@ class TestInCodeEconomies:
             _economy_yaml({"scale": {"type": "constant", "value": np.float64(2.5)}})
 
 
-class TestStackedConsumerCheck:
-    """``economy_from_dict`` checks the shares and endowments of all its
-    consumers at once, as stacked rows, and names the first that does not
-    fit with the message a ``Consumer`` of it gives; a consumer's own error
-    still comes before that of any consumer after it."""
+class TestBadConsumerMessage:
+    """An economy file with one consumer whose shares or endowments do not
+    fit raises the message a ``Consumer`` of them gives, naming that
+    consumer; a consumer's own error comes before that of any after it."""
 
     GOOD = {"alpha": [0.25, 0.75], "endowment": [1.0, 2.0]}
     SHARES = "alpha must be strictly positive and sum to 1 within 1e-12"
